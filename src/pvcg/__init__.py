@@ -34,7 +34,6 @@ from .allocation import (
 from .payments import (
     PaymentBreakdown,
     ZeroAdjustment,
-    coalition_income,
     producer_utility,
     total_payment,
     vcg_tau,
@@ -53,7 +52,6 @@ from .learner import (
     TrainingConfig,
     TrainingTrace,
     composite_loss,
-    learned_adjustment,
     mlp_forward,
     train,
 )

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import optimize_acceptance, waterfill_surplus
-from .model import EconomyView, LinearCost, SqrtSumValuation, as_quantity_matrix
+from .allocation import max_surplus
+from .model import as_quantity_matrix
 
 Array = np.ndarray
 
@@ -49,8 +49,8 @@ class PriorSupport:
     theta_dist: str = "uniform"
 
     def __post_init__(self):
-        object.__setattr__(self, "cap_lo", as_quantity_matrix(self.cap_lo))
-        object.__setattr__(self, "cap_hi", as_quantity_matrix(self.cap_hi))
+        object.__setattr__(self, "cap_lo", as_quantity_matrix(self.cap_lo, name="cap_lo"))
+        object.__setattr__(self, "cap_hi", as_quantity_matrix(self.cap_hi, name="cap_hi"))
         object.__setattr__(self, "gamma_lo", np.atleast_1d(np.asarray(self.gamma_lo, dtype=float)))
         object.__setattr__(self, "gamma_hi", np.atleast_1d(np.asarray(self.gamma_hi, dtype=float)))
         object.__setattr__(self, "theta_lo", np.atleast_1d(np.asarray(self.theta_lo, dtype=float)))
@@ -152,28 +152,6 @@ def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Arra
 # ---------------------------------------------------------------------------
 
 
-def _surplus_of(capacities, gammas, thetas, valuation, cost, method) -> float:
-    capacities = np.asarray(capacities, dtype=float)
-    if (
-        method in (None, "analytic")
-        and isinstance(valuation, SqrtSumValuation)
-        and isinstance(cost, LinearCost)
-        and (capacities.ndim == 1 or capacities.shape[1] == 1)
-    ):
-        caps = capacities if capacities.ndim == 1 else capacities[:, 0]
-        return waterfill_surplus(
-            caps, np.asarray(gammas, dtype=float), float(np.sum(thetas)), valuation.scale
-        )
-    view = EconomyView(
-        capacities=capacities,
-        cost_types=np.asarray(gammas, dtype=float),
-        valuation_types=np.asarray(thetas, dtype=float),
-        valuation=valuation,
-        cost=cost,
-    )
-    return optimize_acceptance(view, method=method).surplus
-
-
 def analytic_adjustment(
     support: PriorSupport,
     valuation,
@@ -192,12 +170,12 @@ def analytic_adjustment(
     """
     if not 0 <= i < support.n:
         raise IndexError(f"producer index {i} out of range for n={support.n}")
-    others = as_quantity_matrix(capacities_others, n=support.n - 1, dim=support.dim)
+    others = as_quantity_matrix(capacities_others, n=support.n - 1, dim=support.dim, name="others' capacities")
     gammas_others = np.asarray(gammas_others, dtype=float)
     pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
     pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
-    s_pessimistic = _surplus_of(pess_caps, pess_gammas, thetas, valuation, cost, method)
-    s_without = _surplus_of(others, gammas_others, thetas, valuation, cost, method)
+    s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, valuation, cost, method)
+    s_without = max_surplus(others, gammas_others, thetas, valuation, cost, method)
     return -(s_pessimistic - s_without)
 
 
@@ -261,7 +239,7 @@ def _sum_gap(
     ``pessimistic`` replaces producer i by its support extremes; otherwise the
     producer is zeroed out with its cost type kept (the zero-capacity form).
     """
-    s_full = _surplus_of(caps, gammas, thetas, valuation, cost, method)
+    s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)
     lhs = 0.0
     for i in range(support.n):
         caps_i = caps.copy()
@@ -271,7 +249,7 @@ def _sum_gap(
             gammas_i[i] = support.gamma_hi[i]
         else:
             caps_i[i] = 0.0
-        lhs += s_full - _surplus_of(caps_i, gammas_i, thetas, valuation, cost, method)
+        lhs += s_full - max_surplus(caps_i, gammas_i, thetas, valuation, cost, method)
     return lhs, s_full
 
 

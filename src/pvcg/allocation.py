@@ -13,18 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EconomyView, LinearCost, SqrtSumValuation, social_surplus
+from .model import Economy, LinearCost, SqrtSumValuation, social_surplus
 
 Array = np.ndarray
 
 __all__ = [
     "SolverDiagnostics",
     "AllocationResult",
+    "waterfill_applies",
     "supports_waterfill",
     "analytic_waterfill",
     "optimize_acceptance",
     "counterfactual_surplus",
     "solve_with_counterfactuals",
+    "max_surplus",
 ]
 
 _LEX_TIE_TOL = 1e-12
@@ -53,12 +55,18 @@ class AllocationResult:
         return self.accepted[:, 0] if self.accepted.ndim == 2 else self.accepted
 
 
-def supports_waterfill(view: EconomyView) -> bool:
+def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> bool:
+    """Whether ``method`` resolves to the exact water-fill for these families and resource dimension."""
     return (
-        isinstance(view.valuation, SqrtSumValuation)
-        and isinstance(view.cost, LinearCost)
-        and view.dim == 1
+        method in (None, "analytic")
+        and isinstance(valuation, SqrtSumValuation)
+        and isinstance(cost, LinearCost)
+        and dim == 1
     )
+
+
+def supports_waterfill(view: Economy) -> bool:
+    return waterfill_applies(view.valuation, view.cost, view.dim)
 
 
 def _empty_result(dim: int) -> AllocationResult:
@@ -66,7 +74,7 @@ def _empty_result(dim: int) -> AllocationResult:
     return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
 
 
-def _finalize(view: EconomyView, ratios: Array, diag: SolverDiagnostics) -> AllocationResult:
+def _finalize(view: Economy, ratios: Array, diag: SolverDiagnostics) -> AllocationResult:
     accepted = view.capacities * ratios
     surplus = social_surplus(view, accepted)
     if not math.isfinite(surplus):
@@ -93,7 +101,16 @@ def _stop_quantities(sorted_gammas: Array, theta_sum: float, scale: float) -> Ar
         return np.where(positive, scale * ratio * ratio, np.inf)
 
 
-def analytic_waterfill(view: EconomyView) -> AllocationResult:
+def _sorted_fills(caps: Array, gammas: Array, theta_sum: float, scale: float) -> tuple[Array, Array]:
+    """Ascending-cost fill order (ties by index) and each producer's fill along it."""
+    order = np.argsort(gammas, kind="stable")
+    caps_sorted = caps[order]
+    stop_at = _stop_quantities(gammas[order], theta_sum, scale)
+    cumulative_before = np.concatenate(([0.0], np.cumsum(caps_sorted)[:-1]))
+    return order, np.clip(stop_at - cumulative_before, 0.0, caps_sorted)
+
+
+def analytic_waterfill(view: Economy) -> AllocationResult:
     """Greedy exact solution for the square-root/linear family, scalar resources.
 
     With aggregate accepted quantity ``U`` the marginal value of one more unit
@@ -109,8 +126,6 @@ def analytic_waterfill(view: EconomyView) -> AllocationResult:
             "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
         )
     n = view.n
-    if n == 0:
-        return _empty_result(view.dim)
     caps = view.capacities[:, 0]
     gammas = view.cost_types
     theta_sum = float(view.valuation_types.sum())
@@ -119,11 +134,7 @@ def analytic_waterfill(view: EconomyView) -> AllocationResult:
     if theta_sum <= 0.0:
         ratios = np.zeros(n)
     else:
-        order = np.argsort(gammas, kind="stable")
-        caps_sorted = caps[order]
-        stop_at = _stop_quantities(gammas[order], theta_sum, scale)
-        cumulative_before = np.concatenate(([0.0], np.cumsum(caps_sorted)[:-1]))
-        fills_sorted = np.clip(stop_at - cumulative_before, 0.0, caps_sorted)
+        order, fills_sorted = _sorted_fills(caps, gammas, theta_sum, scale)
         fills = np.empty_like(fills_sorted)
         fills[order] = fills_sorted
         ratios = np.divide(fills, caps, out=np.zeros(n), where=caps > 0)
@@ -136,7 +147,7 @@ def analytic_waterfill(view: EconomyView) -> AllocationResult:
 # ---------------------------------------------------------------------------
 
 
-def _surplus_rows(view: EconomyView, H: Array) -> Array:
+def _surplus_rows(view: Economy, H: Array) -> Array:
     """Surplus for each row of ``H`` (rows are flattened ratio profiles)."""
     k = H.shape[0]
     caps_flat = view.capacities.ravel()
@@ -155,7 +166,7 @@ def _surplus_rows(view: EconomyView, H: Array) -> Array:
     return out
 
 
-def _grad_rows(view: EconomyView, H: Array, fd_step: float = 1e-6) -> Array:
+def _grad_rows(view: Economy, H: Array, fd_step: float = 1e-6) -> Array:
     """Gradient of the surplus with respect to each ratio coordinate, per row.
 
     Analytic for the aggregate square-root family; central finite differences
@@ -182,7 +193,7 @@ def _grad_rows(view: EconomyView, H: Array, fd_step: float = 1e-6) -> Array:
 
 
 def _projected_gradient(
-    view: EconomyView,
+    view: Economy,
     seed: int = 0,
     restarts: int = 8,
     max_iter: int = 10_000,
@@ -190,8 +201,6 @@ def _projected_gradient(
     armijo_c: float = 1e-4,
 ) -> AllocationResult:
     n, dim = view.n, view.dim
-    if n == 0:
-        return _empty_result(dim)
     width = n * dim
     rng = np.random.default_rng(seed)
     starts = [np.zeros(width), np.ones(width)]
@@ -251,7 +260,7 @@ def _projected_gradient(
 
 
 def optimize_acceptance(
-    view: EconomyView,
+    view: Economy,
     method: str | None = None,
     seed: int = 0,
     restarts: int = 8,
@@ -274,7 +283,7 @@ def optimize_acceptance(
 
 
 def counterfactual_surplus(
-    view: EconomyView,
+    view: Economy,
     removed_producer: int,
     method: str | None = None,
     **kwargs,
@@ -294,7 +303,7 @@ def counterfactual_surplus(
 
 
 def solve_with_counterfactuals(
-    view: EconomyView,
+    view: Economy,
     method: str | None = None,
     **kwargs,
 ) -> tuple[AllocationResult, list[AllocationResult]]:
@@ -313,13 +322,25 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum: float, scale: float
     """Maximum surplus of a scalar sqrt_sum/linear economy, arrays in, float out."""
     if caps.size == 0 or theta_sum <= 0.0:
         return 0.0
-    order = np.argsort(gammas, kind="stable")
-    caps_sorted = caps[order]
-    stop_at = _stop_quantities(gammas[order], theta_sum, scale)
-    cumulative_before = np.concatenate(([0.0], np.cumsum(caps_sorted)[:-1]))
-    fills = np.clip(stop_at - cumulative_before, 0.0, caps_sorted)
+    order, fills = _sorted_fills(caps, gammas, theta_sum, scale)
     total = float(fills.sum())
     return theta_sum * math.sqrt(scale * total) - float(gammas[order] @ fills)
+
+
+def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None) -> float:
+    """Maximum reported surplus of the raw ``(n, dim)`` capacity profile and types.
+
+    Takes the water-fill fast path whenever it applies and solves the full
+    problem otherwise; an empty coalition (n == 0) has zero surplus.
+    """
+    caps = np.asarray(capacities, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    if waterfill_applies(valuation, cost, caps.shape[1], method):
+        return waterfill_surplus(caps[:, 0], gammas, float(np.sum(thetas)), valuation.scale)
+    if caps.shape[0] == 0:
+        return 0.0
+    economy = Economy(caps, gammas, np.asarray(thetas, dtype=float), valuation, cost)
+    return optimize_acceptance(economy, method=method).surplus
 
 
 def waterfill_gains(caps: Array, gammas: Array, theta_sum: float, scale: float) -> tuple[float, Array]:

@@ -8,14 +8,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .adjustment import AnalyticAdjustment, marginal_gains_check, existence_check
+from .adjustment import AnalyticAdjustment
 from .experiment import (
     ExperimentConfig,
-    ir_wbb_sweep,
     payment_surface,
     run_experiment,
+    run_probes,
     surface_rows,
     write_csv,
     write_report,
@@ -23,7 +21,6 @@ from .experiment import (
 from .learner import load_model, save_model, train
 from .model import check_assumptions, load_economy, make_cost, make_valuation, bids_from_dict
 from .payments import ZeroAdjustment, total_payment
-from .verification import check_surplus_monotonicity, mixed_deviation_sampler, probe_dsic, uniform_economy_sampler
 
 
 def _map_method(name: str | None) -> str | None:
@@ -113,39 +110,13 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args)
     valuation, cost = config.families()
-    support = config.support()
-    adjustment = _build_adjustment(args.adjustment, support, valuation, cost, config.method)
-    economy_sampler = uniform_economy_sampler(support, valuation, cost)
-    deviation_sampler = mixed_deviation_sampler(support)
-
+    adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
+    probes = run_probes(config, {args.adjustment: adjustment})
     report = {
         "adjustment": args.adjustment,
-        "existence": existence_check(
-            support, valuation, cost, samples=config.existence_samples,
-            seed=config.seed + 11, method=config.method,
-        ).to_dict(),
-        "marginal_gains": marginal_gains_check(
-            support, valuation, cost, samples=config.existence_samples,
-            seed=config.seed + 12, method=config.method,
-        ).to_dict(),
-        "dsic": probe_dsic(
-            economy_sampler, deviation_sampler, adjustment=adjustment,
-            trials=config.dsic_trials, deviations_per_trial=config.dsic_deviations,
-            seed=config.seed + 21, punishment=config.punishment, method=config.method,
-        ).to_dict(),
-        "ir_wbb": ir_wbb_sweep(
-            support, valuation, cost, adjustment=adjustment, samples=config.ir_samples,
-            seed=config.seed + 41, punishment=config.punishment, method=config.method,
-            # a trained network is certified on expected penalty, exact models per instance
-            min_pass_rate=0.0 if args.adjustment.startswith("learned") else 1.0,
-            max_mean_penalty=(
-                10.0 * config.training.loss_tol if args.adjustment.startswith("learned") else None
-            ),
-        ),
-        "surplus_monotonicity": check_surplus_monotonicity(
-            economy_sampler, trials=config.monotonicity_trials, seed=config.seed + 51,
-            method=config.method,
-        ).to_dict(),
+        **probes,
+        "dsic": probes["dsic"][args.adjustment],
+        "ir_wbb": probes["ir_wbb"][args.adjustment],
     }
     passed = all(section["passed"] for key, section in report.items() if key != "adjustment")
     report["passed"] = passed

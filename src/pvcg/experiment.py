@@ -21,9 +21,9 @@ from .adjustment import (
     existence_check,
     sample_prior,
 )
-from .allocation import optimize_acceptance
+from .allocation import counterfactual_surplus, optimize_acceptance
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
-from .model import EconomyView, make_cost, make_valuation
+from .model import Economy, make_cost, make_valuation, reject_unknown_keys
 from .payments import ZeroAdjustment, tau_for_producer, total_payment
 from .verification import (
     SURPLUS_TOL,
@@ -45,11 +45,13 @@ __all__ = [
     "ExperimentResult",
     "payment_surface",
     "ir_wbb_sweep",
+    "run_probes",
     "run_experiment",
     "sample_prior",
 ]
 
-# stage seed offsets relative to the config seed
+# stage seed offsets relative to the config seed; the dsic and ir_wbb stages
+# add the adjustment's position in the probed set
 _SEED_EXISTENCE = 11
 _SEED_MARGINAL_GAINS = 12
 _SEED_DSIC = 21
@@ -90,6 +92,7 @@ class SurfaceGrid:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SurfaceGrid":
+        reject_unknown_keys(cls, doc)
         return cls(**doc)
 
 
@@ -138,18 +141,19 @@ def payment_surface(
     caps_others = np.full((n - 1, 1), grid.fixed_capacity)
     gammas_others = np.full(n - 1, grid.fixed_gamma)
     thetas = np.full(m, grid.fixed_theta)
-    removed_view = EconomyView(caps_others, gammas_others, thetas, valuation, cost)
-    removed = optimize_acceptance(removed_view, method=method)
     h0 = float(adjustment(0, caps_others, gammas_others, thetas))
+
+    def reported(x0, g0) -> Economy:
+        caps = np.vstack(([[x0]], caps_others))
+        return Economy(caps, np.concatenate(([g0], gammas_others)), thetas, valuation, cost)
 
     x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
+    removed = counterfactual_surplus(reported(x_values[0], gamma_values[0]), 0, method=method)
     tau = np.empty((grid.x_points, grid.gamma_points))
     for a, x0 in enumerate(x_values):
         for b, g0 in enumerate(gamma_values):
-            caps = np.vstack(([[x0]], caps_others))
-            gammas = np.concatenate(([g0], gammas_others))
-            view = EconomyView(caps, gammas, thetas, valuation, cost)
+            view = reported(x0, g0)
             full = optimize_acceptance(view, method=method)
             tau[a, b] = tau_for_producer(view, full, removed, 0)
     return SurfaceRecord(
@@ -194,6 +198,12 @@ class ExperimentConfig:
     existence_samples: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        counts = ("n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def support(self) -> PriorSupport:
         return PriorSupport.uniform_box(
             self.n, self.m, cap=self.cap_bounds, gamma=self.gamma_bounds, theta=self.theta_bounds
@@ -227,6 +237,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        reject_unknown_keys(cls, doc)
         doc = dict(doc)
         if "training" in doc:
             doc["training"] = TrainingConfig.from_dict(doc["training"])
@@ -364,6 +375,55 @@ def ir_wbb_sweep(
 # ---------------------------------------------------------------------------
 
 
+def run_probes(config: ExperimentConfig, adjustments: dict) -> dict:
+    """Every sampled probe of ``config``, the dsic and ir_wbb ones per named adjustment.
+
+    Returns the ``existence``, ``marginal_gains`` and ``surplus_monotonicity``
+    reports plus ``dsic`` and ``ir_wbb`` dicts keyed by adjustment name. Each
+    stage seeds from ``config.seed`` plus its fixed offset; the k-th
+    adjustment's dsic and ir_wbb stages add k. Exact adjustments must be
+    feasible on every instance; a trained network is certified on its
+    expected penalty, the quantity training controls, capped at
+    ``10 * loss_tol``.
+    """
+    support = config.support()
+    valuation, cost = config.families()
+    economy_sampler = uniform_economy_sampler(support, valuation, cost)
+    deviation_sampler = mixed_deviation_sampler(support)
+    learned_penalty_cap = 10.0 * config.training.loss_tol
+    probes = {
+        "existence": existence_check(
+            support, valuation, cost, samples=config.existence_samples,
+            seed=config.seed + _SEED_EXISTENCE, method=config.method,
+        ).to_dict(),
+        "marginal_gains": marginal_gains_check(
+            support, valuation, cost, samples=config.existence_samples,
+            seed=config.seed + _SEED_MARGINAL_GAINS, method=config.method,
+        ).to_dict(),
+        "dsic": {},
+        "ir_wbb": {},
+    }
+    for offset, (name, adj) in enumerate(adjustments.items()):
+        learned = isinstance(adj, LearnedAdjustment)
+        probes["dsic"][name] = probe_dsic(
+            economy_sampler, deviation_sampler, adjustment=adj,
+            trials=config.dsic_trials, deviations_per_trial=config.dsic_deviations,
+            seed=config.seed + _SEED_DSIC + offset, punishment=config.punishment, method=config.method,
+        ).to_dict()
+        probes["ir_wbb"][name] = ir_wbb_sweep(
+            support, valuation, cost, adjustment=adj, samples=config.ir_samples,
+            seed=config.seed + _SEED_IR_WBB + offset, punishment=config.punishment,
+            method=config.method,
+            min_pass_rate=0.0 if learned else 1.0,
+            max_mean_penalty=learned_penalty_cap if learned else None,
+        )
+    probes["surplus_monotonicity"] = check_surplus_monotonicity(
+        economy_sampler, trials=config.monotonicity_trials,
+        seed=config.seed + _SEED_MONOTONICITY, method=config.method,
+    ).to_dict()
+    return probes
+
+
 @dataclass
 class ExperimentResult:
     passed: bool
@@ -392,52 +452,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     )
     save_model(model, out / "model.json")
 
-    existence = existence_check(
-        support, valuation, cost, samples=config.existence_samples,
-        seed=config.seed + _SEED_EXISTENCE, method=config.method,
-    )
-    marginal_gains = marginal_gains_check(
-        support, valuation, cost, samples=config.existence_samples,
-        seed=config.seed + _SEED_MARGINAL_GAINS, method=config.method,
-    )
-
-    economy_sampler = uniform_economy_sampler(support, valuation, cost)
-    deviation_sampler = mixed_deviation_sampler(support)
-    adjustments = {
-        "zero": ZeroAdjustment(),
-        "analytic": AnalyticAdjustment(support, valuation, cost, method=config.method),
-        "learned": model,
-    }
-    dsic_reports = {}
-    for offset, (name, adj) in enumerate(adjustments.items()):
-        dsic_reports[name] = probe_dsic(
-            economy_sampler,
-            deviation_sampler,
-            adjustment=adj,
-            trials=config.dsic_trials,
-            deviations_per_trial=config.dsic_deviations,
-            seed=config.seed + _SEED_DSIC + offset,
-            punishment=config.punishment,
-            method=config.method,
-        ).to_dict()
-
-    # exact adjustments must be feasible on every instance; the trained network
-    # is certified on its expected penalty, the quantity training controls
-    learned_penalty_cap = 10.0 * config.training.loss_tol
-    ir_wbb_reports = {
-        name: ir_wbb_sweep(
-            support, valuation, cost, adjustment=adj, samples=config.ir_samples,
-            seed=config.seed + _SEED_IR_WBB + offset, punishment=config.punishment,
-            method=config.method,
-            min_pass_rate=0.0 if name == "learned" else 1.0,
-            max_mean_penalty=learned_penalty_cap if name == "learned" else None,
-        )
-        for offset, (name, adj) in enumerate(adjustments.items())
-    }
-
-    monotonicity = check_surplus_monotonicity(
-        economy_sampler, trials=config.monotonicity_trials,
-        seed=config.seed + _SEED_MONOTONICITY, method=config.method,
+    probes = run_probes(
+        config,
+        {
+            "zero": ZeroAdjustment(),
+            "analytic": AnalyticAdjustment(support, valuation, cost, method=config.method),
+            "learned": model,
+        },
     )
 
     surface = payment_surface(
@@ -458,11 +479,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
 
     passed = (
         trace.final_loss <= config.training.loss_tol
-        and existence.passed
-        and marginal_gains.passed
-        and all(r["passed"] for r in dsic_reports.values())
-        and all(r["passed"] for r in ir_wbb_reports.values())
-        and monotonicity.passed
+        and probes["existence"]["passed"]
+        and probes["marginal_gains"]["passed"]
+        and all(r["passed"] for r in probes["dsic"].values())
+        and all(r["passed"] for r in probes["ir_wbb"].values())
+        and probes["surplus_monotonicity"]["passed"]
         and surface_report["monotone_in_capacity"]
         and surface_report["monotone_in_gamma"]
         and surface_report["plateau_matches_adjustment"]
@@ -470,11 +491,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     report = {
         "config": config.to_dict(),
         "training": {"epochs_run": trace.epochs_run, "final_loss": trace.final_loss},
-        "existence": existence.to_dict(),
-        "marginal_gains": marginal_gains.to_dict(),
-        "dsic": dsic_reports,
-        "ir_wbb": ir_wbb_reports,
-        "surplus_monotonicity": monotonicity.to_dict(),
+        **probes,
         "surface": surface_report,
         "passed": passed,
     }

@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adjustment import PriorSupport, sample_from
-from .allocation import optimize_acceptance, waterfill_gains
-from .model import EconomyView, LinearCost, SqrtSumValuation
+from .allocation import solve_with_counterfactuals, waterfill_applies, waterfill_gains
+from .model import Economy, reject_unknown_keys
 
 Array = np.ndarray
 
@@ -36,7 +36,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingTrace",
     "LearnedAdjustment",
-    "learned_adjustment",
     "composite_loss",
     "train",
     "save_model",
@@ -226,11 +225,6 @@ class LearnedAdjustment:
         return np.stack(columns, axis=1)
 
 
-def learned_adjustment(model: LearnedAdjustment, i: int, capacities_others, gammas_others, thetas) -> float:
-    """Evaluate one producer's learned adjustment; never reads that producer's own report."""
-    return model(i, capacities_others, gammas_others, thetas)
-
-
 # ---------------------------------------------------------------------------
 # loss and training
 # ---------------------------------------------------------------------------
@@ -253,6 +247,8 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_dict(self) -> dict:
         return {
@@ -267,6 +263,7 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
+        reject_unknown_keys(cls, doc)
         doc = dict(doc)
         if "hidden" in doc:
             doc["hidden"] = tuple(doc["hidden"])
@@ -331,23 +328,17 @@ def _batch_surpluses(valuation, cost, caps, gammas, thetas, method):
     T, n = gammas.shape
     surpluses = np.empty(T)
     removed = np.empty((T, n))
-    fast = (
-        isinstance(valuation, SqrtSumValuation)
-        and isinstance(cost, LinearCost)
-        and caps.shape[2] == 1
-        and method in (None, "analytic")
-    )
+    fast = waterfill_applies(valuation, cost, caps.shape[2], method)
     for t in range(T):
         if fast:
-            s, gains = waterfill_gains(caps[t, :, 0], gammas[t], float(thetas[t].sum()), valuation.scale)
-            surpluses[t] = s
-            removed[t] = gains
+            surpluses[t], removed[t] = waterfill_gains(
+                caps[t, :, 0], gammas[t], float(thetas[t].sum()), valuation.scale
+            )
         else:
-            view = EconomyView(caps[t], gammas[t], thetas[t], valuation, cost)
-            surpluses[t] = optimize_acceptance(view, method=method).surplus
-            for i in range(n):
-                sub = view.drop_producer(i)
-                removed[t, i] = optimize_acceptance(sub, method=method).surplus if n > 1 else 0.0
+            economy = Economy(caps[t], gammas[t], thetas[t], valuation, cost)
+            full, rest = solve_with_counterfactuals(economy, method=method)
+            surpluses[t] = full.surplus
+            removed[t] = [r.surplus for r in rest]
     return surpluses, removed
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -54,11 +54,20 @@ __all__ = [
 # array coercion / validation
 # ---------------------------------------------------------------------------
 
-def as_quantity_matrix(x, n: int | None = None, dim: int | None = None) -> Array:
+def _check_entries(arr: Array, name: str) -> Array:
+    """Reject non-finite and negative entries with a message that names the field."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
+    if (arr < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    return arr
+
+
+def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: str = "resource amounts") -> Array:
     """Coerce per-producer resource amounts into a validated ``(n, dim)`` float array.
 
     Accepts scalars-per-producer (1-d input) or explicit bundles (2-d input).
-    Rejects NaN and negative entries.
+    Rejects NaN, infinite and negative entries; ``name`` labels the error.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
@@ -66,16 +75,12 @@ def as_quantity_matrix(x, n: int | None = None, dim: int | None = None) -> Array
     elif arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"resource profile must be 1- or 2-dimensional, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected {n} producers, got {arr.shape[0]}")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected resource dimension {dim}, got {arr.shape[1]}")
-    if np.isnan(arr).any():
-        raise ValueError("resource amounts contain NaN")
-    if (arr < 0).any():
-        raise ValueError("resource amounts must be non-negative")
-    return arr
+    return _check_entries(arr, name)
 
 
 def as_bundle(x, dim: int | None = None) -> Array:
@@ -85,29 +90,20 @@ def as_bundle(x, dim: int | None = None) -> Array:
         raise ValueError(f"resource bundle must be a scalar or 1-d, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"expected resource dimension {dim}, got {arr.shape[0]}")
-    if np.isnan(arr).any():
-        raise ValueError("resource bundle contains NaN")
-    if (arr < 0).any():
-        raise ValueError("resource bundle must be non-negative")
-    return arr
+    return _check_entries(arr, "resource bundle")
 
 
 def _check_type_scalar(value: float, name: str) -> float:
     value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{name} is NaN")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 
 
 def _check_type_vector(values, name: str) -> Array:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if np.isnan(arr).any():
-        raise ValueError(f"{name} contains NaN")
-    if (arr < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    return arr
+    return _check_entries(np.atleast_1d(np.asarray(values, dtype=float)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -262,61 +258,6 @@ def make_cost(tag: str):
 
 
 @dataclass(frozen=True)
-class EconomyView:
-    """Parameters a solver sees: a capacity/type profile plus the function families.
-
-    The same container serves true parameters and reported bids; payments code
-    decides which one it is holding.
-    """
-
-    capacities: Array        # (n, dim)
-    cost_types: Array        # (n,)
-    valuation_types: Array   # (m,)
-    valuation: object
-    cost: object
-
-    def __post_init__(self):
-        caps = as_quantity_matrix(self.capacities)
-        object.__setattr__(self, "capacities", caps)
-        object.__setattr__(self, "cost_types", _check_type_vector(self.cost_types, "cost types"))
-        object.__setattr__(self, "valuation_types", _check_type_vector(self.valuation_types, "valuation types"))
-        if self.cost_types.shape[0] != caps.shape[0]:
-            raise ValueError("cost_types length must match the number of producers")
-
-    @property
-    def n(self) -> int:
-        return self.capacities.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.valuation_types.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.capacities.shape[1]
-
-    def drop_producer(self, i: int) -> "EconomyView":
-        if not 0 <= i < self.n:
-            raise IndexError(f"producer index {i} out of range for n={self.n}")
-        keep = [k for k in range(self.n) if k != i]
-        return EconomyView(
-            capacities=self.capacities[keep],
-            cost_types=self.cost_types[keep],
-            valuation_types=self.valuation_types,
-            valuation=self.valuation,
-            cost=self.cost,
-        )
-
-    def with_producer(self, i: int, capacity, gamma: float) -> "EconomyView":
-        """Replace producer ``i``'s capacity bundle and cost type."""
-        caps = self.capacities.copy()
-        caps[i] = as_bundle(capacity, dim=self.dim)
-        gammas = self.cost_types.copy()
-        gammas[i] = _check_type_scalar(gamma, "cost type")
-        return replace(self, capacities=caps, cost_types=gammas)
-
-
-@dataclass(frozen=True)
 class BidProfile:
     """Sealed bids of step 1: reported capacities and types."""
 
@@ -325,7 +266,7 @@ class BidProfile:
     valuation_types: Array   # (m,) reported valuation types
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", as_quantity_matrix(self.capacities))
+        object.__setattr__(self, "capacities", as_quantity_matrix(self.capacities, name="reported capacities"))
         object.__setattr__(self, "cost_types", _check_type_vector(self.cost_types, "reported cost types"))
         object.__setattr__(self, "valuation_types", _check_type_vector(self.valuation_types, "reported valuation types"))
 
@@ -336,16 +277,20 @@ class BidProfile:
 
 @dataclass(frozen=True)
 class Economy:
-    """Ground truth for one auction instance: capacities, types, and families."""
+    """Capacities, types, and function families of one auction instance.
 
-    capacities: Array        # (n, dim) true capacity limits
-    cost_types: Array        # (n,) true cost types
-    valuation_types: Array   # (m,) true valuation types
+    The same container holds true parameters and the reported economy a
+    solver sees (``view``); payments code decides which one it is holding.
+    """
+
+    capacities: Array        # (n, dim)
+    cost_types: Array        # (n,)
+    valuation_types: Array   # (m,)
     valuation: object
     cost: object
 
     def __post_init__(self):
-        caps = as_quantity_matrix(self.capacities)
+        caps = as_quantity_matrix(self.capacities, name="capacities")
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "cost_types", _check_type_vector(self.cost_types, "cost types"))
         object.__setattr__(self, "valuation_types", _check_type_vector(self.valuation_types, "valuation types"))
@@ -362,7 +307,7 @@ class Economy:
 
         ``scale`` defaults to the producer count.
         """
-        caps = as_quantity_matrix(capacities)
+        caps = as_quantity_matrix(capacities, name="capacities")
         if scale is None:
             scale = float(caps.shape[0])
         return cls(
@@ -392,23 +337,29 @@ class Economy:
             valuation_types=self.valuation_types.copy(),
         )
 
-    def view(self, bids: BidProfile | None = None) -> EconomyView:
-        """Solver input built from ``bids`` (truthful reports when omitted)."""
+    def view(self, bids: BidProfile | None = None) -> "Economy":
+        """The reported economy a solver sees: ``bids`` with these families (itself when omitted)."""
         if bids is None:
-            bids = self.truthful_bids()
+            return self
         if bids.capacities.shape != self.capacities.shape:
             raise ValueError("bid capacities do not match the economy's producer layout")
         if bids.cost_types.shape != self.cost_types.shape:
             raise ValueError("bid cost types do not match the economy's producer count")
         if bids.valuation_types.shape != self.valuation_types.shape:
             raise ValueError("bid valuation types do not match the economy's consumer count")
-        return EconomyView(
-            capacities=bids.capacities,
-            cost_types=bids.cost_types,
-            valuation_types=bids.valuation_types,
-            valuation=self.valuation,
-            cost=self.cost,
-        )
+        return Economy(bids.capacities, bids.cost_types, bids.valuation_types, self.valuation, self.cost)
+
+    def drop_producer(self, i: int) -> "Economy":
+        """The economy without producer ``i``; the families, synergy scale included, are unchanged."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"producer index {i} out of range for n={self.n}")
+        keep = [k for k in range(self.n) if k != i]
+        return Economy(self.capacities[keep], self.cost_types[keep], self.valuation_types, self.valuation, self.cost)
+
+
+# The former name of the solver-input type. perfbench/tracing.py patches
+# ``pvcg.model.EconomyView.__init__``, so the name stays bound.
+EconomyView = Economy
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +542,13 @@ def check_assumptions(
 # ---------------------------------------------------------------------------
 
 
+def reject_unknown_keys(cls, doc: dict) -> None:
+    """Raise ``ValueError`` naming every key of ``doc`` that is not a field of dataclass ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(str, unknown))}")
+
+
 def _family_to_dict(family) -> dict:
     if family.tag == "custom":
         raise ValueError("custom families cannot be serialized; construct them in code")
@@ -619,7 +577,7 @@ def economy_to_dict(economy: Economy) -> dict:
 
 
 def economy_from_dict(doc: dict) -> Economy:
-    caps = as_quantity_matrix(doc["capacities"])
+    caps = as_quantity_matrix(doc["capacities"], name="capacities")
     n = int(doc.get("n", caps.shape[0]))
     if caps.shape[0] != n:
         raise ValueError("economy document: capacities length disagrees with n")
@@ -661,7 +619,7 @@ def bids_to_dict(bids: BidProfile) -> dict:
 
 def bids_from_dict(doc: dict) -> BidProfile:
     return BidProfile(
-        capacities=as_quantity_matrix(doc["capacities"]),
+        capacities=as_quantity_matrix(doc["capacities"], name="reported capacities"),
         cost_types=np.asarray(doc["cost_types"], dtype=float),
         valuation_types=np.asarray(doc["valuation_types"], dtype=float),
     )

@@ -20,7 +20,7 @@ from .allocation import (
     optimize_acceptance,
     solve_with_counterfactuals,
 )
-from .model import BidProfile, Economy, EconomyView, total_valuation
+from .model import BidProfile, Economy, total_valuation
 
 Array = np.ndarray
 
@@ -29,7 +29,8 @@ __all__ = [
     "PaymentBreakdown",
     "vcg_tau",
     "tau_for_producer",
-    "coalition_income",
+    "adjustment_for",
+    "utility_from_solves",
     "total_payment",
     "producer_utility",
 ]
@@ -72,14 +73,14 @@ def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
     return (accepted > true_capacities + guard).any(axis=1)
 
 
-def tau_for_producer(view: EconomyView, full: AllocationResult, removed: AllocationResult, i: int) -> float:
+def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationResult, i: int) -> float:
     """Pivot payment for one producer from the solved full and removed problems."""
     own_cost = view.cost.cost(full.accepted[i], float(view.cost_types[i]))
     return full.surplus - removed.surplus + own_cost
 
 
 def vcg_tau(
-    view: EconomyView,
+    view: Economy,
     allocation: AllocationResult,
     counterfactuals: list[AllocationResult],
     check_tol: float = TAU_FORM_TOL,
@@ -118,19 +119,34 @@ def vcg_tau(
     return taus
 
 
-def coalition_income(view: EconomyView, accepted) -> float:
-    """Full consumer surplus extracted on the demand side at the accepted profile."""
-    return total_valuation(view, accepted)
+def adjustment_for(adjustment, view: Economy, i: int) -> float:
+    """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports."""
+    keep = [k for k in range(view.n) if k != i]
+    return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
 
 
-def _adjustment_vector(adjustment, bids: BidProfile, n: int) -> Array:
-    values = np.empty(n)
-    for i in range(n):
-        keep = [k for k in range(n) if k != i]
-        values[i] = float(
-            adjustment(i, bids.capacities[keep], bids.cost_types[keep], bids.valuation_types)
-        )
-    return values
+def utility_from_solves(
+    economy: Economy,
+    view: Economy,
+    full: AllocationResult,
+    removed: AllocationResult,
+    i: int,
+    h: float,
+    punishment: float,
+) -> tuple[float, float]:
+    """Utility and pivot payment of producer ``i`` from the solved reported problems.
+
+    ``view`` is the reported economy ``full`` was solved on, ``removed`` its
+    producer-``i``-removed solution, ``economy`` the truth and ``h`` the
+    producer's adjustment. A producer accepted beyond its true capacity is
+    paid ``-punishment`` and delivers nothing; otherwise it earns
+    ``tau + h`` minus its true cost of the accepted quantity.
+    """
+    tau = tau_for_producer(view, full, removed, i)
+    accepted_i = full.accepted[i]
+    if _punished_mask(accepted_i[None, :], economy.capacities[i][None, :])[0]:
+        return -punishment, tau
+    return tau + h - economy.cost.cost(accepted_i, float(economy.cost_types[i])), tau
 
 
 def total_payment(
@@ -155,12 +171,10 @@ def total_payment(
         raise ValueError("punishment must be positive")
     if adjustment is None:
         adjustment = ZeroAdjustment()
-    if bids is None:
-        bids = economy.truthful_bids()
     view = economy.view(bids)
     full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
     taus = vcg_tau(view, full, removed)
-    adjustments = _adjustment_vector(adjustment, bids, view.n)
+    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
 
     accepted = full.accepted
     punished = _punished_mask(accepted, economy.capacities)
@@ -196,26 +210,16 @@ def producer_utility(
     punishment: float = 1e6,
     method: str | None = None,
     seed: int = 0,
-    _removed: AllocationResult | None = None,
 ) -> tuple[float, float]:
     """Utility and pivot payment of one producer under the given bids.
 
     Cheaper than ``total_payment`` when only one producer matters (two solves
-    instead of n+1). ``_removed`` lets callers reuse the producer-removed
-    solution, which does not depend on that producer's own report.
+    instead of n+1).
     """
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
     full = optimize_acceptance(view, method=method, seed=seed)
-    removed = _removed
-    if removed is None:
-        removed = counterfactual_surplus(view, producer, method=method, seed=seed)
-    tau = tau_for_producer(view, full, removed, producer)
-    accepted_i = full.accepted[producer]
-    if _punished_mask(accepted_i[None, :], economy.capacities[producer][None, :])[0]:
-        return -punishment, tau
-    keep = [k for k in range(view.n) if k != producer]
-    h = float(adjustment(producer, bids.capacities[keep], bids.cost_types[keep], bids.valuation_types))
-    true_cost = economy.cost.cost(accepted_i, float(economy.cost_types[producer]))
-    return tau + h - true_cost, tau
+    removed = counterfactual_surplus(view, producer, method=method, seed=seed)
+    h = adjustment_for(adjustment, view, producer)
+    return utility_from_solves(economy, view, full, removed, producer, h, punishment)

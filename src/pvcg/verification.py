@@ -10,7 +10,7 @@ absorb optimizer noise in counterfactuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .allocation import (
     counterfactual_surplus,
     optimize_acceptance,
 )
-from .model import BidProfile, Economy, EconomyView
-from .payments import PaymentBreakdown, ZeroAdjustment, tau_for_producer, _punished_mask
+from .model import Economy
+from .payments import PaymentBreakdown, ZeroAdjustment, adjustment_for, utility_from_solves
 
 Array = np.ndarray
 
@@ -151,9 +151,7 @@ def probe_dsic(
 
     for trial in range(trials):
         economy = economy_sampler(rng)
-        bids = economy.truthful_bids()
-        view = economy.view(bids)
-        full_truth = optimize_acceptance(view, method=method)
+        full_truth = optimize_acceptance(economy, method=method)
         removed_cache: dict[int, AllocationResult] = {}
         truth_cache: dict[int, float] = {}
         h_cache: dict[int, float] = {}
@@ -161,31 +159,25 @@ def probe_dsic(
         for _ in range(deviations_per_trial):
             i = int(rng.integers(economy.n))
             if i not in removed_cache:
-                removed_cache[i] = counterfactual_surplus(view, i, method=method)
-                keep = [k for k in range(economy.n) if k != i]
-                h_cache[i] = float(
-                    adjustment(i, bids.capacities[keep], bids.cost_types[keep], bids.valuation_types)
+                removed_cache[i] = counterfactual_surplus(economy, i, method=method)
+                h_cache[i] = adjustment_for(adjustment, economy, i)
+                truth_cache[i], tau_truth = utility_from_solves(
+                    economy, economy, full_truth, removed_cache[i], i, h_cache[i], punishment
                 )
-                tau_truth = tau_for_producer(view, full_truth, removed_cache[i], i)
                 max_abs_tau = max(max_abs_tau, abs(tau_truth))
-                cost_truth = economy.cost.cost(full_truth.accepted[i], float(economy.cost_types[i]))
-                truth_cache[i] = tau_truth + h_cache[i] - cost_truth
 
             cap_dev, gamma_dev = deviation_sampler(rng, economy, i)
-            dev_caps = bids.capacities.copy()
+            dev_caps = economy.capacities.copy()
             dev_caps[i] = np.atleast_1d(np.asarray(cap_dev, dtype=float))
-            dev_gammas = bids.cost_types.copy()
+            dev_gammas = economy.cost_types.copy()
             dev_gammas[i] = gamma_dev
-            dev_view = EconomyView(dev_caps, dev_gammas, bids.valuation_types, economy.valuation, economy.cost)
+            dev_view = replace(economy, capacities=dev_caps, cost_types=dev_gammas)
             full_dev = optimize_acceptance(dev_view, method=method)
             # the removed problem ignores producer i's report: reuse the truthful one
-            tau_dev = tau_for_producer(dev_view, full_dev, removed_cache[i], i)
+            utility_dev, tau_dev = utility_from_solves(
+                economy, dev_view, full_dev, removed_cache[i], i, h_cache[i], punishment
+            )
             max_abs_tau = max(max_abs_tau, abs(tau_dev))
-            accepted_i = full_dev.accepted[i]
-            if _punished_mask(accepted_i[None, :], economy.capacities[i][None, :])[0]:
-                utility_dev = -punishment
-            else:
-                utility_dev = tau_dev + h_cache[i] - economy.cost.cost(accepted_i, float(economy.cost_types[i]))
             report.record(
                 utility_dev - truth_cache[i],
                 {
@@ -215,7 +207,7 @@ def probe_dsic(
 # ---------------------------------------------------------------------------
 
 
-def grid_surplus_max(view: EconomyView, step: float = 1e-2, max_cells: int = 30_000_000) -> float:
+def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_000) -> float:
     """Exhaustive grid search over acceptance ratios (scalar resources, n <= 3)."""
     if view.dim != 1:
         raise ValueError("grid search is implemented for scalar resources only")
@@ -352,7 +344,7 @@ def check_surplus_monotonicity(
 
         caps_up = economy.capacities.copy()
         caps_up[i, d] += float(rng.uniform(0.1, 2.0))
-        up_view = EconomyView(caps_up, economy.cost_types, economy.valuation_types, economy.valuation, economy.cost)
+        up_view = replace(economy, capacities=caps_up)
         surplus_up = optimize_acceptance(up_view, method=method).surplus
         report.record(
             base - surplus_up,
@@ -362,9 +354,7 @@ def check_surplus_monotonicity(
 
         gammas_up = economy.cost_types.copy()
         gammas_up[i] += float(rng.uniform(0.1, 2.0))
-        costly_view = EconomyView(
-            economy.capacities, gammas_up, economy.valuation_types, economy.valuation, economy.cost
-        )
+        costly_view = replace(economy, cost_types=gammas_up)
         surplus_costly = optimize_acceptance(costly_view, method=method).surplus
         report.record(
             surplus_costly - base,

@@ -14,7 +14,8 @@ from pvcg import (
     payment_surface,
     run_experiment,
 )
-from pvcg.experiment import ir_wbb_sweep, surface_rows, write_csv
+from pvcg.experiment import ir_wbb_sweep, run_probes, surface_rows, write_csv
+from pvcg.verification import mixed_deviation_sampler, probe_dsic, uniform_economy_sampler
 
 
 def tiny_config(seed=5):
@@ -113,3 +114,57 @@ def test_run_experiment_different_seed_changes_outputs(tmp_path):
     run_experiment(base, tmp_path / "a")
     run_experiment(other, tmp_path / "b")
     assert (tmp_path / "a" / "model.json").read_bytes() != (tmp_path / "b" / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field", ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples"]
+)
+def test_config_rejects_non_positive_counts(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        ExperimentConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
+def test_training_config_rejects_momentum_outside_unit_interval(momentum):
+    with pytest.raises(ValueError, match="momentum"):
+        TrainingConfig(momentum=momentum)
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (ExperimentConfig, {"n": 3, "dsic_trails": 5}),
+        (TrainingConfig, {"epochs": 3, "dsic_trails": 5}),
+        (SurfaceGrid, {"x_points": 3, "dsic_trails": 5}),
+    ],
+    ids=["experiment", "training", "surface"],
+)
+def test_from_dict_names_unknown_key(cls, doc):
+    with pytest.raises(ValueError, match="dsic_trails"):
+        cls.from_dict(doc)
+
+
+def test_payment_surface_single_producer():
+    record = payment_surface(
+        SqrtSumValuation(scale=1.0), LinearCost(), n=1, m=1, grid=SurfaceGrid(x_points=2, gamma_points=2)
+    )
+    # the removed problem is the empty coalition, so tau is producer 0's whole surplus plus its cost
+    assert record.tau.tolist() == [[0.0, 0.0], [0.5 * np.sqrt(5.0), 0.125]]
+
+
+def test_run_probes_offsets_seeds_by_adjustment_position():
+    config = ExperimentConfig(
+        n=3, m=1, dsic_trials=3, dsic_deviations=2, ir_samples=4, monotonicity_trials=3,
+        existence_samples=4, seed=7,
+    )
+    probes = run_probes(config, {"first": ZeroAdjustment(), "second": ZeroAdjustment()})
+    support = config.support()
+    valuation, cost = config.families()
+    second = probe_dsic(
+        uniform_economy_sampler(support, valuation, cost), mixed_deviation_sampler(support),
+        trials=3, deviations_per_trial=2, seed=7 + 21 + 1,
+    )
+    assert probes["dsic"]["second"] == second.to_dict()
+    assert probes["dsic"]["first"] != probes["dsic"]["second"]
+    expected = ir_wbb_sweep(support, valuation, cost, samples=4, seed=7 + 41 + 1)
+    assert probes["ir_wbb"]["second"] == expected

@@ -12,15 +12,15 @@ from pvcg import (
     SqrtSumValuation,
     TrainingConfig,
     composite_loss,
-    learned_adjustment,
     mlp_forward,
     total_payment,
 )
-from pvcg.adjustment import sample_prior
+from pvcg.adjustment import sample_from, sample_prior
 from pvcg.allocation import waterfill_gains
 from pvcg.learner import (
     MLP,
     _backward_batch,
+    _batch_surpluses,
     _forward_batch,
     _loss_and_grads,
     load_model,
@@ -64,7 +64,7 @@ def test_learned_adjustment_index_and_width_errors(paper_support):
         model(10, np.zeros((9, 1)), np.zeros(9), np.zeros(2))
     with pytest.raises(ValueError):
         model(0, np.zeros((8, 1)), np.zeros(9), np.zeros(2))
-    assert learned_adjustment(model, 0, np.zeros((9, 1)), np.zeros(9), np.zeros(2)) == 0.0
+    assert model(0, np.zeros((9, 1)), np.zeros(9), np.zeros(2)) == 0.0
 
 
 def test_forward_gradient_matches_finite_differences():
@@ -288,3 +288,23 @@ def test_adjustment_unchanged_when_own_report_changes():
     assert truthful.adjustment[0] == shaded.adjustment[0]
     # ... while producer 1's adjustment reads producer 0's report and does
     assert truthful.adjustment[1] != shaded.adjustment[1]
+
+
+def test_train_projected_gradient_single_producer():
+    support = PriorSupport.uniform_box(1, 1)
+    config = TrainingConfig(batch_size=4, epochs=2, hidden=(4,), seed=3)
+    model, trace = train(SqrtSumValuation(scale=1.0), LinearCost(), support, config, method="projected_gradient")
+    assert model.n == 1
+    assert 1 <= trace.epochs_run <= 2
+    assert all(math.isfinite(loss) for loss in trace.losses)
+
+
+def test_batch_surpluses_slow_path_matches_waterfill():
+    rng = np.random.default_rng(5)
+    valuation, cost = SqrtSumValuation(scale=3.0), LinearCost()
+    for n in (1, 3):
+        caps, gammas, thetas = sample_from(PriorSupport.uniform_box(n, 2), 3, rng)
+        fast = _batch_surpluses(valuation, cost, caps, gammas, thetas, None)
+        slow = _batch_surpluses(valuation, cost, caps, gammas, thetas, "projected_gradient")
+        for exact, numeric in zip(fast, slow):
+            np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-6)

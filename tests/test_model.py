@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvcg import (
+    BidProfile,
     CustomValuation,
     Economy,
     LinearCost,
@@ -177,3 +178,21 @@ def test_view_rejects_mismatched_bids(cheap_pair_economy):
     bad = BidProfile([1.0, 1.0, 1.0], [0.1, 0.1, 0.1], [1.0])
     with pytest.raises(ValueError):
         cheap_pair_economy.view(bad)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Economy.sqrt_sum([1.0, math.inf], [0.1, 0.2], [1.0]), "capacities"),
+        (lambda: BidProfile([1.0, math.inf], [0.1, 0.2], [1.0]), "reported capacities"),
+        (lambda: Economy.sqrt_sum([1.0, 1.0], [0.1, math.inf], [1.0]), "cost types"),
+        (lambda: Economy.sqrt_sum([1.0, 1.0], [0.1, 0.2], [math.inf]), "valuation types"),
+        (lambda: eval_cost(LinearCost(), [math.inf], 0.1), "resource bundle"),
+        (lambda: eval_cost(LinearCost(), [1.0], math.inf), "cost type"),
+        (lambda: eval_valuation(SqrtSumValuation(), [1.0], -math.inf), "valuation type"),
+    ],
+    ids=["capacity", "reported_capacity", "cost_type", "valuation_type", "bundle", "scalar_cost_type", "scalar_valuation_type"],
+)
+def test_non_finite_input_is_rejected_by_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()

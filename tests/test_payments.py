@@ -8,7 +8,6 @@ from pvcg import (
     Economy,
     ZeroAdjustment,
     analytic_waterfill,
-    coalition_income,
     counterfactual_surplus,
     optimize_acceptance,
     producer_utility,
@@ -16,6 +15,7 @@ from pvcg import (
     vcg_tau,
 )
 from pvcg.allocation import solve_with_counterfactuals
+from pvcg.model import total_valuation
 
 from conftest import random_sqrt_sum_economy
 
@@ -97,9 +97,9 @@ def test_total_payment_requires_positive_punishment(split_cost_economy):
 def test_coalition_income_examples(split_cost_economy):
     view = split_cost_economy.view()
     allocation = analytic_waterfill(view)
-    assert coalition_income(view, allocation.accepted) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert total_valuation(view, allocation.accepted) == pytest.approx(math.sqrt(2), abs=1e-12)
     zero = Economy.sqrt_sum([1.0], [0.1], [0.0])
-    assert coalition_income(zero.view(), [[1.0]]) == 0.0
+    assert total_valuation(zero.view(), [[1.0]]) == 0.0
 
 
 def test_income_minus_costs_is_surplus():
@@ -108,7 +108,7 @@ def test_income_minus_costs_is_surplus():
         economy = random_sqrt_sum_economy(rng)
         view = economy.view()
         allocation = analytic_waterfill(view)
-        income = coalition_income(view, allocation.accepted)
+        income = total_valuation(view, allocation.accepted)
         costs = sum(
             economy.cost.cost(allocation.accepted[i], economy.cost_types[i])
             for i in range(economy.n)

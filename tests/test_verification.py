@@ -203,3 +203,41 @@ def test_reports_are_deterministic(small_world):
     a = probe_dsic(economies, deviations, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
     b = probe_dsic(economies, deviations, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
     assert a.to_dict() == b.to_dict()
+
+
+def test_probe_dsic_single_producer():
+    support = PriorSupport.uniform_box(1, 1)
+    sampler = uniform_economy_sampler(support, SqrtSumValuation(scale=1.0), LinearCost())
+    report = probe_dsic(sampler, mixed_deviation_sampler(support), trials=5, deviations_per_trial=4, seed=2)
+    assert report.trials == 20
+    assert report.passed
+
+
+def test_probe_dsic_utilities_match_producer_utility():
+    economy = Economy.sqrt_sum([1.0, 2.0, 0.5], [0.1, 0.4, 0.3], [0.7, 0.9])
+    support = PriorSupport.uniform_box(3, 2)
+    adjustment = AnalyticAdjustment(support, economy.valuation, economy.cost)
+    # producer 0 over-reports its capacity (punished), the others under-report it
+    report = probe_dsic(
+        lambda rng: economy,
+        lambda rng, e, i: (np.array([1.5]), 0.05),
+        adjustment=adjustment,
+        trials=1,
+        deviations_per_trial=12,
+        tol=-math.inf,  # record every deviation as a witness
+    )
+    seen = set()
+    for witness in report.violations:
+        i = witness["producer"]
+        seen.add(i)
+        bids = economy.truthful_bids()
+        truth, _ = producer_utility(economy, bids, i, adjustment=adjustment)
+        caps = bids.capacities.copy()
+        caps[i] = 1.5
+        gammas = bids.cost_types.copy()
+        gammas[i] = 0.05
+        lie, _ = producer_utility(economy, BidProfile(caps, gammas, bids.valuation_types), i, adjustment=adjustment)
+        assert witness["truth_utility"] == truth
+        assert witness["deviation_utility"] == lie
+    assert seen == {0, 1, 2}
+    assert any(w["deviation_utility"] == -1e6 for w in report.violations)
