@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import max_surplus
-from .model import as_quantity_matrix
+from .model import as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -24,6 +24,7 @@ __all__ = [
     "analytic_adjustment",
     "AnalyticAdjustment",
     "CheckReport",
+    "feasibility_penalties",
     "existence_check",
     "marginal_gains_check",
 ]
@@ -34,8 +35,8 @@ class PriorSupport:
     """Box support of the coordinator's prior over true parameters.
 
     Per-producer capacity bounds, per-producer cost-type bounds, per-consumer
-    valuation-type bounds, all finite with lo <= hi. Only uniform sampling is
-    built in.
+    valuation-type bounds, all finite with lo <= hi. The prior is uniform on
+    the box.
     """
 
     cap_lo: Array    # (n, dim)
@@ -44,9 +45,6 @@ class PriorSupport:
     gamma_hi: Array  # (n,)
     theta_lo: Array  # (m,)
     theta_hi: Array  # (m,)
-    cap_dist: str = "uniform"
-    gamma_dist: str = "uniform"
-    theta_dist: str = "uniform"
 
     def __post_init__(self):
         object.__setattr__(self, "cap_lo", as_quantity_matrix(self.cap_lo, name="cap_lo"))
@@ -101,36 +99,15 @@ class PriorSupport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "cap_lo": self.cap_lo.tolist(),
-            "cap_hi": self.cap_hi.tolist(),
-            "gamma_lo": self.gamma_lo.tolist(),
-            "gamma_hi": self.gamma_hi.tolist(),
-            "theta_lo": self.theta_lo.tolist(),
-            "theta_hi": self.theta_hi.tolist(),
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PriorSupport":
-        return cls(
-            cap_lo=np.asarray(doc["cap_lo"], dtype=float),
-            cap_hi=np.asarray(doc["cap_hi"], dtype=float),
-            gamma_lo=np.asarray(doc["gamma_lo"], dtype=float),
-            gamma_hi=np.asarray(doc["gamma_hi"], dtype=float),
-            theta_lo=np.asarray(doc["theta_lo"], dtype=float),
-            theta_hi=np.asarray(doc["theta_hi"], dtype=float),
-        )
+        return fields_from_dict(cls, doc)
 
 
 def sample_from(support: PriorSupport, count: int, rng) -> tuple[Array, Array, Array]:
-    """Draw ``count`` i.i.d. parameter triples using an existing generator."""
-    for tag, name in (
-        (support.cap_dist, "capacity"),
-        (support.gamma_dist, "cost-type"),
-        (support.theta_dist, "valuation-type"),
-    ):
-        if tag != "uniform":
-            raise ValueError(f"unsupported {name} distribution tag {tag!r}")
+    """Draw ``count`` i.i.d. parameter triples, uniform on the box, using an existing generator."""
     caps = rng.uniform(support.cap_lo, support.cap_hi, size=(count,) + support.cap_lo.shape)
     gammas = rng.uniform(support.gamma_lo, support.gamma_hi, size=(count, support.n))
     thetas = rng.uniform(support.theta_lo, support.theta_hi, size=(count, support.m))
@@ -288,6 +265,23 @@ def _run_check(
                 }
             )
     return report
+
+
+def feasibility_penalties(gains, adjustments, surpluses) -> tuple[Array, Array]:
+    """Rationality and budget penalties of adjustments ``h`` on solved instances.
+
+    ``gains`` holds the marginal surpluses ``S* - S*_{-i}`` and ``adjustments``
+    the ``h_i``, producers on the last axis; ``surpluses`` holds ``S*``.
+    Returns the per-producer rationality penalties
+    ``max(-(S* - S*_{-i}) - h_i, 0)`` and the budget penalty
+    ``max(sum_i (S* - S*_{-i} + h_i) - S*, 0)``. Both vanish exactly when
+    every producer keeps a non-negative utility and the payments stay within
+    the coalition income; the learner minimizes them and the probes certify
+    them.
+    """
+    rationality = np.maximum(-gains - adjustments, 0.0)
+    budget = np.maximum((gains + adjustments).sum(axis=-1) - surpluses, 0.0)
+    return rationality, budget
 
 
 def existence_check(

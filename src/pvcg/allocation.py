@@ -55,14 +55,14 @@ class AllocationResult:
         return self.accepted[:, 0] if self.accepted.ndim == 2 else self.accepted
 
 
+def _sqrt_sum_linear(valuation, cost) -> bool:
+    """The square-root/linear family, whose value and gradient this module writes in closed form."""
+    return isinstance(valuation, SqrtSumValuation) and isinstance(cost, LinearCost)
+
+
 def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> bool:
     """Whether ``method`` resolves to the exact water-fill for these families and resource dimension."""
-    return (
-        method in (None, "analytic")
-        and isinstance(valuation, SqrtSumValuation)
-        and isinstance(cost, LinearCost)
-        and dim == 1
-    )
+    return method in (None, "analytic") and _sqrt_sum_linear(valuation, cost) and dim == 1
 
 
 def supports_waterfill(view: Economy) -> bool:
@@ -152,11 +152,11 @@ def _surplus_rows(view: Economy, H: Array) -> Array:
     k = H.shape[0]
     caps_flat = view.capacities.ravel()
     accepted = H * caps_flat
-    if getattr(view.valuation, "aggregate_only", False) and isinstance(view.cost, LinearCost):
+    if _sqrt_sum_linear(view.valuation, view.cost):
         totals = accepted.sum(axis=1)
         value = np.zeros(k)
         for theta in view.valuation_types:
-            value += view.valuation.value_totals(totals, float(theta))
+            value += float(theta) * np.sqrt(view.valuation.scale * totals)
         per_producer = accepted.reshape(k, view.n, view.dim).sum(axis=2)
         costs = per_producer @ view.cost_types
         return value - costs
@@ -169,16 +169,19 @@ def _surplus_rows(view: Economy, H: Array) -> Array:
 def _grad_rows(view: Economy, H: Array, fd_step: float = 1e-6) -> Array:
     """Gradient of the surplus with respect to each ratio coordinate, per row.
 
-    Analytic for the aggregate square-root family; central finite differences
-    (one-sided at the lower boundary) otherwise.
+    Analytic for the square-root/linear family, where every coordinate's
+    marginal value is ``theta * sqrt(scale) / (2 sqrt(T))`` at total accepted
+    quantity ``T``; central finite differences (one-sided at the lower
+    boundary) otherwise.
     """
     caps_flat = view.capacities.ravel()
-    if getattr(view.valuation, "aggregate_only", False) and isinstance(view.cost, LinearCost):
+    if _sqrt_sum_linear(view.valuation, view.cost):
         accepted = H * caps_flat
         totals = accepted.sum(axis=1)
+        marginal = 0.5 * math.sqrt(view.valuation.scale) / np.sqrt(np.maximum(totals, 1e-12))
         coeff = np.zeros_like(totals)
         for theta in view.valuation_types:
-            coeff += float(theta) * view.valuation.grad_coeff(totals)
+            coeff += float(theta) * marginal
         gamma_flat = np.repeat(view.cost_types, view.dim)
         return caps_flat * (coeff[:, None] - gamma_flat[None, :])
     grads = np.empty_like(H)
@@ -259,26 +262,19 @@ def _projected_gradient(
 # ---------------------------------------------------------------------------
 
 
-def optimize_acceptance(
-    view: Economy,
-    method: str | None = None,
-    seed: int = 0,
-    restarts: int = 8,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
-) -> AllocationResult:
+def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0) -> AllocationResult:
     """Maximize reported social surplus over acceptance ratios in ``[0, 1]``.
 
     ``method`` is ``"analytic"`` (water-fill; errors when the family does not
     support it), ``"projected_gradient"``, or ``None`` to pick the water-fill
-    whenever it applies.
+    whenever it applies. ``seed`` draws the projected-gradient restarts.
     """
     if method is None:
         method = "analytic" if supports_waterfill(view) else "projected_gradient"
     if method == "analytic":
         return analytic_waterfill(view)
     if method == "projected_gradient":
-        return _projected_gradient(view, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol)
+        return _projected_gradient(view, seed=seed)
     raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'projected_gradient'")
 
 
@@ -286,7 +282,7 @@ def counterfactual_surplus(
     view: Economy,
     removed_producer: int,
     method: str | None = None,
-    **kwargs,
+    seed: int = 0,
 ) -> AllocationResult:
     """Solve the acceptance problem with one producer deleted.
 
@@ -299,17 +295,17 @@ def counterfactual_surplus(
         raise IndexError(f"producer index {removed_producer} out of range for n={view.n}")
     if view.n == 1:
         return _empty_result(view.dim)
-    return optimize_acceptance(view.drop_producer(removed_producer), method=method, **kwargs)
+    return optimize_acceptance(view.drop_producer(removed_producer), method=method, seed=seed)
 
 
 def solve_with_counterfactuals(
     view: Economy,
     method: str | None = None,
-    **kwargs,
+    seed: int = 0,
 ) -> tuple[AllocationResult, list[AllocationResult]]:
     """The full problem plus every producer-removed problem."""
-    full = optimize_acceptance(view, method=method, **kwargs)
-    removed = [counterfactual_surplus(view, i, method=method, **kwargs) for i in range(view.n)]
+    full = optimize_acceptance(view, method=method, seed=seed)
+    removed = [counterfactual_surplus(view, i, method=method, seed=seed) for i in range(view.n)]
     return full, removed
 
 

@@ -111,12 +111,14 @@ def cmd_verify(args) -> int:
     config = _load_config(args)
     valuation, cost = config.families()
     adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
-    probes = run_probes(config, {args.adjustment: adjustment})
+    # the kind, not the spec: a checkpoint's path must not change the report's bytes
+    kind = args.adjustment.split(":", 1)[0]
+    probes = run_probes(config, {kind: adjustment})
     report = {
-        "adjustment": args.adjustment,
+        "adjustment": kind,
         **probes,
-        "dsic": probes["dsic"][args.adjustment],
-        "ir_wbb": probes["ir_wbb"][args.adjustment],
+        "dsic": probes["dsic"][kind],
+        "ir_wbb": probes["ir_wbb"][kind],
     }
     passed = all(section["passed"] for key, section in report.items() if key != "adjustment")
     report["passed"] = passed

@@ -9,6 +9,7 @@ artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .adjustment import (
 )
 from .allocation import counterfactual_surplus, optimize_acceptance
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
-from .model import Economy, make_cost, make_valuation, reject_unknown_keys
+from .model import Economy, fields_from_dict, fields_to_dict, make_cost, make_valuation
 from .payments import ZeroAdjustment, tau_for_producer, total_payment
 from .verification import (
     SURPLUS_TOL,
@@ -78,22 +79,11 @@ class SurfaceGrid:
             raise ValueError("surface grid needs at least one point per axis")
 
     def to_dict(self) -> dict:
-        return {
-            "x_points": self.x_points,
-            "gamma_points": self.gamma_points,
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-            "gamma_lo": self.gamma_lo,
-            "gamma_hi": self.gamma_hi,
-            "fixed_capacity": self.fixed_capacity,
-            "fixed_gamma": self.fixed_gamma,
-            "fixed_theta": self.fixed_theta,
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SurfaceGrid":
-        reject_unknown_keys(cls, doc)
-        return cls(**doc)
+        return fields_from_dict(cls, doc)
 
 
 @dataclass
@@ -203,6 +193,17 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("cap_bounds", "gamma_bounds", "theta_bounds"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not all(map(math.isfinite, bounds)) or not 0 <= bounds[0] <= bounds[1]:
+                raise ValueError(f"{name} must be finite (lo, hi) with 0 <= lo <= hi, got {bounds}")
+        for name, make in (("valuation_tag", make_valuation), ("cost_tag", make_cost)):
+            try:
+                make(getattr(self, name))
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
+        if self.method not in (None, "analytic", "projected_gradient"):
+            raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {self.method!r}")
 
     def support(self) -> PriorSupport:
         return PriorSupport.uniform_box(
@@ -214,39 +215,11 @@ class ExperimentConfig:
         return make_valuation(self.valuation_tag, scale=scale), make_cost(self.cost_tag)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "valuation_tag": self.valuation_tag,
-            "cost_tag": self.cost_tag,
-            "scale": self.scale,
-            "cap_bounds": list(self.cap_bounds),
-            "gamma_bounds": list(self.gamma_bounds),
-            "theta_bounds": list(self.theta_bounds),
-            "training": self.training.to_dict(),
-            "method": self.method,
-            "punishment": self.punishment,
-            "surface": self.surface.to_dict(),
-            "dsic_trials": self.dsic_trials,
-            "dsic_deviations": self.dsic_deviations,
-            "ir_samples": self.ir_samples,
-            "monotonicity_trials": self.monotonicity_trials,
-            "existence_samples": self.existence_samples,
-            "seed": self.seed,
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        reject_unknown_keys(cls, doc)
-        doc = dict(doc)
-        if "training" in doc:
-            doc["training"] = TrainingConfig.from_dict(doc["training"])
-        if "surface" in doc:
-            doc["surface"] = SurfaceGrid.from_dict(doc["surface"])
-        for key in ("cap_bounds", "gamma_bounds", "theta_bounds"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
+        return fields_from_dict(cls, doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

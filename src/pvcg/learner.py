@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import PriorSupport, sample_from
+from .adjustment import PriorSupport, feasibility_penalties, sample_from
 from .allocation import solve_with_counterfactuals, waterfill_applies, waterfill_gains
-from .model import Economy, reject_unknown_keys
+from .model import Economy, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -141,6 +141,21 @@ def _normalize(values: Array, lo: Array, hi: Array) -> Array:
     return scaled
 
 
+def _layout(caps_others: Array, gammas_others: Array, thetas: Array) -> Array:
+    """Network input rows: others' capacities, others' cost types, valuation types.
+
+    Every argument carries the same leading batch axes; the capacity bundles
+    are flattened producer by producer.
+    """
+    batch = gammas_others.shape[:-1]
+    return np.concatenate([caps_others.reshape(*batch, -1), gammas_others, thetas], axis=-1)
+
+
+def _layout_without(i: int, caps: Array, gammas: Array, thetas: Array) -> Array:
+    """Network ``i``'s input rows from full parameter rows (batch axis first)."""
+    return _layout(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas)
+
+
 @dataclass(frozen=True)
 class LearnedAdjustment:
     """n trained networks plus the prior bounds used to normalize their inputs."""
@@ -152,8 +167,16 @@ class LearnedAdjustment:
     def __post_init__(self):
         if len(self.nets) != self.support.n:
             raise ValueError("need exactly one network per producer")
-        expected = (self.support.n - 1) * self.support.dim + (self.support.n - 1) + self.support.m
+        # network i normalizes by the others' prior box: the (lo, hi) rows of its layout
+        s = self.support
+        box = (
+            np.stack([s.cap_lo, s.cap_hi]),
+            np.stack([s.gamma_lo, s.gamma_hi]),
+            np.stack([s.theta_lo, s.theta_hi]),
+        )
+        object.__setattr__(self, "_bounds", tuple(_layout_without(i, *box) for i in range(s.n)))
         for i, net in enumerate(self.nets):
+            expected = self._bounds[i].shape[1]
             if net.input_width != expected:
                 raise ValueError(
                     f"network {i} input width {net.input_width} does not match economy layout {expected}"
@@ -163,58 +186,27 @@ class LearnedAdjustment:
     def n(self) -> int:
         return self.support.n
 
-    def _bounds_without(self, i: int) -> tuple[Array, Array]:
-        lo = np.concatenate(
-            [
-                np.delete(self.support.cap_lo, i, axis=0).ravel(),
-                np.delete(self.support.gamma_lo, i),
-                self.support.theta_lo,
-            ]
-        )
-        hi = np.concatenate(
-            [
-                np.delete(self.support.cap_hi, i, axis=0).ravel(),
-                np.delete(self.support.gamma_hi, i),
-                self.support.theta_hi,
-            ]
-        )
-        return lo, hi
-
-    def input_vector(self, i: int, capacities_others, gammas_others, thetas) -> Array:
-        raw = np.concatenate(
-            [
-                np.asarray(capacities_others, dtype=float).ravel(),
-                np.atleast_1d(np.asarray(gammas_others, dtype=float)),
-                np.atleast_1d(np.asarray(thetas, dtype=float)),
-            ]
-        )
-        lo, hi = self._bounds_without(i)
-        if raw.shape != lo.shape:
-            raise ValueError(f"adjustment input width {raw.shape[0]} does not match {lo.shape[0]}")
+    def _normalized(self, i: int, raw: Array) -> Array:
+        lo, hi = self._bounds[i]
+        if raw.shape[-1] != lo.shape[0]:
+            raise ValueError(f"adjustment input width {raw.shape[-1]} does not match {lo.shape[0]}")
         return _normalize(raw, lo, hi)
 
     def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
         if not 0 <= i < self.n:
             raise IndexError(f"producer index {i} out of range for n={self.n}")
-        return mlp_forward(self.nets[i], self.input_vector(i, capacities_others, gammas_others, thetas))
+        raw = _layout(
+            np.asarray(capacities_others, dtype=float)[None],
+            np.atleast_1d(np.asarray(gammas_others, dtype=float))[None],
+            np.atleast_1d(np.asarray(thetas, dtype=float))[None],
+        )
+        out, _ = _forward_batch(self.nets[i], self._normalized(i, raw))
+        return float(out[0])
 
     def inputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> list[Array]:
         """Per-network normalized input matrices for a batch of full parameter draws."""
-        T = caps.shape[0]
-        caps = caps.reshape(T, self.n, self.support.dim)
-        matrices = []
-        for i in range(self.n):
-            raw = np.concatenate(
-                [
-                    np.delete(caps, i, axis=1).reshape(T, -1),
-                    np.delete(gammas, i, axis=1),
-                    thetas,
-                ],
-                axis=1,
-            )
-            lo, hi = self._bounds_without(i)
-            matrices.append(_normalize(raw, lo, hi))
-        return matrices
+        caps = caps.reshape(caps.shape[0], self.n, self.support.dim)
+        return [self._normalized(i, _layout_without(i, caps, gammas, thetas)) for i in range(self.n)]
 
     def outputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """(T, n) adjustment outputs for a batch of full parameter draws."""
@@ -251,23 +243,11 @@ class TrainingConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "hidden": list(self.hidden),
-            "seed": self.seed,
-            "loss_tol": self.loss_tol,
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
-        reject_unknown_keys(cls, doc)
-        doc = dict(doc)
-        if "hidden" in doc:
-            doc["hidden"] = tuple(doc["hidden"])
-        return cls(**doc)
+        return fields_from_dict(cls, doc)
 
 
 @dataclass
@@ -276,13 +256,6 @@ class TrainingTrace:
     final_loss: float
     epochs_run: int
     wall_clock: float
-
-
-def _loss_terms(outputs: Array, gains: Array, surpluses: Array) -> tuple[Array, Array]:
-    """Per-sample rationality and budget penalty terms."""
-    term1 = np.maximum(-gains - outputs, 0.0).sum(axis=1)
-    term2 = np.maximum((gains + outputs).sum(axis=1) - surpluses, 0.0)
-    return term1, term2
 
 
 def composite_loss(
@@ -300,9 +273,8 @@ def composite_loss(
     if surpluses.shape != (T,) or removed_surpluses.shape != (T, model.n):
         raise ValueError("precomputed surpluses missing or mis-shaped for the batch")
     outputs = model.outputs_batch(np.asarray(caps, dtype=float), np.asarray(gammas, dtype=float), np.asarray(thetas, dtype=float))
-    gains = surpluses[:, None] - removed_surpluses
-    term1, term2 = _loss_terms(outputs, gains, surpluses)
-    return float(np.mean(term1 + term2))
+    rationality, budget = feasibility_penalties(surpluses[:, None] - removed_surpluses, outputs, surpluses)
+    return float(np.mean(rationality.sum(axis=1) + budget))
 
 
 def _loss_and_grads(model, inputs, gains, surpluses):
@@ -312,11 +284,9 @@ def _loss_and_grads(model, inputs, gains, surpluses):
         out, acts = _forward_batch(model.nets[i], X)
         outs.append(out)
         caches.append(acts)
-    outputs = np.stack(outs, axis=1)
-    slack1 = -gains - outputs
-    arg2 = (gains + outputs).sum(axis=1) - surpluses
-    loss = float(np.mean(np.maximum(slack1, 0.0).sum(axis=1) + np.maximum(arg2, 0.0)))
-    d_out = (-(slack1 > 0).astype(float) + (arg2 > 0).astype(float)[:, None]) / T
+    rationality, budget = feasibility_penalties(gains, np.stack(outs, axis=1), surpluses)
+    loss = float(np.mean(rationality.sum(axis=1) + budget))
+    d_out = (-(rationality > 0).astype(float) + (budget > 0).astype(float)[:, None]) / T
     grads = [
         _backward_batch(model.nets[i], caches[i], d_out[:, i]) for i in range(len(inputs))
     ]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,6 +47,8 @@ __all__ = [
     "save_economy",
     "bids_to_dict",
     "bids_from_dict",
+    "fields_to_dict",
+    "fields_from_dict",
 ]
 
 
@@ -115,12 +117,6 @@ def _check_type_vector(values, name: str) -> Array:
 #   standalone(x_i, theta) value a lone producer would create by itself
 #                          (the no-synergy baseline used by the
 #                          super-additivity check)
-# and, optionally for solver speed,
-#   value_totals(t, theta) vectorized value as a function of the aggregate
-#                          accepted quantity t = sum of all components of x
-#   grad_coeff(t)          d value / d (any component of x) over aggregate t
-# Families whose value depends on x only through its aggregate set
-# ``aggregate_only = True``; the optimizers exploit that.
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,6 @@ class SqrtSumValuation:
 
     scale: float = 1.0
     tag: str = field(default="sqrt_sum", init=False)
-    aggregate_only: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not (self.scale > 0) or not math.isfinite(self.scale):
@@ -143,13 +138,6 @@ class SqrtSumValuation:
     def value(self, x, theta: float) -> float:
         t = float(np.sum(np.asarray(x, dtype=float)))
         return theta * math.sqrt(self.scale * t)
-
-    def value_totals(self, totals, theta: float):
-        return theta * np.sqrt(self.scale * np.asarray(totals, dtype=float))
-
-    def grad_coeff(self, totals):
-        t = np.maximum(np.asarray(totals, dtype=float), 1e-12)
-        return 0.5 * math.sqrt(self.scale) / np.sqrt(t)
 
     def standalone(self, x_i, theta: float) -> float:
         return theta * math.sqrt(float(np.sum(np.asarray(x_i, dtype=float))))
@@ -165,7 +153,6 @@ class SqrtSumSquaresValuation:
 
     scale: float = 1.0
     tag: str = field(default="sqrt_sum_squares", init=False)
-    aggregate_only: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if not (self.scale > 0) or not math.isfinite(self.scale):
@@ -193,7 +180,6 @@ class CustomValuation:
     fn: Callable[[Array, float], float]
     standalone_fn: Callable[[Array, float], float] | None = None
     tag: str = field(default="custom", init=False)
-    aggregate_only: bool = field(default=False, init=False)
 
     def value(self, x, theta: float) -> float:
         arr = np.asarray(x, dtype=float)
@@ -542,11 +528,46 @@ def check_assumptions(
 # ---------------------------------------------------------------------------
 
 
-def reject_unknown_keys(cls, doc: dict) -> None:
-    """Raise ``ValueError`` naming every key of ``doc`` that is not a field of dataclass ``cls``."""
+def _to_plain(value):
+    if is_dataclass(value):
+        return fields_to_dict(value)
+    if isinstance(value, (tuple, list)):
+        return [_to_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _from_plain(hint, value):
+    if is_dataclass(hint):
+        return fields_from_dict(hint, value)
+    origin = get_origin(hint) or hint
+    if origin is tuple:
+        return tuple(value)
+    if origin is np.ndarray:
+        return np.asarray(value, dtype=float)
+    return value
+
+
+def fields_to_dict(obj) -> dict:
+    """Every field of dataclass ``obj`` in declaration order, as JSON-ready values.
+
+    Nested dataclasses become dicts; tuples, lists and arrays become lists.
+    """
+    return {f.name: _to_plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def fields_from_dict(cls, doc: dict):
+    """Build dataclass ``cls`` from a ``fields_to_dict`` document; missing keys take the defaults.
+
+    Values are converted back by the field annotations (nested dataclass,
+    tuple, array). An unknown key is a ``ValueError`` that names it.
+    """
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(str, unknown))}")
+    hints = get_type_hints(cls)
+    return cls(**{name: _from_plain(hints[name], value) for name, value in doc.items()})
 
 
 def _family_to_dict(family) -> dict:

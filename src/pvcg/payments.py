@@ -103,7 +103,7 @@ def vcg_tau(
     taus = np.empty(n)
     for i in range(n):
         removed = counterfactuals[i]
-        direct = allocation.surplus - removed.surplus + costs_full[i]
+        direct = tau_for_producer(view, allocation, removed, i)
         embedded = np.insert(removed.accepted, i, 0.0, axis=0)
         value_removed = total_valuation(view, embedded)
         others_cost_full = float(costs_full.sum() - costs_full[i])

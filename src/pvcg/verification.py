@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjustment import PriorSupport
+from .adjustment import PriorSupport, feasibility_penalties
 from .allocation import (
     AllocationResult,
     counterfactual_surplus,
@@ -265,13 +265,13 @@ def check_efficiency(
 def loss_components(payments: PaymentBreakdown) -> tuple[float, float]:
     """Rationality and budget penalty terms of one truthful instance.
 
-    Computed from the solved surpluses and the adjustment vector, exactly as
-    the learner's loss does; zero iff the corresponding probe passes.
+    The learner's loss terms (``feasibility_penalties``) on the solved
+    surpluses and the adjustment vector; zero iff the corresponding probe
+    passes.
     """
     gains = payments.surplus - payments.counterfactual_surpluses
-    term1 = float(np.maximum(-gains - payments.adjustment, 0.0).sum())
-    term2 = float(max((gains + payments.adjustment).sum() - payments.surplus, 0.0))
-    return term1, term2
+    rationality, budget = feasibility_penalties(gains, payments.adjustment, payments.surplus)
+    return float(rationality.sum()), float(budget)
 
 
 def check_ir(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS_TOL) -> ProbeReport:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -49,12 +50,17 @@ def test_sample_prior_degenerate_support():
     assert np.all(caps == 2.0) and np.all(gammas == 0.3) and np.all(thetas == 0.8)
 
 
-def test_sample_prior_rejects_unknown_distribution(paper_support):
-    from dataclasses import replace
-
-    bad = replace(paper_support, cap_dist="log-normal")
-    with pytest.raises(ValueError):
-        sample_prior(bad, 10, seed=0)
+def test_support_dict_roundtrip():
+    support = PriorSupport(
+        cap_lo=[[0.0, 1.0], [0.5, 0.0]], cap_hi=[[2.0, 3.0], [1.5, 4.0]],
+        gamma_lo=[0.1, 0.2], gamma_hi=[0.9, 0.8],
+        theta_lo=[0.0, 0.3, 0.1], theta_hi=[1.0, 0.7, 0.2],
+    )
+    doc = support.to_dict()
+    assert list(doc) == ["cap_lo", "cap_hi", "gamma_lo", "gamma_hi", "theta_lo", "theta_hi"]
+    loaded = PriorSupport.from_dict(json.loads(json.dumps(doc)))
+    for name in doc:
+        assert np.array_equal(getattr(loaded, name), getattr(support, name))
 
 
 def test_sample_prior_empirical_mean(paper_support):

@@ -222,3 +222,17 @@ def test_test_oracle_3d_line_search_equals_full_enumeration():
         fast = grid_max(caps, gammas, theta_sum, 3.0, step=0.02)
         full = grid_max_full(caps, gammas, theta_sum, 3.0, step=0.02)
         assert fast == pytest.approx(full, abs=1e-12)
+
+
+def test_projected_gradient_vector_bundles_match_summed_waterfill():
+    """sqrt_sum/linear values a bundle by its total, so dim=2 solves like the summed scalar economy."""
+    rng = np.random.default_rng(17)
+    for k in range(5):
+        n = int(rng.integers(2, 5))
+        caps = rng.uniform(0.0, 3.0, (n, 2))
+        gammas = rng.uniform(0.05, 1.0, n)
+        thetas = rng.uniform(0.2, 1.0, 2)
+        bundles = Economy(caps, gammas, thetas, SqrtSumValuation(scale=float(n)), LinearCost())
+        summed = Economy.sqrt_sum(caps.sum(axis=1), gammas, thetas)
+        pg = optimize_acceptance(bundles, method="projected_gradient", seed=k)
+        assert pg.surplus == pytest.approx(analytic_waterfill(summed).surplus, abs=1e-6)

@@ -6,7 +6,7 @@ import pytest
 from pvcg import Economy, save_economy, total_payment
 from pvcg.cli import main
 from pvcg.experiment import ExperimentConfig, SurfaceGrid
-from pvcg.learner import TrainingConfig
+from pvcg.learner import LearnedAdjustment, TrainingConfig, mlp_init, save_model
 
 
 @pytest.fixture
@@ -100,3 +100,22 @@ def test_run_subcommand(config_file, tmp_path):
     out = tmp_path / "full"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def test_verify_learned_report_does_not_depend_on_model_path(config_file, tmp_path, capsys):
+    config, config_path = config_file
+    support = config.support()
+    rng = np.random.default_rng(3)
+    width = (config.n - 1) * 2 + config.m
+    model = LearnedAdjustment(tuple(mlp_init([width, 4, 1], rng) for _ in range(config.n)), support)
+    reports = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        save_model(model, tmp_path / name / "model.json")
+        out = tmp_path / name / "out"
+        main(["verify", "--config", str(config_path), "--out", str(out),
+              "--adjustment", f"learned:{tmp_path / name / 'model.json'}"])
+        reports.append((out / "verification.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["adjustment"] == "learned"
+    capsys.readouterr()

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,30 @@ def test_config_roundtrip(tmp_path):
     assert loaded == config
 
 
+def test_flagship_config_load_save_is_byte_identical(tmp_path):
+    source = Path(__file__).resolve().parents[1] / "configs" / "flagship.json"
+    ExperimentConfig.load(source).save(tmp_path / "flagship.json")
+    assert (tmp_path / "flagship.json").read_bytes() == source.read_bytes()
+
+
+def test_non_default_nested_config_dict_roundtrip():
+    config = ExperimentConfig(
+        n=3, m=4, valuation_tag="sqrt_sum_squares", scale=2.5, cap_bounds=(1.0, 2.0),
+        gamma_bounds=(0.25, 0.5), theta_bounds=(0.5, 0.5), method="projected_gradient", punishment=123.0,
+        training=TrainingConfig(batch_size=7, epochs=9, learning_rate=0.5, momentum=0.25, hidden=(3, 2), seed=4,
+                                loss_tol=0.125),
+        surface=SurfaceGrid(x_points=2, gamma_points=3, x_lo=0.5, x_hi=1.5, fixed_theta=0.75),
+        seed=8,
+    )
+    doc = json.loads(json.dumps(config.to_dict()))
+    assert doc["training"]["hidden"] == [3, 2] and doc["cap_bounds"] == [1.0, 2.0]
+    loaded = ExperimentConfig.from_dict(doc)
+    assert loaded == config
+    assert isinstance(loaded.training.hidden, tuple) and isinstance(loaded.gamma_bounds, tuple)
+    assert TrainingConfig.from_dict(config.training.to_dict()) == config.training
+    assert SurfaceGrid.from_dict(config.surface.to_dict()) == config.surface
+
+
 def test_ir_wbb_sweep_zero_adjustment(paper_support, paper_families):
     valuation, cost = paper_families
     result = ir_wbb_sweep(paper_support, valuation, cost, samples=200, seed=3)
@@ -116,12 +142,26 @@ def test_run_experiment_different_seed_changes_outputs(tmp_path):
     assert (tmp_path / "a" / "model.json").read_bytes() != (tmp_path / "b" / "model.json").read_bytes()
 
 
+_COUNTS = ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples"]
+
+
 @pytest.mark.parametrize(
-    "field", ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples"]
+    "field, value, message",
+    [pytest.param(name, 0, " must be >= 1", id=name) for name in _COUNTS]
+    + [
+        pytest.param("cap_bounds", (5.0, 0.0), " must be finite", id="cap_bounds-inverted"),
+        pytest.param("gamma_bounds", (0.0, math.inf), " must be finite", id="gamma_bounds-inf"),
+        pytest.param("gamma_bounds", (-0.5, 1.0), " must be finite", id="gamma_bounds-negative"),
+        pytest.param("theta_bounds", (math.nan, 1.0), " must be finite", id="theta_bounds-nan"),
+        pytest.param("valuation_tag", "bogus", ": unknown valuation family tag 'bogus'", id="valuation_tag"),
+        pytest.param("cost_tag", "quadratic", ": unknown cost family tag 'quadratic'", id="cost_tag"),
+        pytest.param("method", "newton", " must be None, 'analytic' or 'projected_gradient'", id="method"),
+    ],
 )
-def test_config_rejects_non_positive_counts(field):
-    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
-        ExperimentConfig(**{field: 0})
+def test_config_rejects_non_positive_counts(field, value, message):
+    """Counts, bounds, family tags and the solver name are all checked when a config is built."""
+    with pytest.raises(ValueError, match=f"^{field}{message}"):
+        ExperimentConfig(**{field: value})
 
 
 @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
@@ -136,8 +176,9 @@ def test_training_config_rejects_momentum_outside_unit_interval(momentum):
         (ExperimentConfig, {"n": 3, "dsic_trails": 5}),
         (TrainingConfig, {"epochs": 3, "dsic_trails": 5}),
         (SurfaceGrid, {"x_points": 3, "dsic_trails": 5}),
+        (PriorSupport, {"cap_lo": [[0.0]], "dsic_trails": 5}),
     ],
-    ids=["experiment", "training", "surface"],
+    ids=["experiment", "training", "surface", "support"],
 )
 def test_from_dict_names_unknown_key(cls, doc):
     with pytest.raises(ValueError, match="dsic_trails"):

@@ -308,3 +308,43 @@ def test_batch_surpluses_slow_path_matches_waterfill():
         slow = _batch_surpluses(valuation, cost, caps, gammas, thetas, "projected_gradient")
         for exact, numeric in zip(fast, slow):
             np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-6)
+
+
+def test_call_equals_outputs_batch():
+    """The per-producer call and the batch path build one input layout and run one forward pass."""
+    support = PriorSupport.uniform_box(4, 2, cap=(0.5, 3.0), dim=2)
+    rng = np.random.default_rng(7)
+    model = LearnedAdjustment(tuple(mlp_init([3 * 2 + 3 + 2, 6, 1], rng) for _ in range(4)), support)
+    caps, gammas, thetas = sample_prior(support, 16, seed=8)
+    batch = model.outputs_batch(caps, gammas, thetas)
+    for t in range(16):
+        single = model.outputs_batch(caps[t : t + 1], gammas[t : t + 1], thetas[t : t + 1])
+        for i in range(4):
+            keep = [k for k in range(4) if k != i]
+            value = model(i, caps[t, keep], gammas[t, keep], thetas[t])
+            # a batch of one is the same computation; a larger batch may block
+            # its matrix products differently in the last bits
+            assert value == single[0, i]
+            assert value == pytest.approx(batch[t, i], rel=0.0, abs=1e-12)
+
+
+def test_composite_loss_matches_loss_components_of_the_payment():
+    """Training's loss on one instance is the probes' penalty sum on the priced instance."""
+    from pvcg.verification import loss_components
+
+    support = PriorSupport.uniform_box(3, 2)
+    valuation, cost = SqrtSumValuation(scale=3.0), LinearCost()
+    rng = np.random.default_rng(11)
+    model = LearnedAdjustment(tuple(mlp_init([2 + 2 + 2, 5, 1], rng) for _ in range(3)), support)
+    caps, gammas, thetas = sample_prior(support, 20, seed=12)
+    active = 0
+    for t in range(20):
+        payments = total_payment(Economy(caps[t], gammas[t], thetas[t], valuation, cost), adjustment=model)
+        loss = composite_loss(
+            model, caps[t : t + 1], gammas[t : t + 1], thetas[t : t + 1],
+            np.array([payments.surplus]), payments.counterfactual_surpluses[None, :],
+        )
+        term1, term2 = loss_components(payments)
+        assert loss == term1 + term2
+        active += loss > 0
+    assert active > 0  # the random networks violate feasibility somewhere
