@@ -201,35 +201,6 @@ class CheckReport:
         }
 
 
-def _sum_gap(
-    support: PriorSupport,
-    valuation,
-    cost,
-    caps: Array,
-    gammas: Array,
-    thetas: Array,
-    method,
-    pessimistic: bool,
-) -> tuple[float, float]:
-    """lhs - rhs of the feasibility inequality at one sample.
-
-    ``pessimistic`` replaces producer i by its support extremes; otherwise the
-    producer is zeroed out with its cost type kept (the zero-capacity form).
-    """
-    s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)
-    lhs = 0.0
-    for i in range(support.n):
-        caps_i = caps.copy()
-        gammas_i = gammas.copy()
-        if pessimistic:
-            caps_i[i] = support.cap_lo[i]
-            gammas_i[i] = support.gamma_hi[i]
-        else:
-            caps_i[i] = 0.0
-        lhs += s_full - max_surplus(caps_i, gammas_i, thetas, valuation, cost, method)
-    return lhs, s_full
-
-
 def _run_check(
     name: str,
     support: PriorSupport,
@@ -241,29 +212,39 @@ def _run_check(
     tol: float,
     pessimistic: bool,
 ) -> CheckReport:
+    """lhs - rhs of the feasibility inequality at every sample, with the violations.
+
+    Problem i replaces producer i: ``pessimistic`` puts it at its support
+    extremes; otherwise its capacity is zeroed with its cost type kept (the
+    zero-capacity form). Each problem is solved for all samples at once.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    caps_all, gammas_all, thetas_all = sample_from(support, samples, rng)
-    report = CheckReport(name=name, samples=samples)
-    for k in range(samples):
-        lhs, s_full = _sum_gap(
-            support, valuation, cost, caps_all[k], gammas_all[k], thetas_all[k], method, pessimistic
+    caps, gammas, thetas = sample_from(support, samples, rng)
+    s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)
+    lhs = np.zeros(samples)
+    for i in range(support.n):
+        caps_i = caps.copy()
+        gammas_i = gammas.copy()
+        caps_i[:, i] = support.cap_lo[i] if pessimistic else 0.0
+        if pessimistic:
+            gammas_i[:, i] = support.gamma_hi[i]
+        lhs += s_full - max_surplus(caps_i, gammas_i, thetas, valuation, cost, method)
+    gap = lhs - s_full
+    report = CheckReport(name=name, samples=samples, max_gap=float(gap.max()))
+    for k in np.flatnonzero(gap > tol):
+        report.violations.append(
+            {
+                "sample": int(k),
+                "gap": float(gap[k]),
+                "lhs": float(lhs[k]),
+                "surplus": float(s_full[k]),
+                "capacities": caps[k].tolist(),
+                "cost_types": gammas[k].tolist(),
+                "valuation_types": thetas[k].tolist(),
+            }
         )
-        gap = lhs - s_full
-        report.max_gap = max(report.max_gap, gap)
-        if gap > tol:
-            report.violations.append(
-                {
-                    "sample": k,
-                    "gap": gap,
-                    "lhs": lhs,
-                    "surplus": s_full,
-                    "capacities": caps_all[k].tolist(),
-                    "cost_types": gammas_all[k].tolist(),
-                    "valuation_types": thetas_all[k].tolist(),
-                }
-            )
     return report
 
 

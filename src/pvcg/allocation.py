@@ -21,7 +21,6 @@ __all__ = [
     "SolverDiagnostics",
     "AllocationResult",
     "waterfill_applies",
-    "supports_waterfill",
     "analytic_waterfill",
     "optimize_acceptance",
     "counterfactual_surplus",
@@ -65,10 +64,6 @@ def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> b
     return method in (None, "analytic") and _sqrt_sum_linear(valuation, cost) and dim == 1
 
 
-def supports_waterfill(view: Economy) -> bool:
-    return waterfill_applies(view.valuation, view.cost, view.dim)
-
-
 def _empty_result(dim: int) -> AllocationResult:
     zero = np.zeros((0, dim))
     return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
@@ -87,27 +82,29 @@ def _finalize(view: Economy, ratios: Array, diag: SolverDiagnostics) -> Allocati
 # ---------------------------------------------------------------------------
 
 
-def _stop_quantities(sorted_gammas: Array, theta_sum: float, scale: float) -> Array:
-    """Cumulative quantity at which the marginal value meets each unit cost.
+def _sorted_fills(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Array, Array, Array]:
+    """The water-fill kernel: producers on the last axis, any leading axes a batch of economies.
 
-    Free producers (gamma == 0) never stop; the guarded denominator also keeps
-    subnormal theta values from turning 0/0 into NaN.
+    Fills each economy in ascending cost order (ties by index). Producer j's
+    fill stops at cumulative quantity ``scale * (Theta / 2 gamma_j)^2``, where
+    the marginal value meets its unit cost, or at its capacity; free producers
+    (gamma == 0) never stop. ``theta_sum`` has the batch shape. Returns the
+    fill order, the sorted cost types and the fills along the order.
     """
-    positive = sorted_gammas > 0
-    safe = np.where(positive, sorted_gammas, 1.0)
+    order = np.argsort(gammas, axis=-1, kind="stable")
+    flat = order
+    if order.ndim > 1:
+        # one flat gather for the whole batch: each row's offset plus its order
+        flat = order + np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+    caps_sorted = caps.take(flat)
+    gammas_sorted = gammas.take(flat)
     # ratio before squaring: immune to underflow/overflow of the squares
-    with np.errstate(over="ignore"):
-        ratio = theta_sum / (2.0 * safe)
-        return np.where(positive, scale * ratio * ratio, np.inf)
-
-
-def _sorted_fills(caps: Array, gammas: Array, theta_sum: float, scale: float) -> tuple[Array, Array]:
-    """Ascending-cost fill order (ties by index) and each producer's fill along it."""
-    order = np.argsort(gammas, kind="stable")
-    caps_sorted = caps[order]
-    stop_at = _stop_quantities(gammas[order], theta_sum, scale)
-    cumulative_before = np.concatenate(([0.0], np.cumsum(caps_sorted)[:-1]))
-    return order, np.clip(stop_at - cumulative_before, 0.0, caps_sorted)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.asarray(theta_sum)[..., None] / (2.0 * gammas_sorted)
+        fills = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
+    # stop quantity minus the quantity filled before, clipped to [0, capacity]
+    fills[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
+    return order, gammas_sorted, np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
 
 
 def analytic_waterfill(view: Economy) -> AllocationResult:
@@ -121,24 +118,18 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     ``scale * Theta^2 / (4 gamma_i^2)``, or at its reported capacity,
     whichever binds first.
     """
-    if not supports_waterfill(view):
+    if not waterfill_applies(view.valuation, view.cost, view.dim):
         raise ValueError(
             "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
         )
     n = view.n
     caps = view.capacities[:, 0]
-    gammas = view.cost_types
     theta_sum = float(view.valuation_types.sum())
-    scale = view.valuation.scale
-
-    if theta_sum <= 0.0:
-        ratios = np.zeros(n)
-    else:
-        order, fills_sorted = _sorted_fills(caps, gammas, theta_sum, scale)
-        fills = np.empty_like(fills_sorted)
-        fills[order] = fills_sorted
-        ratios = np.divide(fills, caps, out=np.zeros(n), where=caps > 0)
-
+    order, _, fills_sorted = _sorted_fills(caps, view.cost_types, theta_sum, view.valuation.scale)
+    fills = np.empty_like(fills_sorted)
+    fills[order] = fills_sorted
+    # nothing is worth accepting without valuation (theta_sum <= 0)
+    ratios = np.divide(fills, caps, out=np.zeros(n), where=(caps > 0) & (theta_sum > 0.0))
     return _finalize(view, ratios[:, None], SolverDiagnostics(iterations=n, restarts=0, grad_norm=0.0))
 
 
@@ -270,7 +261,7 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
     whenever it applies. ``seed`` draws the projected-gradient restarts.
     """
     if method is None:
-        method = "analytic" if supports_waterfill(view) else "projected_gradient"
+        method = "analytic" if waterfill_applies(view.valuation, view.cost, view.dim) else "projected_gradient"
     if method == "analytic":
         return analytic_waterfill(view)
     if method == "projected_gradient":
@@ -314,36 +305,50 @@ def solve_with_counterfactuals(
 # ---------------------------------------------------------------------------
 
 
-def waterfill_surplus(caps: Array, gammas: Array, theta_sum: float, scale: float) -> float:
-    """Maximum surplus of a scalar sqrt_sum/linear economy, arrays in, float out."""
-    if caps.size == 0 or theta_sum <= 0.0:
-        return 0.0
-    order, fills = _sorted_fills(caps, gammas, theta_sum, scale)
-    total = float(fills.sum())
-    return theta_sum * math.sqrt(scale * total) - float(gammas[order] @ fills)
+def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
+    """Maximum surplus of scalar sqrt_sum/linear economies, producers on the last axis.
+
+    Leading axes are a batch and ``theta_sum`` has the batch shape; one economy
+    returns a float. ``theta_sum <= 0`` and an empty coalition give 0.
+    """
+    if gammas.shape[-1] == 0:
+        return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
+    _, gammas_sorted, fills = _sorted_fills(caps, gammas, theta_sum, scale)
+    # a dot product per row, the one 1-D ``@`` would take
+    cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
+    surplus = theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost
+    if np.ndim(surplus) == 0:
+        return float(surplus) if theta_sum > 0.0 else 0.0
+    return np.where(theta_sum > 0.0, surplus, 0.0)
 
 
-def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None) -> float:
-    """Maximum reported surplus of the raw ``(n, dim)`` capacity profile and types.
+def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None):
+    """Maximum reported surplus of raw ``(..., n, dim)`` capacities, ``(..., n)`` and ``(..., m)`` types.
 
-    Takes the water-fill fast path whenever it applies and solves the full
-    problem otherwise; an empty coalition (n == 0) has zero surplus.
+    Leading axes are a batch; one economy returns a float. Takes the water-fill
+    whenever it applies and otherwise solves each economy with
+    ``optimize_acceptance`` (seed 0); an empty coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    if waterfill_applies(valuation, cost, caps.shape[1], method):
-        return waterfill_surplus(caps[:, 0], gammas, float(np.sum(thetas)), valuation.scale)
-    if caps.shape[0] == 0:
-        return 0.0
-    economy = Economy(caps, gammas, np.asarray(thetas, dtype=float), valuation, cost)
-    return optimize_acceptance(economy, method=method).surplus
+    thetas = np.asarray(thetas, dtype=float)
+    if waterfill_applies(valuation, cost, caps.shape[-1], method):
+        return waterfill_surplus(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
+    batch = gammas.shape[:-1]
+    surplus = np.zeros(batch)
+    if gammas.shape[-1] > 0:
+        for k in np.ndindex(batch):
+            economy = Economy(caps[k], gammas[k], thetas[k], valuation, cost)
+            surplus[k] = optimize_acceptance(economy, method=method).surplus
+    return float(surplus) if not batch else surplus
 
 
-def waterfill_gains(caps: Array, gammas: Array, theta_sum: float, scale: float) -> tuple[float, Array]:
-    """Full surplus and every producer-removed surplus for the scalar sqrt_sum family."""
-    n = caps.shape[0]
+def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):
+    """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``."""
     full = waterfill_surplus(caps, gammas, theta_sum, scale)
-    removed = np.empty(n)
-    for i in range(n):
-        removed[i] = waterfill_surplus(np.delete(caps, i), np.delete(gammas, i), theta_sum, scale)
+    removed = np.empty(gammas.shape)
+    for j in range(gammas.shape[-1]):
+        removed[..., j] = waterfill_surplus(
+            np.delete(caps, j, axis=-1), np.delete(gammas, j, axis=-1), theta_sum, scale
+        )
     return full, removed

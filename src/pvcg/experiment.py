@@ -204,6 +204,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: {err}") from None
         if self.method not in (None, "analytic", "projected_gradient"):
             raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {self.method!r}")
+        if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite (None means n), got {self.scale}")
+        if not (math.isfinite(self.punishment) and self.punishment > 0):
+            raise ValueError(f"punishment must be positive and finite, got {self.punishment}")
 
     def support(self) -> PriorSupport:
         return PriorSupport.uniform_box(

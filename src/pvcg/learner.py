@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties, sample_from
-from .allocation import solve_with_counterfactuals, waterfill_applies, waterfill_gains
-from .model import Economy, fields_from_dict, fields_to_dict
+from .allocation import max_surplus, waterfill_applies, waterfill_gains
+from .model import fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -181,6 +181,8 @@ class LearnedAdjustment:
                 raise ValueError(
                     f"network {i} input width {net.input_width} does not match economy layout {expected}"
                 )
+            if net.output_width != 1:
+                raise ValueError(f"network {i} output width {net.output_width} must be 1")
 
     @property
     def n(self) -> int:
@@ -295,21 +297,14 @@ def _loss_and_grads(model, inputs, gains, surpluses):
 
 def _batch_surpluses(valuation, cost, caps, gammas, thetas, method):
     """S* and all S*_{-i} for every sample in the batch (solved once, reused all epoch)."""
-    T, n = gammas.shape
-    surpluses = np.empty(T)
-    removed = np.empty((T, n))
-    fast = waterfill_applies(valuation, cost, caps.shape[2], method)
-    for t in range(T):
-        if fast:
-            surpluses[t], removed[t] = waterfill_gains(
-                caps[t, :, 0], gammas[t], float(thetas[t].sum()), valuation.scale
-            )
-        else:
-            economy = Economy(caps[t], gammas[t], thetas[t], valuation, cost)
-            full, rest = solve_with_counterfactuals(economy, method=method)
-            surpluses[t] = full.surplus
-            removed[t] = [r.surplus for r in rest]
-    return surpluses, removed
+    if waterfill_applies(valuation, cost, caps.shape[2], method):
+        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
+    full = max_surplus(caps, gammas, thetas, valuation, cost, method)
+    removed = [
+        max_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas, valuation, cost, method)
+        for i in range(gammas.shape[1])
+    ]
+    return full, np.stack(removed, axis=1)
 
 
 def train(
@@ -414,12 +409,20 @@ def load_model(path) -> LearnedAdjustment:
         doc = json.load(fh)
     if doc.get("kind") != "pvcg-adjustment-mlp":
         raise ValueError(f"{path} is not an adjustment model checkpoint")
+    for key in ("support", "nets"):
+        if key not in doc:
+            raise ValueError(f"{path}: checkpoint has no {key!r}")
     support = PriorSupport.from_dict(doc["support"])
-    nets = tuple(
-        MLP(
+    for key in ("n", "m", "dim"):
+        if key in doc and doc[key] != getattr(support, key):
+            raise ValueError(f"{path}: header {key}={doc[key]} does not match the support's {getattr(support, key)}")
+    nets = []
+    for i, spec in enumerate(doc["nets"]):
+        net = MLP(
             [np.asarray(w, dtype=float) for w in spec["weights"]],
             [np.asarray(b, dtype=float) for b in spec["biases"]],
         )
-        for spec in doc["nets"]
-    )
-    return LearnedAdjustment(nets, support, seed=int(doc.get("seed", 0)))
+        if "sizes" in spec and list(spec["sizes"]) != net.layer_sizes:
+            raise ValueError(f"{path}: nets[{i}] sizes {spec['sizes']} do not match its weight shapes {net.layer_sizes}")
+        nets.append(net)
+    return LearnedAdjustment(tuple(nets), support, seed=int(doc.get("seed", 0)))

@@ -17,7 +17,7 @@ from pvcg import (
     optimize_acceptance,
     social_surplus,
 )
-from pvcg.allocation import waterfill_gains, waterfill_surplus
+from pvcg.allocation import max_surplus, waterfill_gains, waterfill_surplus
 from pvcg.verification import grid_surplus_max
 
 from conftest import random_sqrt_sum_economy
@@ -236,3 +236,66 @@ def test_projected_gradient_vector_bundles_match_summed_waterfill():
         summed = Economy.sqrt_sum(caps.sum(axis=1), gammas, thetas)
         pg = optimize_acceptance(bundles, method="projected_gradient", seed=k)
         assert pg.surplus == pytest.approx(analytic_waterfill(summed).surplus, abs=1e-6)
+
+
+# costs and capacities with ties and zeros mixed into the continuous draws
+_GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_CAPS = st.sampled_from([0.0, 2.5, 5.0]) | st.floats(0.0, 5.0)
+_THETAS = st.just(0.0) | st.floats(0.0, 1.0)
+
+
+def _economy_batch(data, n_range, t_max):
+    """A (T, n) batch of scalar economies on criterion 1's ranges, (T, m) valuation types."""
+    n = data.draw(st.integers(*n_range))
+    T = data.draw(st.integers(1, t_max))
+    m = data.draw(st.integers(1, 2))
+    caps = np.array(data.draw(st.lists(_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    gammas = np.array(data.draw(st.lists(_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    thetas = np.array(data.draw(st.lists(_THETAS, min_size=T * m, max_size=T * m))).reshape(T, m)
+    return caps, gammas, thetas
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_waterfill_rows_equal_one_economy_calls(data):
+    """Every row of a batch is bit-for-bit the one-economy result, empty coalitions included."""
+    caps, gammas, thetas = _economy_batch(data, (0, 6), 5)
+    scale = float(max(caps.shape[1], 1))
+    theta_sums = thetas.sum(axis=1)
+    surpluses = waterfill_surplus(caps, gammas, theta_sums, scale)
+    full, removed = waterfill_gains(caps, gammas, theta_sums, scale)
+    assert surpluses.shape == full.shape == (caps.shape[0],)
+    assert removed.shape == caps.shape
+    for t in range(caps.shape[0]):
+        one = waterfill_surplus(caps[t], gammas[t], float(theta_sums[t]), scale)
+        assert isinstance(one, float)
+        assert surpluses[t] == one == full[t]
+        one_full, one_removed = waterfill_gains(caps[t], gammas[t], float(theta_sums[t]), scale)
+        assert one_full == one
+        assert np.array_equal(removed[t], one_removed)
+        if theta_sums[t] == 0.0:
+            assert one == 0.0 and not one_removed.any()
+
+
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_batched_waterfill_rows_match_the_grid_oracle(data):
+    """Criterion 1's tolerance against the exhaustive ratio grid, row by row."""
+    caps, gammas, thetas = _economy_batch(data, (1, 3), 2)
+    n = caps.shape[1]
+    theta_sums = thetas.sum(axis=1)
+    surpluses = waterfill_surplus(caps, gammas, theta_sums, float(n))
+    for t in range(caps.shape[0]):
+        reference = grid_max(caps[t], gammas[t], float(theta_sums[t]), float(n), step=1e-3)
+        assert abs(surpluses[t] - reference) <= 2e-3
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_batched_max_surplus_projected_gradient_equals_per_row_solves(data):
+    caps, gammas, thetas = _economy_batch(data, (1, 3), 3)
+    valuation, cost = SqrtSumValuation(scale=float(caps.shape[1])), LinearCost()
+    batched = max_surplus(caps[..., None], gammas, thetas, valuation, cost, method="projected_gradient")
+    for t in range(caps.shape[0]):
+        economy = Economy(caps[t][:, None], gammas[t], thetas[t], valuation, cost)
+        assert batched[t] == optimize_acceptance(economy, method="projected_gradient").surplus

@@ -156,6 +156,13 @@ _COUNTS = ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonici
         pytest.param("valuation_tag", "bogus", ": unknown valuation family tag 'bogus'", id="valuation_tag"),
         pytest.param("cost_tag", "quadratic", ": unknown cost family tag 'quadratic'", id="cost_tag"),
         pytest.param("method", "newton", " must be None, 'analytic' or 'projected_gradient'", id="method"),
+        pytest.param("scale", -1.0, " must be positive and finite", id="scale-negative"),
+        pytest.param("scale", 0.0, " must be positive and finite", id="scale-zero"),
+        pytest.param("scale", math.inf, " must be positive and finite", id="scale-inf"),
+        pytest.param("scale", math.nan, " must be positive and finite", id="scale-nan"),
+        pytest.param("punishment", -5.0, " must be positive and finite", id="punishment-negative"),
+        pytest.param("punishment", 0.0, " must be positive and finite", id="punishment-zero"),
+        pytest.param("punishment", math.inf, " must be positive and finite", id="punishment-inf"),
     ],
 )
 def test_config_rejects_non_positive_counts(field, value, message):

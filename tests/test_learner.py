@@ -273,6 +273,38 @@ def test_checkpoint_roundtrip(tmp_path):
         load_model(bad)
 
 
+def _two_output_last_layer(doc):
+    spec = doc["nets"][1]
+    spec["weights"][-1] = [[0.0, 0.0]] * 5
+    spec["biases"][-1] = [0.0, 0.0]
+    spec["sizes"][-1] = 2
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_two_output_last_layer, r"network 1 output width 2 must be 1", id="output-width"),
+        pytest.param(lambda doc: doc["nets"][0].update(sizes=[6, 4, 1]), r"nets\[0\] sizes \[6, 4, 1\]", id="sizes"),
+        pytest.param(lambda doc: doc.update(n=4), r"header n=4 does not match the support's 3", id="header-n"),
+        pytest.param(lambda doc: doc.update(m=1), r"header m=1 does not match the support's 2", id="header-m"),
+        pytest.param(lambda doc: doc.update(dim=2), r"header dim=2 does not match the support's 1", id="header-dim"),
+        pytest.param(lambda doc: doc.pop("support"), r"checkpoint has no 'support'", id="no-support"),
+        pytest.param(lambda doc: doc.pop("nets"), r"checkpoint has no 'nets'", id="no-nets"),
+    ],
+)
+def test_load_model_rejects_inconsistent_checkpoint(tmp_path, edit, message):
+    support = PriorSupport.uniform_box(3, 2)
+    rng = np.random.default_rng(92)
+    model = LearnedAdjustment(tuple(mlp_init([2 + 2 + 2, 5, 1], rng) for _ in range(3)), support)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
 def test_adjustment_unchanged_when_own_report_changes():
     from pvcg import BidProfile
 
