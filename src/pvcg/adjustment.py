@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import max_surplus
+from .allocation import max_surplus, without_each
 from .model import as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -35,7 +35,7 @@ class PriorSupport:
     """Box support of the coordinator's prior over true parameters.
 
     Per-producer capacity bounds, per-producer cost-type bounds, per-consumer
-    valuation-type bounds, all finite with lo <= hi. The prior is uniform on
+    valuation-type bounds, all finite with 0 <= lo <= hi. The prior is uniform on
     the box.
     """
 
@@ -64,6 +64,10 @@ class PriorSupport:
                 raise ValueError(f"{name} support must be bounded")
             if (lo > hi).any():
                 raise ValueError(f"{name} lower bounds exceed upper bounds")
+        # types are non-negative (as Economy requires); capacities were checked above
+        for lo, name in ((self.gamma_lo, "gamma_lo"), (self.theta_lo, "theta_lo")):
+            if (lo < 0).any():
+                raise ValueError(f"{name} must be non-negative")
         if self.cap_lo.shape[0] != self.gamma_lo.shape[0]:
             raise ValueError("capacity and cost-type bounds disagree on the producer count")
 
@@ -170,6 +174,29 @@ class AnalyticAdjustment:
             self.support, self.valuation, self.cost, i, capacities_others, gammas_others, thetas,
             method=self.method,
         )
+
+    def all_producers(self, capacities, gammas, thetas) -> Array:
+        """``(n,)`` adjustments of every producer from one full report profile.
+
+        Entry i reads only the others' reports and equals ``self(i, ...)`` on
+        them bit for bit: the pessimistic problems form one ``(n, n)`` batch
+        and the producer-removed problems one ``(n, n-1)`` batch.
+        """
+        s = self.support
+        caps = as_quantity_matrix(capacities, n=s.n, dim=s.dim, name="capacities")
+        gammas = np.asarray(gammas, dtype=float)
+        thetas = np.asarray(thetas, dtype=float)
+        thetas = np.broadcast_to(thetas, (s.n,) + thetas.shape)
+        producers = np.arange(s.n)
+        pess_caps = np.broadcast_to(caps, (s.n,) + caps.shape).copy()
+        pess_caps[producers, producers] = s.cap_lo
+        pess_gammas = np.broadcast_to(gammas, (s.n,) + gammas.shape).copy()
+        pess_gammas[producers, producers] = s.gamma_hi
+        s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, self.valuation, self.cost, self.method)
+        s_without = max_surplus(
+            without_each(caps), without_each(gammas), thetas, self.valuation, self.cost, self.method
+        )
+        return -(s_pessimistic - s_without)
 
 
 # ---------------------------------------------------------------------------

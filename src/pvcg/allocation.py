@@ -8,6 +8,7 @@ with multistart handles everything else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "optimize_acceptance",
     "counterfactual_surplus",
     "solve_with_counterfactuals",
+    "waterfill_removed",
     "max_surplus",
 ]
 
@@ -89,7 +91,8 @@ def _sorted_fills(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[
     fill stops at cumulative quantity ``scale * (Theta / 2 gamma_j)^2``, where
     the marginal value meets its unit cost, or at its capacity; free producers
     (gamma == 0) never stop. ``theta_sum`` has the batch shape. Returns the
-    fill order, the sorted cost types and the fills along the order.
+    fill order as flat indices into the batch, the sorted cost types and the
+    fills along the order.
     """
     order = np.argsort(gammas, axis=-1, kind="stable")
     flat = order
@@ -104,7 +107,32 @@ def _sorted_fills(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[
         fills = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
     # stop quantity minus the quantity filled before, clipped to [0, capacity]
     fills[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
-    return order, gammas_sorted, np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
+    return flat, gammas_sorted, np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
+
+
+def _waterfill_ratios(caps: Array, gammas: Array, theta_sum: float, scale: float) -> Array:
+    """Water-fill acceptance ratios in producer order, batched as ``_sorted_fills``.
+
+    A producer without capacity, or any producer when nothing is worth
+    accepting (``theta_sum <= 0``), gets ratio 0.
+    """
+    flat, _, fills_sorted = _sorted_fills(caps, gammas, theta_sum, scale)
+    fills = np.empty_like(fills_sorted)
+    np.put(fills, flat, fills_sorted)
+    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & (theta_sum > 0.0))
+
+
+def _require_waterfill(view: Economy) -> None:
+    if not waterfill_applies(view.valuation, view.cost, view.dim):
+        raise ValueError(
+            "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
+        )
+
+
+def _require_finite(surplus) -> None:
+    bad = ~np.isfinite(surplus)
+    if bad.any():
+        raise ValueError(f"solver produced a non-finite surplus ({np.asarray(surplus)[bad].flat[0]})")
 
 
 def analytic_waterfill(view: Economy) -> AllocationResult:
@@ -116,21 +144,59 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     (ties broken by producer index); producer i's fill stops where the
     marginal value meets its unit cost, i.e. at cumulative quantity
     ``scale * Theta^2 / (4 gamma_i^2)``, or at its reported capacity,
-    whichever binds first.
+    whichever binds first. The surplus is value minus cost in the operation
+    order of ``social_surplus``, so it carries the same bits.
     """
-    if not waterfill_applies(view.valuation, view.cost, view.dim):
-        raise ValueError(
-            "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
-        )
+    _require_waterfill(view)
+    ratios = _waterfill_ratios(
+        view.capacities[:, 0], view.cost_types, float(view.valuation_types.sum()), view.valuation.scale
+    )[:, None]
+    accepted = view.capacities * ratios
+    surplus = float(
+        view.valuation.value_rows(accepted[:, 0], view.valuation_types)
+        - view.cost.cost_rows(accepted[:, 0], view.cost_types)
+    )
+    _require_finite(surplus)
+    diag = SolverDiagnostics(iterations=view.n, restarts=0, grad_norm=0.0)
+    return AllocationResult(ratios, accepted, surplus, diag)
+
+
+@functools.lru_cache(maxsize=64)
+def _others_index(n: int) -> Array:
+    """``(n, n-1)`` table whose row i lists every producer index but i, built once per n."""
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    keep.flags.writeable = False
+    return keep
+
+
+def without_each(x: Array) -> Array:
+    """The ``(n, n-1, ...)`` stack whose row i is ``x`` without its entry i on the first axis."""
+    return x[_others_index(x.shape[0])]
+
+
+def waterfill_removed(view: Economy) -> tuple[Array, Array]:
+    """Every producer-removed water-fill of ``view`` from one kernel call.
+
+    Returns ``(n, n)`` accepted quantities whose row i solves the problem
+    without producer i, with a zero in column i, and the ``(n,)`` surpluses.
+    Row i carries the bits of ``counterfactual_surplus(view, i)``: the rows
+    are the index-deleted ``(n, n-1)`` problems, not the full problem with a
+    zero capacity, which would group the pairwise total differently. A lone
+    producer leaves the empty coalition, surplus 0.
+    """
+    _require_waterfill(view)
     n = view.n
-    caps = view.capacities[:, 0]
-    theta_sum = float(view.valuation_types.sum())
-    order, _, fills_sorted = _sorted_fills(caps, view.cost_types, theta_sum, view.valuation.scale)
-    fills = np.empty_like(fills_sorted)
-    fills[order] = fills_sorted
-    # nothing is worth accepting without valuation (theta_sum <= 0)
-    ratios = np.divide(fills, caps, out=np.zeros(n), where=(caps > 0) & (theta_sum > 0.0))
-    return _finalize(view, ratios[:, None], SolverDiagnostics(iterations=n, restarts=0, grad_norm=0.0))
+    accepted = np.zeros((n, n))
+    if n == 1:
+        return accepted, np.zeros(1)
+    caps = without_each(view.capacities[:, 0])
+    gammas = without_each(view.cost_types)
+    ratios = _waterfill_ratios(caps, gammas, float(view.valuation_types.sum()), view.valuation.scale)
+    removed = caps * ratios
+    surplus = view.valuation.value_rows(removed, view.valuation_types) - view.cost.cost_rows(removed, gammas)
+    _require_finite(surplus)
+    np.put(accepted, _others_index(n) + n * np.arange(n)[:, None], removed)
+    return accepted, surplus
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,18 @@ class SqrtSumValuation:
     def standalone(self, x_i, theta: float) -> float:
         return theta * math.sqrt(float(np.sum(np.asarray(x_i, dtype=float))))
 
+    def value_rows(self, accepted: Array, thetas) -> Array:
+        """Total consumer value of scalar ``accepted`` quantities, producers on the last axis.
+
+        Leading axes are a batch. Each row carries the bits of
+        ``total_valuation``: numpy's pairwise total, then consumer by consumer.
+        """
+        root = np.sqrt(self.scale * accepted.sum(axis=-1))
+        value = 0.0
+        for theta in thetas:
+            value = value + float(theta) * root
+        return value
+
 
 @dataclass(frozen=True)
 class SqrtSumSquaresValuation:
@@ -211,6 +223,18 @@ class LinearCost:
     def grad(self, x_i, gamma: float) -> Array:
         bundle = np.atleast_1d(np.asarray(x_i, dtype=float))
         return np.full_like(bundle, gamma)
+
+    def cost_rows(self, accepted: Array, gammas: Array) -> Array:
+        """Total producer cost of scalar ``accepted`` quantities, producers on the last axis.
+
+        Leading axes are a batch, broadcast against ``gammas``. Each row carries
+        the bits of ``total_cost``: producer by producer, left to right (a
+        running sum, not numpy's pairwise one).
+        """
+        costs = gammas * accepted
+        if costs.shape[-1] == 0:
+            return np.zeros(costs.shape[:-1])
+        return np.add.accumulate(costs, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjustment import AnalyticAdjustment
 from .allocation import (
     AllocationResult,
+    analytic_waterfill,
     counterfactual_surplus,
     optimize_acceptance,
     solve_with_counterfactuals,
+    waterfill_applies,
+    waterfill_removed,
 )
 from .model import BidProfile, Economy, total_valuation
 
@@ -79,6 +83,24 @@ def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationR
     return full.surplus - removed.surplus + own_cost
 
 
+def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_removed, check_tol) -> None:
+    """Raise unless every direct pivot payment matches its expansion within ``check_tol``.
+
+    The expansion of producer i is the value difference between the full and
+    the i-removed allocation minus the others' cost difference; arguments
+    other than ``value_full`` are ``(n,)`` arrays. The first producer whose
+    forms disagree is named.
+    """
+    others_cost_full = costs_full.sum() - costs_full
+    expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
+    bad = np.flatnonzero(np.abs(taus - expanded) > check_tol)
+    if bad.size:
+        i = int(bad[0])
+        raise RuntimeError(
+            f"pivot payment forms disagree for producer {i}: {float(taus[i])!r} vs {float(expanded[i])!r}"
+        )
+
+
 def vcg_tau(
     view: Economy,
     allocation: AllocationResult,
@@ -96,33 +118,67 @@ def vcg_tau(
     if len(counterfactuals) != n:
         raise ValueError(f"expected {n} counterfactual allocations, got {len(counterfactuals)}")
     accepted = allocation.accepted
-    value_full = total_valuation(view, accepted)
     costs_full = np.array(
         [view.cost.cost(accepted[k], float(g)) for k, g in enumerate(view.cost_types)]
     )
-    taus = np.empty(n)
-    for i in range(n):
-        removed = counterfactuals[i]
-        direct = tau_for_producer(view, allocation, removed, i)
+    # the direct form, tau_for_producer with the own cost read from costs_full
+    taus = allocation.surplus - np.array([r.surplus for r in counterfactuals]) + costs_full
+    value_removed = np.empty(n)
+    others_cost_removed = np.empty(n)
+    for i, removed in enumerate(counterfactuals):
         embedded = np.insert(removed.accepted, i, 0.0, axis=0)
-        value_removed = total_valuation(view, embedded)
-        others_cost_full = float(costs_full.sum() - costs_full[i])
-        others_cost_removed = float(
+        value_removed[i] = total_valuation(view, embedded)
+        others_cost_removed[i] = float(
             sum(view.cost.cost(embedded[k], float(view.cost_types[k])) for k in range(n) if k != i)
         )
-        expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
-        if abs(direct - expanded) > check_tol:
-            raise RuntimeError(
-                f"pivot payment forms disagree for producer {i}: {direct!r} vs {expanded!r}"
-            )
-        taus[i] = direct
+    _check_tau_forms(
+        taus, total_valuation(view, accepted), value_removed, costs_full, others_cost_removed, check_tol
+    )
     return taus
+
+
+def _waterfill_taus(view: Economy, check_tol: float = TAU_FORM_TOL) -> tuple[AllocationResult, Array, Array]:
+    """The full water-fill, the removed surpluses and the pivot payments, every producer at once.
+
+    Bit-equal to ``solve_with_counterfactuals`` followed by ``vcg_tau``; the
+    removed problems come from one kernel call and the two-form check runs on
+    the whole vector.
+    """
+    full = analytic_waterfill(view)
+    embedded, removed_surpluses = waterfill_removed(view)
+    accepted = full.accepted[:, 0]
+    costs_full = view.cost_types * accepted
+    taus = full.surplus - removed_surpluses + costs_full
+    _check_tau_forms(
+        taus,
+        view.valuation.value_rows(accepted, view.valuation_types),
+        view.valuation.value_rows(embedded, view.valuation_types),
+        costs_full,
+        # column i of row i is zero, so adding its term leaves the running sum as it was
+        view.cost.cost_rows(embedded, view.cost_types),
+        check_tol,
+    )
+    return full, removed_surpluses, taus
 
 
 def adjustment_for(adjustment, view: Economy, i: int) -> float:
     """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports."""
     keep = [k for k in range(view.n) if k != i]
     return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
+
+
+def _adjustments(adjustment, view: Economy) -> Array:
+    """Every producer's adjustment under the reports in ``view``.
+
+    An analytic adjustment whose support fits the view prices all producers in
+    one batch, bit-equal to ``adjustment_for``; any other is asked producer by
+    producer.
+    """
+    if isinstance(adjustment, AnalyticAdjustment):
+        support = adjustment.support
+        if (support.n, support.dim) == (view.n, view.dim):
+            return adjustment.all_producers(view.capacities, view.cost_types, view.valuation_types)
+    return np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
 
 
 def utility_from_solves(
@@ -165,28 +221,39 @@ def total_payment(
     capacity in any coordinate. Utilities are evaluated at the true cost type
     and the delivered quantity (punished producers deliver nothing);
     coalition income is the total true-type consumer value of the delivered
-    profile.
+    profile. A water-fill economy is priced with array operations over all
+    producers, bit-identical to the per-producer path every other case takes.
     """
     if not punishment > 0:
         raise ValueError("punishment must be positive")
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
-    full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
-    taus = vcg_tau(view, full, removed)
-    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
+    waterfill = waterfill_applies(view.valuation, view.cost, view.dim, method)
+    if waterfill:
+        full, removed_surpluses, taus = _waterfill_taus(view)
+        adjustments = _adjustments(adjustment, view)
+    else:
+        full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
+        taus = vcg_tau(view, full, removed)
+        adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
+        removed_surpluses = np.array([r.surplus for r in removed])
 
     accepted = full.accepted
     punished = _punished_mask(accepted, economy.capacities)
     totals = np.where(punished, -punishment, taus + adjustments)
     delivered = np.where(punished[:, None], 0.0, accepted)
-    true_costs = np.array(
-        [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
-    )
+    if waterfill:
+        true_costs = economy.cost_types * delivered[:, 0]
+        income = float(economy.valuation.value_rows(delivered[:, 0], economy.valuation_types))
+    else:
+        true_costs = np.array(
+            [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
+        )
+        income = float(
+            sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types)
+        )
     utilities = totals - true_costs
-    income = float(
-        sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types)
-    )
     return PaymentBreakdown(
         tau=taus,
         adjustment=adjustments,
@@ -196,7 +263,7 @@ def total_payment(
         budget_slack=float(income - totals.sum()),
         punished=punished,
         surplus=full.surplus,
-        counterfactual_surpluses=np.array([r.surplus for r in removed]),
+        counterfactual_surpluses=removed_surpluses,
         accepted=accepted,
         delivered=delivered,
     )

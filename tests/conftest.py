@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pvcg import Economy, LinearCost, PriorSupport, SqrtSumValuation, TrainingConfig
 from pvcg.learner import train
@@ -57,3 +58,8 @@ def random_sqrt_sum_economy(rng, n_choices=(1, 2, 3), m_choices=(1, 2), cap_high
     gammas = rng.uniform(0.0, 1.0, n)
     thetas = rng.uniform(0.0, 1.0, m)
     return Economy.sqrt_sum(caps, gammas, thetas)
+
+
+# cost types and capacities with ties and zeros mixed into the continuous draws
+TIED_GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+TIED_CAPS = st.sampled_from([0.0, 2.5, 5.0]) | st.floats(0.0, 5.0)

@@ -94,6 +94,59 @@ def grid_max(caps, gammas, theta_sum, scale, step=1e-3) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-producer payment oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_payment(economy, bids, adjustment, punishment):
+    """The water-fill payment stage producer by producer, from public primitives only.
+
+    Each problem (the full one and every ``drop_producer`` one) keeps the
+    water-fill's ratios and takes its surplus from ``model.social_surplus``;
+    the pivot payment, the punishment, true costs and income use the family
+    objects' own ``cost`` and ``value`` one producer or consumer at a time,
+    and the adjustment comes from ``adjustment_for``. This is the arithmetic
+    ``total_payment`` did before it priced water-fill auctions in array form.
+    """
+    from pvcg import PaymentBreakdown, analytic_waterfill
+    from pvcg.model import social_surplus
+    from pvcg.payments import ZeroAdjustment, adjustment_for
+
+    def solve(view):
+        accepted = view.capacities * analytic_waterfill(view).ratios
+        return accepted, social_surplus(view, accepted)
+
+    view = economy.view(bids)
+    n = view.n
+    accepted, surplus = solve(view)
+    removed = [solve(view.drop_producer(i))[1] if n > 1 else 0.0 for i in range(n)]
+    taus = np.array(
+        [surplus - removed[i] + view.cost.cost(accepted[i], float(view.cost_types[i])) for i in range(n)]
+    )
+    adjustment = adjustment or ZeroAdjustment()
+    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(n)])
+    true_caps = economy.capacities
+    punished = (accepted > true_caps + 1e-9 * (1.0 + np.abs(true_caps))).any(axis=1)
+    totals = np.where(punished, -punishment, taus + adjustments)
+    delivered = np.where(punished[:, None], 0.0, accepted)
+    true_costs = np.array([economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)])
+    income = float(sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types))
+    return PaymentBreakdown(
+        tau=taus,
+        adjustment=adjustments,
+        total=totals,
+        utilities=totals - true_costs,
+        coalition_income=income,
+        budget_slack=float(income - totals.sum()),
+        punished=punished,
+        surplus=surplus,
+        counterfactual_surpluses=np.array(removed),
+        accepted=accepted,
+        delivered=delivered,
+    )
+
+
+# ---------------------------------------------------------------------------
 # finite-difference gradient oracles for the learner
 # ---------------------------------------------------------------------------
 

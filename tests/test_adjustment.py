@@ -35,6 +35,15 @@ def test_support_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, bounds",
+    [("gamma_lo", {"gamma": (-1.0, 0.0)}), ("theta_lo", {"theta": (-1.0, 0.0)})],
+)
+def test_support_rejects_negative_type_lower_bounds(field, bounds):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+        PriorSupport.uniform_box(2, 1, **bounds)
+
+
 def test_sample_prior_bounds_and_determinism(paper_support):
     caps, gammas, thetas = sample_prior(paper_support, 500, seed=9)
     assert caps.shape == (500, 10, 1) and gammas.shape == (500, 10) and thetas.shape == (500, 2)

@@ -20,7 +20,7 @@ from pvcg import (
 from pvcg.allocation import max_surplus, waterfill_gains, waterfill_surplus
 from pvcg.verification import grid_surplus_max
 
-from conftest import random_sqrt_sum_economy
+from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
 from oracles import grid_max, grid_max_full
 
 
@@ -238,9 +238,6 @@ def test_projected_gradient_vector_bundles_match_summed_waterfill():
         assert pg.surplus == pytest.approx(analytic_waterfill(summed).surplus, abs=1e-6)
 
 
-# costs and capacities with ties and zeros mixed into the continuous draws
-_GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
-_CAPS = st.sampled_from([0.0, 2.5, 5.0]) | st.floats(0.0, 5.0)
 _THETAS = st.just(0.0) | st.floats(0.0, 1.0)
 
 
@@ -249,8 +246,8 @@ def _economy_batch(data, n_range, t_max):
     n = data.draw(st.integers(*n_range))
     T = data.draw(st.integers(1, t_max))
     m = data.draw(st.integers(1, 2))
-    caps = np.array(data.draw(st.lists(_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
-    gammas = np.array(data.draw(st.lists(_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    caps = np.array(data.draw(st.lists(TIED_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    gammas = np.array(data.draw(st.lists(TIED_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
     thetas = np.array(data.draw(st.lists(_THETAS, min_size=T * m, max_size=T * m))).reshape(T, m)
     return caps, gammas, thetas
 

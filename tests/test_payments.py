@@ -1,23 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pvcg.payments
 from pvcg import (
+    AnalyticAdjustment,
     BidProfile,
     Economy,
+    LearnedAdjustment,
+    PaymentBreakdown,
+    PriorSupport,
     ZeroAdjustment,
     analytic_waterfill,
     counterfactual_surplus,
     optimize_acceptance,
     producer_utility,
+    social_surplus,
     total_payment,
     vcg_tau,
 )
-from pvcg.allocation import solve_with_counterfactuals
+from pvcg.allocation import solve_with_counterfactuals, waterfill_removed
+from pvcg.learner import mlp_init
 from pvcg.model import total_valuation
 
-from conftest import random_sqrt_sum_economy
+from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
+from oracles import reference_payment
 
 
 def test_tau_single_producer_equals_full_valuation():
@@ -144,3 +155,68 @@ def test_adjustment_model_dimension_mismatch_errors(cheap_pair_economy):
     model = LearnedAdjustment(tuple(mlp_zero([width, 4, 1]) for _ in range(3)), support)
     with pytest.raises(ValueError):
         total_payment(cheap_pair_economy, adjustment=model)
+
+
+def test_tau_check_names_the_producer_whose_removed_surplus_moved():
+    economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [1.0])
+    view = economy.view()
+    full, removed = solve_with_counterfactuals(view)
+    removed[1] = dataclasses.replace(removed[1], surplus=removed[1].surplus + 1e-6)
+    with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 1: "):
+        vcg_tau(view, full, removed)
+
+
+def test_waterfill_branch_runs_the_tau_check(monkeypatch):
+    def shifted(view):
+        embedded, surpluses = waterfill_removed(view)
+        surpluses[2] += 1e-6
+        return embedded, surpluses
+
+    monkeypatch.setattr(pvcg.payments, "waterfill_removed", shifted)
+    economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [1.0])
+    with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 2: "):
+        total_payment(economy)
+
+
+def _floats(data, strategy, size):
+    return np.array(data.draw(st.lists(strategy, min_size=size, max_size=size)))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_waterfill_payment_is_bit_equal_to_the_per_producer_oracle(data):
+    """Every PaymentBreakdown field of the array-form branch has the per-producer bits."""
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, 3))
+    caps, gammas = _floats(data, TIED_CAPS, n), _floats(data, TIED_GAMMAS, n)
+    thetas = np.zeros(m) if data.draw(st.integers(0, 9)) == 0 else _floats(data, st.floats(0.0, 1.0), m)
+    economy = Economy.sqrt_sum(caps, gammas, thetas)
+    bids = None
+    liar = data.draw(st.integers(-1, n - 1))
+    if liar >= 0:
+        # a cheap over-report is accepted beyond the true capacity and punished
+        bid_caps, bid_gammas = caps.copy(), gammas.copy()
+        bid_caps[liar] = caps[liar] * data.draw(st.sampled_from([0.5, 1.0, 2.0])) + data.draw(TIED_CAPS)
+        bid_gammas[liar] = data.draw(TIED_GAMMAS)
+        bids = BidProfile(bid_caps, bid_gammas, thetas)
+    kind = data.draw(st.sampled_from(["zero", "analytic", "analytic_cap_lo", "learned"]))
+    if kind == "zero":
+        adjustment = ZeroAdjustment()
+    elif kind == "learned":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        nets = tuple(mlp_init([2 * (n - 1) + m, 4, 1], rng) for _ in range(n))
+        adjustment = LearnedAdjustment(nets, PriorSupport.uniform_box(n, m))
+    else:
+        cap = (0.0, 5.0) if kind == "analytic" else (0.5, 5.0)
+        adjustment = AnalyticAdjustment(PriorSupport.uniform_box(n, m, cap=cap), economy.valuation, economy.cost)
+
+    payment = total_payment(economy, bids=bids, adjustment=adjustment, punishment=1e6)
+    reference = reference_payment(economy, bids, adjustment, 1e6)
+    for field in dataclasses.fields(PaymentBreakdown):
+        got, want = getattr(payment, field.name), getattr(reference, field.name)
+        assert type(got) is type(want), field.name
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+    view = economy.view(bids)
+    solved = analytic_waterfill(view)
+    assert np.float64(solved.surplus).tobytes() == np.float64(social_surplus(view, solved.accepted)).tobytes()
