@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any file differs or is missing.
+# artifact with cmp. Exits non-zero when any of the 10 artifacts differs or is
+# missing on either side.
 #
 #   scripts/byte_identity.sh BASE_TREE [WORK_DIR]
 #
@@ -50,23 +51,24 @@ run_tree() {  # run_tree TREE OUT
 run_tree "$head" "$work/head"
 run_tree "$base" "$work/base"
 
+# every artifact the commands above write; a missing one fails the check, so a
+# command that crashes on both trees cannot pass by comparing nothing
+artifacts=(
+    run/report.json run/model.json run/loss_trace.csv run/surface.csv
+    verify-zero/verification.json verify-analytic/verification.json verify-learned/verification.json
+    simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
+)
 status=0
-files=0
-while IFS= read -r file; do
-    files=$((files + 1))
-    if cmp "$work/head/$file" "$work/base/$file"; then
+for file in "${artifacts[@]}"; do
+    if [ ! -f "$work/head/$file" ] || [ ! -f "$work/base/$file" ]; then
+        echo "MISSING  $file"
+        status=1
+    elif cmp "$work/head/$file" "$work/base/$file"; then
         echo "same     $file"
     else
         echo "DIFFERS  $file"
         status=1
     fi
-done < <(cd "$work/head" && find . -type f | sort)
-missing=$(cd "$work/base" && find . -type f | sort | while IFS= read -r file; do
-    [ -e "$work/head/$file" ] || echo "$file"
-done)
-if [ -n "$missing" ]; then
-    echo "only in the base tree: $missing"
-    status=1
-fi
-echo "$files files compared; $([ $status -eq 0 ] && echo "all byte-identical" || echo "MISMATCH")"
+done
+echo "${#artifacts[@]} artifacts checked; $([ $status -eq 0 ] && echo "all byte-identical" || echo "MISMATCH")"
 exit $status

@@ -137,7 +137,7 @@ def vcg_tau(
     return taus
 
 
-def _waterfill_taus(view: Economy, check_tol: float = TAU_FORM_TOL) -> tuple[AllocationResult, Array, Array]:
+def _waterfill_taus(view: Economy) -> tuple[AllocationResult, Array, Array]:
     """The full water-fill, the removed surpluses and the pivot payments, every producer at once.
 
     Bit-equal to ``solve_with_counterfactuals`` followed by ``vcg_tau``; the
@@ -156,7 +156,7 @@ def _waterfill_taus(view: Economy, check_tol: float = TAU_FORM_TOL) -> tuple[All
         costs_full,
         # column i of row i is zero, so adding its term leaves the running sum as it was
         view.cost.cost_rows(embedded, view.cost_types),
-        check_tol,
+        TAU_FORM_TOL,
     )
     return full, removed_surpluses, taus
 
@@ -170,14 +170,11 @@ def adjustment_for(adjustment, view: Economy, i: int) -> float:
 def _adjustments(adjustment, view: Economy) -> Array:
     """Every producer's adjustment under the reports in ``view``.
 
-    An analytic adjustment whose support fits the view prices all producers in
-    one batch, bit-equal to ``adjustment_for``; any other is asked producer by
-    producer.
+    An analytic adjustment prices all producers in one batch, bit-equal to
+    ``adjustment_for``; any other is asked producer by producer.
     """
     if isinstance(adjustment, AnalyticAdjustment):
-        support = adjustment.support
-        if (support.n, support.dim) == (view.n, view.dim):
-            return adjustment.all_producers(view.capacities, view.cost_types, view.valuation_types)
+        return adjustment.all_producers(view.capacities, view.cost_types, view.valuation_types)
     return np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
 
 

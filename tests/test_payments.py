@@ -220,3 +220,12 @@ def test_waterfill_payment_is_bit_equal_to_the_per_producer_oracle(data):
     view = economy.view(bids)
     solved = analytic_waterfill(view)
     assert np.float64(solved.surplus).tobytes() == np.float64(social_surplus(view, solved.accepted)).tobytes()
+
+
+@pytest.mark.parametrize("support", [PriorSupport.uniform_box(3, 2), PriorSupport.uniform_box(4, 2, dim=2)])
+def test_analytic_adjustment_rejects_a_support_that_does_not_fit_the_economy(support):
+    """A support for another producer count or dimension raises rather than pricing."""
+    economy = Economy.sqrt_sum([1.0, 2.0, 0.5, 1.5], [0.2, 0.4, 0.1, 0.3], [0.6, 0.8])
+    adjustment = AnalyticAdjustment(support, economy.valuation, economy.cost)
+    with pytest.raises(ValueError, match="expected"):
+        total_payment(economy, adjustment=adjustment)
