@@ -34,6 +34,7 @@ from .allocation import (
 from .payments import (
     PaymentBreakdown,
     ZeroAdjustment,
+    payments_batch,
     producer_utility,
     total_payment,
     vcg_tau,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import max_surplus, without_each
+from .allocation import max_surplus, others_index
 from .model import as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -176,25 +176,31 @@ class AnalyticAdjustment:
         )
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
-        """``(n,)`` adjustments of every producer from one full report profile.
+        """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
-        Entry i reads only the others' reports and equals ``self(i, ...)`` on
-        them bit for bit: the pessimistic problems form one ``(n, n)`` batch
-        and the producer-removed problems one ``(n, n-1)`` batch.
+        Leading axes are a batch of report profiles. Entry i reads only the
+        others' reports and equals ``self(i, ...)`` on them bit for bit: the
+        pessimistic problems form one ``(..., n, n)`` batch and the
+        producer-removed problems one ``(..., n, n-1)`` batch.
         """
         s = self.support
-        caps = as_quantity_matrix(capacities, n=s.n, dim=s.dim, name="capacities")
+        caps = np.asarray(capacities, dtype=float)
         gammas = np.asarray(gammas, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
-        thetas = np.broadcast_to(thetas, (s.n,) + thetas.shape)
+        if caps.ndim < 2 or caps.shape[-2] != s.n:
+            raise ValueError(f"expected {s.n} producers, got capacities of shape {caps.shape}")
+        if caps.shape[-1] != s.dim:
+            raise ValueError(f"expected resource dimension {s.dim}, got {caps.shape[-1]}")
         producers = np.arange(s.n)
-        pess_caps = np.broadcast_to(caps, (s.n,) + caps.shape).copy()
-        pess_caps[producers, producers] = s.cap_lo
-        pess_gammas = np.broadcast_to(gammas, (s.n,) + gammas.shape).copy()
-        pess_gammas[producers, producers] = s.gamma_hi
+        pess_caps = np.broadcast_to(caps[..., None, :, :], caps.shape[:-2] + (s.n,) + caps.shape[-2:]).copy()
+        pess_caps[..., producers, producers, :] = s.cap_lo
+        pess_gammas = np.broadcast_to(gammas[..., None, :], gammas.shape[:-1] + (s.n, s.n)).copy()
+        pess_gammas[..., producers, producers] = s.gamma_hi
+        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (s.n,) + thetas.shape[-1:])
         s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, self.valuation, self.cost, self.method)
+        others = others_index(s.n)
         s_without = max_surplus(
-            without_each(caps), without_each(gammas), thetas, self.valuation, self.cost, self.method
+            caps[..., others, :], gammas[..., others], thetas, self.valuation, self.cost, self.method
         )
         return -(s_pessimistic - s_without)
 

@@ -28,6 +28,7 @@ __all__ = [
     "solve_with_counterfactuals",
     "waterfill_removed",
     "max_surplus",
+    "solve_batch",
 ]
 
 _LEX_TIE_TOL = 1e-12
@@ -110,16 +111,31 @@ def _sorted_fills(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[
     return flat, gammas_sorted, np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
 
 
-def _waterfill_ratios(caps: Array, gammas: Array, theta_sum: float, scale: float) -> Array:
+def _waterfill_ratios(caps: Array, gammas: Array, theta_sum, scale: float) -> Array:
     """Water-fill acceptance ratios in producer order, batched as ``_sorted_fills``.
 
-    A producer without capacity, or any producer when nothing is worth
-    accepting (``theta_sum <= 0``), gets ratio 0.
+    A producer without capacity, or any producer of an economy where nothing
+    is worth accepting (``theta_sum <= 0``), gets ratio 0.
     """
     flat, _, fills_sorted = _sorted_fills(caps, gammas, theta_sum, scale)
     fills = np.empty_like(fills_sorted)
     np.put(fills, flat, fills_sorted)
-    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & (theta_sum > 0.0))
+    worth = np.asarray(theta_sum)[..., None] > 0.0
+    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & worth)
+
+
+def _waterfill_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost) -> tuple[Array, Array]:
+    """Water-fill ratios ``(..., n)`` and surpluses ``(...)`` of scalar economies, producers last.
+
+    ``thetas`` holds each economy's valuation types on its last axis. The
+    surplus is value minus cost in the operation order of ``social_surplus``,
+    so every row carries the bits of ``analytic_waterfill`` on that economy.
+    """
+    ratios = _waterfill_ratios(caps, gammas, thetas.sum(axis=-1), valuation.scale)
+    accepted = caps * ratios
+    surplus = valuation.value_rows(accepted, thetas) - cost.cost_rows(accepted, gammas)
+    _require_finite(surplus)
+    return ratios, surplus
 
 
 def _require_waterfill(view: Economy) -> None:
@@ -148,54 +164,54 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     order of ``social_surplus``, so it carries the same bits.
     """
     _require_waterfill(view)
-    ratios = _waterfill_ratios(
-        view.capacities[:, 0], view.cost_types, float(view.valuation_types.sum()), view.valuation.scale
-    )[:, None]
-    accepted = view.capacities * ratios
-    surplus = float(
-        view.valuation.value_rows(accepted[:, 0], view.valuation_types)
-        - view.cost.cost_rows(accepted[:, 0], view.cost_types)
+    ratios, surplus = _waterfill_rows(
+        view.capacities[:, 0], view.cost_types, view.valuation_types, view.valuation, view.cost
     )
-    _require_finite(surplus)
+    ratios = ratios[:, None]
     diag = SolverDiagnostics(iterations=view.n, restarts=0, grad_norm=0.0)
-    return AllocationResult(ratios, accepted, surplus, diag)
+    return AllocationResult(ratios, view.capacities * ratios, float(surplus), diag)
 
 
 @functools.lru_cache(maxsize=64)
-def _others_index(n: int) -> Array:
-    """``(n, n-1)`` table whose row i lists every producer index but i, built once per n."""
+def others_index(n: int) -> Array:
+    """``(n, n-1)`` table whose row i lists every producer index but i, built once per n.
+
+    Indexing a producer axis with it gives the stack of the n producer-removed rows.
+    """
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     keep.flags.writeable = False
     return keep
-
-
-def without_each(x: Array) -> Array:
-    """The ``(n, n-1, ...)`` stack whose row i is ``x`` without its entry i on the first axis."""
-    return x[_others_index(x.shape[0])]
 
 
 def waterfill_removed(view: Economy) -> tuple[Array, Array]:
     """Every producer-removed water-fill of ``view`` from one kernel call.
 
     Returns ``(n, n)`` accepted quantities whose row i solves the problem
-    without producer i, with a zero in column i, and the ``(n,)`` surpluses.
-    Row i carries the bits of ``counterfactual_surplus(view, i)``: the rows
-    are the index-deleted ``(n, n-1)`` problems, not the full problem with a
-    zero capacity, which would group the pairwise total differently. A lone
-    producer leaves the empty coalition, surplus 0.
+    without producer i, with a zero in column i, and the ``(n,)`` surpluses;
+    ``_removed_rows`` on a batch of one.
     """
     _require_waterfill(view)
-    n = view.n
-    accepted = np.zeros((n, n))
+    return _removed_rows(view.capacities[:, 0], view.cost_types, view.valuation_types, view.valuation, view.cost)
+
+
+def _removed_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost) -> tuple[Array, Array]:
+    """All producer-removed water-fills of scalar economies, producers last, from one kernel call.
+
+    Returns ``(..., n, n)`` accepted quantities whose row i solves the
+    economy without producer i, with a zero in column i, and the ``(..., n)``
+    surpluses. Row i carries the bits of ``counterfactual_surplus(view, i)``:
+    the rows are the index-deleted ``(n-1)``-producer problems, not the full
+    problem with a zero capacity, which would group the pairwise total
+    differently. A lone producer leaves the empty coalition, surplus 0.
+    """
+    n = gammas.shape[-1]
+    accepted = np.zeros(gammas.shape + (n,))
     if n == 1:
-        return accepted, np.zeros(1)
-    caps = without_each(view.capacities[:, 0])
-    gammas = without_each(view.cost_types)
-    ratios = _waterfill_ratios(caps, gammas, float(view.valuation_types.sum()), view.valuation.scale)
-    removed = caps * ratios
-    surplus = view.valuation.value_rows(removed, view.valuation_types) - view.cost.cost_rows(removed, gammas)
-    _require_finite(surplus)
-    np.put(accepted, _others_index(n) + n * np.arange(n)[:, None], removed)
+        return accepted, np.zeros(gammas.shape)
+    others = others_index(n)
+    caps, gammas = caps[..., others], gammas[..., others]
+    ratios, surplus = _waterfill_rows(caps, gammas, thetas[..., None, :], valuation, cost)
+    accepted[..., np.arange(n)[:, None], others] = caps * ratios
     return accepted, surplus
 
 
@@ -403,10 +419,36 @@ def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None 
     batch = gammas.shape[:-1]
     surplus = np.zeros(batch)
     if gammas.shape[-1] > 0:
-        for k in np.ndindex(batch):
-            economy = Economy(caps[k], gammas[k], thetas[k], valuation, cost)
-            surplus[k] = optimize_acceptance(economy, method=method).surplus
+        surplus = _solve_rows(caps, gammas, thetas, valuation, cost, method)[1]
     return float(surplus) if not batch else surplus
+
+
+def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None = None) -> tuple[Array, Array]:
+    """Accepted quantities ``(..., n, dim)`` and surpluses ``(...)`` of a batch of reported economies.
+
+    Capacities are ``(..., n, dim)``, cost and valuation types ``(..., n)``
+    and ``(..., m)``, leading axes a batch. Row for row the result carries
+    the bits of ``optimize_acceptance`` (seed 0): water-fill economies are
+    solved in one kernel call, any other economy by itself.
+    """
+    caps = np.asarray(capacities, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if waterfill_applies(valuation, cost, caps.shape[-1], method):
+        ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas, valuation, cost)
+        return caps * ratios[..., None], surplus
+    return _solve_rows(caps, gammas, thetas, valuation, cost, method)
+
+
+def _solve_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost, method) -> tuple[Array, Array]:
+    """``optimize_acceptance`` (seed 0) on each economy of a batch, one economy at a time."""
+    batch = gammas.shape[:-1]
+    accepted = np.zeros(caps.shape)
+    surplus = np.zeros(batch)
+    for k in np.ndindex(batch):
+        solved = optimize_acceptance(Economy(caps[k], gammas[k], thetas[k], valuation, cost), method=method)
+        accepted[k], surplus[k] = solved.accepted, solved.surplus
+    return accepted, surplus
 
 
 def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):

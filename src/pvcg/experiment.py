@@ -18,22 +18,22 @@ import numpy as np
 from .adjustment import (
     AnalyticAdjustment,
     PriorSupport,
+    feasibility_penalties,
     marginal_gains_check,
     existence_check,
     sample_prior,
 )
-from .allocation import counterfactual_surplus, optimize_acceptance
+from .allocation import counterfactual_surplus, solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
-from .model import Economy, fields_from_dict, fields_to_dict, make_cost, make_valuation
-from .payments import ZeroAdjustment, tau_for_producer, total_payment
+from .model import Economy, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation
+from .payments import ZeroAdjustment, own_costs, payments_batch
 from .verification import (
     SURPLUS_TOL,
-    check_ir,
     check_surplus_monotonicity,
-    check_wbb,
-    loss_components,
+    draw_uniform_types,
     mixed_deviation_sampler,
     probe_dsic,
+    restatements,
     uniform_economy_sampler,
 )
 
@@ -122,7 +122,8 @@ def payment_surface(
     All other producers report ``fixed_capacity``/``fixed_gamma`` and all
     consumers ``fixed_theta``; reports are taken at face value (no
     punishment). The producer-removed problem and the adjustment are constant
-    across the grid and solved once.
+    across the grid and solved once; the full problems of the whole grid are
+    solved in one ``solve_batch``.
     """
     if grid is None:
         grid = SurfaceGrid()
@@ -133,19 +134,20 @@ def payment_surface(
     thetas = np.full(m, grid.fixed_theta)
     h0 = float(adjustment(0, caps_others, gammas_others, thetas))
 
-    def reported(x0, g0) -> Economy:
-        caps = np.vstack(([[x0]], caps_others))
-        return Economy(caps, np.concatenate(([g0], gammas_others)), thetas, valuation, cost)
-
     x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    removed = counterfactual_surplus(reported(x_values[0], gamma_values[0]), 0, method=method)
-    tau = np.empty((grid.x_points, grid.gamma_points))
-    for a, x0 in enumerate(x_values):
-        for b, g0 in enumerate(gamma_values):
-            view = reported(x0, g0)
-            full = optimize_acceptance(view, method=method)
-            tau[a, b] = tau_for_producer(view, full, removed, 0)
+    first = Economy(
+        np.vstack(([[x_values[0]]], caps_others)), np.concatenate(([gamma_values[0]], gammas_others)),
+        thetas, valuation, cost,
+    )
+    removed = counterfactual_surplus(first, 0, method=method)
+    shape = (grid.x_points, grid.gamma_points)
+    caps = np.broadcast_to(first.capacities, shape + first.capacities.shape).copy()
+    caps[..., 0, 0] = _check_entries(x_values, "capacities")[:, None]
+    gammas = np.broadcast_to(first.cost_types, shape + (n,)).copy()
+    gammas[..., 0] = _check_entries(gamma_values, "cost types")
+    accepted, surplus = solve_batch(caps, gammas, np.broadcast_to(thetas, shape + (m,)), valuation, cost, method)
+    tau = surplus - removed.surplus + own_costs(cost, accepted[..., 0, :], gammas[..., 0])
     return SurfaceRecord(
         x_values=x_values,
         gamma_values=gamma_values,
@@ -296,54 +298,75 @@ def ir_wbb_sweep(
     only the expected penalty, so it is gated by ``max_mean_penalty`` (a
     fresh-sample bound on its training loss) while its strict pass rate is
     still reported for inspection.
+
+    The samples are drawn first, in ``uniform_economy_sampler``'s order, and
+    priced in one ``payments_batch``; the per-instance verdicts of
+    ``check_ir``, ``check_wbb`` and ``loss_components`` are array masks, and
+    witnesses are built for failing samples only.
     """
-    sampler = uniform_economy_sampler(support, valuation, cost)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    ir_violations: list = []
-    wbb_violations: list = []
-    mismatches: list = []
-    clean = 0
-    penalty_sum = 0.0
-    worst_utility = np.inf
-    worst_slack = np.inf
-    for k in range(samples):
-        economy = sampler(rng)
-        payments = total_payment(
-            economy, adjustment=adjustment, punishment=punishment, method=method
-        )
-        ir = check_ir(economy, payments)
-        wbb = check_wbb(economy, payments)
-        worst_utility = min(worst_utility, float(payments.utilities.min()))
-        worst_slack = min(worst_slack, payments.budget_slack)
-        if ir.passed and wbb.passed:
-            clean += 1
-        if not ir.passed:
-            ir_violations.append({"sample": k, **ir.violations[0]})
-        if not wbb.passed:
-            wbb_violations.append({"sample": k, **wbb.violations[0]})
-        term1, term2 = loss_components(payments)
-        penalty_sum += term1 + term2
-        if (term1 <= economy.n * SURPLUS_TOL) != ir.passed:
-            mismatches.append({"sample": k, "kind": "rationality", "term": term1, "probe": ir.passed})
-        if (term2 <= SURPLUS_TOL) != wbb.passed:
-            mismatches.append({"sample": k, "kind": "budget", "term": term2, "probe": wbb.passed})
-    pass_rate = clean / samples
-    mean_penalty = penalty_sum / samples
+    # uniform_economy_sampler's draws, without building economies
+    caps, gammas, thetas = draw_uniform_types(support, rng, samples)
+    p = payments_batch(
+        caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
+    )
+    # check_ir, check_wbb and loss_components on every sample at once
+    unpunished = ~p.punished.any(axis=1)
+    (ir_restated, ir_direct), (wbb_restated, wbb_direct) = restatements(p)
+    deficit = -p.utilities > SURPLUS_TOL
+    ir_passed = ~deficit.any(axis=1) & ~((ir_restated != ir_direct) & unpunished)
+    paid = p.total.sum(axis=1)
+    overdraft = paid - p.coalition_income > SURPLUS_TOL
+    wbb_passed = ~overdraft & ~((wbb_restated != wbb_direct) & unpunished)
+    rationality, budget = feasibility_penalties(p.surplus[:, None] - p.counterfactual_surpluses, p.adjustment, p.surplus)
+    term1 = rationality.sum(axis=1)
+    rationality_mismatch = (term1 <= gammas.shape[1] * SURPLUS_TOL) != ir_passed
+    budget_mismatch = (budget <= SURPLUS_TOL) != wbb_passed
+
+    def first_rows(mask):
+        return np.flatnonzero(mask)[:10].tolist()
+
+    def ir_witness(k):
+        if deficit[k].any():
+            i = int(np.argmax(deficit[k]))
+            return {"sample": k, "producer": i, "utility": float(p.utilities[k, i]), "gap": -float(p.utilities[k, i])}
+        return {"sample": k, "kind": "restatement_mismatch", "direct": bool(ir_direct[k]), "restated": bool(ir_restated[k])}
+
+    def wbb_witness(k):
+        if overdraft[k]:
+            paid_k, income_k = float(paid[k]), float(p.coalition_income[k])
+            return {"sample": k, "paid": paid_k, "income": income_k, "gap": paid_k - income_k}
+        return {"sample": k, "kind": "restatement_mismatch", "direct": bool(wbb_direct[k]), "restated": bool(wbb_restated[k])}
+
+    witnesses = [ir_witness(k) for k in first_rows(~ir_passed)] + [wbb_witness(k) for k in first_rows(~wbb_passed)]
+    for k in first_rows(rationality_mismatch | budget_mismatch):
+        if rationality_mismatch[k]:
+            witnesses.append({"sample": k, "kind": "rationality", "term": float(term1[k]), "probe": bool(ir_passed[k])})
+        if budget_mismatch[k]:
+            witnesses.append({"sample": k, "kind": "budget", "term": float(budget[k]), "probe": bool(wbb_passed[k])})
+    mismatch_count = int(np.count_nonzero(rationality_mismatch) + np.count_nonzero(budget_mismatch))
+    pass_rate = int(np.count_nonzero(ir_passed & wbb_passed)) / samples
+    # penalties add up sample by sample, left to right, from 0.0
+    mean_penalty = float(np.add.accumulate(np.concatenate(([0.0], term1 + budget)))[-1]) / samples
+    row_worst = p.utilities.min(axis=1)
     rate_ok = pass_rate >= min_pass_rate
     penalty_ok = max_mean_penalty is None or mean_penalty <= max_mean_penalty
     return {
         "samples": samples,
-        "ir_violations": len(ir_violations),
-        "wbb_violations": len(wbb_violations),
-        "equivalence_mismatches": len(mismatches),
+        "ir_violations": int(np.count_nonzero(~ir_passed)),
+        "wbb_violations": int(np.count_nonzero(~wbb_passed)),
+        "equivalence_mismatches": mismatch_count,
         "pass_rate": pass_rate,
         "min_pass_rate": min_pass_rate,
         "mean_penalty": mean_penalty,
         "max_mean_penalty": max_mean_penalty,
-        "worst_utility": worst_utility,
-        "worst_budget_slack": worst_slack,
-        "passed": rate_ok and penalty_ok and not mismatches,
-        "witnesses": (ir_violations + wbb_violations + mismatches)[:10],
+        # the first of equal minima, as repeated min() would keep
+        "worst_utility": float(row_worst[np.argmin(row_worst)]),
+        "worst_budget_slack": float(p.budget_slack[np.argmin(p.budget_slack)]),
+        "passed": bool(rate_ok and penalty_ok and not mismatch_count),
+        "witnesses": witnesses[:10],
     }
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties, sample_from
-from .allocation import max_surplus, waterfill_applies, waterfill_gains
+from .allocation import max_surplus, others_index, waterfill_applies, waterfill_gains
 from .model import fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -102,6 +102,21 @@ def _forward_batch(net: MLP, X: Array) -> tuple[Array, list[Array]]:
         activations.append(a)
     out = a @ net.weights[-1] + net.biases[-1]
     return out[:, 0], activations
+
+
+def _forward_rows(net: MLP, X: Array) -> Array:
+    """Outputs ``(...,)`` of a stack of input rows ``(..., k)``, each row its own ``(1, k) @ W`` product.
+
+    Inference path of the adjustment networks. A row's bits do not depend on
+    how many rows are stacked with it, whereas a 2-D ``(T, k) @ W`` (as in
+    ``_forward_batch``) is blocked by row count and can move the last bits.
+    The rows are made contiguous first: numpy hands a strided row to BLAS
+    with its stride, and the strided kernel may sum in another order.
+    """
+    a = np.ascontiguousarray(X)[..., None, :]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    return (a @ net.weights[-1] + net.biases[-1])[..., 0, 0]
 
 
 def _backward_batch(net: MLP, activations: list[Array], dout: Array) -> tuple[list[Array], list[Array]]:
@@ -202,8 +217,26 @@ class LearnedAdjustment:
             np.atleast_1d(np.asarray(gammas_others, dtype=float))[None],
             np.atleast_1d(np.asarray(thetas, dtype=float))[None],
         )
-        out, _ = _forward_batch(self.nets[i], self._normalized(i, raw))
-        return float(out[0])
+        return float(_forward_rows(self.nets[i], self._normalized(i, raw))[0])
+
+    def all_producers(self, capacities, gammas, thetas) -> Array:
+        """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
+
+        Leading axes are a batch of report profiles. Entry i runs network i
+        on the others' reports and equals ``self(i, ...)`` on them bit for bit.
+        """
+        caps = np.asarray(capacities, dtype=float)
+        gammas = np.asarray(gammas, dtype=float)
+        thetas = np.asarray(thetas, dtype=float)
+        if gammas.shape[-1] != self.n:
+            raise ValueError(f"expected {self.n} producers, got {gammas.shape[-1]}")
+        others = others_index(self.n)
+        caps_others, gammas_others = caps[..., others, :], gammas[..., others]
+        outputs = [
+            _forward_rows(net, self._normalized(i, _layout(caps_others[..., i, :, :], gammas_others[..., i, :], thetas)))
+            for i, net in enumerate(self.nets)
+        ]
+        return np.stack(outputs, axis=-1)
 
     def inputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> list[Array]:
         """Per-network normalized input matrices for a batch of full parameter draws."""

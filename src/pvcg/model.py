@@ -145,13 +145,17 @@ class SqrtSumValuation:
     def value_rows(self, accepted: Array, thetas) -> Array:
         """Total consumer value of scalar ``accepted`` quantities, producers on the last axis.
 
-        Leading axes are a batch. Each row carries the bits of
-        ``total_valuation``: numpy's pairwise total, then consumer by consumer.
+        Leading axes are a batch. ``thetas`` holds the valuation types on its
+        last axis: one ``(m,)`` vector for the whole batch, or ``(..., m)``
+        rows whose leading axes broadcast against the batch axes of
+        ``accepted``. Each row carries the bits of ``total_valuation``:
+        numpy's pairwise total, then consumer by consumer.
         """
+        thetas = np.asarray(thetas)
         root = np.sqrt(self.scale * accepted.sum(axis=-1))
         value = 0.0
-        for theta in thetas:
-            value = value + float(theta) * root
+        for j in range(thetas.shape[-1]):
+            value = value + thetas[..., j] * root
         return value
 
 

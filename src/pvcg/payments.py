@@ -10,21 +10,23 @@ and bears no cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adjustment import AnalyticAdjustment
 from .allocation import (
     AllocationResult,
+    _removed_rows,
+    _waterfill_rows,
     analytic_waterfill,
     counterfactual_surplus,
     optimize_acceptance,
+    others_index,
     solve_with_counterfactuals,
     waterfill_applies,
     waterfill_removed,
 )
-from .model import BidProfile, Economy, total_valuation
+from .model import BidProfile, Economy, LinearCost, _check_entries, total_valuation
 
 Array = np.ndarray
 
@@ -34,8 +36,10 @@ __all__ = [
     "vcg_tau",
     "tau_for_producer",
     "adjustment_for",
-    "utility_from_solves",
+    "own_costs",
+    "deviation_utilities",
     "total_payment",
+    "payments_batch",
     "producer_utility",
 ]
 
@@ -50,6 +54,9 @@ class ZeroAdjustment:
     def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
         return 0.0
 
+    def all_producers(self, capacities, gammas, thetas) -> Array:
+        return np.zeros(np.shape(gammas))
+
 
 @dataclass(frozen=True)
 class PaymentBreakdown:
@@ -57,6 +64,8 @@ class PaymentBreakdown:
 
     ``surplus``, ``counterfactual_surpluses``, ``accepted`` and ``delivered``
     are carried along for verification; they are byproducts of computing tau.
+    The shapes are those of one auction; ``payments_batch`` returns the same
+    fields with a leading economy axis (the floats become ``(T,)`` arrays).
     """
 
     tau: Array                      # (n,) pivot payments
@@ -73,8 +82,45 @@ class PaymentBreakdown:
 
 
 def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
+    """Bundles ``(..., dim)`` accepted beyond the true capacity in any coordinate."""
     guard = _PUNISH_GUARD * (1.0 + np.abs(true_capacities))
-    return (accepted > true_capacities + guard).any(axis=1)
+    return (accepted > true_capacities + guard).any(axis=-1)
+
+
+def own_costs(cost, bundles: Array, gammas: Array) -> Array:
+    """``cost.cost`` of one bundle per row: ``(..., dim)`` bundles at ``(...)`` cost types."""
+    if isinstance(cost, LinearCost):
+        return gammas * bundles.sum(axis=-1)
+    out = np.empty(gammas.shape)
+    for k in np.ndindex(gammas.shape):
+        out[k] = cost.cost(bundles[k], float(gammas[k]))
+    return out
+
+
+def deviation_utilities(
+    true_capacities: Array,
+    true_gammas: Array,
+    reported_gammas: Array,
+    cost,
+    accepted: Array,
+    surplus: Array,
+    removed_surplus: Array,
+    h: Array,
+    punishment: float,
+) -> tuple[Array, Array]:
+    """Utilities and pivot payments of one producer per row from its solved reported problems.
+
+    Row by row: the producer's true ``(..., dim)`` capacity and true and
+    reported cost types, its accepted bundle and the surplus of the reported
+    problem, the surplus of the problem without it, and its adjustment ``h``.
+    A producer accepted beyond its true capacity is paid ``-punishment`` and
+    delivers nothing; otherwise it earns ``tau + h`` minus its true cost of
+    the accepted bundle.
+    """
+    tau = surplus - removed_surplus + own_costs(cost, accepted, reported_gammas)
+    punished = _punished_mask(accepted, true_capacities)
+    utility = np.where(punished, -punishment, tau + h - own_costs(cost, accepted, true_gammas))
+    return utility, tau
 
 
 def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationResult, i: int) -> float:
@@ -87,17 +133,20 @@ def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_re
     """Raise unless every direct pivot payment matches its expansion within ``check_tol``.
 
     The expansion of producer i is the value difference between the full and
-    the i-removed allocation minus the others' cost difference; arguments
-    other than ``value_full`` are ``(n,)`` arrays. The first producer whose
-    forms disagree is named.
+    the i-removed allocation minus the others' cost difference. Producers are
+    on the last axis of every argument but ``value_full``, which has the
+    batch shape; leading axes are a batch of economies. The first producer
+    whose forms disagree is named, with its economy in a batch.
     """
-    others_cost_full = costs_full.sum() - costs_full
-    expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
-    bad = np.flatnonzero(np.abs(taus - expanded) > check_tol)
+    others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
+    expanded = (np.asarray(value_full)[..., None] - value_removed) - (others_cost_full - others_cost_removed)
+    bad = np.argwhere(np.abs(taus - expanded) > check_tol)
     if bad.size:
-        i = int(bad[0])
+        where = tuple(bad[0])
+        economy = f" of economy {where[0]}" if taus.ndim > 1 else ""
         raise RuntimeError(
-            f"pivot payment forms disagree for producer {i}: {float(taus[i])!r} vs {float(expanded[i])!r}"
+            f"pivot payment forms disagree for producer {where[-1]}{economy}: "
+            f"{float(taus[where])!r} vs {float(expanded[where])!r}"
         )
 
 
@@ -146,19 +195,33 @@ def _waterfill_taus(view: Economy) -> tuple[AllocationResult, Array, Array]:
     """
     full = analytic_waterfill(view)
     embedded, removed_surpluses = waterfill_removed(view)
-    accepted = full.accepted[:, 0]
-    costs_full = view.cost_types * accepted
-    taus = full.surplus - removed_surpluses + costs_full
-    _check_tau_forms(
-        taus,
-        view.valuation.value_rows(accepted, view.valuation_types),
-        view.valuation.value_rows(embedded, view.valuation_types),
-        costs_full,
-        # column i of row i is zero, so adding its term leaves the running sum as it was
-        view.cost.cost_rows(embedded, view.cost_types),
-        TAU_FORM_TOL,
+    taus = _pivot_payments(
+        view.valuation, view.cost, full.accepted[:, 0], view.cost_types, view.valuation_types,
+        full.surplus, embedded, removed_surpluses,
     )
     return full, removed_surpluses, taus
+
+
+def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, embedded, removed_surpluses) -> Array:
+    """Water-fill pivot payments ``S* - S*_{-i} + gamma_i x_i``, producers last, after the two-form check.
+
+    ``accepted`` holds the scalar accepted quantities ``(..., n)`` of the
+    full problems and ``surplus`` their ``(...)`` surpluses; ``embedded`` the
+    ``(..., n, n)`` removed allocations (zero in the removed column) and
+    ``removed_surpluses`` their ``(..., n)`` surpluses.
+    """
+    costs_full = gammas * accepted
+    taus = np.asarray(surplus)[..., None] - removed_surpluses + costs_full
+    _check_tau_forms(
+        taus,
+        valuation.value_rows(accepted, thetas),
+        valuation.value_rows(embedded, thetas[..., None, :]),
+        costs_full,
+        # column i of row i is zero, so adding its term leaves the running sum as it was
+        cost.cost_rows(embedded, gammas[..., None, :]),
+        TAU_FORM_TOL,
+    )
+    return taus
 
 
 def adjustment_for(adjustment, view: Economy, i: int) -> float:
@@ -167,39 +230,21 @@ def adjustment_for(adjustment, view: Economy, i: int) -> float:
     return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
 
 
-def _adjustments(adjustment, view: Economy) -> Array:
-    """Every producer's adjustment under the reports in ``view``.
+def _adjustments(adjustment, capacities: Array, gammas: Array, thetas: Array) -> Array:
+    """Every producer's adjustment ``(..., n)`` under ``(..., n, dim)``, ``(..., n)``, ``(..., m)`` reports.
 
-    An analytic adjustment prices all producers in one batch, bit-equal to
+    An adjustment with an ``all_producers`` method (zero, analytic, learned)
+    prices every producer of the batch at once, bit-equal to
     ``adjustment_for``; any other is asked producer by producer.
     """
-    if isinstance(adjustment, AnalyticAdjustment):
-        return adjustment.all_producers(view.capacities, view.cost_types, view.valuation_types)
-    return np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
-
-
-def utility_from_solves(
-    economy: Economy,
-    view: Economy,
-    full: AllocationResult,
-    removed: AllocationResult,
-    i: int,
-    h: float,
-    punishment: float,
-) -> tuple[float, float]:
-    """Utility and pivot payment of producer ``i`` from the solved reported problems.
-
-    ``view`` is the reported economy ``full`` was solved on, ``removed`` its
-    producer-``i``-removed solution, ``economy`` the truth and ``h`` the
-    producer's adjustment. A producer accepted beyond its true capacity is
-    paid ``-punishment`` and delivers nothing; otherwise it earns
-    ``tau + h`` minus its true cost of the accepted quantity.
-    """
-    tau = tau_for_producer(view, full, removed, i)
-    accepted_i = full.accepted[i]
-    if _punished_mask(accepted_i[None, :], economy.capacities[i][None, :])[0]:
-        return -punishment, tau
-    return tau + h - economy.cost.cost(accepted_i, float(economy.cost_types[i])), tau
+    if hasattr(adjustment, "all_producers"):
+        return adjustment.all_producers(capacities, gammas, thetas)
+    others = others_index(gammas.shape[-1])
+    out = np.empty(gammas.shape)
+    for k in np.ndindex(gammas.shape[:-1]):
+        for i, keep in enumerate(others):
+            out[k + (i,)] = float(adjustment(i, capacities[k][keep], gammas[k][keep], thetas[k]))
+    return out
 
 
 def total_payment(
@@ -229,7 +274,7 @@ def total_payment(
     waterfill = waterfill_applies(view.valuation, view.cost, view.dim, method)
     if waterfill:
         full, removed_surpluses, taus = _waterfill_taus(view)
-        adjustments = _adjustments(adjustment, view)
+        adjustments = _adjustments(adjustment, view.capacities, view.cost_types, view.valuation_types)
     else:
         full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
         taus = vcg_tau(view, full, removed)
@@ -266,6 +311,90 @@ def total_payment(
     )
 
 
+def payments_batch(
+    capacities,
+    cost_types,
+    valuation_types,
+    valuation,
+    cost,
+    reported_capacities=None,
+    reported_cost_types=None,
+    adjustment=None,
+    punishment: float = 1e6,
+    method: str | None = None,
+    seed: int = 0,
+) -> PaymentBreakdown:
+    """The payment stage of a batch of auctions with shared families.
+
+    True capacities are ``(T, n, dim)``, true cost types ``(T, n)`` and
+    valuation types ``(T, m)``; the reported capacities and cost types have
+    the same shapes and default to the truth. Returns the
+    ``PaymentBreakdown`` fields with a leading economy axis: ``(T, n)`` tau,
+    adjustment, total, utilities, punished and counterfactual surpluses,
+    ``(T, n, dim)`` accepted and delivered quantities, and ``(T,)`` surplus,
+    coalition income and budget slack. Row t has the bits of
+    ``total_payment`` on economy t and its bids. Water-fill economies are
+    priced with array operations over the whole batch; any other family or
+    method goes through ``total_payment`` economy by economy.
+    """
+    if not punishment > 0:
+        raise ValueError("punishment must be positive")
+    if adjustment is None:
+        adjustment = ZeroAdjustment()
+    caps = _check_entries(np.asarray(capacities, dtype=float), "capacities")
+    gammas = _check_entries(np.asarray(cost_types, dtype=float), "cost types")
+    thetas = _check_entries(np.asarray(valuation_types, dtype=float), "valuation types")
+    bid_caps = caps if reported_capacities is None else _check_entries(
+        np.asarray(reported_capacities, dtype=float), "reported capacities"
+    )
+    bid_gammas = gammas if reported_cost_types is None else _check_entries(
+        np.asarray(reported_cost_types, dtype=float), "reported cost types"
+    )
+    if caps.ndim != 3 or gammas.shape != caps.shape[:2] or thetas.ndim != 2 or thetas.shape[0] != caps.shape[0]:
+        raise ValueError(
+            f"expected (T, n, dim) capacities, (T, n) cost types and (T, m) valuation types, got shapes "
+            f"{caps.shape}, {gammas.shape} and {thetas.shape}"
+        )
+    if bid_caps.shape != caps.shape or bid_gammas.shape != gammas.shape:
+        raise ValueError("reported capacities and cost types must have the shapes of the true ones")
+    if caps.shape[1] < 1 or thetas.shape[1] < 1:
+        raise ValueError("an economy needs at least one producer and one consumer")
+
+    if not waterfill_applies(valuation, cost, caps.shape[2], method):
+        rows = [
+            total_payment(
+                Economy(caps[t], gammas[t], thetas[t], valuation, cost),
+                BidProfile(bid_caps[t], bid_gammas[t], thetas[t]),
+                adjustment=adjustment, punishment=punishment, method=method, seed=seed,
+            )
+            for t in range(caps.shape[0])
+        ]
+        return PaymentBreakdown(**{f.name: np.array([getattr(r, f.name) for r in rows]) for f in fields(PaymentBreakdown)})
+
+    ratios, surplus = _waterfill_rows(bid_caps[..., 0], bid_gammas, thetas, valuation, cost)
+    accepted = bid_caps * ratios[..., None]
+    embedded, removed_surpluses = _removed_rows(bid_caps[..., 0], bid_gammas, thetas, valuation, cost)
+    taus = _pivot_payments(valuation, cost, accepted[..., 0], bid_gammas, thetas, surplus, embedded, removed_surpluses)
+    adjustments = _adjustments(adjustment, bid_caps, bid_gammas, thetas)
+    punished = _punished_mask(accepted, caps)
+    totals = np.where(punished, -punishment, taus + adjustments)
+    delivered = np.where(punished[..., None], 0.0, accepted)
+    income = valuation.value_rows(delivered[..., 0], thetas)
+    return PaymentBreakdown(
+        tau=taus,
+        adjustment=adjustments,
+        total=totals,
+        utilities=totals - gammas * delivered[..., 0],
+        coalition_income=income,
+        budget_slack=income - totals.sum(axis=-1),
+        punished=punished,
+        surplus=surplus,
+        counterfactual_surpluses=removed_surpluses,
+        accepted=accepted,
+        delivered=delivered,
+    )
+
+
 def producer_utility(
     economy: Economy,
     bids: BidProfile,
@@ -286,4 +415,8 @@ def producer_utility(
     full = optimize_acceptance(view, method=method, seed=seed)
     removed = counterfactual_surplus(view, producer, method=method, seed=seed)
     h = adjustment_for(adjustment, view, producer)
-    return utility_from_solves(economy, view, full, removed, producer, h, punishment)
+    utility, tau = deviation_utilities(
+        economy.capacities[producer], economy.cost_types[producer], view.cost_types[producer], view.cost,
+        full.accepted[producer], full.surplus, removed.surplus, h, punishment,
+    )
+    return float(utility), float(tau)

@@ -10,30 +10,28 @@ absorb optimizer noise in counterfactuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
-from .allocation import (
-    AllocationResult,
-    counterfactual_surplus,
-    optimize_acceptance,
-)
-from .model import Economy
-from .payments import PaymentBreakdown, ZeroAdjustment, adjustment_for, utility_from_solves
+from .allocation import AllocationResult, optimize_acceptance, solve_batch
+from .model import Economy, _check_entries
+from .payments import PaymentBreakdown, ZeroAdjustment, deviation_utilities, payments_batch
 
 Array = np.ndarray
 
 __all__ = [
     "ProbeReport",
     "uniform_economy_sampler",
+    "draw_uniform_types",
     "mixed_deviation_sampler",
     "probe_dsic",
     "grid_surplus_max",
     "check_efficiency",
     "check_ir",
     "check_wbb",
+    "restatements",
     "check_surplus_monotonicity",
     "loss_components",
 ]
@@ -62,6 +60,14 @@ class ProbeReport:
             witness["gap"] = gap
             self.violations.append(witness)
 
+    def record_all(self, gaps: Array, witness, tol: float) -> None:
+        """``record`` every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
+        if gaps.size:
+            # argmax takes the first of equal maxima, as repeated max() would
+            self.max_gap = max(self.max_gap, float(gaps[np.argmax(gaps)]))
+        for k in np.flatnonzero(gaps > tol):
+            self.violations.append({**witness(int(k)), "gap": float(gaps[k])})
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -82,12 +88,49 @@ def uniform_economy_sampler(support: PriorSupport, valuation, cost):
     """Economies with true parameters drawn uniformly from the support box."""
 
     def sampler(rng) -> Economy:
-        caps = rng.uniform(support.cap_lo, support.cap_hi)
-        gammas = rng.uniform(support.gamma_lo, support.gamma_hi)
-        thetas = rng.uniform(support.theta_lo, support.theta_hi)
-        return Economy(caps, gammas, thetas, valuation, cost)
+        caps, gammas, thetas = draw_uniform_types(support, rng)
+        return Economy(caps[0], gammas[0], thetas[0], valuation, cost)
 
     return sampler
+
+
+def draw_uniform_types(support: PriorSupport, rng, count: int = 1) -> tuple[Array, Array, Array]:
+    """``count`` economies' ``(count, n, dim)`` capacities, ``(count, n)`` and ``(count, m)`` types, uniform on the box.
+
+    The generator's doubles are used economy by economy: its capacities,
+    then its cost types, then its valuation types. That is the stream and
+    the bits of ``rng.uniform(lo, hi)`` on the three boxes in turn, which
+    returns ``lo + (hi - lo) * u`` for successive ``rng.random()`` doubles
+    ``u``, without a generator call per box and economy.
+    """
+    boxes = (
+        (support.cap_lo, support.cap_hi),
+        (support.gamma_lo, support.gamma_hi),
+        (support.theta_lo, support.theta_hi),
+    )
+    widths = [lo.size for lo, _ in boxes]
+    draws = np.split(rng.random((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    return tuple(lo + (hi - lo) * u.reshape((count,) + lo.shape) for (lo, hi), u in zip(boxes, draws))
+
+
+def _stack(economies: list[Economy]):
+    """``(T, n, dim)``, ``(T, n)`` and ``(T, m)`` arrays of sampled economies, plus their families."""
+    first = economies[0]
+    for economy in economies:
+        if (
+            economy.capacities.shape != first.capacities.shape
+            or economy.m != first.m
+            or economy.valuation != first.valuation
+            or economy.cost != first.cost
+        ):
+            raise ValueError("the economy sampler must return economies of one shape and one pair of families")
+    return (
+        np.stack([e.capacities for e in economies]),
+        np.stack([e.cost_types for e in economies]),
+        np.stack([e.valuation_types for e in economies]),
+        first.valuation,
+        first.cost,
+    )
 
 
 def mixed_deviation_sampler(support: PriorSupport):
@@ -139,61 +182,67 @@ def probe_dsic(
     (the others truthful), a violation is recorded when the deviation beats
     truth by more than ``tol``. The punishment constant must dominate every
     observed pivot payment (P > 10 max |tau|), otherwise the probe rejects its
-    configuration instead of passing vacuously.
+    configuration instead of passing vacuously. The sampler's economies share
+    one shape and one pair of families.
+
+    Every economy and deviation is drawn first, in trial order. The truthful
+    economies are then priced in one ``payments_batch`` and the deviations
+    solved in one ``solve_batch``; a deviation reuses its truthful economy's
+    removed problem, which ignores the deviating producer's report.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if adjustment is None:
         adjustment = ZeroAdjustment()
     rng = np.random.default_rng(seed)
-    report = ProbeReport(name="dsic", trials=trials * deviations_per_trial)
-    max_abs_tau = 0.0
-
-    for trial in range(trials):
+    economies, producers, reports = [], [], []
+    for _ in range(trials):
         economy = economy_sampler(rng)
-        full_truth = optimize_acceptance(economy, method=method)
-        removed_cache: dict[int, AllocationResult] = {}
-        truth_cache: dict[int, float] = {}
-        h_cache: dict[int, float] = {}
-
+        economies.append(economy)
         for _ in range(deviations_per_trial):
             i = int(rng.integers(economy.n))
-            if i not in removed_cache:
-                removed_cache[i] = counterfactual_surplus(economy, i, method=method)
-                h_cache[i] = adjustment_for(adjustment, economy, i)
-                truth_cache[i], tau_truth = utility_from_solves(
-                    economy, economy, full_truth, removed_cache[i], i, h_cache[i], punishment
-                )
-                max_abs_tau = max(max_abs_tau, abs(tau_truth))
+            producers.append(i)
+            reports.append(deviation_sampler(rng, economy, i))
+    caps, gammas, thetas, valuation, cost = _stack(economies)
+    truth = payments_batch(
+        caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
+    )
 
-            cap_dev, gamma_dev = deviation_sampler(rng, economy, i)
-            dev_caps = economy.capacities.copy()
-            dev_caps[i] = np.atleast_1d(np.asarray(cap_dev, dtype=float))
-            dev_gammas = economy.cost_types.copy()
-            dev_gammas[i] = gamma_dev
-            dev_view = replace(economy, capacities=dev_caps, cost_types=dev_gammas)
-            full_dev = optimize_acceptance(dev_view, method=method)
-            # the removed problem ignores producer i's report: reuse the truthful one
-            utility_dev, tau_dev = utility_from_solves(
-                economy, dev_view, full_dev, removed_cache[i], i, h_cache[i], punishment
-            )
-            max_abs_tau = max(max_abs_tau, abs(tau_dev))
-            report.record(
-                utility_dev - truth_cache[i],
-                {
-                    "trial": trial,
-                    "producer": i,
-                    "capacities": economy.capacities.tolist(),
-                    "cost_types": economy.cost_types.tolist(),
-                    "valuation_types": economy.valuation_types.tolist(),
-                    "deviation_capacity": np.atleast_1d(cap_dev).tolist(),
-                    "deviation_gamma": float(gamma_dev),
-                    "truth_utility": truth_cache[i],
-                    "deviation_utility": utility_dev,
-                },
-                tol,
-            )
+    trial = np.repeat(np.arange(trials), deviations_per_trial)
+    producer = np.array(producers, dtype=np.intp)
+    own = (trial, producer)
+    dev_caps, dev_gammas = caps[trial], gammas[trial]
+    for r, (cap, gamma) in enumerate(reports):
+        dev_caps[r, producer[r]] = np.atleast_1d(np.asarray(cap, dtype=float))
+        dev_gammas[r, producer[r]] = gamma
+    _check_entries(dev_caps, "capacities")
+    _check_entries(dev_gammas, "cost types")
+    accepted, surplus = solve_batch(dev_caps, dev_gammas, thetas[trial], valuation, cost, method)
+    rows = np.arange(trial.size)
+    utility, tau = deviation_utilities(
+        caps[own], gammas[own], dev_gammas[rows, producer], cost, accepted[rows, producer], surplus,
+        truth.counterfactual_surpluses[own], truth.adjustment[own], punishment,
+    )
+    truth_utility = truth.utilities[own]
 
+    def witness(r: int) -> dict:
+        economy = economies[trial[r]]
+        cap_dev, gamma_dev = reports[r]
+        return {
+            "trial": int(trial[r]),
+            "producer": int(producer[r]),
+            "capacities": economy.capacities.tolist(),
+            "cost_types": economy.cost_types.tolist(),
+            "valuation_types": economy.valuation_types.tolist(),
+            "deviation_capacity": np.atleast_1d(cap_dev).tolist(),
+            "deviation_gamma": float(gamma_dev),
+            "truth_utility": float(truth_utility[r]),
+            "deviation_utility": float(utility[r]),
+        }
+
+    report = ProbeReport(name="dsic", trials=trials * deviations_per_trial)
+    report.record_all(utility - truth_utility, witness, tol)
+    max_abs_tau = float(np.abs(np.concatenate([truth.tau[own], tau])).max(initial=0.0))
     if punishment <= 10.0 * max_abs_tau:
         raise ValueError(
             f"punishment {punishment} does not dominate observed pivot payments "
@@ -287,12 +336,10 @@ def check_ir(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS_
             {"producer": i, "utility": float(payments.utilities[i])},
             tol,
         )
-    gains = payments.surplus - payments.counterfactual_surpluses
-    restated = bool(np.all(payments.adjustment + gains >= -tol))
-    direct = bool(np.all(payments.utilities >= -tol))
+    (restated, direct), _ = restatements(payments, tol)
     if restated != direct and not payments.punished.any():
         report.violations.append(
-            {"kind": "restatement_mismatch", "direct": direct, "restated": restated}
+            {"kind": "restatement_mismatch", "direct": bool(direct), "restated": bool(restated)}
         )
     return report
 
@@ -309,14 +356,32 @@ def check_wbb(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS
         {"paid": paid, "income": payments.coalition_income},
         tol,
     )
-    gains = payments.surplus - payments.counterfactual_surpluses
-    restated = bool(payments.adjustment.sum() <= payments.surplus - gains.sum() + tol)
-    direct = bool(paid <= payments.coalition_income + tol)
+    _, (restated, direct) = restatements(payments, tol)
     if restated != direct and not payments.punished.any():
         report.violations.append(
-            {"kind": "restatement_mismatch", "direct": direct, "restated": restated}
+            {"kind": "restatement_mismatch", "direct": bool(direct), "restated": bool(restated)}
         )
     return report
+
+
+def restatements(payments: PaymentBreakdown, tol: float = SURPLUS_TOL) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
+    """The (restated, direct) verdict pairs of ``check_ir`` and ``check_wbb``, one per priced economy.
+
+    Rationality: ``h_i >= -(S* - S*_{-i})`` for every producer, against every
+    utility ``>= -tol``. Budget: ``sum h_i <= S* - sum(S* - S*_{-i})``,
+    against total payments within the coalition income. Producers are on the
+    last axis; a ``payments_batch`` result gives ``(T,)`` verdicts.
+    """
+    gains = np.asarray(payments.surplus)[..., None] - payments.counterfactual_surpluses
+    ir = (
+        np.all(payments.adjustment + gains >= -tol, axis=-1),
+        np.all(payments.utilities >= -tol, axis=-1),
+    )
+    wbb = (
+        payments.adjustment.sum(axis=-1) <= payments.surplus - gains.sum(axis=-1) + tol,
+        payments.total.sum(axis=-1) <= payments.coalition_income + tol,
+    )
+    return ir, wbb
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +396,52 @@ def check_surplus_monotonicity(
     method: str | None = None,
     tol: float = SURPLUS_TOL,
 ) -> ProbeReport:
-    """Sampled monotonicity of S*: rising in any capacity, falling in any cost type."""
+    """Sampled monotonicity of S*: rising in any capacity, falling in any cost type.
+
+    Each trial raises one capacity coordinate and, separately, one cost type
+    of a sampled economy. Every draw comes first, in trial order; the base,
+    raised-capacity and raised-cost problems of all trials are then solved in
+    one ``solve_batch``. The sampler's economies share one shape and one pair
+    of families.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    report = ProbeReport(name="surplus_monotonicity", trials=trials)
-    for trial in range(trials):
+    economies, draws = [], []
+    for _ in range(trials):
         economy = economy_sampler(rng)
-        base = optimize_acceptance(economy.view(), method=method).surplus
+        economies.append(economy)
         i = int(rng.integers(economy.n))
         d = int(rng.integers(economy.dim))
+        draws.append((i, d, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))))
+    caps, gammas, thetas, valuation, cost = _stack(economies)
+    producer, coordinate = (np.array(column, dtype=np.intp) for column in list(zip(*draws))[:2])
+    cap_steps, cost_steps = (np.array(column) for column in list(zip(*draws))[2:])
+    t = np.arange(trials)
+    caps_up = caps.copy()
+    caps_up[t, producer, coordinate] += cap_steps
+    gammas_up = gammas.copy()
+    gammas_up[t, producer] += cost_steps
+    _, (base, surplus_up, surplus_costly) = solve_batch(
+        np.stack([caps, caps_up, caps]),
+        np.stack([gammas, gammas, gammas_up]),
+        np.broadcast_to(thetas, (3,) + thetas.shape),
+        valuation,
+        cost,
+        method,
+    )
 
-        caps_up = economy.capacities.copy()
-        caps_up[i, d] += float(rng.uniform(0.1, 2.0))
-        up_view = replace(economy, capacities=caps_up)
-        surplus_up = optimize_acceptance(up_view, method=method).surplus
-        report.record(
-            base - surplus_up,
-            {"trial": trial, "kind": "capacity_increase", "producer": i, "before": base, "after": surplus_up},
-            tol,
-        )
+    def witness(k: int) -> dict:
+        trial, costly = divmod(k, 2)
+        return {
+            "trial": trial,
+            "kind": "cost_increase" if costly else "capacity_increase",
+            "producer": int(producer[trial]),
+            "before": float(base[trial]),
+            "after": float((surplus_costly if costly else surplus_up)[trial]),
+        }
 
-        gammas_up = economy.cost_types.copy()
-        gammas_up[i] += float(rng.uniform(0.1, 2.0))
-        costly_view = replace(economy, cost_types=gammas_up)
-        surplus_costly = optimize_acceptance(costly_view, method=method).surplus
-        report.record(
-            surplus_costly - base,
-            {"trial": trial, "kind": "cost_increase", "producer": i, "before": base, "after": surplus_costly},
-            tol,
-        )
+    report = ProbeReport(name="surplus_monotonicity", trials=trials)
+    # the capacity and cost gaps of each trial, interleaved in recording order
+    report.record_all(np.stack([base - surplus_up, surplus_costly - base], axis=1).ravel(), witness, tol)
     return report

@@ -17,7 +17,7 @@ from pvcg import (
     optimize_acceptance,
     social_surplus,
 )
-from pvcg.allocation import max_surplus, waterfill_gains, waterfill_surplus
+from pvcg.allocation import _waterfill_ratios, max_surplus, waterfill_gains, waterfill_surplus
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
@@ -296,3 +296,21 @@ def test_batched_max_surplus_projected_gradient_equals_per_row_solves(data):
     for t in range(caps.shape[0]):
         economy = Economy(caps[t][:, None], gammas[t], thetas[t], valuation, cost)
         assert batched[t] == optimize_acceptance(economy, method="projected_gradient").surplus
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_waterfill_ratios_equal_one_economy_calls(data):
+    """Each economy's theta_sum masks its own row, also in a batch of as many economies as producers."""
+    n = data.draw(st.integers(1, 6))
+    T = n if data.draw(st.booleans()) else data.draw(st.integers(1, 6))
+    caps = np.array(data.draw(st.lists(TIED_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    gammas = np.array(data.draw(st.lists(TIED_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
+    theta_sums = np.array(data.draw(st.lists(_THETAS, min_size=T, max_size=T)))
+    batched = _waterfill_ratios(caps, gammas, theta_sums, float(n))
+    for t in range(T):
+        one = _waterfill_ratios(caps[t], gammas[t], float(theta_sums[t]), float(n))
+        assert batched[t].tobytes() == one.tobytes()
+        if theta_sums[t] == 0.0:
+            assert not one.any()
+

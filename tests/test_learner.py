@@ -360,6 +360,38 @@ def test_call_equals_outputs_batch():
             assert value == pytest.approx(batch[t, i], rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 50, 257])
+def test_all_producers_is_bit_equal_to_the_per_producer_call(T):
+    """Pricing's batch of networks gives each row the bits of ``model(i, ...)``, whatever the batch size."""
+    support = PriorSupport.uniform_box(10, 2)
+    rng = np.random.default_rng(T)
+    model = LearnedAdjustment(tuple(mlp_init([20, 10, 10, 10, 1], rng) for _ in range(10)), support)
+    caps, gammas, thetas = sample_prior(support, T, seed=T + 1)
+    batch = model.all_producers(caps, gammas, thetas)
+    assert batch.shape == (T, 10)
+    for t in range(T):
+        for i in range(10):
+            keep = [k for k in range(10) if k != i]
+            assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == batch[t, i]
+    assert np.array_equal(model.all_producers(caps[0], gammas[0], thetas[0]), batch[0])
+
+
+def test_all_producers_does_not_depend_on_the_layout_of_its_rows():
+    """Tied and zero reports through narrow layers: a strided row would take another BLAS kernel."""
+    support = PriorSupport.uniform_box(4, 1)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = LearnedAdjustment(tuple(mlp_init([7, 4, 1], rng) for _ in range(4)), support)
+        for T in (2, 3, 4):
+            caps = rng.choice([0.0, 0.5, 2.5], size=(T, 4, 1))
+            gammas = rng.choice([0.0, 0.25, 0.5], size=(T, 4))
+            thetas = rng.choice([0.0, 0.5], size=(T, 1))
+            batch = model.all_producers(caps, gammas, thetas)
+            for t in range(T):
+                for i in range(4):
+                    assert model(i, np.delete(caps[t], i, 0), np.delete(gammas[t], i), thetas[t]) == batch[t, i]
+
+
 def test_composite_loss_matches_loss_components_of_the_payment():
     """Training's loss on one instance is the probes' penalty sum on the priced instance."""
     from pvcg.verification import loss_components

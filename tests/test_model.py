@@ -196,3 +196,22 @@ def test_view_rejects_mismatched_bids(cheap_pair_economy):
 def test_non_finite_input_is_rejected_by_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         build()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_value_rows_takes_valuation_types_row_by_row(data):
+    """``(T, m)`` valuation types give row t the bits of a one-economy call on row t."""
+    T, n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    accepted = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=T * n, max_size=T * n))).reshape(T, n)
+    thetas = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=T * m, max_size=T * m))).reshape(T, m)
+    valuation = SqrtSumValuation(scale=float(n))
+    batched = valuation.value_rows(accepted, thetas)
+    # a second batch axis: the rows of each economy share its valuation types
+    stacked = valuation.value_rows(np.stack([accepted, accepted[:, ::-1]], axis=1), thetas[:, None, :])
+    assert batched.shape == (T,) and stacked.shape == (T, 2)
+    for t in range(T):
+        one = valuation.value_rows(accepted[t], thetas[t])
+        assert np.float64(batched[t]).tobytes() == np.float64(one).tobytes() == np.float64(stacked[t, 0]).tobytes()
+        assert stacked[t, 1] == valuation.value_rows(accepted[t, ::-1], thetas[t])
+

@@ -18,6 +18,7 @@ from pvcg import (
     analytic_waterfill,
     counterfactual_surplus,
     optimize_acceptance,
+    payments_batch,
     producer_utility,
     social_surplus,
     total_payment,
@@ -25,7 +26,8 @@ from pvcg import (
 )
 from pvcg.allocation import solve_with_counterfactuals, waterfill_removed
 from pvcg.learner import mlp_init
-from pvcg.model import total_valuation
+from pvcg.model import LinearCost, SqrtSumValuation, total_valuation
+from pvcg.verification import SURPLUS_TOL
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
 from oracles import reference_payment
@@ -229,3 +231,119 @@ def test_analytic_adjustment_rejects_a_support_that_does_not_fit_the_economy(sup
     adjustment = AnalyticAdjustment(support, economy.valuation, economy.cost)
     with pytest.raises(ValueError, match="expected"):
         total_payment(economy, adjustment=adjustment)
+
+
+def _payment_batch_case(data, n_max=8, t_max=4):
+    """A (T, n) batch of truthful economies, bids in which one producer per row may lie, and an adjustment."""
+    n = data.draw(st.integers(1, n_max))
+    m = data.draw(st.integers(1, 3))
+    T = data.draw(st.integers(1, t_max))
+    caps = _floats(data, TIED_CAPS, T * n).reshape(T, n, 1)
+    gammas = _floats(data, TIED_GAMMAS, T * n).reshape(T, n)
+    thetas = _floats(data, st.just(0.0) | st.floats(0.0, 1.0), T * m).reshape(T, m)
+    bid_caps, bid_gammas = caps.copy(), gammas.copy()
+    liars = [data.draw(st.integers(-1, n - 1)) for _ in range(T)]
+    for t, liar in enumerate(liars):
+        if liar >= 0:
+            # a cheap over-report is accepted beyond the true capacity and punished
+            bid_caps[t, liar] = caps[t, liar] * data.draw(st.sampled_from([0.5, 1.0, 2.0])) + data.draw(TIED_CAPS)
+            bid_gammas[t, liar] = data.draw(TIED_GAMMAS)
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    kind = data.draw(st.sampled_from(["zero", "analytic", "analytic_cap_lo", "learned"]))
+    if kind == "zero":
+        adjustment = ZeroAdjustment()
+    elif kind == "learned":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        nets = tuple(mlp_init([2 * (n - 1) + m, 4, 1], rng) for _ in range(n))
+        adjustment = LearnedAdjustment(nets, PriorSupport.uniform_box(n, m))
+    else:
+        cap = (0.0, 5.0) if kind == "analytic" else (0.5, 5.0)
+        adjustment = AnalyticAdjustment(PriorSupport.uniform_box(n, m, cap=cap), valuation, cost)
+    return caps, gammas, thetas, bid_caps, bid_gammas, liars, valuation, cost, adjustment
+
+
+def _assert_rows_equal_total_payment(batch, caps, gammas, thetas, bid_caps, bid_gammas, valuation, cost, **kwargs):
+    for t in range(caps.shape[0]):
+        economy = Economy(caps[t], gammas[t], thetas[t], valuation, cost)
+        one = total_payment(economy, BidProfile(bid_caps[t], bid_gammas[t], thetas[t]), **kwargs)
+        for field in dataclasses.fields(PaymentBreakdown):
+            got, want = np.asarray(getattr(batch, field.name))[t], np.asarray(getattr(one, field.name))
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_payments_batch_rows_are_total_payment_bit_for_bit(data):
+    """Every row of every field has the bytes of ``total_payment`` on that economy, liars and punishments included."""
+    caps, gammas, thetas, bid_caps, bid_gammas, _, valuation, cost, adjustment = _payment_batch_case(data)
+    batch = payments_batch(
+        caps, gammas, thetas, valuation, cost, bid_caps, bid_gammas, adjustment=adjustment, punishment=1e6
+    )
+    _assert_rows_equal_total_payment(
+        batch, caps, gammas, thetas, bid_caps, bid_gammas, valuation, cost, adjustment=adjustment, punishment=1e6
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_payments_batch_projected_gradient_rows_are_total_payment(data):
+    caps, gammas, thetas, bid_caps, bid_gammas, _, valuation, cost, adjustment = _payment_batch_case(data, 3, 2)
+    kwargs = dict(adjustment=adjustment, punishment=1e6, method="projected_gradient")
+    batch = payments_batch(caps, gammas, thetas, valuation, cost, bid_caps, bid_gammas, **kwargs)
+    _assert_rows_equal_total_payment(batch, caps, gammas, thetas, bid_caps, bid_gammas, valuation, cost, **kwargs)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_payments_batch_guarantees(data):
+    """Pivot payments cover reported costs, removal never raises the optimum, h_i ignores i's own
+    report, and truthful zero-adjustment rows are individually rational and weakly budget balanced."""
+    caps, gammas, thetas, bid_caps, bid_gammas, liars, valuation, cost, adjustment = _payment_batch_case(data)
+    truthful = payments_batch(caps, gammas, thetas, valuation, cost, adjustment=adjustment)
+    lying = payments_batch(caps, gammas, thetas, valuation, cost, bid_caps, bid_gammas, adjustment=adjustment)
+    for batch, reported in ((truthful, gammas), (lying, bid_gammas)):
+        assert np.all(batch.tau >= reported * batch.accepted[..., 0] - SURPLUS_TOL)
+        assert np.all(batch.surplus[:, None] >= batch.counterfactual_surpluses - SURPLUS_TOL)
+    for t, liar in enumerate(liars):
+        if liar >= 0:
+            assert truthful.adjustment[t, liar] == lying.adjustment[t, liar]
+    zero = payments_batch(caps, gammas, thetas, valuation, cost)
+    assert not zero.punished.any()
+    assert np.all(zero.utilities >= -SURPLUS_TOL)
+    assert np.all(zero.budget_slack >= -SURPLUS_TOL)
+
+
+def test_payments_batch_runs_the_tau_check(monkeypatch):
+    removed_rows = pvcg.payments._removed_rows
+
+    def shifted(*args):
+        embedded, surpluses = removed_rows(*args)
+        surpluses[1, 2] += 1e-6
+        return embedded, surpluses
+
+    monkeypatch.setattr(pvcg.payments, "_removed_rows", shifted)
+    caps = np.array([[1.0, 2.0, 1.5], [1.0, 2.0, 1.5]])[..., None]
+    gammas = np.array([[0.1, 0.3, 0.2], [0.2, 0.1, 0.3]])
+    with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 2 of economy 1: "):
+        payments_batch(caps, gammas, np.ones((2, 1)), SqrtSumValuation(scale=3.0), LinearCost())
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(punishment=0.0), "punishment must be positive"),
+        (dict(capacities=-np.ones((2, 3, 1))), "capacities must be non-negative"),
+        (dict(cost_types=np.full((2, 3), np.inf)), "cost types must be finite"),
+        (dict(reported_capacities=np.ones((2, 3, 2))), "shapes of the true ones"),
+        (dict(valuation_types=np.ones((3, 2))), "expected \\(T, n, dim\\)"),
+        (dict(valuation_types=np.ones((2, 0))), "at least one producer and one consumer"),
+    ],
+)
+def test_payments_batch_rejects_bad_input(change, message):
+    args = dict(
+        capacities=np.ones((2, 3, 1)), cost_types=np.full((2, 3), 0.5), valuation_types=np.ones((2, 2)),
+        valuation=SqrtSumValuation(scale=3.0), cost=LinearCost(),
+    )
+    with pytest.raises(ValueError, match=message):
+        payments_batch(**{**args, **change})
+
