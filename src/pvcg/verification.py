@@ -415,8 +415,7 @@ def check_surplus_monotonicity(
         d = int(rng.integers(economy.dim))
         draws.append((i, d, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))))
     caps, gammas, thetas, valuation, cost = _stack(economies)
-    producer, coordinate = (np.array(column, dtype=np.intp) for column in list(zip(*draws))[:2])
-    cap_steps, cost_steps = (np.array(column) for column in list(zip(*draws))[2:])
+    producer, coordinate, cap_steps, cost_steps = map(np.array, zip(*draws))
     t = np.arange(trials)
     caps_up = caps.copy()
     caps_up[t, producer, coordinate] += cap_steps
