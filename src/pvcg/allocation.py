@@ -26,7 +26,6 @@ __all__ = [
     "optimize_acceptance",
     "counterfactual_surplus",
     "solve_with_counterfactuals",
-    "waterfill_removed",
     "max_surplus",
     "solve_batch",
 ]
@@ -181,17 +180,6 @@ def others_index(n: int) -> Array:
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     keep.flags.writeable = False
     return keep
-
-
-def waterfill_removed(view: Economy) -> tuple[Array, Array]:
-    """Every producer-removed water-fill of ``view`` from one kernel call.
-
-    Returns ``(n, n)`` accepted quantities whose row i solves the problem
-    without producer i, with a zero in column i, and the ``(n,)`` surpluses;
-    ``_removed_rows`` on a batch of one.
-    """
-    _require_waterfill(view)
-    return _removed_rows(view.capacities[:, 0], view.cost_types, view.valuation_types, view.valuation, view.cost)
 
 
 def _removed_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost) -> tuple[Array, Array]:

@@ -18,13 +18,11 @@ from .allocation import (
     AllocationResult,
     _removed_rows,
     _waterfill_rows,
-    analytic_waterfill,
     counterfactual_surplus,
     optimize_acceptance,
     others_index,
     solve_with_counterfactuals,
     waterfill_applies,
-    waterfill_removed,
 )
 from .model import BidProfile, Economy, LinearCost, _check_entries, total_valuation
 
@@ -136,14 +134,14 @@ def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_re
     the i-removed allocation minus the others' cost difference. Producers are
     on the last axis of every argument but ``value_full``, which has the
     batch shape; leading axes are a batch of economies. The first producer
-    whose forms disagree is named, with its economy in a batch.
+    whose forms disagree is named, with its economy in a batch of several.
     """
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
     expanded = (np.asarray(value_full)[..., None] - value_removed) - (others_cost_full - others_cost_removed)
     bad = np.argwhere(np.abs(taus - expanded) > check_tol)
     if bad.size:
         where = tuple(bad[0])
-        economy = f" of economy {where[0]}" if taus.ndim > 1 else ""
+        economy = f" of economy {where[0]}" if taus.ndim > 1 and len(taus) > 1 else ""
         raise RuntimeError(
             f"pivot payment forms disagree for producer {where[-1]}{economy}: "
             f"{float(taus[where])!r} vs {float(expanded[where])!r}"
@@ -184,22 +182,6 @@ def vcg_tau(
         taus, total_valuation(view, accepted), value_removed, costs_full, others_cost_removed, check_tol
     )
     return taus
-
-
-def _waterfill_taus(view: Economy) -> tuple[AllocationResult, Array, Array]:
-    """The full water-fill, the removed surpluses and the pivot payments, every producer at once.
-
-    Bit-equal to ``solve_with_counterfactuals`` followed by ``vcg_tau``; the
-    removed problems come from one kernel call and the two-form check runs on
-    the whole vector.
-    """
-    full = analytic_waterfill(view)
-    embedded, removed_surpluses = waterfill_removed(view)
-    taus = _pivot_payments(
-        view.valuation, view.cost, full.accepted[:, 0], view.cost_types, view.valuation_types,
-        full.surplus, embedded, removed_surpluses,
-    )
-    return full, removed_surpluses, taus
 
 
 def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, embedded, removed_surpluses) -> Array:
@@ -263,49 +245,45 @@ def total_payment(
     capacity in any coordinate. Utilities are evaluated at the true cost type
     and the delivered quantity (punished producers deliver nothing);
     coalition income is the total true-type consumer value of the delivered
-    profile. A water-fill economy is priced with array operations over all
-    producers, bit-identical to the per-producer path every other case takes.
+    profile. A water-fill economy is priced as a batch of one by
+    ``payments_batch``'s array operations, bit-identical to the per-producer
+    path every other case takes.
     """
     if not punishment > 0:
         raise ValueError("punishment must be positive")
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
-    waterfill = waterfill_applies(view.valuation, view.cost, view.dim, method)
-    if waterfill:
-        full, removed_surpluses, taus = _waterfill_taus(view)
-        adjustments = _adjustments(adjustment, view.capacities, view.cost_types, view.valuation_types)
-    else:
-        full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
-        taus = vcg_tau(view, full, removed)
-        adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
-        removed_surpluses = np.array([r.surplus for r in removed])
+    if waterfill_applies(view.valuation, view.cost, view.dim, method):
+        batch = _waterfill_batch(
+            economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
+            view.capacities[None], view.cost_types[None], view.valuation_types[None],
+            view.valuation, view.cost, adjustment, punishment,
+        )
+        row = {name: getattr(batch, name)[0] for name in _FIELDS}
+        return PaymentBreakdown(**{**row, **{name: float(row[name]) for name in _SCALAR_FIELDS}})
 
+    full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
+    taus = vcg_tau(view, full, removed)
+    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
     accepted = full.accepted
     punished = _punished_mask(accepted, economy.capacities)
     totals = np.where(punished, -punishment, taus + adjustments)
     delivered = np.where(punished[:, None], 0.0, accepted)
-    if waterfill:
-        true_costs = economy.cost_types * delivered[:, 0]
-        income = float(economy.valuation.value_rows(delivered[:, 0], economy.valuation_types))
-    else:
-        true_costs = np.array(
-            [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
-        )
-        income = float(
-            sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types)
-        )
-    utilities = totals - true_costs
+    true_costs = np.array(
+        [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
+    )
+    income = float(sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types))
     return PaymentBreakdown(
         tau=taus,
         adjustment=adjustments,
         total=totals,
-        utilities=utilities,
+        utilities=totals - true_costs,
         coalition_income=income,
         budget_slack=float(income - totals.sum()),
         punished=punished,
         surplus=full.surplus,
-        counterfactual_surpluses=removed_surpluses,
+        counterfactual_surpluses=np.array([r.surplus for r in removed]),
         accepted=accepted,
         delivered=delivered,
     )
@@ -322,7 +300,6 @@ def payments_batch(
     adjustment=None,
     punishment: float = 1e6,
     method: str | None = None,
-    seed: int = 0,
 ) -> PaymentBreakdown:
     """The payment stage of a batch of auctions with shared families.
 
@@ -360,22 +337,32 @@ def payments_batch(
     if caps.shape[1] < 1 or thetas.shape[1] < 1:
         raise ValueError("an economy needs at least one producer and one consumer")
 
-    if not waterfill_applies(valuation, cost, caps.shape[2], method):
-        rows = [
-            total_payment(
-                Economy(caps[t], gammas[t], thetas[t], valuation, cost),
-                BidProfile(bid_caps[t], bid_gammas[t], thetas[t]),
-                adjustment=adjustment, punishment=punishment, method=method, seed=seed,
-            )
-            for t in range(caps.shape[0])
-        ]
-        return PaymentBreakdown(**{f.name: np.array([getattr(r, f.name) for r in rows]) for f in fields(PaymentBreakdown)})
+    if waterfill_applies(valuation, cost, caps.shape[2], method):
+        return _waterfill_batch(caps, gammas, thetas, bid_caps, bid_gammas, thetas, valuation, cost, adjustment, punishment)
+    rows = [
+        total_payment(
+            Economy(caps[t], gammas[t], thetas[t], valuation, cost),
+            BidProfile(bid_caps[t], bid_gammas[t], thetas[t]),
+            adjustment=adjustment, punishment=punishment, method=method,
+        )
+        for t in range(caps.shape[0])
+    ]
+    return PaymentBreakdown(**{name: np.array([getattr(r, name) for r in rows]) for name in _FIELDS})
 
-    ratios, surplus = _waterfill_rows(bid_caps[..., 0], bid_gammas, thetas, valuation, cost)
+
+_FIELDS = tuple(f.name for f in fields(PaymentBreakdown))
+_SCALAR_FIELDS = ("surplus", "coalition_income", "budget_slack")
+
+
+def _waterfill_batch(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment):
+    """``payments_batch`` of water-fill economies, true and reported: every full and removed problem in one kernel call each."""
+    ratios, surplus = _waterfill_rows(bid_caps[..., 0], bid_gammas, bid_thetas, valuation, cost)
     accepted = bid_caps * ratios[..., None]
-    embedded, removed_surpluses = _removed_rows(bid_caps[..., 0], bid_gammas, thetas, valuation, cost)
-    taus = _pivot_payments(valuation, cost, accepted[..., 0], bid_gammas, thetas, surplus, embedded, removed_surpluses)
-    adjustments = _adjustments(adjustment, bid_caps, bid_gammas, thetas)
+    embedded, removed_surpluses = _removed_rows(bid_caps[..., 0], bid_gammas, bid_thetas, valuation, cost)
+    taus = _pivot_payments(
+        valuation, cost, accepted[..., 0], bid_gammas, bid_thetas, surplus, embedded, removed_surpluses
+    )
+    adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
     punished = _punished_mask(accepted, caps)
     totals = np.where(punished, -punishment, taus + adjustments)
     delivered = np.where(punished[..., None], 0.0, accepted)

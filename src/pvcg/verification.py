@@ -97,20 +97,15 @@ def uniform_economy_sampler(support: PriorSupport, valuation, cost):
 def draw_uniform_types(support: PriorSupport, rng, count: int = 1) -> tuple[Array, Array, Array]:
     """``count`` economies' ``(count, n, dim)`` capacities, ``(count, n)`` and ``(count, m)`` types, uniform on the box.
 
-    The generator's doubles are used economy by economy: its capacities,
-    then its cost types, then its valuation types. That is the stream and
-    the bits of ``rng.uniform(lo, hi)`` on the three boxes in turn, which
-    returns ``lo + (hi - lo) * u`` for successive ``rng.random()`` doubles
-    ``u``, without a generator call per box and economy.
+    Economy by economy, the draws are its capacities, then its cost types,
+    then its valuation types: the stream and the bits of ``rng.uniform`` on
+    the three boxes in turn, from one generator call.
     """
-    boxes = (
-        (support.cap_lo, support.cap_hi),
-        (support.gamma_lo, support.gamma_hi),
-        (support.theta_lo, support.theta_hi),
-    )
-    widths = [lo.size for lo, _ in boxes]
-    draws = np.split(rng.random((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
-    return tuple(lo + (hi - lo) * u.reshape((count,) + lo.shape) for (lo, hi), u in zip(boxes, draws))
+    los = (support.cap_lo, support.gamma_lo, support.theta_lo)
+    lo = np.concatenate([b.ravel() for b in los])
+    hi = np.concatenate([b.ravel() for b in (support.cap_hi, support.gamma_hi, support.theta_hi)])
+    draws = np.split(rng.uniform(lo, hi, size=(count, lo.size)), np.cumsum([b.size for b in los])[:-1], axis=1)
+    return tuple(u.reshape((count,) + b.shape) for b, u in zip(los, draws))
 
 
 def _stack(economies: list[Economy]):

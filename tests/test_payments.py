@@ -24,7 +24,7 @@ from pvcg import (
     total_payment,
     vcg_tau,
 )
-from pvcg.allocation import solve_with_counterfactuals, waterfill_removed
+from pvcg.allocation import solve_with_counterfactuals
 from pvcg.learner import mlp_init
 from pvcg.model import LinearCost, SqrtSumValuation, total_valuation
 from pvcg.verification import SURPLUS_TOL
@@ -169,12 +169,14 @@ def test_tau_check_names_the_producer_whose_removed_surplus_moved():
 
 
 def test_waterfill_branch_runs_the_tau_check(monkeypatch):
-    def shifted(view):
-        embedded, surpluses = waterfill_removed(view)
-        surpluses[2] += 1e-6
+    removed_rows = pvcg.payments._removed_rows
+
+    def shifted(*args):
+        embedded, surpluses = removed_rows(*args)
+        surpluses[..., 2] += 1e-6
         return embedded, surpluses
 
-    monkeypatch.setattr(pvcg.payments, "waterfill_removed", shifted)
+    monkeypatch.setattr(pvcg.payments, "_removed_rows", shifted)
     economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [1.0])
     with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 2: "):
         total_payment(economy)
@@ -222,6 +224,18 @@ def test_waterfill_payment_is_bit_equal_to_the_per_producer_oracle(data):
     view = economy.view(bids)
     solved = analytic_waterfill(view)
     assert np.float64(solved.surplus).tobytes() == np.float64(social_surplus(view, solved.accepted)).tobytes()
+
+
+@pytest.mark.parametrize("reported_thetas", [[0.3, 0.9], [1.4, 0.0], [0.0, 0.0]])
+def test_waterfill_payment_prices_reported_valuation_types_and_earns_true_income(reported_thetas):
+    """The water-fill branch solves on the reported valuation types; coalition income uses the true ones."""
+    economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [0.6, 0.8])
+    bids = BidProfile([1.0, 2.5, 1.5], [0.1, 0.05, 0.2], reported_thetas)
+    payment = total_payment(economy, bids=bids)
+    reference = reference_payment(economy, bids, ZeroAdjustment(), 1e6)
+    for field in dataclasses.fields(PaymentBreakdown):
+        got, want = np.asarray(getattr(payment, field.name)), np.asarray(getattr(reference, field.name))
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
 
 
 @pytest.mark.parametrize("support", [PriorSupport.uniform_box(3, 2), PriorSupport.uniform_box(4, 2, dim=2)])
