@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
-from .allocation import AllocationResult, optimize_acceptance, solve_batch
+from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
 from .model import Economy, _check_entries
-from .payments import PaymentBreakdown, ZeroAdjustment, deviation_utilities, payments_batch
+from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, deviation_utilities
 
 Array = np.ndarray
 
@@ -181,9 +181,10 @@ def probe_dsic(
     one shape and one pair of families.
 
     Every economy and deviation is drawn first, in trial order. The truthful
-    economies are then priced in one ``payments_batch`` and the deviations
-    solved in one ``solve_batch``; a deviation reuses its truthful economy's
-    removed problem, which ignores the deviating producer's report.
+    and the deviating full problems are then solved in one ``solve_batch``
+    each, and the removed problem of each producer drawn in a trial in one
+    more; a deviation reuses its truthful economy's removed problem, which
+    ignores the deviating producer's report.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -199,13 +200,22 @@ def probe_dsic(
             producers.append(i)
             reports.append(deviation_sampler(rng, economy, i))
     caps, gammas, thetas, valuation, cost = _stack(economies)
-    truth = payments_batch(
-        caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
-    )
-
+    n = gammas.shape[1]
     trial = np.repeat(np.arange(trials), deviations_per_trial)
     producer = np.array(producers, dtype=np.intp)
     own = (trial, producer)
+    # each drawn (trial, producer) pair's removed problem, solved once
+    drawn, pair = np.unique(trial * n + producer, return_inverse=True)
+    removed = np.zeros(drawn.size)
+    if n > 1:
+        t, keep = drawn[:, None] // n, others_index(n)[drawn % n]
+        _, removed = solve_batch(caps[t, keep], gammas[t, keep], thetas[t[:, 0]], valuation, cost, method)
+    removed, h = removed[pair], _adjustments(adjustment, caps, gammas, thetas)[own]
+    truth_accepted, truth_surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
+    truth_utility, truth_tau = deviation_utilities(
+        caps[own], gammas[own], gammas[own], cost, truth_accepted[own], truth_surplus[trial], removed, h, punishment
+    )
+
     dev_caps, dev_gammas = caps[trial], gammas[trial]
     for r, (cap, gamma) in enumerate(reports):
         dev_caps[r, producer[r]] = np.atleast_1d(np.asarray(cap, dtype=float))
@@ -216,9 +226,8 @@ def probe_dsic(
     rows = np.arange(trial.size)
     utility, tau = deviation_utilities(
         caps[own], gammas[own], dev_gammas[rows, producer], cost, accepted[rows, producer], surplus,
-        truth.counterfactual_surpluses[own], truth.adjustment[own], punishment,
+        removed, h, punishment,
     )
-    truth_utility = truth.utilities[own]
 
     def witness(r: int) -> dict:
         economy = economies[trial[r]]
@@ -237,7 +246,7 @@ def probe_dsic(
 
     report = ProbeReport(name="dsic", trials=trials * deviations_per_trial)
     report.record_all(utility - truth_utility, witness, tol)
-    max_abs_tau = float(np.abs(np.concatenate([truth.tau[own], tau])).max(initial=0.0))
+    max_abs_tau = float(np.abs(np.concatenate([truth_tau, tau])).max(initial=0.0))
     if punishment <= 10.0 * max_abs_tau:
         raise ValueError(
             f"punishment {punishment} does not dominate observed pivot payments "
