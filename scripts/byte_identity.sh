@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 10 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 12 artifacts differs or is
 # missing on either side.
 #
 #   scripts/byte_identity.sh BASE_TREE [WORK_DIR]
@@ -12,8 +12,10 @@
 #   pvcg simulate on configs/economy3.json with configs/bids3_overreport.json
 #     (producer 0 over-reports its capacity and is punished) with the zero
 #     adjustment, the analytic one, and the analytic one with --method gradient
-# Each tree runs its own configs/flagship.json; the economy and bids files
-# come from this tree, so a base commit without them still runs.
+#   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
+#     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
+# Each tree runs its own configs/flagship.json; the economy, bids and
+# train_small files come from this tree, so a base commit without them still runs.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -27,6 +29,7 @@ mkdir -p "$work"
 work=$(cd "$work" && pwd)
 economy=$head/configs/economy3.json
 bids=$head/configs/bids3_overreport.json
+train_small=$head/configs/train_small.json
 
 pvcg() {  # pvcg TREE ARGS...: the CLI from TREE's sources; a failing probe still writes its report
     local tree=$1
@@ -45,6 +48,7 @@ run_tree() {  # run_tree TREE OUT
     pvcg "$tree" simulate --economy "$economy" --bids "$bids" --adjustment analytic --out "$out/simulate-analytic"
     pvcg "$tree" simulate --economy "$economy" --bids "$bids" --adjustment analytic --method gradient \
         --out "$out/simulate-analytic-gradient"
+    pvcg "$tree" train --config "$train_small" --out "$out/train"
 }
 
 # this tree first: the learned verify on both sides reads its model.json
@@ -57,6 +61,7 @@ artifacts=(
     run/report.json run/model.json run/loss_trace.csv run/surface.csv
     verify-zero/verification.json verify-analytic/verification.json verify-learned/verification.json
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
+    train/model.json train/loss_trace.csv
 )
 status=0
 for file in "${artifacts[@]}"; do

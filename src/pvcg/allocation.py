@@ -84,41 +84,52 @@ def _finalize(view: Economy, ratios: Array, diag: SolverDiagnostics) -> Allocati
 # ---------------------------------------------------------------------------
 
 
-def _sorted_fills(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Array, Array, Array]:
-    """The water-fill kernel: producers on the last axis, any leading axes a batch of economies.
+def _cost_order(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Array, Array, Array, Array]:
+    """Sorts each economy of the water-fill kernel: producers on the last axis, any leading axes a batch.
 
-    Fills each economy in ascending cost order (ties by index). Producer j's
-    fill stops at cumulative quantity ``scale * (Theta / 2 gamma_j)^2``, where
-    the marginal value meets its unit cost, or at its capacity; free producers
-    (gamma == 0) never stop. ``theta_sum`` has the batch shape. Returns the
-    fill order as flat indices into the batch, the sorted cost types and the
-    fills along the order.
+    The fill runs in ascending cost order (ties by index). Producer j's fill
+    stops at cumulative quantity ``scale * (Theta / 2 gamma_j)^2``, where the
+    marginal value meets its unit cost; free producers (gamma == 0) never
+    stop. ``theta_sum`` has the batch shape. Returns the fill order as flat
+    indices into the batch, and the capacities, cost types and stop
+    quantities along it.
     """
     order = np.argsort(gammas, axis=-1, kind="stable")
     flat = order
     if order.ndim > 1:
         # one flat gather for the whole batch: each row's offset plus its order
-        flat = order + np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
-    caps_sorted = caps.take(flat)
+        flat = order + order.shape[-1] * np.arange(math.prod(order.shape[:-1])).reshape(order.shape[:-1] + (1,))
     gammas_sorted = gammas.take(flat)
     # ratio before squaring: immune to underflow/overflow of the squares
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.asarray(theta_sum)[..., None] / (2.0 * gammas_sorted)
-        fills = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
-    # stop quantity minus the quantity filled before, clipped to [0, capacity]
-    fills[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
-    return flat, gammas_sorted, np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
+        stops = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
+    return flat, caps.take(flat), gammas_sorted, stops
+
+
+def _fills(caps_sorted: Array, stops: Array) -> Array:
+    """Each stop quantity minus the quantity filled before it, clipped to [0, capacity]; overwrites ``stops``."""
+    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
+    return np.minimum(np.maximum(stops, 0.0, out=stops), caps_sorted, out=stops)
+
+
+def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float) -> Array:
+    """Surplus of the fills along the cost order; 0 where nothing is worth accepting (``theta_sum <= 0``)."""
+    fills = _fills(caps_sorted, stops)
+    # a dot product per row, the one 1-D ``@`` would take
+    cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
+    return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost, 0.0)
 
 
 def _waterfill_ratios(caps: Array, gammas: Array, theta_sum, scale: float) -> Array:
-    """Water-fill acceptance ratios in producer order, batched as ``_sorted_fills``.
+    """Water-fill acceptance ratios in producer order, batched as ``_cost_order``.
 
     A producer without capacity, or any producer of an economy where nothing
     is worth accepting (``theta_sum <= 0``), gets ratio 0.
     """
-    flat, _, fills_sorted = _sorted_fills(caps, gammas, theta_sum, scale)
-    fills = np.empty_like(fills_sorted)
-    np.put(fills, flat, fills_sorted)
+    flat, caps_sorted, _, stops = _cost_order(caps, gammas, theta_sum, scale)
+    fills = np.empty_like(stops)
+    np.put(fills, flat, _fills(caps_sorted, stops))
     worth = np.asarray(theta_sum)[..., None] > 0.0
     return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & worth)
 
@@ -177,7 +188,7 @@ def others_index(n: int) -> Array:
 
     Indexing a producer axis with it gives the stack of the n producer-removed rows.
     """
-    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, max(n - 1, 0))
     keep.flags.writeable = False
     return keep
 
@@ -383,13 +394,8 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
     """
     if gammas.shape[-1] == 0:
         return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
-    _, gammas_sorted, fills = _sorted_fills(caps, gammas, theta_sum, scale)
-    # a dot product per row, the one 1-D ``@`` would take
-    cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
-    surplus = theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost
-    if np.ndim(surplus) == 0:
-        return float(surplus) if theta_sum > 0.0 else 0.0
-    return np.where(theta_sum > 0.0, surplus, 0.0)
+    surplus = _sorted_surplus(*_cost_order(caps, gammas, theta_sum, scale)[1:], theta_sum, scale)
+    return float(surplus) if surplus.ndim == 0 else surplus
 
 
 def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None):
@@ -440,11 +446,19 @@ def _solve_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost, meth
 
 
 def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):
-    """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``."""
-    full = waterfill_surplus(caps, gammas, theta_sum, scale)
+    """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``.
+
+    Each economy is sorted once. A stable sort of the other n-1 costs is the
+    full order with one position deleted, so the economy without the producer
+    at sorted position p fills the full row's sorted capacities and stop
+    quantities minus position p, with its own cumulative sum. Every surplus
+    carries the bits of ``waterfill_surplus`` on the index-deleted economy.
+    """
+    flat, *sorted_rows = _cost_order(caps, gammas, theta_sum, scale)
+    theta_sum = np.asarray(theta_sum)
+    # ``take`` gathers contiguous rows, whose sums are the pairwise sums of the one-economy call
+    others = others_index(gammas.shape[-1])
     removed = np.empty(gammas.shape)
-    for j in range(gammas.shape[-1]):
-        removed[..., j] = waterfill_surplus(
-            np.delete(caps, j, axis=-1), np.delete(gammas, j, axis=-1), theta_sum, scale
-        )
-    return full, removed
+    np.put(removed, flat, _sorted_surplus(*(x.take(others, axis=-1) for x in sorted_rows), theta_sum[..., None], scale))
+    full = _sorted_surplus(*sorted_rows, theta_sum, scale)
+    return (float(full) if full.ndim == 0 else full), removed

@@ -93,15 +93,27 @@ def mlp_zero(layer_sizes) -> MLP:
     return MLP(weights, biases)
 
 
-def _forward_batch(net: MLP, X: Array) -> tuple[Array, list[Array]]:
-    """Batch forward pass; returns outputs (T,) and the activations for backprop."""
+def _stack(nets) -> tuple[list[Array], list[Array]]:
+    """Copies of the networks' parameters as stacks: ``(n, fan_in, fan_out)`` weights, ``(n, fan_out)`` biases."""
+    if len({tuple(net.layer_sizes) for net in nets}) != 1:
+        raise ValueError("stacked networks must share one layer layout")
+    return [np.stack(ws) for ws in zip(*(net.weights for net in nets))], [
+        np.stack(bs) for bs in zip(*(net.biases for net in nets))
+    ]
+
+
+def _forward(weights: list[Array], biases: list[Array], X: Array) -> tuple[Array, list[Array]]:
+    """Outputs ``(n, T)`` of n stacked networks on their inputs ``(n, T, k)``, and the activations for backprop.
+
+    One batched matmul per layer; network i's slice is the 2-D ``(T, k) @ W`` product of its own pass.
+    """
     activations = [X]
     a = X
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-        activations.append(a)
-    out = a @ net.weights[-1] + net.biases[-1]
-    return out[:, 0], activations
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = a @ w
+        a += b[:, None, :]
+        activations.append(np.maximum(a, 0.0, out=a))
+    return (a @ weights[-1] + biases[-1][:, None, :])[..., 0], activations
 
 
 def _forward_rows(net: MLP, X: Array) -> Array:
@@ -109,7 +121,7 @@ def _forward_rows(net: MLP, X: Array) -> Array:
 
     Inference path of the adjustment networks. A row's bits do not depend on
     how many rows are stacked with it, whereas a 2-D ``(T, k) @ W`` (as in
-    ``_forward_batch``) is blocked by row count and can move the last bits.
+    training's ``_forward``) is blocked by row count and can move the last bits.
     The rows are made contiguous first: numpy hands a strided row to BLAS
     with its stride, and the strided kernel may sum in another order.
     """
@@ -119,17 +131,22 @@ def _forward_rows(net: MLP, X: Array) -> Array:
     return (a @ net.weights[-1] + net.biases[-1])[..., 0, 0]
 
 
-def _backward_batch(net: MLP, activations: list[Array], dout: Array) -> tuple[list[Array], list[Array]]:
-    """Gradients of sum(dout * output) with respect to every weight and bias."""
-    d_weights = [None] * len(net.weights)
-    d_biases = [None] * len(net.biases)
-    delta = dout[:, None]
-    for layer in range(len(net.weights) - 1, -1, -1):
-        a_prev = activations[layer]
-        d_weights[layer] = a_prev.T @ delta
-        d_biases[layer] = delta.sum(axis=0)
+def _backward(weights: list[Array], activations: list[Array], d_out: Array) -> tuple[list[Array], list[Array]]:
+    """Gradients of ``sum(d_out * outputs)`` with respect to every stacked weight and bias; ``d_out`` is ``(n, T)``.
+
+    The output layer's weight gradient keeps ``d_out``'s strides, since BLAS may
+    sum a strided column in another order; its bias gradient sums a contiguous
+    copy, whose pairwise sum is the per-network one.
+    """
+    d_weights = [None] * len(weights)
+    d_biases = [None] * len(weights)
+    delta = d_out[..., None]
+    for layer in range(len(weights) - 1, -1, -1):
+        d_weights[layer] = activations[layer].transpose(0, 2, 1) @ delta
+        d_biases[layer] = np.ascontiguousarray(delta).sum(axis=1)
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (activations[layer] > 0)
+            delta = delta @ weights[layer].transpose(0, 2, 1)
+            delta *= activations[layer] > 0
     return d_weights, d_biases
 
 
@@ -140,8 +157,7 @@ def mlp_forward(net: MLP, x) -> float:
         raise ValueError(f"input width {vec.shape[0]} does not match network width {net.input_width}")
     if net.output_width != 1:
         raise ValueError("adjustment networks have a single output node")
-    out, _ = _forward_batch(net, vec[None, :])
-    return float(out[0])
+    return float(_forward_rows(net, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +182,6 @@ def _layout(caps_others: Array, gammas_others: Array, thetas: Array) -> Array:
     return np.concatenate([caps_others.reshape(*batch, -1), gammas_others, thetas], axis=-1)
 
 
-def _layout_without(i: int, caps: Array, gammas: Array, thetas: Array) -> Array:
-    """Network ``i``'s input rows from full parameter rows (batch axis first)."""
-    return _layout(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas)
-
-
 @dataclass(frozen=True)
 class LearnedAdjustment:
     """n trained networks plus the prior bounds used to normalize their inputs."""
@@ -182,19 +193,22 @@ class LearnedAdjustment:
     def __post_init__(self):
         if len(self.nets) != self.support.n:
             raise ValueError("need exactly one network per producer")
-        # network i normalizes by the others' prior box: the (lo, hi) rows of its layout
         s = self.support
-        box = (
-            np.stack([s.cap_lo, s.cap_hi]),
-            np.stack([s.gamma_lo, s.gamma_hi]),
-            np.stack([s.theta_lo, s.theta_hi]),
+        # the prior box as (lo, hi) rows of the full layout, then network i's columns of it
+        box = _layout(np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
+        full = np.arange(box.shape[1])
+        split = s.n * s.dim
+        others = others_index(s.n)
+        columns = _layout(
+            full[:split].reshape(s.n, s.dim)[others], full[split : split + s.n][others], np.tile(full[split + s.n :], (s.n, 1))
         )
-        object.__setattr__(self, "_bounds", tuple(_layout_without(i, *box) for i in range(s.n)))
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_bounds", box[:, columns])
         for i, net in enumerate(self.nets):
-            expected = self._bounds[i].shape[1]
-            if net.input_width != expected:
+            if net.input_width != columns.shape[1]:
                 raise ValueError(
-                    f"network {i} input width {net.input_width} does not match economy layout {expected}"
+                    f"network {i} input width {net.input_width} does not match economy layout {columns.shape[1]}"
                 )
             if net.output_width != 1:
                 raise ValueError(f"network {i} output width {net.output_width} must be 1")
@@ -204,7 +218,7 @@ class LearnedAdjustment:
         return self.support.n
 
     def _normalized(self, i: int, raw: Array) -> Array:
-        lo, hi = self._bounds[i]
+        lo, hi = self._bounds[:, i]
         if raw.shape[-1] != lo.shape[0]:
             raise ValueError(f"adjustment input width {raw.shape[-1]} does not match {lo.shape[0]}")
         return _normalize(raw, lo, hi)
@@ -230,26 +244,23 @@ class LearnedAdjustment:
         thetas = np.asarray(thetas, dtype=float)
         if gammas.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} producers, got {gammas.shape[-1]}")
-        others = others_index(self.n)
-        caps_others, gammas_others = caps[..., others, :], gammas[..., others]
-        outputs = [
-            _forward_rows(net, self._normalized(i, _layout(caps_others[..., i, :, :], gammas_others[..., i, :], thetas)))
-            for i, net in enumerate(self.nets)
-        ]
-        return np.stack(outputs, axis=-1)
+        inputs = self._full_rows(caps, gammas, thetas)[..., self._columns]
+        return np.stack([_forward_rows(net, inputs[..., i, :]) for i, net in enumerate(self.nets)], axis=-1)
 
-    def inputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> list[Array]:
-        """Per-network normalized input matrices for a batch of full parameter draws."""
-        caps = caps.reshape(caps.shape[0], self.n, self.support.dim)
-        return [self._normalized(i, _layout_without(i, caps, gammas, thetas)) for i in range(self.n)]
+    def _full_rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
+        """Every producer's reports in one normalized row: column ``_columns[i, c]`` is network i's input c."""
+        return _normalize(_layout(caps, gammas, thetas), *self._box)
+
+    def inputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
+        """``(n, T, k)`` normalized inputs of every network for a batch of T full parameter draws, from one gather."""
+        T = gammas.shape[0]
+        full = self._full_rows(caps.reshape(T, self.n, self.support.dim), gammas, thetas)
+        return full[np.arange(T)[:, None], self._columns[:, None, :]]
 
     def outputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
-        """(T, n) adjustment outputs for a batch of full parameter draws."""
-        columns = []
-        for i, X in enumerate(self.inputs_batch(caps, gammas, thetas)):
-            out, _ = _forward_batch(self.nets[i], X)
-            columns.append(out)
-        return np.stack(columns, axis=1)
+        """(T, n) adjustment outputs for a batch of full parameter draws, from training's stacked forward pass."""
+        outputs, _ = _forward(*_stack(self.nets), self.inputs_batch(caps, gammas, thetas))
+        return np.ascontiguousarray(outputs.T)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +281,18 @@ class TrainingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be positive integers, got {self.hidden}")
+        if not (math.isfinite(self.loss_tol) and self.loss_tol >= 0):
+            raise ValueError(f"loss_tol must be finite and >= 0, got {self.loss_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return fields_to_dict(self)
@@ -312,20 +329,17 @@ def composite_loss(
     return float(np.mean(rationality.sum(axis=1) + budget))
 
 
-def _loss_and_grads(model, inputs, gains, surpluses):
-    T = surpluses.shape[0]
-    outs, caches = [], []
-    for i, X in enumerate(inputs):
-        out, acts = _forward_batch(model.nets[i], X)
-        outs.append(out)
-        caches.append(acts)
-    rationality, budget = feasibility_penalties(gains, np.stack(outs, axis=1), surpluses)
+def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, gains: Array, surpluses: Array):
+    """Mean feasibility loss of n stacked networks on their ``(n, T, k)`` inputs, and its stacked gradients.
+
+    The activations live only in this call, so they are freed before the next
+    batch is solved.
+    """
+    outputs, activations = _forward(weights, biases, inputs)
+    rationality, budget = feasibility_penalties(gains, outputs.T, surpluses)
     loss = float(np.mean(rationality.sum(axis=1) + budget))
-    d_out = (-(rationality > 0).astype(float) + (budget > 0).astype(float)[:, None]) / T
-    grads = [
-        _backward_batch(model.nets[i], caches[i], d_out[:, i]) for i in range(len(inputs))
-    ]
-    return loss, grads
+    d_out = (-(rationality > 0).astype(float) + (budget > 0).astype(float)[:, None]) / surpluses.shape[0]
+    return loss, _backward(weights, activations, d_out.T)
 
 
 def _batch_surpluses(valuation, cost, caps, gammas, thetas, method):
@@ -363,28 +377,26 @@ def train(
     init_rng = np.random.default_rng(seeds[0])
     data_rng = np.random.default_rng(seeds[1])
     if initial_model is None:
-        nets = tuple(mlp_init(sizes, init_rng) for _ in range(n))
+        nets = [mlp_init(sizes, init_rng) for _ in range(n)]
+    elif len(initial_model.nets) != n:
+        raise ValueError("initial model does not match the economy's producer count")
     else:
-        if len(initial_model.nets) != n:
-            raise ValueError("initial model does not match the economy's producer count")
-        nets = tuple(
-            MLP([w.copy() for w in net.weights], [b.copy() for b in net.biases])
-            for net in initial_model.nets
-        )
-    model = LearnedAdjustment(nets, support, seed=config.seed)
-    velocity = [
-        ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
-        for net in model.nets
-    ]
+        nets = initial_model.nets
+    # the model's networks are views into the stacks, so each update moves them in place
+    weights, biases = _stack(nets)
+    model = LearnedAdjustment(
+        tuple(MLP([w[i] for w in weights], [b[i] for b in biases]) for i in range(n)), support, seed=config.seed
+    )
+    velocity = [np.zeros_like(p) for p in weights + biases]
 
     losses: list[float] = []
     started = time.perf_counter()
     for _ in range(config.epochs):
         caps, gammas, thetas = sample_from(support, config.batch_size, data_rng)
         surpluses, removed = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
-        gains = surpluses[:, None] - removed
-        inputs = model.inputs_batch(caps, gammas, thetas)
-        loss, grads = _loss_and_grads(model, inputs, gains, surpluses)
+        loss, (d_weights, d_biases) = _loss_and_grads(
+            weights, biases, model.inputs_batch(caps, gammas, thetas), surpluses[:, None] - removed, surpluses
+        )
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at epoch {len(losses)}: loss={loss!r}, "
@@ -393,14 +405,10 @@ def train(
         losses.append(loss)
         if loss <= config.loss_tol:
             break
-        for i, net in enumerate(model.nets):
-            d_weights, d_biases = grads[i]
-            vel_w, vel_b = velocity[i]
-            for k in range(len(net.weights)):
-                vel_w[k] = config.momentum * vel_w[k] - config.learning_rate * d_weights[k]
-                net.weights[k] += vel_w[k]
-                vel_b[k] = config.momentum * vel_b[k] - config.learning_rate * d_biases[k]
-                net.biases[k] += vel_b[k]
+        for param, vel, grad in zip(weights + biases, velocity, d_weights + d_biases):
+            vel *= config.momentum
+            vel -= config.learning_rate * grad
+            param += vel
     trace = TrainingTrace(
         losses=losses,
         final_loss=losses[-1],
@@ -432,9 +440,9 @@ def save_model(model: LearnedAdjustment, path) -> None:
             for net in model.nets
         ],
     }
+    # ``dumps`` takes the C encoder, which ``dump`` never does
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> LearnedAdjustment:

@@ -502,3 +502,128 @@ def reference_ir_wbb_sweep(
         "passed": rate_ok and penalty_ok and not mismatches,
         "witnesses": (ir_violations + wbb_violations + mismatches)[:10],
     }
+
+
+# ---------------------------------------------------------------------------
+# per-column water-fill and per-network training oracles
+# ---------------------------------------------------------------------------
+#
+# ``waterfill_gains`` and the learner's loss, gradients and training loop as
+# they were before every removed water-fill shared its economy's sort and the
+# n networks trained as one stack: one sort and one kernel call per producer
+# column, and one 2-D forward and backward pass per network. The stacked code
+# must give the same bits.
+
+from pvcg.adjustment import feasibility_penalties, sample_from  # noqa: E402
+from pvcg.learner import LearnedAdjustment, _layout, _normalize, mlp_init  # noqa: E402
+
+
+def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
+    if gammas.shape[-1] == 0:
+        return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
+    order = np.argsort(gammas, axis=-1, kind="stable")
+    flat = order
+    if order.ndim > 1:
+        flat = order + np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+    caps_sorted = caps.take(flat)
+    gammas_sorted = gammas.take(flat)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.asarray(theta_sum)[..., None] / (2.0 * gammas_sorted)
+        fills = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
+    fills[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
+    fills = np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
+    cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
+    surplus = theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost
+    if np.ndim(surplus) == 0:
+        return float(surplus) if theta_sum > 0.0 else 0.0
+    return np.where(theta_sum > 0.0, surplus, 0.0)
+
+
+def reference_waterfill_gains(caps, gammas, theta_sum, scale):
+    """Full and producer-removed surpluses, each removed economy index-deleted and sorted by itself."""
+    full = _reference_waterfill_surplus(caps, gammas, theta_sum, scale)
+    removed = np.empty(gammas.shape)
+    for j in range(gammas.shape[-1]):
+        removed[..., j] = _reference_waterfill_surplus(
+            np.delete(caps, j, axis=-1), np.delete(gammas, j, axis=-1), theta_sum, scale
+        )
+    return full, removed
+
+
+def _reference_inputs(model, caps, gammas, thetas):
+    """Network i's normalized ``(T, k)`` inputs, built network by network."""
+    s = model.support
+    box = (np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
+    caps = caps.reshape(caps.shape[0], s.n, s.dim)
+    inputs = []
+    for i in range(s.n):
+        lo, hi = _layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
+        inputs.append(_normalize(_layout(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas), lo, hi))
+    return inputs
+
+
+def _reference_forward(net, X):
+    activations = [X]
+    a = X
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        activations.append(a)
+    out = a @ net.weights[-1] + net.biases[-1]
+    return out[:, 0], activations
+
+
+def _reference_backward(net, activations, dout):
+    d_weights = [None] * len(net.weights)
+    d_biases = [None] * len(net.biases)
+    delta = dout[:, None]
+    for layer in range(len(net.weights) - 1, -1, -1):
+        d_weights[layer] = activations[layer].T @ delta
+        d_biases[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (activations[layer] > 0)
+    return d_weights, d_biases
+
+
+def reference_loss_and_grads(model, caps, gammas, thetas, gains, surpluses):
+    """Loss and per-network ``(d_weights, d_biases)`` of the model on a batch of full draws, network by network."""
+    T = surpluses.shape[0]
+    outs, caches = [], []
+    for net, X in zip(model.nets, _reference_inputs(model, caps, gammas, thetas)):
+        out, acts = _reference_forward(net, X)
+        outs.append(out)
+        caches.append(acts)
+    rationality, budget = feasibility_penalties(gains, np.stack(outs, axis=1), surpluses)
+    loss = float(np.mean(rationality.sum(axis=1) + budget))
+    d_out = (-(rationality > 0).astype(float) + (budget > 0).astype(float)[:, None]) / T
+    return loss, [_reference_backward(net, caches[i], d_out[:, i]) for i, net in enumerate(model.nets)]
+
+
+def reference_train(valuation, support, config):
+    """Water-fill training from fresh networks, each network stepped by itself; returns the nets and losses."""
+    n, m, dim = support.n, support.m, support.dim
+    sizes = [(n - 1) * dim + (n - 1) + m, *config.hidden, 1]
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    init_rng = np.random.default_rng(seeds[0])
+    data_rng = np.random.default_rng(seeds[1])
+    model = LearnedAdjustment(tuple(mlp_init(sizes, init_rng) for _ in range(n)), support, seed=config.seed)
+    velocity = [([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]) for net in model.nets]
+    losses = []
+    for _ in range(config.epochs):
+        caps, gammas, thetas = sample_from(support, config.batch_size, data_rng)
+        surpluses, removed = reference_waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
+        loss, grads = reference_loss_and_grads(model, caps, gammas, thetas, surpluses[:, None] - removed, surpluses)
+        losses.append(loss)
+        if loss <= config.loss_tol:
+            break
+        for net, (d_weights, d_biases), (vel_w, vel_b) in zip(model.nets, grads, velocity):
+            for k in range(len(net.weights)):
+                vel_w[k] = config.momentum * vel_w[k] - config.learning_rate * d_weights[k]
+                net.weights[k] += vel_w[k]
+                vel_b[k] = config.momentum * vel_b[k] - config.learning_rate * d_biases[k]
+                net.biases[k] += vel_b[k]
+    return model.nets, losses
+
+
+def per_network(d_weights, d_biases):
+    """Stacked gradients as the per-network ``(d_weights, d_biases)`` pairs of the oracles above."""
+    return [([dw[i] for dw in d_weights], [db[i] for db in d_biases]) for i in range(d_weights[0].shape[0])]

@@ -31,11 +31,11 @@ from pvcg import (
     total_payment,
     uniform_economy_sampler,
 )
-from pvcg.learner import _loss_and_grads, mlp_init, LearnedAdjustment
+from pvcg.learner import _loss_and_grads, _stack, mlp_init, LearnedAdjustment
 from pvcg.verification import loss_components
 from pvcg.allocation import waterfill_gains
 
-from oracles import fd_loss_grads, grid_max, grid_max_full, max_rel_error
+from oracles import fd_loss_grads, grid_max, grid_max_full, max_rel_error, per_network
 
 PAPER_SUPPORT = PriorSupport.uniform_box(10, 2, cap=(0.0, 5.0), gamma=(0.0, 1.0), theta=(0.0, 1.0))
 PAPER_VALUATION = SqrtSumValuation(scale=10.0)
@@ -284,7 +284,8 @@ def test_criterion_8_gradient_correctness():
         if float(np.abs(margins).min()) < 1e-3:
             continue  # too close to a penalty kink; central differences would straddle it
         inputs = model.inputs_batch(caps, gammas, thetas)
-        _, analytic = _loss_and_grads(model, inputs, gains, surpluses)
+        _, analytic = _loss_and_grads(*_stack(model.nets), inputs, gains, surpluses)
+        analytic = per_network(*analytic)
         numeric = fd_loss_grads(model, (caps, gammas, thetas, surpluses, removed))
         for a, b in zip(analytic, numeric):
             err = max_rel_error(a, b)

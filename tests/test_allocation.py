@@ -21,7 +21,7 @@ from pvcg.allocation import _waterfill_ratios, max_surplus, waterfill_gains, wat
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
-from oracles import grid_max, grid_max_full
+from oracles import grid_max, grid_max_full, reference_waterfill_gains
 
 
 def test_waterfill_drops_expensive_producer(split_cost_economy):
@@ -314,3 +314,25 @@ def test_batched_waterfill_ratios_equal_one_economy_calls(data):
         if theta_sums[t] == 0.0:
             assert not one.any()
 
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_waterfill_gains_equals_the_per_column_oracle(data):
+    """One sort per economy gives the bits of sorting every index-deleted economy by itself.
+
+    Tied and zero costs, zero capacities, zero valuation sums and lone
+    producers included; rows of nine or more remaining producers take numpy's
+    blocked pairwise sum, which a strided gather would not.
+    """
+    caps, gammas, thetas = _economy_batch(data, (1, 12), 6)
+    scale = data.draw(st.sampled_from([1.0, 3.0, float(caps.shape[1])]))
+    theta_sums = thetas.sum(axis=1)
+    full, removed = waterfill_gains(caps, gammas, theta_sums, scale)
+    expected_full, expected_removed = reference_waterfill_gains(caps, gammas, theta_sums, scale)
+    assert full.tobytes() == expected_full.tobytes()
+    assert removed.tobytes() == expected_removed.tobytes()
+    one_full, one_removed = waterfill_gains(caps[0], gammas[0], float(theta_sums[0]), scale)
+    expected_full, expected_removed = reference_waterfill_gains(caps[0], gammas[0], float(theta_sums[0]), scale)
+    assert isinstance(one_full, float) and one_full == expected_full
+    assert one_removed.tobytes() == expected_removed.tobytes()

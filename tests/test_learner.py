@@ -19,10 +19,11 @@ from pvcg.adjustment import sample_from, sample_prior
 from pvcg.allocation import waterfill_gains
 from pvcg.learner import (
     MLP,
-    _backward_batch,
+    _backward,
     _batch_surpluses,
-    _forward_batch,
+    _forward,
     _loss_and_grads,
+    _stack,
     load_model,
     mlp_init,
     mlp_zero,
@@ -30,7 +31,14 @@ from pvcg.learner import (
     train,
 )
 
-from oracles import fd_loss_grads, fd_output_grads, max_rel_error
+from oracles import (
+    fd_loss_grads,
+    fd_output_grads,
+    max_rel_error,
+    per_network,
+    reference_loss_and_grads,
+    reference_train,
+)
 
 
 def _batch_with_surpluses(support, valuation, count, seed):
@@ -77,11 +85,11 @@ def test_forward_gradient_matches_finite_differences():
         net = mlp_init([4, 6, 5, 1], np.random.default_rng(seed))
         x = rng.uniform(0.1, 1.0, 4)
         # keep away from ReLU kinks so the derivative is classical
-        _, acts = _forward_batch(net, x[None, :])
+        weights, biases = _stack([net])
+        _, acts = _forward(weights, biases, x[None, None, :])
         if min(float(np.abs(a).min(initial=1.0)) for a in acts[1:]) < 1e-3:
             continue
-        out, acts = _forward_batch(net, x[None, :])
-        analytic = _backward_batch(net, acts, np.ones(1))
+        analytic = per_network(*_backward(weights, acts, np.ones((1, 1))))[0]
         numeric = fd_output_grads(net, x)
         assert max_rel_error(analytic, numeric) < 1e-5
         checked += 1
@@ -178,7 +186,8 @@ def test_loss_gradient_matches_finite_differences():
         if float(np.abs(margins).min()) < 1e-3:
             continue  # too close to a penalty kink for clean differences
         inputs = model.inputs_batch(caps, gammas, thetas)
-        _, analytic = _loss_and_grads(model, inputs, gains, surpluses)
+        _, analytic = _loss_and_grads(*_stack(model.nets), inputs, gains, surpluses)
+        analytic = per_network(*analytic)
         numeric = fd_loss_grads(model, (caps, gammas, thetas, surpluses, removed))
         for a, n in zip(analytic, numeric):
             assert max_rel_error(a, n) < 1e-4
@@ -412,3 +421,70 @@ def test_composite_loss_matches_loss_components_of_the_payment():
         assert loss == term1 + term2
         active += loss > 0
     assert active > 0  # the random networks violate feasibility somewhere
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("hidden", (-3,), id="hidden-negative"),
+        pytest.param("hidden", (2.5,), id="hidden-fraction"),
+        pytest.param("hidden", (0,), id="hidden-zero"),
+        pytest.param("loss_tol", math.nan, id="loss_tol-nan"),
+        pytest.param("loss_tol", -1e-3, id="loss_tol-negative"),
+        pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
+        pytest.param("seed", -1, id="seed-negative"),
+    ],
+)
+def test_training_config_rejects_bad_field(field, value):
+    """A bad field fails when the config is built, with a message that starts with its name."""
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        TrainingConfig(**{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        TrainingConfig.from_dict({field: list(value) if isinstance(value, tuple) else value})
+
+
+def _stacked_case(T, hidden, seed):
+    support = PriorSupport.uniform_box(10, 2, cap=(0.0, 5.0))
+    rng = np.random.default_rng(seed)
+    model = LearnedAdjustment(tuple(mlp_init([20, *hidden, 1], rng) for _ in range(10)), support)
+    caps, gammas, thetas, surpluses, removed = _batch_with_surpluses(support, SqrtSumValuation(scale=10.0), T, seed)
+    return model, caps, gammas, thetas, surpluses[:, None] - removed, surpluses
+
+
+@pytest.mark.parametrize("hidden", [(10, 10, 10), (1,), (4, 1), (1, 3)])
+@pytest.mark.parametrize("T", [1, 3, 7, 50, 257])
+def test_stacked_loss_and_grads_equal_the_per_network_oracle(T, hidden):
+    """One stacked pass gives every network the loss and gradient bits of its own 2-D pass.
+
+    Batch sizes that are not powers of two make ``d_out`` entries whose sums
+    depend on the order of addition, as the flagship's T=256 does not.
+    """
+    for seed in range(3):
+        model, caps, gammas, thetas, gains, surpluses = _stacked_case(T, hidden, seed)
+        loss, (d_weights, d_biases) = _loss_and_grads(
+            *_stack(model.nets), model.inputs_batch(caps, gammas, thetas), gains, surpluses
+        )
+        expected_loss, expected = reference_loss_and_grads(model, caps, gammas, thetas, gains, surpluses)
+        assert loss == expected_loss
+        for (dw, db), (ew, eb) in zip(per_network(d_weights, d_biases), expected):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(dw + db, ew + eb))
+        outputs = model.outputs_batch(caps, gammas, thetas)
+        assert composite_loss(model, caps, gammas, thetas, surpluses, surpluses[:, None] - gains) == loss
+        assert outputs.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "n, m, hidden",
+    [pytest.param(3, 1, (4, 1), id="small"), pytest.param(10, 2, (10, 10, 10), id="flagship-shape")],
+)
+def test_train_equals_the_per_network_oracle(n, m, hidden):
+    """Stacked training steps every network as it steps alone: same losses, same weights."""
+    support = PriorSupport.uniform_box(n, m, cap=(0.0, 5.0))
+    valuation = SqrtSumValuation(scale=float(n))
+    config = TrainingConfig(batch_size=50, epochs=25, momentum=0.5, hidden=hidden, seed=4, loss_tol=0.0)
+    model, trace = train(valuation, LinearCost(), support, config)
+    expected_nets, expected_losses = reference_train(valuation, support, config)
+    assert trace.losses == expected_losses and trace.epochs_run == 25
+    for net, expected in zip(model.nets, expected_nets):
+        for a, b in zip(net.weights + net.biases, expected.weights + expected.biases):
+            assert a.tobytes() == b.tobytes()
