@@ -134,19 +134,23 @@ def _forward_rows(net: MLP, X: Array) -> Array:
 def _backward(weights: list[Array], activations: list[Array], d_out: Array) -> tuple[list[Array], list[Array]]:
     """Gradients of ``sum(d_out * outputs)`` with respect to every stacked weight and bias; ``d_out`` is ``(n, T)``.
 
-    The output layer's weight gradient keeps ``d_out``'s strides, since BLAS may
-    sum a strided column in another order; its bias gradient sums a contiguous
-    copy, whose pairwise sum is the per-network one.
+    Consumes ``activations``: each hidden activation's buffer takes the next
+    delta, so the pass allocates no activation-sized array. The output layer's
+    weight gradient keeps ``d_out``'s strides, since BLAS may sum a strided
+    column in another order; its bias gradient sums a contiguous copy, whose
+    pairwise sum is the per-network one.
     """
     d_weights = [None] * len(weights)
     d_biases = [None] * len(weights)
     delta = d_out[..., None]
     for layer in range(len(weights) - 1, -1, -1):
-        d_weights[layer] = activations[layer].transpose(0, 2, 1) @ delta
+        a = activations.pop()
+        d_weights[layer] = a.transpose(0, 2, 1) @ delta
         d_biases[layer] = np.ascontiguousarray(delta).sum(axis=1)
         if layer > 0:
-            delta = delta @ weights[layer].transpose(0, 2, 1)
-            delta *= activations[layer] > 0
+            mask = a > 0
+            delta = np.matmul(delta, weights[layer].transpose(0, 2, 1), out=a)
+            delta *= mask
     return d_weights, d_biases
 
 
@@ -196,12 +200,9 @@ class LearnedAdjustment:
         s = self.support
         # the prior box as (lo, hi) rows of the full layout, then network i's columns of it
         box = _layout(np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
-        full = np.arange(box.shape[1])
-        split = s.n * s.dim
+        caps_col, gammas_col, thetas_col = np.split(np.arange(box.shape[1]), [s.n * s.dim, s.n * (s.dim + 1)])
         others = others_index(s.n)
-        columns = _layout(
-            full[:split].reshape(s.n, s.dim)[others], full[split : split + s.n][others], np.tile(full[split + s.n :], (s.n, 1))
-        )
+        columns = _layout(caps_col.reshape(s.n, s.dim)[others], gammas_col[others], np.tile(thetas_col, (s.n, 1)))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_bounds", box[:, columns])

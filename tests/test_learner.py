@@ -259,6 +259,16 @@ def test_training_warm_start_copies_the_donor():
     assert resumed.nets[0].weights[0] is not model.nets[0].weights[0]
 
 
+def test_training_rejects_networks_of_different_layouts():
+    """The networks train as one stack, so a warm start needs one layer layout for all of them."""
+    support = PriorSupport.uniform_box(2, 1)
+    rng = np.random.default_rng(3)
+    mixed = LearnedAdjustment((mlp_init([3, 4, 1], rng), mlp_init([3, 5, 1], rng)), support)
+    config = TrainingConfig(batch_size=4, epochs=1, hidden=(4,))
+    with pytest.raises(ValueError, match="one layer layout"):
+        train(SqrtSumValuation(scale=2.0), LinearCost(), support, config, initial_model=mixed)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     support = PriorSupport.uniform_box(3, 2)
     rng = np.random.default_rng(91)
