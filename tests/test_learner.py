@@ -457,8 +457,7 @@ def _stacked_case(T, hidden, seed):
     support = PriorSupport.uniform_box(10, 2, cap=(0.0, 5.0))
     rng = np.random.default_rng(seed)
     model = LearnedAdjustment(tuple(mlp_init([20, *hidden, 1], rng) for _ in range(10)), support)
-    caps, gammas, thetas, surpluses, removed = _batch_with_surpluses(support, SqrtSumValuation(scale=10.0), T, seed)
-    return model, caps, gammas, thetas, surpluses[:, None] - removed, surpluses
+    return model, _batch_with_surpluses(support, SqrtSumValuation(scale=10.0), T, seed)
 
 
 @pytest.mark.parametrize("hidden", [(10, 10, 10), (1,), (4, 1), (1, 3)])
@@ -470,7 +469,8 @@ def test_stacked_loss_and_grads_equal_the_per_network_oracle(T, hidden):
     depend on the order of addition, as the flagship's T=256 does not.
     """
     for seed in range(3):
-        model, caps, gammas, thetas, gains, surpluses = _stacked_case(T, hidden, seed)
+        model, (caps, gammas, thetas, surpluses, removed) = _stacked_case(T, hidden, seed)
+        gains = surpluses[:, None] - removed
         loss, (d_weights, d_biases) = _loss_and_grads(
             *_stack(model.nets), model.inputs_batch(caps, gammas, thetas), gains, surpluses
         )
@@ -478,9 +478,8 @@ def test_stacked_loss_and_grads_equal_the_per_network_oracle(T, hidden):
         assert loss == expected_loss
         for (dw, db), (ew, eb) in zip(per_network(d_weights, d_biases), expected):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(dw + db, ew + eb))
-        outputs = model.outputs_batch(caps, gammas, thetas)
-        assert composite_loss(model, caps, gammas, thetas, surpluses, surpluses[:, None] - gains) == loss
-        assert outputs.flags.c_contiguous
+        assert model.outputs_batch(caps, gammas, thetas).flags.c_contiguous
+        assert composite_loss(model, caps, gammas, thetas, surpluses, removed) == loss
 
 
 @pytest.mark.parametrize(
