@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 12 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 15 artifacts differs or is
 # missing on either side.
 #
 #   scripts/byte_identity.sh BASE_TREE [WORK_DIR]
@@ -12,6 +12,10 @@
 #   pvcg simulate on configs/economy3.json with configs/bids3_overreport.json
 #     (producer 0 over-reports its capacity and is punished) with the zero
 #     adjustment, the analytic one, and the analytic one with --method gradient
+#   pvcg simulate on configs/economy3_squares.json (the sqrt_sum_squares
+#     valuation, so projected gradient) with the same bids, with the zero and
+#     the analytic adjustment, and on configs/economy3_2d.json (2-D capacities,
+#     so projected gradient) with truthful bids and the zero adjustment
 #   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
 #     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
 # Each tree runs its own configs/flagship.json; the economy, bids and
@@ -29,6 +33,8 @@ mkdir -p "$work"
 work=$(cd "$work" && pwd)
 economy=$head/configs/economy3.json
 bids=$head/configs/bids3_overreport.json
+squares=$head/configs/economy3_squares.json
+economy2d=$head/configs/economy3_2d.json
 train_small=$head/configs/train_small.json
 
 pvcg() {  # pvcg TREE ARGS...: the CLI from TREE's sources; a failing probe still writes its report
@@ -48,6 +54,10 @@ run_tree() {  # run_tree TREE OUT
     pvcg "$tree" simulate --economy "$economy" --bids "$bids" --adjustment analytic --out "$out/simulate-analytic"
     pvcg "$tree" simulate --economy "$economy" --bids "$bids" --adjustment analytic --method gradient \
         --out "$out/simulate-analytic-gradient"
+    pvcg "$tree" simulate --economy "$squares" --bids "$bids" --adjustment zero --out "$out/simulate-squares-zero"
+    pvcg "$tree" simulate --economy "$squares" --bids "$bids" --adjustment analytic \
+        --out "$out/simulate-squares-analytic"
+    pvcg "$tree" simulate --economy "$economy2d" --adjustment zero --out "$out/simulate-2d-zero"
     pvcg "$tree" train --config "$train_small" --out "$out/train"
 }
 
@@ -61,6 +71,7 @@ artifacts=(
     run/report.json run/model.json run/loss_trace.csv run/surface.csv
     verify-zero/verification.json verify-analytic/verification.json verify-learned/verification.json
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
+    simulate-squares-zero/payments.json simulate-squares-analytic/payments.json simulate-2d-zero/payments.json
     train/model.json train/loss_trace.csv
 )
 status=0

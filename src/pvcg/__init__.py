@@ -27,9 +27,7 @@ from .model import (
 from .allocation import (
     AllocationResult,
     analytic_waterfill,
-    counterfactual_surplus,
     optimize_acceptance,
-    solve_with_counterfactuals,
 )
 from .payments import (
     PaymentBreakdown,

@@ -24,8 +24,6 @@ __all__ = [
     "waterfill_applies",
     "analytic_waterfill",
     "optimize_acceptance",
-    "counterfactual_surplus",
-    "solve_with_counterfactuals",
     "max_surplus",
     "solve_batch",
 ]
@@ -64,11 +62,6 @@ def _sqrt_sum_linear(valuation, cost) -> bool:
 def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> bool:
     """Whether ``method`` resolves to the exact water-fill for these families and resource dimension."""
     return method in (None, "analytic") and _sqrt_sum_linear(valuation, cost) and dim == 1
-
-
-def _empty_result(dim: int) -> AllocationResult:
-    zero = np.zeros((0, dim))
-    return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
 
 
 def _finalize(view: Economy, ratios: Array, diag: SolverDiagnostics) -> AllocationResult:
@@ -191,27 +184,6 @@ def others_index(n: int) -> Array:
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, max(n - 1, 0))
     keep.flags.writeable = False
     return keep
-
-
-def _removed_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost) -> tuple[Array, Array]:
-    """All producer-removed water-fills of scalar economies, producers last, from one kernel call.
-
-    Returns ``(..., n, n)`` accepted quantities whose row i solves the
-    economy without producer i, with a zero in column i, and the ``(..., n)``
-    surpluses. Row i carries the bits of ``counterfactual_surplus(view, i)``:
-    the rows are the index-deleted ``(n-1)``-producer problems, not the full
-    problem with a zero capacity, which would group the pairwise total
-    differently. A lone producer leaves the empty coalition, surplus 0.
-    """
-    n = gammas.shape[-1]
-    accepted = np.zeros(gammas.shape + (n,))
-    if n == 1:
-        return accepted, np.zeros(gammas.shape)
-    others = others_index(n)
-    caps, gammas = caps[..., others], gammas[..., others]
-    ratios, surplus = _waterfill_rows(caps, gammas, thetas[..., None, :], valuation, cost)
-    accepted[..., np.arange(n)[:, None], others] = caps * ratios
-    return accepted, surplus
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +322,6 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
     raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'projected_gradient'")
 
 
-def counterfactual_surplus(
-    view: Economy,
-    removed_producer: int,
-    method: str | None = None,
-    seed: int = 0,
-) -> AllocationResult:
-    """Solve the acceptance problem with one producer deleted.
-
-    The valuation family (including its synergy scale) is unchanged; removing
-    the producer is equivalent to pinning its acceptance to zero. For a
-    single-producer economy the result is the empty coalition with zero
-    surplus.
-    """
-    if not 0 <= removed_producer < view.n:
-        raise IndexError(f"producer index {removed_producer} out of range for n={view.n}")
-    if view.n == 1:
-        return _empty_result(view.dim)
-    return optimize_acceptance(view.drop_producer(removed_producer), method=method, seed=seed)
-
-
-def solve_with_counterfactuals(
-    view: Economy,
-    method: str | None = None,
-    seed: int = 0,
-) -> tuple[AllocationResult, list[AllocationResult]]:
-    """The full problem plus every producer-removed problem."""
-    full = optimize_acceptance(view, method=method, seed=seed)
-    removed = [counterfactual_surplus(view, i, method=method, seed=seed) for i in range(view.n)]
-    return full, removed
-
-
 # ---------------------------------------------------------------------------
 # raw-array fast path (no dataclass overhead) for sampled checks and training
 # ---------------------------------------------------------------------------
@@ -402,43 +343,40 @@ def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None 
     """Maximum reported surplus of raw ``(..., n, dim)`` capacities, ``(..., n)`` and ``(..., m)`` types.
 
     Leading axes are a batch; one economy returns a float. Takes the water-fill
-    whenever it applies and otherwise solves each economy with
-    ``optimize_acceptance`` (seed 0); an empty coalition (n == 0) has zero surplus.
+    whenever it applies and otherwise ``solve_batch``'s surpluses; an empty
+    coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     if waterfill_applies(valuation, cost, caps.shape[-1], method):
         return waterfill_surplus(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
-    batch = gammas.shape[:-1]
-    surplus = np.zeros(batch)
-    if gammas.shape[-1] > 0:
-        surplus = _solve_rows(caps, gammas, thetas, valuation, cost, method)[1]
-    return float(surplus) if not batch else surplus
+    surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)[1]
+    return float(surplus) if surplus.ndim == 0 else surplus
 
 
 def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None = None) -> tuple[Array, Array]:
     """Accepted quantities ``(..., n, dim)`` and surpluses ``(...)`` of a batch of reported economies.
 
-    Capacities are ``(..., n, dim)``, cost and valuation types ``(..., n)``
-    and ``(..., m)``, leading axes a batch. Row for row the result carries
-    the bits of ``optimize_acceptance`` (seed 0): water-fill economies are
-    solved in one kernel call, any other economy by itself.
+    Capacities are ``(..., n, dim)``, cost types ``(..., n)`` and valuation
+    types ``(..., m)``, leading axes a batch; the leading axes of the
+    valuation types broadcast against it. Row for row the result carries the
+    bits of ``optimize_acceptance`` (seed 0): water-fill economies are solved
+    in one kernel call, any other economy by itself. An empty coalition
+    (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
+    batch = gammas.shape[:-1]
+    if gammas.shape[-1] == 0:
+        return np.zeros(caps.shape), np.zeros(batch)
     if waterfill_applies(valuation, cost, caps.shape[-1], method):
         ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas, valuation, cost)
         return caps * ratios[..., None], surplus
-    return _solve_rows(caps, gammas, thetas, valuation, cost, method)
-
-
-def _solve_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost, method) -> tuple[Array, Array]:
-    """``optimize_acceptance`` (seed 0) on each economy of a batch, one economy at a time."""
-    batch = gammas.shape[:-1]
     accepted = np.zeros(caps.shape)
     surplus = np.zeros(batch)
+    thetas = np.broadcast_to(thetas, batch + thetas.shape[-1:])
     for k in np.ndindex(batch):
         solved = optimize_acceptance(Economy(caps[k], gammas[k], thetas[k], valuation, cost), method=method)
         accepted[k], surplus[k] = solved.accepted, solved.surplus

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .adjustment import AnalyticAdjustment
+from .adjustment import AnalyticAdjustment, PriorSupport
 from .experiment import (
     ExperimentConfig,
     payment_surface,
@@ -65,10 +65,10 @@ def cmd_simulate(args) -> int:
         with open(args.bids, "r", encoding="utf-8") as fh:
             bids = bids_from_dict(json.load(fh))
     config = _load_config(args)
-    config = replace(config, n=economy.n, m=economy.m)
-    adjustment = _build_adjustment(
-        args.adjustment, config.support(), economy.valuation, economy.cost, config.method
+    support = PriorSupport.uniform_box(
+        economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
     )
+    adjustment = _build_adjustment(args.adjustment, support, economy.valuation, economy.cost, config.method)
     payments = total_payment(
         economy, bids=bids, adjustment=adjustment,
         punishment=config.punishment, method=config.method,

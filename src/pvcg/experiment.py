@@ -23,7 +23,7 @@ from .adjustment import (
     existence_check,
     sample_prior,
 )
-from .allocation import counterfactual_surplus, solve_batch
+from .allocation import solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
 from .model import Economy, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation
 from .payments import ZeroAdjustment, own_costs, payments_batch
@@ -140,14 +140,14 @@ def payment_surface(
         np.vstack(([[x_values[0]]], caps_others)), np.concatenate(([gamma_values[0]], gammas_others)),
         thetas, valuation, cost,
     )
-    removed = counterfactual_surplus(first, 0, method=method)
+    _, removed = solve_batch(caps_others, gammas_others, thetas, valuation, cost, method)
     shape = (grid.x_points, grid.gamma_points)
     caps = np.broadcast_to(first.capacities, shape + first.capacities.shape).copy()
     caps[..., 0, 0] = _check_entries(x_values, "capacities")[:, None]
     gammas = np.broadcast_to(first.cost_types, shape + (n,)).copy()
     gammas[..., 0] = _check_entries(gamma_values, "cost types")
-    accepted, surplus = solve_batch(caps, gammas, np.broadcast_to(thetas, shape + (m,)), valuation, cost, method)
-    tau = surplus - removed.surplus + own_costs(cost, accepted[..., 0, :], gammas[..., 0])
+    accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
+    tau = surplus - removed + own_costs(cost, accepted[..., 0, :], gammas[..., 0])
     return SurfaceRecord(
         x_values=x_values,
         gamma_values=gamma_values,

@@ -348,11 +348,8 @@ def _batch_surpluses(valuation, cost, caps, gammas, thetas, method):
     if waterfill_applies(valuation, cost, caps.shape[2], method):
         return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
     full = max_surplus(caps, gammas, thetas, valuation, cost, method)
-    removed = [
-        max_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas, valuation, cost, method)
-        for i in range(gammas.shape[1])
-    ]
-    return full, np.stack(removed, axis=1)
+    others = others_index(gammas.shape[1])
+    return full, max_surplus(caps[:, others], gammas[:, others], thetas[:, None, :], valuation, cost, method)
 
 
 def train(

@@ -363,13 +363,6 @@ class Economy:
             raise ValueError("bid valuation types do not match the economy's consumer count")
         return Economy(bids.capacities, bids.cost_types, bids.valuation_types, self.valuation, self.cost)
 
-    def drop_producer(self, i: int) -> "Economy":
-        """The economy without producer ``i``; the families, synergy scale included, are unchanged."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"producer index {i} out of range for n={self.n}")
-        keep = [k for k in range(self.n) if k != i]
-        return Economy(self.capacities[keep], self.cost_types[keep], self.valuation_types, self.valuation, self.cost)
-
 
 # The former name of the solver-input type. perfbench/tracing.py patches
 # ``pvcg.model.EconomyView.__init__``, so the name stays bound.

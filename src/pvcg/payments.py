@@ -14,17 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import (
-    AllocationResult,
-    _removed_rows,
-    _waterfill_rows,
-    counterfactual_surplus,
-    optimize_acceptance,
-    others_index,
-    solve_with_counterfactuals,
-    waterfill_applies,
-)
-from .model import BidProfile, Economy, LinearCost, _check_entries, total_valuation
+from .allocation import AllocationResult, others_index, solve_batch
+from .model import BidProfile, Economy, LinearCost, _check_entries
 
 Array = np.ndarray
 
@@ -86,12 +77,29 @@ def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
 
 
 def own_costs(cost, bundles: Array, gammas: Array) -> Array:
-    """``cost.cost`` of one bundle per row: ``(..., dim)`` bundles at ``(...)`` cost types."""
+    """``cost.cost`` of one bundle per row: ``(..., dim)`` bundles at cost types that broadcast to ``(...)``."""
     if isinstance(cost, LinearCost):
-        return gammas * bundles.sum(axis=-1)
-    out = np.empty(gammas.shape)
-    for k in np.ndindex(gammas.shape):
+        # a scalar bundle is its own sum, read without the cost of a reduction
+        return gammas * (bundles[..., 0] if bundles.shape[-1] == 1 else bundles.sum(axis=-1))
+    out = np.empty(bundles.shape[:-1])
+    gammas = np.broadcast_to(gammas, out.shape)
+    for k in np.ndindex(out.shape):
         out[k] = cost.cost(bundles[k], float(gammas[k]))
+    return out
+
+
+def _values(valuation, accepted: Array, thetas: Array) -> Array:
+    """Total consumer value of ``(..., n, dim)`` accepted profiles at valuation types that broadcast to ``(..., m)``.
+
+    Each row has the bits of ``total_valuation``: consumer by consumer, in
+    order, through ``value_rows`` for scalar resources where the family has it.
+    """
+    if accepted.shape[-1] == 1 and hasattr(valuation, "value_rows"):
+        return valuation.value_rows(accepted[..., 0], thetas)
+    out = np.empty(accepted.shape[:-2])
+    thetas = np.broadcast_to(thetas, out.shape + thetas.shape[-1:])
+    for k in np.ndindex(out.shape):
+        out[k] = sum(valuation.value(accepted[k], float(t)) for t in thetas[k])
     return out
 
 
@@ -127,8 +135,8 @@ def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationR
     return full.surplus - removed.surplus + own_cost
 
 
-def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_removed, check_tol) -> None:
-    """Raise unless every direct pivot payment matches its expansion within ``check_tol``.
+def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_removed) -> None:
+    """Raise unless every direct pivot payment matches its expansion within ``TAU_FORM_TOL``.
 
     The expansion of producer i is the value difference between the full and
     the i-removed allocation minus the others' cost difference. Producers are
@@ -138,9 +146,9 @@ def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_re
     """
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
     expanded = (np.asarray(value_full)[..., None] - value_removed) - (others_cost_full - others_cost_removed)
-    bad = np.argwhere(np.abs(taus - expanded) > check_tol)
-    if bad.size:
-        where = tuple(bad[0])
+    disagree = np.abs(taus - expanded) > TAU_FORM_TOL
+    if disagree.any():
+        where = tuple(np.argwhere(disagree)[0])
         economy = f" of economy {where[0]}" if taus.ndim > 1 and len(taus) > 1 else ""
         raise RuntimeError(
             f"pivot payment forms disagree for producer {where[-1]}{economy}: "
@@ -148,60 +156,46 @@ def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_re
         )
 
 
-def vcg_tau(
-    view: Economy,
-    allocation: AllocationResult,
-    counterfactuals: list[AllocationResult],
-    check_tol: float = TAU_FORM_TOL,
-) -> Array:
+def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[AllocationResult]) -> Array:
     """Pivot payments tau_i = S* - S*_{-i} + c_i(accepted_i).
 
     The equivalent expansion (value difference minus the others' cost
     difference between the two allocations) is computed alongside and the two
-    must agree within ``check_tol``; disagreement indicates an inconsistent
+    must agree within ``TAU_FORM_TOL``; disagreement indicates an inconsistent
     counterfactual and raises.
     """
     n = view.n
     if len(counterfactuals) != n:
         raise ValueError(f"expected {n} counterfactual allocations, got {len(counterfactuals)}")
-    accepted = allocation.accepted
-    costs_full = np.array(
-        [view.cost.cost(accepted[k], float(g)) for k, g in enumerate(view.cost_types)]
+    return _pivot_payments(
+        view.valuation, view.cost, allocation.accepted, view.cost_types, view.valuation_types, allocation.surplus,
+        np.stack([r.accepted for r in counterfactuals]), np.array([r.surplus for r in counterfactuals]),
     )
-    # the direct form, tau_for_producer with the own cost read from costs_full
-    taus = allocation.surplus - np.array([r.surplus for r in counterfactuals]) + costs_full
-    value_removed = np.empty(n)
-    others_cost_removed = np.empty(n)
-    for i, removed in enumerate(counterfactuals):
-        embedded = np.insert(removed.accepted, i, 0.0, axis=0)
-        value_removed[i] = total_valuation(view, embedded)
-        others_cost_removed[i] = float(
-            sum(view.cost.cost(embedded[k], float(view.cost_types[k])) for k in range(n) if k != i)
-        )
-    _check_tau_forms(
-        taus, total_valuation(view, accepted), value_removed, costs_full, others_cost_removed, check_tol
-    )
-    return taus
 
 
-def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, embedded, removed_surpluses) -> Array:
-    """Water-fill pivot payments ``S* - S*_{-i} + gamma_i x_i``, producers last, after the two-form check.
+def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, removed, removed_surpluses) -> Array:
+    """Pivot payments ``S* - S*_{-i} + c_i(x_i)``, producers last, after the two-form check.
 
-    ``accepted`` holds the scalar accepted quantities ``(..., n)`` of the
-    full problems and ``surplus`` their ``(...)`` surpluses; ``embedded`` the
-    ``(..., n, n)`` removed allocations (zero in the removed column) and
-    ``removed_surpluses`` their ``(..., n)`` surpluses.
+    ``accepted`` holds the ``(..., n, dim)`` accepted bundles of the full
+    problems and ``surplus`` their ``(...)`` surpluses; ``removed`` the
+    ``(..., n, n-1, dim)`` accepted bundles of the problems without each
+    producer, on the ``others_index`` rows, and ``removed_surpluses`` their
+    ``(..., n)`` surpluses.
     """
-    costs_full = gammas * accepted
+    n = gammas.shape[-1]
+    others = others_index(n)
+    costs_full = own_costs(cost, accepted, gammas)
     taus = np.asarray(surplus)[..., None] - removed_surpluses + costs_full
+    # each removed allocation is valued as an n-producer profile, a zero bundle in the removed
+    # producer's place, so no family is asked the value of an empty coalition
+    embedded = np.zeros(removed.shape[:-2] + (n,) + removed.shape[-1:])
+    embedded[..., np.arange(n)[:, None], others, :] = removed
     _check_tau_forms(
         taus,
-        valuation.value_rows(accepted, thetas),
-        valuation.value_rows(embedded, thetas[..., None, :]),
+        _values(valuation, accepted, thetas),
+        _values(valuation, embedded, thetas[..., None, :]),
         costs_full,
-        # column i of row i is zero, so adding its term leaves the running sum as it was
-        cost.cost_rows(embedded, gammas[..., None, :]),
-        TAU_FORM_TOL,
+        own_costs(cost, removed, gammas[..., others]).sum(axis=-1),
     )
     return taus
 
@@ -235,7 +229,6 @@ def total_payment(
     adjustment=None,
     punishment: float = 1e6,
     method: str | None = None,
-    seed: int = 0,
 ) -> PaymentBreakdown:
     """Run the payment stage of the auction on the given bids.
 
@@ -245,48 +238,20 @@ def total_payment(
     capacity in any coordinate. Utilities are evaluated at the true cost type
     and the delivered quantity (punished producers deliver nothing);
     coalition income is the total true-type consumer value of the delivered
-    profile. A water-fill economy is priced as a batch of one by
-    ``payments_batch``'s array operations, bit-identical to the per-producer
-    path every other case takes.
+    profile. The auction is priced as a batch of one of ``payments_batch``.
     """
     if not punishment > 0:
         raise ValueError("punishment must be positive")
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
-    if waterfill_applies(view.valuation, view.cost, view.dim, method):
-        batch = _waterfill_batch(
-            economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
-            view.capacities[None], view.cost_types[None], view.valuation_types[None],
-            view.valuation, view.cost, adjustment, punishment,
-        )
-        row = {name: getattr(batch, name)[0] for name in _FIELDS}
-        return PaymentBreakdown(**{**row, **{name: float(row[name]) for name in _SCALAR_FIELDS}})
-
-    full, removed = solve_with_counterfactuals(view, method=method, seed=seed)
-    taus = vcg_tau(view, full, removed)
-    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
-    accepted = full.accepted
-    punished = _punished_mask(accepted, economy.capacities)
-    totals = np.where(punished, -punishment, taus + adjustments)
-    delivered = np.where(punished[:, None], 0.0, accepted)
-    true_costs = np.array(
-        [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
+    batch = _price(
+        economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
+        view.capacities[None], view.cost_types[None], view.valuation_types[None],
+        view.valuation, view.cost, adjustment, punishment, method,
     )
-    income = float(sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types))
-    return PaymentBreakdown(
-        tau=taus,
-        adjustment=adjustments,
-        total=totals,
-        utilities=totals - true_costs,
-        coalition_income=income,
-        budget_slack=float(income - totals.sum()),
-        punished=punished,
-        surplus=full.surplus,
-        counterfactual_surpluses=np.array([r.surplus for r in removed]),
-        accepted=accepted,
-        delivered=delivered,
-    )
+    row = {name: getattr(batch, name)[0] for name in _FIELDS}
+    return PaymentBreakdown(**{**row, **{name: float(row[name]) for name in _SCALAR_FIELDS}})
 
 
 def payments_batch(
@@ -310,9 +275,7 @@ def payments_batch(
     adjustment, total, utilities, punished and counterfactual surpluses,
     ``(T, n, dim)`` accepted and delivered quantities, and ``(T,)`` surplus,
     coalition income and budget slack. Row t has the bits of
-    ``total_payment`` on economy t and its bids. Water-fill economies are
-    priced with array operations over the whole batch; any other family or
-    method goes through ``total_payment`` economy by economy.
+    ``total_payment`` on economy t and its bids.
     """
     if not punishment > 0:
         raise ValueError("punishment must be positive")
@@ -336,42 +299,31 @@ def payments_batch(
         raise ValueError("reported capacities and cost types must have the shapes of the true ones")
     if caps.shape[1] < 1 or thetas.shape[1] < 1:
         raise ValueError("an economy needs at least one producer and one consumer")
-
-    if waterfill_applies(valuation, cost, caps.shape[2], method):
-        return _waterfill_batch(caps, gammas, thetas, bid_caps, bid_gammas, thetas, valuation, cost, adjustment, punishment)
-    rows = [
-        total_payment(
-            Economy(caps[t], gammas[t], thetas[t], valuation, cost),
-            BidProfile(bid_caps[t], bid_gammas[t], thetas[t]),
-            adjustment=adjustment, punishment=punishment, method=method,
-        )
-        for t in range(caps.shape[0])
-    ]
-    return PaymentBreakdown(**{name: np.array([getattr(r, name) for r in rows]) for name in _FIELDS})
+    return _price(caps, gammas, thetas, bid_caps, bid_gammas, thetas, valuation, cost, adjustment, punishment, method)
 
 
 _FIELDS = tuple(f.name for f in fields(PaymentBreakdown))
 _SCALAR_FIELDS = ("surplus", "coalition_income", "budget_slack")
 
 
-def _waterfill_batch(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment):
-    """``payments_batch`` of water-fill economies, true and reported: every full and removed problem in one kernel call each."""
-    ratios, surplus = _waterfill_rows(bid_caps[..., 0], bid_gammas, bid_thetas, valuation, cost)
-    accepted = bid_caps * ratios[..., None]
-    embedded, removed_surpluses = _removed_rows(bid_caps[..., 0], bid_gammas, bid_thetas, valuation, cost)
-    taus = _pivot_payments(
-        valuation, cost, accepted[..., 0], bid_gammas, bid_thetas, surplus, embedded, removed_surpluses
+def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment, method):
+    """``payments_batch`` of true and reported economies: the full and all the removed problems in one ``solve_batch`` each."""
+    accepted, surplus = solve_batch(bid_caps, bid_gammas, bid_thetas, valuation, cost, method)
+    others = others_index(bid_gammas.shape[-1])
+    removed, removed_surpluses = solve_batch(
+        bid_caps[..., others, :], bid_gammas[..., others], bid_thetas[..., None, :], valuation, cost, method
     )
+    taus = _pivot_payments(valuation, cost, accepted, bid_gammas, bid_thetas, surplus, removed, removed_surpluses)
     adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
     punished = _punished_mask(accepted, caps)
     totals = np.where(punished, -punishment, taus + adjustments)
     delivered = np.where(punished[..., None], 0.0, accepted)
-    income = valuation.value_rows(delivered[..., 0], thetas)
+    income = _values(valuation, delivered, thetas)
     return PaymentBreakdown(
         tau=taus,
         adjustment=adjustments,
         total=totals,
-        utilities=totals - gammas * delivered[..., 0],
+        utilities=totals - own_costs(cost, delivered, gammas),
         coalition_income=income,
         budget_slack=income - totals.sum(axis=-1),
         punished=punished,
@@ -389,7 +341,6 @@ def producer_utility(
     adjustment=None,
     punishment: float = 1e6,
     method: str | None = None,
-    seed: int = 0,
 ) -> tuple[float, float]:
     """Utility and pivot payment of one producer under the given bids.
 
@@ -399,11 +350,18 @@ def producer_utility(
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
-    full = optimize_acceptance(view, method=method, seed=seed)
-    removed = counterfactual_surplus(view, producer, method=method, seed=seed)
+    if not 0 <= producer < view.n:
+        raise IndexError(f"producer index {producer} out of range for n={view.n}")
+    keep = others_index(view.n)[producer]
+    accepted, surplus = solve_batch(
+        view.capacities, view.cost_types, view.valuation_types, view.valuation, view.cost, method
+    )
+    _, removed = solve_batch(
+        view.capacities[keep], view.cost_types[keep], view.valuation_types, view.valuation, view.cost, method
+    )
     h = adjustment_for(adjustment, view, producer)
     utility, tau = deviation_utilities(
         economy.capacities[producer], economy.cost_types[producer], view.cost_types[producer], view.cost,
-        full.accepted[producer], full.surplus, removed.surplus, h, punishment,
+        accepted[producer], surplus, removed, h, punishment,
     )
     return float(utility), float(tau)

@@ -206,10 +206,8 @@ def probe_dsic(
     own = (trial, producer)
     # each drawn (trial, producer) pair's removed problem, solved once
     drawn, pair = np.unique(trial * n + producer, return_inverse=True)
-    removed = np.zeros(drawn.size)
-    if n > 1:
-        t, keep = drawn[:, None] // n, others_index(n)[drawn % n]
-        _, removed = solve_batch(caps[t, keep], gammas[t, keep], thetas[t[:, 0]], valuation, cost, method)
+    t, keep = drawn[:, None] // n, others_index(n)[drawn % n]
+    _, removed = solve_batch(caps[t, keep], gammas[t, keep], thetas[t[:, 0]], valuation, cost, method)
     removed, h = removed[pair], _adjustments(adjustment, caps, gammas, thetas)[own]
     truth_accepted, truth_surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
     truth_utility, truth_tau = deviation_utilities(

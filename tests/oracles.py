@@ -98,10 +98,18 @@ def grid_max(caps, gammas, theta_sum, scale, step=1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _drop_producer(view, i):
+    """The economy without producer ``i``; the families, synergy scale included, are unchanged."""
+    if not 0 <= i < view.n:
+        raise IndexError(f"producer index {i} out of range for n={view.n}")
+    keep = [k for k in range(view.n) if k != i]
+    return type(view)(view.capacities[keep], view.cost_types[keep], view.valuation_types, view.valuation, view.cost)
+
+
 def reference_payment(economy, bids, adjustment, punishment):
     """The water-fill payment stage producer by producer, from public primitives only.
 
-    Each problem (the full one and every ``drop_producer`` one) keeps the
+    Each problem (the full one and every ``_drop_producer`` one) keeps the
     water-fill's ratios and takes its surplus from ``model.social_surplus``;
     the pivot payment, the punishment, true costs and income use the family
     objects' own ``cost`` and ``value`` one producer or consumer at a time,
@@ -119,7 +127,7 @@ def reference_payment(economy, bids, adjustment, punishment):
     view = economy.view(bids)
     n = view.n
     accepted, surplus = solve(view)
-    removed = [solve(view.drop_producer(i))[1] if n > 1 else 0.0 for i in range(n)]
+    removed = [solve(_drop_producer(view, i))[1] if n > 1 else 0.0 for i in range(n)]
     taus = np.array(
         [surplus - removed[i] + view.cost.cost(accepted[i], float(view.cost_types[i])) for i in range(n)]
     )
@@ -221,11 +229,20 @@ def max_rel_error(analytic, numeric) -> float:
 
 from dataclasses import replace  # noqa: E402
 
-from pvcg.allocation import AllocationResult, counterfactual_surplus, optimize_acceptance  # noqa: E402
+from pvcg.allocation import AllocationResult, SolverDiagnostics, optimize_acceptance  # noqa: E402
 from pvcg.experiment import SurfaceGrid, SurfaceRecord  # noqa: E402
 from pvcg.adjustment import PriorSupport  # noqa: E402
-from pvcg.model import Economy  # noqa: E402
-from pvcg.payments import ZeroAdjustment, _punished_mask, adjustment_for, tau_for_producer, total_payment  # noqa: E402
+from pvcg.model import Economy, total_valuation  # noqa: E402
+from pvcg.payments import (  # noqa: E402
+    PaymentBreakdown,
+    ZeroAdjustment,
+    _check_tau_forms,
+    _punished_mask,
+    adjustment_for,
+    deviation_utilities,
+    tau_for_producer,
+    total_payment,
+)
 from pvcg.verification import (  # noqa: E402
     SURPLUS_TOL,
     UTILITY_TOL,
@@ -234,6 +251,99 @@ from pvcg.verification import (  # noqa: E402
     check_wbb,
     loss_components,
 )
+
+
+# ---------------------------------------------------------------------------
+# per-producer payment path
+# ---------------------------------------------------------------------------
+#
+# ``counterfactual_surplus``, ``solve_with_counterfactuals``, ``vcg_tau``,
+# ``total_payment`` and ``producer_utility`` as they were before every auction
+# was priced as a batch of economies: one ``optimize_acceptance`` per full or
+# producer-removed problem and one producer at a time. ``total_payment`` took
+# this path for every family and method but the water-fill; it must give the
+# same bits.
+
+
+def reference_counterfactual_surplus(view, removed_producer, method=None, seed=0) -> AllocationResult:
+    """Solve the acceptance problem with one producer deleted; a lone producer leaves the empty coalition."""
+    if not 0 <= removed_producer < view.n:
+        raise IndexError(f"producer index {removed_producer} out of range for n={view.n}")
+    if view.n == 1:
+        zero = np.zeros((0, view.dim))
+        return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
+    return optimize_acceptance(_drop_producer(view, removed_producer), method=method, seed=seed)
+
+
+def reference_solve_with_counterfactuals(view, method=None, seed=0):
+    """The full problem plus every producer-removed problem."""
+    full = optimize_acceptance(view, method=method, seed=seed)
+    removed = [reference_counterfactual_surplus(view, i, method=method, seed=seed) for i in range(view.n)]
+    return full, removed
+
+
+def reference_vcg_tau(view, allocation, counterfactuals):
+    """Pivot payments with the two-form check, the removed allocations embedded one producer at a time."""
+    n = view.n
+    accepted = allocation.accepted
+    costs_full = np.array([view.cost.cost(accepted[k], float(g)) for k, g in enumerate(view.cost_types)])
+    taus = allocation.surplus - np.array([r.surplus for r in counterfactuals]) + costs_full
+    value_removed = np.empty(n)
+    others_cost_removed = np.empty(n)
+    for i, removed in enumerate(counterfactuals):
+        embedded = np.insert(removed.accepted, i, 0.0, axis=0)
+        value_removed[i] = total_valuation(view, embedded)
+        others_cost_removed[i] = float(
+            sum(view.cost.cost(embedded[k], float(view.cost_types[k])) for k in range(n) if k != i)
+        )
+    _check_tau_forms(taus, total_valuation(view, accepted), value_removed, costs_full, others_cost_removed)
+    return taus
+
+
+def reference_total_payment(economy, bids=None, adjustment=None, punishment=1e6, method=None, seed=0):
+    """The payment stage solved and priced producer by producer."""
+    if adjustment is None:
+        adjustment = ZeroAdjustment()
+    view = economy.view(bids)
+    full, removed = reference_solve_with_counterfactuals(view, method=method, seed=seed)
+    taus = reference_vcg_tau(view, full, removed)
+    adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(view.n)])
+    accepted = full.accepted
+    punished = _punished_mask(accepted, economy.capacities)
+    totals = np.where(punished, -punishment, taus + adjustments)
+    delivered = np.where(punished[:, None], 0.0, accepted)
+    true_costs = np.array(
+        [economy.cost.cost(delivered[k], float(g)) for k, g in enumerate(economy.cost_types)]
+    )
+    income = float(sum(economy.valuation.value(delivered, float(t)) for t in economy.valuation_types))
+    return PaymentBreakdown(
+        tau=taus,
+        adjustment=adjustments,
+        total=totals,
+        utilities=totals - true_costs,
+        coalition_income=income,
+        budget_slack=float(income - totals.sum()),
+        punished=punished,
+        surplus=full.surplus,
+        counterfactual_surpluses=np.array([r.surplus for r in removed]),
+        accepted=accepted,
+        delivered=delivered,
+    )
+
+
+def reference_producer_utility(economy, bids, producer, adjustment=None, punishment=1e6, method=None, seed=0):
+    """Utility and pivot payment of one producer from its two solves."""
+    if adjustment is None:
+        adjustment = ZeroAdjustment()
+    view = economy.view(bids)
+    full = optimize_acceptance(view, method=method, seed=seed)
+    removed = reference_counterfactual_surplus(view, producer, method=method, seed=seed)
+    h = adjustment_for(adjustment, view, producer)
+    utility, tau = deviation_utilities(
+        economy.capacities[producer], economy.cost_types[producer], view.cost_types[producer], view.cost,
+        full.accepted[producer], full.surplus, removed.surplus, h, punishment,
+    )
+    return float(utility), float(tau)
 
 
 def reference_utility_from_solves(economy, view, full, removed, i, h, punishment):
@@ -294,7 +404,7 @@ def reference_probe_dsic(
         for _ in range(deviations_per_trial):
             i = int(rng.integers(economy.n))
             if i not in removed_cache:
-                removed_cache[i] = counterfactual_surplus(economy, i, method=method)
+                removed_cache[i] = reference_counterfactual_surplus(economy, i, method=method)
                 h_cache[i] = adjustment_for(adjustment, economy, i)
                 truth_cache[i], tau_truth = reference_utility_from_solves(
                     economy, economy, full_truth, removed_cache[i], i, h_cache[i], punishment
@@ -408,7 +518,7 @@ def reference_payment_surface(
 
     x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    removed = counterfactual_surplus(reported(x_values[0], gamma_values[0]), 0, method=method)
+    removed = reference_counterfactual_surplus(reported(x_values[0], gamma_values[0]), 0, method=method)
     tau = np.empty((grid.x_points, grid.gamma_points))
     for a, x0 in enumerate(x_values):
         for b, g0 in enumerate(gamma_values):

@@ -13,7 +13,6 @@ from pvcg import (
     SqrtSumValuation,
     analytic_adjustment,
     marginal_gains_check,
-    counterfactual_surplus,
     existence_check,
     optimize_acceptance,
     sample_prior,

@@ -13,11 +13,12 @@ from pvcg import (
     SqrtSumSquaresValuation,
     SqrtSumValuation,
     analytic_waterfill,
-    counterfactual_surplus,
     optimize_acceptance,
+    producer_utility,
     social_surplus,
+    total_payment,
 )
-from pvcg.allocation import _waterfill_ratios, max_surplus, waterfill_gains, waterfill_surplus
+from pvcg.allocation import _waterfill_ratios, max_surplus, solve_batch, waterfill_gains, waterfill_surplus
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
@@ -84,18 +85,24 @@ def test_waterfill_requires_supported_family():
 
 def test_counterfactual_single_producer_is_empty_coalition():
     economy = Economy.sqrt_sum([2.0], [0.3], [1.0])
-    result = counterfactual_surplus(economy.view(), 0)
-    assert result.surplus == 0.0
-    assert result.ratios.shape == (0, 1)
+    for method in (None, "projected_gradient"):
+        accepted, surplus = solve_batch(np.zeros((0, 1)), np.zeros(0), [1.0], economy.valuation, economy.cost, method)
+        assert surplus == 0.0
+        assert accepted.shape == (0, 1)
+        assert total_payment(economy, method=method).counterfactual_surpluses.tolist() == [0.0]
     with pytest.raises(IndexError):
-        counterfactual_surplus(economy.view(), 1)
+        producer_utility(economy, economy.truthful_bids(), 1)
 
 
 def test_counterfactual_keeps_the_synergy_scale(split_cost_economy):
     """Removing the cheap producer leaves the expensive one under the same joint formula."""
-    result = counterfactual_surplus(split_cost_economy.view(), 0)
-    assert result.scalar_ratios() == pytest.approx([0.005], abs=1e-12)
-    assert result.surplus == pytest.approx(0.05, abs=1e-12)
+    economy = split_cost_economy
+    accepted, surplus = solve_batch(
+        economy.capacities[1:], economy.cost_types[1:], economy.valuation_types, economy.valuation, economy.cost
+    )
+    assert accepted[:, 0] == pytest.approx([0.005], abs=1e-12)
+    assert surplus == pytest.approx(0.05, abs=1e-12)
+    assert total_payment(economy).counterfactual_surpluses[0] == surplus
 
 
 def test_removing_zero_capacity_producer_changes_nothing():
@@ -108,8 +115,8 @@ def test_removing_zero_capacity_producer_changes_nothing():
         cost=base.cost,
     )
     full = analytic_waterfill(padded.view())
-    removed = counterfactual_surplus(padded.view(), 2)
-    assert removed.surplus == pytest.approx(full.surplus, abs=1e-12)
+    removed = total_payment(padded).counterfactual_surpluses[2]
+    assert removed == pytest.approx(full.surplus, abs=1e-12)
 
 
 def test_projected_gradient_matches_waterfill_small():
@@ -154,9 +161,8 @@ def test_removal_monotonicity():
     for _ in range(50):
         economy = random_sqrt_sum_economy(rng, n_choices=(2, 3, 4))
         full = analytic_waterfill(economy.view())
-        for i in range(economy.n):
-            removed = counterfactual_surplus(economy.view(), i)
-            assert full.surplus >= removed.surplus - 1e-8
+        for removed in total_payment(economy).counterfactual_surpluses:
+            assert full.surplus >= removed - 1e-8
 
 
 @given(data=st.data())
@@ -187,10 +193,7 @@ def test_waterfill_gains_match_object_path():
             float(economy.valuation_types.sum()), economy.valuation.scale,
         )
         assert full == pytest.approx(analytic_waterfill(economy.view()).surplus, abs=1e-9)
-        for i in range(economy.n):
-            assert removed[i] == pytest.approx(
-                counterfactual_surplus(economy.view(), i).surplus, abs=1e-9
-            )
+        assert removed == pytest.approx(total_payment(economy).counterfactual_surpluses, abs=1e-9)
 
 
 def test_package_grid_matches_waterfill_coarsely(split_cost_economy, cheap_pair_economy):

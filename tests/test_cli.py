@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pvcg import Economy, save_economy, total_payment
+from pvcg import AnalyticAdjustment, Economy, LinearCost, PriorSupport, SqrtSumValuation, save_economy, total_payment
 from pvcg.cli import main
 from pvcg.experiment import ExperimentConfig, SurfaceGrid
 from pvcg.learner import LearnedAdjustment, TrainingConfig, mlp_init, save_model
@@ -46,6 +46,20 @@ def test_simulate_prints_payments(economy_file, capsys):
     assert record["total"] == pytest.approx(list(expected.total), abs=1e-9)
     assert record["surplus"] == pytest.approx(expected.surplus, abs=1e-9)
     assert record["punished"] == [False, False]
+
+
+def test_simulate_prices_a_two_dimensional_economy_with_the_analytic_adjustment(tmp_path, capsys):
+    economy = Economy([[2.0, 1.0], [3.0, 0.5], [1.5, 1.5]], [0.2, 0.5, 0.35], [0.8, 0.6],
+                      SqrtSumValuation(scale=3.0), LinearCost())
+    path = tmp_path / "economy.json"
+    save_economy(economy, path)
+    assert main(["simulate", "--economy", str(path), "--adjustment", "analytic"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    support = PriorSupport.uniform_box(3, 2, dim=2)
+    expected = total_payment(economy, adjustment=AnalyticAdjustment(support, economy.valuation, economy.cost))
+    for name in ("tau", "adjustment", "total", "utilities", "accepted"):
+        assert record[name] == getattr(expected, name).tolist(), name
+    assert record["surplus"] == expected.surplus
 
 
 def test_simulate_writes_file(economy_file, tmp_path):

@@ -16,7 +16,7 @@ from pvcg import (
     total_payment,
 )
 from pvcg.adjustment import sample_from, sample_prior
-from pvcg.allocation import waterfill_gains
+from pvcg.allocation import max_surplus, waterfill_gains
 from pvcg.learner import (
     MLP,
     _backward,
@@ -359,6 +359,13 @@ def test_batch_surpluses_slow_path_matches_waterfill():
         slow = _batch_surpluses(valuation, cost, caps, gammas, thetas, "projected_gradient")
         for exact, numeric in zip(fast, slow):
             np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-6)
+        # each removed column is one index-deleted solve, as a per-column loop would give it
+        columns = np.stack([
+            max_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas, valuation, cost,
+                        "projected_gradient")
+            for i in range(n)
+        ], axis=1)
+        assert (slow[1].dtype, slow[1].shape, slow[1].tobytes()) == (columns.dtype, columns.shape, columns.tobytes())
 
 
 def test_call_equals_outputs_batch():

@@ -10,33 +10,37 @@ import pvcg.payments
 from pvcg import (
     AnalyticAdjustment,
     BidProfile,
+    CustomCost,
+    CustomValuation,
     Economy,
     LearnedAdjustment,
     PaymentBreakdown,
     PriorSupport,
     ZeroAdjustment,
     analytic_waterfill,
-    counterfactual_surplus,
-    optimize_acceptance,
     payments_batch,
     producer_utility,
     social_surplus,
     total_payment,
     vcg_tau,
 )
-from pvcg.allocation import solve_with_counterfactuals
 from pvcg.learner import mlp_init
-from pvcg.model import LinearCost, SqrtSumValuation, total_valuation
+from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, total_valuation
 from pvcg.verification import SURPLUS_TOL
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
-from oracles import reference_payment
+from oracles import (
+    reference_payment,
+    reference_producer_utility,
+    reference_solve_with_counterfactuals,
+    reference_total_payment,
+)
 
 
 def test_tau_single_producer_equals_full_valuation():
     economy = Economy.sqrt_sum([2.0], [0.3], [0.7])
     view = economy.view()
-    full, removed = solve_with_counterfactuals(view)
+    full, removed = reference_solve_with_counterfactuals(view)
     taus = vcg_tau(view, full, removed)
     value = economy.valuation.value(full.accepted, 0.7)
     assert taus[0] == pytest.approx(value, abs=1e-12)
@@ -44,7 +48,7 @@ def test_tau_single_producer_equals_full_valuation():
 
 def test_tau_two_producer_example(split_cost_economy):
     view = split_cost_economy.view()
-    full, removed = solve_with_counterfactuals(view)
+    full, removed = reference_solve_with_counterfactuals(view)
     taus = vcg_tau(view, full, removed)
     # (sqrt(2) - 0.1) - 0.05 + 0.1
     assert taus[0] == pytest.approx(math.sqrt(2) - 0.05, abs=1e-12)
@@ -54,7 +58,7 @@ def test_tau_two_producer_example(split_cost_economy):
 def test_tau_zero_capacity_producer_is_zero():
     economy = Economy.sqrt_sum([1.0, 0.0], [0.1, 0.2], [1.0])
     view = economy.view()
-    full, removed = solve_with_counterfactuals(view)
+    full, removed = reference_solve_with_counterfactuals(view)
     taus = vcg_tau(view, full, removed)
     assert taus[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -64,13 +68,13 @@ def test_tau_forms_agree_for_gradient_solver_too():
     for k in range(10):
         economy = random_sqrt_sum_economy(rng, n_choices=(2, 3))
         view = economy.view()
-        full, removed = solve_with_counterfactuals(view, method="projected_gradient", seed=k)
+        full, removed = reference_solve_with_counterfactuals(view, method="projected_gradient", seed=k)
         vcg_tau(view, full, removed)  # raises if the two expansions disagree
 
 
 def test_tau_rejects_wrong_counterfactual_count(split_cost_economy):
     view = split_cost_economy.view()
-    full, removed = solve_with_counterfactuals(view)
+    full, removed = reference_solve_with_counterfactuals(view)
     with pytest.raises(ValueError):
         vcg_tau(view, full, removed[:1])
 
@@ -148,6 +152,12 @@ def test_producer_utility_matches_total_payment(cheap_pair_economy):
         assert tau == pytest.approx(payments.tau[i], abs=1e-12)
 
 
+@pytest.mark.parametrize("producer", [-1, 2])
+def test_producer_utility_rejects_a_producer_out_of_range(cheap_pair_economy, producer):
+    with pytest.raises(IndexError, match=f"^producer index {producer} out of range for n=2$"):
+        producer_utility(cheap_pair_economy, cheap_pair_economy.truthful_bids(), producer)
+
+
 def test_adjustment_model_dimension_mismatch_errors(cheap_pair_economy):
     from pvcg import LearnedAdjustment, PriorSupport
     from pvcg.learner import mlp_zero
@@ -162,21 +172,28 @@ def test_adjustment_model_dimension_mismatch_errors(cheap_pair_economy):
 def test_tau_check_names_the_producer_whose_removed_surplus_moved():
     economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [1.0])
     view = economy.view()
-    full, removed = solve_with_counterfactuals(view)
+    full, removed = reference_solve_with_counterfactuals(view)
     removed[1] = dataclasses.replace(removed[1], surplus=removed[1].surplus + 1e-6)
     with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 1: "):
         vcg_tau(view, full, removed)
 
 
+def _shift_removed_surplus(monkeypatch, where):
+    """Make the payments' solve of the producer-removed problems, whose cost types are ``(T, n, n-1)``, report
+    the surplus at ``where`` 1e-6 too high."""
+    solve_batch = pvcg.payments.solve_batch
+
+    def shifted(caps, gammas, *args):
+        accepted, surpluses = solve_batch(caps, gammas, *args)
+        if gammas.ndim == 3:
+            surpluses[where] += 1e-6
+        return accepted, surpluses
+
+    monkeypatch.setattr(pvcg.payments, "solve_batch", shifted)
+
+
 def test_waterfill_branch_runs_the_tau_check(monkeypatch):
-    removed_rows = pvcg.payments._removed_rows
-
-    def shifted(*args):
-        embedded, surpluses = removed_rows(*args)
-        surpluses[..., 2] += 1e-6
-        return embedded, surpluses
-
-    monkeypatch.setattr(pvcg.payments, "_removed_rows", shifted)
+    _shift_removed_surplus(monkeypatch, (..., 2))
     economy = Economy.sqrt_sum([1.0, 2.0, 1.5], [0.1, 0.3, 0.2], [1.0])
     with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 2: "):
         total_payment(economy)
@@ -328,14 +345,7 @@ def test_payments_batch_guarantees(data):
 
 
 def test_payments_batch_runs_the_tau_check(monkeypatch):
-    removed_rows = pvcg.payments._removed_rows
-
-    def shifted(*args):
-        embedded, surpluses = removed_rows(*args)
-        surpluses[1, 2] += 1e-6
-        return embedded, surpluses
-
-    monkeypatch.setattr(pvcg.payments, "_removed_rows", shifted)
+    _shift_removed_surplus(monkeypatch, (1, 2))
     caps = np.array([[1.0, 2.0, 1.5], [1.0, 2.0, 1.5]])[..., None]
     gammas = np.array([[0.1, 0.3, 0.2], [0.2, 0.1, 0.3]])
     with pytest.raises(RuntimeError, match="^pivot payment forms disagree for producer 2 of economy 1: "):
@@ -361,3 +371,69 @@ def test_payments_batch_rejects_bad_input(change, message):
     with pytest.raises(ValueError, match=message):
         payments_batch(**{**args, **change})
 
+
+
+def _weighted_valuation(x, theta):
+    return theta * math.sqrt(x[:, 0].sum() + 2.0 * x[:, -1].sum())
+
+
+def _convex_cost(x, gamma):
+    return gamma * (x.sum() + 0.1 * x.sum() ** 2)
+
+
+_CUSTOM = (CustomValuation(fn=_weighted_valuation), CustomCost(fn=_convex_cost))
+# (valuation, cost, dim, method, producer counts): every family and method but the water-fill
+_GENERIC_FAMILIES = {
+    "sqrt_sum_dim2": (SqrtSumValuation(scale=3.0), LinearCost(), 2, None, (1, 2, 3)),
+    "sqrt_sum_squares": (SqrtSumSquaresValuation(scale=3.0), LinearCost(), 1, None, (1, 2, 3)),
+    "custom_dim1": (*_CUSTOM, 1, None, (1, 2)),
+    "custom_dim2": (*_CUSTOM, 2, None, (1, 2)),
+    "sqrt_sum_projected_gradient": (SqrtSumValuation(scale=3.0), LinearCost(), 1, "projected_gradient", (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("family", list(_GENERIC_FAMILIES))
+def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
+    """Every PaymentBreakdown field and every producer_utility of a non-water-fill auction has the bits of
+    the per-producer path, for each adjustment kind, truthful and with a punished over-report."""
+    valuation, cost, dim, method, counts = _GENERIC_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_GENERIC_FAMILIES).index(family))
+    kinds = ["zero", "analytic", "callable", "learned"]
+    for case, (n, liar) in enumerate((n, liar) for n in counts for liar in (False, True)):
+        m = 2
+        economy = Economy(rng.uniform(0.0, 5.0, (n, dim)), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, m),
+                          valuation, cost)
+        bids = economy.truthful_bids()
+        if liar:
+            # a free over-report is accepted beyond the true capacity and punished; a cost under-report is not
+            i = int(rng.integers(n))
+            bids.capacities[i] = 2.0 * economy.capacities[i] + 1.0
+            bids.cost_types[i] = 0.0
+            if n > 1:
+                bids.cost_types[(i + 1) % n] *= 0.5
+        kind = kinds[case % len(kinds)]
+        if kind == "zero":
+            adjustment = ZeroAdjustment()
+        elif kind == "analytic":
+            support = PriorSupport.uniform_box(n, m, cap=(0.5, 5.0), dim=dim)
+            adjustment = AnalyticAdjustment(support, valuation, cost, method=method)
+        elif kind == "callable":
+            def adjustment(i, caps, gammas, thetas):
+                return 0.1 * float(caps.sum()) - 0.05 * float(gammas.sum()) - 0.01 * i
+        else:
+            nets = tuple(mlp_init([(n - 1) * (dim + 1) + m, 4, 1], rng) for _ in range(n))
+            adjustment = LearnedAdjustment(nets, PriorSupport.uniform_box(n, m, dim=dim))
+        kwargs = dict(adjustment=adjustment, punishment=1e6, method=method)
+        payment = total_payment(economy, bids, **kwargs)
+        reference = reference_total_payment(economy, bids, **kwargs)
+        assert payment.punished.any() == liar, (family, case)
+        for field in dataclasses.fields(PaymentBreakdown):
+            got, want = getattr(payment, field.name), getattr(reference, field.name)
+            assert type(got) is type(want), (family, case, field.name)
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (
+                family, case, field.name
+            )
+        for i in range(n):
+            got, want = producer_utility(economy, bids, i, **kwargs), reference_producer_utility(economy, bids, i, **kwargs)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (family, case, i)
