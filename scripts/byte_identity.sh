@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
 # artifact with cmp. Exits non-zero when any of the 15 artifacts differs or is
-# missing on either side.
+# missing on either side. For an artifact that differs it also prints the
+# largest absolute difference between the numbers of the two files, read in order.
 #
 #   scripts/byte_identity.sh BASE_TREE [WORK_DIR]
 #
@@ -61,6 +62,19 @@ run_tree() {  # run_tree TREE OUT
     pvcg "$tree" train --config "$train_small" --out "$out/train"
 }
 
+max_numeric_diff() {  # max_numeric_diff A B: the largest |a - b| over the files' numbers, paired in order
+    python3 - "$1" "$2" <<'PY'
+import math, re, sys
+number = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
+a, b = (number.findall(open(path, "rb").read()) for path in sys.argv[1:3])
+if len(a) != len(b):
+    print(f"{len(a)} vs {len(b)} numbers")
+else:
+    diffs = (0.0 if x == y else abs(float(x) - float(y)) for x, y in zip(a, b))
+    print(f"max |diff| {max((math.inf if math.isnan(d) else d for d in diffs), default=0.0):.3g}")
+PY
+}
+
 # this tree first: the learned verify on both sides reads its model.json
 run_tree "$head" "$work/head"
 run_tree "$base" "$work/base"
@@ -82,7 +96,7 @@ for file in "${artifacts[@]}"; do
     elif cmp "$work/head/$file" "$work/base/$file"; then
         echo "same     $file"
     else
-        echo "DIFFERS  $file"
+        echo "DIFFERS  $file  ($(max_numeric_diff "$work/head/$file" "$work/base/$file"))"
         status=1
     fi
 done

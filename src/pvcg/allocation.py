@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _LEX_TIE_TOL = 1e-12
+_SPG_MEMORY = 10  # accepted surpluses the nonmonotone line search looks back over
 
 
 @dataclass(frozen=True)
@@ -247,57 +248,55 @@ def _projected_gradient(
     tol: float = 1e-8,
     armijo_c: float = 1e-4,
 ) -> AllocationResult:
-    n, dim = view.n, view.dim
-    width = n * dim
+    """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on all start rows at once.
+
+    A row steps along ``clip(x + alpha g, 0, 1) - x``, ``alpha`` the Barzilai-Borwein step of ``-S`` in
+    [1e-12, 1e12] (one over the projected-gradient norm while ``s'y <= 0``), halved until an Armijo test
+    against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It is done when that norm drops
+    below ``tol``, or stalls when its line search runs out or its accepted step is exactly zero.
+    """
+    width = view.n * view.dim
     rng = np.random.default_rng(seed)
     starts = [np.zeros(width), np.ones(width)]
     starts += [rng.uniform(0.0, 1.0, size=width) for _ in range(restarts)]
     H = np.stack(starts)
-    k = H.shape[0]
     f = _surplus_rows(view, H)
-    alpha = np.ones(k)
-    done = np.zeros(k, dtype=bool)
-    pg_norm = np.full(k, np.inf)
-    iterations = 0
+    history = np.repeat(f[:, None], _SPG_MEMORY, axis=1)
+    done = np.zeros(len(H), dtype=bool)
+    S = G = np.zeros_like(H)  # the last step, and the gradient before it
 
-    for it in range(max_iter):
-        iterations = it + 1
-        G = _grad_rows(view, H)
-        pg = H - np.clip(H + G, 0.0, 1.0)
-        pg_norm = np.abs(pg).max(axis=1)
+    for iterations in range(max_iter + 1):
+        G, G_prev = _grad_rows(view, H), G
+        pg_norm = np.abs(H - np.clip(H + G, 0.0, 1.0)).max(axis=1)
         done |= pg_norm < tol
-        if done.all():
-            iterations = it
+        if done.all() or iterations == max_iter:
             break
-
-        remaining = ~done
-        step = alpha.copy()
-        for _ in range(80):
-            Hn = np.clip(H + step[:, None] * G, 0.0, 1.0)
-            fn = _surplus_rows(view, Hn)
-            predicted = armijo_c * np.einsum("kd,kd->k", G, Hn - H)
-            take = remaining & (fn >= f + predicted) & (predicted > 0)
-            if take.any():
-                H[take] = Hn[take]
-                f[take] = fn[take]
-                alpha[take] = np.minimum(step[take] * 2.0, 1e6)
-                remaining = remaining & ~take
-            if not remaining.any():
-                break
-            step = np.where(remaining, step * 0.5, step)
-            stalled = remaining & (step < 1e-16)
-            if stalled.any():
-                done |= stalled
-                remaining = remaining & ~stalled
-            if not remaining.any():
-                break
+        sts, sty = np.einsum("kd,kd->k", S, S), np.einsum("kd,kd->k", S, G_prev - G)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.clip(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12, 1e12)
+        D = np.clip(H + alpha[:, None] * G, 0.0, 1.0) - H
+        slope = armijo_c * np.einsum("kd,kd->k", G, D)
+        reference = history.min(axis=1)
+        start, remaining, lam = H.copy(), ~done, np.ones(len(H))
+        while remaining.any():
+            trial = np.clip(start + lam[:, None] * D, 0.0, 1.0)
+            f_trial = _surplus_rows(view, trial)
+            take = remaining & (f_trial >= reference + lam * slope)
+            H[take], f[take] = trial[take], f_trial[take]
+            remaining &= ~take
+            lam[remaining] *= 0.5
+            done |= remaining & (lam < 1e-16)
+            remaining &= lam >= 1e-16
+        S = H - start
+        done |= ~S.any(axis=1)
+        history[:, iterations % _SPG_MEMORY] = f
 
     best = float(f.max())
     candidates = np.flatnonzero(f >= best - _LEX_TIE_TOL)
     caps_flat = view.capacities.ravel()
     chosen = min(candidates, key=lambda r: tuple(H[r] * caps_flat))
-    ratios = H[chosen].reshape(n, dim)
-    diag = SolverDiagnostics(iterations=iterations, restarts=k, grad_norm=float(pg_norm[chosen]))
+    ratios = H[chosen].reshape(view.n, view.dim)
+    diag = SolverDiagnostics(iterations=iterations, restarts=len(H), grad_norm=float(pg_norm[chosen]))
     return _finalize(view, ratios, diag)
 
 

@@ -12,12 +12,15 @@ machinery with the production solvers it checks.
 For n <= 2 the ratio grid is enumerated outright. For n = 3 at fine steps full
 enumeration is too large (1001^3 cells), so the oracle enumerates the first
 two axes and finds the exact grid maximum along the third axis by integer
-ternary search: the surplus restricted to one ratio coordinate is concave
+Fibonacci search: the surplus restricted to one ratio coordinate is concave
 (square root of an affine function minus an affine function), hence unimodal
-on the grid, and the recursion below provably keeps a grid maximizer inside
-[lo, hi]. The result is bit-for-bit the maximum over the full grid.
+on the grid, and each step keeps a grid maximizer inside the bracket with one
+new evaluation. A line whose value term at its far end less its cost at k = 0
+is below a value already found is dropped, since no point on it can reach
+that value. The result is bit-for-bit the maximum over the full grid.
 ``test_acceptance.py`` cross-validates this path against full enumeration on
-coarse grids.
+coarse grids, and ``test_allocation.py`` against the earlier ternary search
+(``grid_max_3d_ternary``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,51 @@ def grid_max_full(caps, gammas, theta_sum, scale, step) -> float:
 
 
 def _grid_max_3d(caps, gammas, theta_sum, scale, step) -> float:
+    axis = _grid_axis(step)
+    points = axis.shape[0]
+    a0, a1 = np.meshgrid(axis, axis, indexing="ij")
+    quantity = (caps[0] * a0 + caps[1] * a1).ravel()
+    cost = (gammas[0] * caps[0] * a0 + gammas[1] * caps[1] * a1).ravel()
+    unit = caps[2] * step
+    unit_cost = gammas[2] * caps[2] * step
+
+    def value_term(k):
+        return theta_sum * np.sqrt(scale * (quantity + unit * k))
+
+    def line_value(k):
+        # past the last grid point a line repeats its last value: still unimodal, so
+        # every line can be searched over a Fibonacci length
+        k = np.minimum(k, points - 1)
+        return value_term(k) - (cost + unit_cost * k)
+
+    # In floating point too, no value on a line exceeds its largest value
+    # term less its smallest cost term (k = 0): a line whose bound is below a
+    # value already found cannot hold the grid maximum.
+    bound = np.maximum(value_term(0), value_term(points - 1)) - cost
+    fib = [0, 1]  # up to the first Fibonacci number that spans the line, and at least 3
+    while fib[-1] < max(points - 1, 3):
+        fib.append(fib[-1] + fib[-2])
+    m = len(fib) - 1
+    lo = np.zeros(quantity.shape[0], dtype=np.int64)
+    # integer Fibonacci search on [lo, lo + fib[m]], probes at lo + fib[m-2] < lo + fib[m-1]
+    v1, v2 = line_value(lo + fib[m - 2]), line_value(lo + fib[m - 1])
+    best = max(v1.max(), v2.max())
+    while m > 4:
+        keep = bound >= best
+        if not keep.all():
+            quantity, cost, bound, lo, v1, v2 = (x[keep] for x in (quantity, cost, bound, lo, v1, v2))
+        m -= 1
+        right = v1 < v2  # the maximum lies right of the first probe, which becomes lo
+        lo = np.where(right, lo + fib[m - 1], lo)
+        probe = line_value(lo + np.where(right, fib[m - 1], fib[m - 2]))
+        v1, v2 = np.where(right, v2, probe), np.where(right, probe, v1)
+        best = max(best, probe.max())
+    ends = np.maximum(line_value(lo), line_value(lo + fib[m]))
+    return float(max(best, np.maximum(np.maximum(v1, v2), ends).max()))
+
+
+def grid_max_3d_ternary(caps, gammas, theta_sum, scale, step) -> float:
+    """The n=3 grid maximum by integer ternary search on every line: the reference ``_grid_max_3d`` must equal."""
     axis = _grid_axis(step)
     points = axis.shape[0]
     a0, a1 = np.meshgrid(axis, axis, indexing="ij")

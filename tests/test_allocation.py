@@ -22,7 +22,7 @@ from pvcg.allocation import _waterfill_ratios, max_surplus, solve_batch, waterfi
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
-from oracles import grid_max, grid_max_full, reference_waterfill_gains
+from oracles import grid_max, grid_max_3d_ternary, grid_max_full, reference_waterfill_gains
 
 
 def test_waterfill_drops_expensive_producer(split_cost_economy):
@@ -129,6 +129,56 @@ def test_projected_gradient_matches_waterfill_small():
         assert pg.surplus == pytest.approx(wf.surplus, abs=1e-6)
 
 
+# a truthful n=10 economy (scale 10) whose cost types 0.6496752 and 0.6496831 nearly tie: a
+# projected gradient with one scalar step per row ran into max_iter 9.9e-6 short of the optimum
+NEAR_TIE_CAPS = [
+    4.652173622578619, 4.7052939814893975, 1.8325361604401225, 3.3531938995350448, 3.2764971634457045,
+    0.42254407162415464, 0.890964720728134, 4.1163511476729795, 2.1200815401500392, 2.8690284736333096,
+]
+NEAR_TIE_GAMMAS = [
+    0.6496751842868113, 0.6496830779189371, 0.8142217416583103, 0.8891655688175937, 0.8017137065388569,
+    0.6442691583054526, 0.14532884683831948, 0.9052177953079658, 0.6769692284452455, 0.861469828443529,
+]
+NEAR_TIE_THETAS = [0.7978685621130552, 0.23189532235582788]
+
+
+def test_projected_gradient_reaches_the_waterfill_on_a_near_cost_tie():
+    view = Economy.sqrt_sum(NEAR_TIE_CAPS, NEAR_TIE_GAMMAS, NEAR_TIE_THETAS, scale=10.0).view()
+    pg = optimize_acceptance(view, method="projected_gradient")
+    assert abs(pg.surplus - analytic_waterfill(view).surplus) <= 1e-6
+    assert pg.diag.iterations < 10_000
+
+
+_TEN = np.linspace(0.5, 5.0, 10)
+
+
+@pytest.mark.parametrize(
+    "caps, gammas, thetas",
+    [
+        # the optimum is a whole face of exact ties, which slows a projected gradient with one scalar step per row
+        pytest.param(
+            np.full(10, 3.4939590221500016),
+            np.full(10, 0.4291288238547282),
+            [0.776683114342298, 0.6130033010530405],
+            id="ten-identical-producers",
+        ),
+        pytest.param(np.zeros(10), np.linspace(0.0, 0.9, 10), [0.6, 0.3], id="all-capacities-zero"),
+        pytest.param(_TEN, np.r_[np.zeros(3), np.linspace(0.1, 0.9, 7)], [0.6, 0.3], id="three-free-producers"),
+        pytest.param(_TEN, np.linspace(0.0, 0.9, 10), [0.0, 0.0], id="valuation-types-sum-to-zero"),
+        pytest.param([3.0], [0.2], [0.6, 0.3], id="one-producer"),
+    ],
+)
+def test_projected_gradient_edge_economies_converge_to_the_waterfill(caps, gammas, thetas):
+    view = Economy.sqrt_sum(caps, gammas, thetas).view()
+    pg = optimize_acceptance(view, method="projected_gradient", seed=3)
+    assert pg.diag.iterations < 10_000
+    assert abs(pg.surplus - analytic_waterfill(view).surplus) <= 1e-6
+    assert np.all((pg.ratios >= 0.0) & (pg.ratios <= 1.0))
+    again = optimize_acceptance(view, method="projected_gradient", seed=3)
+    assert again.ratios.tobytes() == pg.ratios.tobytes() and again.surplus == pg.surplus
+    assert again.diag == pg.diag
+
+
 def test_projected_gradient_handles_custom_family_with_fd_gradients():
     """Weighted aggregate under a square root, solved only via finite differences."""
     fam = CustomValuation(fn=lambda x, theta: theta * math.sqrt(x[0].sum() + 2.0 * x[1].sum()))
@@ -225,6 +275,22 @@ def test_test_oracle_3d_line_search_equals_full_enumeration():
         fast = grid_max(caps, gammas, theta_sum, 3.0, step=0.02)
         full = grid_max_full(caps, gammas, theta_sum, 3.0, step=0.02)
         assert fast == pytest.approx(full, abs=1e-12)
+
+
+def test_test_oracle_3d_fibonacci_search_equals_ternary_search():
+    """Fibonacci search with bound pruning keeps the ternary search's grid maximum bit for bit."""
+    rng = np.random.default_rng(29)
+    for case in range(60):
+        caps = rng.uniform(0, 5, 3)
+        gammas = rng.uniform(0, 1, 3)
+        theta_sum = float(rng.uniform(0, 2))
+        if case % 6 == 0:
+            caps[case % 3] = 0.0
+        if case % 10 == 0:
+            gammas[case % 3] = 0.0
+        assert grid_max(caps, gammas, theta_sum, 3.0, step=1e-2) == grid_max_3d_ternary(
+            caps, gammas, theta_sum, 3.0, step=1e-2
+        )
 
 
 def test_projected_gradient_vector_bundles_match_summed_waterfill():
