@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 15 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 16 artifacts differs or is
 # missing on either side. For an artifact that differs it also prints the
 # largest absolute difference between the numbers of the two files, read in order.
 #
@@ -19,6 +19,9 @@
 #     so projected gradient) with truthful bids and the zero adjustment
 #   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
 #     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
+#   pvcg surface --config configs/flagship.json --adjustment analytic: the
+#     analytic adjustment's per-producer call (run/surface.csv covers the
+#     learned one's; every other artifact prices through all_producers)
 # Each tree runs its own configs/flagship.json; the economy, bids and
 # train_small files come from this tree, so a base commit without them still runs.
 set -euo pipefail
@@ -60,6 +63,7 @@ run_tree() {  # run_tree TREE OUT
         --out "$out/simulate-squares-analytic"
     pvcg "$tree" simulate --economy "$economy2d" --adjustment zero --out "$out/simulate-2d-zero"
     pvcg "$tree" train --config "$train_small" --out "$out/train"
+    pvcg "$tree" surface --config "$config" --adjustment analytic --out "$out/surface-analytic"
 }
 
 max_numeric_diff() {  # max_numeric_diff A B: the largest |a - b| over the files' numbers, paired in order
@@ -86,7 +90,7 @@ artifacts=(
     verify-zero/verification.json verify-analytic/verification.json verify-learned/verification.json
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
     simulate-squares-zero/payments.json simulate-squares-analytic/payments.json simulate-2d-zero/payments.json
-    train/model.json train/loss_trace.csv
+    train/model.json train/loss_trace.csv surface-analytic/surface.csv
 )
 status=0
 for file in "${artifacts[@]}"; do

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import max_surplus, others_index
-from .model import as_quantity_matrix, fields_from_dict, fields_to_dict
+from .model import _check_entries, as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -133,6 +133,83 @@ def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Arra
 # ---------------------------------------------------------------------------
 
 
+def _full_profile(support: PriorSupport, i: int, caps_others, gammas_others, thetas) -> tuple[Array, Array, Array]:
+    """Producer ``i``'s view of a report profile as a full ``(n, dim)``, ``(n,)``, ``(m,)`` profile.
+
+    Checks the others' ``(n-1, dim)`` capacities and ``(n-1,)`` cost types and
+    the ``(m,)`` valuation types, each finite and non-negative, and puts
+    producer ``i``'s support extremes (minimum capacity, maximum cost type)
+    in slot ``i``, where no adjustment reads them.
+    """
+    if not 0 <= i < support.n:
+        raise IndexError(f"producer index {i} out of range for n={support.n}")
+    reports = []
+    for values, shape, name in (
+        (caps_others, (support.n - 1, support.dim), "others' capacities"),
+        (gammas_others, (support.n - 1,), "others' cost types"),
+        (thetas, (support.m,), "valuation types"),
+    ):
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        reports.append(_check_entries(arr, name))
+    caps, gammas, thetas = reports
+    return np.insert(caps, i, support.cap_lo[i], axis=0), np.insert(gammas, i, support.gamma_hi[i]), thetas
+
+
+def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, Array, Array]:
+    """Float ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports; a ValueError unless they fit support ``s``."""
+    caps = np.asarray(capacities, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if (caps.shape[-2:], gammas.shape[-1:], thetas.shape[-1:]) != (s.cap_lo.shape, s.gamma_lo.shape, s.theta_lo.shape):
+        raise ValueError(
+            f"expected (..., {s.n}, {s.dim}) capacities, (..., {s.n}) cost types and (..., {s.m}) valuation types, "
+            f"got shapes {caps.shape}, {gammas.shape} and {thetas.shape}"
+        )
+    return caps, gammas, thetas
+
+
+@dataclass(frozen=True)
+class AnalyticAdjustment:
+    """Callable adjustment model wrapping the constructive formula ``-(S_pessimistic - S_without_i)``."""
+
+    support: PriorSupport
+    valuation: object
+    cost: object
+    method: str | None = None
+
+    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
+        """Producer ``i``'s adjustment from the others' reports: ``all_producers`` run on producer ``i`` alone."""
+        caps, gammas, thetas = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
+        return float(self._adjustments(caps, gammas, thetas, np.array([i]))[0])
+
+    def all_producers(self, capacities, gammas, thetas) -> Array:
+        """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
+
+        Leading axes are a batch of report profiles. Entry i reads only the
+        others' reports and equals ``self(i, ...)`` on them bit for bit.
+        """
+        return self._adjustments(*_check_profile(self.support, capacities, gammas, thetas), np.arange(self.support.n))
+
+    def _adjustments(self, caps: Array, gammas: Array, thetas: Array, producers: Array) -> Array:
+        """``(..., k)`` adjustments of the k ``producers``: the pessimistic problems form one ``(..., k, n)``
+        batch and the producer-removed problems one ``(..., k, n-1)`` batch."""
+        s = self.support
+        k = np.arange(len(producers))
+        pess_caps = np.broadcast_to(caps[..., None, :, :], caps.shape[:-2] + (len(k),) + caps.shape[-2:]).copy()
+        pess_caps[..., k, producers, :] = s.cap_lo[producers]
+        pess_gammas = np.broadcast_to(gammas[..., None, :], gammas.shape[:-1] + (len(k), s.n)).copy()
+        pess_gammas[..., k, producers] = s.gamma_hi[producers]
+        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (len(k),) + thetas.shape[-1:])
+        s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, self.valuation, self.cost, self.method)
+        others = others_index(s.n)[producers]
+        s_without = max_surplus(
+            caps[..., others, :], gammas[..., others], thetas, self.valuation, self.cost, self.method
+        )
+        return -(s_pessimistic - s_without)
+
+
 def analytic_adjustment(
     support: PriorSupport,
     valuation,
@@ -143,66 +220,8 @@ def analytic_adjustment(
     thetas,
     method: str | None = None,
 ) -> float:
-    """Adjustment for producer ``i`` given only the other participants' reports.
-
-    Computes ``-(S_pessimistic - S_without_i)`` where the pessimistic problem
-    inserts producer ``i`` at its support-minimum capacity and support-maximum
-    cost type. With a zero-inclusive capacity support this is exactly zero.
-    """
-    if not 0 <= i < support.n:
-        raise IndexError(f"producer index {i} out of range for n={support.n}")
-    others = as_quantity_matrix(capacities_others, n=support.n - 1, dim=support.dim, name="others' capacities")
-    gammas_others = np.asarray(gammas_others, dtype=float)
-    pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
-    pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
-    s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, valuation, cost, method)
-    s_without = max_surplus(others, gammas_others, thetas, valuation, cost, method)
-    return -(s_pessimistic - s_without)
-
-
-@dataclass(frozen=True)
-class AnalyticAdjustment:
-    """Callable adjustment model wrapping the constructive formula."""
-
-    support: PriorSupport
-    valuation: object
-    cost: object
-    method: str | None = None
-
-    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        return analytic_adjustment(
-            self.support, self.valuation, self.cost, i, capacities_others, gammas_others, thetas,
-            method=self.method,
-        )
-
-    def all_producers(self, capacities, gammas, thetas) -> Array:
-        """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
-
-        Leading axes are a batch of report profiles. Entry i reads only the
-        others' reports and equals ``self(i, ...)`` on them bit for bit: the
-        pessimistic problems form one ``(..., n, n)`` batch and the
-        producer-removed problems one ``(..., n, n-1)`` batch.
-        """
-        s = self.support
-        caps = np.asarray(capacities, dtype=float)
-        gammas = np.asarray(gammas, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
-        if caps.ndim < 2 or caps.shape[-2] != s.n:
-            raise ValueError(f"expected {s.n} producers, got capacities of shape {caps.shape}")
-        if caps.shape[-1] != s.dim:
-            raise ValueError(f"expected resource dimension {s.dim}, got {caps.shape[-1]}")
-        producers = np.arange(s.n)
-        pess_caps = np.broadcast_to(caps[..., None, :, :], caps.shape[:-2] + (s.n,) + caps.shape[-2:]).copy()
-        pess_caps[..., producers, producers, :] = s.cap_lo
-        pess_gammas = np.broadcast_to(gammas[..., None, :], gammas.shape[:-1] + (s.n, s.n)).copy()
-        pess_gammas[..., producers, producers] = s.gamma_hi
-        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (s.n,) + thetas.shape[-1:])
-        s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, self.valuation, self.cost, self.method)
-        others = others_index(s.n)
-        s_without = max_surplus(
-            caps[..., others, :], gammas[..., others], thetas, self.valuation, self.cost, self.method
-        )
-        return -(s_pessimistic - s_without)
+    """Adjustment for producer ``i`` given only the other participants' reports (see ``AnalyticAdjustment``)."""
+    return AnalyticAdjustment(support, valuation, cost, method)(i, capacities_others, gammas_others, thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import PriorSupport, feasibility_penalties, sample_from
+from .adjustment import PriorSupport, _check_profile, _full_profile, feasibility_penalties, sample_from
 from .allocation import max_surplus, others_index, waterfill_applies, waterfill_gains
 from .model import fields_from_dict, fields_to_dict
 
@@ -205,7 +205,6 @@ class LearnedAdjustment:
         columns = _layout(caps_col.reshape(s.n, s.dim)[others], gammas_col[others], np.tile(thetas_col, (s.n, 1)))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_bounds", box[:, columns])
         for i, net in enumerate(self.nets):
             if net.input_width != columns.shape[1]:
                 raise ValueError(
@@ -218,21 +217,10 @@ class LearnedAdjustment:
     def n(self) -> int:
         return self.support.n
 
-    def _normalized(self, i: int, raw: Array) -> Array:
-        lo, hi = self._bounds[:, i]
-        if raw.shape[-1] != lo.shape[0]:
-            raise ValueError(f"adjustment input width {raw.shape[-1]} does not match {lo.shape[0]}")
-        return _normalize(raw, lo, hi)
-
     def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        if not 0 <= i < self.n:
-            raise IndexError(f"producer index {i} out of range for n={self.n}")
-        raw = _layout(
-            np.asarray(capacities_others, dtype=float)[None],
-            np.atleast_1d(np.asarray(gammas_others, dtype=float))[None],
-            np.atleast_1d(np.asarray(thetas, dtype=float))[None],
-        )
-        return float(_forward_rows(self.nets[i], self._normalized(i, raw))[0])
+        """Network i on the others' reports: ``all_producers`` run on producer ``i`` alone."""
+        caps, gammas, thetas = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
+        return float(_forward_rows(self.nets[i], self._full_rows(caps, gammas, thetas)[..., self._columns[i]]))
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
@@ -240,12 +228,7 @@ class LearnedAdjustment:
         Leading axes are a batch of report profiles. Entry i runs network i
         on the others' reports and equals ``self(i, ...)`` on them bit for bit.
         """
-        caps = np.asarray(capacities, dtype=float)
-        gammas = np.asarray(gammas, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
-        if gammas.shape[-1] != self.n:
-            raise ValueError(f"expected {self.n} producers, got {gammas.shape[-1]}")
-        inputs = self._full_rows(caps, gammas, thetas)[..., self._columns]
+        inputs = self._full_rows(*_check_profile(self.support, capacities, gammas, thetas))[..., self._columns]
         return np.stack([_forward_rows(net, inputs[..., i, :]) for i, net in enumerate(self.nets)], axis=-1)
 
     def _full_rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:

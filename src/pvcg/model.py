@@ -224,10 +224,6 @@ class LinearCost:
     def cost(self, x_i, gamma: float) -> float:
         return gamma * float(np.sum(np.asarray(x_i, dtype=float)))
 
-    def grad(self, x_i, gamma: float) -> Array:
-        bundle = np.atleast_1d(np.asarray(x_i, dtype=float))
-        return np.full_like(bundle, gamma)
-
     def cost_rows(self, accepted: Array, gammas: Array) -> Array:
         """Total producer cost of scalar ``accepted`` quantities, producers on the last axis.
 

@@ -10,6 +10,7 @@ and bears no cost).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "PaymentBreakdown",
     "vcg_tau",
     "tau_for_producer",
-    "adjustment_for",
     "own_costs",
     "deviation_utilities",
     "total_payment",
@@ -68,6 +68,11 @@ class PaymentBreakdown:
     counterfactual_surpluses: Array  # (n,) S*_{-i}
     accepted: Array                 # (n, dim)
     delivered: Array                # (n, dim) zero rows for punished producers
+
+
+def _check_punishment(punishment: float) -> None:
+    if not (math.isfinite(punishment) and punishment > 0):
+        raise ValueError(f"punishment must be positive and finite, got {punishment}")
 
 
 def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
@@ -200,18 +205,12 @@ def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, removed,
     return taus
 
 
-def adjustment_for(adjustment, view: Economy, i: int) -> float:
-    """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports."""
-    keep = [k for k in range(view.n) if k != i]
-    return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
-
-
 def _adjustments(adjustment, capacities: Array, gammas: Array, thetas: Array) -> Array:
     """Every producer's adjustment ``(..., n)`` under ``(..., n, dim)``, ``(..., n)``, ``(..., m)`` reports.
 
     An adjustment with an ``all_producers`` method (zero, analytic, learned)
-    prices every producer of the batch at once, bit-equal to
-    ``adjustment_for``; any other is asked producer by producer.
+    prices every producer of the batch at once; any other callable is asked
+    producer by producer, on the others' reports.
     """
     if hasattr(adjustment, "all_producers"):
         return adjustment.all_producers(capacities, gammas, thetas)
@@ -240,8 +239,7 @@ def total_payment(
     coalition income is the total true-type consumer value of the delivered
     profile. The auction is priced as a batch of one of ``payments_batch``.
     """
-    if not punishment > 0:
-        raise ValueError("punishment must be positive")
+    _check_punishment(punishment)
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
@@ -277,8 +275,7 @@ def payments_batch(
     coalition income and budget slack. Row t has the bits of
     ``total_payment`` on economy t and its bids.
     """
-    if not punishment > 0:
-        raise ValueError("punishment must be positive")
+    _check_punishment(punishment)
     if adjustment is None:
         adjustment = ZeroAdjustment()
     caps = _check_entries(np.asarray(capacities, dtype=float), "capacities")
@@ -347,6 +344,7 @@ def producer_utility(
     Cheaper than ``total_payment`` when only one producer matters (two solves
     instead of n+1).
     """
+    _check_punishment(punishment)
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
@@ -359,7 +357,7 @@ def producer_utility(
     _, removed = solve_batch(
         view.capacities[keep], view.cost_types[keep], view.valuation_types, view.valuation, view.cost, method
     )
-    h = adjustment_for(adjustment, view, producer)
+    h = float(adjustment(producer, view.capacities[keep], view.cost_types[keep], view.valuation_types))
     utility, tau = deviation_utilities(
         economy.capacities[producer], economy.cost_types[producer], view.cost_types[producer], view.cost,
         accepted[producer], surplus, removed, h, punishment,

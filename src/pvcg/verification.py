@@ -188,6 +188,8 @@ def probe_dsic(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if deviations_per_trial < 1:
+        raise ValueError("deviations_per_trial must be >= 1")
     if adjustment is None:
         adjustment = ZeroAdjustment()
     rng = np.random.default_rng(seed)

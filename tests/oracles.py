@@ -146,6 +146,12 @@ def grid_max(caps, gammas, theta_sum, scale, step=1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 
+def adjustment_for(adjustment, view, i: int) -> float:
+    """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports."""
+    keep = [k for k in range(view.n) if k != i]
+    return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
+
+
 def _drop_producer(view, i):
     """The economy without producer ``i``; the families, synergy scale included, are unchanged."""
     if not 0 <= i < view.n:
@@ -166,7 +172,7 @@ def reference_payment(economy, bids, adjustment, punishment):
     """
     from pvcg import PaymentBreakdown, analytic_waterfill
     from pvcg.model import social_surplus
-    from pvcg.payments import ZeroAdjustment, adjustment_for
+    from pvcg.payments import ZeroAdjustment
 
     def solve(view):
         accepted = view.capacities * analytic_waterfill(view).ratios
@@ -286,7 +292,6 @@ from pvcg.payments import (  # noqa: E402
     ZeroAdjustment,
     _check_tau_forms,
     _punished_mask,
-    adjustment_for,
     deviation_utilities,
     tau_for_producer,
     total_payment,

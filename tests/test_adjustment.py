@@ -8,8 +8,10 @@ from pvcg import (
     AnalyticAdjustment,
     CustomValuation,
     Economy,
+    LearnedAdjustment,
     LinearCost,
     PriorSupport,
+    SqrtSumSquaresValuation,
     SqrtSumValuation,
     analytic_adjustment,
     marginal_gains_check,
@@ -18,7 +20,8 @@ from pvcg import (
     sample_prior,
     total_payment,
 )
-from pvcg.allocation import waterfill_surplus
+from pvcg.allocation import others_index, waterfill_surplus
+from pvcg.learner import mlp_init
 
 
 def test_support_validation():
@@ -131,6 +134,69 @@ def test_adjustment_ignores_own_report(paper_support, paper_families):
     first = model(3, caps_others, gammas_others, thetas)
     second = model(3, caps_others, gammas_others, thetas)
     assert first == second  # bit-identical: nothing about producer 3 enters
+
+
+# the finite-difference gradient of sqrt_sum_squares makes its n=10 solves take seconds each
+@pytest.mark.parametrize(
+    "valuation_cls, dim, method, counts",
+    [
+        pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 4, 10), id="sqrt_sum-waterfill"),
+        pytest.param(SqrtSumValuation, 1, "projected_gradient", (1, 2, 3, 4, 10), id="sqrt_sum-projected_gradient"),
+        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 4, 10), id="sqrt_sum-dim2"),
+        pytest.param(SqrtSumSquaresValuation, 1, None, (1, 2, 3, 4), id="sqrt_sum_squares"),
+        pytest.param(SqrtSumSquaresValuation, 2, None, (1, 2, 3, 4), id="sqrt_sum_squares-dim2"),
+    ],
+)
+def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim, method, counts):
+    """Row i of the batched analytic adjustment has the bits of ``model(i, ...)`` on the others' reports."""
+    for n in counts:
+        support = PriorSupport.uniform_box(n, 2, cap=(0.5, 5.0), dim=dim)
+        model = AnalyticAdjustment(support, valuation_cls(scale=float(n)), LinearCost(), method=method)
+        caps, gammas, thetas = sample_prior(support, 1, seed=n)
+        batch = model.all_producers(caps, gammas, thetas)
+        assert batch.shape == (1, n)
+        for i, keep in enumerate(others_index(n)):
+            value = model(i, caps[0, keep], gammas[0, keep], thetas[0])
+            assert type(value) is float
+            assert np.float64(value).tobytes() == batch[0, i].tobytes(), (n, i)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "learned"])
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        pytest.param(dict(i=-1), IndexError, "^producer index -1 out of range for n=3$", id="producer-below-range"),
+        pytest.param(dict(i=3), IndexError, "^producer index 3 out of range for n=3$", id="producer-above-range"),
+        pytest.param(dict(gammas_others=[0.2]), ValueError, r"^others' cost types must have shape \(2,\), got \(1,\)$",
+                     id="mismatched-lengths"),
+        pytest.param(dict(capacities_others=[[1.0], [2.0], [3.0]]), ValueError,
+                     r"^others' capacities must have shape \(2, 1\)", id="too-many-capacities"),
+        pytest.param(dict(capacities_others=[[1.0], [-2.0]]), ValueError, "^others' capacities must be non-negative$",
+                     id="negative-capacity"),
+        pytest.param(dict(capacities_others=[[1.0], [math.inf]]), ValueError,
+                     "^others' capacities must be finite, got inf$", id="inf-capacity"),
+        pytest.param(dict(gammas_others=[0.2, math.nan]), ValueError, "^others' cost types must be finite, got nan$",
+                     id="nan-cost-type"),
+        pytest.param(dict(thetas=[0.5, math.nan]), ValueError, "^valuation types must be finite, got nan$",
+                     id="nan-valuation-type"),
+        pytest.param(dict(thetas=[0.5, 0.5, 0.5]), ValueError, r"^valuation types must have shape \(2,\), got \(3,\)$",
+                     id="wrong-length-valuation-types"),
+    ],
+)
+def test_per_producer_call_rejects_malformed_reports(kind, change, error, message):
+    """Each malformed report raises with its field named, instead of being priced."""
+    n, m = 3, 2
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    support = PriorSupport.uniform_box(n, m, cap=(0.5, 5.0))
+    if kind == "analytic":
+        model = AnalyticAdjustment(support, valuation, cost)
+    else:
+        model = LearnedAdjustment(tuple(mlp_init([2 * (n - 1) + m, 4, 1], np.random.default_rng(5)) for _ in range(n)),
+                                  support)
+    reports = dict(i=1, capacities_others=[[1.0], [2.0]], gammas_others=[0.2, 0.4], thetas=[0.5, 0.8])
+    assert math.isfinite(model(**reports))
+    with pytest.raises(error, match=message):
+        model(**{**reports, **change})
 
 
 def test_existence_check_paper_priors_clean(paper_support, paper_families):

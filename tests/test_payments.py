@@ -111,6 +111,24 @@ def test_total_payment_requires_positive_punishment(split_cost_economy):
         total_payment(split_cost_economy, punishment=0.0)
 
 
+@pytest.mark.parametrize("punishment", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["total_payment", "payments_batch", "producer_utility"])
+def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finite(split_cost_economy, entry, punishment):
+    economy = split_cost_economy
+    # producer 0 over-reports and would be paid -punishment
+    bids = BidProfile([2.0, 1.0], economy.cost_types, economy.valuation_types)
+    with pytest.raises(ValueError, match="^punishment must be positive"):
+        if entry == "total_payment":
+            total_payment(economy, bids, punishment=punishment)
+        elif entry == "payments_batch":
+            payments_batch(
+                economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
+                economy.valuation, economy.cost, bids.capacities[None], punishment=punishment,
+            )
+        else:
+            producer_utility(economy, bids, 0, punishment=punishment)
+
+
 def test_coalition_income_examples(split_cost_economy):
     view = split_cost_economy.view()
     allocation = analytic_waterfill(view)

@@ -88,6 +88,13 @@ def test_probe_dsic_rejects_toothless_punishment(small_world):
                    seed=1, punishment=0.01)
 
 
+@pytest.mark.parametrize("deviations_per_trial", [0, -1])
+def test_probe_dsic_rejects_fewer_than_one_deviation_per_trial(small_world, deviations_per_trial):
+    _, economies, deviations = small_world
+    with pytest.raises(ValueError, match="^deviations_per_trial must be >= 1$"):
+        probe_dsic(economies, deviations, trials=5, deviations_per_trial=deviations_per_trial)
+
+
 def test_check_efficiency_grid(split_cost_economy):
     allocation = analytic_waterfill(split_cost_economy.view())
     report = check_efficiency(split_cost_economy, allocation, method="grid")
