@@ -19,11 +19,14 @@
 #     so projected gradient) with truthful bids and the zero adjustment
 #   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
 #     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
-#   pvcg surface --config configs/flagship.json --adjustment analytic: the
-#     analytic adjustment's per-producer call (run/surface.csv covers the
-#     learned one's; every other artifact prices through all_producers)
-# Each tree runs its own configs/flagship.json; the economy, bids and
-# train_small files come from this tree, so a base commit without them still runs.
+#   pvcg surface --config configs/surface_interior.json --adjustment analytic:
+#     the analytic adjustment's per-producer call (run/surface.csv covers the
+#     learned one's; every other artifact prices through all_producers). Its
+#     capacity support starts above zero and its cost types are cheap, so the
+#     adjustment is non-zero; on flagship's support it is -0.
+# Each tree runs its own configs/flagship.json; the economy, bids, train_small
+# and surface_interior files come from this tree, so a base commit without them
+# still runs.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -40,6 +43,7 @@ bids=$head/configs/bids3_overreport.json
 squares=$head/configs/economy3_squares.json
 economy2d=$head/configs/economy3_2d.json
 train_small=$head/configs/train_small.json
+surface_interior=$head/configs/surface_interior.json
 
 pvcg() {  # pvcg TREE ARGS...: the CLI from TREE's sources; a failing probe still writes its report
     local tree=$1
@@ -63,7 +67,7 @@ run_tree() {  # run_tree TREE OUT
         --out "$out/simulate-squares-analytic"
     pvcg "$tree" simulate --economy "$economy2d" --adjustment zero --out "$out/simulate-2d-zero"
     pvcg "$tree" train --config "$train_small" --out "$out/train"
-    pvcg "$tree" surface --config "$config" --adjustment analytic --out "$out/surface-analytic"
+    pvcg "$tree" surface --config "$surface_interior" --adjustment analytic --out "$out/surface-analytic"
 }
 
 max_numeric_diff() {  # max_numeric_diff A B: the largest |a - b| over the files' numbers, paired in order

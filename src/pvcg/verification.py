@@ -17,7 +17,7 @@ import numpy as np
 from .adjustment import PriorSupport, feasibility_penalties
 from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
 from .model import Economy, _check_entries
-from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, deviation_utilities
+from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, _check_punishment, deviation_utilities
 
 Array = np.ndarray
 
@@ -190,6 +190,7 @@ def probe_dsic(
         raise ValueError("trials must be >= 1")
     if deviations_per_trial < 1:
         raise ValueError("deviations_per_trial must be >= 1")
+    _check_punishment(punishment)
     if adjustment is None:
         adjustment = ZeroAdjustment()
     rng = np.random.default_rng(seed)

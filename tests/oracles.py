@@ -146,10 +146,67 @@ def grid_max(caps, gammas, theta_sum, scale, step=1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 
+def reference_analytic_adjustment(model, i: int, capacities_others, gammas_others, thetas) -> float:
+    """An ``AnalyticAdjustment``'s value for producer ``i``, written for that one producer.
+
+    ``-(S_pessimistic - S_without_i)``: the pessimistic problem inserts
+    producer ``i`` at its support-minimum capacity and support-maximum cost
+    type. Two ``max_surplus`` solves, with no batch of producers and no
+    ``others_index`` gather.
+    """
+    from pvcg.allocation import max_surplus
+    from pvcg.model import as_quantity_matrix
+
+    support = model.support
+    if not 0 <= i < support.n:
+        raise IndexError(f"producer index {i} out of range for n={support.n}")
+    others = as_quantity_matrix(capacities_others, n=support.n - 1, dim=support.dim, name="others' capacities")
+    gammas_others = np.asarray(gammas_others, dtype=float)
+    pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
+    pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
+    s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, model.valuation, model.cost, model.method)
+    s_without = max_surplus(others, gammas_others, thetas, model.valuation, model.cost, model.method)
+    return float(-(s_pessimistic - s_without))
+
+
+def reference_learned_adjustment(model, i: int, capacities_others, gammas_others, thetas) -> float:
+    """A ``LearnedAdjustment``'s value for producer ``i``: network ``i`` on the others' reports.
+
+    The input row is laid out from the others' reports alone and normalized
+    by the prior box with producer ``i``'s entries deleted, without the
+    model's full-row gather; one ``(1, k)`` forward pass.
+    """
+    from pvcg.learner import _layout, _normalize
+
+    s = model.support
+    if not 0 <= i < s.n:
+        raise IndexError(f"producer index {i} out of range for n={s.n}")
+    box = (np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
+    lo, hi = _layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
+    raw = _layout(
+        np.asarray(capacities_others, dtype=float)[None],
+        np.atleast_1d(np.asarray(gammas_others, dtype=float))[None],
+        np.atleast_1d(np.asarray(thetas, dtype=float))[None],
+    )
+    out, _ = _reference_forward(model.nets[i], _normalize(raw, lo, hi))
+    return float(out[0])
+
+
 def adjustment_for(adjustment, view, i: int) -> float:
-    """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports."""
+    """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports.
+
+    Analytic and learned adjustments are priced by the reference above, not
+    by the model's own per-producer call; any other callable is asked itself.
+    """
+    from pvcg import AnalyticAdjustment, LearnedAdjustment
+
     keep = [k for k in range(view.n) if k != i]
-    return float(adjustment(i, view.capacities[keep], view.cost_types[keep], view.valuation_types))
+    reports = (i, view.capacities[keep], view.cost_types[keep], view.valuation_types)
+    if isinstance(adjustment, AnalyticAdjustment):
+        return reference_analytic_adjustment(adjustment, *reports)
+    if isinstance(adjustment, LearnedAdjustment):
+        return reference_learned_adjustment(adjustment, *reports)
+    return float(adjustment(*reports))
 
 
 def _drop_producer(view, i):

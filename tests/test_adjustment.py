@@ -23,6 +23,8 @@ from pvcg import (
 from pvcg.allocation import others_index, waterfill_surplus
 from pvcg.learner import mlp_init
 
+from oracles import reference_analytic_adjustment
+
 
 def test_support_validation():
     with pytest.raises(ValueError):
@@ -148,17 +150,22 @@ def test_adjustment_ignores_own_report(paper_support, paper_families):
     ],
 )
 def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim, method, counts):
-    """Row i of the batched analytic adjustment has the bits of ``model(i, ...)`` on the others' reports."""
+    """Row i of the batched analytic adjustment and ``model(i, ...)`` on the others' reports both have the bits
+    of the one-producer reference."""
     for n in counts:
-        support = PriorSupport.uniform_box(n, 2, cap=(0.5, 5.0), dim=dim)
+        # cheap producers above zero capacity: the pessimistic producer is accepted, so no adjustment is zero
+        support = PriorSupport.uniform_box(n, 2, cap=(0.5, 2.0), gamma=(0.0, 0.05), dim=dim)
         model = AnalyticAdjustment(support, valuation_cls(scale=float(n)), LinearCost(), method=method)
         caps, gammas, thetas = sample_prior(support, 1, seed=n)
         batch = model.all_producers(caps, gammas, thetas)
         assert batch.shape == (1, n)
         for i, keep in enumerate(others_index(n)):
+            expected = np.float64(reference_analytic_adjustment(model, i, caps[0, keep], gammas[0, keep], thetas[0]))
             value = model(i, caps[0, keep], gammas[0, keep], thetas[0])
             assert type(value) is float
-            assert np.float64(value).tobytes() == batch[0, i].tobytes(), (n, i)
+            assert np.float64(value).tobytes() == expected.tobytes(), (n, i)
+            assert batch[0, i].tobytes() == expected.tobytes(), (n, i)
+            assert expected < 0.0, (n, i)
 
 
 @pytest.mark.parametrize("kind", ["analytic", "learned"])

@@ -36,6 +36,7 @@ from oracles import (
     fd_output_grads,
     max_rel_error,
     per_network,
+    reference_learned_adjustment,
     reference_loss_and_grads,
     reference_train,
 )
@@ -388,7 +389,8 @@ def test_call_equals_outputs_batch():
 
 @pytest.mark.parametrize("T", [1, 2, 3, 50, 257])
 def test_all_producers_is_bit_equal_to_the_per_producer_call(T):
-    """Pricing's batch of networks gives each row the bits of ``model(i, ...)``, whatever the batch size."""
+    """Pricing's batch of networks and ``model(i, ...)`` give each row the bits of the one-producer reference,
+    whatever the batch size."""
     support = PriorSupport.uniform_box(10, 2)
     rng = np.random.default_rng(T)
     model = LearnedAdjustment(tuple(mlp_init([20, 10, 10, 10, 1], rng) for _ in range(10)), support)
@@ -398,7 +400,9 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(T):
     for t in range(T):
         for i in range(10):
             keep = [k for k in range(10) if k != i]
-            assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == batch[t, i]
+            expected = reference_learned_adjustment(model, i, caps[t, keep], gammas[t, keep], thetas[t])
+            assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == expected
+            assert batch[t, i] == expected
     assert np.array_equal(model.all_producers(caps[0], gammas[0], thetas[0]), batch[0])
 
 

@@ -88,6 +88,14 @@ def test_probe_dsic_rejects_toothless_punishment(small_world):
                    seed=1, punishment=0.01)
 
 
+@pytest.mark.parametrize("punishment", [0.0, -1.0, math.nan, math.inf])
+def test_probe_dsic_rejects_a_punishment_that_is_not_positive_and_finite(small_world, punishment):
+    """A nan or inf punishment would pass every comparison with the pivot payments and make the probe vacuous."""
+    _, economies, deviations = small_world
+    with pytest.raises(ValueError, match="^punishment must be positive and finite, got"):
+        probe_dsic(economies, deviations, trials=5, deviations_per_trial=5, punishment=punishment)
+
+
 @pytest.mark.parametrize("deviations_per_trial", [0, -1])
 def test_probe_dsic_rejects_fewer_than_one_deviation_per_trial(small_world, deviations_per_trial):
     _, economies, deviations = small_world
