@@ -2,7 +2,8 @@
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
 # artifact with cmp. Exits non-zero when any of the 16 artifacts differs or is
 # missing on either side. For an artifact that differs it also prints the
-# largest absolute difference between the numbers of the two files, read in order.
+# largest absolute difference between the numbers of the two files, read in order,
+# and for a JSON artifact up to 10 differing leaf paths as "path: BASE -> THIS".
 #
 #   scripts/byte_identity.sh BASE_TREE [WORK_DIR]
 #
@@ -83,6 +84,30 @@ else:
 PY
 }
 
+json_leaf_diffs() {  # json_leaf_diffs BASE THIS: up to 10 leaf paths whose values differ, with both values
+    python3 - "$1" "$2" <<'PY'
+import json, sys
+
+def leaves(doc, path=""):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from leaves(value, f"{path}[{k}]")
+    else:
+        yield path, doc
+
+# values compare by repr, so -0.0 against 0.0 counts as a move and nan against nan does not
+base, this = ({p: repr(v) for p, v in leaves(json.load(open(path, encoding="utf-8")))} for path in sys.argv[1:3])
+moved = [p for p in dict.fromkeys([*base, *this]) if base.get(p) != this.get(p)]
+for p in moved[:10]:
+    print(f"           {p}: {base.get(p, '(absent)')} -> {this.get(p, '(absent)')}")
+if len(moved) > 10:
+    print(f"           ... {len(moved) - 10} more")
+PY
+}
+
 # this tree first: the learned verify on both sides reads its model.json
 run_tree "$head" "$work/head"
 run_tree "$base" "$work/base"
@@ -105,6 +130,9 @@ for file in "${artifacts[@]}"; do
         echo "same     $file"
     else
         echo "DIFFERS  $file  ($(max_numeric_diff "$work/head/$file" "$work/base/$file"))"
+        if [[ $file == *.json ]]; then
+            json_leaf_diffs "$work/base/$file" "$work/head/$file"
+        fi
         status=1
     fi
 done

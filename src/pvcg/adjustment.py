@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import max_surplus, others_index
-from .model import _check_entries, as_quantity_matrix, fields_from_dict, fields_to_dict
+from .model import _check_count, _check_entries, as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -123,8 +123,7 @@ def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Arra
 
     Returns arrays of shapes ``(count, n, dim)``, ``(count, n)``, ``(count, m)``.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count("count", count)
     return sample_from(support, count, np.random.default_rng(seed))
 
 
@@ -270,8 +269,7 @@ def _run_check(
     extremes; otherwise its capacity is zeroed with its cost type kept (the
     zero-capacity form). Each problem is solved for all samples at once.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     caps, gammas, thetas = sample_from(support, samples, rng)
     s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)

@@ -108,51 +108,35 @@ def _fills(caps_sorted: Array, stops: Array) -> Array:
 
 
 def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float) -> Array:
-    """Surplus of the fills along the cost order; 0 where nothing is worth accepting (``theta_sum <= 0``)."""
+    """Surplus of the fills along the cost order; 0 where nothing is worth accepting (``theta_sum <= 0``).
+
+    This is the one water-fill surplus formula: every water-fill entry point
+    takes its surplus from here, so they agree bit for bit on the same
+    economy. Like ``_fills``, it leaves the fills in ``stops``.
+    """
     fills = _fills(caps_sorted, stops)
     # a dot product per row, the one 1-D ``@`` would take
     cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
     return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost, 0.0)
 
 
-def _waterfill_ratios(caps: Array, gammas: Array, theta_sum, scale: float) -> Array:
-    """Water-fill acceptance ratios in producer order, batched as ``_cost_order``.
+def _waterfill_rows(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Array, Array]:
+    """Water-fill ratios ``(..., n)`` in producer order and surpluses ``(...)``, batched as ``_cost_order``.
 
-    A producer without capacity, or any producer of an economy where nothing
-    is worth accepting (``theta_sum <= 0``), gets ratio 0.
+    The surplus is ``_sorted_surplus`` of the fills the ratios come from. A
+    producer without capacity, or any producer of an economy where nothing is
+    worth accepting (``theta_sum <= 0``), gets ratio 0.
     """
-    flat, caps_sorted, _, stops = _cost_order(caps, gammas, theta_sum, scale)
-    fills = np.empty_like(stops)
-    np.put(fills, flat, _fills(caps_sorted, stops))
-    worth = np.asarray(theta_sum)[..., None] > 0.0
-    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & worth)
-
-
-def _waterfill_rows(caps: Array, gammas: Array, thetas: Array, valuation, cost) -> tuple[Array, Array]:
-    """Water-fill ratios ``(..., n)`` and surpluses ``(...)`` of scalar economies, producers last.
-
-    ``thetas`` holds each economy's valuation types on its last axis. The
-    surplus is value minus cost in the operation order of ``social_surplus``,
-    so every row carries the bits of ``analytic_waterfill`` on that economy.
-    """
-    ratios = _waterfill_ratios(caps, gammas, thetas.sum(axis=-1), valuation.scale)
-    accepted = caps * ratios
-    surplus = valuation.value_rows(accepted, thetas) - cost.cost_rows(accepted, gammas)
-    _require_finite(surplus)
-    return ratios, surplus
-
-
-def _require_waterfill(view: Economy) -> None:
-    if not waterfill_applies(view.valuation, view.cost, view.dim):
-        raise ValueError(
-            "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
-        )
-
-
-def _require_finite(surplus) -> None:
+    flat, caps_sorted, gammas_sorted, sorted_fills = _cost_order(caps, gammas, theta_sum, scale)
+    # the stop quantities become the fills in place
+    surplus = _sorted_surplus(caps_sorted, gammas_sorted, sorted_fills, theta_sum, scale)
     bad = ~np.isfinite(surplus)
     if bad.any():
         raise ValueError(f"solver produced a non-finite surplus ({np.asarray(surplus)[bad].flat[0]})")
+    fills = np.empty_like(sorted_fills)
+    np.put(fills, flat, sorted_fills)
+    worth = np.asarray(theta_sum)[..., None] > 0.0
+    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & worth), surplus
 
 
 def analytic_waterfill(view: Economy) -> AllocationResult:
@@ -164,12 +148,15 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     (ties broken by producer index); producer i's fill stops where the
     marginal value meets its unit cost, i.e. at cumulative quantity
     ``scale * Theta^2 / (4 gamma_i^2)``, or at its reported capacity,
-    whichever binds first. The surplus is value minus cost in the operation
-    order of ``social_surplus``, so it carries the same bits.
+    whichever binds first. The surplus comes from the one water-fill formula
+    that ``solve_batch``, ``max_surplus``, ``waterfill_surplus`` and
+    ``waterfill_gains`` share, so they all give the same bits on this economy;
+    ``social_surplus`` of the accepted quantities agrees to about 1e-15.
     """
-    _require_waterfill(view)
+    if not waterfill_applies(view.valuation, view.cost, view.dim):
+        raise ValueError("analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources")
     ratios, surplus = _waterfill_rows(
-        view.capacities[:, 0], view.cost_types, view.valuation_types, view.valuation, view.cost
+        view.capacities[:, 0], view.cost_types, view.valuation_types.sum(axis=-1), view.valuation.scale
     )
     ratios = ratios[:, None]
     diag = SolverDiagnostics(iterations=view.n, restarts=0, grad_norm=0.0)
@@ -330,10 +317,9 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
     """Maximum surplus of scalar sqrt_sum/linear economies, producers on the last axis.
 
     Leading axes are a batch and ``theta_sum`` has the batch shape; one economy
-    returns a float. ``theta_sum <= 0`` and an empty coalition give 0.
+    returns a float. ``theta_sum <= 0`` and an empty coalition give 0. The
+    surplus is the water-fill formula ``solve_batch`` uses, without the ratios.
     """
-    if gammas.shape[-1] == 0:
-        return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
     surplus = _sorted_surplus(*_cost_order(caps, gammas, theta_sum, scale)[1:], theta_sum, scale)
     return float(surplus) if surplus.ndim == 0 else surplus
 
@@ -341,8 +327,9 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
 def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None):
     """Maximum reported surplus of raw ``(..., n, dim)`` capacities, ``(..., n)`` and ``(..., m)`` types.
 
-    Leading axes are a batch; one economy returns a float. Takes the water-fill
-    whenever it applies and otherwise ``solve_batch``'s surpluses; an empty
+    Leading axes are a batch; one economy returns a float, and every row has
+    the bits of ``solve_batch``'s surplus. The water-fill skips the ratios;
+    any other family or method takes ``solve_batch`` itself. An empty
     coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
@@ -361,8 +348,9 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     types ``(..., m)``, leading axes a batch; the leading axes of the
     valuation types broadcast against it. Row for row the result carries the
     bits of ``optimize_acceptance`` (seed 0): water-fill economies are solved
-    in one kernel call, any other economy by itself. An empty coalition
-    (n == 0) has zero surplus.
+    in one kernel call, whose surpluses come from the formula ``max_surplus``,
+    ``waterfill_surplus`` and ``waterfill_gains`` share; any other economy is
+    solved by itself. An empty coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -371,7 +359,7 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     if gammas.shape[-1] == 0:
         return np.zeros(caps.shape), np.zeros(batch)
     if waterfill_applies(valuation, cost, caps.shape[-1], method):
-        ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas, valuation, cost)
+        ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
         return caps * ratios[..., None], surplus
     accepted = np.zeros(caps.shape)
     surplus = np.zeros(batch)

@@ -149,8 +149,16 @@ def cmd_surface(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type for a count: an integer of at least 1, so the error names the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def cmd_check_assumptions(args) -> int:
-    valuation = make_valuation(args.family, scale=args.scale if args.scale else float(args.producers))
+    valuation = make_valuation(args.family, scale=args.scale if args.scale is not None else float(args.producers))
     cost = make_cost(args.cost_family)
     report = check_assumptions(
         valuation, cost, n=args.producers, samples=args.samples, seed=args.seed or 0,
@@ -198,9 +206,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("check-assumptions", help="sampled structural checks of a family")
     p.add_argument("--family", default="sqrt_sum", help="sqrt_sum | sqrt_sum_squares")
     p.add_argument("--cost-family", default="linear")
-    p.add_argument("--producers", type=int, default=10)
+    p.add_argument("--producers", type=_count, default=10)
     p.add_argument("--scale", type=float, default=None, help="synergy multiplier (default: producers)")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check_assumptions)
 

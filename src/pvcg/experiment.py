@@ -25,7 +25,7 @@ from .adjustment import (
 )
 from .allocation import solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
-from .model import Economy, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation
+from .model import Economy, _check_count, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation
 from .payments import ZeroAdjustment, own_costs, payments_batch
 from .verification import (
     SURPLUS_TOL,
@@ -75,8 +75,14 @@ class SurfaceGrid:
     fixed_theta: float = 0.5
 
     def __post_init__(self):
-        if self.x_points < 1 or self.gamma_points < 1:
-            raise ValueError("surface grid needs at least one point per axis")
+        _check_count("x_points", self.x_points)
+        _check_count("gamma_points", self.gamma_points)
+        for name in ("x_lo", "x_hi", "gamma_lo", "gamma_hi", "fixed_capacity", "fixed_gamma", "fixed_theta"):
+            _check_entries(np.asarray(getattr(self, name), dtype=float), name)
+        for axis in ("x", "gamma"):
+            lo, hi = getattr(self, f"{axis}_lo"), getattr(self, f"{axis}_hi")
+            if lo > hi:
+                raise ValueError(f"{axis}_lo must be <= {axis}_hi, got {lo} > {hi}")
 
     def to_dict(self) -> dict:
         return fields_to_dict(self)
@@ -125,6 +131,8 @@ def payment_surface(
     across the grid and solved once; the full problems of the whole grid are
     solved in one ``solve_batch``.
     """
+    _check_count("n", n)
+    _check_count("m", m)
     if grid is None:
         grid = SurfaceGrid()
     if adjustment is None:
@@ -193,8 +201,7 @@ class ExperimentConfig:
     def __post_init__(self):
         counts = ("n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples")
         for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name))
         for name in ("cap_bounds", "gamma_bounds", "theta_bounds"):
             bounds = getattr(self, name)
             if len(bounds) != 2 or not all(map(math.isfinite, bounds)) or not 0 <= bounds[0] <= bounds[1]:
@@ -304,8 +311,7 @@ def ir_wbb_sweep(
     ``check_ir``, ``check_wbb`` and ``loss_components`` are array masks, and
     witnesses are built for failing samples only.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     # uniform_economy_sampler's draws, without building economies
     caps, gammas, thetas = draw_uniform_types(support, rng, samples)

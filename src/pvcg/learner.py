@@ -24,7 +24,7 @@ import numpy as np
 
 from .adjustment import PriorSupport, _check_profile, _full_profile, feasibility_penalties, sample_from
 from .allocation import max_surplus, others_index, waterfill_applies, waterfill_gains
-from .model import fields_from_dict, fields_to_dict
+from .model import _check_count, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -263,12 +263,10 @@ class TrainingConfig:
     loss_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _check_count("batch_size", self.batch_size)
+        _check_count("epochs", self.epochs)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1 for h in self.hidden):

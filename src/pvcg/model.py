@@ -65,6 +65,14 @@ def _check_entries(arr: Array, name: str) -> Array:
     return arr
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below 1, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: str = "resource amounts") -> Array:
     """Coerce per-producer resource amounts into a validated ``(n, dim)`` float array.
 
@@ -223,18 +231,6 @@ class LinearCost:
 
     def cost(self, x_i, gamma: float) -> float:
         return gamma * float(np.sum(np.asarray(x_i, dtype=float)))
-
-    def cost_rows(self, accepted: Array, gammas: Array) -> Array:
-        """Total producer cost of scalar ``accepted`` quantities, producers on the last axis.
-
-        Leading axes are a batch, broadcast against ``gammas``. Each row carries
-        the bits of ``total_cost``: producer by producer, left to right (a
-        running sum, not numpy's pairwise one).
-        """
-        costs = gammas * accepted
-        if costs.shape[-1] == 0:
-            return np.zeros(costs.shape[:-1])
-        return np.add.accumulate(costs, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -477,8 +473,8 @@ def check_assumptions(
 
     Violations are report entries (with witnesses), never exceptions.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    for name, count in (("n", n), ("dim", dim), ("samples", samples)):
+        _check_count(name, count)
     rng = np.random.default_rng(seed)
     report = AssumptionReport(samples=samples)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
 from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
-from .model import Economy, _check_entries
+from .model import Economy, _check_count, _check_entries
 from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, _check_punishment, deviation_utilities
 
 Array = np.ndarray
@@ -186,10 +186,8 @@ def probe_dsic(
     more; a deviation reuses its truthful economy's removed problem, which
     ignores the deviating producer's report.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if deviations_per_trial < 1:
-        raise ValueError("deviations_per_trial must be >= 1")
+    _check_count("trials", trials)
+    _check_count("deviations_per_trial", deviations_per_trial)
     _check_punishment(punishment)
     if adjustment is None:
         adjustment = ZeroAdjustment()
@@ -409,8 +407,7 @@ def check_surplus_monotonicity(
     one ``solve_batch``. The sampler's economies share one shape and one pair
     of families.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     economies, draws = [], []
     for _ in range(trials):

@@ -221,19 +221,21 @@ def reference_payment(economy, bids, adjustment, punishment):
     """The water-fill payment stage producer by producer, from public primitives only.
 
     Each problem (the full one and every ``_drop_producer`` one) keeps the
-    water-fill's ratios and takes its surplus from ``model.social_surplus``;
-    the pivot payment, the punishment, true costs and income use the family
-    objects' own ``cost`` and ``value`` one producer or consumer at a time,
-    and the adjustment comes from ``adjustment_for``. This is the arithmetic
-    ``total_payment`` did before it priced water-fill auctions in array form.
+    water-fill's ratios and takes its surplus from the one-economy
+    ``_reference_waterfill_surplus``; the pivot payment, the punishment, true
+    costs and income use the family objects' own ``cost`` and ``value`` one
+    producer or consumer at a time, and the adjustment comes from
+    ``adjustment_for``.
     """
     from pvcg import PaymentBreakdown, analytic_waterfill
-    from pvcg.model import social_surplus
     from pvcg.payments import ZeroAdjustment
 
     def solve(view):
         accepted = view.capacities * analytic_waterfill(view).ratios
-        return accepted, social_surplus(view, accepted)
+        surplus = _reference_waterfill_surplus(
+            view.capacities[:, 0], view.cost_types, view.valuation_types.sum(), view.valuation.scale
+        )
+        return accepted, surplus
 
     view = economy.view(bids)
     n = view.n

@@ -14,11 +14,12 @@ from pvcg import (
     SqrtSumValuation,
     analytic_waterfill,
     optimize_acceptance,
+    payments_batch,
     producer_utility,
     social_surplus,
     total_payment,
 )
-from pvcg.allocation import _waterfill_ratios, max_surplus, solve_batch, waterfill_gains, waterfill_surplus
+from pvcg.allocation import _waterfill_rows, max_surplus, solve_batch, waterfill_gains, waterfill_surplus
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
@@ -310,11 +311,11 @@ def test_projected_gradient_vector_bundles_match_summed_waterfill():
 _THETAS = st.just(0.0) | st.floats(0.0, 1.0)
 
 
-def _economy_batch(data, n_range, t_max):
+def _economy_batch(data, n_range, t_max, m_max=2):
     """A (T, n) batch of scalar economies on criterion 1's ranges, (T, m) valuation types."""
     n = data.draw(st.integers(*n_range))
     T = data.draw(st.integers(1, t_max))
-    m = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(1, m_max))
     caps = np.array(data.draw(st.lists(TIED_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
     gammas = np.array(data.draw(st.lists(TIED_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
     thetas = np.array(data.draw(st.lists(_THETAS, min_size=T * m, max_size=T * m))).reshape(T, m)
@@ -376,12 +377,40 @@ def test_batched_waterfill_ratios_equal_one_economy_calls(data):
     caps = np.array(data.draw(st.lists(TIED_CAPS, min_size=T * n, max_size=T * n))).reshape(T, n)
     gammas = np.array(data.draw(st.lists(TIED_GAMMAS, min_size=T * n, max_size=T * n))).reshape(T, n)
     theta_sums = np.array(data.draw(st.lists(_THETAS, min_size=T, max_size=T)))
-    batched = _waterfill_ratios(caps, gammas, theta_sums, float(n))
+    batched, surpluses = _waterfill_rows(caps, gammas, theta_sums, float(n))
     for t in range(T):
-        one = _waterfill_ratios(caps[t], gammas[t], float(theta_sums[t]), float(n))
+        one, surplus = _waterfill_rows(caps[t], gammas[t], float(theta_sums[t]), float(n))
         assert batched[t].tobytes() == one.tobytes()
+        assert surpluses[t].tobytes() == surplus.tobytes()
         if theta_sums[t] == 0.0:
-            assert not one.any()
+            assert not one.any() and surplus == 0.0
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_waterfill_entry_point_gives_the_same_surplus_bits(data):
+    """Solving, pricing and training take each surplus from one formula, so they agree bit for bit.
+
+    Tied and zero costs and capacities, a zero valuation sum in every batch,
+    empty coalitions and up to twelve producers and three consumers.
+    """
+    caps, gammas, thetas = _economy_batch(data, (0, 12), 4, m_max=3)
+    thetas[data.draw(st.integers(0, len(thetas) - 1))] = 0.0
+    n = caps.shape[1]
+    valuation, cost = SqrtSumValuation(scale=float(max(n, 1))), LinearCost()
+    theta_sums = thetas.sum(axis=1)
+    solved = solve_batch(caps[..., None], gammas, thetas, valuation, cost)[1]
+    full, removed = waterfill_gains(caps, gammas, theta_sums, valuation.scale)
+    assert max_surplus(caps[..., None], gammas, thetas, valuation, cost).tobytes() == solved.tobytes()
+    assert waterfill_surplus(caps, gammas, theta_sums, valuation.scale).tobytes() == solved.tobytes()
+    assert full.tobytes() == solved.tobytes()
+    if n == 0:
+        return
+    for t in range(len(caps)):
+        economy = Economy(caps[t][:, None], gammas[t], thetas[t], valuation, cost)
+        assert np.float64(analytic_waterfill(economy).surplus).tobytes() == solved[t].tobytes()
+    payments = payments_batch(caps[..., None], gammas, thetas, valuation, cost)
+    assert payments.counterfactual_surpluses.tobytes() == removed.tobytes()
 
 
 

@@ -83,6 +83,19 @@ def test_check_assumptions_detects_bad_scale(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--producers", "--samples"])
+def test_check_assumptions_rejects_an_empty_count_by_its_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-assumptions", flag, "0"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_check_assumptions_rejects_a_zero_scale_instead_of_defaulting_it():
+    with pytest.raises(ValueError, match="^scale must be positive and finite, got 0.0$"):
+        main(["check-assumptions", "--scale", "0", "--samples", "10"])
+
+
 def test_train_and_surface_and_verify(config_file, tmp_path, capsys):
     _, config_path = config_file
     out = tmp_path / "artifacts"

@@ -44,6 +44,40 @@ def test_surface_grid_validation():
         SurfaceGrid(gamma_points=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("x_points", 2.5, " must be an integer", id="x_points-float"),
+        pytest.param("gamma_points", True, " must be an integer", id="gamma_points-bool"),
+        pytest.param("x_hi", math.inf, " must be finite, got inf", id="x_hi-inf"),
+        pytest.param("x_lo", -1.0, " must be non-negative", id="x_lo-negative"),
+        pytest.param("gamma_hi", math.nan, " must be finite, got nan", id="gamma_hi-nan"),
+        pytest.param("fixed_capacity", -2.5, " must be non-negative", id="fixed_capacity-negative"),
+        pytest.param("fixed_gamma", math.inf, " must be finite, got inf", id="fixed_gamma-inf"),
+        pytest.param("fixed_theta", math.nan, " must be finite, got nan", id="fixed_theta-nan"),
+    ],
+)
+def test_surface_grid_rejects_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field}{message}"):
+        SurfaceGrid(**{field: value})
+
+
+@pytest.mark.parametrize("axis", ["x", "gamma"])
+def test_surface_grid_rejects_reversed_bounds(axis):
+    """A descending grid would read a correct surface as non-monotone, so it fails when the grid is built."""
+    with pytest.raises(ValueError, match=f"^{axis}_lo must be <= {axis}_hi, got 5.0 > 0.0$"):
+        SurfaceGrid(**{f"{axis}_lo": 5.0, f"{axis}_hi": 0.0})
+    SurfaceGrid(**{f"{axis}_lo": 0.5, f"{axis}_hi": 0.5})  # equal bounds make a one-value axis
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_payment_surface_rejects_empty_sizes(field):
+    sizes = {"n": 2, "m": 1, field: 0}
+    grid = SurfaceGrid(x_points=2, gamma_points=2)
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        payment_surface(SqrtSumValuation(scale=2.0), LinearCost(), **sizes, grid=grid)
+
+
 def test_payment_surface_shape_properties():
     valuation, cost = SqrtSumValuation(scale=5.0), LinearCost()
     record = payment_surface(
@@ -149,6 +183,9 @@ _COUNTS = ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonici
     "field, value, message",
     [pytest.param(name, 0, " must be >= 1", id=name) for name in _COUNTS]
     + [
+        pytest.param("dsic_trials", 2.0, " must be an integer", id="dsic_trials-float"),
+        pytest.param("n", True, " must be an integer", id="n-bool"),
+        pytest.param("existence_samples", "10", " must be an integer", id="existence_samples-str"),
         pytest.param("cap_bounds", (5.0, 0.0), " must be finite", id="cap_bounds-inverted"),
         pytest.param("gamma_bounds", (0.0, math.inf), " must be finite", id="gamma_bounds-inf"),
         pytest.param("gamma_bounds", (-0.5, 1.0), " must be finite", id="gamma_bounds-negative"),

@@ -454,6 +454,10 @@ def test_composite_loss_matches_loss_components_of_the_payment():
         pytest.param("loss_tol", -1e-3, id="loss_tol-negative"),
         pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
         pytest.param("seed", -1, id="seed-negative"),
+        pytest.param("batch_size", 0, id="batch_size-zero"),
+        pytest.param("batch_size", 2.5, id="batch_size-fraction"),
+        pytest.param("batch_size", True, id="batch_size-bool"),
+        pytest.param("epochs", 1.5, id="epochs-fraction"),
     ],
 )
 def test_training_config_rejects_bad_field(field, value):

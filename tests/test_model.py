@@ -110,6 +110,13 @@ def test_sqrt_sum_monotone(x, bump, theta):
     assert fam.value(np.asarray(x), theta + bump) >= base - 1e-12
 
 
+@pytest.mark.parametrize("field", ["n", "dim", "samples"])
+def test_check_assumptions_rejects_empty_sizes(field):
+    sizes = {"n": 2, "dim": 1, "samples": 10, field: 0}
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        check_assumptions(SqrtSumValuation(scale=2.0), LinearCost(), **sizes)
+
+
 def test_check_assumptions_sqrt_sum_clean():
     report = check_assumptions(SqrtSumValuation(scale=4.0), LinearCost(), n=4, samples=10_000, seed=3)
     assert report.passed, report.summary()

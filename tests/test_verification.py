@@ -99,8 +99,16 @@ def test_probe_dsic_rejects_a_punishment_that_is_not_positive_and_finite(small_w
 @pytest.mark.parametrize("deviations_per_trial", [0, -1])
 def test_probe_dsic_rejects_fewer_than_one_deviation_per_trial(small_world, deviations_per_trial):
     _, economies, deviations = small_world
-    with pytest.raises(ValueError, match="^deviations_per_trial must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^deviations_per_trial must be >= 1, got {deviations_per_trial}$"):
         probe_dsic(economies, deviations, trials=5, deviations_per_trial=deviations_per_trial)
+
+
+@pytest.mark.parametrize("field", ["trials", "deviations_per_trial"])
+@pytest.mark.parametrize("count, message", [(0, "must be >= 1, got 0"), (2.0, "must be an integer, got 2.0")])
+def test_probe_dsic_rejects_a_count_that_is_not_a_positive_integer(small_world, field, count, message):
+    _, economies, deviations = small_world
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
+        probe_dsic(economies, deviations, **{"trials": 5, "deviations_per_trial": 5, field: count})
 
 
 def test_check_efficiency_grid(split_cost_economy):
