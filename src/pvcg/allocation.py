@@ -179,112 +179,140 @@ def others_index(n: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
+class _Objective:
+    """The surplus and its gradient on the ``(E*k, n*dim)`` ratio rows of E economies, k rows each, prepared once.
+
+    The square-root/linear family is in closed form, its constants repeated on each economy's rows; an economy's
+    costs are one matrix-vector product over its k rows, whose bits depend on all k. Any other family takes
+    ``social_surplus`` of the rows asked for, one by one, and central finite differences, one-sided at 0.
+    """
+
+    def __init__(self, views: list[Economy], k: int):
+        first = views[0]
+        self.views, self.k, self.shape = views, k, first.capacities.shape
+        self.closed = _sqrt_sum_linear(first.valuation, first.cost)
+        self.caps = np.repeat(np.stack([view.capacities.ravel() for view in views]), k, axis=0)
+        gammas = np.stack([view.cost_types for view in views])
+        self.gammas, self.gamma_flat = gammas[..., None], np.repeat(np.repeat(gammas, first.dim, axis=1), k, axis=0)
+        self.thetas = np.repeat(np.stack([view.valuation_types for view in views]).T, k, axis=1)
+        if self.closed:
+            self.scale, self.half_root_scale = first.valuation.scale, 0.5 * math.sqrt(first.valuation.scale)
+
+    def _consumers(self, per_unit: Array) -> Array:
+        """Each row's sum over consumers of theta times ``per_unit``, in consumer order."""
+        total = self.thetas[0] * per_unit
+        for theta in self.thetas[1:]:
+            total = total + theta * per_unit
+        return total
+
+    def surplus(self, H: Array, rows: Array) -> tuple[Array, Array]:
+        """Surpluses and accepted totals of the rows of ``H``; outside closed form, a row not in ``rows`` reads 0."""
+        accepted = H * self.caps
+        totals = np.add.reduce(accepted, axis=1)
+        if not self.closed:
+            f = np.zeros(len(H))
+            for r in np.flatnonzero(rows):
+                f[r] = social_surplus(self.views[r // self.k], accepted[r].reshape(self.shape))
+            return f, totals
+        value = self._consumers(np.sqrt(self.scale * totals))
+        if self.shape[1] > 1:
+            accepted = accepted.reshape(len(H), -1, self.shape[1]).sum(axis=2)
+        return value - (accepted.reshape(len(self.gammas), self.k, -1) @ self.gammas).ravel(), totals
+
+    def gradient(self, H: Array, totals: Array, done: Array, G: Array, fd_step: float = 1e-6) -> Array:
+        """The gradient at each row not ``done``: in closed form, from the accepted totals of its last surplus."""
+        if self.closed:
+            coeff = self._consumers(self.half_root_scale / np.sqrt(np.maximum(totals, 1e-12)))
+            return self.caps * (coeff[:, None] - self.gamma_flat)
+        G, active = G.copy(), ~done  # a done row has not moved since G
+        for d in range(H.shape[1]):
+            hp, hm = H.copy(), H.copy()
+            hp[:, d] += fd_step
+            hm[:, d] = np.maximum(H[:, d] - fd_step, 0.0)
+            G[active, d] = ((self.surplus(hp, active)[0] - self.surplus(hm, active)[0]) / (hp[:, d] - hm[:, d]))[active]
+        return G
+
+
 def _surplus_rows(view: Economy, H: Array) -> Array:
-    """Surplus for each row of ``H`` (rows are flattened ratio profiles)."""
-    k = H.shape[0]
-    caps_flat = view.capacities.ravel()
-    accepted = H * caps_flat
-    if _sqrt_sum_linear(view.valuation, view.cost):
-        totals = accepted.sum(axis=1)
-        value = np.zeros(k)
-        for theta in view.valuation_types:
-            value += float(theta) * np.sqrt(view.valuation.scale * totals)
-        per_producer = accepted.reshape(k, view.n, view.dim).sum(axis=2)
-        costs = per_producer @ view.cost_types
-        return value - costs
-    out = np.empty(k)
-    for r in range(k):
-        out[r] = social_surplus(view, accepted[r].reshape(view.n, view.dim))
-    return out
+    """The surplus of one economy at each row of ``H``, a flat ratio profile per row."""
+    return _Objective([view], len(H)).surplus(H, np.ones(len(H), dtype=bool))[0]
 
 
-def _grad_rows(view: Economy, H: Array, fd_step: float = 1e-6) -> Array:
-    """Gradient of the surplus with respect to each ratio coordinate, per row.
+def _spg(views: list[Economy], seed=0, restarts=8, max_iter=10_000, tol=1e-8, armijo_c=1e-4) -> list[AllocationResult]:
+    """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on a batch of economies.
 
-    Analytic for the square-root/linear family, where every coordinate's
-    marginal value is ``theta * sqrt(scale) / (2 sqrt(T))`` at total accepted
-    quantity ``T``; central finite differences (one-sided at the lower
-    boundary) otherwise.
+    The economies share one shape and one pair of families. Each runs the same start rows (zeros, ones and
+    ``restarts`` draws from ``seed``) in lockstep with the others, with the arithmetic of its solve alone, until
+    all its rows are done. A row steps along ``clip(x + alpha g, 0, 1) - x``, ``alpha`` the Barzilai-Borwein step
+    of ``-S`` in [1e-12, 1e12] (one over the projected-gradient norm while ``s'y <= 0``), halved until an Armijo
+    test against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It is done when that norm drops below
+    ``tol``, or stalls when its line search runs out or its accepted step is exactly zero. The best row wins,
+    near-ties by the lexicographically smallest accepted quantities.
     """
-    caps_flat = view.capacities.ravel()
-    if _sqrt_sum_linear(view.valuation, view.cost):
-        accepted = H * caps_flat
-        totals = accepted.sum(axis=1)
-        marginal = 0.5 * math.sqrt(view.valuation.scale) / np.sqrt(np.maximum(totals, 1e-12))
-        coeff = np.zeros_like(totals)
-        for theta in view.valuation_types:
-            coeff += float(theta) * marginal
-        gamma_flat = np.repeat(view.cost_types, view.dim)
-        return caps_flat * (coeff[:, None] - gamma_flat[None, :])
-    grads = np.empty_like(H)
-    for d in range(H.shape[1]):
-        hp = H.copy()
-        hm = H.copy()
-        hp[:, d] = H[:, d] + fd_step
-        hm[:, d] = np.maximum(H[:, d] - fd_step, 0.0)
-        denom = hp[:, d] - hm[:, d]
-        grads[:, d] = (_surplus_rows(view, hp) - _surplus_rows(view, hm)) / denom
-    return grads
-
-
-def _projected_gradient(
-    view: Economy,
-    seed: int = 0,
-    restarts: int = 8,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
-    armijo_c: float = 1e-4,
-) -> AllocationResult:
-    """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on all start rows at once.
-
-    A row steps along ``clip(x + alpha g, 0, 1) - x``, ``alpha`` the Barzilai-Borwein step of ``-S`` in
-    [1e-12, 1e12] (one over the projected-gradient norm while ``s'y <= 0``), halved until an Armijo test
-    against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It is done when that norm drops
-    below ``tol``, or stalls when its line search runs out or its accepted step is exactly zero.
-    """
-    width = view.n * view.dim
+    width = views[0].n * views[0].dim
     rng = np.random.default_rng(seed)
     starts = [np.zeros(width), np.ones(width)]
     starts += [rng.uniform(0.0, 1.0, size=width) for _ in range(restarts)]
-    H = np.stack(starts)
-    f = _surplus_rows(view, H)
-    history = np.repeat(f[:, None], _SPG_MEMORY, axis=1)
+    k = len(starts)
+    H = np.tile(np.stack(starts), (len(views), 1))
+    objective, live, results = _Objective(views, k), np.arange(len(views)), [None] * len(views)
     done = np.zeros(len(H), dtype=bool)
+    f, totals = objective.surplus(H, ~done)
+    history = np.repeat(f[:, None], _SPG_MEMORY, axis=1)
     S = G = np.zeros_like(H)  # the last step, and the gradient before it
 
+    # ufunc reductions and count_nonzero: at ten rows the ndarray method wrappers cost more than the arithmetic
     for iterations in range(max_iter + 1):
-        G, G_prev = _grad_rows(view, H), G
-        pg_norm = np.abs(H - np.clip(H + G, 0.0, 1.0)).max(axis=1)
+        G, G_prev = objective.gradient(H, totals, done, G), G
+        pg_norm = np.maximum.reduce(np.abs(H - np.minimum(np.maximum(H + G, 0.0), 1.0)), axis=1)
         done |= pg_norm < tol
-        if done.all() or iterations == max_iter:
-            break
+        finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == max_iter)
+        if np.count_nonzero(finished):
+            for e in np.flatnonzero(finished):
+                view, own = views[live[e]], slice(e * k, (e + 1) * k)
+                best = np.flatnonzero(f[own] >= float(f[own].max()) - _LEX_TIE_TOL)
+                chosen = min(best, key=lambda r: tuple(H[own][r] * view.capacities.ravel()))
+                diag = SolverDiagnostics(iterations, k, float(pg_norm[own][chosen]))
+                results[live[e]] = _finalize(view, H[own][chosen].reshape(view.n, view.dim).copy(), diag)
+            if finished.all():
+                return results
+            live, rows = live[~finished], np.repeat(~finished, k)
+            objective = _Objective([views[e] for e in live], k)
+            H, f, totals, history, done, S, G, G_prev, pg_norm = (
+                x[rows] for x in (H, f, totals, history, done, S, G, G_prev, pg_norm)
+            )
         sts, sty = np.einsum("kd,kd->k", S, S), np.einsum("kd,kd->k", S, G_prev - G)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.clip(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12, 1e12)
-        D = np.clip(H + alpha[:, None] * G, 0.0, 1.0) - H
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0/0 is masked, inf clipped
+            alpha = np.minimum(np.maximum(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12), 1e12)
+        D = np.minimum(np.maximum(H + alpha[:, None] * G, 0.0), 1.0) - H
         slope = armijo_c * np.einsum("kd,kd->k", G, D)
-        reference = history.min(axis=1)
-        start, remaining, lam = H.copy(), ~done, np.ones(len(H))
-        while remaining.any():
-            trial = np.clip(start + lam[:, None] * D, 0.0, 1.0)
-            f_trial = _surplus_rows(view, trial)
+        reference = np.minimum.reduce(history, axis=1)
+        start, H, remaining = H, H.copy(), ~done
+        trial, lam = start + D, 1.0
+        while True:
+            np.minimum(np.maximum(trial, 0.0, out=trial), 1.0, out=trial)
+            f_trial, totals_trial = objective.surplus(trial, remaining)
             take = remaining & (f_trial >= reference + lam * slope)
-            H[take], f[take] = trial[take], f_trial[take]
+            np.copyto(H, trial, where=take[:, None])
+            np.copyto(f, f_trial, where=take)
+            np.copyto(totals, totals_trial, where=take)
             remaining &= ~take
-            lam[remaining] *= 0.5
-            done |= remaining & (lam < 1e-16)
-            remaining &= lam >= 1e-16
+            if np.count_nonzero(remaining):
+                lam = np.where(remaining, 0.5 * lam, lam)
+                done |= remaining & (lam < 1e-16)
+                remaining &= lam >= 1e-16
+            if not np.count_nonzero(remaining):
+                break
+            trial = start + lam[:, None] * D
         S = H - start
-        done |= ~S.any(axis=1)
+        done |= ~np.logical_or.reduce(S, axis=1)
         history[:, iterations % _SPG_MEMORY] = f
 
-    best = float(f.max())
-    candidates = np.flatnonzero(f >= best - _LEX_TIE_TOL)
-    caps_flat = view.capacities.ravel()
-    chosen = min(candidates, key=lambda r: tuple(H[r] * caps_flat))
-    ratios = H[chosen].reshape(view.n, view.dim)
-    diag = SolverDiagnostics(iterations=iterations, restarts=len(H), grad_norm=float(pg_norm[chosen]))
-    return _finalize(view, ratios, diag)
+
+def _projected_gradient(view: Economy, seed: int = 0, restarts: int = 8, max_iter: int = 10_000, tol: float = 1e-8,
+                        armijo_c: float = 1e-4) -> AllocationResult:
+    """``_spg`` on one economy: the projected-gradient solve of ``optimize_acceptance``."""
+    return _spg([view], seed, restarts, max_iter, tol, armijo_c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +375,10 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     Capacities are ``(..., n, dim)``, cost types ``(..., n)`` and valuation
     types ``(..., m)``, leading axes a batch; the leading axes of the
     valuation types broadcast against it. Row for row the result carries the
-    bits of ``optimize_acceptance`` (seed 0): water-fill economies are solved
+    bits of ``optimize_acceptance`` (seed 0). Water-fill economies are solved
     in one kernel call, whose surpluses come from the formula ``max_surplus``,
-    ``waterfill_surplus`` and ``waterfill_gains`` share; any other economy is
-    solved by itself. An empty coalition (n == 0) has zero surplus.
+    ``waterfill_surplus`` and ``waterfill_gains`` share. Any other batch is
+    one ``_spg`` call. An empty coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -364,8 +392,11 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     accepted = np.zeros(caps.shape)
     surplus = np.zeros(batch)
     thetas = np.broadcast_to(thetas, batch + thetas.shape[-1:])
-    for k in np.ndindex(batch):
-        solved = optimize_acceptance(Economy(caps[k], gammas[k], thetas[k], valuation, cost), method=method)
+    views = [Economy(caps[k], gammas[k], thetas[k], valuation, cost) for k in np.ndindex(batch)]
+    # any other method is unknown, or "analytic" outside the water-fill's families: optimize_acceptance raises
+    gradient = method in (None, "projected_gradient")
+    results = _spg(views) if gradient and views else [optimize_acceptance(view, method=method) for view in views]
+    for k, solved in zip(np.ndindex(batch), results):
         accepted[k], surplus[k] = solved.accepted, solved.surplus
     return accepted, surplus
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
-from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
+from .allocation import AllocationResult, _surplus_rows, optimize_acceptance, others_index, solve_batch
 from .model import Economy, _check_count, _check_entries
 from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, _check_punishment, deviation_utilities
 
@@ -41,6 +41,12 @@ SURPLUS_TOL = 1e-8
 EFFICIENCY_TOL = 2e-3
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that no gap can exceed: NaN and +inf would pass every probe."""
+    if not tol < math.inf:
+        raise ValueError(f"tol must be a number below +inf, got {tol}")
+
+
 @dataclass
 class ProbeReport:
     """Trials run, violation witnesses, and the worst observed gap."""
@@ -55,6 +61,7 @@ class ProbeReport:
         return not self.violations
 
     def record(self, gap: float, witness: dict, tol: float) -> None:
+        _check_tol(tol)
         self.max_gap = max(self.max_gap, gap)
         if gap > tol:
             witness["gap"] = gap
@@ -62,6 +69,7 @@ class ProbeReport:
 
     def record_all(self, gaps: Array, witness, tol: float) -> None:
         """``record`` every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
+        _check_tol(tol)
         if gaps.size:
             # argmax takes the first of equal maxima, as repeated max() would
             self.max_gap = max(self.max_gap, float(gaps[np.argmax(gaps)]))
@@ -263,8 +271,8 @@ def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_
     """Exhaustive grid search over acceptance ratios (scalar resources, n <= 3)."""
     if view.dim != 1:
         raise ValueError("grid search is implemented for scalar resources only")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must be in (0, 1], got {step}")
     n = view.n
     points = int(round(1.0 / step)) + 1
     if points**n > max_cells:
@@ -272,8 +280,6 @@ def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_
     axis = np.linspace(0.0, 1.0, points)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     H = np.stack([g.ravel() for g in grids], axis=1)
-    from .allocation import _surplus_rows
-
     return float(_surplus_rows(view, H).max())
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -63,3 +65,13 @@ def random_sqrt_sum_economy(rng, n_choices=(1, 2, 3), m_choices=(1, 2), cap_high
 # cost types and capacities with ties and zeros mixed into the continuous draws
 TIED_GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 TIED_CAPS = st.sampled_from([0.0, 2.5, 5.0]) | st.floats(0.0, 5.0)
+
+
+def weighted_valuation(x, theta):
+    """A custom valuation: a weighted aggregate under a square root."""
+    return theta * math.sqrt(x[:, 0].sum() + 2.0 * x[:, -1].sum())
+
+
+def convex_cost(x, gamma):
+    """A custom cost, convex in the bundle's total."""
+    return gamma * (x.sum() + 0.1 * x.sum() ** 2)

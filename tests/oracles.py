@@ -151,10 +151,9 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
 
     ``-(S_pessimistic - S_without_i)``: the pessimistic problem inserts
     producer ``i`` at its support-minimum capacity and support-maximum cost
-    type. Two ``max_surplus`` solves, with no batch of producers and no
+    type. Two ``reference_max_surplus`` solves, with no batch of producers and no
     ``others_index`` gather.
     """
-    from pvcg.allocation import max_surplus
     from pvcg.model import as_quantity_matrix
 
     support = model.support
@@ -164,8 +163,8 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
     gammas_others = np.asarray(gammas_others, dtype=float)
     pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
     pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
-    s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, model.valuation, model.cost, model.method)
-    s_without = max_surplus(others, gammas_others, thetas, model.valuation, model.cost, model.method)
+    s_pessimistic = reference_max_surplus(pess_caps, pess_gammas, thetas, model.valuation, model.cost, model.method)
+    s_without = reference_max_surplus(others, gammas_others, thetas, model.valuation, model.cost, model.method)
     return float(-(s_pessimistic - s_without))
 
 
@@ -338,11 +337,13 @@ def max_rel_error(analytic, numeric) -> float:
 # ``probe_dsic``, ``check_surplus_monotonicity``, ``payment_surface`` and
 # ``ir_wbb_sweep`` as they were before the probes priced their samples in one
 # batch: one economy, one solve and one payment at a time, through the public
-# per-economy functions. The batched probes must return the same reports.
+# per-economy functions; each solve is ``reference_solve``, so a projected
+# gradient is the one-economy oracle below. The batched probes must return the
+# same reports.
 
 from dataclasses import replace  # noqa: E402
 
-from pvcg.allocation import AllocationResult, SolverDiagnostics, optimize_acceptance  # noqa: E402
+from pvcg.allocation import AllocationResult, SolverDiagnostics, optimize_acceptance, waterfill_applies  # noqa: E402
 from pvcg.experiment import SurfaceGrid, SurfaceRecord  # noqa: E402
 from pvcg.adjustment import PriorSupport  # noqa: E402
 from pvcg.model import Economy, total_valuation  # noqa: E402
@@ -371,7 +372,7 @@ from pvcg.verification import (  # noqa: E402
 #
 # ``counterfactual_surplus``, ``solve_with_counterfactuals``, ``vcg_tau``,
 # ``total_payment`` and ``producer_utility`` as they were before every auction
-# was priced as a batch of economies: one ``optimize_acceptance`` per full or
+# was priced as a batch of economies: one ``reference_solve`` per full or
 # producer-removed problem and one producer at a time. ``total_payment`` took
 # this path for every family and method but the water-fill; it must give the
 # same bits.
@@ -384,12 +385,12 @@ def reference_counterfactual_surplus(view, removed_producer, method=None, seed=0
     if view.n == 1:
         zero = np.zeros((0, view.dim))
         return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
-    return optimize_acceptance(_drop_producer(view, removed_producer), method=method, seed=seed)
+    return reference_solve(_drop_producer(view, removed_producer), method=method, seed=seed)
 
 
 def reference_solve_with_counterfactuals(view, method=None, seed=0):
     """The full problem plus every producer-removed problem."""
-    full = optimize_acceptance(view, method=method, seed=seed)
+    full = reference_solve(view, method=method, seed=seed)
     removed = [reference_counterfactual_surplus(view, i, method=method, seed=seed) for i in range(view.n)]
     return full, removed
 
@@ -448,7 +449,7 @@ def reference_producer_utility(economy, bids, producer, adjustment=None, punishm
     if adjustment is None:
         adjustment = ZeroAdjustment()
     view = economy.view(bids)
-    full = optimize_acceptance(view, method=method, seed=seed)
+    full = reference_solve(view, method=method, seed=seed)
     removed = reference_counterfactual_surplus(view, producer, method=method, seed=seed)
     h = adjustment_for(adjustment, view, producer)
     utility, tau = deviation_utilities(
@@ -508,7 +509,7 @@ def reference_probe_dsic(
 
     for trial in range(trials):
         economy = economy_sampler(rng)
-        full_truth = optimize_acceptance(economy, method=method)
+        full_truth = reference_solve(economy, method=method)
         removed_cache: dict[int, AllocationResult] = {}
         truth_cache: dict[int, float] = {}
         h_cache: dict[int, float] = {}
@@ -529,7 +530,7 @@ def reference_probe_dsic(
             dev_gammas = economy.cost_types.copy()
             dev_gammas[i] = gamma_dev
             dev_view = replace(economy, capacities=dev_caps, cost_types=dev_gammas)
-            full_dev = optimize_acceptance(dev_view, method=method)
+            full_dev = reference_solve(dev_view, method=method)
             # the removed problem ignores producer i's report: reuse the truthful one
             utility_dev, tau_dev = reference_utility_from_solves(
                 economy, dev_view, full_dev, removed_cache[i], i, h_cache[i], punishment
@@ -573,14 +574,14 @@ def reference_check_surplus_monotonicity(
     report = ProbeReport(name="surplus_monotonicity", trials=trials)
     for trial in range(trials):
         economy = economy_sampler(rng)
-        base = optimize_acceptance(economy.view(), method=method).surplus
+        base = reference_solve(economy.view(), method=method).surplus
         i = int(rng.integers(economy.n))
         d = int(rng.integers(economy.dim))
 
         caps_up = economy.capacities.copy()
         caps_up[i, d] += float(rng.uniform(0.1, 2.0))
         up_view = replace(economy, capacities=caps_up)
-        surplus_up = optimize_acceptance(up_view, method=method).surplus
+        surplus_up = reference_solve(up_view, method=method).surplus
         report.record(
             base - surplus_up,
             {"trial": trial, "kind": "capacity_increase", "producer": i, "before": base, "after": surplus_up},
@@ -590,7 +591,7 @@ def reference_check_surplus_monotonicity(
         gammas_up = economy.cost_types.copy()
         gammas_up[i] += float(rng.uniform(0.1, 2.0))
         costly_view = replace(economy, cost_types=gammas_up)
-        surplus_costly = optimize_acceptance(costly_view, method=method).surplus
+        surplus_costly = reference_solve(costly_view, method=method).surplus
         report.record(
             surplus_costly - base,
             {"trial": trial, "kind": "cost_increase", "producer": i, "before": base, "after": surplus_costly},
@@ -635,7 +636,7 @@ def reference_payment_surface(
     for a, x0 in enumerate(x_values):
         for b, g0 in enumerate(gamma_values):
             view = reported(x0, g0)
-            full = optimize_acceptance(view, method=method)
+            full = reference_solve(view, method=method)
             tau[a, b] = tau_for_producer(view, full, removed, 0)
     return SurfaceRecord(
         x_values=x_values,
@@ -849,3 +850,152 @@ def reference_train(valuation, support, config):
 def per_network(d_weights, d_biases):
     """Stacked gradients as the per-network ``(d_weights, d_biases)`` pairs of the oracles above."""
     return [([dw[i] for dw in d_weights], [db[i] for db in d_biases]) for i in range(d_weights[0].shape[0])]
+
+
+# ---------------------------------------------------------------------------
+# one-economy projected-gradient oracle
+# ---------------------------------------------------------------------------
+#
+# The spectral projected gradient as it was before one kernel solved a batch
+# of economies with its objective prepared once: one economy, all ten start
+# rows evaluated at every iteration, every constant derived again on each
+# call. ``solve_batch`` and ``optimize_acceptance`` must give its bits.
+
+import math  # noqa: E402
+
+from pvcg.model import LinearCost, SqrtSumValuation, social_surplus  # noqa: E402
+
+_LEX_TIE_TOL = 1e-12
+_SPG_MEMORY = 10
+
+
+def _sqrt_sum_linear(valuation, cost) -> bool:
+    return isinstance(valuation, SqrtSumValuation) and isinstance(cost, LinearCost)
+
+
+def _reference_surplus_rows(view: Economy, H: Array) -> Array:
+    """Surplus for each row of ``H`` (rows are flattened ratio profiles)."""
+    k = H.shape[0]
+    caps_flat = view.capacities.ravel()
+    accepted = H * caps_flat
+    if _sqrt_sum_linear(view.valuation, view.cost):
+        totals = accepted.sum(axis=1)
+        value = np.zeros(k)
+        for theta in view.valuation_types:
+            value += float(theta) * np.sqrt(view.valuation.scale * totals)
+        per_producer = accepted.reshape(k, view.n, view.dim).sum(axis=2)
+        costs = per_producer @ view.cost_types
+        return value - costs
+    out = np.empty(k)
+    for r in range(k):
+        out[r] = social_surplus(view, accepted[r].reshape(view.n, view.dim))
+    return out
+
+
+def _reference_grad_rows(view: Economy, H: Array, fd_step: float = 1e-6) -> Array:
+    """Gradient of the surplus with respect to each ratio coordinate, per row.
+
+    Analytic for the square-root/linear family, where every coordinate's
+    marginal value is ``theta * sqrt(scale) / (2 sqrt(T))`` at total accepted
+    quantity ``T``; central finite differences (one-sided at the lower
+    boundary) otherwise.
+    """
+    caps_flat = view.capacities.ravel()
+    if _sqrt_sum_linear(view.valuation, view.cost):
+        accepted = H * caps_flat
+        totals = accepted.sum(axis=1)
+        marginal = 0.5 * math.sqrt(view.valuation.scale) / np.sqrt(np.maximum(totals, 1e-12))
+        coeff = np.zeros_like(totals)
+        for theta in view.valuation_types:
+            coeff += float(theta) * marginal
+        gamma_flat = np.repeat(view.cost_types, view.dim)
+        return caps_flat * (coeff[:, None] - gamma_flat[None, :])
+    grads = np.empty_like(H)
+    for d in range(H.shape[1]):
+        hp = H.copy()
+        hm = H.copy()
+        hp[:, d] = H[:, d] + fd_step
+        hm[:, d] = np.maximum(H[:, d] - fd_step, 0.0)
+        denom = hp[:, d] - hm[:, d]
+        grads[:, d] = (_reference_surplus_rows(view, hp) - _reference_surplus_rows(view, hm)) / denom
+    return grads
+
+
+def reference_projected_gradient(
+    view: Economy,
+    seed: int = 0,
+    restarts: int = 8,
+    max_iter: int = 10_000,
+    tol: float = 1e-8,
+    armijo_c: float = 1e-4,
+) -> AllocationResult:
+    """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on all start rows at once.
+
+    A row steps along ``clip(x + alpha g, 0, 1) - x``, ``alpha`` the Barzilai-Borwein step of ``-S`` in
+    [1e-12, 1e12] (one over the projected-gradient norm while ``s'y <= 0``), halved until an Armijo test
+    against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It is done when that norm drops
+    below ``tol``, or stalls when its line search runs out or its accepted step is exactly zero.
+    """
+    width = view.n * view.dim
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(width), np.ones(width)]
+    starts += [rng.uniform(0.0, 1.0, size=width) for _ in range(restarts)]
+    H = np.stack(starts)
+    f = _reference_surplus_rows(view, H)
+    history = np.repeat(f[:, None], _SPG_MEMORY, axis=1)
+    done = np.zeros(len(H), dtype=bool)
+    S = G = np.zeros_like(H)  # the last step, and the gradient before it
+
+    for iterations in range(max_iter + 1):
+        G, G_prev = _reference_grad_rows(view, H), G
+        pg_norm = np.abs(H - np.clip(H + G, 0.0, 1.0)).max(axis=1)
+        done |= pg_norm < tol
+        if done.all() or iterations == max_iter:
+            break
+        sts, sty = np.einsum("kd,kd->k", S, S), np.einsum("kd,kd->k", S, G_prev - G)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.clip(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12, 1e12)
+        D = np.clip(H + alpha[:, None] * G, 0.0, 1.0) - H
+        slope = armijo_c * np.einsum("kd,kd->k", G, D)
+        reference = history.min(axis=1)
+        start, remaining, lam = H.copy(), ~done, np.ones(len(H))
+        while remaining.any():
+            trial = np.clip(start + lam[:, None] * D, 0.0, 1.0)
+            f_trial = _reference_surplus_rows(view, trial)
+            take = remaining & (f_trial >= reference + lam * slope)
+            H[take], f[take] = trial[take], f_trial[take]
+            remaining &= ~take
+            lam[remaining] *= 0.5
+            done |= remaining & (lam < 1e-16)
+            remaining &= lam >= 1e-16
+        S = H - start
+        done |= ~S.any(axis=1)
+        history[:, iterations % _SPG_MEMORY] = f
+
+    best = float(f.max())
+    candidates = np.flatnonzero(f >= best - _LEX_TIE_TOL)
+    caps_flat = view.capacities.ravel()
+    chosen = min(candidates, key=lambda r: tuple(H[r] * caps_flat))
+    ratios = H[chosen].reshape(view.n, view.dim)
+    diag = SolverDiagnostics(iterations=iterations, restarts=len(H), grad_norm=float(pg_norm[chosen]))
+    accepted = view.capacities * ratios
+    surplus = social_surplus(view, accepted)
+    if not math.isfinite(surplus):
+        raise ValueError(f"solver produced a non-finite surplus ({surplus})")
+    return AllocationResult(ratios, accepted, surplus, diag)
+
+
+def reference_solve(view, method=None, seed=0) -> AllocationResult:
+    """``optimize_acceptance`` with every projected-gradient solve taken by ``reference_projected_gradient``."""
+    if method is None and not waterfill_applies(view.valuation, view.cost, view.dim):
+        method = "projected_gradient"
+    if method == "projected_gradient":
+        return reference_projected_gradient(view, seed=seed)
+    return optimize_acceptance(view, method=method, seed=seed)
+
+
+def reference_max_surplus(capacities, gammas, thetas, valuation, cost, method=None) -> float:
+    """One economy's ``max_surplus`` by ``reference_solve``; an empty coalition has zero surplus."""
+    if len(gammas) == 0:
+        return 0.0
+    return reference_solve(Economy(capacities, gammas, thetas, valuation, cost), method).surplus

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvcg import (
+    CustomCost,
     CustomValuation,
     Economy,
     EconomyView,
@@ -19,11 +20,27 @@ from pvcg import (
     social_surplus,
     total_payment,
 )
-from pvcg.allocation import _waterfill_rows, max_surplus, solve_batch, waterfill_gains, waterfill_surplus
+from pvcg.allocation import (
+    _Objective,
+    _spg,
+    _waterfill_rows,
+    max_surplus,
+    solve_batch,
+    waterfill_gains,
+    waterfill_surplus,
+)
 from pvcg.verification import grid_surplus_max
 
-from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
-from oracles import grid_max, grid_max_3d_ternary, grid_max_full, reference_waterfill_gains
+from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
+from oracles import (
+    _reference_grad_rows,
+    _reference_surplus_rows,
+    grid_max,
+    grid_max_3d_ternary,
+    grid_max_full,
+    reference_projected_gradient,
+    reference_waterfill_gains,
+)
 
 
 def test_waterfill_drops_expensive_producer(split_cost_economy):
@@ -191,6 +208,104 @@ def test_projected_gradient_handles_custom_family_with_fd_gradients():
         for e1 in np.linspace(0, 1, 201):
             best = max(best, social_surplus(view, [3.0 * e0, 2.0 * e1]))
     assert pg.surplus >= best - 2e-3
+
+
+# (valuation, cost, dim) of every family the projected gradient solves in closed form or by finite differences
+_PG_FAMILIES = {
+    "sqrt_sum_dim1": (SqrtSumValuation(scale=3.0), LinearCost(), 1),
+    "sqrt_sum_dim2": (SqrtSumValuation(scale=3.0), LinearCost(), 2),
+    "sqrt_sum_squares": (SqrtSumSquaresValuation(scale=3.0), LinearCost(), 1),
+    "custom": (CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost), 1),
+}
+
+
+def _assert_same_solve(got, want, label):
+    assert got.ratios.tobytes() == want.ratios.tobytes(), label
+    assert got.accepted.tobytes() == want.accepted.tobytes(), label
+    assert np.float64(got.surplus).tobytes() == np.float64(want.surplus).tobytes(), label
+    assert got.diag == want.diag, label
+
+
+def _assert_batch_rows(views, wants, label):
+    """``solve_batch`` of the views, one kernel call, against the one-economy oracle row by row."""
+    accepted, surplus = solve_batch(
+        np.stack([v.capacities for v in views]),
+        np.stack([v.cost_types for v in views]),
+        np.stack([v.valuation_types for v in views]),
+        views[0].valuation,
+        views[0].cost,
+        method="projected_gradient",
+    )
+    for t, want in enumerate(wants):
+        assert accepted[t].tobytes() == want.accepted.tobytes(), (label, t)
+        assert surplus[t].tobytes() == np.float64(want.surplus).tobytes(), (label, t)
+
+
+@pytest.mark.parametrize("family", list(_PG_FAMILIES))
+def test_projected_gradient_objective_is_bit_equal_to_the_one_economy_oracle(family):
+    """The prepared objective's surpluses and gradients, three economies at once, have each economy's own bits."""
+    valuation, cost, dim = _PG_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_PG_FAMILIES).index(family))
+    for n in (1, 3, 10):
+        views = [
+            Economy(rng.uniform(0.0, 5.0, (n, dim)), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, 3),
+                    valuation, cost)
+            for _ in range(3)
+        ]
+        H = rng.uniform(0.0, 1.0, (30, n * dim))
+        H[::4] = 0.0  # rows at the lower boundary take one-sided differences
+        objective = _Objective(views, 10)
+        f, totals = objective.surplus(H, np.ones(30, dtype=bool))
+        G = objective.gradient(H, totals, np.zeros(30, dtype=bool), np.zeros_like(H))
+        for e, view in enumerate(views):
+            rows = slice(10 * e, 10 * e + 10)
+            assert f[rows].tobytes() == _reference_surplus_rows(view, H[rows]).tobytes(), (family, n, e)
+            assert G[rows].tobytes() == _reference_grad_rows(view, H[rows]).tobytes(), (family, n, e)
+
+
+@pytest.mark.parametrize("family", list(_PG_FAMILIES))
+def test_projected_gradient_is_bit_equal_to_the_one_economy_oracle(family):
+    """``optimize_acceptance`` and ``solve_batch`` rows carry the bits of SPG written for one economy.
+
+    n = 1-4 and 10, each with a truthful economy and one in which a producer
+    over-reports its capacity and under-reports its cost type; each n's two
+    economies are one ``solve_batch`` call.
+    """
+    valuation, cost, dim = _PG_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_PG_FAMILIES).index(family))
+    for n in (1, 2, 3, 4, 10):
+        views = []
+        for liar in (False, True):
+            economy = Economy(
+                rng.uniform(0.0, 5.0, (n, dim)), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, 2), valuation, cost
+            )
+            bids = economy.truthful_bids()
+            if liar:
+                i = int(rng.integers(n))
+                bids.capacities[i] = 2.0 * economy.capacities[i] + 1.0
+                bids.cost_types[i] *= 0.5
+            views.append(economy.view(bids))
+        wants = [reference_projected_gradient(view) for view in views]
+        for t, (view, want) in enumerate(zip(views, wants)):
+            _assert_same_solve(optimize_acceptance(view, method="projected_gradient"), want, (family, n, t))
+        _assert_batch_rows(views, wants, (family, n))
+
+
+def test_projected_gradient_batch_keeps_each_economys_bits_when_one_runs_long():
+    """An economy that leaves the batch early, or stays long after the others, keeps its one-economy bits."""
+    rng = np.random.default_rng(17)
+    near_tie = Economy.sqrt_sum(NEAR_TIE_CAPS, NEAR_TIE_GAMMAS, NEAR_TIE_THETAS, scale=10.0)
+    views = [
+        Economy.sqrt_sum(rng.uniform(0.0, 5.0, 10), rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 1.0, 2), scale=10.0)
+        for _ in range(6)
+    ]
+    views.insert(2, near_tie)
+    wants = [reference_projected_gradient(view) for view in views]
+    iterations = [want.diag.iterations for want in wants]
+    assert iterations[2] > 4 * max(iterations[:2] + iterations[3:])
+    for t, (got, want) in enumerate(zip(_spg(views), wants)):
+        _assert_same_solve(got, want, t)
+    _assert_batch_rows(views, wants, "near tie")
 
 
 def test_solver_result_invariants():

@@ -28,7 +28,7 @@ from pvcg.learner import mlp_init
 from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, total_valuation
 from pvcg.verification import SURPLUS_TOL
 
-from conftest import TIED_CAPS, TIED_GAMMAS, random_sqrt_sum_economy
+from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
 from oracles import (
     reference_payment,
     reference_producer_utility,
@@ -392,15 +392,7 @@ def test_payments_batch_rejects_bad_input(change, message):
 
 
 
-def _weighted_valuation(x, theta):
-    return theta * math.sqrt(x[:, 0].sum() + 2.0 * x[:, -1].sum())
-
-
-def _convex_cost(x, gamma):
-    return gamma * (x.sum() + 0.1 * x.sum() ** 2)
-
-
-_CUSTOM = (CustomValuation(fn=_weighted_valuation), CustomCost(fn=_convex_cost))
+_CUSTOM = (CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost))
 # (valuation, cost, dim, method, producer counts): every family and method but the water-fill
 _GENERIC_FAMILIES = {
     "sqrt_sum_dim2": (SqrtSumValuation(scale=3.0), LinearCost(), 2, None, (1, 2, 3)),

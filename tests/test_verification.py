@@ -24,7 +24,8 @@ from pvcg import (
     total_payment,
     uniform_economy_sampler,
 )
-from pvcg.allocation import waterfill_surplus
+from pvcg.allocation import AllocationResult, SolverDiagnostics, waterfill_surplus
+from pvcg.verification import grid_surplus_max
 
 from conftest import random_sqrt_sum_economy
 
@@ -133,6 +134,43 @@ def test_check_efficiency_random_three_producer():
         economy = random_sqrt_sum_economy(rng, n_choices=(3,))
         allocation = analytic_waterfill(economy.view())
         assert check_efficiency(economy, allocation, method="grid").passed
+
+
+def _nothing_accepted(economy):
+    """An allocation that accepts nothing: surplus 0, short of any economy worth trading in."""
+    zeros = np.zeros_like(economy.capacities)
+    return AllocationResult(zeros, zeros.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, 1.5, 5.0, math.inf, math.nan])
+def test_grid_efficiency_rejects_a_step_outside_zero_to_one(step):
+    """A step above 1 made a one-point grid at ratio 0, whose reference surplus 0 passed any allocation."""
+    economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
+    with pytest.raises(ValueError, match=r"^step must be in \(0, 1\], got "):
+        grid_surplus_max(economy.view(), step=step)
+    with pytest.raises(ValueError, match=r"^step must be in \(0, 1\], got "):
+        check_efficiency(economy, _nothing_accepted(economy), method="grid", step=step)
+    assert not check_efficiency(economy, _nothing_accepted(economy), method="grid", step=1.0).passed
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_probes_reject_a_tolerance_no_gap_can_exceed(tol, small_world):
+    """No probe passes vacuously: a NaN or +inf tolerance is an error, before any verdict."""
+    economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
+    payments = total_payment(economy)
+    message = r"^tol must be a number below \+inf, got (nan|inf)$"
+    assert not check_efficiency(economy, _nothing_accepted(economy)).passed
+    with pytest.raises(ValueError, match=message):
+        check_efficiency(economy, _nothing_accepted(economy), tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_ir(economy, payments, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_wbb(economy, payments, tol=tol)
+    _, economies, deviations = small_world
+    with pytest.raises(ValueError, match=message):
+        check_surplus_monotonicity(economies, trials=2, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        probe_dsic(economies, deviations, trials=1, deviations_per_trial=2, tol=tol)
 
 
 def test_check_ir_zero_adjustment_passes(cheap_pair_economy):
