@@ -111,11 +111,13 @@ class PriorSupport:
 
 
 def sample_from(support: PriorSupport, count: int, rng) -> tuple[Array, Array, Array]:
-    """Draw ``count`` i.i.d. parameter triples, uniform on the box, using an existing generator."""
-    caps = rng.uniform(support.cap_lo, support.cap_hi, size=(count,) + support.cap_lo.shape)
-    gammas = rng.uniform(support.gamma_lo, support.gamma_hi, size=(count, support.n))
-    thetas = rng.uniform(support.theta_lo, support.theta_hi, size=(count, support.m))
-    return caps, gammas, thetas
+    """Draw ``count`` i.i.d. parameter triples, uniform on the box, using an existing generator.
+
+    Each box is one ``rng.random`` call mapped as ``lo + (hi - lo) * u``, the formula and stream of ``rng.uniform``.
+    """
+    s = support
+    return tuple(lo + (hi - lo) * rng.random((count,) + lo.shape)
+                 for lo, hi in ((s.cap_lo, s.cap_hi), (s.gamma_lo, s.gamma_hi), (s.theta_lo, s.theta_hi)))
 
 
 def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Array, Array, Array]:

@@ -101,20 +101,20 @@ def _cost_order(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Ar
     return flat, caps.take(flat), gammas_sorted, stops
 
 
-def _fills(caps_sorted: Array, stops: Array) -> Array:
+def _fills(caps_sorted: Array, stops: Array, cumsum: Array | None = None) -> Array:
     """Each stop quantity minus the quantity filled before it, clipped to [0, capacity]; overwrites ``stops``."""
-    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
+    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1, out=cumsum)[..., :-1]
     return np.minimum(np.maximum(stops, 0.0, out=stops), caps_sorted, out=stops)
 
 
-def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float) -> Array:
+def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float, cumsum=None):
     """Surplus of the fills along the cost order; 0 where nothing is worth accepting (``theta_sum <= 0``).
 
     This is the one water-fill surplus formula: every water-fill entry point
     takes its surplus from here, so they agree bit for bit on the same
     economy. Like ``_fills``, it leaves the fills in ``stops``.
     """
-    fills = _fills(caps_sorted, stops)
+    fills = _fills(caps_sorted, stops, cumsum)
     # a dot product per row, the one 1-D ``@`` would take
     cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
     return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost, 0.0)
@@ -401,7 +401,7 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     return accepted, surplus
 
 
-def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):
+def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float, *, _work: Array | None = None):
     """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``.
 
     Each economy is sorted once. A stable sort of the other n-1 costs is the
@@ -409,12 +409,16 @@ def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):
     at sorted position p fills the full row's sorted capacities and stop
     quantities minus position p, with its own cumulative sum. Every surplus
     carries the bits of ``waterfill_surplus`` on the index-deleted economy.
+    ``_work``, a ``(4, *gammas.shape, n-1)`` buffer, takes the removed rows'
+    three gathers and cumulative sum in place of fresh arrays.
     """
     flat, *sorted_rows = _cost_order(caps, gammas, theta_sum, scale)
     theta_sum = np.asarray(theta_sum)
     # ``take`` gathers contiguous rows, whose sums are the pairwise sums of the one-economy call
     others = others_index(gammas.shape[-1])
+    work = [None] * 4 if _work is None else _work
+    gathered = [x.take(others, axis=-1, out=out) for x, out in zip(sorted_rows, work)]
     removed = np.empty(gammas.shape)
-    np.put(removed, flat, _sorted_surplus(*(x.take(others, axis=-1) for x in sorted_rows), theta_sum[..., None], scale))
+    np.put(removed, flat, _sorted_surplus(*gathered, theta_sum[..., None], scale, work[3]))
     full = _sorted_surplus(*sorted_rows, theta_sum, scale)
     return (float(full) if full.ndim == 0 else full), removed

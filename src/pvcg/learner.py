@@ -102,18 +102,29 @@ def _stack(nets) -> tuple[list[Array], list[Array]]:
     ]
 
 
-def _forward(weights: list[Array], biases: list[Array], X: Array) -> tuple[Array, list[Array]]:
+def _hidden_buffers(n: int, T: int, sizes) -> list[Array]:
+    """``(n, T, h)`` hidden activation buffers, views of ``(T, n, h)`` arrays for ``_backward``'s bias sums.
+
+    Next to a width-1 layer BLAS takes a vector path whose sums depend on the
+    matrix's strides, so such a layer stays ``(n, T, h)`` like the per-network pass.
+    """
+    return [np.empty((T, n, h)).transpose(1, 0, 2) if min(fan_in, h) > 1 else np.empty((n, T, h))
+            for fan_in, h in zip(sizes[:-2], sizes[1:-1])]
+
+
+def _forward(weights: list[Array], biases: list[Array], X: Array, *, _hidden: list | None = None) -> tuple[Array, list]:
     """Outputs ``(n, T)`` of n stacked networks on their inputs ``(n, T, k)``, and the activations for backprop.
 
     One batched matmul per layer; network i's slice is the 2-D ``(T, k) @ W`` product of its own pass.
+    The hidden activations fill ``_hidden_buffers``, given in ``_hidden`` or made here.
     """
+    hidden = _hidden or _hidden_buffers(*X.shape[:2], [X.shape[2]] + [w.shape[2] for w in weights])
     activations = [X]
-    a = X
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = a @ w
+    for w, b, a in zip(weights[:-1], biases[:-1], hidden):
+        np.matmul(activations[-1], w, out=a)
         a += b[:, None, :]
         activations.append(np.maximum(a, 0.0, out=a))
-    return (a @ weights[-1] + biases[-1][:, None, :])[..., 0], activations
+    return (activations[-1] @ weights[-1] + biases[-1][:, None, :])[..., 0], activations
 
 
 def _forward_rows(net: MLP, X: Array) -> Array:
@@ -131,22 +142,27 @@ def _forward_rows(net: MLP, X: Array) -> Array:
     return (a @ net.weights[-1] + net.biases[-1])[..., 0, 0]
 
 
-def _backward(weights: list[Array], activations: list[Array], d_out: Array) -> tuple[list[Array], list[Array]]:
+def _backward(weights: list[Array], activations: list[Array], d_out: Array, *,
+              _grads: tuple[list[Array], list[Array]] | None = None) -> tuple[list[Array], list[Array]]:
     """Gradients of ``sum(d_out * outputs)`` with respect to every stacked weight and bias; ``d_out`` is ``(n, T)``.
 
     Consumes ``activations``: each hidden activation's buffer takes the next
     delta, so the pass allocates no activation-sized array. The output layer's
     weight gradient keeps ``d_out``'s strides, since BLAS may sum a strided
-    column in another order; its bias gradient sums a contiguous copy, whose
-    pairwise sum is the per-network one.
+    column in another order. A width-1 layer's bias gradient sums a contiguous
+    copy, whose pairwise sum is the per-network one; a wider layer's sums its
+    ``(T, n*h)`` layout over T, in the sequential order of the per-network
+    ``(T, h)`` sum. ``_grads`` takes the gradients in place of fresh arrays.
     """
-    d_weights = [None] * len(weights)
-    d_biases = [None] * len(weights)
+    d_weights, d_biases = _grads or ([np.empty_like(w) for w in weights], [np.empty(w.shape[::2]) for w in weights])
     delta = d_out[..., None]
     for layer in range(len(weights) - 1, -1, -1):
         a = activations.pop()
-        d_weights[layer] = a.transpose(0, 2, 1) @ delta
-        d_biases[layer] = np.ascontiguousarray(delta).sum(axis=1)
+        np.matmul(a.transpose(0, 2, 1), delta, out=d_weights[layer])
+        if delta.shape[2] == 1:
+            np.ascontiguousarray(delta).sum(axis=1, out=d_biases[layer])
+        else:
+            delta.transpose(1, 0, 2).reshape(delta.shape[1], -1).sum(axis=0, out=d_biases[layer].reshape(-1))
         if layer > 0:
             mask = a > 0
             delta = np.matmul(delta, weights[layer].transpose(0, 2, 1), out=a)
@@ -235,11 +251,11 @@ class LearnedAdjustment:
         """Every producer's reports in one normalized row: column ``_columns[i, c]`` is network i's input c."""
         return _normalize(_layout(caps, gammas, thetas), *self._box)
 
-    def inputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
-        """``(n, T, k)`` normalized inputs of every network for a batch of T full parameter draws, from one gather."""
+    def inputs_batch(self, caps: Array, gammas: Array, thetas: Array, *, _out: Array | None = None) -> Array:
+        """``(n, T, k)`` inputs of every network for T full draws: a ``(T, n, k)`` gather into ``_out``, transposed."""
         T = gammas.shape[0]
         full = self._full_rows(caps.reshape(T, self.n, self.support.dim), gammas, thetas)
-        return full[np.arange(T)[:, None], self._columns[:, None, :]]
+        return full.take(self._columns, axis=1, out=_out).transpose(1, 0, 2)
 
     def outputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """(T, n) adjustment outputs for a batch of full parameter draws, from training's stacked forward pass."""
@@ -311,26 +327,34 @@ def composite_loss(
     return float(np.mean(rationality.sum(axis=1) + budget))
 
 
-def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, gains: Array, surpluses: Array):
+def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, gains: Array, surpluses: Array, *,
+                    _hidden: list[Array] | None = None, _grads: tuple[list[Array], list[Array]] | None = None):
     """Mean feasibility loss of n stacked networks on their ``(n, T, k)`` inputs, and its stacked gradients.
 
-    The activations live only in this call, so they are freed before the next
-    batch is solved.
+    ``train`` passes the same ``_hidden`` activation and ``_grads`` gradient
+    arrays every epoch, so they are allocated once per training run.
     """
-    outputs, activations = _forward(weights, biases, inputs)
+    outputs, activations = _forward(weights, biases, inputs, _hidden=_hidden)
     rationality, budget = feasibility_penalties(gains, outputs.T, surpluses)
     loss = float(np.mean(rationality.sum(axis=1) + budget))
     d_out = (-(rationality > 0).astype(float) + (budget > 0).astype(float)[:, None]) / surpluses.shape[0]
-    return loss, _backward(weights, activations, d_out.T)
+    return loss, _backward(weights, activations, d_out.T, _grads=_grads)
 
 
-def _batch_surpluses(valuation, cost, caps, gammas, thetas, method):
-    """S* and all S*_{-i} for every sample in the batch (solved once, reused all epoch)."""
+def _batch_surpluses(valuation, cost, caps, gammas, thetas, method, *, _work: Array | None = None):
+    """S* and all S*_{-i} for every sample in the batch (solved once, reused all epoch); ``_work`` is passed on."""
     if waterfill_applies(valuation, cost, caps.shape[2], method):
-        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
+        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale, _work=_work)
     full = max_surplus(caps, gammas, thetas, valuation, cost, method)
     others = others_index(gammas.shape[1])
     return full, max_surplus(caps[:, others], gammas[:, others], thetas[:, None, :], valuation, cost, method)
+
+
+def _flat_views(flat: Array, weights: list[Array], biases: list[Array]) -> tuple[list[Array], list[Array]]:
+    """Views of the 1-D ``flat`` shaped as the weight and then the bias stacks, laid out one after another."""
+    stacks = weights + biases
+    views = [x.reshape(p.shape) for x, p in zip(np.split(flat, np.cumsum([p.size for p in stacks])), stacks)]
+    return views[:len(weights)], views[len(weights):]
 
 
 def train(
@@ -361,20 +385,28 @@ def train(
         raise ValueError("initial model does not match the economy's producer count")
     else:
         nets = initial_model.nets
-    # the model's networks are views into the stacks, so each update moves them in place
-    weights, biases = _stack(nets)
+    # parameters, velocity and gradients each fill one flat array, so one momentum step moves every layer;
+    # the model's networks are views into the parameter stacks, so each step moves them in place
+    stacks = _stack(nets)
+    params = np.concatenate([p.ravel() for p in stacks[0] + stacks[1]])
+    velocity, grads = np.zeros_like(params), np.empty_like(params)
+    (weights, biases), d_params = _flat_views(params, *stacks), _flat_views(grads, *stacks)
     model = LearnedAdjustment(
         tuple(MLP([w[i] for w in weights], [b[i] for b in biases]) for i in range(n)), support, seed=config.seed
     )
-    velocity = [np.zeros_like(p) for p in weights + biases]
+    # one workspace for every epoch: the gathered inputs, the hidden activations and the removed rows' arrays
+    T, widths = config.batch_size, nets[0].layer_sizes
+    inputs, hidden = np.empty((T, n, widths[0])), _hidden_buffers(n, T, widths)
+    gains_work = np.empty((4, T, n, n - 1)) if waterfill_applies(valuation, cost, dim, method) else None
 
     losses: list[float] = []
     started = time.perf_counter()
     for _ in range(config.epochs):
-        caps, gammas, thetas = sample_from(support, config.batch_size, data_rng)
-        surpluses, removed = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
-        loss, (d_weights, d_biases) = _loss_and_grads(
-            weights, biases, model.inputs_batch(caps, gammas, thetas), surpluses[:, None] - removed, surpluses
+        caps, gammas, thetas = sample_from(support, T, data_rng)
+        surpluses, removed = _batch_surpluses(valuation, cost, caps, gammas, thetas, method, _work=gains_work)
+        loss, _ = _loss_and_grads(
+            weights, biases, model.inputs_batch(caps, gammas, thetas, _out=inputs), surpluses[:, None] - removed,
+            surpluses, _hidden=hidden, _grads=d_params,
         )
         if not math.isfinite(loss):
             raise RuntimeError(
@@ -384,10 +416,9 @@ def train(
         losses.append(loss)
         if loss <= config.loss_tol:
             break
-        for param, vel, grad in zip(weights + biases, velocity, d_weights + d_biases):
-            vel *= config.momentum
-            vel -= config.learning_rate * grad
-            param += vel
+        velocity *= config.momentum
+        velocity -= config.learning_rate * grads
+        params += velocity
     trace = TrainingTrace(
         losses=losses,
         final_loss=losses[-1],

@@ -197,6 +197,7 @@ def probe_dsic(
     _check_count("trials", trials)
     _check_count("deviations_per_trial", deviations_per_trial)
     _check_punishment(punishment)
+    _check_tol(tol)
     if adjustment is None:
         adjustment = ZeroAdjustment()
     rng = np.random.default_rng(seed)
@@ -297,6 +298,7 @@ def check_efficiency(
     economies must use ``multistart``). A violation means the mechanism left
     more than ``tol`` surplus on the table.
     """
+    _check_tol(tol)
     view = economy.view()
     if method == "grid":
         if economy.n > 3:
@@ -414,6 +416,7 @@ def check_surplus_monotonicity(
     of families.
     """
     _check_count("trials", trials)
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     economies, draws = [], []
     for _ in range(trials):

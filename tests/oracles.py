@@ -737,8 +737,16 @@ def reference_ir_wbb_sweep(
 # column, and one 2-D forward and backward pass per network. The stacked code
 # must give the same bits.
 
-from pvcg.adjustment import feasibility_penalties, sample_from  # noqa: E402
-from pvcg.learner import LearnedAdjustment, _layout, _normalize, mlp_init  # noqa: E402
+from pvcg.adjustment import feasibility_penalties  # noqa: E402
+from pvcg.learner import MLP, LearnedAdjustment, _layout, _normalize, mlp_init  # noqa: E402
+
+
+def reference_sample_from(support, count, rng):
+    """The prior draw as three ``rng.uniform`` calls: capacities, cost types, valuation types."""
+    caps = rng.uniform(support.cap_lo, support.cap_hi, size=(count,) + support.cap_lo.shape)
+    gammas = rng.uniform(support.gamma_lo, support.gamma_hi, size=(count, support.n))
+    thetas = rng.uniform(support.theta_lo, support.theta_hi, size=(count, support.m))
+    return caps, gammas, thetas
 
 
 def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
@@ -821,18 +829,25 @@ def reference_loss_and_grads(model, caps, gammas, thetas, gains, surpluses):
     return loss, [_reference_backward(net, caches[i], d_out[:, i]) for i, net in enumerate(model.nets)]
 
 
-def reference_train(valuation, support, config):
-    """Water-fill training from fresh networks, each network stepped by itself; returns the nets and losses."""
+def reference_train(valuation, support, config, initial_model=None):
+    """Water-fill training, each network stepped by itself; returns the nets and losses.
+
+    The networks start fresh, or from copies of ``initial_model``'s.
+    """
     n, m, dim = support.n, support.m, support.dim
     sizes = [(n - 1) * dim + (n - 1) + m, *config.hidden, 1]
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     init_rng = np.random.default_rng(seeds[0])
     data_rng = np.random.default_rng(seeds[1])
-    model = LearnedAdjustment(tuple(mlp_init(sizes, init_rng) for _ in range(n)), support, seed=config.seed)
+    if initial_model is None:
+        nets = tuple(mlp_init(sizes, init_rng) for _ in range(n))
+    else:
+        nets = tuple(MLP([w.copy() for w in net.weights], [b.copy() for b in net.biases]) for net in initial_model.nets)
+    model = LearnedAdjustment(nets, support, seed=config.seed)
     velocity = [([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]) for net in model.nets]
     losses = []
     for _ in range(config.epochs):
-        caps, gammas, thetas = sample_from(support, config.batch_size, data_rng)
+        caps, gammas, thetas = reference_sample_from(support, config.batch_size, data_rng)
         surpluses, removed = reference_waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
         loss, grads = reference_loss_and_grads(model, caps, gammas, thetas, surpluses[:, None] - removed, surpluses)
         losses.append(loss)

@@ -20,10 +20,11 @@ from pvcg import (
     sample_prior,
     total_payment,
 )
+from pvcg.adjustment import sample_from
 from pvcg.allocation import others_index, waterfill_surplus
 from pvcg.learner import mlp_init
 
-from oracles import reference_analytic_adjustment
+from oracles import reference_analytic_adjustment, reference_sample_from
 
 
 def test_support_validation():
@@ -61,6 +62,23 @@ def test_sample_prior_degenerate_support():
     support = PriorSupport.uniform_box(2, 1, cap=(2.0, 2.0), gamma=(0.3, 0.3), theta=(0.8, 0.8))
     caps, gammas, thetas = sample_prior(support, 50, seed=0)
     assert np.all(caps == 2.0) and np.all(gammas == 0.3) and np.all(thetas == 0.8)
+
+
+def test_sample_from_has_the_bits_and_stream_of_rng_uniform():
+    """One ``rng.random`` per box gives ``rng.uniform``'s draws, and leaves the generator where it would."""
+    support = PriorSupport(
+        cap_lo=[[0.0, 1.0], [0.5, 0.0], [2.0, 2.0]], cap_hi=[[2.0, 3.0], [1.5, 4.0], [2.0, 7.5]],
+        gamma_lo=[0.1, 0.2, 0.0], gamma_hi=[0.9, 0.8, 0.3],
+        theta_lo=[0.0, 0.3], theta_hi=[1.0, 0.7],
+    )
+    for seed in range(5):
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (1, 7, 256):
+            drawn = sample_from(support, count, rng)
+            expected = reference_sample_from(support, count, expected_rng)
+            assert [a.shape for a in drawn] == [(count, 3, 2), (count, 3), (count, 2)]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, expected))
+        assert rng.random() == expected_rng.random()
 
 
 def test_support_dict_roundtrip():

@@ -498,17 +498,37 @@ def test_stacked_loss_and_grads_equal_the_per_network_oracle(T, hidden):
 
 
 @pytest.mark.parametrize(
-    "n, m, hidden",
-    [pytest.param(3, 1, (4, 1), id="small"), pytest.param(10, 2, (10, 10, 10), id="flagship-shape")],
+    "n, m, hidden, batch_size, epochs, momentum, warm",
+    [
+        pytest.param(3, 1, (4, 1), 50, 25, 0.5, False, id="small"),
+        pytest.param(10, 2, (10, 10, 10), 50, 25, 0.5, False, id="flagship-shape"),
+        pytest.param(10, 2, (10, 10, 10), 256, 20, 0.9, False, id="flagship"),
+        pytest.param(10, 2, (10, 10, 10), 256, 20, 0.9, True, id="flagship-warm-start"),
+    ],
 )
-def test_train_equals_the_per_network_oracle(n, m, hidden):
-    """Stacked training steps every network as it steps alone: same losses, same weights."""
+def test_train_equals_the_per_network_oracle(n, m, hidden, batch_size, epochs, momentum, warm):
+    """Stacked training steps every network as it steps alone: same losses, same weights.
+
+    The workspace and the flat parameter, velocity and gradient arrays carry
+    state from epoch to epoch, so every loss and every weight bit is compared.
+    The warm start resumes from a model trained under another seed, which it
+    must leave as it was.
+    """
     support = PriorSupport.uniform_box(n, m, cap=(0.0, 5.0))
     valuation = SqrtSumValuation(scale=float(n))
-    config = TrainingConfig(batch_size=50, epochs=25, momentum=0.5, hidden=hidden, seed=4, loss_tol=0.0)
-    model, trace = train(valuation, LinearCost(), support, config)
-    expected_nets, expected_losses = reference_train(valuation, support, config)
-    assert trace.losses == expected_losses and trace.epochs_run == 25
+    config = TrainingConfig(
+        batch_size=batch_size, epochs=epochs, momentum=momentum, hidden=hidden, seed=4, loss_tol=0.0
+    )
+    initial = None
+    if warm:
+        initial, _ = train(valuation, LinearCost(), support, TrainingConfig(batch_size=20, epochs=3, hidden=hidden, seed=9))
+        before = [p.copy() for net in initial.nets for p in net.weights + net.biases]
+    model, trace = train(valuation, LinearCost(), support, config, initial_model=initial)
+    expected_nets, expected_losses = reference_train(valuation, support, config, initial_model=initial)
+    assert trace.losses == expected_losses and trace.epochs_run == epochs
     for net, expected in zip(model.nets, expected_nets):
         for a, b in zip(net.weights + net.biases, expected.weights + expected.biases):
             assert a.tobytes() == b.tobytes()
+    if warm:
+        after = [p for net in initial.nets for p in net.weights + net.biases]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

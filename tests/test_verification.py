@@ -173,6 +173,24 @@ def test_probes_reject_a_tolerance_no_gap_can_exceed(tol, small_world):
         probe_dsic(economies, deviations, trials=1, deviations_per_trial=2, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_probes_check_the_tolerance_before_any_work(tol):
+    """A bad tolerance fails before a probe draws or solves anything."""
+
+    def never(*args):
+        raise AssertionError("a probe drew before checking its tolerance")
+
+    message = r"^tol must be a number below \+inf, got (nan|inf)$"
+    with pytest.raises(ValueError, match=message):
+        probe_dsic(never, never, trials=200, deviations_per_trial=20, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_surplus_monotonicity(never, trials=1000, tol=tol)
+    economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
+    # an unknown method raises only once the check gets past its tolerance
+    with pytest.raises(ValueError, match=message):
+        check_efficiency(economy, _nothing_accepted(economy), method="no-such-method", tol=tol)
+
+
 def test_check_ir_zero_adjustment_passes(cheap_pair_economy):
     payments = total_payment(cheap_pair_economy)
     assert check_ir(cheap_pair_economy, payments).passed
