@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 16 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 17 artifacts differs or is
 # missing on either side. For an artifact that differs it also prints the
 # largest absolute difference between the numbers of the two files, read in order,
 # and for a JSON artifact up to 10 differing leaf paths as "path: BASE -> THIS".
@@ -25,9 +25,12 @@
 #     learned one's; every other artifact prices through all_producers). Its
 #     capacity support starts above zero and its cost types are cheap, so the
 #     adjustment is non-zero; on flagship's support it is -0.
-# Each tree runs its own configs/flagship.json; the economy, bids, train_small
-# and surface_interior files come from this tree, so a base commit without them
-# still runs.
+#   pvcg surface --config configs/surface_squares.json --adjustment zero: an
+#     8x8 sqrt_sum_squares surface at n=4, so its 64 economies are one
+#     projected-gradient batch, finished together, plus the removed problem
+# Each tree runs its own configs/flagship.json; the economy, bids, train_small,
+# surface_interior and surface_squares files come from this tree, so a base
+# commit without them still runs.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -45,6 +48,7 @@ squares=$head/configs/economy3_squares.json
 economy2d=$head/configs/economy3_2d.json
 train_small=$head/configs/train_small.json
 surface_interior=$head/configs/surface_interior.json
+surface_squares=$head/configs/surface_squares.json
 
 pvcg() {  # pvcg TREE ARGS...: the CLI from TREE's sources; a failing probe still writes its report
     local tree=$1
@@ -69,6 +73,7 @@ run_tree() {  # run_tree TREE OUT
     pvcg "$tree" simulate --economy "$economy2d" --adjustment zero --out "$out/simulate-2d-zero"
     pvcg "$tree" train --config "$train_small" --out "$out/train"
     pvcg "$tree" surface --config "$surface_interior" --adjustment analytic --out "$out/surface-analytic"
+    pvcg "$tree" surface --config "$surface_squares" --adjustment zero --out "$out/surface-squares-zero"
 }
 
 max_numeric_diff() {  # max_numeric_diff A B: the largest |a - b| over the files' numbers, paired in order
@@ -119,7 +124,7 @@ artifacts=(
     verify-zero/verification.json verify-analytic/verification.json verify-learned/verification.json
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
     simulate-squares-zero/payments.json simulate-squares-analytic/payments.json simulate-2d-zero/payments.json
-    train/model.json train/loss_trace.csv surface-analytic/surface.csv
+    train/model.json train/loss_trace.csv surface-analytic/surface.csv surface-squares-zero/surface.csv
 )
 status=0
 for file in "${artifacts[@]}"; do

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, LinearCost, SqrtSumValuation, social_surplus
+from .model import Economy, LinearCost, SqrtSumValuation, _check_entries, surplus_rows
 
 Array = np.ndarray
 
@@ -65,12 +65,11 @@ def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> b
     return method in (None, "analytic") and _sqrt_sum_linear(valuation, cost) and dim == 1
 
 
-def _finalize(view: Economy, ratios: Array, diag: SolverDiagnostics) -> AllocationResult:
-    accepted = view.capacities * ratios
-    surplus = social_surplus(view, accepted)
-    if not math.isfinite(surplus):
-        raise ValueError(f"solver produced a non-finite surplus ({surplus})")
-    return AllocationResult(ratios, accepted, surplus, diag)
+def _method_error(method) -> ValueError:
+    """The error for ``method`` where it does not apply: the water-fill outside its families, or an unknown name."""
+    if method == "analytic":
+        return ValueError("analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources")
+    return ValueError(f"unknown method {method!r}; expected 'analytic' or 'projected_gradient'")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     ``social_surplus`` of the accepted quantities agrees to about 1e-15.
     """
     if not waterfill_applies(view.valuation, view.cost, view.dim):
-        raise ValueError("analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources")
+        raise _method_error("analytic")
     ratios, surplus = _waterfill_rows(
         view.capacities[:, 0], view.cost_types, view.valuation_types.sum(axis=-1), view.valuation.scale
     )
@@ -182,21 +181,21 @@ def others_index(n: int) -> Array:
 class _Objective:
     """The surplus and its gradient on the ``(E*k, n*dim)`` ratio rows of E economies, k rows each, prepared once.
 
-    The square-root/linear family is in closed form, its constants repeated on each economy's rows; an economy's
+    The economies come as ``(E, n, dim)`` capacities, ``(E, n)`` cost and ``(E, m)`` valuation types. The
+    square-root/linear family is in closed form, its constants repeated on each economy's rows; an economy's
     costs are one matrix-vector product over its k rows, whose bits depend on all k. Any other family takes
-    ``social_surplus`` of the rows asked for, one by one, and central finite differences, one-sided at 0.
+    ``surplus_rows`` of the rows asked for, in one call, and central finite differences, one-sided at 0.
     """
 
-    def __init__(self, views: list[Economy], k: int):
-        first = views[0]
-        self.views, self.k, self.shape = views, k, first.capacities.shape
-        self.closed = _sqrt_sum_linear(first.valuation, first.cost)
-        self.caps = np.repeat(np.stack([view.capacities.ravel() for view in views]), k, axis=0)
-        gammas = np.stack([view.cost_types for view in views])
-        self.gammas, self.gamma_flat = gammas[..., None], np.repeat(np.repeat(gammas, first.dim, axis=1), k, axis=0)
-        self.thetas = np.repeat(np.stack([view.valuation_types for view in views]).T, k, axis=1)
+    def __init__(self, caps: Array, gammas: Array, thetas: Array, valuation, cost, k: int):
+        self.valuation, self.cost, self.k, self.shape = valuation, cost, k, caps.shape[1:]
+        self.closed = _sqrt_sum_linear(valuation, cost)
+        self.caps = np.repeat(caps.reshape(len(caps), -1), k, axis=0)
+        self.gammas, self.gamma_rows = gammas[..., None], np.repeat(gammas, k, axis=0)
+        self.gamma_flat = np.repeat(self.gamma_rows, self.shape[1], axis=1)
+        self.thetas = np.repeat(thetas.T, k, axis=1)
         if self.closed:
-            self.scale, self.half_root_scale = first.valuation.scale, 0.5 * math.sqrt(first.valuation.scale)
+            self.scale, self.half_root_scale = valuation.scale, 0.5 * math.sqrt(valuation.scale)
 
     def _consumers(self, per_unit: Array) -> Array:
         """Each row's sum over consumers of theta times ``per_unit``, in consumer order."""
@@ -211,8 +210,10 @@ class _Objective:
         totals = np.add.reduce(accepted, axis=1)
         if not self.closed:
             f = np.zeros(len(H))
-            for r in np.flatnonzero(rows):
-                f[r] = social_surplus(self.views[r // self.k], accepted[r].reshape(self.shape))
+            f[rows] = surplus_rows(
+                self.valuation, self.cost, accepted[rows].reshape((-1,) + self.shape), self.gamma_rows[rows],
+                self.thetas.T[rows],
+            )
             return f, totals
         value = self._consumers(np.sqrt(self.scale * totals))
         if self.shape[1] > 1:
@@ -233,29 +234,27 @@ class _Objective:
         return G
 
 
-def _surplus_rows(view: Economy, H: Array) -> Array:
-    """The surplus of one economy at each row of ``H``, a flat ratio profile per row."""
-    return _Objective([view], len(H)).surplus(H, np.ones(len(H), dtype=bool))[0]
-
-
-def _spg(views: list[Economy], seed=0, restarts=8, max_iter=10_000, tol=1e-8, armijo_c=1e-4) -> list[AllocationResult]:
+def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0, restarts=8, max_iter=10_000, tol=1e-8,
+         armijo_c=1e-4) -> tuple[Array, Array, list[SolverDiagnostics]]:
     """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on a batch of economies.
 
-    The economies share one shape and one pair of families. Each runs the same start rows (zeros, ones and
-    ``restarts`` draws from ``seed``) in lockstep with the others, with the arithmetic of its solve alone, until
-    all its rows are done. A row steps along ``clip(x + alpha g, 0, 1) - x``, ``alpha`` the Barzilai-Borwein step
-    of ``-S`` in [1e-12, 1e12] (one over the projected-gradient norm while ``s'y <= 0``), halved until an Armijo
-    test against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It is done when that norm drops below
-    ``tol``, or stalls when its line search runs out or its accepted step is exactly zero. The best row wins,
-    near-ties by the lexicographically smallest accepted quantities.
+    The E economies, ``(E, n, dim)`` capacities, ``(E, n)`` and ``(E, m)`` types, share one pair of families. Each
+    runs the same start rows (zeros, ones and ``restarts`` draws from ``seed``) in lockstep with the others, with
+    the arithmetic of its solve alone, until all its rows are done. A row steps along ``clip(x + alpha g, 0, 1) - x``,
+    ``alpha`` the Barzilai-Borwein step of ``-S`` in [1e-12, 1e12] (one over the projected-gradient norm while
+    ``s'y <= 0``), halved until an Armijo test against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It
+    is done when that norm drops below ``tol``, or stalls when its line search runs out or its accepted step is
+    exactly zero. The best row wins, near-ties by the lexicographically smallest accepted quantities. Returns the
+    ratios, the surpluses (one ``surplus_rows`` call per iteration that economies finish in) and the diagnostics.
     """
-    width = views[0].n * views[0].dim
+    E, n, dim = caps.shape
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(width), np.ones(width)]
-    starts += [rng.uniform(0.0, 1.0, size=width) for _ in range(restarts)]
+    starts = [np.zeros(n * dim), np.ones(n * dim)]
+    starts += [rng.uniform(0.0, 1.0, size=n * dim) for _ in range(restarts)]
     k = len(starts)
-    H = np.tile(np.stack(starts), (len(views), 1))
-    objective, live, results = _Objective(views, k), np.arange(len(views)), [None] * len(views)
+    H, live = np.tile(np.stack(starts), (E, 1)), np.arange(E)
+    objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
+    ratios, surplus, diags = np.empty(caps.shape), np.empty(E), [None] * E
     done = np.zeros(len(H), dtype=bool)
     f, totals = objective.surplus(H, ~done)
     history = np.repeat(f[:, None], _SPG_MEMORY, axis=1)
@@ -268,16 +267,21 @@ def _spg(views: list[Economy], seed=0, restarts=8, max_iter=10_000, tol=1e-8, ar
         done |= pg_norm < tol
         finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == max_iter)
         if np.count_nonzero(finished):
-            for e in np.flatnonzero(finished):
-                view, own = views[live[e]], slice(e * k, (e + 1) * k)
+            ended = live[finished]
+            for e, t in zip(np.flatnonzero(finished), ended):
+                own = slice(e * k, (e + 1) * k)
                 best = np.flatnonzero(f[own] >= float(f[own].max()) - _LEX_TIE_TOL)
-                chosen = min(best, key=lambda r: tuple(H[own][r] * view.capacities.ravel()))
-                diag = SolverDiagnostics(iterations, k, float(pg_norm[own][chosen]))
-                results[live[e]] = _finalize(view, H[own][chosen].reshape(view.n, view.dim).copy(), diag)
+                chosen = e * k + min(best, key=lambda r: tuple(H[own][r] * caps[t].ravel()))
+                ratios[t] = H[chosen].reshape(n, dim)
+                diags[t] = SolverDiagnostics(iterations, k, float(pg_norm[chosen]))
+            surplus[ended] = surplus_rows(valuation, cost, caps[ended] * ratios[ended], gammas[ended], thetas[ended])
+            bad = ~np.isfinite(surplus[ended])
+            if bad.any():
+                raise ValueError(f"solver produced a non-finite surplus ({surplus[ended][bad][0]})")
             if finished.all():
-                return results
+                return ratios, surplus, diags
             live, rows = live[~finished], np.repeat(~finished, k)
-            objective = _Objective([views[e] for e in live], k)
+            objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
             H, f, totals, history, done, S, G, G_prev, pg_norm = (
                 x[rows] for x in (H, f, totals, history, done, S, G, G_prev, pg_norm)
             )
@@ -309,10 +313,12 @@ def _spg(views: list[Economy], seed=0, restarts=8, max_iter=10_000, tol=1e-8, ar
         history[:, iterations % _SPG_MEMORY] = f
 
 
-def _projected_gradient(view: Economy, seed: int = 0, restarts: int = 8, max_iter: int = 10_000, tol: float = 1e-8,
-                        armijo_c: float = 1e-4) -> AllocationResult:
+def _projected_gradient(view: Economy, seed: int = 0) -> AllocationResult:
     """``_spg`` on one economy: the projected-gradient solve of ``optimize_acceptance``."""
-    return _spg([view], seed, restarts, max_iter, tol, armijo_c)[0]
+    ratios, surplus, diags = _spg(
+        view.capacities[None], view.cost_types[None], view.valuation_types[None], view.valuation, view.cost, seed
+    )
+    return AllocationResult(ratios[0], view.capacities * ratios[0], float(surplus[0]), diags[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,7 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
         return analytic_waterfill(view)
     if method == "projected_gradient":
         return _projected_gradient(view, seed=seed)
-    raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'projected_gradient'")
+    raise _method_error(method)
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +384,30 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     bits of ``optimize_acceptance`` (seed 0). Water-fill economies are solved
     in one kernel call, whose surpluses come from the formula ``max_surplus``,
     ``waterfill_surplus`` and ``waterfill_gains`` share. Any other batch is
-    one ``_spg`` call. An empty coalition (n == 0) has zero surplus.
+    one ``_spg`` call on the stacked arrays, checked once for NaN, infinite
+    and negative entries. An empty coalition (n == 0) has zero surplus.
     """
     caps = np.asarray(capacities, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     batch = gammas.shape[:-1]
-    if gammas.shape[-1] == 0:
+    if gammas.size == 0:
         return np.zeros(caps.shape), np.zeros(batch)
     if waterfill_applies(valuation, cost, caps.shape[-1], method):
         ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
         return caps * ratios[..., None], surplus
-    accepted = np.zeros(caps.shape)
-    surplus = np.zeros(batch)
-    thetas = np.broadcast_to(thetas, batch + thetas.shape[-1:])
-    views = [Economy(caps[k], gammas[k], thetas[k], valuation, cost) for k in np.ndindex(batch)]
-    # any other method is unknown, or "analytic" outside the water-fill's families: optimize_acceptance raises
-    gradient = method in (None, "projected_gradient")
-    results = _spg(views) if gradient and views else [optimize_acceptance(view, method=method) for view in views]
-    for k, solved in zip(np.ndindex(batch), results):
-        accepted[k], surplus[k] = solved.accepted, solved.surplus
-    return accepted, surplus
+    if method not in (None, "projected_gradient"):
+        raise _method_error(method)
+    for arr, name in ((caps, "capacities"), (gammas, "cost types"), (thetas, "valuation types")):
+        _check_entries(arr, name)
+    if caps.shape[:-1] != gammas.shape:
+        raise ValueError("cost_types length must match the number of producers")
+    if thetas.shape[-1] < 1:
+        raise ValueError("an economy needs at least one consumer")
+    n, dim, m = caps.shape[-2], caps.shape[-1], thetas.shape[-1]
+    thetas = np.broadcast_to(thetas, batch + (m,))
+    ratios, surplus = _spg(caps.reshape(-1, n, dim), gammas.reshape(-1, n), thetas.reshape(-1, m), valuation, cost)[:2]
+    return caps * ratios.reshape(caps.shape), surplus.reshape(batch)
 
 
 def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float, *, _work: Array | None = None):

@@ -25,8 +25,10 @@ from .adjustment import (
 )
 from .allocation import solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
-from .model import Economy, _check_count, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation
-from .payments import ZeroAdjustment, own_costs, payments_batch
+from .model import (
+    Economy, _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
+)
+from .payments import ZeroAdjustment, payments_batch
 from .verification import (
     SURPLUS_TOL,
     check_surplus_monotonicity,
@@ -155,7 +157,7 @@ def payment_surface(
     gammas = np.broadcast_to(first.cost_types, shape + (n,)).copy()
     gammas[..., 0] = _check_entries(gamma_values, "cost types")
     accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
-    tau = surplus - removed + own_costs(cost, accepted[..., 0, :], gammas[..., 0])
+    tau = surplus - removed + cost_rows(cost, accepted[..., 0, :], gammas[..., 0])
     return SurfaceRecord(
         x_values=x_values,
         gamma_values=gamma_values,

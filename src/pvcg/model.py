@@ -36,8 +36,10 @@ __all__ = [
     "make_cost",
     "eval_valuation",
     "eval_cost",
+    "value_rows",
+    "cost_rows",
+    "surplus_rows",
     "total_valuation",
-    "total_cost",
     "social_surplus",
     "check_assumptions",
     "AssumptionReport",
@@ -151,20 +153,9 @@ class SqrtSumValuation:
         return theta * math.sqrt(float(np.sum(np.asarray(x_i, dtype=float))))
 
     def value_rows(self, accepted: Array, thetas) -> Array:
-        """Total consumer value of scalar ``accepted`` quantities, producers on the last axis.
-
-        Leading axes are a batch. ``thetas`` holds the valuation types on its
-        last axis: one ``(m,)`` vector for the whole batch, or ``(..., m)``
-        rows whose leading axes broadcast against the batch axes of
-        ``accepted``. Each row carries the bits of ``total_valuation``:
-        numpy's pairwise total, then consumer by consumer.
-        """
-        thetas = np.asarray(thetas)
-        root = np.sqrt(self.scale * accepted.sum(axis=-1))
-        value = 0.0
-        for j in range(thetas.shape[-1]):
-            value = value + thetas[..., j] * root
-        return value
+        """``model.value_rows`` of this family: the pairwise total of each row's n*dim quantities, as ``value``."""
+        totals = accepted.reshape(accepted.shape[:-2] + (-1,)).sum(axis=-1)
+        return _consumer_sum(thetas, np.sqrt(self.scale * totals))
 
 
 @dataclass(frozen=True)
@@ -189,6 +180,18 @@ class SqrtSumSquaresValuation:
 
     def standalone(self, x_i, theta: float) -> float:
         return theta * float(np.sum(np.asarray(x_i, dtype=float)))
+
+    def value_rows(self, accepted: Array, thetas) -> Array:
+        """``model.value_rows`` of this family: the pairwise sum of the squared per-producer totals, as ``value``."""
+        return _consumer_sum(thetas, np.sqrt(self.scale * (accepted.sum(axis=-1) ** 2).sum(axis=-1)))
+
+
+def _consumer_sum(thetas, root: Array) -> Array:
+    """Each row's ``theta * root`` summed over the consumers on the last axis of ``thetas``, in order, from 0."""
+    thetas, value = np.asarray(thetas), 0.0
+    for j in range(thetas.shape[-1]):
+        value = value + thetas[..., j] * root
+    return value
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,11 @@ class LinearCost:
 
     def cost(self, x_i, gamma: float) -> float:
         return gamma * float(np.sum(np.asarray(x_i, dtype=float)))
+
+    def cost_rows(self, bundles: Array, gammas) -> Array:
+        """``cost`` of ``(..., dim)`` bundles at cost types that broadcast to ``(...)``, row by row."""
+        # a scalar bundle is its own sum, read without the cost of a reduction
+        return gammas * (bundles[..., 0] if bundles.shape[-1] == 1 else bundles.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -386,21 +394,57 @@ def eval_cost(family, x_i, gamma: float) -> float:
     return value
 
 
+def value_rows(valuation, accepted: Array, thetas) -> Array:
+    """Total consumer value of ``(..., n, dim)`` profiles at valuation types that broadcast to ``(..., m)``.
+
+    A built-in family takes all rows in one ``value_rows`` call; any other is
+    asked ``value`` row by row, consumer by consumer, in order.
+    """
+    if hasattr(valuation, "value_rows"):
+        return valuation.value_rows(accepted, thetas)
+    out = np.empty(accepted.shape[:-2])
+    thetas = np.broadcast_to(thetas, out.shape + np.shape(thetas)[-1:])
+    for k in np.ndindex(out.shape):
+        out[k] = sum(valuation.value(accepted[k], float(t)) for t in thetas[k])
+    return out
+
+
+def cost_rows(cost, bundles: Array, gammas) -> Array:
+    """Each producer's cost: ``(..., dim)`` bundles at cost types that broadcast to ``(...)``.
+
+    A built-in family takes all rows in one ``cost_rows`` call; any other is asked ``cost`` bundle by bundle.
+    """
+    if hasattr(cost, "cost_rows"):
+        return cost.cost_rows(bundles, gammas)
+    out = np.empty(bundles.shape[:-1])
+    gammas = np.broadcast_to(gammas, out.shape)
+    for k in np.ndindex(out.shape):
+        out[k] = cost.cost(bundles[k], float(gammas[k]))
+    return out
+
+
+def surplus_rows(valuation, cost, accepted: Array, gammas, thetas) -> Array:
+    """Social surplus of ``(..., n, dim)`` profiles at ``(..., n)`` cost and ``(..., m)`` valuation types.
+
+    Value less the producers' costs summed left to right from 0, the bits of the loop over producers
+    (``np.sum`` would group n >= 9 costs in eight accumulators). Leading axes are a batch; the types broadcast.
+    """
+    costs, total = cost_rows(cost, accepted, gammas), 0.0
+    for i in range(costs.shape[-1]):
+        total = total + costs[..., i]
+    return value_rows(valuation, accepted, thetas) - total
+
+
 def total_valuation(view, accepted) -> float:
     """Sum of consumer values at the accepted profile."""
     arr = as_quantity_matrix(accepted, n=view.n, dim=view.dim)
-    return float(sum(view.valuation.value(arr, float(t)) for t in view.valuation_types))
-
-
-def total_cost(view, accepted) -> float:
-    arr = as_quantity_matrix(accepted, n=view.n, dim=view.dim)
-    return float(sum(view.cost.cost(arr[i], float(g)) for i, g in enumerate(view.cost_types)))
+    return float(value_rows(view.valuation, arr, view.valuation_types))
 
 
 def social_surplus(view, accepted) -> float:
     """Total consumer value minus total producer cost at the accepted profile."""
     arr = as_quantity_matrix(accepted, n=view.n, dim=view.dim)
-    return total_valuation(view, arr) - total_cost(view, arr)
+    return float(surplus_rows(view.valuation, view.cost, arr, view.cost_types, view.valuation_types))
 
 
 # ---------------------------------------------------------------------------

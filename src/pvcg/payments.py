@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .allocation import AllocationResult, others_index, solve_batch
-from .model import BidProfile, Economy, LinearCost, _check_entries
+from .model import BidProfile, Economy, _check_entries, cost_rows, value_rows
 
 Array = np.ndarray
 
@@ -25,7 +25,6 @@ __all__ = [
     "PaymentBreakdown",
     "vcg_tau",
     "tau_for_producer",
-    "own_costs",
     "deviation_utilities",
     "total_payment",
     "payments_batch",
@@ -81,33 +80,6 @@ def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
     return (accepted > true_capacities + guard).any(axis=-1)
 
 
-def own_costs(cost, bundles: Array, gammas: Array) -> Array:
-    """``cost.cost`` of one bundle per row: ``(..., dim)`` bundles at cost types that broadcast to ``(...)``."""
-    if isinstance(cost, LinearCost):
-        # a scalar bundle is its own sum, read without the cost of a reduction
-        return gammas * (bundles[..., 0] if bundles.shape[-1] == 1 else bundles.sum(axis=-1))
-    out = np.empty(bundles.shape[:-1])
-    gammas = np.broadcast_to(gammas, out.shape)
-    for k in np.ndindex(out.shape):
-        out[k] = cost.cost(bundles[k], float(gammas[k]))
-    return out
-
-
-def _values(valuation, accepted: Array, thetas: Array) -> Array:
-    """Total consumer value of ``(..., n, dim)`` accepted profiles at valuation types that broadcast to ``(..., m)``.
-
-    Each row has the bits of ``total_valuation``: consumer by consumer, in
-    order, through ``value_rows`` for scalar resources where the family has it.
-    """
-    if accepted.shape[-1] == 1 and hasattr(valuation, "value_rows"):
-        return valuation.value_rows(accepted[..., 0], thetas)
-    out = np.empty(accepted.shape[:-2])
-    thetas = np.broadcast_to(thetas, out.shape + thetas.shape[-1:])
-    for k in np.ndindex(out.shape):
-        out[k] = sum(valuation.value(accepted[k], float(t)) for t in thetas[k])
-    return out
-
-
 def deviation_utilities(
     true_capacities: Array,
     true_gammas: Array,
@@ -128,9 +100,9 @@ def deviation_utilities(
     delivers nothing; otherwise it earns ``tau + h`` minus its true cost of
     the accepted bundle.
     """
-    tau = surplus - removed_surplus + own_costs(cost, accepted, reported_gammas)
+    tau = surplus - removed_surplus + cost_rows(cost, accepted, reported_gammas)
     punished = _punished_mask(accepted, true_capacities)
-    utility = np.where(punished, -punishment, tau + h - own_costs(cost, accepted, true_gammas))
+    utility = np.where(punished, -punishment, tau + h - cost_rows(cost, accepted, true_gammas))
     return utility, tau
 
 
@@ -189,7 +161,7 @@ def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, removed,
     """
     n = gammas.shape[-1]
     others = others_index(n)
-    costs_full = own_costs(cost, accepted, gammas)
+    costs_full = cost_rows(cost, accepted, gammas)
     taus = np.asarray(surplus)[..., None] - removed_surpluses + costs_full
     # each removed allocation is valued as an n-producer profile, a zero bundle in the removed
     # producer's place, so no family is asked the value of an empty coalition
@@ -197,10 +169,10 @@ def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, removed,
     embedded[..., np.arange(n)[:, None], others, :] = removed
     _check_tau_forms(
         taus,
-        _values(valuation, accepted, thetas),
-        _values(valuation, embedded, thetas[..., None, :]),
+        value_rows(valuation, accepted, thetas),
+        value_rows(valuation, embedded, thetas[..., None, :]),
         costs_full,
-        own_costs(cost, removed, gammas[..., others]).sum(axis=-1),
+        cost_rows(cost, removed, gammas[..., others]).sum(axis=-1),
     )
     return taus
 
@@ -315,12 +287,12 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
     punished = _punished_mask(accepted, caps)
     totals = np.where(punished, -punishment, taus + adjustments)
     delivered = np.where(punished[..., None], 0.0, accepted)
-    income = _values(valuation, delivered, thetas)
+    income = value_rows(valuation, delivered, thetas)
     return PaymentBreakdown(
         tau=taus,
         adjustment=adjustments,
         total=totals,
-        utilities=totals - own_costs(cost, delivered, gammas),
+        utilities=totals - cost_rows(cost, delivered, gammas),
         coalition_income=income,
         budget_slack=income - totals.sum(axis=-1),
         punished=punished,

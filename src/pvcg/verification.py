@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
-from .allocation import AllocationResult, _surplus_rows, optimize_acceptance, others_index, solve_batch
-from .model import Economy, _check_count, _check_entries
+from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
+from .model import Economy, _check_count, _check_entries, surplus_rows
 from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, _check_punishment, deviation_utilities
 
 Array = np.ndarray
@@ -280,8 +280,8 @@ def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_
         raise ValueError(f"grid of {points}^{n} cells is too large; use the multistart method")
     axis = np.linspace(0.0, 1.0, points)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
-    H = np.stack([g.ravel() for g in grids], axis=1)
-    return float(_surplus_rows(view, H).max())
+    accepted = np.stack([g.ravel() for g in grids], axis=1)[..., None] * view.capacities
+    return float(surplus_rows(view.valuation, view.cost, accepted, view.cost_types, view.valuation_types).max())
 
 
 def check_efficiency(

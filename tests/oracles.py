@@ -346,7 +346,7 @@ from dataclasses import replace  # noqa: E402
 from pvcg.allocation import AllocationResult, SolverDiagnostics, optimize_acceptance, waterfill_applies  # noqa: E402
 from pvcg.experiment import SurfaceGrid, SurfaceRecord  # noqa: E402
 from pvcg.adjustment import PriorSupport  # noqa: E402
-from pvcg.model import Economy, total_valuation  # noqa: E402
+from pvcg.model import Economy  # noqa: E402
 from pvcg.payments import (  # noqa: E402
     PaymentBreakdown,
     ZeroAdjustment,
@@ -364,6 +364,26 @@ from pvcg.verification import (  # noqa: E402
     check_wbb,
     loss_components,
 )
+
+
+# ---------------------------------------------------------------------------
+# the surplus, consumer by consumer and producer by producer
+# ---------------------------------------------------------------------------
+#
+# ``model.total_valuation`` and ``model.social_surplus`` as Python loops over
+# the family's ``value`` and ``cost``, so the row functions the library
+# evaluates them with are held to a path that shares none of their code.
+
+
+def total_valuation(view, accepted) -> float:
+    """Sum of consumer values at the ``(n, dim)`` accepted profile, one ``value`` call per consumer."""
+    return float(sum(view.valuation.value(accepted, float(t)) for t in view.valuation_types))
+
+
+def social_surplus(view, accepted) -> float:
+    """Total consumer value minus the producers' costs, summed left to right from 0."""
+    costs = sum(view.cost.cost(accepted[i], float(g)) for i, g in enumerate(view.cost_types))
+    return total_valuation(view, accepted) - float(costs)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +898,7 @@ def per_network(d_weights, d_biases):
 
 import math  # noqa: E402
 
-from pvcg.model import LinearCost, SqrtSumValuation, social_surplus  # noqa: E402
+from pvcg.model import LinearCost, SqrtSumValuation  # noqa: E402
 
 _LEX_TIE_TOL = 1e-12
 _SPG_MEMORY = 10

@@ -226,16 +226,15 @@ def _assert_same_solve(got, want, label):
     assert got.diag == want.diag, label
 
 
+def _stacked(views):
+    """The ``(E, n, dim)`` capacities, ``(E, n)`` cost and ``(E, m)`` valuation types of the views."""
+    names = ("capacities", "cost_types", "valuation_types")
+    return tuple(np.stack([getattr(view, name) for view in views]) for name in names)
+
+
 def _assert_batch_rows(views, wants, label):
     """``solve_batch`` of the views, one kernel call, against the one-economy oracle row by row."""
-    accepted, surplus = solve_batch(
-        np.stack([v.capacities for v in views]),
-        np.stack([v.cost_types for v in views]),
-        np.stack([v.valuation_types for v in views]),
-        views[0].valuation,
-        views[0].cost,
-        method="projected_gradient",
-    )
+    accepted, surplus = solve_batch(*_stacked(views), views[0].valuation, views[0].cost, method="projected_gradient")
     for t, want in enumerate(wants):
         assert accepted[t].tobytes() == want.accepted.tobytes(), (label, t)
         assert surplus[t].tobytes() == np.float64(want.surplus).tobytes(), (label, t)
@@ -254,7 +253,7 @@ def test_projected_gradient_objective_is_bit_equal_to_the_one_economy_oracle(fam
         ]
         H = rng.uniform(0.0, 1.0, (30, n * dim))
         H[::4] = 0.0  # rows at the lower boundary take one-sided differences
-        objective = _Objective(views, 10)
+        objective = _Objective(*_stacked(views), valuation, cost, 10)
         f, totals = objective.surplus(H, np.ones(30, dtype=bool))
         G = objective.gradient(H, totals, np.zeros(30, dtype=bool), np.zeros_like(H))
         for e, view in enumerate(views):
@@ -291,21 +290,61 @@ def test_projected_gradient_is_bit_equal_to_the_one_economy_oracle(family):
         _assert_batch_rows(views, wants, (family, n))
 
 
-def test_projected_gradient_batch_keeps_each_economys_bits_when_one_runs_long():
-    """An economy that leaves the batch early, or stays long after the others, keeps its one-economy bits."""
+# an economy each family solves in many more iterations than a random one: a near cost tie for the
+# square-root/linear family; for sqrt_sum_squares, cost types of 1-3 around its largest marginal value
+# (sum of thetas) * sqrt(scale) = 1.68
+_LONG_RUNNERS = {
+    "sqrt_sum": (SqrtSumValuation, NEAR_TIE_CAPS, NEAR_TIE_GAMMAS, NEAR_TIE_THETAS),
+    "sqrt_sum_squares": (
+        SqrtSumSquaresValuation,
+        [2.019648092803024, 2.0601282417515385, 4.11339588390849, 2.749641969233389, 1.801115554223494,
+         4.6731167165335705, 3.87595003968509, 3.0120499086820596, 1.2523376141773719, 4.299324152880842],
+        [2.113943549255489, 1.8427053583066977, 2.1285305150230553, 1.385595355828293, 2.0128876869762857,
+         2.3328262250401104, 2.868732957571519, 1.1088085268322272, 1.0050983952231993, 1.327414366273998],
+        [0.5211705771782514, 0.00986801181928787],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_LONG_RUNNERS))
+def test_projected_gradient_batch_keeps_each_economys_bits_when_one_runs_long(family):
+    """Economies that leave the batch together, or one that stays long after the others, keep their one-economy bits.
+
+    The square-root/linear family is in closed form; sqrt_sum_squares takes
+    finite differences, and the economies that finish in one iteration take
+    their surpluses from one ``surplus_rows`` call.
+    """
+    family_type, *long_runner = _LONG_RUNNERS[family]
+    valuation, cost = family_type(scale=10.0), LinearCost()
     rng = np.random.default_rng(17)
-    near_tie = Economy.sqrt_sum(NEAR_TIE_CAPS, NEAR_TIE_GAMMAS, NEAR_TIE_THETAS, scale=10.0)
     views = [
-        Economy.sqrt_sum(rng.uniform(0.0, 5.0, 10), rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 1.0, 2), scale=10.0)
+        Economy(rng.uniform(0.0, 5.0, 10), rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 1.0, 2), valuation, cost)
         for _ in range(6)
     ]
-    views.insert(2, near_tie)
+    views.insert(2, Economy(*long_runner, valuation, cost))
     wants = [reference_projected_gradient(view) for view in views]
     iterations = [want.diag.iterations for want in wants]
-    assert iterations[2] > 4 * max(iterations[:2] + iterations[3:])
-    for t, (got, want) in enumerate(zip(_spg(views), wants)):
-        _assert_same_solve(got, want, t)
-    _assert_batch_rows(views, wants, "near tie")
+    others = iterations[:2] + iterations[3:]
+    assert iterations[2] > 4 * max(others) and len(set(others)) < len(others), iterations
+    ratios, surplus, diags = _spg(*_stacked(views), valuation, cost)
+    for t, want in enumerate(wants):
+        assert ratios[t].tobytes() == want.ratios.tobytes(), t
+        assert np.float64(surplus[t]).tobytes() == np.float64(want.surplus).tobytes(), t
+        assert diags[t] == want.diag, t
+    _assert_batch_rows(views, wants, family)
+
+
+@pytest.mark.parametrize(
+    "field, index, value",
+    [("capacities", (1, 0, 0), math.nan), ("cost types", (1, 2), -0.1), ("valuation types", (0, 1), math.inf)],
+    ids=["nan_capacity", "negative_cost_type", "inf_valuation_type"],
+)
+def test_solve_batch_projected_gradient_names_the_bad_field(field, index, value):
+    """The stacked reports are checked once, with the messages of the per-economy check."""
+    reports = {"capacities": np.ones((2, 3, 1)), "cost types": np.full((2, 3), 0.2), "valuation types": np.ones((2, 2))}
+    reports[field][index] = value
+    with pytest.raises(ValueError, match=f"^{field} must be (finite|non-negative)"):
+        solve_batch(*reports.values(), SqrtSumValuation(scale=3.0), LinearCost(), method="projected_gradient")
 
 
 def test_solver_result_invariants():

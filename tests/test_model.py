@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pvcg import (
     BidProfile,
+    CustomCost,
     CustomValuation,
     Economy,
     LinearCost,
@@ -19,6 +21,10 @@ from pvcg import (
     eval_valuation,
     social_surplus,
 )
+from pvcg.model import cost_rows, surplus_rows, value_rows
+
+from conftest import convex_cost, weighted_valuation
+from oracles import social_surplus as loop_surplus, total_valuation as loop_valuation
 
 
 def test_sqrt_sum_value_examples():
@@ -208,11 +214,13 @@ def test_non_finite_input_is_rejected_by_field(build, field):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_value_rows_takes_valuation_types_row_by_row(data):
-    """``(T, m)`` valuation types give row t the bits of a one-economy call on row t."""
+    """``(T, m)`` valuation types give row t of ``(T, n, dim)`` profiles the bits of a one-economy call on row t."""
     T, n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
-    accepted = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=T * n, max_size=T * n))).reshape(T, n)
+    dim = data.draw(st.integers(1, 2))
+    size = T * n * dim
+    accepted = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))).reshape(T, n, dim)
     thetas = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=T * m, max_size=T * m))).reshape(T, m)
-    valuation = SqrtSumValuation(scale=float(n))
+    valuation = data.draw(st.sampled_from([SqrtSumValuation, SqrtSumSquaresValuation]))(scale=float(n))
     batched = valuation.value_rows(accepted, thetas)
     # a second batch axis: the rows of each economy share its valuation types
     stacked = valuation.value_rows(np.stack([accepted, accepted[:, ::-1]], axis=1), thetas[:, None, :])
@@ -222,3 +230,40 @@ def test_value_rows_takes_valuation_types_row_by_row(data):
         assert np.float64(batched[t]).tobytes() == np.float64(one).tobytes() == np.float64(stacked[t, 0]).tobytes()
         assert stacked[t, 1] == valuation.value_rows(accepted[t, ::-1], thetas[t])
 
+
+_ROW_FAMILIES = {
+    "sqrt_sum": (SqrtSumValuation(scale=3.0), LinearCost()),
+    "sqrt_sum_squares": (SqrtSumSquaresValuation(scale=3.0), LinearCost()),
+    "custom": (CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost)),
+}
+
+
+@pytest.mark.parametrize("family", list(_ROW_FAMILIES))
+def test_row_functions_have_the_bits_of_the_loop_oracle(family):
+    """``surplus_rows``, ``value_rows`` and ``cost_rows`` against the loop over consumers and producers.
+
+    n runs past numpy's eight-accumulator pairwise sum (n >= 9); each batch
+    has an all-zero profile, and is checked as ``(R, ...)`` rows, as a
+    ``(2, 3, ...)`` stack and one row at a time. The custom pair takes the
+    row functions' fallback.
+    """
+    valuation, cost = _ROW_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_ROW_FAMILIES).index(family))
+    for n, m, dim in itertools.product(range(1, 13), (1, 2, 3), (1, 2)):
+        accepted = rng.uniform(0.0, 5.0, (6, n, dim))
+        accepted[2] = 0.0
+        gammas, thetas = rng.uniform(0.0, 1.0, (6, n)), rng.uniform(0.0, 1.0, (6, m))
+        surplus = surplus_rows(valuation, cost, accepted, gammas, thetas)
+        value = value_rows(valuation, accepted, thetas)
+        costs = cost_rows(cost, accepted, gammas)
+        stacked = surplus_rows(valuation, cost, accepted.reshape(2, 3, n, dim), gammas.reshape(2, 3, n),
+                               thetas.reshape(2, 3, m))
+        assert stacked.tobytes() == surplus.reshape(2, 3).tobytes(), (n, m, dim)
+        for r in range(6):
+            view = Economy(accepted[r], gammas[r], thetas[r], valuation, cost)
+            want = np.float64(loop_surplus(view, accepted[r])).tobytes()
+            assert np.float64(surplus[r]).tobytes() == want, (n, m, dim, r)
+            assert np.float64(surplus_rows(valuation, cost, accepted[r], gammas[r], thetas[r])).tobytes() == want
+            assert np.float64(social_surplus(view, accepted[r])).tobytes() == want
+            assert np.float64(value[r]).tobytes() == np.float64(loop_valuation(view, accepted[r])).tobytes()
+            assert costs[r].tolist() == [cost.cost(accepted[r, i], float(gammas[r, i])) for i in range(n)]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pvcg import (
     check_ir,
     check_surplus_monotonicity,
     check_wbb,
+    load_economy,
     loss_components,
     mixed_deviation_sampler,
     optimize_acceptance,
@@ -134,6 +136,18 @@ def test_check_efficiency_random_three_producer():
         economy = random_sqrt_sum_economy(rng, n_choices=(3,))
         allocation = analytic_waterfill(economy.view())
         assert check_efficiency(economy, allocation, method="grid").passed
+
+
+def test_check_efficiency_grid_on_a_finite_difference_family():
+    """The grid oracle on the sqrt_sum_squares economy finds no surplus beyond its projected-gradient solve.
+
+    Its surplus is convex in the ratios, so the maximum is a vertex of the
+    box, which lies on the grid.
+    """
+    economy = load_economy(Path(__file__).resolve().parents[1] / "configs" / "economy3_squares.json")
+    allocation = optimize_acceptance(economy.view(), method="projected_gradient")
+    assert grid_surplus_max(economy.view(), step=1e-2) == allocation.surplus
+    assert check_efficiency(economy, allocation, method="grid", step=1e-2).passed
 
 
 def _nothing_accepted(economy):
