@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 17 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 18 artifacts differs or is
 # missing on either side. For an artifact that differs it also prints the
 # largest absolute difference between the numbers of the two files, read in order,
 # and for a JSON artifact up to 10 differing leaf paths as "path: BASE -> THIS".
@@ -20,6 +20,10 @@
 #     so projected gradient) with truthful bids and the zero adjustment
 #   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
 #     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
+#   pvcg verify --config configs/train_small.json with the learned adjustment
+#     that train run writes on this tree: a network of 40 epochs fails rationality
+#     and budget on some samples (it exits 1), so this pins the ir_wbb counts and
+#     witnesses
 #   pvcg surface --config configs/surface_interior.json --adjustment analytic:
 #     the analytic adjustment's per-producer call (run/surface.csv covers the
 #     learned one's; every other artifact prices through all_producers). Its
@@ -72,6 +76,8 @@ run_tree() {  # run_tree TREE OUT
         --out "$out/simulate-squares-analytic"
     pvcg "$tree" simulate --economy "$economy2d" --adjustment zero --out "$out/simulate-2d-zero"
     pvcg "$tree" train --config "$train_small" --out "$out/train"
+    pvcg "$tree" verify --config "$train_small" --adjustment "learned:$work/head/train/model.json" \
+        --out "$out/verify-train-small"
     pvcg "$tree" surface --config "$surface_interior" --adjustment analytic --out "$out/surface-analytic"
     pvcg "$tree" surface --config "$surface_squares" --adjustment zero --out "$out/surface-squares-zero"
 }
@@ -125,6 +131,7 @@ artifacts=(
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
     simulate-squares-zero/payments.json simulate-squares-analytic/payments.json simulate-2d-zero/payments.json
     train/model.json train/loss_trace.csv surface-analytic/surface.csv surface-squares-zero/surface.csv
+    verify-train-small/verification.json
 )
 status=0
 for file in "${artifacts[@]}"; do

@@ -18,7 +18,6 @@ import numpy as np
 from .adjustment import (
     AnalyticAdjustment,
     PriorSupport,
-    feasibility_penalties,
     marginal_gains_check,
     existence_check,
     sample_prior,
@@ -28,14 +27,14 @@ from .learner import LearnedAdjustment, TrainingConfig, save_model, train
 from .model import (
     Economy, _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
 )
-from .payments import ZeroAdjustment, payments_batch
+from .payments import ZeroAdjustment, _check_punishment, payments_batch
 from .verification import (
     SURPLUS_TOL,
+    Feasibility,
     check_surplus_monotonicity,
     draw_uniform_types,
     mixed_deviation_sampler,
     probe_dsic,
-    restatements,
     uniform_economy_sampler,
 )
 
@@ -217,8 +216,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {self.method!r}")
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite (None means n), got {self.scale}")
-        if not (math.isfinite(self.punishment) and self.punishment > 0):
-            raise ValueError(f"punishment must be positive and finite, got {self.punishment}")
+        _check_punishment(self.punishment)
+        _check_count("seed", self.seed, least=0)
 
     def support(self) -> PriorSupport:
         return PriorSupport.uniform_box(
@@ -309,9 +308,9 @@ def ir_wbb_sweep(
     still reported for inspection.
 
     The samples are drawn first, in ``uniform_economy_sampler``'s order, and
-    priced in one ``payments_batch``; the per-instance verdicts of
-    ``check_ir``, ``check_wbb`` and ``loss_components`` are array masks, and
-    witnesses are built for failing samples only.
+    priced in one ``payments_batch``; ``Feasibility`` gives every sample's
+    verdicts and loss terms at once, and witnesses are built for failing
+    samples only.
     """
     _check_count("samples", samples)
     rng = np.random.default_rng(seed)
@@ -320,35 +319,17 @@ def ir_wbb_sweep(
     p = payments_batch(
         caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
     )
-    # check_ir, check_wbb and loss_components on every sample at once
-    unpunished = ~p.punished.any(axis=1)
-    (ir_restated, ir_direct), (wbb_restated, wbb_direct) = restatements(p)
-    deficit = -p.utilities > SURPLUS_TOL
-    ir_passed = ~deficit.any(axis=1) & ~((ir_restated != ir_direct) & unpunished)
-    paid = p.total.sum(axis=1)
-    overdraft = paid - p.coalition_income > SURPLUS_TOL
-    wbb_passed = ~overdraft & ~((wbb_restated != wbb_direct) & unpunished)
-    rationality, budget = feasibility_penalties(p.surplus[:, None] - p.counterfactual_surpluses, p.adjustment, p.surplus)
-    term1 = rationality.sum(axis=1)
+    verdict = Feasibility(p)
+    ir_passed, wbb_passed, term1, budget = verdict.ir_passed, verdict.wbb_passed, verdict.rationality, verdict.budget
     rationality_mismatch = (term1 <= gammas.shape[1] * SURPLUS_TOL) != ir_passed
     budget_mismatch = (budget <= SURPLUS_TOL) != wbb_passed
 
     def first_rows(mask):
         return np.flatnonzero(mask)[:10].tolist()
 
-    def ir_witness(k):
-        if deficit[k].any():
-            i = int(np.argmax(deficit[k]))
-            return {"sample": k, "producer": i, "utility": float(p.utilities[k, i]), "gap": -float(p.utilities[k, i])}
-        return {"sample": k, "kind": "restatement_mismatch", "direct": bool(ir_direct[k]), "restated": bool(ir_restated[k])}
-
-    def wbb_witness(k):
-        if overdraft[k]:
-            paid_k, income_k = float(paid[k]), float(p.coalition_income[k])
-            return {"sample": k, "paid": paid_k, "income": income_k, "gap": paid_k - income_k}
-        return {"sample": k, "kind": "restatement_mismatch", "direct": bool(wbb_direct[k]), "restated": bool(wbb_restated[k])}
-
-    witnesses = [ir_witness(k) for k in first_rows(~ir_passed)] + [wbb_witness(k) for k in first_rows(~wbb_passed)]
+    # a failing sample's witness is the first violation of its check_ir or check_wbb report
+    witnesses = [{"sample": k, **verdict.ir_report(k).violations[0]} for k in first_rows(~ir_passed)]
+    witnesses += [{"sample": k, **verdict.wbb_report(k).violations[0]} for k in first_rows(~wbb_passed)]
     for k in first_rows(rationality_mismatch | budget_mismatch):
         if rationality_mismatch[k]:
             witnesses.append({"sample": k, "kind": "rationality", "term": float(term1[k]), "probe": bool(ir_passed[k])})

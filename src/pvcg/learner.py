@@ -289,8 +289,7 @@ class TrainingConfig:
             raise ValueError(f"hidden widths must be positive integers, got {self.hidden}")
         if not (math.isfinite(self.loss_tol) and self.loss_tol >= 0):
             raise ValueError(f"loss_tol must be finite and >= 0, got {self.loss_tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("seed", self.seed, least=0)
 
     def to_dict(self) -> dict:
         return fields_to_dict(self)

@@ -67,12 +67,12 @@ def _check_entries(arr: Array, name: str) -> Array:
     return arr
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer (a bool is not one) or is below 1, naming the field."""
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below ``least``, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: str = "resource amounts") -> Array:

@@ -31,7 +31,7 @@ __all__ = [
     "check_efficiency",
     "check_ir",
     "check_wbb",
-    "restatements",
+    "Feasibility",
     "check_surplus_monotonicity",
     "loss_components",
 ]
@@ -60,15 +60,8 @@ class ProbeReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, gap: float, witness: dict, tol: float) -> None:
-        _check_tol(tol)
-        self.max_gap = max(self.max_gap, gap)
-        if gap > tol:
-            witness["gap"] = gap
-            self.violations.append(witness)
-
     def record_all(self, gaps: Array, witness, tol: float) -> None:
-        """``record`` every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
+        """Record every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
         _check_tol(tol)
         if gaps.size:
             # argmax takes the first of equal maxima, as repeated max() would
@@ -309,10 +302,8 @@ def check_efficiency(
     else:
         raise ValueError(f"unknown efficiency method {method!r}")
     report = ProbeReport(name="efficiency", trials=1)
-    report.record(
-        reference - allocation.surplus,
-        {"achieved": allocation.surplus, "reference": reference},
-        tol,
+    report.record_all(
+        np.array([reference - allocation.surplus]), lambda _: {"achieved": allocation.surplus, "reference": reference}, tol
     )
     return report
 
@@ -322,16 +313,63 @@ def check_efficiency(
 # ---------------------------------------------------------------------------
 
 
-def loss_components(payments: PaymentBreakdown) -> tuple[float, float]:
-    """Rationality and budget penalty terms of one truthful instance.
+class Feasibility:
+    """Rationality and budget verdicts of a ``total_payment`` or ``payments_batch`` result, one per economy.
 
-    The learner's loss terms (``feasibility_penalties``) on the solved
-    surpluses and the adjustment vector; zero iff the corresponding probe
-    passes.
+    Producers are on the last axis. Rationality: every utility ``>= -tol`` (``deficit`` marks each
+    producer below), restated as ``h_i >= -(S* - S*_{-i})``. Budget: total payments ``paid`` within
+    the coalition income (``overdraft`` marks an economy beyond it), restated as ``sum h_i <= S* -
+    sum(S* - S*_{-i})``. ``ir`` and ``wbb`` are the (direct, restated) pairs; ``ir_mismatch`` and
+    ``wbb_mismatch`` mark a disagreement with no producer punished, which fails the verdict
+    (``ir_passed``, ``wbb_passed``). ``rationality`` (summed over producers) and ``budget`` are the
+    loss terms of ``feasibility_penalties``; each is zero iff its verdict passes.
     """
-    gains = payments.surplus - payments.counterfactual_surpluses
-    rationality, budget = feasibility_penalties(gains, payments.adjustment, payments.surplus)
-    return float(rationality.sum()), float(budget)
+
+    def __init__(self, payments: PaymentBreakdown, tol: float = SURPLUS_TOL):
+        _check_tol(tol)
+        self.payments, self.tol = payments, tol
+        surplus = np.asarray(payments.surplus)
+        gains = surplus[..., None] - payments.counterfactual_surpluses
+        self.deficit = -payments.utilities > tol
+        self.paid = payments.total.sum(axis=-1)
+        self.overdraft = self.paid - payments.coalition_income > tol
+        self.ir = ~self.deficit.any(axis=-1), np.all(payments.adjustment + gains >= -tol, axis=-1)
+        restated_budget = payments.adjustment.sum(axis=-1) <= surplus - gains.sum(axis=-1) + tol
+        self.wbb = self.paid <= payments.coalition_income + tol, restated_budget
+        unpunished = ~payments.punished.any(axis=-1)
+        self.ir_mismatch = (self.ir[0] != self.ir[1]) & unpunished
+        self.wbb_mismatch = (self.wbb[0] != self.wbb[1]) & unpunished
+        self.ir_passed = self.ir[0] & ~self.ir_mismatch
+        self.wbb_passed = ~self.overdraft & ~self.wbb_mismatch
+        rationality, self.budget = feasibility_penalties(gains, payments.adjustment, surplus)
+        self.rationality = rationality.sum(axis=-1)
+
+    def ir_report(self, k=()) -> ProbeReport:
+        """``check_ir``'s report of economy ``k``: each producer's deficit, then a counted mismatch."""
+        utilities = self.payments.utilities[k]
+        report = ProbeReport(name="individual_rationality", trials=utilities.size)
+        report.record_all(-utilities, lambda i: {"producer": i, "utility": float(utilities[i])}, self.tol)
+        return self._with_mismatch(report, self.ir, self.ir_mismatch, k)
+
+    def wbb_report(self, k=()) -> ProbeReport:
+        """``check_wbb``'s report of economy ``k``: its overdraft, then a counted mismatch."""
+        paid, income = float(self.paid[k]), float(np.asarray(self.payments.coalition_income)[k])
+        report = ProbeReport(name="weak_budget_balance", trials=1)
+        report.record_all(np.array([paid - income]), lambda _: {"paid": paid, "income": income}, self.tol)
+        return self._with_mismatch(report, self.wbb, self.wbb_mismatch, k)
+
+    @staticmethod
+    def _with_mismatch(report: ProbeReport, verdicts, mismatch: Array, k) -> ProbeReport:
+        direct, restated = verdicts
+        if mismatch[k]:
+            report.violations.append({"kind": "restatement_mismatch", "direct": bool(direct[k]), "restated": bool(restated[k])})
+        return report
+
+
+def loss_components(payments: PaymentBreakdown) -> tuple[float, float]:
+    """Rationality and budget penalty terms of one truthful instance (``Feasibility``'s loss terms)."""
+    verdict = Feasibility(payments)
+    return float(verdict.rationality), float(verdict.budget)
 
 
 def check_ir(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS_TOL) -> ProbeReport:
@@ -339,20 +377,9 @@ def check_ir(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS_
 
     Also cross-checks the equivalent restatement h_i >= -(S* - S*_{-i})
     instance-wise; a disagreement between the two forms is itself reported.
+    ``payments`` carries all the check reads; ``economy`` is the priced one.
     """
-    report = ProbeReport(name="individual_rationality", trials=economy.n)
-    for i in range(economy.n):
-        report.record(
-            -float(payments.utilities[i]),
-            {"producer": i, "utility": float(payments.utilities[i])},
-            tol,
-        )
-    (restated, direct), _ = restatements(payments, tol)
-    if restated != direct and not payments.punished.any():
-        report.violations.append(
-            {"kind": "restatement_mismatch", "direct": bool(direct), "restated": bool(restated)}
-        )
-    return report
+    return Feasibility(payments, tol).ir_report()
 
 
 def check_wbb(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS_TOL) -> ProbeReport:
@@ -360,39 +387,7 @@ def check_wbb(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS
 
     Cross-checks the restatement sum h_i <= S* - sum(S* - S*_{-i}).
     """
-    report = ProbeReport(name="weak_budget_balance", trials=1)
-    paid = float(payments.total.sum())
-    report.record(
-        paid - payments.coalition_income,
-        {"paid": paid, "income": payments.coalition_income},
-        tol,
-    )
-    _, (restated, direct) = restatements(payments, tol)
-    if restated != direct and not payments.punished.any():
-        report.violations.append(
-            {"kind": "restatement_mismatch", "direct": bool(direct), "restated": bool(restated)}
-        )
-    return report
-
-
-def restatements(payments: PaymentBreakdown, tol: float = SURPLUS_TOL) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
-    """The (restated, direct) verdict pairs of ``check_ir`` and ``check_wbb``, one per priced economy.
-
-    Rationality: ``h_i >= -(S* - S*_{-i})`` for every producer, against every
-    utility ``>= -tol``. Budget: ``sum h_i <= S* - sum(S* - S*_{-i})``,
-    against total payments within the coalition income. Producers are on the
-    last axis; a ``payments_batch`` result gives ``(T,)`` verdicts.
-    """
-    gains = np.asarray(payments.surplus)[..., None] - payments.counterfactual_surpluses
-    ir = (
-        np.all(payments.adjustment + gains >= -tol, axis=-1),
-        np.all(payments.utilities >= -tol, axis=-1),
-    )
-    wbb = (
-        payments.adjustment.sum(axis=-1) <= payments.surplus - gains.sum(axis=-1) + tol,
-        payments.total.sum(axis=-1) <= payments.coalition_income + tol,
-    )
-    return ir, wbb
+    return Feasibility(payments, tol).wbb_report()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ coarse grids, and ``test_allocation.py`` against the earlier ternary search
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -356,14 +358,17 @@ from pvcg.payments import (  # noqa: E402
     tau_for_producer,
     total_payment,
 )
-from pvcg.verification import (  # noqa: E402
-    SURPLUS_TOL,
-    UTILITY_TOL,
-    ProbeReport,
-    check_ir,
-    check_wbb,
-    loss_components,
-)
+from pvcg.verification import SURPLUS_TOL, UTILITY_TOL, ProbeReport  # noqa: E402
+
+
+def record(report: ProbeReport, gap: float, witness: dict, tol: float) -> None:
+    """Record one gap as the probes did one economy at a time: raise ``max_gap``, keep a witness above ``tol``."""
+    if not tol < math.inf:
+        raise ValueError(f"tol must be a number below +inf, got {tol}")
+    report.max_gap = max(report.max_gap, gap)
+    if gap > tol:
+        witness["gap"] = gap
+        report.violations.append(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +561,8 @@ def reference_probe_dsic(
                 economy, dev_view, full_dev, removed_cache[i], i, h_cache[i], punishment
             )
             max_abs_tau = max(max_abs_tau, abs(tau_dev))
-            report.record(
+            record(
+                report,
                 utility_dev - truth_cache[i],
                 {
                     "trial": trial,
@@ -602,7 +608,8 @@ def reference_check_surplus_monotonicity(
         caps_up[i, d] += float(rng.uniform(0.1, 2.0))
         up_view = replace(economy, capacities=caps_up)
         surplus_up = reference_solve(up_view, method=method).surplus
-        report.record(
+        record(
+            report,
             base - surplus_up,
             {"trial": trial, "kind": "capacity_increase", "producer": i, "before": base, "after": surplus_up},
             tol,
@@ -612,7 +619,8 @@ def reference_check_surplus_monotonicity(
         gammas_up[i] += float(rng.uniform(0.1, 2.0))
         costly_view = replace(economy, cost_types=gammas_up)
         surplus_costly = reference_solve(costly_view, method=method).surplus
-        report.record(
+        record(
+            report,
             surplus_costly - base,
             {"trial": trial, "kind": "cost_increase", "producer": i, "before": base, "after": surplus_costly},
             tol,
@@ -674,6 +682,40 @@ def reference_payment_surface(
     )
 
 
+def reference_loss_components(payments) -> tuple[float, float]:
+    """The rationality and budget penalty terms of one priced economy, from their definitions."""
+    gains = payments.surplus - payments.counterfactual_surpluses
+    rationality = np.maximum(-gains - payments.adjustment, 0.0)
+    budget = np.maximum((gains + payments.adjustment).sum(axis=-1) - payments.surplus, 0.0)
+    return float(rationality.sum()), float(budget)
+
+
+def reference_check_ir(economy, payments, tol: float = SURPLUS_TOL) -> ProbeReport:
+    """Every producer's utility non-negative, one producer at a time, cross-checked by h_i >= -(S* - S*_{-i})."""
+    report = ProbeReport(name="individual_rationality", trials=economy.n)
+    for i in range(economy.n):
+        record(report, -float(payments.utilities[i]), {"producer": i, "utility": float(payments.utilities[i])}, tol)
+    gains = payments.surplus - payments.counterfactual_surpluses
+    restated = bool(np.all(payments.adjustment + gains >= -tol))
+    direct = bool(np.all(payments.utilities >= -tol))
+    if restated != direct and not payments.punished.any():
+        report.violations.append({"kind": "restatement_mismatch", "direct": direct, "restated": restated})
+    return report
+
+
+def reference_check_wbb(economy, payments, tol: float = SURPLUS_TOL) -> ProbeReport:
+    """Total payments within the coalition income, cross-checked by sum h_i <= S* - sum(S* - S*_{-i})."""
+    report = ProbeReport(name="weak_budget_balance", trials=1)
+    paid = float(payments.total.sum())
+    record(report, paid - payments.coalition_income, {"paid": paid, "income": payments.coalition_income}, tol)
+    gains = payments.surplus - payments.counterfactual_surpluses
+    restated = bool(payments.adjustment.sum() <= payments.surplus - gains.sum() + tol)
+    direct = bool(paid <= payments.coalition_income + tol)
+    if restated != direct and not payments.punished.any():
+        report.violations.append({"kind": "restatement_mismatch", "direct": direct, "restated": restated})
+    return report
+
+
 def reference_ir_wbb_sweep(
     support: PriorSupport,
     valuation,
@@ -711,8 +753,8 @@ def reference_ir_wbb_sweep(
         payments = total_payment(
             economy, adjustment=adjustment, punishment=punishment, method=method
         )
-        ir = check_ir(economy, payments)
-        wbb = check_wbb(economy, payments)
+        ir = reference_check_ir(economy, payments)
+        wbb = reference_check_wbb(economy, payments)
         worst_utility = min(worst_utility, float(payments.utilities.min()))
         worst_slack = min(worst_slack, payments.budget_slack)
         if ir.passed and wbb.passed:
@@ -721,7 +763,7 @@ def reference_ir_wbb_sweep(
             ir_violations.append({"sample": k, **ir.violations[0]})
         if not wbb.passed:
             wbb_violations.append({"sample": k, **wbb.violations[0]})
-        term1, term2 = loss_components(payments)
+        term1, term2 = reference_loss_components(payments)
         penalty_sum += term1 + term2
         if (term1 <= economy.n * SURPLUS_TOL) != ir.passed:
             mismatches.append({"sample": k, "kind": "rationality", "term": term1, "probe": ir.passed})
@@ -895,8 +937,6 @@ def per_network(d_weights, d_biases):
 # of economies with its objective prepared once: one economy, all ten start
 # rows evaluated at every iteration, every constant derived again on each
 # call. ``solve_batch`` and ``optimize_acceptance`` must give its bits.
-
-import math  # noqa: E402
 
 from pvcg.model import LinearCost, SqrtSumValuation  # noqa: E402
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,7 @@ from pvcg import (
     payment_surface,
     run_experiment,
 )
+from pvcg import experiment
 from pvcg.experiment import ir_wbb_sweep, run_probes, surface_rows, write_csv
 from pvcg.verification import mixed_deviation_sampler, probe_dsic, uniform_economy_sampler
 
@@ -176,6 +178,34 @@ def test_run_experiment_different_seed_changes_outputs(tmp_path):
     assert (tmp_path / "a" / "model.json").read_bytes() != (tmp_path / "b" / "model.json").read_bytes()
 
 
+def test_ir_wbb_sweep_counts_restatement_mismatches(monkeypatch):
+    """Doctored adjustment rows: a rationality and a budget restatement mismatch are violations with
+    witnesses, and a punished producer suppresses one, which leaves its penalty term unmatched."""
+    real = experiment.payments_batch
+
+    def doctored(*args, **kwargs):
+        p = real(*args, **kwargs)
+        gains = p.surplus[:, None] - p.counterfactual_surpluses
+        adjustment, punished = p.adjustment.copy(), p.punished.copy()
+        adjustment[[1, 3], 0] = -gains[[1, 3], 0] - 1.0  # restated rationality fails on rows 1 and 3
+        adjustment[2, 0] = p.surplus[2] + 1.0  # restated budget fails on row 2
+        punished[3, 0] = True
+        return dataclasses.replace(p, adjustment=adjustment, punished=punished)
+
+    monkeypatch.setattr(experiment, "payments_batch", doctored)
+    support = PriorSupport.uniform_box(3, 1)
+    result = ir_wbb_sweep(support, SqrtSumValuation(scale=3.0), LinearCost(), samples=6, seed=4)
+    mismatch = {"kind": "restatement_mismatch", "direct": True, "restated": False}
+    assert result["ir_violations"] == 1 and result["wbb_violations"] == 1
+    assert result["equivalence_mismatches"] == 1
+    assert result["pass_rate"] == 4 / 6 and not result["passed"]
+    ir, wbb, term = result["witnesses"]
+    assert ir == {"sample": 1, **mismatch} and wbb == {"sample": 2, **mismatch}
+    assert term["sample"] == 3 and term["kind"] == "rationality" and term["probe"] is True
+    assert term["term"] == pytest.approx(1.0, abs=1e-9)
+    assert result["worst_utility"] >= 0.0
+
+
 _COUNTS = ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonicity_trials", "existence_samples"]
 
 
@@ -200,6 +230,9 @@ _COUNTS = ["n", "m", "dsic_trials", "dsic_deviations", "ir_samples", "monotonici
         pytest.param("punishment", -5.0, " must be positive and finite", id="punishment-negative"),
         pytest.param("punishment", 0.0, " must be positive and finite", id="punishment-zero"),
         pytest.param("punishment", math.inf, " must be positive and finite", id="punishment-inf"),
+        pytest.param("seed", -30, " must be >= 0", id="seed-negative"),
+        pytest.param("seed", 2.5, " must be an integer", id="seed-fraction"),
+        pytest.param("seed", True, " must be an integer", id="seed-bool"),
     ],
 )
 def test_config_rejects_non_positive_counts(field, value, message):

@@ -454,6 +454,8 @@ def test_composite_loss_matches_loss_components_of_the_payment():
         pytest.param("loss_tol", -1e-3, id="loss_tol-negative"),
         pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
         pytest.param("seed", -1, id="seed-negative"),
+        pytest.param("seed", 1.5, id="seed-fraction"),
+        pytest.param("seed", True, id="seed-bool"),
         pytest.param("batch_size", 0, id="batch_size-zero"),
         pytest.param("batch_size", 2.5, id="batch_size-fraction"),
         pytest.param("batch_size", True, id="batch_size-bool"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -241,6 +242,34 @@ def test_check_wbb_flags_injected_overdraft():
     assert payments.budget_slack == pytest.approx(-1.0, abs=1e-9)
     _, term2 = loss_components(payments)
     assert term2 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_restatement_mismatch_is_reported_unless_a_producer_is_punished(cheap_pair_economy):
+    """Utilities and payments stay feasible while the adjustment vector breaks each restatement."""
+    economy = cheap_pair_economy
+    payments = total_payment(economy)
+    gains = payments.surplus - payments.counterfactual_surpluses
+    assert (payments.utilities >= 0).all() and check_ir(economy, payments).passed
+    mismatch = {"kind": "restatement_mismatch", "direct": True, "restated": False}
+
+    # h_0 below -(S* - S*_{-0}): the restated rationality fails, the utilities do not
+    lowered = dataclasses.replace(payments, adjustment=np.array([-gains[0] - 1.0, 0.0]))
+    ir = check_ir(economy, lowered)
+    assert ir.violations == [mismatch] and not ir.passed
+    assert ir.max_gap == -float(payments.utilities.min())
+    assert check_wbb(economy, lowered).passed
+
+    # sum h beyond S* - sum(S* - S*_{-i}): the restated budget fails, the payments do not
+    raised = dataclasses.replace(payments, adjustment=np.array([payments.surplus + 1.0, 0.0]))
+    wbb = check_wbb(economy, raised)
+    assert wbb.violations == [mismatch] and not wbb.passed
+    assert wbb.max_gap == float(payments.total.sum()) - payments.coalition_income
+    assert check_ir(economy, raised).passed
+
+    # one punished producer: a disagreement is no longer counted
+    punished = np.array([False, True])
+    assert check_ir(economy, dataclasses.replace(lowered, punished=punished)).passed
+    assert check_wbb(economy, dataclasses.replace(raised, punished=punished)).passed
 
 
 def test_loss_terms_track_probes():
