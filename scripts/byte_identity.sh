@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same pvcg commands on this tree and on BASE_TREE and compare every
-# artifact with cmp. Exits non-zero when any of the 18 artifacts differs or is
+# artifact with cmp. Exits non-zero when any of the 19 artifacts differs or is
 # missing on either side. For an artifact that differs it also prints the
 # largest absolute difference between the numbers of the two files, read in order,
 # and for a JSON artifact up to 10 differing leaf paths as "path: BASE -> THIS".
@@ -32,6 +32,11 @@
 #   pvcg surface --config configs/surface_squares.json --adjustment zero: an
 #     8x8 sqrt_sum_squares surface at n=4, so its 64 economies are one
 #     projected-gradient batch, finished together, plus the removed problem
+#   pvcg verify --config configs/surface_squares.json --adjustment analytic:
+#     the only artifact that runs the DSIC probe, the existence and
+#     marginal-gains checks and the analytic adjustment on a projected-gradient
+#     family. It exits 1: it pins failing ir_wbb and surplus_monotonicity
+#     reports
 # Each tree runs its own configs/flagship.json; the economy, bids, train_small,
 # surface_interior and surface_squares files come from this tree, so a base
 # commit without them still runs.
@@ -80,6 +85,7 @@ run_tree() {  # run_tree TREE OUT
         --out "$out/verify-train-small"
     pvcg "$tree" surface --config "$surface_interior" --adjustment analytic --out "$out/surface-analytic"
     pvcg "$tree" surface --config "$surface_squares" --adjustment zero --out "$out/surface-squares-zero"
+    pvcg "$tree" verify --config "$surface_squares" --adjustment analytic --out "$out/verify-squares-analytic"
 }
 
 max_numeric_diff() {  # max_numeric_diff A B: the largest |a - b| over the files' numbers, paired in order
@@ -131,7 +137,7 @@ artifacts=(
     simulate-zero/payments.json simulate-analytic/payments.json simulate-analytic-gradient/payments.json
     simulate-squares-zero/payments.json simulate-squares-analytic/payments.json simulate-2d-zero/payments.json
     train/model.json train/loss_trace.csv surface-analytic/surface.csv surface-squares-zero/surface.csv
-    verify-train-small/verification.json
+    verify-train-small/verification.json verify-squares-analytic/verification.json
 )
 status=0
 for file in "${artifacts[@]}"; do

@@ -171,6 +171,14 @@ def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, 
     return caps, gammas, thetas
 
 
+def _replaced(caps: Array, gammas: Array, cap, gamma) -> tuple[Array, Array]:
+    """The n copies ``(..., n, n, dim)``, ``(..., n, n)`` of the reports, copy i with ``cap``, ``gamma`` in slot i."""
+    k = np.arange(gammas.shape[-1])
+    caps, gammas = np.repeat(caps[..., None, :, :], len(k), axis=-3), np.repeat(gammas[..., None, :], len(k), axis=-2)
+    caps[..., k, k, :], gammas[..., k, k] = cap, gamma
+    return caps, gammas
+
+
 @dataclass(frozen=True)
 class AnalyticAdjustment:
     """Callable adjustment model wrapping the constructive formula ``-(S_pessimistic - S_without_i)``."""
@@ -181,34 +189,21 @@ class AnalyticAdjustment:
     method: str | None = None
 
     def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        """Producer ``i``'s adjustment from the others' reports: ``all_producers`` run on producer ``i`` alone."""
-        caps, gammas, thetas = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
-        return float(self._adjustments(caps, gammas, thetas, np.array([i]))[0])
+        """Producer ``i``'s adjustment from the others' reports: entry ``i`` of ``all_producers`` on them."""
+        return float(self.all_producers(*_full_profile(self.support, i, capacities_others, gammas_others, thetas))[i])
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
-        Leading axes are a batch of report profiles. Entry i reads only the
-        others' reports and equals ``self(i, ...)`` on them bit for bit.
+        Leading axes are a batch of report profiles. Entry i reads only the others' reports: the pessimistic
+        problems form one ``(..., n, n)`` batch and the producer-removed problems one ``(..., n, n-1)`` batch.
         """
-        return self._adjustments(*_check_profile(self.support, capacities, gammas, thetas), np.arange(self.support.n))
-
-    def _adjustments(self, caps: Array, gammas: Array, thetas: Array, producers: Array) -> Array:
-        """``(..., k)`` adjustments of the k ``producers``: the pessimistic problems form one ``(..., k, n)``
-        batch and the producer-removed problems one ``(..., k, n-1)`` batch."""
-        s = self.support
-        k = np.arange(len(producers))
-        pess_caps = np.broadcast_to(caps[..., None, :, :], caps.shape[:-2] + (len(k),) + caps.shape[-2:]).copy()
-        pess_caps[..., k, producers, :] = s.cap_lo[producers]
-        pess_gammas = np.broadcast_to(gammas[..., None, :], gammas.shape[:-1] + (len(k), s.n)).copy()
-        pess_gammas[..., k, producers] = s.gamma_hi[producers]
-        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (len(k),) + thetas.shape[-1:])
-        s_pessimistic = max_surplus(pess_caps, pess_gammas, thetas, self.valuation, self.cost, self.method)
-        others = others_index(s.n)[producers]
-        s_without = max_surplus(
-            caps[..., others, :], gammas[..., others], thetas, self.valuation, self.cost, self.method
-        )
-        return -(s_pessimistic - s_without)
+        s, others = self.support, others_index(self.support.n)
+        caps, gammas, thetas = _check_profile(s, capacities, gammas, thetas)
+        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (s.n,) + thetas.shape[-1:])
+        solver = (self.valuation, self.cost, self.method)
+        s_pessimistic = max_surplus(*_replaced(caps, gammas, s.cap_lo, s.gamma_hi), thetas, *solver)
+        return -(s_pessimistic - max_surplus(caps[..., others, :], gammas[..., others], thetas, *solver))
 
 
 def analytic_adjustment(
@@ -269,20 +264,17 @@ def _run_check(
 
     Problem i replaces producer i: ``pessimistic`` puts it at its support
     extremes; otherwise its capacity is zeroed with its cost type kept (the
-    zero-capacity form). Each problem is solved for all samples at once.
+    zero-capacity form). The n replaced problems of every sample are solved in
+    one ``max_surplus`` call; ``lhs`` adds them up producer by producer.
     """
     _check_count("samples", samples)
-    rng = np.random.default_rng(seed)
-    caps, gammas, thetas = sample_from(support, samples, rng)
+    caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)
+    cap, gamma = (support.cap_lo, support.gamma_hi) if pessimistic else (0.0, gammas)
+    s_replaced = max_surplus(*_replaced(caps, gammas, cap, gamma), thetas[:, None, :], valuation, cost, method)
     lhs = np.zeros(samples)
     for i in range(support.n):
-        caps_i = caps.copy()
-        gammas_i = gammas.copy()
-        caps_i[:, i] = support.cap_lo[i] if pessimistic else 0.0
-        if pessimistic:
-            gammas_i[:, i] = support.gamma_hi[i]
-        lhs += s_full - max_surplus(caps_i, gammas_i, thetas, valuation, cost, method)
+        lhs += s_full - s_replaced[:, i]
     gap = lhs - s_full
     report = CheckReport(name=name, samples=samples, max_gap=float(gap.max()))
     for k in np.flatnonzero(gap > tol):

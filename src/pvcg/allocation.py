@@ -30,6 +30,11 @@ __all__ = [
 
 _LEX_TIE_TOL = 1e-12
 _SPG_MEMORY = 10  # accepted surpluses the nonmonotone line search looks back over
+_SPG_RESTARTS = 8  # random start rows, after the all-zeros and all-ones rows
+_SPG_MAX_ITER = 10_000
+_SPG_TOL = 1e-8  # projected-gradient norm at which a row is done
+_ARMIJO_C = 1e-4
+_FD_STEP = 1e-6  # central-difference step of the gradient outside closed form
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,7 @@ class _Objective:
             accepted = accepted.reshape(len(H), -1, self.shape[1]).sum(axis=2)
         return value - (accepted.reshape(len(self.gammas), self.k, -1) @ self.gammas).ravel(), totals
 
-    def gradient(self, H: Array, totals: Array, done: Array, G: Array, fd_step: float = 1e-6) -> Array:
+    def gradient(self, H: Array, totals: Array, done: Array, G: Array) -> Array:
         """The gradient at each row not ``done``: in closed form, from the accepted totals of its last surplus."""
         if self.closed:
             coeff = self._consumers(self.half_root_scale / np.sqrt(np.maximum(totals, 1e-12)))
@@ -228,29 +233,28 @@ class _Objective:
         G, active = G.copy(), ~done  # a done row has not moved since G
         for d in range(H.shape[1]):
             hp, hm = H.copy(), H.copy()
-            hp[:, d] += fd_step
-            hm[:, d] = np.maximum(H[:, d] - fd_step, 0.0)
+            hp[:, d] += _FD_STEP
+            hm[:, d] = np.maximum(H[:, d] - _FD_STEP, 0.0)
             G[active, d] = ((self.surplus(hp, active)[0] - self.surplus(hm, active)[0]) / (hp[:, d] - hm[:, d]))[active]
         return G
 
 
-def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0, restarts=8, max_iter=10_000, tol=1e-8,
-         armijo_c=1e-4) -> tuple[Array, Array, list[SolverDiagnostics]]:
+def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0) -> tuple[Array, Array, list]:
     """Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) on a batch of economies.
 
     The E economies, ``(E, n, dim)`` capacities, ``(E, n)`` and ``(E, m)`` types, share one pair of families. Each
-    runs the same start rows (zeros, ones and ``restarts`` draws from ``seed``) in lockstep with the others, with
+    runs the same start rows (zeros, ones and ``_SPG_RESTARTS`` draws from ``seed``) in lockstep with the others, with
     the arithmetic of its solve alone, until all its rows are done. A row steps along ``clip(x + alpha g, 0, 1) - x``,
     ``alpha`` the Barzilai-Borwein step of ``-S`` in [1e-12, 1e12] (one over the projected-gradient norm while
     ``s'y <= 0``), halved until an Armijo test against the smallest of its last ``_SPG_MEMORY`` surpluses holds. It
-    is done when that norm drops below ``tol``, or stalls when its line search runs out or its accepted step is
+    is done when that norm drops below ``_SPG_TOL``, or stalls when its line search runs out or its accepted step is
     exactly zero. The best row wins, near-ties by the lexicographically smallest accepted quantities. Returns the
     ratios, the surpluses (one ``surplus_rows`` call per iteration that economies finish in) and the diagnostics.
     """
     E, n, dim = caps.shape
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n * dim), np.ones(n * dim)]
-    starts += [rng.uniform(0.0, 1.0, size=n * dim) for _ in range(restarts)]
+    starts += [rng.uniform(0.0, 1.0, size=n * dim) for _ in range(_SPG_RESTARTS)]
     k = len(starts)
     H, live = np.tile(np.stack(starts), (E, 1)), np.arange(E)
     objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
@@ -261,11 +265,11 @@ def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0, res
     S = G = np.zeros_like(H)  # the last step, and the gradient before it
 
     # ufunc reductions and count_nonzero: at ten rows the ndarray method wrappers cost more than the arithmetic
-    for iterations in range(max_iter + 1):
+    for iterations in range(_SPG_MAX_ITER + 1):
         G, G_prev = objective.gradient(H, totals, done, G), G
         pg_norm = np.maximum.reduce(np.abs(H - np.minimum(np.maximum(H + G, 0.0), 1.0)), axis=1)
-        done |= pg_norm < tol
-        finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == max_iter)
+        done |= pg_norm < _SPG_TOL
+        finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == _SPG_MAX_ITER)
         if np.count_nonzero(finished):
             ended = live[finished]
             for e, t in zip(np.flatnonzero(finished), ended):
@@ -289,7 +293,7 @@ def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0, res
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0/0 is masked, inf clipped
             alpha = np.minimum(np.maximum(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12), 1e12)
         D = np.minimum(np.maximum(H + alpha[:, None] * G, 0.0), 1.0) - H
-        slope = armijo_c * np.einsum("kd,kd->k", G, D)
+        slope = _ARMIJO_C * np.einsum("kd,kd->k", G, D)
         reference = np.minimum.reduce(history, axis=1)
         start, H, remaining = H, H.copy(), ~done
         trial, lam = start + D, 1.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +51,16 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+@contextmanager
+def _loading(args):
+    """Report a ValueError or OSError raised while loading the inputs as one ``pvcg CMD: error:`` line, exit code 2."""
+    try:
+        yield
+    except (ValueError, OSError) as err:
+        print(f"pvcg {args.command}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _add_common(p, config_required: bool = False):
     p.add_argument("--config", type=Path, required=config_required, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -59,16 +70,17 @@ def _add_common(p, config_required: bool = False):
 
 
 def cmd_simulate(args) -> int:
-    economy = load_economy(args.economy)
-    bids = None
-    if args.bids:
-        with open(args.bids, "r", encoding="utf-8") as fh:
-            bids = bids_from_dict(json.load(fh))
-    config = _load_config(args)
-    support = PriorSupport.uniform_box(
-        economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
-    )
-    adjustment = _build_adjustment(args.adjustment, support, economy.valuation, economy.cost, config.method)
+    with _loading(args):
+        economy = load_economy(args.economy)
+        bids = None
+        if args.bids:
+            with open(args.bids, "r", encoding="utf-8") as fh:
+                bids = bids_from_dict(json.load(fh))
+        config = _load_config(args)
+        support = PriorSupport.uniform_box(
+            economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
+        )
+        adjustment = _build_adjustment(args.adjustment, support, economy.valuation, economy.cost, config.method)
     payments = total_payment(
         economy, bids=bids, adjustment=adjustment,
         punishment=config.punishment, method=config.method,
@@ -95,7 +107,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    with _loading(args):
+        config = _load_config(args)
     valuation, cost = config.families()
     model, trace = train(valuation, cost, config.support(), config.training, method=config.method)
     out = args.out or Path(".")
@@ -108,9 +121,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
-    valuation, cost = config.families()
-    adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
+    with _loading(args):
+        config = _load_config(args)
+        valuation, cost = config.families()
+        adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
     # the kind, not the spec: a checkpoint's path must not change the report's bytes
     kind = args.adjustment.split(":", 1)[0]
     probes = run_probes(config, {kind: adjustment})
@@ -132,9 +146,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    config = _load_config(args)
-    valuation, cost = config.families()
-    adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
+    with _loading(args):
+        config = _load_config(args)
+        valuation, cost = config.families()
+        adjustment = _build_adjustment(args.adjustment, config.support(), valuation, cost, config.method)
     record = payment_surface(
         valuation, cost, config.n, config.m, adjustment=adjustment,
         grid=config.surface, method=config.method,
@@ -171,7 +186,8 @@ def cmd_check_assumptions(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
+    with _loading(args):
+        config = _load_config(args)
     out = args.out or Path("pvcg-run")
     result = run_experiment(config, out)
     print(f"report: {out / 'report.json'}  passed={result.passed}")

@@ -59,7 +59,7 @@ class PaymentBreakdown:
     tau: Array                      # (n,) pivot payments
     adjustment: Array               # (n,) h_i values
     total: Array                    # (n,) p_i (== -P when punished)
-    utilities: Array                # (n,) p_i - cost at delivered quantity, true cost type
+    utilities: Array                # (n,) p_i - true cost of the accepted bundle; -P when punished
     coalition_income: float         # total consumer value at delivered quantities
     budget_slack: float             # income - sum of payments
     punished: Array                 # (n,) bool
@@ -80,6 +80,19 @@ def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
     return (accepted > true_capacities + guard).any(axis=-1)
 
 
+def _pivot(cost, accepted: Array, gammas: Array, surplus, removed_surplus) -> Array:
+    """Pivot payments ``S* - S*_{-i} + c_i(x_i)`` of ``(..., dim)`` bundles at reported cost types ``(...)``."""
+    return surplus - removed_surplus + cost_rows(cost, accepted, gammas)
+
+
+def _settle(true_capacities, true_gammas, reported_gammas, cost, accepted, surplus, removed_surplus, h, punishment):
+    """``deviation_utilities``'s rule: the pivot payments, punished masks, total payments and utilities."""
+    tau = _pivot(cost, accepted, reported_gammas, surplus, removed_surplus)
+    punished = _punished_mask(accepted, true_capacities)
+    total = np.where(punished, -punishment, tau + h)
+    return tau, punished, total, np.where(punished, -punishment, total - cost_rows(cost, accepted, true_gammas))
+
+
 def deviation_utilities(
     true_capacities: Array,
     true_gammas: Array,
@@ -98,31 +111,39 @@ def deviation_utilities(
     problem, the surplus of the problem without it, and its adjustment ``h``.
     A producer accepted beyond its true capacity is paid ``-punishment`` and
     delivers nothing; otherwise it earns ``tau + h`` minus its true cost of
-    the accepted bundle.
+    the accepted bundle. ``payments_batch`` prices every producer by this rule.
     """
-    tau = surplus - removed_surplus + cost_rows(cost, accepted, reported_gammas)
-    punished = _punished_mask(accepted, true_capacities)
-    utility = np.where(punished, -punishment, tau + h - cost_rows(cost, accepted, true_gammas))
+    tau, _, _, utility = _settle(
+        true_capacities, true_gammas, reported_gammas, cost, accepted, surplus, removed_surplus, h, punishment
+    )
     return utility, tau
 
 
 def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationResult, i: int) -> float:
     """Pivot payment for one producer from the solved full and removed problems."""
-    own_cost = view.cost.cost(full.accepted[i], float(view.cost_types[i]))
-    return full.surplus - removed.surplus + own_cost
+    return float(_pivot(view.cost, full.accepted[i], view.cost_types[i], full.surplus, removed.surplus))
 
 
-def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_removed) -> None:
-    """Raise unless every direct pivot payment matches its expansion within ``TAU_FORM_TOL``.
+def _check_tau_forms(taus, valuation, cost, accepted, gammas, thetas, removed) -> None:
+    """Raise unless every pivot payment ``taus`` matches its expansion within ``TAU_FORM_TOL``.
 
-    The expansion of producer i is the value difference between the full and
-    the i-removed allocation minus the others' cost difference. Producers are
-    on the last axis of every argument but ``value_full``, which has the
-    batch shape; leading axes are a batch of economies. The first producer
-    whose forms disagree is named, with its economy in a batch of several.
+    The expansion of producer i is the value difference between the full ``(..., n, dim)`` allocation ``accepted``
+    and the i-removed one minus the others' cost difference; ``removed`` holds the ``(..., n, n-1, dim)`` removed
+    allocations on the ``others_index`` rows. Leading axes are a batch of economies. The first producer whose forms
+    disagree is named, with its economy in a batch of several.
     """
+    n = gammas.shape[-1]
+    others = others_index(n)
+    # each removed allocation is valued as an n-producer profile, a zero bundle in the removed
+    # producer's place, so no family is asked the value of an empty coalition
+    embedded = np.zeros(removed.shape[:-2] + (n,) + removed.shape[-1:])
+    embedded[..., np.arange(n)[:, None], others, :] = removed
+    costs_full = cost_rows(cost, accepted, gammas)
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
-    expanded = (np.asarray(value_full)[..., None] - value_removed) - (others_cost_full - others_cost_removed)
+    others_cost_removed = cost_rows(cost, removed, gammas[..., others]).sum(axis=-1)
+    value_full = value_rows(valuation, accepted, thetas)[..., None]
+    value_removed = value_rows(valuation, embedded, thetas[..., None, :])
+    expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
     disagree = np.abs(taus - expanded) > TAU_FORM_TOL
     if disagree.any():
         where = tuple(np.argwhere(disagree)[0])
@@ -134,46 +155,18 @@ def _check_tau_forms(taus, value_full, value_removed, costs_full, others_cost_re
 
 
 def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[AllocationResult]) -> Array:
-    """Pivot payments tau_i = S* - S*_{-i} + c_i(accepted_i).
+    """Pivot payments tau_i = S* - S*_{-i} + c_i(accepted_i) of the solved full and removed problems.
 
-    The equivalent expansion (value difference minus the others' cost
-    difference between the two allocations) is computed alongside and the two
-    must agree within ``TAU_FORM_TOL``; disagreement indicates an inconsistent
-    counterfactual and raises.
+    The expansion of ``_check_tau_forms`` must agree within ``TAU_FORM_TOL``;
+    disagreement indicates an inconsistent counterfactual and raises.
     """
     n = view.n
     if len(counterfactuals) != n:
         raise ValueError(f"expected {n} counterfactual allocations, got {len(counterfactuals)}")
-    return _pivot_payments(
-        view.valuation, view.cost, allocation.accepted, view.cost_types, view.valuation_types, allocation.surplus,
-        np.stack([r.accepted for r in counterfactuals]), np.array([r.surplus for r in counterfactuals]),
-    )
-
-
-def _pivot_payments(valuation, cost, accepted, gammas, thetas, surplus, removed, removed_surpluses) -> Array:
-    """Pivot payments ``S* - S*_{-i} + c_i(x_i)``, producers last, after the two-form check.
-
-    ``accepted`` holds the ``(..., n, dim)`` accepted bundles of the full
-    problems and ``surplus`` their ``(...)`` surpluses; ``removed`` the
-    ``(..., n, n-1, dim)`` accepted bundles of the problems without each
-    producer, on the ``others_index`` rows, and ``removed_surpluses`` their
-    ``(..., n)`` surpluses.
-    """
-    n = gammas.shape[-1]
-    others = others_index(n)
-    costs_full = cost_rows(cost, accepted, gammas)
-    taus = np.asarray(surplus)[..., None] - removed_surpluses + costs_full
-    # each removed allocation is valued as an n-producer profile, a zero bundle in the removed
-    # producer's place, so no family is asked the value of an empty coalition
-    embedded = np.zeros(removed.shape[:-2] + (n,) + removed.shape[-1:])
-    embedded[..., np.arange(n)[:, None], others, :] = removed
-    _check_tau_forms(
-        taus,
-        value_rows(valuation, accepted, thetas),
-        value_rows(valuation, embedded, thetas[..., None, :]),
-        costs_full,
-        cost_rows(cost, removed, gammas[..., others]).sum(axis=-1),
-    )
+    accepted, removed = allocation.accepted, np.stack([r.accepted for r in counterfactuals])
+    removed_surpluses = np.array([r.surplus for r in counterfactuals])
+    taus = _pivot(view.cost, accepted, view.cost_types, allocation.surplus, removed_surpluses)
+    _check_tau_forms(taus, view.valuation, view.cost, accepted, view.cost_types, view.valuation_types, removed)
     return taus
 
 
@@ -182,8 +175,10 @@ def _adjustments(adjustment, capacities: Array, gammas: Array, thetas: Array) ->
 
     An adjustment with an ``all_producers`` method (zero, analytic, learned)
     prices every producer of the batch at once; any other callable is asked
-    producer by producer, on the others' reports.
+    producer by producer, on the others' reports. ``None`` is the zero adjustment.
     """
+    if adjustment is None:
+        adjustment = ZeroAdjustment()
     if hasattr(adjustment, "all_producers"):
         return adjustment.all_producers(capacities, gammas, thetas)
     others = others_index(gammas.shape[-1])
@@ -206,14 +201,12 @@ def total_payment(
     Solves the acceptance problem and all counterfactuals on the reported
     parameters, prices every producer at ``tau_i + h_i``, and applies the
     punishment ``-P`` to producers whose accepted quantity exceeds their true
-    capacity in any coordinate. Utilities are evaluated at the true cost type
-    and the delivered quantity (punished producers deliver nothing);
-    coalition income is the total true-type consumer value of the delivered
-    profile. The auction is priced as a batch of one of ``payments_batch``.
+    capacity in any coordinate. Utilities follow ``deviation_utilities``
+    (punished producers deliver nothing and bear no cost); coalition income
+    is the total true-type consumer value of the delivered profile. The
+    auction is priced as a batch of one of ``payments_batch``.
     """
     _check_punishment(punishment)
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     view = economy.view(bids)
     batch = _price(
         economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
@@ -248,8 +241,6 @@ def payments_batch(
     ``total_payment`` on economy t and its bids.
     """
     _check_punishment(punishment)
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     caps = _check_entries(np.asarray(capacities, dtype=float), "capacities")
     gammas = _check_entries(np.asarray(cost_types, dtype=float), "cost types")
     thetas = _check_entries(np.asarray(valuation_types, dtype=float), "valuation types")
@@ -282,17 +273,18 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
     removed, removed_surpluses = solve_batch(
         bid_caps[..., others, :], bid_gammas[..., others], bid_thetas[..., None, :], valuation, cost, method
     )
-    taus = _pivot_payments(valuation, cost, accepted, bid_gammas, bid_thetas, surplus, removed, removed_surpluses)
     adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
-    punished = _punished_mask(accepted, caps)
-    totals = np.where(punished, -punishment, taus + adjustments)
+    taus, punished, totals, utilities = _settle(
+        caps, gammas, bid_gammas, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
+    )
+    _check_tau_forms(taus, valuation, cost, accepted, bid_gammas, bid_thetas, removed)
     delivered = np.where(punished[..., None], 0.0, accepted)
     income = value_rows(valuation, delivered, thetas)
     return PaymentBreakdown(
         tau=taus,
         adjustment=adjustments,
         total=totals,
-        utilities=totals - cost_rows(cost, delivered, gammas),
+        utilities=utilities,
         coalition_income=income,
         budget_slack=income - totals.sum(axis=-1),
         punished=punished,

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties
-from .allocation import AllocationResult, optimize_acceptance, others_index, solve_batch
+from .allocation import AllocationResult, optimize_acceptance, solve_batch
 from .model import Economy, _check_count, _check_entries, surplus_rows
-from .payments import PaymentBreakdown, ZeroAdjustment, _adjustments, _check_punishment, deviation_utilities
+from .payments import PaymentBreakdown, _check_punishment, deviation_utilities, payments_batch
 
 Array = np.ndarray
 
@@ -39,6 +39,7 @@ __all__ = [
 UTILITY_TOL = 1e-6
 SURPLUS_TOL = 1e-8
 EFFICIENCY_TOL = 2e-3
+_GRID_MAX_CELLS = 30_000_000
 
 
 def _check_tol(tol: float) -> None:
@@ -182,17 +183,16 @@ def probe_dsic(
     one shape and one pair of families.
 
     Every economy and deviation is drawn first, in trial order. The truthful
-    and the deviating full problems are then solved in one ``solve_batch``
-    each, and the removed problem of each producer drawn in a trial in one
-    more; a deviation reuses its truthful economy's removed problem, which
-    ignores the deviating producer's report.
+    auctions are then priced in one ``payments_batch``, which also holds
+    their pivot payments to the two-form check, and the deviating full
+    problems are solved in one ``solve_batch``. A deviation reads its
+    producer's removed surplus and adjustment from the truthful pricing:
+    neither reads the deviating producer's report.
     """
     _check_count("trials", trials)
     _check_count("deviations_per_trial", deviations_per_trial)
     _check_punishment(punishment)
     _check_tol(tol)
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     rng = np.random.default_rng(seed)
     economies, producers, reports = [], [], []
     for _ in range(trials):
@@ -203,19 +203,13 @@ def probe_dsic(
             producers.append(i)
             reports.append(deviation_sampler(rng, economy, i))
     caps, gammas, thetas, valuation, cost = _stack(economies)
-    n = gammas.shape[1]
     trial = np.repeat(np.arange(trials), deviations_per_trial)
     producer = np.array(producers, dtype=np.intp)
     own = (trial, producer)
-    # each drawn (trial, producer) pair's removed problem, solved once
-    drawn, pair = np.unique(trial * n + producer, return_inverse=True)
-    t, keep = drawn[:, None] // n, others_index(n)[drawn % n]
-    _, removed = solve_batch(caps[t, keep], gammas[t, keep], thetas[t[:, 0]], valuation, cost, method)
-    removed, h = removed[pair], _adjustments(adjustment, caps, gammas, thetas)[own]
-    truth_accepted, truth_surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
-    truth_utility, truth_tau = deviation_utilities(
-        caps[own], gammas[own], gammas[own], cost, truth_accepted[own], truth_surplus[trial], removed, h, punishment
+    truth = payments_batch(
+        caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
     )
+    truth_utility = truth.utilities[own]
 
     dev_caps, dev_gammas = caps[trial], gammas[trial]
     for r, (cap, gamma) in enumerate(reports):
@@ -227,7 +221,7 @@ def probe_dsic(
     rows = np.arange(trial.size)
     utility, tau = deviation_utilities(
         caps[own], gammas[own], dev_gammas[rows, producer], cost, accepted[rows, producer], surplus,
-        removed, h, punishment,
+        truth.counterfactual_surpluses[own], truth.adjustment[own], punishment,
     )
 
     def witness(r: int) -> dict:
@@ -247,7 +241,7 @@ def probe_dsic(
 
     report = ProbeReport(name="dsic", trials=trials * deviations_per_trial)
     report.record_all(utility - truth_utility, witness, tol)
-    max_abs_tau = float(np.abs(np.concatenate([truth_tau, tau])).max(initial=0.0))
+    max_abs_tau = float(np.abs(np.concatenate([truth.tau[own], tau])).max(initial=0.0))
     if punishment <= 10.0 * max_abs_tau:
         raise ValueError(
             f"punishment {punishment} does not dominate observed pivot payments "
@@ -261,7 +255,7 @@ def probe_dsic(
 # ---------------------------------------------------------------------------
 
 
-def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_000) -> float:
+def grid_surplus_max(view: Economy, step: float = 1e-2) -> float:
     """Exhaustive grid search over acceptance ratios (scalar resources, n <= 3)."""
     if view.dim != 1:
         raise ValueError("grid search is implemented for scalar resources only")
@@ -269,7 +263,7 @@ def grid_surplus_max(view: Economy, step: float = 1e-2, max_cells: int = 30_000_
         raise ValueError(f"step must be in (0, 1], got {step}")
     n = view.n
     points = int(round(1.0 / step)) + 1
-    if points**n > max_cells:
+    if points**n > _GRID_MAX_CELLS:
         raise ValueError(f"grid of {points}^{n} cells is too large; use the multistart method")
     axis = np.linspace(0.0, 1.0, points)
     grids = np.meshgrid(*([axis] * n), indexing="ij")

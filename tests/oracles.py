@@ -350,9 +350,9 @@ from pvcg.experiment import SurfaceGrid, SurfaceRecord  # noqa: E402
 from pvcg.adjustment import PriorSupport  # noqa: E402
 from pvcg.model import Economy  # noqa: E402
 from pvcg.payments import (  # noqa: E402
+    TAU_FORM_TOL,
     PaymentBreakdown,
     ZeroAdjustment,
-    _check_tau_forms,
     _punished_mask,
     deviation_utilities,
     tau_for_producer,
@@ -434,7 +434,11 @@ def reference_vcg_tau(view, allocation, counterfactuals):
         others_cost_removed[i] = float(
             sum(view.cost.cost(embedded[k], float(view.cost_types[k])) for k in range(n) if k != i)
         )
-    _check_tau_forms(taus, total_valuation(view, accepted), value_removed, costs_full, others_cost_removed)
+    others_cost_full = costs_full.sum() - costs_full
+    expanded = (total_valuation(view, accepted) - value_removed) - (others_cost_full - others_cost_removed)
+    for i in range(n):
+        if abs(taus[i] - expanded[i]) > TAU_FORM_TOL:
+            raise RuntimeError(f"pivot payment forms disagree for producer {i}: {float(taus[i])!r} vs {float(expanded[i])!r}")
     return taus
 
 
@@ -1074,3 +1078,39 @@ def reference_max_surplus(capacities, gammas, thetas, valuation, cost, method=No
     if len(gammas) == 0:
         return 0.0
     return reference_solve(Economy(capacities, gammas, thetas, valuation, cost), method).surplus
+
+
+# ---------------------------------------------------------------------------
+# per-economy feasibility checks
+# ---------------------------------------------------------------------------
+
+
+def reference_feasibility_check(name, support, valuation, cost, samples, seed, method, tol, pessimistic):
+    """``existence_check`` (``pessimistic``) or ``marginal_gains_check``, one replaced economy at a time.
+
+    Each sample and each of its producer-replaced economies is solved alone by
+    ``reference_max_surplus``: replaced producer i sits at its support extremes
+    when ``pessimistic``, otherwise at zero capacity with its cost type kept.
+    ``lhs`` adds the n marginal surpluses up producer by producer from 0.
+    """
+    from pvcg.adjustment import CheckReport
+
+    caps, gammas, thetas = reference_sample_from(support, samples, np.random.default_rng(seed))
+    report = CheckReport(name=name, samples=samples)
+    for k in range(samples):
+        surplus = reference_max_surplus(caps[k], gammas[k], thetas[k], valuation, cost, method)
+        lhs = 0.0
+        for i in range(support.n):
+            caps_i, gammas_i = caps[k].copy(), gammas[k].copy()
+            caps_i[i] = support.cap_lo[i] if pessimistic else 0.0
+            if pessimistic:
+                gammas_i[i] = support.gamma_hi[i]
+            lhs += surplus - reference_max_surplus(caps_i, gammas_i, thetas[k], valuation, cost, method)
+        gap = lhs - surplus
+        report.max_gap = max(report.max_gap, gap)
+        if gap > tol:
+            report.violations.append({
+                "sample": k, "gap": gap, "lhs": lhs, "surplus": surplus, "capacities": caps[k].tolist(),
+                "cost_types": gammas[k].tolist(), "valuation_types": thetas[k].tolist(),
+            })
+    return report

@@ -24,7 +24,7 @@ from pvcg.adjustment import sample_from
 from pvcg.allocation import others_index, waterfill_surplus
 from pvcg.learner import mlp_init
 
-from oracles import reference_analytic_adjustment, reference_sample_from
+from oracles import reference_analytic_adjustment, reference_feasibility_check, reference_sample_from
 
 
 def test_support_validation():
@@ -229,6 +229,24 @@ def test_existence_check_paper_priors_clean(paper_support, paper_families):
     report = existence_check(paper_support, valuation, cost, samples=10_000, seed=51)
     assert report.passed, report.to_dict()
     assert report.max_gap <= 1e-8
+
+
+# a tolerance of -2 turns about half of the samples into witnesses; sqrt_sum_squares is solved by projected gradient
+@pytest.mark.parametrize(
+    "valuation, samples",
+    [pytest.param(SqrtSumValuation(scale=3.0), 200, id="sqrt_sum"),
+     pytest.param(SqrtSumSquaresValuation(scale=3.0), 8, id="sqrt_sum_squares")],
+)
+@pytest.mark.parametrize("check, pessimistic", [(existence_check, True), (marginal_gains_check, False)])
+def test_feasibility_checks_are_bit_equal_to_the_per_economy_oracle(valuation, samples, check, pessimistic):
+    """Every gap, sum and witness of a check has the bits of each replaced economy solved alone."""
+    support = PriorSupport.uniform_box(3, 2, cap=(0.5, 3.0), gamma=(0.0, 0.05))
+    got = check(support, valuation, LinearCost(), samples=samples, seed=4, tol=-2.0)
+    name = "existence" if pessimistic else "marginal_gains"
+    want = reference_feasibility_check(name, support, valuation, LinearCost(), samples, 4, None, -2.0, pessimistic)
+    assert 0 < len(want.violations) < samples
+    assert json.dumps(got.violations) == json.dumps(want.violations)
+    assert (got.name, got.samples, repr(got.max_gap)) == (want.name, want.samples, repr(want.max_gap))
 
 
 def test_existence_reduces_to_zero_capacity_form_on_zero_support(paper_families):

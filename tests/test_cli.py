@@ -146,3 +146,22 @@ def test_verify_learned_report_does_not_depend_on_model_path(config_file, tmp_pa
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["adjustment"] == "learned"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["run", "--seed", "-1"], "pvcg run: error: seed must be >= 0, got -1", id="negative-seed"),
+        pytest.param(["verify", "--adjustment", "learned:{missing}"],
+                     "pvcg verify: error: [Errno 2] No such file or directory: '{missing}'", id="missing-checkpoint"),
+    ],
+)
+def test_a_bad_input_is_one_error_line_with_exit_code_2(argv, message, config_file, tmp_path, capsys):
+    """A config override or checkpoint that cannot be loaded ends the command before any work, without a traceback."""
+    _, config_path = config_file
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(missing=missing) for arg in argv] + ["--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == message.format(missing=missing) + "\n"
+    assert not (tmp_path / "out").exists()
