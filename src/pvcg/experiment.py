@@ -25,7 +25,7 @@ from .adjustment import (
 from .allocation import solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, save_model, train
 from .model import (
-    Economy, _check_count, _check_entries, fields_from_dict, fields_to_dict, make_cost, make_valuation,
+    Economy, _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
 )
 from .payments import ZeroAdjustment, _check_punishment, _pivot, payments_batch
 from .verification import (
@@ -156,7 +156,7 @@ def payment_surface(
     gammas = np.broadcast_to(first.cost_types, shape + (n,)).copy()
     gammas[..., 0] = _check_entries(gamma_values, "cost types")
     accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
-    tau = _pivot(cost, accepted[..., 0, :], gammas[..., 0], surplus, removed)
+    tau = _pivot(surplus, removed, cost_rows(cost, accepted[..., 0, :], gammas[..., 0]))
     return SurfaceRecord(
         x_values=x_values,
         gamma_values=gamma_values,

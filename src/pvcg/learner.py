@@ -127,19 +127,22 @@ def _forward(weights: list[Array], biases: list[Array], X: Array, *, _hidden: li
     return (activations[-1] @ weights[-1] + biases[-1][:, None, :])[..., 0], activations
 
 
-def _forward_rows(net: MLP, X: Array) -> Array:
-    """Outputs ``(...,)`` of a stack of input rows ``(..., k)``, each row its own ``(1, k) @ W`` product.
+def _forward_rows(weights: list[Array], biases: list[Array], X: Array) -> Array:
+    """Outputs ``(n, B)`` of n stacked networks on input rows ``(n, B, k)``, each row its own ``(1, k) @ W_i`` product.
 
-    Inference path of the adjustment networks. A row's bits do not depend on
-    how many rows are stacked with it, whereas a 2-D ``(T, k) @ W`` (as in
-    training's ``_forward``) is blocked by row count and can move the last bits.
-    The rows are made contiguous first: numpy hands a strided row to BLAS
-    with its stride, and the strided kernel may sum in another order.
+    Inference path of the adjustment networks: one batched matmul per layer
+    over all n networks. A row's bits do not depend on how many rows are
+    stacked with it, whereas a 2-D ``(T, k) @ W`` (as in training's
+    ``_forward``) is blocked by row count and can move the last bits. The
+    rows are made contiguous first: numpy hands a strided row to BLAS with
+    its stride, and the strided kernel may sum in another order.
     """
     a = np.ascontiguousarray(X)[..., None, :]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-    return (a @ net.weights[-1] + net.biases[-1])[..., 0, 0]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = a @ w[:, None]
+        a += b[:, None, None]
+        np.maximum(a, 0.0, out=a)
+    return (a @ weights[-1][:, None] + biases[-1][:, None, None])[..., 0, 0]
 
 
 def _backward(weights: list[Array], activations: list[Array], d_out: Array, *,
@@ -177,7 +180,7 @@ def mlp_forward(net: MLP, x) -> float:
         raise ValueError(f"input width {vec.shape[0]} does not match network width {net.input_width}")
     if net.output_width != 1:
         raise ValueError("adjustment networks have a single output node")
-    return float(_forward_rows(net, vec))
+    return float(_forward_rows([w[None] for w in net.weights], [b[None] for b in net.biases], vec[None, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,13 @@ def _layout(caps_others: Array, gammas_others: Array, thetas: Array) -> Array:
 
 @dataclass(frozen=True)
 class LearnedAdjustment:
-    """n trained networks plus the prior bounds used to normalize their inputs."""
+    """n networks of one layer layout plus the prior bounds used to normalize their inputs.
+
+    The model owns its parameters: construction copies the networks into one
+    flat array, viewed as ``(n, fan_in, fan_out)`` weight and ``(n, fan_out)``
+    bias stacks, and ``nets`` holds per-network views into those stacks.
+    Training steps the flat array in place.
+    """
 
     nets: tuple
     support: PriorSupport
@@ -228,15 +237,26 @@ class LearnedAdjustment:
                 )
             if net.output_width != 1:
                 raise ValueError(f"network {i} output width {net.output_width} must be 1")
+        stacks = _stack(self.nets)
+        params = np.concatenate([p.ravel() for p in stacks[0] + stacks[1]])
+        weights, biases = _flat_views(params, *stacks)
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_biases", biases)
+        nets = tuple(MLP([w[i] for w in weights], [b[i] for b in biases]) for i in range(s.n))
+        object.__setattr__(self, "nets", nets)
 
     @property
     def n(self) -> int:
         return self.support.n
 
     def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        """Network i on the others' reports: ``all_producers`` run on producer ``i`` alone."""
+        """Network i on the others' reports: ``all_producers``'s forward pass on network i's slice of the stacks."""
         caps, gammas, thetas = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
-        return float(_forward_rows(self.nets[i], self._full_rows(caps, gammas, thetas)[..., self._columns[i]]))
+        row = self._full_rows(caps, gammas, thetas)[self._columns[i]]
+        own = slice(i, i + 1)
+        weights, biases = [w[own] for w in self._weights], [b[own] for b in self._biases]
+        return float(_forward_rows(weights, biases, row[None, None])[0, 0])
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
@@ -244,8 +264,10 @@ class LearnedAdjustment:
         Leading axes are a batch of report profiles. Entry i runs network i
         on the others' reports and equals ``self(i, ...)`` on them bit for bit.
         """
-        inputs = self._full_rows(*_check_profile(self.support, capacities, gammas, thetas))[..., self._columns]
-        return np.stack([_forward_rows(net, inputs[..., i, :]) for i, net in enumerate(self.nets)], axis=-1)
+        full = self._full_rows(*_check_profile(self.support, capacities, gammas, thetas))
+        inputs = full.reshape(-1, full.shape[-1]).take(self._columns, axis=1).transpose(1, 0, 2)
+        outputs = _forward_rows(self._weights, self._biases, inputs)
+        return np.ascontiguousarray(outputs.T).reshape(full.shape[:-1] + (self.n,))
 
     def _full_rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """Every producer's reports in one normalized row: column ``_columns[i, c]`` is network i's input c."""
@@ -259,7 +281,7 @@ class LearnedAdjustment:
 
     def outputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """(T, n) adjustment outputs for a batch of full parameter draws, from training's stacked forward pass."""
-        outputs, _ = _forward(*_stack(self.nets), self.inputs_batch(caps, gammas, thetas))
+        outputs, _ = _forward(self._weights, self._biases, self.inputs_batch(caps, gammas, thetas))
         return np.ascontiguousarray(outputs.T)
 
 
@@ -384,15 +406,12 @@ def train(
         raise ValueError("initial model does not match the economy's producer count")
     else:
         nets = initial_model.nets
-    # parameters, velocity and gradients each fill one flat array, so one momentum step moves every layer;
-    # the model's networks are views into the parameter stacks, so each step moves them in place
-    stacks = _stack(nets)
-    params = np.concatenate([p.ravel() for p in stacks[0] + stacks[1]])
+    # the model copies the networks into its one flat parameter array, which each momentum step moves in place;
+    # velocity and gradients are flat arrays of the same layout
+    model = LearnedAdjustment(nets, support, seed=config.seed)
+    params, weights, biases = model._params, model._weights, model._biases
     velocity, grads = np.zeros_like(params), np.empty_like(params)
-    (weights, biases), d_params = _flat_views(params, *stacks), _flat_views(grads, *stacks)
-    model = LearnedAdjustment(
-        tuple(MLP([w[i] for w in weights], [b[i] for b in biases]) for i in range(n)), support, seed=config.seed
-    )
+    d_params = _flat_views(grads, weights, biases)
     # one workspace for every epoch: the gathered inputs, the hidden activations and the removed rows' arrays
     T, widths = config.batch_size, nets[0].layer_sizes
     inputs, hidden = np.empty((T, n, widths[0])), _hidden_buffers(n, T, widths)

@@ -80,14 +80,17 @@ def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
     return (accepted > true_capacities + guard).any(axis=-1)
 
 
-def _pivot(cost, accepted: Array, gammas: Array, surplus, removed_surplus) -> Array:
-    """Pivot payments ``S* - S*_{-i} + c_i(x_i)`` of ``(..., dim)`` bundles at reported cost types ``(...)``."""
-    return surplus - removed_surplus + cost_rows(cost, accepted, gammas)
+def _pivot(surplus, removed_surplus, own_costs: Array) -> Array:
+    """Pivot payments ``S* - S*_{-i} + c_i(x_i)`` from the reported costs ``c_i(x_i)`` of the accepted bundles."""
+    return surplus - removed_surplus + own_costs
 
 
-def _settle(true_capacities, true_gammas, reported_gammas, cost, accepted, surplus, removed_surplus, h, punishment):
-    """``deviation_utilities``'s rule: the pivot payments, punished masks, total payments and utilities."""
-    tau = _pivot(cost, accepted, reported_gammas, surplus, removed_surplus)
+def _settle(true_capacities, true_gammas, reported_costs, cost, accepted, surplus, removed_surplus, h, punishment):
+    """``deviation_utilities``'s rule: the pivot payments, punished masks, total payments and utilities.
+
+    ``reported_costs`` are the producers' costs of their accepted bundles at their reported cost types.
+    """
+    tau = _pivot(surplus, removed_surplus, reported_costs)
     punished = _punished_mask(accepted, true_capacities)
     total = np.where(punished, -punishment, tau + h)
     return tau, punished, total, np.where(punished, -punishment, total - cost_rows(cost, accepted, true_gammas))
@@ -114,21 +117,23 @@ def deviation_utilities(
     the accepted bundle. ``payments_batch`` prices every producer by this rule.
     """
     tau, _, _, utility = _settle(
-        true_capacities, true_gammas, reported_gammas, cost, accepted, surplus, removed_surplus, h, punishment
+        true_capacities, true_gammas, cost_rows(cost, accepted, reported_gammas), cost, accepted, surplus,
+        removed_surplus, h, punishment,
     )
     return utility, tau
 
 
 def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationResult, i: int) -> float:
     """Pivot payment for one producer from the solved full and removed problems."""
-    return float(_pivot(view.cost, full.accepted[i], view.cost_types[i], full.surplus, removed.surplus))
+    return float(_pivot(full.surplus, removed.surplus, cost_rows(view.cost, full.accepted[i], view.cost_types[i])))
 
 
-def _check_tau_forms(taus, valuation, cost, accepted, gammas, thetas, removed) -> None:
+def _check_tau_forms(taus, costs_full, valuation, cost, accepted, gammas, thetas, removed) -> None:
     """Raise unless every pivot payment ``taus`` matches its expansion within ``TAU_FORM_TOL``.
 
     The expansion of producer i is the value difference between the full ``(..., n, dim)`` allocation ``accepted``
-    and the i-removed one minus the others' cost difference; ``removed`` holds the ``(..., n, n-1, dim)`` removed
+    and the i-removed one minus the others' cost difference; ``costs_full`` are the producers' costs of
+    ``accepted`` at cost types ``gammas``, and ``removed`` holds the ``(..., n, n-1, dim)`` removed
     allocations on the ``others_index`` rows. Leading axes are a batch of economies. The first producer whose forms
     disagree is named, with its economy in a batch of several.
     """
@@ -138,7 +143,6 @@ def _check_tau_forms(taus, valuation, cost, accepted, gammas, thetas, removed) -
     # producer's place, so no family is asked the value of an empty coalition
     embedded = np.zeros(removed.shape[:-2] + (n,) + removed.shape[-1:])
     embedded[..., np.arange(n)[:, None], others, :] = removed
-    costs_full = cost_rows(cost, accepted, gammas)
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
     others_cost_removed = cost_rows(cost, removed, gammas[..., others]).sum(axis=-1)
     value_full = value_rows(valuation, accepted, thetas)[..., None]
@@ -165,8 +169,9 @@ def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[A
         raise ValueError(f"expected {n} counterfactual allocations, got {len(counterfactuals)}")
     accepted, removed = allocation.accepted, np.stack([r.accepted for r in counterfactuals])
     removed_surpluses = np.array([r.surplus for r in counterfactuals])
-    taus = _pivot(view.cost, accepted, view.cost_types, allocation.surplus, removed_surpluses)
-    _check_tau_forms(taus, view.valuation, view.cost, accepted, view.cost_types, view.valuation_types, removed)
+    costs = cost_rows(view.cost, accepted, view.cost_types)
+    taus = _pivot(allocation.surplus, removed_surpluses, costs)
+    _check_tau_forms(taus, costs, view.valuation, view.cost, accepted, view.cost_types, view.valuation_types, removed)
     return taus
 
 
@@ -274,10 +279,11 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
         bid_caps[..., others, :], bid_gammas[..., others], bid_thetas[..., None, :], valuation, cost, method
     )
     adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
+    reported_costs = cost_rows(cost, accepted, bid_gammas)
     taus, punished, totals, utilities = _settle(
-        caps, gammas, bid_gammas, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
+        caps, gammas, reported_costs, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
     )
-    _check_tau_forms(taus, valuation, cost, accepted, bid_gammas, bid_thetas, removed)
+    _check_tau_forms(taus, reported_costs, valuation, cost, accepted, bid_gammas, bid_thetas, removed)
     delivered = np.where(punished[..., None], 0.0, accepted)
     income = value_rows(valuation, delivered, thetas)
     return PaymentBreakdown(

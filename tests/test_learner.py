@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pvcg import (
     Economy,
+    ExperimentConfig,
     LearnedAdjustment,
     LinearCost,
     PriorSupport,
@@ -260,14 +262,48 @@ def test_training_warm_start_copies_the_donor():
     assert resumed.nets[0].weights[0] is not model.nets[0].weights[0]
 
 
-def test_training_rejects_networks_of_different_layouts():
-    """The networks train as one stack, so a warm start needs one layer layout for all of them."""
+def test_model_rejects_networks_of_different_layouts():
+    """The model owns its networks as one stack, so they need one layer layout; the per-network checks come first."""
     support = PriorSupport.uniform_box(2, 1)
     rng = np.random.default_rng(3)
-    mixed = LearnedAdjustment((mlp_init([3, 4, 1], rng), mlp_init([3, 5, 1], rng)), support)
-    config = TrainingConfig(batch_size=4, epochs=1, hidden=(4,))
     with pytest.raises(ValueError, match="one layer layout"):
-        train(SqrtSumValuation(scale=2.0), LinearCost(), support, config, initial_model=mixed)
+        LearnedAdjustment((mlp_init([3, 4, 1], rng), mlp_init([3, 5, 1], rng)), support)
+    with pytest.raises(ValueError, match="network 1 output width 2 must be 1"):
+        LearnedAdjustment((mlp_init([3, 4, 1], rng), mlp_init([3, 5, 2], rng)), support)
+    with pytest.raises(ValueError, match="network 1 input width 4 does not match"):
+        LearnedAdjustment((mlp_init([3, 4, 1], rng), mlp_init([4, 4, 1], rng)), support)
+
+
+def test_trained_model_prices_with_the_parameters_training_moved():
+    """The returned model owns the array training steps: every pricing path reads the final weights.
+
+    A model that stacked copies of its networks at construction would price
+    with the initial weights while training moved others. The final weights
+    come from the per-network training oracle; a warm start from the model
+    leaves it as it was.
+    """
+    config = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / "train_small.json")
+    support, (valuation, cost) = config.support(), config.families()
+    training = TrainingConfig.from_dict({**config.training.to_dict(), "epochs": 5})
+    model, trace = train(valuation, cost, support, training)
+    expected_nets, expected_losses = reference_train(valuation, support, training)
+    assert trace.losses == expected_losses
+    final = LearnedAdjustment(tuple(expected_nets), support)
+    for net in model.nets:
+        for k, (w, b) in enumerate(zip(model._weights, model._biases)):
+            assert np.shares_memory(net.weights[k], w) and np.shares_memory(net.biases[k], b)
+    caps, gammas, thetas = sample_prior(support, 7, seed=5)
+    batch = model.all_producers(caps, gammas, thetas)
+    for t in range(7):
+        for i in range(support.n):
+            keep = [k for k in range(support.n) if k != i]
+            expected = reference_learned_adjustment(final, i, caps[t, keep], gammas[t, keep], thetas[t])
+            assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == expected
+            assert batch[t, i] == expected
+    outputs, _ = _forward(*_stack(final.nets), final.inputs_batch(caps, gammas, thetas))
+    assert model.outputs_batch(caps, gammas, thetas).tobytes() == np.ascontiguousarray(outputs.T).tobytes()
+    train(valuation, cost, support, training, initial_model=model)
+    assert model.all_producers(caps, gammas, thetas).tobytes() == batch.tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -387,23 +423,26 @@ def test_call_equals_outputs_batch():
             assert value == pytest.approx(batch[t, i], rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 50, 257])
-def test_all_producers_is_bit_equal_to_the_per_producer_call(T):
+@pytest.mark.parametrize("hidden", [(10, 10, 10), (1,), (4, 1), (1, 3)])
+@pytest.mark.parametrize("batch", [(1,), (2,), (3,), (50,), (257,), (2, 5)])
+def test_all_producers_is_bit_equal_to_the_per_producer_call(batch, hidden):
     """Pricing's batch of networks and ``model(i, ...)`` give each row the bits of the one-producer reference,
-    whatever the batch size."""
+    whatever the batch shape. Width-1 layers take BLAS's vector path, whose sums depend on the strides."""
     support = PriorSupport.uniform_box(10, 2)
-    rng = np.random.default_rng(T)
-    model = LearnedAdjustment(tuple(mlp_init([20, 10, 10, 10, 1], rng) for _ in range(10)), support)
+    rng = np.random.default_rng(batch[0])
+    model = LearnedAdjustment(tuple(mlp_init([20, *hidden, 1], rng) for _ in range(10)), support)
+    T = math.prod(batch)
     caps, gammas, thetas = sample_prior(support, T, seed=T + 1)
-    batch = model.all_producers(caps, gammas, thetas)
-    assert batch.shape == (T, 10)
+    out = model.all_producers(caps.reshape(*batch, 10, 1), gammas.reshape(*batch, 10), thetas.reshape(*batch, 2))
+    assert out.shape == (*batch, 10) and out.flags.c_contiguous
+    flat = out.reshape(T, 10)
     for t in range(T):
         for i in range(10):
             keep = [k for k in range(10) if k != i]
             expected = reference_learned_adjustment(model, i, caps[t, keep], gammas[t, keep], thetas[t])
             assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == expected
-            assert batch[t, i] == expected
-    assert np.array_equal(model.all_producers(caps[0], gammas[0], thetas[0]), batch[0])
+            assert flat[t, i] == expected
+    assert np.array_equal(model.all_producers(caps[0], gammas[0], thetas[0]), flat[0])
 
 
 def test_all_producers_does_not_depend_on_the_layout_of_its_rows():

@@ -25,7 +25,7 @@ from pvcg import (
     vcg_tau,
 )
 from pvcg.learner import mlp_init
-from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, total_valuation
+from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, cost_rows, total_valuation
 from pvcg.verification import SURPLUS_TOL
 
 from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
@@ -448,3 +448,20 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
         for i in range(n):
             got, want = producer_utility(economy, bids, i, **kwargs), reference_producer_utility(economy, bids, i, **kwargs)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (family, case, i)
+
+
+def test_pricing_costs_each_accepted_bundle_once_per_cost_type(monkeypatch):
+    """Pivot payment and two-form check share one evaluation of the reported own costs: a custom cost is
+    asked for each accepted bundle at its reported and at its true cost type, and once per removed bundle."""
+    shapes = []
+
+    def counting_cost_rows(cost, bundles, gammas):
+        shapes.append(np.shape(bundles))
+        return cost_rows(cost, bundles, gammas)
+
+    monkeypatch.setattr(pvcg.payments, "cost_rows", counting_cost_rows)
+    economy = Economy([[1.0], [2.0], [3.0]], [0.2, 0.4, 0.1], [0.8, 0.5],
+                      CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost))
+    bids = BidProfile(economy.capacities, [0.2, 0.3, 0.1], economy.valuation_types)
+    total_payment(economy, bids)
+    assert sorted(shapes) == [(1, 3, 1), (1, 3, 1), (1, 3, 2, 1)]
