@@ -18,8 +18,6 @@ from .model import (
     check_assumptions,
     economy_from_dict,
     economy_to_dict,
-    eval_cost,
-    eval_valuation,
     load_economy,
     save_economy,
     social_surplus,
@@ -33,7 +31,6 @@ from .payments import (
     PaymentBreakdown,
     ZeroAdjustment,
     payments_batch,
-    producer_utility,
     total_payment,
     vcg_tau,
 )

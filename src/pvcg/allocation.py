@@ -53,12 +53,6 @@ class AllocationResult:
     surplus: float
     diag: SolverDiagnostics
 
-    def scalar_ratios(self) -> Array:
-        return self.ratios[:, 0] if self.ratios.ndim == 2 else self.ratios
-
-    def scalar_accepted(self) -> Array:
-        return self.accepted[:, 0] if self.accepted.ndim == 2 else self.accepted
-
 
 def _sqrt_sum_linear(valuation, cost) -> bool:
     """The square-root/linear family, whose value and gradient this module writes in closed form."""

@@ -34,12 +34,9 @@ __all__ = [
     "CustomCost",
     "make_valuation",
     "make_cost",
-    "eval_valuation",
-    "eval_cost",
     "value_rows",
     "cost_rows",
     "surplus_rows",
-    "total_valuation",
     "social_surplus",
     "check_assumptions",
     "AssumptionReport",
@@ -47,7 +44,6 @@ __all__ = [
     "economy_from_dict",
     "load_economy",
     "save_economy",
-    "bids_to_dict",
     "bids_from_dict",
     "fields_to_dict",
     "fields_from_dict",
@@ -93,25 +89,6 @@ def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: st
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected resource dimension {dim}, got {arr.shape[1]}")
     return _check_entries(arr, name)
-
-
-def as_bundle(x, dim: int | None = None) -> Array:
-    """Coerce a single producer's resource bundle into a validated ``(dim,)`` array."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"resource bundle must be a scalar or 1-d, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"expected resource dimension {dim}, got {arr.shape[0]}")
-    return _check_entries(arr, "resource bundle")
-
-
-def _check_type_scalar(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 def _check_type_vector(values, name: str) -> Array:
@@ -374,26 +351,6 @@ EconomyView = Economy
 # ---------------------------------------------------------------------------
 
 
-def eval_valuation(family, x, theta: float) -> float:
-    """Value the coalition places on accepted profile ``x`` for one consumer type."""
-    arr = as_quantity_matrix(x)
-    theta = _check_type_scalar(theta, "valuation type")
-    value = float(family.value(arr, theta))
-    if math.isnan(value):
-        raise ValueError("valuation family returned NaN")
-    return value
-
-
-def eval_cost(family, x_i, gamma: float) -> float:
-    """Cost a producer bears for contributing bundle ``x_i``."""
-    bundle = as_bundle(x_i)
-    gamma = _check_type_scalar(gamma, "cost type")
-    value = float(family.cost(bundle, gamma))
-    if math.isnan(value):
-        raise ValueError("cost family returned NaN")
-    return value
-
-
 def value_rows(valuation, accepted: Array, thetas) -> Array:
     """Total consumer value of ``(..., n, dim)`` profiles at valuation types that broadcast to ``(..., m)``.
 
@@ -433,12 +390,6 @@ def surplus_rows(valuation, cost, accepted: Array, gammas, thetas) -> Array:
     for i in range(costs.shape[-1]):
         total = total + costs[..., i]
     return value_rows(valuation, accepted, thetas) - total
-
-
-def total_valuation(view, accepted) -> float:
-    """Sum of consumer values at the accepted profile."""
-    arr = as_quantity_matrix(accepted, n=view.n, dim=view.dim)
-    return float(value_rows(view.valuation, arr, view.valuation_types))
 
 
 def social_surplus(view, accepted) -> float:
@@ -685,14 +636,6 @@ def save_economy(economy: Economy, path) -> None:
 def load_economy(path) -> Economy:
     with open(path, "r", encoding="utf-8") as fh:
         return economy_from_dict(json.load(fh))
-
-
-def bids_to_dict(bids: BidProfile) -> dict:
-    return {
-        "capacities": _squeeze_caps(bids.capacities),
-        "cost_types": [float(g) for g in bids.cost_types],
-        "valuation_types": [float(t) for t in bids.valuation_types],
-    }
 
 
 def bids_from_dict(doc: dict) -> BidProfile:

@@ -28,7 +28,6 @@ __all__ = [
     "deviation_utilities",
     "total_payment",
     "payments_batch",
-    "producer_utility",
 ]
 
 TAU_FORM_TOL = 1e-8
@@ -300,36 +299,3 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
         delivered=delivered,
     )
 
-
-def producer_utility(
-    economy: Economy,
-    bids: BidProfile,
-    producer: int,
-    adjustment=None,
-    punishment: float = 1e6,
-    method: str | None = None,
-) -> tuple[float, float]:
-    """Utility and pivot payment of one producer under the given bids.
-
-    Cheaper than ``total_payment`` when only one producer matters (two solves
-    instead of n+1).
-    """
-    _check_punishment(punishment)
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
-    view = economy.view(bids)
-    if not 0 <= producer < view.n:
-        raise IndexError(f"producer index {producer} out of range for n={view.n}")
-    keep = others_index(view.n)[producer]
-    accepted, surplus = solve_batch(
-        view.capacities, view.cost_types, view.valuation_types, view.valuation, view.cost, method
-    )
-    _, removed = solve_batch(
-        view.capacities[keep], view.cost_types[keep], view.valuation_types, view.valuation, view.cost, method
-    )
-    h = float(adjustment(producer, view.capacities[keep], view.cost_types[keep], view.valuation_types))
-    utility, tau = deviation_utilities(
-        economy.capacities[producer], economy.cost_types[producer], view.cost_types[producer], view.cost,
-        accepted[producer], surplus, removed, h, punishment,
-    )
-    return float(utility), float(tau)

@@ -375,9 +375,9 @@ def record(report: ProbeReport, gap: float, witness: dict, tol: float) -> None:
 # the surplus, consumer by consumer and producer by producer
 # ---------------------------------------------------------------------------
 #
-# ``model.total_valuation`` and ``model.social_surplus`` as Python loops over
-# the family's ``value`` and ``cost``, so the row functions the library
-# evaluates them with are held to a path that shares none of their code.
+# One profile's total consumer value and ``model.social_surplus`` as Python
+# loops over the family's ``value`` and ``cost``, so the row functions the
+# library evaluates them with are held to a path that shares none of their code.
 
 
 def total_valuation(view, accepted) -> float:
@@ -396,7 +396,7 @@ def social_surplus(view, accepted) -> float:
 # ---------------------------------------------------------------------------
 #
 # ``counterfactual_surplus``, ``solve_with_counterfactuals``, ``vcg_tau``,
-# ``total_payment`` and ``producer_utility`` as they were before every auction
+# ``total_payment`` and one producer's utility as they were before every auction
 # was priced as a batch of economies: one ``reference_solve`` per full or
 # producer-removed problem and one producer at a time. ``total_payment`` took
 # this path for every family and method but the water-fill; it must give the

@@ -16,7 +16,6 @@ from pvcg import (
     analytic_waterfill,
     optimize_acceptance,
     payments_batch,
-    producer_utility,
     social_surplus,
     total_payment,
 )
@@ -45,20 +44,20 @@ from oracles import (
 
 def test_waterfill_drops_expensive_producer(split_cost_economy):
     result = analytic_waterfill(split_cost_economy.view())
-    assert result.scalar_ratios() == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert result.ratios[:, 0] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert result.surplus == pytest.approx(math.sqrt(2) - 0.1, abs=1e-12)
 
 
 def test_waterfill_accepts_both_cheap_producers(cheap_pair_economy):
     result = analytic_waterfill(cheap_pair_economy.view())
-    assert result.scalar_ratios() == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert result.ratios[:, 0] == pytest.approx([1.0, 1.0], abs=1e-12)
     assert result.surplus == pytest.approx(1.7, abs=1e-12)
 
 
 def test_waterfill_free_resources_fill_everything():
     economy = Economy.sqrt_sum([2.0, 3.0, 1.0], [0.0, 0.0, 0.0], [0.4])
     result = analytic_waterfill(economy.view())
-    assert result.scalar_ratios() == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    assert result.ratios[:, 0] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
 def test_waterfill_zero_valuation_accepts_nothing():
@@ -72,9 +71,9 @@ def test_waterfill_partial_fill_before_caps_bind():
     """Ten producers at 5 units, uniform cost 0.5, total types 1: fill stops at 10 units."""
     economy = Economy.sqrt_sum([5.0] * 10, [0.5] * 10, [0.5, 0.5])
     result = analytic_waterfill(economy.view())
-    assert result.scalar_accepted().sum() == pytest.approx(10.0, abs=1e-9)
-    assert result.scalar_accepted()[:2] == pytest.approx([5.0, 5.0], abs=1e-9)
-    assert result.scalar_accepted()[2:] == pytest.approx(np.zeros(8), abs=1e-12)
+    assert result.accepted[:, 0].sum() == pytest.approx(10.0, abs=1e-9)
+    assert result.accepted[:2, 0] == pytest.approx([5.0, 5.0], abs=1e-9)
+    assert result.accepted[2:, 0] == pytest.approx(np.zeros(8), abs=1e-12)
     assert result.surplus == pytest.approx(5.0, abs=1e-9)
 
 
@@ -82,7 +81,7 @@ def test_waterfill_tie_breaks_by_producer_index():
     economy = Economy.sqrt_sum([5.0, 5.0, 5.0], [0.5, 0.5, 0.5], [1.0], scale=3.0)
     result = analytic_waterfill(economy.view())
     # threshold quantity is 3/(4*0.25) = 3; the lowest index fills first
-    assert result.scalar_accepted() == pytest.approx([3.0, 0.0, 0.0], abs=1e-9)
+    assert result.accepted[:, 0] == pytest.approx([3.0, 0.0, 0.0], abs=1e-9)
 
 
 def test_waterfill_requires_supported_family():
@@ -108,8 +107,6 @@ def test_counterfactual_single_producer_is_empty_coalition():
         assert surplus == 0.0
         assert accepted.shape == (0, 1)
         assert total_payment(economy, method=method).counterfactual_surpluses.tolist() == [0.0]
-    with pytest.raises(IndexError):
-        producer_utility(economy, economy.truthful_bids(), 1)
 
 
 def test_counterfactual_keeps_the_synergy_scale(split_cost_economy):

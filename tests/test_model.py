@@ -17,8 +17,6 @@ from pvcg import (
     check_assumptions,
     economy_from_dict,
     economy_to_dict,
-    eval_cost,
-    eval_valuation,
     social_surplus,
 )
 from pvcg.model import cost_rows, surplus_rows, value_rows
@@ -29,34 +27,18 @@ from oracles import social_surplus as loop_surplus, total_valuation as loop_valu
 
 def test_sqrt_sum_value_examples():
     fam = SqrtSumValuation(scale=2.0)
-    assert eval_valuation(fam, [1.0, 1.0], 1.0) == pytest.approx(2.0, abs=1e-12)
-    assert eval_valuation(fam, [3.0, 4.0], 0.0) == 0.0
+    assert value_rows(fam, np.array([[1.0], [1.0]]), [1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert value_rows(fam, np.array([[3.0], [4.0]]), [0.0]) == 0.0
     fam10 = SqrtSumValuation(scale=10.0)
     # 0.5 * sqrt(10 * 25), checked by hand
-    assert eval_valuation(fam10, [2.5] * 10, 0.5) == pytest.approx(7.905694150420948, abs=1e-12)
-
-
-def test_valuation_rejects_bad_inputs():
-    fam = SqrtSumValuation(scale=2.0)
-    with pytest.raises(ValueError):
-        eval_valuation(fam, [-1.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        eval_valuation(fam, [1.0, float("nan")], 1.0)
-    with pytest.raises(ValueError):
-        eval_valuation(fam, [1.0, 1.0], -0.5)
-    with pytest.raises(ValueError):
-        eval_valuation(fam, [[1.0, 2.0], [3.0]], 1.0)  # ragged bundle
+    assert value_rows(fam10, np.full((10, 1), 2.5), [0.5]) == pytest.approx(7.905694150420948, abs=1e-12)
 
 
 def test_cost_examples():
     cost = LinearCost()
-    assert eval_cost(cost, 0.0, 0.7) == 0.0
-    assert eval_cost(cost, 2.5, 0.5) == pytest.approx(1.25, abs=1e-12)
-    assert eval_cost(cost, [1.0, 2.0], 0.1) == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(ValueError):
-        eval_cost(cost, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_cost(cost, 1.0, -0.5)
+    assert cost_rows(cost, np.array([0.0]), 0.7) == 0.0
+    assert cost_rows(cost, np.array([2.5]), 0.5) == pytest.approx(1.25, abs=1e-12)
+    assert cost_rows(cost, np.array([1.0, 2.0]), 0.1) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_social_surplus_examples(cheap_pair_economy):
@@ -169,6 +151,14 @@ def test_economy_validation():
         Economy.sqrt_sum([1.0, 2.0], [0.1], [1.0])
     with pytest.raises(ValueError):
         Economy.sqrt_sum([1.0], [-0.1], [1.0])
+    with pytest.raises(ValueError, match="^capacities must be non-negative"):
+        Economy.sqrt_sum([-1.0, 1.0], [0.1, 0.2], [1.0])
+    with pytest.raises(ValueError, match="^capacities must be finite"):
+        Economy.sqrt_sum([1.0, float("nan")], [0.1, 0.2], [1.0])
+    with pytest.raises(ValueError, match="^valuation types must be non-negative"):
+        Economy.sqrt_sum([1.0, 1.0], [0.1, 0.2], [-0.5])
+    with pytest.raises(ValueError):
+        Economy.sqrt_sum([[1.0, 2.0], [3.0]], [0.1, 0.2], [1.0])  # ragged bundles
 
 
 def test_economy_serialization_roundtrip():
@@ -200,11 +190,8 @@ def test_view_rejects_mismatched_bids(cheap_pair_economy):
         (lambda: BidProfile([1.0, math.inf], [0.1, 0.2], [1.0]), "reported capacities"),
         (lambda: Economy.sqrt_sum([1.0, 1.0], [0.1, math.inf], [1.0]), "cost types"),
         (lambda: Economy.sqrt_sum([1.0, 1.0], [0.1, 0.2], [math.inf]), "valuation types"),
-        (lambda: eval_cost(LinearCost(), [math.inf], 0.1), "resource bundle"),
-        (lambda: eval_cost(LinearCost(), [1.0], math.inf), "cost type"),
-        (lambda: eval_valuation(SqrtSumValuation(), [1.0], -math.inf), "valuation type"),
     ],
-    ids=["capacity", "reported_capacity", "cost_type", "valuation_type", "bundle", "scalar_cost_type", "scalar_valuation_type"],
+    ids=["capacity", "reported_capacity", "cost_type", "valuation_type"],
 )
 def test_non_finite_input_is_rejected_by_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):

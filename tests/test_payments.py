@@ -19,13 +19,12 @@ from pvcg import (
     ZeroAdjustment,
     analytic_waterfill,
     payments_batch,
-    producer_utility,
     social_surplus,
     total_payment,
     vcg_tau,
 )
 from pvcg.learner import mlp_init
-from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, cost_rows, total_valuation
+from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, cost_rows, value_rows
 from pvcg.verification import SURPLUS_TOL
 
 from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
@@ -34,6 +33,7 @@ from oracles import (
     reference_producer_utility,
     reference_solve_with_counterfactuals,
     reference_total_payment,
+    total_valuation as loop_valuation,
 )
 
 
@@ -112,7 +112,7 @@ def test_total_payment_requires_positive_punishment(split_cost_economy):
 
 
 @pytest.mark.parametrize("punishment", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["total_payment", "payments_batch", "producer_utility"])
+@pytest.mark.parametrize("entry", ["total_payment", "payments_batch"])
 def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finite(split_cost_economy, entry, punishment):
     economy = split_cost_economy
     # producer 0 over-reports and would be paid -punishment
@@ -120,21 +120,20 @@ def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finit
     with pytest.raises(ValueError, match="^punishment must be positive"):
         if entry == "total_payment":
             total_payment(economy, bids, punishment=punishment)
-        elif entry == "payments_batch":
+        else:
             payments_batch(
                 economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
                 economy.valuation, economy.cost, bids.capacities[None], punishment=punishment,
             )
-        else:
-            producer_utility(economy, bids, 0, punishment=punishment)
 
 
 def test_coalition_income_examples(split_cost_economy):
     view = split_cost_economy.view()
     allocation = analytic_waterfill(view)
-    assert total_valuation(view, allocation.accepted) == pytest.approx(math.sqrt(2), abs=1e-12)
+    income = value_rows(view.valuation, allocation.accepted, view.valuation_types)
+    assert income == pytest.approx(math.sqrt(2), abs=1e-12)
     zero = Economy.sqrt_sum([1.0], [0.1], [0.0])
-    assert total_valuation(zero.view(), [[1.0]]) == 0.0
+    assert value_rows(zero.valuation, np.array([[1.0]]), zero.valuation_types) == 0.0
 
 
 def test_income_minus_costs_is_surplus():
@@ -143,7 +142,7 @@ def test_income_minus_costs_is_surplus():
         economy = random_sqrt_sum_economy(rng)
         view = economy.view()
         allocation = analytic_waterfill(view)
-        income = total_valuation(view, allocation.accepted)
+        income = loop_valuation(view, allocation.accepted)
         costs = sum(
             economy.cost.cost(allocation.accepted[i], economy.cost_types[i])
             for i in range(economy.n)
@@ -161,19 +160,13 @@ def test_budget_slack_is_income_minus_payments():
         )
 
 
-def test_producer_utility_matches_total_payment(cheap_pair_economy):
+def test_total_payment_rows_match_the_per_producer_oracle(cheap_pair_economy):
     bids = cheap_pair_economy.truthful_bids()
     payments = total_payment(cheap_pair_economy)
     for i in range(2):
-        utility, tau = producer_utility(cheap_pair_economy, bids, i)
-        assert utility == pytest.approx(payments.utilities[i], abs=1e-12)
-        assert tau == pytest.approx(payments.tau[i], abs=1e-12)
-
-
-@pytest.mark.parametrize("producer", [-1, 2])
-def test_producer_utility_rejects_a_producer_out_of_range(cheap_pair_economy, producer):
-    with pytest.raises(IndexError, match=f"^producer index {producer} out of range for n=2$"):
-        producer_utility(cheap_pair_economy, cheap_pair_economy.truthful_bids(), producer)
+        utility, tau = reference_producer_utility(cheap_pair_economy, bids, i)
+        assert payments.utilities[i] == utility
+        assert payments.tau[i] == tau
 
 
 def test_adjustment_model_dimension_mismatch_errors(cheap_pair_economy):
@@ -377,6 +370,8 @@ def test_payments_batch_runs_the_tau_check(monkeypatch):
         (dict(punishment=0.0), "punishment must be positive"),
         (dict(capacities=-np.ones((2, 3, 1))), "capacities must be non-negative"),
         (dict(cost_types=np.full((2, 3), np.inf)), "cost types must be finite"),
+        (dict(reported_capacities=np.full((2, 3, 1), np.inf)), "^reported capacities must be finite"),
+        (dict(reported_cost_types=np.full((2, 3), np.inf)), "^reported cost types must be finite"),
         (dict(reported_capacities=np.ones((2, 3, 2))), "shapes of the true ones"),
         (dict(valuation_types=np.ones((3, 2))), "expected \\(T, n, dim\\)"),
         (dict(valuation_types=np.ones((2, 0))), "at least one producer and one consumer"),
@@ -389,6 +384,91 @@ def test_payments_batch_rejects_bad_input(change, message):
     )
     with pytest.raises(ValueError, match=message):
         payments_batch(**{**args, **change})
+
+
+# The invariance tests price T = 200 water-fill auctions of n = 10 producers at the synergy scale n, capacities
+# on the support's box. m = 3 consumers: the values of two sum to the same bits in either order.
+_INVARIANCE_SIZES = (200, 10, 3)
+_INVARIANCE_CAPS = (0.5, 5.0)
+_INVARIANCE_VALUATION = SqrtSumValuation(scale=10.0)
+
+
+def _invariance_batch(seed):
+    """Continuous draws, so no two cost types tie and the producer-index tie rule never decides."""
+    T, n, m = _INVARIANCE_SIZES
+    rng = np.random.default_rng(seed)
+    return rng, rng.uniform(*_INVARIANCE_CAPS, (T, n, 1)), rng.uniform(0.0, 1.0, (T, n)), rng.uniform(0.0, 1.0, (T, m))
+
+
+def _invariance_payments(kind, support, caps, gammas, thetas):
+    valuation = _INVARIANCE_VALUATION
+    adjustment = ZeroAdjustment() if kind == "zero" else AnalyticAdjustment(support, valuation, LinearCost())
+    return payments_batch(caps, gammas, thetas, valuation, LinearCost(), adjustment=adjustment)
+
+
+@pytest.mark.parametrize("kind", ["zero", "analytic"])
+def test_payments_batch_permutes_with_the_producers(kind):
+    """Relabeling the producers of a symmetric support permutes tau, h, totals and utilities bit for bit.
+
+    Income and budget slack sum the producers in their new order, so they move at ulp level only. The learned
+    adjustment is left out: network i reads the others in index order, so it is not equivariant by design.
+    """
+    rng, caps, gammas, thetas = _invariance_batch(41)
+    T, n, m = _INVARIANCE_SIZES
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS)
+    base = _invariance_payments(kind, support, caps, gammas, thetas)
+    perms = rng.permuted(np.tile(np.arange(n), (T, 1)), axis=1)
+    moved = _invariance_payments(
+        kind, support, np.take_along_axis(caps, perms[..., None], axis=1), np.take_along_axis(gammas, perms, axis=1),
+        thetas,
+    )
+    for name in ("tau", "adjustment", "total", "utilities", "punished", "counterfactual_surpluses"):
+        assert np.array_equal(getattr(moved, name), np.take_along_axis(getattr(base, name), perms, axis=1)), name
+    assert np.array_equal(moved.accepted, np.take_along_axis(base.accepted, perms[..., None], axis=1))
+    assert np.array_equal(moved.surplus, base.surplus)
+    for name in ("coalition_income", "budget_slack"):
+        assert np.allclose(getattr(moved, name), getattr(base, name), rtol=0.0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("kind", ["zero", "analytic"])
+def test_payments_batch_does_not_depend_on_the_consumer_order(kind):
+    """Reordering the consumers changes only the order of the value sums: every field moves at ulp level."""
+    rng, caps, gammas, thetas = _invariance_batch(43)
+    T, n, m = _INVARIANCE_SIZES
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS)
+    base = _invariance_payments(kind, support, caps, gammas, thetas)
+    order = rng.permuted(np.tile(np.arange(m), (T, 1)), axis=1)
+    moved = _invariance_payments(kind, support, caps, gammas, np.take_along_axis(thetas, order, axis=1))
+    assert np.array_equal(moved.punished, base.punished)
+    for field in dataclasses.fields(PaymentBreakdown):
+        if field.name != "punished":
+            got, want = getattr(moved, field.name), getattr(base, field.name)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), field.name
+
+
+@pytest.mark.parametrize("kind", ["zero", "analytic"])
+def test_a_null_producer_changes_no_payment_and_is_paid_nothing(kind):
+    """Appending a producer of capacity 0, at the unchanged synergy scale, moves the others' totals and
+    utilities by at most 1e-12 and pays it 0 within 1e-12.
+
+    Its support box starts at capacity 0, as its capacity does: a pessimistic insert with capacity would pay it
+    a real h whenever the others' problem accepts that insert.
+    """
+    rng, caps, gammas, thetas = _invariance_batch(47)
+    T, n, m = _INVARIANCE_SIZES
+    base = _invariance_payments(kind, PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS), caps, gammas, thetas)
+    wide = PriorSupport.uniform_box(n + 1, m, cap=_INVARIANCE_CAPS)
+    cap_lo = wide.cap_lo.copy()
+    cap_lo[-1] = 0.0
+    with_null = _invariance_payments(
+        kind, dataclasses.replace(wide, cap_lo=cap_lo), np.concatenate([caps, np.zeros((T, 1, 1))], axis=1),
+        np.concatenate([gammas, rng.uniform(0.0, 1.0, (T, 1))], axis=1), thetas,
+    )
+    for name in ("tau", "adjustment", "total", "utilities"):
+        others, null = getattr(with_null, name)[:, :n], getattr(with_null, name)[:, n]
+        assert np.allclose(others, getattr(base, name), rtol=0.0, atol=1e-12), name
+        assert np.allclose(null, 0.0, rtol=0.0, atol=1e-12), name
+    assert not with_null.punished.any()
 
 
 
@@ -405,8 +485,9 @@ _GENERIC_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(_GENERIC_FAMILIES))
 def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
-    """Every PaymentBreakdown field and every producer_utility of a non-water-fill auction has the bits of
-    the per-producer path, for each adjustment kind, truthful and with a punished over-report."""
+    """Every PaymentBreakdown field of a non-water-fill auction, and each producer's utility and pivot payment
+    read from its rows, has the bits of the per-producer path, for each adjustment kind, truthful and with a
+    punished over-report."""
     valuation, cost, dim, method, counts = _GENERIC_FAMILIES[family]
     rng = np.random.default_rng(sorted(_GENERIC_FAMILIES).index(family))
     kinds = ["zero", "analytic", "callable", "learned"]
@@ -446,7 +527,8 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
                 family, case, field.name
             )
         for i in range(n):
-            got, want = producer_utility(economy, bids, i, **kwargs), reference_producer_utility(economy, bids, i, **kwargs)
+            got = (payment.utilities[i], payment.tau[i])
+            want = reference_producer_utility(economy, bids, i, **kwargs)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (family, case, i)
 
 

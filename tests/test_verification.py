@@ -23,7 +23,6 @@ from pvcg import (
     mixed_deviation_sampler,
     optimize_acceptance,
     probe_dsic,
-    producer_utility,
     total_payment,
     uniform_economy_sampler,
 )
@@ -49,20 +48,18 @@ def small_world(small_support):
 
 
 def test_overreport_triggers_punishment_not_violation(split_cost_economy):
-    bids = split_cost_economy.truthful_bids()
-    truth_utility, _ = producer_utility(split_cost_economy, bids, 0)
+    truth_utility = total_payment(split_cost_economy).utilities[0]
     lying = BidProfile([2.0, 1.0], [0.1, 10.0], [1.0])
-    lie_utility, _ = producer_utility(split_cost_economy, lying, 0)
+    lie_utility = total_payment(split_cost_economy, lying).utilities[0]
     assert lie_utility == -1e6
     assert lie_utility < truth_utility
 
 
 def test_underreporting_capacity_strictly_hurts(cheap_pair_economy):
     """Shading capacity from 1.0 to 0.5 forfeits accepted quantity and payment."""
-    bids = cheap_pair_economy.truthful_bids()
-    truth_utility, _ = producer_utility(cheap_pair_economy, bids, 0)
+    truth_utility = total_payment(cheap_pair_economy).utilities[0]
     shaded = BidProfile([0.5, 1.0], [0.1, 0.2], [1.0])
-    shaded_utility, _ = producer_utility(cheap_pair_economy, shaded, 0)
+    shaded_utility = total_payment(cheap_pair_economy, shaded).utilities[0]
     # both checked against the hand-computed values
     assert truth_utility == pytest.approx(1.7 - (math.sqrt(2) - 0.2), abs=1e-9)
     assert shaded_utility == pytest.approx(
@@ -335,7 +332,7 @@ def test_probe_dsic_single_producer():
     assert report.passed
 
 
-def test_probe_dsic_utilities_match_producer_utility():
+def test_probe_dsic_utilities_match_total_payment():
     economy = Economy.sqrt_sum([1.0, 2.0, 0.5], [0.1, 0.4, 0.3], [0.7, 0.9])
     support = PriorSupport.uniform_box(3, 2)
     adjustment = AnalyticAdjustment(support, economy.valuation, economy.cost)
@@ -353,12 +350,13 @@ def test_probe_dsic_utilities_match_producer_utility():
         i = witness["producer"]
         seen.add(i)
         bids = economy.truthful_bids()
-        truth, _ = producer_utility(economy, bids, i, adjustment=adjustment)
+        truth = total_payment(economy, bids, adjustment=adjustment).utilities[i]
         caps = bids.capacities.copy()
         caps[i] = 1.5
         gammas = bids.cost_types.copy()
         gammas[i] = 0.05
-        lie, _ = producer_utility(economy, BidProfile(caps, gammas, bids.valuation_types), i, adjustment=adjustment)
+        lying = BidProfile(caps, gammas, bids.valuation_types)
+        lie = total_payment(economy, lying, adjustment=adjustment).utilities[i]
         assert witness["truth_utility"] == truth
         assert witness["deviation_utility"] == lie
     assert seen == {0, 1, 2}
