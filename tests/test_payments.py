@@ -25,6 +25,7 @@ from pvcg import (
 )
 from pvcg.learner import mlp_init
 from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, cost_rows, value_rows
+from pvcg.payments import tau_for_producer
 from pvcg.verification import SURPLUS_TOL
 
 from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
@@ -70,6 +71,17 @@ def test_tau_forms_agree_for_gradient_solver_too():
         view = economy.view()
         full, removed = reference_solve_with_counterfactuals(view, method="projected_gradient", seed=k)
         vcg_tau(view, full, removed)  # raises if the two expansions disagree
+
+
+@pytest.mark.parametrize("method", ["analytic", "projected_gradient"])
+def test_tau_for_producer_is_the_vcg_tau_row(method):
+    rng = np.random.default_rng(31)
+    for k in range(10):
+        economy = random_sqrt_sum_economy(rng)
+        view = economy.view()
+        full, removed = reference_solve_with_counterfactuals(view, method=method, seed=k)
+        taus = vcg_tau(view, full, removed)
+        assert [tau_for_producer(view, full, removed[i], i) for i in range(view.n)] == taus.tolist()
 
 
 def test_tau_rejects_wrong_counterfactual_count(split_cost_economy):
