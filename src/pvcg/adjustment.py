@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import max_surplus, others_index
+from .allocation import _replaced, max_surplus
 from .model import _check_count, _check_entries, as_quantity_matrix, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -154,8 +154,11 @@ def _full_profile(support: PriorSupport, i: int, caps_others, gammas_others, the
         if arr.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         reports.append(_check_entries(arr, name))
-    caps, gammas, thetas = reports
-    return np.insert(caps, i, support.cap_lo[i], axis=0), np.insert(gammas, i, support.gamma_hi[i]), thetas
+    caps_others, gammas_others, thetas = reports
+    caps, gammas = np.empty(support.cap_lo.shape), np.empty(support.n)
+    caps[:i], caps[i], caps[i + 1:] = caps_others[:i], support.cap_lo[i], caps_others[i:]
+    gammas[:i], gammas[i], gammas[i + 1:] = gammas_others[:i], support.gamma_hi[i], gammas_others[i:]
+    return caps, gammas, thetas
 
 
 def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, Array, Array]:
@@ -169,14 +172,6 @@ def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, 
             f"got shapes {caps.shape}, {gammas.shape} and {thetas.shape}"
         )
     return caps, gammas, thetas
-
-
-def _replaced(caps: Array, gammas: Array, cap, gamma) -> tuple[Array, Array]:
-    """The n copies ``(..., n, n, dim)``, ``(..., n, n)`` of the reports, copy i with ``cap``, ``gamma`` in slot i."""
-    k = np.arange(gammas.shape[-1])
-    caps, gammas = np.repeat(caps[..., None, :, :], len(k), axis=-3), np.repeat(gammas[..., None, :], len(k), axis=-2)
-    caps[..., k, k, :], gammas[..., k, k] = cap, gamma
-    return caps, gammas
 
 
 @dataclass(frozen=True)
@@ -195,15 +190,14 @@ class AnalyticAdjustment:
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
-        Leading axes are a batch of report profiles. Entry i reads only the others' reports: the pessimistic
-        problems form one ``(..., n, n)`` batch and the producer-removed problems one ``(..., n, n-1)`` batch.
+        Leading axes are a batch. One ``max_surplus`` call solves a ``(..., 2n, n, dim)`` stack: row i has producer
+        i at its support extremes, row n+i at zero capacity, both at ``gamma_hi[i]``, so entry i reads only the others.
         """
-        s, others = self.support, others_index(self.support.n)
+        s = self.support
         caps, gammas, thetas = _check_profile(s, capacities, gammas, thetas)
-        thetas = np.broadcast_to(thetas[..., None, :], thetas.shape[:-1] + (s.n,) + thetas.shape[-1:])
-        solver = (self.valuation, self.cost, self.method)
-        s_pessimistic = max_surplus(*_replaced(caps, gammas, s.cap_lo, s.gamma_hi), thetas, *solver)
-        return -(s_pessimistic - max_surplus(caps[..., others, :], gammas[..., others], thetas, *solver))
+        rows = _replaced(caps, gammas, np.concatenate([s.cap_lo, 0.0 * s.cap_lo]), np.tile(s.gamma_hi, 2))
+        surpluses = max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
+        return -(surpluses[..., :s.n] - surpluses[..., s.n:])
 
 
 def analytic_adjustment(

@@ -165,11 +165,21 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
 def others_index(n: int) -> Array:
     """``(n, n-1)`` table whose row i lists every producer index but i, built once per n.
 
-    Indexing a producer axis with it gives the stack of the n producer-removed rows.
+    Indexing a producer axis with it gives each producer's view of the others' reports.
     """
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, max(n - 1, 0))
     keep.flags.writeable = False
     return keep
+
+
+def _replaced(caps: Array, gammas: Array, cap, gamma, first: int = 0) -> tuple[Array, Array]:
+    """Copies ``(..., first + r, n, dim)``, ``(..., first + r, n)`` of the reports, r the length of ``gamma``: the
+    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``j % n``."""
+    n, rows = gammas.shape[-1], np.arange(np.shape(gamma)[-1])
+    caps = np.repeat(caps[..., None, :, :], first + len(rows), axis=-3)
+    gammas = np.repeat(gammas[..., None, :], first + len(rows), axis=-2)
+    caps[..., first + rows, rows % n, :], gammas[..., first + rows, rows % n] = cap, gamma
+    return caps, gammas
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +421,19 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
 def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float, *, _work: Array | None = None):
     """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``.
 
-    Each economy is sorted once. A stable sort of the other n-1 costs is the
-    full order with one position deleted, so the economy without the producer
-    at sorted position p fills the full row's sorted capacities and stop
-    quantities minus position p, with its own cumulative sum. Every surplus
-    carries the bits of ``waterfill_surplus`` on the index-deleted economy.
-    ``_work``, a ``(4, *gammas.shape, n-1)`` buffer, takes the removed rows'
-    three gathers and cumulative sum in place of fresh arrays.
+    The economy without a producer has its capacity zeroed and its cost type
+    kept, so it sorts as the full row: the one without the producer at sorted
+    position p fills the full row's sorted rows, position p zeroed. Each
+    surplus has the bits of ``solve_batch`` on that economy. ``_work``, a
+    ``(4, *gammas.shape, n)`` buffer, takes the removed rows in place of fresh arrays.
     """
     flat, *sorted_rows = _cost_order(caps, gammas, theta_sum, scale)
     theta_sum = np.asarray(theta_sum)
-    # ``take`` gathers contiguous rows, whose sums are the pairwise sums of the one-economy call
-    others = others_index(gammas.shape[-1])
-    work = [None] * 4 if _work is None else _work
-    gathered = [x.take(others, axis=-1, out=out) for x, out in zip(sorted_rows, work)]
+    k = np.arange(gammas.shape[-1])
+    work = np.empty((4,) + gammas.shape + k.shape) if _work is None else _work
+    np.copyto(work[:3], np.stack(sorted_rows)[..., None, :])
+    work[0][..., k, k] = 0.0
     removed = np.empty(gammas.shape)
-    np.put(removed, flat, _sorted_surplus(*gathered, theta_sum[..., None], scale, work[3]))
+    np.put(removed, flat, _sorted_surplus(*work[:3], theta_sum[..., None], scale, work[3]))
     full = _sorted_surplus(*sorted_rows, theta_sum, scale)
     return (float(full) if full.ndim == 0 else full), removed

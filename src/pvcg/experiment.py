@@ -126,11 +126,10 @@ def payment_surface(
 ) -> SurfaceRecord:
     """Evaluate producer 0's payment over a grid of its own reports.
 
-    All other producers report ``fixed_capacity``/``fixed_gamma`` and all
-    consumers ``fixed_theta``; reports are taken at face value (no
-    punishment). The producer-removed problem and the adjustment are constant
-    across the grid and solved once; the full problems of the whole grid are
-    solved in one ``solve_batch``.
+    All other producers report ``fixed_capacity``/``fixed_gamma`` and all consumers ``fixed_theta``; reports are
+    taken at face value (no punishment). The producer-removed problem, the n-1 others without a slot for producer
+    0, and the adjustment read no report of producer 0, so each is solved once for the whole grid; the full
+    problems of the grid are solved in one ``solve_batch``.
     """
     _check_count("n", n)
     _check_count("m", m)

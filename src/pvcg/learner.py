@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjustment import PriorSupport, _check_profile, _full_profile, feasibility_penalties, sample_from
-from .allocation import max_surplus, others_index, waterfill_applies, waterfill_gains
+from .allocation import _replaced, max_surplus, others_index, waterfill_applies, waterfill_gains
 from .model import _check_count, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -363,12 +363,11 @@ def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, ga
 
 
 def _batch_surpluses(valuation, cost, caps, gammas, thetas, method, *, _work: Array | None = None):
-    """S* and all S*_{-i} for every sample in the batch (solved once, reused all epoch); ``_work`` is passed on."""
+    """S* and all S*_{-i}, producer i's capacity zeroed, for every sample (solved once, reused all epoch)."""
     if waterfill_applies(valuation, cost, caps.shape[2], method):
         return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale, _work=_work)
-    full = max_surplus(caps, gammas, thetas, valuation, cost, method)
-    others = others_index(gammas.shape[1])
-    return full, max_surplus(caps[:, others], gammas[:, others], thetas[:, None, :], valuation, cost, method)
+    surpluses = max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
+    return surpluses[:, 0], surpluses[:, 1:]
 
 
 def _flat_views(flat: Array, weights: list[Array], biases: list[Array]) -> tuple[list[Array], list[Array]]:
@@ -415,7 +414,7 @@ def train(
     # one workspace for every epoch: the gathered inputs, the hidden activations and the removed rows' arrays
     T, widths = config.batch_size, nets[0].layer_sizes
     inputs, hidden = np.empty((T, n, widths[0])), _hidden_buffers(n, T, widths)
-    gains_work = np.empty((4, T, n, n - 1)) if waterfill_applies(valuation, cost, dim, method) else None
+    gains_work = np.empty((4, T, n, n)) if waterfill_applies(valuation, cost, dim, method) else None
 
     losses: list[float] = []
     started = time.perf_counter()

@@ -75,9 +75,12 @@ def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: st
     """Coerce per-producer resource amounts into a validated ``(n, dim)`` float array.
 
     Accepts scalars-per-producer (1-d input) or explicit bundles (2-d input).
-    Rejects NaN, infinite and negative entries; ``name`` labels the error.
+    Rejects ragged rows and NaN, infinite and negative entries; ``name`` labels the error.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except ValueError as err:  # numpy's "setting an array element with a sequence ... inhomogeneous shape"
+        raise ValueError(f"{name} must have rows of one length: {err}") if "sequence" in str(err) else err
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:

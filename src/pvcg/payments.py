@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import AllocationResult, others_index, solve_batch
+from .allocation import AllocationResult, _replaced, others_index, solve_batch
 from .model import BidProfile, Economy, _check_entries, cost_rows, value_rows
 
 Array = np.ndarray
@@ -132,20 +132,14 @@ def _check_tau_forms(taus, costs_full, valuation, cost, accepted, gammas, thetas
 
     The expansion of producer i is the value difference between the full ``(..., n, dim)`` allocation ``accepted``
     and the i-removed one minus the others' cost difference; ``costs_full`` are the producers' costs of
-    ``accepted`` at cost types ``gammas``, and ``removed`` holds the ``(..., n, n-1, dim)`` removed
-    allocations on the ``others_index`` rows. Leading axes are a batch of economies. The first producer whose forms
+    ``accepted`` at cost types ``gammas``, and ``removed`` holds the ``(..., n, n, dim)`` removed allocations, row i
+    with a zero bundle in producer i's slot. Leading axes are a batch of economies. The first producer whose forms
     disagree is named, with its economy in a batch of several.
     """
-    n = gammas.shape[-1]
-    others = others_index(n)
-    # each removed allocation is valued as an n-producer profile, a zero bundle in the removed
-    # producer's place, so no family is asked the value of an empty coalition
-    embedded = np.zeros(removed.shape[:-2] + (n,) + removed.shape[-1:])
-    embedded[..., np.arange(n)[:, None], others, :] = removed
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
-    others_cost_removed = cost_rows(cost, removed, gammas[..., others]).sum(axis=-1)
+    others_cost_removed = cost_rows(cost, removed, gammas[..., None, :]).sum(axis=-1)
     value_full = value_rows(valuation, accepted, thetas)[..., None]
-    value_removed = value_rows(valuation, embedded, thetas[..., None, :])
+    value_removed = value_rows(valuation, removed, thetas[..., None, :])
     expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
     disagree = np.abs(taus - expanded) > TAU_FORM_TOL
     if disagree.any():
@@ -160,13 +154,13 @@ def _check_tau_forms(taus, costs_full, valuation, cost, accepted, gammas, thetas
 def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[AllocationResult]) -> Array:
     """Pivot payments tau_i = S* - S*_{-i} + c_i(accepted_i) of the solved full and removed problems.
 
-    The expansion of ``_check_tau_forms`` must agree within ``TAU_FORM_TOL``;
-    disagreement indicates an inconsistent counterfactual and raises.
+    Counterfactual i, of the n-1 producers but i, is embedded with a zero bundle in slot i for the expansion of
+    ``_check_tau_forms``, which must agree within ``TAU_FORM_TOL``; disagreement raises.
     """
-    n = view.n
-    if len(counterfactuals) != n:
-        raise ValueError(f"expected {n} counterfactual allocations, got {len(counterfactuals)}")
-    accepted, removed = allocation.accepted, np.stack([r.accepted for r in counterfactuals])
+    if len(counterfactuals) != view.n:
+        raise ValueError(f"expected {view.n} counterfactual allocations, got {len(counterfactuals)}")
+    accepted = allocation.accepted
+    removed = np.stack([np.insert(r.accepted, i, 0.0, axis=0) for i, r in enumerate(counterfactuals)])
     removed_surpluses = np.array([r.surplus for r in counterfactuals])
     costs = cost_rows(view.cost, accepted, view.cost_types)
     taus = _pivot(allocation.surplus, removed_surpluses, costs)
@@ -271,18 +265,21 @@ _SCALAR_FIELDS = ("surplus", "coalition_income", "budget_slack")
 
 
 def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment, method):
-    """``payments_batch`` of true and reported economies: the full and all the removed problems in one ``solve_batch`` each."""
-    accepted, surplus = solve_batch(bid_caps, bid_gammas, bid_thetas, valuation, cost, method)
-    others = others_index(bid_gammas.shape[-1])
-    removed, removed_surpluses = solve_batch(
-        bid_caps[..., others, :], bid_gammas[..., others], bid_thetas[..., None, :], valuation, cost, method
+    """``payments_batch`` of true and reported economies, their ``(n+1, n, dim)`` stacks in one ``solve_batch``.
+
+    Row 0 is the reported economy and row 1+i the same with producer i's capacity zeroed, its cost type kept so
+    the slot sorts as in row 0: a producer left out of the allocation gets ``S*_{-i} == S*`` bit for bit.
+    """
+    solved, surpluses = solve_batch(
+        *_replaced(bid_caps, bid_gammas, 0.0, bid_gammas, first=1), bid_thetas[..., None, :], valuation, cost, method
     )
+    accepted, surplus, removed_surpluses = solved[..., 0, :, :], surpluses[..., 0], surpluses[..., 1:]
     adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
     reported_costs = cost_rows(cost, accepted, bid_gammas)
     taus, punished, totals, utilities = _settle(
         caps, gammas, reported_costs, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
     )
-    _check_tau_forms(taus, reported_costs, valuation, cost, accepted, bid_gammas, bid_thetas, removed)
+    _check_tau_forms(taus, reported_costs, valuation, cost, accepted, bid_gammas, bid_thetas, solved[..., 1:, :, :])
     delivered = np.where(punished[..., None], 0.0, accepted)
     income = value_rows(valuation, delivered, thetas)
     return PaymentBreakdown(
@@ -298,4 +295,3 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
         accepted=accepted,
         delivered=delivered,
     )
-

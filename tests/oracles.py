@@ -153,8 +153,9 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
 
     ``-(S_pessimistic - S_without_i)``: the pessimistic problem inserts
     producer ``i`` at its support-minimum capacity and support-maximum cost
-    type. Two ``reference_max_surplus`` solves, with no batch of producers and no
-    ``others_index`` gather.
+    type, and the problem without ``i`` inserts it at capacity 0 with the same
+    cost type. Two ``reference_max_surplus`` solves, with no batch of producers
+    and no stacked rows.
     """
     from pvcg.model import as_quantity_matrix
 
@@ -165,8 +166,9 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
     gammas_others = np.asarray(gammas_others, dtype=float)
     pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
     pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
+    zero_caps = np.insert(others, i, 0.0, axis=0)
     s_pessimistic = reference_max_surplus(pess_caps, pess_gammas, thetas, model.valuation, model.cost, model.method)
-    s_without = reference_max_surplus(others, gammas_others, thetas, model.valuation, model.cost, model.method)
+    s_without = reference_max_surplus(zero_caps, pess_gammas, thetas, model.valuation, model.cost, model.method)
     return float(-(s_pessimistic - s_without))
 
 
@@ -211,7 +213,16 @@ def adjustment_for(adjustment, view, i: int) -> float:
 
 
 def _drop_producer(view, i):
-    """The economy without producer ``i``; the families, synergy scale included, are unchanged."""
+    """The economy without producer ``i``: its capacity zeroed, its cost type kept; the families are unchanged."""
+    if not 0 <= i < view.n:
+        raise IndexError(f"producer index {i} out of range for n={view.n}")
+    caps = view.capacities.copy()
+    caps[i] = 0.0
+    return type(view)(caps, view.cost_types, view.valuation_types, view.valuation, view.cost)
+
+
+def _delete_producer(view, i):
+    """The n-1 producers other than ``i``, index-deleted; the families, synergy scale included, are unchanged."""
     if not 0 <= i < view.n:
         raise IndexError(f"producer index {i} out of range for n={view.n}")
     keep = [k for k in range(view.n) if k != i]
@@ -241,7 +252,7 @@ def reference_payment(economy, bids, adjustment, punishment):
     view = economy.view(bids)
     n = view.n
     accepted, surplus = solve(view)
-    removed = [solve(_drop_producer(view, i))[1] if n > 1 else 0.0 for i in range(n)]
+    removed = [solve(_drop_producer(view, i))[1] for i in range(n)]
     taus = np.array(
         [surplus - removed[i] + view.cost.cost(accepted[i], float(view.cost_types[i])) for i in range(n)]
     )
@@ -404,24 +415,27 @@ def social_surplus(view, accepted) -> float:
 
 
 def reference_counterfactual_surplus(view, removed_producer, method=None, seed=0) -> AllocationResult:
-    """Solve the acceptance problem with one producer deleted; a lone producer leaves the empty coalition."""
-    if not 0 <= removed_producer < view.n:
-        raise IndexError(f"producer index {removed_producer} out of range for n={view.n}")
-    if view.n == 1:
-        zero = np.zeros((0, view.dim))
-        return AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
+    """Solve the acceptance problem without one producer: the same economy with its capacity zeroed."""
     return reference_solve(_drop_producer(view, removed_producer), method=method, seed=seed)
 
 
 def reference_solve_with_counterfactuals(view, method=None, seed=0):
-    """The full problem plus every producer-removed problem."""
+    """The full problem plus every producer-removed problem, each of n producers."""
     full = reference_solve(view, method=method, seed=seed)
     removed = [reference_counterfactual_surplus(view, i, method=method, seed=seed) for i in range(view.n)]
     return full, removed
 
 
+def reference_deleted_counterfactuals(view, method=None, seed=0) -> list:
+    """Every producer-removed problem in the index-deleted form: n-1 producers, a lone producer none."""
+    if view.n == 1:
+        zero = np.zeros((0, view.dim))
+        return [AllocationResult(zero, zero.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))]
+    return [reference_solve(_delete_producer(view, i), method=method, seed=seed) for i in range(view.n)]
+
+
 def reference_vcg_tau(view, allocation, counterfactuals):
-    """Pivot payments with the two-form check, the removed allocations embedded one producer at a time."""
+    """Pivot payments with the two-form check, one zero-capacity removed allocation at a time."""
     n = view.n
     accepted = allocation.accepted
     costs_full = np.array([view.cost.cost(accepted[k], float(g)) for k, g in enumerate(view.cost_types)])
@@ -429,10 +443,10 @@ def reference_vcg_tau(view, allocation, counterfactuals):
     value_removed = np.empty(n)
     others_cost_removed = np.empty(n)
     for i, removed in enumerate(counterfactuals):
-        embedded = np.insert(removed.accepted, i, 0.0, axis=0)
-        value_removed[i] = total_valuation(view, embedded)
+        value_removed[i] = total_valuation(view, removed.accepted)
+        # the removed problem's surplus costs producer i's zero bundle too
         others_cost_removed[i] = float(
-            sum(view.cost.cost(embedded[k], float(view.cost_types[k])) for k in range(n) if k != i)
+            sum(view.cost.cost(removed.accepted[k], float(view.cost_types[k])) for k in range(n))
         )
     others_cost_full = costs_full.sum() - costs_full
     expanded = (total_valuation(view, accepted) - value_removed) - (others_cost_full - others_cost_removed)
@@ -645,8 +659,8 @@ def reference_payment_surface(
 
     All other producers report ``fixed_capacity``/``fixed_gamma`` and all
     consumers ``fixed_theta``; reports are taken at face value (no
-    punishment). The producer-removed problem and the adjustment are constant
-    across the grid and solved once.
+    punishment). The producer-removed problem, index-deleted as the library
+    solves it, and the adjustment are constant across the grid and solved once.
     """
     if grid is None:
         grid = SurfaceGrid()
@@ -663,7 +677,7 @@ def reference_payment_surface(
 
     x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    removed = reference_counterfactual_surplus(reported(x_values[0], gamma_values[0]), 0, method=method)
+    removed = reference_deleted_counterfactuals(reported(x_values[0], gamma_values[0]), method=method)[0]
     tau = np.empty((grid.x_points, grid.gamma_points))
     for a, x0 in enumerate(x_values):
         for b, g0 in enumerate(gamma_values):
@@ -837,13 +851,13 @@ def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
 
 
 def reference_waterfill_gains(caps, gammas, theta_sum, scale):
-    """Full and producer-removed surpluses, each removed economy index-deleted and sorted by itself."""
+    """Full and producer-removed surpluses, each removed economy with that capacity zeroed and sorted by itself."""
     full = _reference_waterfill_surplus(caps, gammas, theta_sum, scale)
     removed = np.empty(gammas.shape)
     for j in range(gammas.shape[-1]):
-        removed[..., j] = _reference_waterfill_surplus(
-            np.delete(caps, j, axis=-1), np.delete(gammas, j, axis=-1), theta_sum, scale
-        )
+        zeroed = caps.copy()
+        zeroed[..., j] = 0.0
+        removed[..., j] = _reference_waterfill_surplus(zeroed, gammas, theta_sum, scale)
     return full, removed
 
 

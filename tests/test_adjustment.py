@@ -129,7 +129,8 @@ def test_degenerate_support_extracts_full_producer_surplus():
 
 
 def test_two_producer_worked_adjustment():
-    """h_0 = -[S*((1,1),(10,0.2)) - S*_(-0)((1),(0.2))] with support min cap 1, max gamma 10."""
+    """h_0 = -[S*((1,1),(10,0.2)) - S*((0,1),(10,0.2))] with support min cap 1, max gamma 10: the problem
+    without producer 0 zeroes its capacity at the same cost type."""
     valuation, cost = SqrtSumValuation(scale=2.0), LinearCost()
     support = PriorSupport(
         cap_lo=np.array([[1.0], [1.0]]), cap_hi=np.array([[5.0], [5.0]]),
@@ -138,7 +139,7 @@ def test_two_producer_worked_adjustment():
     )
     value = analytic_adjustment(support, valuation, cost, 0, [[1.0]], [0.2], [1.0])
     s_pessimistic = waterfill_surplus(np.array([1.0, 1.0]), np.array([10.0, 0.2]), 1.0, 2.0)
-    s_without = waterfill_surplus(np.array([1.0]), np.array([0.2]), 1.0, 2.0)
+    s_without = waterfill_surplus(np.array([0.0, 1.0]), np.array([10.0, 0.2]), 1.0, 2.0)
     assert value == -(s_pessimistic - s_without)
     # both fills exclude the pessimistic producer entirely, so h_0 = 0 here
     assert value == pytest.approx(0.0, abs=1e-12)

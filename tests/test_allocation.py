@@ -568,10 +568,10 @@ def test_every_waterfill_entry_point_gives_the_same_surplus_bits(data):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_waterfill_gains_equals_the_per_column_oracle(data):
-    """One sort per economy gives the bits of sorting every index-deleted economy by itself.
+    """One sort per economy gives the bits of sorting every zero-capacity economy by itself.
 
     Tied and zero costs, zero capacities, zero valuation sums and lone
-    producers included; rows of nine or more remaining producers take numpy's
+    producers included; rows of eight or more producers take numpy's
     blocked pairwise sum, which a strided gather would not.
     """
     caps, gammas, thetas = _economy_batch(data, (1, 12), 6)

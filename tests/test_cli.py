@@ -148,6 +148,17 @@ def test_verify_learned_report_does_not_depend_on_model_path(config_file, tmp_pa
     capsys.readouterr()
 
 
+def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_2(tmp_path, capsys):
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps({"capacities": [[1.0, 2.0], [3.0]], "cost_types": [0.1, 0.2], "valuation_types": [1.0]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--economy", str(path), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pvcg simulate: error: capacities must have rows of one length: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -396,9 +396,9 @@ def test_batch_surpluses_slow_path_matches_waterfill():
         slow = _batch_surpluses(valuation, cost, caps, gammas, thetas, "projected_gradient")
         for exact, numeric in zip(fast, slow):
             np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-6)
-        # each removed column is one index-deleted solve, as a per-column loop would give it
+        # each removed column is one solve with producer i's capacity zeroed, as a per-column loop would give it
         columns = np.stack([
-            max_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas, valuation, cost,
+            max_surplus(np.where(np.arange(n)[:, None] == i, 0.0, caps), gammas, thetas, valuation, cost,
                         "projected_gradient")
             for i in range(n)
         ], axis=1)

@@ -198,6 +198,20 @@ def test_non_finite_input_is_rejected_by_field(build, field):
         build()
 
 
+_RAGGED = {"capacities": [[1.0, 2.0], [3.0]], "cost_types": [0.1, 0.2], "valuation_types": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Economy.sqrt_sum(*_RAGGED.values()), lambda: economy_from_dict(_RAGGED)],
+    ids=["sqrt_sum", "economy_from_dict"],
+)
+def test_ragged_capacities_are_rejected_by_field(build):
+    """Rows of two lengths raise a ValueError that names the capacities, not only numpy's shape message."""
+    with pytest.raises(ValueError, match="^capacities must have rows of one length: .*inhomogeneous"):
+        build()
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_value_rows_takes_valuation_types_row_by_row(data):
