@@ -57,6 +57,7 @@ from .verification import (
     check_ir,
     check_surplus_monotonicity,
     check_wbb,
+    draw_deviations,
     grid_surplus_max,
     loss_components,
     mixed_deviation_sampler,

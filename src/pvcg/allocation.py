@@ -172,14 +172,28 @@ def others_index(n: int) -> Array:
     return keep
 
 
+@functools.lru_cache(maxsize=64)
+def _replaced_index(n: int, r: int, first: int) -> tuple[Array, Array]:
+    """Read-only copy and slot indices ``(first + j, j % n)`` of ``_replaced``'s r replaced copies, built once."""
+    rows = np.arange(r)
+    index = first + rows, rows % n
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
 def _replaced(caps: Array, gammas: Array, cap, gamma, first: int = 0) -> tuple[Array, Array]:
     """Copies ``(..., first + r, n, dim)``, ``(..., first + r, n)`` of the reports, r the length of ``gamma``: the
-    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``j % n``."""
-    n, rows = gammas.shape[-1], np.arange(np.shape(gamma)[-1])
-    caps = np.repeat(caps[..., None, :, :], first + len(rows), axis=-3)
-    gammas = np.repeat(gammas[..., None, :], first + len(rows), axis=-2)
-    caps[..., first + rows, rows % n, :], gammas[..., first + rows, rows % n] = cap, gamma
-    return caps, gammas
+    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``j % n``. When
+    ``gamma`` is ``gammas`` itself, every slot already holds its entry and the cost types are only copied."""
+    n, r = gammas.shape[-1], np.shape(gamma)[-1]
+    copies, slots = _replaced_index(n, r, first)
+    caps = np.repeat(caps[..., None, :, :], first + r, axis=-3)
+    caps[..., copies, slots, :] = cap
+    copied = np.repeat(gammas[..., None, :], first + r, axis=-2)
+    if gamma is not gammas:
+        copied[..., copies, slots] = gamma
+    return caps, copied
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .adjustment import (
     PriorSupport,
     marginal_gains_check,
     existence_check,
+    sample_from,
     sample_prior,
 )
 from .allocation import solve_batch
@@ -32,10 +33,7 @@ from .verification import (
     SURPLUS_TOL,
     Feasibility,
     check_surplus_monotonicity,
-    draw_uniform_types,
-    mixed_deviation_sampler,
     probe_dsic,
-    uniform_economy_sampler,
 )
 
 Array = np.ndarray
@@ -306,15 +304,13 @@ def ir_wbb_sweep(
     fresh-sample bound on its training loss) while its strict pass rate is
     still reported for inspection.
 
-    The samples are drawn first, in ``uniform_economy_sampler``'s order, and
-    priced in one ``payments_batch``; ``Feasibility`` gives every sample's
+    The samples are drawn first, in one ``sample_from``, and priced in one
+    ``payments_batch``; ``Feasibility`` gives every sample's
     verdicts and loss terms at once, and witnesses are built for failing
     samples only.
     """
     _check_count("samples", samples)
-    rng = np.random.default_rng(seed)
-    # uniform_economy_sampler's draws, without building economies
-    caps, gammas, thetas = draw_uniform_types(support, rng, samples)
+    caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     p = payments_batch(
         caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
     )
@@ -376,8 +372,6 @@ def run_probes(config: ExperimentConfig, adjustments: dict) -> dict:
     """
     support = config.support()
     valuation, cost = config.families()
-    economy_sampler = uniform_economy_sampler(support, valuation, cost)
-    deviation_sampler = mixed_deviation_sampler(support)
     learned_penalty_cap = 10.0 * config.training.loss_tol
     probes = {
         "existence": existence_check(
@@ -394,7 +388,7 @@ def run_probes(config: ExperimentConfig, adjustments: dict) -> dict:
     for offset, (name, adj) in enumerate(adjustments.items()):
         learned = isinstance(adj, LearnedAdjustment)
         probes["dsic"][name] = probe_dsic(
-            economy_sampler, deviation_sampler, adjustment=adj,
+            support, valuation, cost, adjustment=adj,
             trials=config.dsic_trials, deviations_per_trial=config.dsic_deviations,
             seed=config.seed + _SEED_DSIC + offset, punishment=config.punishment, method=config.method,
         ).to_dict()
@@ -406,7 +400,7 @@ def run_probes(config: ExperimentConfig, adjustments: dict) -> dict:
             max_mean_penalty=learned_penalty_cap if learned else None,
         )
     probes["surplus_monotonicity"] = check_surplus_monotonicity(
-        economy_sampler, trials=config.monotonicity_trials,
+        support, valuation, cost, trials=config.monotonicity_trials,
         seed=config.seed + _SEED_MONOTONICITY, method=config.method,
     ).to_dict()
     return probes

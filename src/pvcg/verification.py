@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjustment import PriorSupport, feasibility_penalties
+from .adjustment import PriorSupport, feasibility_penalties, sample_from
 from .allocation import AllocationResult, optimize_acceptance, solve_batch
-from .model import Economy, _check_count, _check_entries, surplus_rows
+from .model import Economy, _check_count, surplus_rows
 from .payments import PaymentBreakdown, _check_punishment, deviation_utilities, payments_batch
 
 Array = np.ndarray
@@ -24,7 +24,7 @@ Array = np.ndarray
 __all__ = [
     "ProbeReport",
     "uniform_economy_sampler",
-    "draw_uniform_types",
+    "draw_deviations",
     "mixed_deviation_sampler",
     "probe_dsic",
     "grid_surplus_max",
@@ -85,74 +85,52 @@ class ProbeReport:
 # samplers
 # ---------------------------------------------------------------------------
 
+# each mode's report as a multiple of the truth; modes 0 and 4 then draw their capacities
+_MODE_FACTORS = np.array([1.0, 0.5, 0.9, 1.1, 1.0])
+
 
 def uniform_economy_sampler(support: PriorSupport, valuation, cost):
-    """Economies with true parameters drawn uniformly from the support box."""
+    """One economy per call, its true parameters uniform on the support box: ``sample_from`` with a count of one."""
 
     def sampler(rng) -> Economy:
-        caps, gammas, thetas = draw_uniform_types(support, rng)
+        caps, gammas, thetas = sample_from(support, 1, rng)
         return Economy(caps[0], gammas[0], thetas[0], valuation, cost)
 
     return sampler
 
 
-def draw_uniform_types(support: PriorSupport, rng, count: int = 1) -> tuple[Array, Array, Array]:
-    """``count`` economies' ``(count, n, dim)`` capacities, ``(count, n)`` and ``(count, m)`` types, uniform on the box.
+def draw_deviations(support: PriorSupport, rng, caps, gammas, producers) -> tuple[Array, Array]:
+    """``(R, dim)``, ``(R,)`` misreports of ``producers`` from their true ``(R, dim)`` capacities and ``(R,)`` cost types.
 
-    Economy by economy, the draws are its capacities, then its cost types,
-    then its valuation types: the stream and the bits of ``rng.uniform`` on
-    the three boxes in turn, from one generator call.
+    Each row draws one of five modes: a report uniform on the producer's support box (0); 0.5x, 0.9x or 1.1x the
+    truth (1-3); the true cost type with a capacity strictly above the truth, ``cap * U(1.2, 2) + U(0.05, 0.5)`` (4).
+    A report equal to the truth (a zero truth scaled) raises its cost type by a quarter of the support's span plus
+    0.01 instead. Draw order: every row's mode, then the box rows' capacities and cost types, then the
+    over-reporting rows' factors and shifts.
     """
-    los = (support.cap_lo, support.gamma_lo, support.theta_lo)
-    lo = np.concatenate([b.ravel() for b in los])
-    hi = np.concatenate([b.ravel() for b in (support.cap_hi, support.gamma_hi, support.theta_hi)])
-    draws = np.split(rng.uniform(lo, hi, size=(count, lo.size)), np.cumsum([b.size for b in los])[:-1], axis=1)
-    return tuple(u.reshape((count,) + b.shape) for b, u in zip(los, draws))
-
-
-def _stack(economies: list[Economy]):
-    """``(T, n, dim)``, ``(T, n)`` and ``(T, m)`` arrays of sampled economies, plus their families."""
-    first = economies[0]
-    for economy in economies:
-        if (
-            economy.capacities.shape != first.capacities.shape
-            or economy.m != first.m
-            or economy.valuation != first.valuation
-            or economy.cost != first.cost
-        ):
-            raise ValueError("the economy sampler must return economies of one shape and one pair of families")
-    return (
-        np.stack([e.capacities for e in economies]),
-        np.stack([e.cost_types for e in economies]),
-        np.stack([e.valuation_types for e in economies]),
-        first.valuation,
-        first.cost,
-    )
+    caps, gammas = np.asarray(caps, dtype=float), np.asarray(gammas, dtype=float)
+    producers = np.asarray(producers, dtype=np.intp)
+    mode = rng.integers(5, size=producers.size)
+    factor = _MODE_FACTORS[mode]
+    dev_caps, dev_gammas = caps * factor[:, None], gammas * factor
+    box, over = mode == 0, mode == 4
+    i = producers[box]
+    dev_caps[box] = rng.uniform(support.cap_lo[i], support.cap_hi[i])
+    dev_gammas[box] = rng.uniform(support.gamma_lo[i], support.gamma_hi[i])
+    stretch = rng.uniform(1.2, 2.0, np.count_nonzero(over))
+    dev_caps[over] = caps[over] * stretch[:, None] + rng.uniform(0.05, 0.5, stretch.size)[:, None]
+    truthful = (dev_caps == caps).all(axis=-1) & (dev_gammas == gammas)
+    i = producers[truthful]
+    dev_gammas[truthful] = gammas[truthful] + 0.25 * (support.gamma_hi[i] - support.gamma_lo[i]) + 0.01
+    return dev_caps, dev_gammas
 
 
 def mixed_deviation_sampler(support: PriorSupport):
-    """Unilateral misreports: box-uniform draws plus the targeted patterns
-    0.5x, 0.9x, 1.1x of the truth and a strictly capacity-exceeding report."""
+    """One ``draw_deviations`` row per call: producer ``i``'s misreported ``(capacity, cost type)`` in ``economy``."""
 
     def sampler(rng, economy: Economy, i: int):
-        true_cap = economy.capacities[i]
-        true_gamma = float(economy.cost_types[i])
-        mode = int(rng.integers(5))
-        if mode == 0:
-            cap = rng.uniform(support.cap_lo[i], support.cap_hi[i])
-            gamma = float(rng.uniform(support.gamma_lo[i], support.gamma_hi[i]))
-        elif mode in (1, 2, 3):
-            factor = (0.5, 0.9, 1.1)[mode - 1]
-            cap = factor * true_cap
-            gamma = factor * true_gamma
-        else:
-            cap = true_cap * float(rng.uniform(1.2, 2.0)) + float(rng.uniform(0.05, 0.5))
-            gamma = true_gamma
-        if np.array_equal(cap, true_cap) and gamma == true_gamma:
-            # zero truth makes scaling a no-op; nudge the cost report instead
-            span = float(support.gamma_hi[i] - support.gamma_lo[i])
-            gamma = true_gamma + 0.25 * span + 0.01
-        return cap, gamma
+        caps, gammas = draw_deviations(support, rng, economy.capacities[[i]], economy.cost_types[[i]], [i])
+        return caps[0], float(gammas[0])
 
     return sampler
 
@@ -163,8 +141,9 @@ def mixed_deviation_sampler(support: PriorSupport):
 
 
 def probe_dsic(
-    economy_sampler,
-    deviation_sampler,
+    support: PriorSupport,
+    valuation,
+    cost,
     adjustment=None,
     trials: int = 1000,
     seed: int = 0,
@@ -175,16 +154,17 @@ def probe_dsic(
 ) -> ProbeReport:
     """Compare truthful utility against sampled unilateral misreports.
 
-    For each sampled true economy and each sampled deviation of one producer
-    (the others truthful), a violation is recorded when the deviation beats
-    truth by more than ``tol``. The punishment constant must dominate every
-    observed pivot payment (P > 10 max |tau|), otherwise the probe rejects its
-    configuration instead of passing vacuously. The sampler's economies share
-    one shape and one pair of families.
+    For each true economy drawn uniformly from ``support`` and each sampled
+    deviation of one producer (the others truthful), a violation is recorded
+    when the deviation beats truth by more than ``tol``. The punishment
+    constant must dominate every observed pivot payment (P > 10 max |tau|),
+    otherwise the probe rejects its configuration instead of passing vacuously.
 
-    Every economy and deviation is drawn first, in trial order. The truthful
-    auctions are then priced in one ``payments_batch``, which also holds
-    their pivot payments to the two-form check, and the deviating full
+    Everything is drawn first, from one generator seeded with ``seed``: the
+    ``trials`` economies (``sample_from``), then every deviation's producer (one
+    ``rng.integers``, trial by trial), then the misreports (``draw_deviations``).
+    The truthful auctions are then priced in one ``payments_batch``, which also
+    holds their pivot payments to the two-form check, and the deviating full
     problems are solved in one ``solve_batch``. A deviation reads its
     producer's removed surplus and adjustment from the truthful pricing:
     neither reads the deviating producer's report.
@@ -194,47 +174,35 @@ def probe_dsic(
     _check_punishment(punishment)
     _check_tol(tol)
     rng = np.random.default_rng(seed)
-    economies, producers, reports = [], [], []
-    for _ in range(trials):
-        economy = economy_sampler(rng)
-        economies.append(economy)
-        for _ in range(deviations_per_trial):
-            i = int(rng.integers(economy.n))
-            producers.append(i)
-            reports.append(deviation_sampler(rng, economy, i))
-    caps, gammas, thetas, valuation, cost = _stack(economies)
+    caps, gammas, thetas = sample_from(support, trials, rng)
     trial = np.repeat(np.arange(trials), deviations_per_trial)
-    producer = np.array(producers, dtype=np.intp)
+    producer = rng.integers(support.n, size=trial.size)
     own = (trial, producer)
+    cap_dev, gamma_dev = draw_deviations(support, rng, caps[own], gammas[own], producer)
     truth = payments_batch(
         caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
     )
     truth_utility = truth.utilities[own]
 
-    dev_caps, dev_gammas = caps[trial], gammas[trial]
-    for r, (cap, gamma) in enumerate(reports):
-        dev_caps[r, producer[r]] = np.atleast_1d(np.asarray(cap, dtype=float))
-        dev_gammas[r, producer[r]] = gamma
-    _check_entries(dev_caps, "capacities")
-    _check_entries(dev_gammas, "cost types")
-    accepted, surplus = solve_batch(dev_caps, dev_gammas, thetas[trial], valuation, cost, method)
     rows = np.arange(trial.size)
+    dev_caps, dev_gammas = caps[trial], gammas[trial]
+    dev_caps[rows, producer], dev_gammas[rows, producer] = cap_dev, gamma_dev
+    accepted, surplus = solve_batch(dev_caps, dev_gammas, thetas[trial], valuation, cost, method)
     utility, tau = deviation_utilities(
-        caps[own], gammas[own], dev_gammas[rows, producer], cost, accepted[rows, producer], surplus,
+        caps[own], gammas[own], gamma_dev, cost, accepted[rows, producer], surplus,
         truth.counterfactual_surpluses[own], truth.adjustment[own], punishment,
     )
 
     def witness(r: int) -> dict:
-        economy = economies[trial[r]]
-        cap_dev, gamma_dev = reports[r]
+        t = trial[r]
         return {
-            "trial": int(trial[r]),
+            "trial": int(t),
             "producer": int(producer[r]),
-            "capacities": economy.capacities.tolist(),
-            "cost_types": economy.cost_types.tolist(),
-            "valuation_types": economy.valuation_types.tolist(),
-            "deviation_capacity": np.atleast_1d(cap_dev).tolist(),
-            "deviation_gamma": float(gamma_dev),
+            "capacities": caps[t].tolist(),
+            "cost_types": gammas[t].tolist(),
+            "valuation_types": thetas[t].tolist(),
+            "deviation_capacity": cap_dev[r].tolist(),
+            "deviation_gamma": float(gamma_dev[r]),
             "truth_utility": float(truth_utility[r]),
             "deviation_utility": float(utility[r]),
         }
@@ -390,7 +358,9 @@ def check_wbb(economy: Economy, payments: PaymentBreakdown, tol: float = SURPLUS
 
 
 def check_surplus_monotonicity(
-    economy_sampler,
+    support: PriorSupport,
+    valuation,
+    cost,
     trials: int = 1000,
     seed: int = 0,
     method: str | None = None,
@@ -399,23 +369,20 @@ def check_surplus_monotonicity(
     """Sampled monotonicity of S*: rising in any capacity, falling in any cost type.
 
     Each trial raises one capacity coordinate and, separately, one cost type
-    of a sampled economy. Every draw comes first, in trial order; the base,
-    raised-capacity and raised-cost problems of all trials are then solved in
-    one ``solve_batch``. The sampler's economies share one shape and one pair
-    of families.
+    of an economy drawn uniformly from ``support``. Everything is drawn first,
+    from one generator seeded with ``seed``: the ``trials`` economies
+    (``sample_from``), then each trial's producer, its capacity coordinate, its
+    capacity step and its cost step, each one array over the trials (the steps
+    ``U(0.1, 2)``). The base, raised-capacity and raised-cost problems of all
+    trials are then solved in one ``solve_batch``.
     """
     _check_count("trials", trials)
     _check_tol(tol)
     rng = np.random.default_rng(seed)
-    economies, draws = [], []
-    for _ in range(trials):
-        economy = economy_sampler(rng)
-        economies.append(economy)
-        i = int(rng.integers(economy.n))
-        d = int(rng.integers(economy.dim))
-        draws.append((i, d, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))))
-    caps, gammas, thetas, valuation, cost = _stack(economies)
-    producer, coordinate, cap_steps, cost_steps = map(np.array, zip(*draws))
+    caps, gammas, thetas = sample_from(support, trials, rng)
+    producer = rng.integers(support.n, size=trials)
+    coordinate = rng.integers(support.dim, size=trials)
+    cap_steps, cost_steps = rng.uniform(0.1, 2.0, trials), rng.uniform(0.1, 2.0, trials)
     t = np.arange(trials)
     caps_up = caps.copy()
     caps_up[t, producer, coordinate] += cap_steps

@@ -352,7 +352,8 @@ def max_rel_error(analytic, numeric) -> float:
 # batch: one economy, one solve and one payment at a time, through the public
 # per-economy functions; each solve is ``reference_solve``, so a projected
 # gradient is the one-economy oracle below. The batched probes must return the
-# same reports.
+# same reports. The DSIC and monotonicity oracles take the probes' drawn arrays,
+# so they hold the pricing and the recording, and the draws have tests of their own.
 
 from dataclasses import replace  # noqa: E402
 
@@ -511,6 +512,15 @@ def reference_utility_from_solves(economy, view, full, removed, i, h, punishment
     return tau + h - economy.cost.cost(accepted_i, float(economy.cost_types[i])), tau
 
 
+def reference_prior_draw(support, count, rng):
+    """``count`` economies' capacities, cost types and valuation types, uniform on the box, one generator call per box."""
+    return tuple(
+        rng.uniform(lo, hi, size=(count,) + lo.shape)
+        for lo, hi in ((support.cap_lo, support.cap_hi), (support.gamma_lo, support.gamma_hi),
+                       (support.theta_lo, support.theta_hi))
+    )
+
+
 def reference_uniform_economy_sampler(support, valuation, cost):
     """Economies with true parameters drawn uniformly from the support box, one generator call per box."""
 
@@ -523,42 +533,73 @@ def reference_uniform_economy_sampler(support, valuation, cost):
     return sampler
 
 
+def reference_mixed_deviation_sampler(support):
+    """Unilateral misreports, one per call: box-uniform draws plus the targeted patterns
+    0.5x, 0.9x, 1.1x of the truth and a strictly capacity-exceeding report."""
+
+    def sampler(rng, economy: Economy, i: int):
+        true_cap = economy.capacities[i]
+        true_gamma = float(economy.cost_types[i])
+        mode = int(rng.integers(5))
+        if mode == 0:
+            cap = rng.uniform(support.cap_lo[i], support.cap_hi[i])
+            gamma = float(rng.uniform(support.gamma_lo[i], support.gamma_hi[i]))
+        elif mode in (1, 2, 3):
+            factor = (0.5, 0.9, 1.1)[mode - 1]
+            cap = factor * true_cap
+            gamma = factor * true_gamma
+        else:
+            cap = true_cap * float(rng.uniform(1.2, 2.0)) + float(rng.uniform(0.05, 0.5))
+            gamma = true_gamma
+        if np.array_equal(cap, true_cap) and gamma == true_gamma:
+            # zero truth makes scaling a no-op; nudge the cost report instead
+            span = float(support.gamma_hi[i] - support.gamma_lo[i])
+            gamma = true_gamma + 0.25 * span + 0.01
+        return cap, gamma
+
+    return sampler
+
+
 def reference_probe_dsic(
-    economy_sampler,
-    deviation_sampler,
+    caps,
+    gammas,
+    thetas,
+    valuation,
+    cost,
+    producers,
+    dev_caps,
+    dev_gammas,
     adjustment=None,
-    trials: int = 1000,
-    seed: int = 0,
-    deviations_per_trial: int = 50,
     punishment: float = 1e6,
     method: str | None = None,
     tol: float = UTILITY_TOL,
 ) -> ProbeReport:
-    """Compare truthful utility against sampled unilateral misreports.
+    """Compare truthful utility against given unilateral misreports, one economy and one deviation at a time.
 
-    For each sampled true economy and each sampled deviation of one producer
-    (the others truthful), a violation is recorded when the deviation beats
-    truth by more than ``tol``. The punishment constant must dominate every
-    observed pivot payment (P > 10 max |tau|), otherwise the probe rejects its
-    configuration instead of passing vacuously.
+    Economy t is ``caps[t]``, ``gammas[t]``, ``thetas[t]``; its deviations are
+    an equal share of ``producers``, in order, and deviation r has producer
+    ``producers[r]`` report ``dev_caps[r]`` and ``dev_gammas[r]`` (the others
+    truthful). A violation is recorded when the deviation beats truth by more
+    than ``tol``. The punishment constant must dominate every observed pivot
+    payment (P > 10 max |tau|), otherwise the probe rejects its configuration
+    instead of passing vacuously.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if adjustment is None:
         adjustment = ZeroAdjustment()
-    rng = np.random.default_rng(seed)
-    report = ProbeReport(name="dsic", trials=trials * deviations_per_trial)
+    trials, deviations = len(caps), len(producers)
+    per_trial = deviations // trials
+    report = ProbeReport(name="dsic", trials=deviations)
     max_abs_tau = 0.0
 
     for trial in range(trials):
-        economy = economy_sampler(rng)
+        economy = Economy(caps[trial], gammas[trial], thetas[trial], valuation, cost)
         full_truth = reference_solve(economy, method=method)
         removed_cache: dict[int, AllocationResult] = {}
         truth_cache: dict[int, float] = {}
         h_cache: dict[int, float] = {}
 
-        for _ in range(deviations_per_trial):
-            i = int(rng.integers(economy.n))
+        for r in range(trial * per_trial, (trial + 1) * per_trial):
+            i = int(producers[r])
             if i not in removed_cache:
                 removed_cache[i] = reference_counterfactual_surplus(economy, i, method=method)
                 h_cache[i] = adjustment_for(adjustment, economy, i)
@@ -567,12 +608,11 @@ def reference_probe_dsic(
                 )
                 max_abs_tau = max(max_abs_tau, abs(tau_truth))
 
-            cap_dev, gamma_dev = deviation_sampler(rng, economy, i)
-            dev_caps = economy.capacities.copy()
-            dev_caps[i] = np.atleast_1d(np.asarray(cap_dev, dtype=float))
-            dev_gammas = economy.cost_types.copy()
-            dev_gammas[i] = gamma_dev
-            dev_view = replace(economy, capacities=dev_caps, cost_types=dev_gammas)
+            dev_caps_r = economy.capacities.copy()
+            dev_caps_r[i] = dev_caps[r]
+            dev_gammas_r = economy.cost_types.copy()
+            dev_gammas_r[i] = dev_gammas[r]
+            dev_view = replace(economy, capacities=dev_caps_r, cost_types=dev_gammas_r)
             full_dev = reference_solve(dev_view, method=method)
             # the removed problem ignores producer i's report: reuse the truthful one
             utility_dev, tau_dev = reference_utility_from_solves(
@@ -588,8 +628,8 @@ def reference_probe_dsic(
                     "capacities": economy.capacities.tolist(),
                     "cost_types": economy.cost_types.tolist(),
                     "valuation_types": economy.valuation_types.tolist(),
-                    "deviation_capacity": np.atleast_1d(cap_dev).tolist(),
-                    "deviation_gamma": float(gamma_dev),
+                    "deviation_capacity": dev_caps[r].tolist(),
+                    "deviation_gamma": float(dev_gammas[r]),
                     "truth_utility": truth_cache[i],
                     "deviation_utility": utility_dev,
                 },
@@ -605,25 +645,31 @@ def reference_probe_dsic(
 
 
 def reference_check_surplus_monotonicity(
-    economy_sampler,
-    trials: int = 1000,
-    seed: int = 0,
+    caps,
+    gammas,
+    thetas,
+    valuation,
+    cost,
+    producers,
+    coordinates,
+    cap_steps,
+    cost_steps,
     method: str | None = None,
     tol: float = SURPLUS_TOL,
 ) -> ProbeReport:
-    """Sampled monotonicity of S*: rising in any capacity, falling in any cost type."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    report = ProbeReport(name="surplus_monotonicity", trials=trials)
-    for trial in range(trials):
-        economy = economy_sampler(rng)
+    """Monotonicity of S* on given economies, one at a time: rising in a raised capacity, falling in a raised cost type.
+
+    Trial t raises capacity ``coordinates[t]`` of producer ``producers[t]`` of
+    economy t by ``cap_steps[t]`` and, separately, its cost type by ``cost_steps[t]``.
+    """
+    report = ProbeReport(name="surplus_monotonicity", trials=len(caps))
+    for trial in range(len(caps)):
+        economy = Economy(caps[trial], gammas[trial], thetas[trial], valuation, cost)
         base = reference_solve(economy.view(), method=method).surplus
-        i = int(rng.integers(economy.n))
-        d = int(rng.integers(economy.dim))
+        i, d = int(producers[trial]), int(coordinates[trial])
 
         caps_up = economy.capacities.copy()
-        caps_up[i, d] += float(rng.uniform(0.1, 2.0))
+        caps_up[i, d] += cap_steps[trial]
         up_view = replace(economy, capacities=caps_up)
         surplus_up = reference_solve(up_view, method=method).surplus
         record(
@@ -634,7 +680,7 @@ def reference_check_surplus_monotonicity(
         )
 
         gammas_up = economy.cost_types.copy()
-        gammas_up[i] += float(rng.uniform(0.1, 2.0))
+        gammas_up[i] += cost_steps[trial]
         costly_view = replace(economy, cost_types=gammas_up)
         surplus_costly = reference_solve(costly_view, method=method).surplus
         record(
@@ -757,8 +803,7 @@ def reference_ir_wbb_sweep(
     fresh-sample bound on its training loss) while its strict pass rate is
     still reported for inspection.
     """
-    sampler = reference_uniform_economy_sampler(support, valuation, cost)
-    rng = np.random.default_rng(seed)
+    caps, gammas, thetas = reference_prior_draw(support, samples, np.random.default_rng(seed))
     ir_violations: list = []
     wbb_violations: list = []
     mismatches: list = []
@@ -767,7 +812,7 @@ def reference_ir_wbb_sweep(
     worst_utility = np.inf
     worst_slack = np.inf
     for k in range(samples):
-        economy = sampler(rng)
+        economy = Economy(caps[k], gammas[k], thetas[k], valuation, cost)
         payments = total_payment(
             economy, adjustment=adjustment, punishment=punishment, method=method
         )

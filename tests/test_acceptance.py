@@ -23,7 +23,6 @@ from pvcg import (
     ZeroAdjustment,
     analytic_waterfill,
     check_surplus_monotonicity,
-    mixed_deviation_sampler,
     optimize_acceptance,
     payment_surface,
     probe_dsic,
@@ -123,8 +122,6 @@ def test_criterion_2_analytic_vs_numeric_solver():
 
 def test_criterion_3_dsic_probe(trained_paper_model):
     model, _, _ = trained_paper_model
-    economies = uniform_economy_sampler(PAPER_SUPPORT, PAPER_VALUATION, PAPER_COST)
-    deviations = mixed_deviation_sampler(PAPER_SUPPORT)
     adjustments = {
         "zero": ZeroAdjustment(),
         "analytic": AnalyticAdjustment(PAPER_SUPPORT, PAPER_VALUATION, PAPER_COST),
@@ -134,8 +131,9 @@ def test_criterion_3_dsic_probe(trained_paper_model):
     gaps = {}
     for offset, (name, adjustment) in enumerate(adjustments.items()):
         report = probe_dsic(
-            economies,
-            deviations,
+            PAPER_SUPPORT,
+            PAPER_VALUATION,
+            PAPER_COST,
             adjustment,
             trials=1000,
             deviations_per_trial=50,
@@ -301,8 +299,7 @@ def test_criterion_8_gradient_correctness():
 
 
 def test_criterion_9_surplus_monotonicity():
-    economies = uniform_economy_sampler(PAPER_SUPPORT, PAPER_VALUATION, PAPER_COST)
-    report = check_surplus_monotonicity(economies, trials=10_000, seed=909)
+    report = check_surplus_monotonicity(PAPER_SUPPORT, PAPER_VALUATION, PAPER_COST, trials=10_000, seed=909)
     assert report.passed, report.violations[:3]
     _report(
         "criterion 9 (surplus monotonicity)",

@@ -19,7 +19,7 @@ from pvcg import (
 )
 from pvcg import experiment
 from pvcg.experiment import ir_wbb_sweep, run_probes, surface_rows, write_csv
-from pvcg.verification import mixed_deviation_sampler, probe_dsic, uniform_economy_sampler
+from pvcg.verification import probe_dsic
 
 
 def tiny_config(seed=5):
@@ -270,19 +270,24 @@ def test_payment_surface_single_producer():
     assert record.tau.tolist() == [[0.0, 0.0], [0.5 * np.sqrt(5.0), 0.125]]
 
 
-def test_run_probes_offsets_seeds_by_adjustment_position():
+def test_run_probes_offsets_seeds_by_adjustment_position(monkeypatch):
     config = ExperimentConfig(
         n=3, m=1, dsic_trials=3, dsic_deviations=2, ir_samples=4, monotonicity_trials=3,
         existence_samples=4, seed=7,
     )
+    # two passing dsic reports of this size can read alike, so the seeds are read where they are passed
+    seeds = []
+
+    def seeded_probe(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return probe_dsic(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "probe_dsic", seeded_probe)
     probes = run_probes(config, {"first": ZeroAdjustment(), "second": ZeroAdjustment()})
+    assert seeds == [7 + 21, 7 + 21 + 1]
     support = config.support()
     valuation, cost = config.families()
-    second = probe_dsic(
-        uniform_economy_sampler(support, valuation, cost), mixed_deviation_sampler(support),
-        trials=3, deviations_per_trial=2, seed=7 + 21 + 1,
-    )
+    second = probe_dsic(support, valuation, cost, trials=3, deviations_per_trial=2, seed=7 + 21 + 1)
     assert probes["dsic"]["second"] == second.to_dict()
-    assert probes["dsic"]["first"] != probes["dsic"]["second"]
     expected = ir_wbb_sweep(support, valuation, cost, samples=4, seed=7 + 41 + 1)
     assert probes["ir_wbb"]["second"] == expected

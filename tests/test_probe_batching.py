@@ -4,7 +4,8 @@
 ``payment_surface`` and ``ir_wbb_sweep`` as they were when they priced one
 economy at a time. Every report is compared as a value and as its JSON text,
 which also tells ``-0.0`` from ``0.0`` and an int from a float. The oracle
-side draws its economies with the per-economy ``rng.uniform`` sampler.
+side draws its economies with one ``rng.uniform`` call per box; the DSIC and
+monotonicity oracles take the arrays drawn in each probe's documented order.
 """
 
 import json
@@ -21,10 +22,9 @@ from pvcg import (
     SurfaceGrid,
     ZeroAdjustment,
     check_surplus_monotonicity,
-    mixed_deviation_sampler,
+    draw_deviations,
     payment_surface,
     probe_dsic,
-    uniform_economy_sampler,
 )
 from pvcg.experiment import ir_wbb_sweep
 from pvcg.learner import mlp_init
@@ -33,8 +33,8 @@ from oracles import (
     reference_check_surplus_monotonicity,
     reference_ir_wbb_sweep,
     reference_payment_surface,
+    reference_prior_draw,
     reference_probe_dsic,
-    reference_uniform_economy_sampler,
 )
 
 
@@ -96,19 +96,34 @@ def test_ir_wbb_sweep_equals_the_per_economy_sweep(world, kind):
         assert got["witnesses"] and not got["passed"]
 
 
+def _dsic_draws(support, trials, deviations, seed):
+    """``probe_dsic``'s draws: the economies, every deviation's producer, then the misreports."""
+    rng = np.random.default_rng(seed)
+    caps, gammas, thetas = reference_prior_draw(support, trials, rng)
+    producers = rng.integers(support.n, size=trials * deviations)
+    own = (np.repeat(np.arange(trials), deviations), producers)
+    return (caps, gammas, thetas), producers, draw_deviations(support, rng, caps[own], gammas[own], producers)
+
+
+def _monotonicity_draws(support, trials, seed):
+    """``check_surplus_monotonicity``'s draws: the economies, then the producers, coordinates and both steps."""
+    rng = np.random.default_rng(seed)
+    economies = reference_prior_draw(support, trials, rng)
+    producers, coordinates = rng.integers(support.n, size=trials), rng.integers(support.dim, size=trials)
+    return economies, (producers, coordinates, rng.uniform(0.1, 2.0, trials), rng.uniform(0.1, 2.0, trials))
+
+
 @pytest.mark.parametrize("tol", [1e-6, -1.0])
 @pytest.mark.parametrize("kind", ["zero", "analytic", "learned"])
 @pytest.mark.parametrize("world", list(WORLDS))
 def test_probe_dsic_equals_the_per_economy_probe(world, kind, tol):
     support, valuation, cost, method, sizes = _world(world)
     adjustment = _adjustment(kind, support, valuation, cost, method)
-    deviations = mixed_deviation_sampler(support)
-    kwargs = dict(
-        adjustment=adjustment, trials=sizes["trials"], deviations_per_trial=sizes["deviations"],
-        seed=21, method=method, tol=tol,
-    )
-    got = probe_dsic(uniform_economy_sampler(support, valuation, cost), deviations, **kwargs)
-    want = reference_probe_dsic(reference_uniform_economy_sampler(support, valuation, cost), deviations, **kwargs)
+    trials, deviations = sizes["trials"], sizes["deviations"]
+    kwargs = dict(adjustment=adjustment, method=method, tol=tol)
+    got = probe_dsic(support, valuation, cost, trials=trials, deviations_per_trial=deviations, seed=21, **kwargs)
+    economies, producers, (dev_caps, dev_gammas) = _dsic_draws(support, trials, deviations, 21)
+    want = reference_probe_dsic(*economies, valuation, cost, producers, dev_caps, dev_gammas, **kwargs)
     _same_probe(got, want)
     if tol < 0:
         assert got.violations
@@ -118,9 +133,10 @@ def test_probe_dsic_equals_the_per_economy_probe(world, kind, tol):
 @pytest.mark.parametrize("world", list(WORLDS))
 def test_surplus_monotonicity_equals_the_per_economy_check(world, tol):
     support, valuation, cost, method, sizes = _world(world)
-    kwargs = dict(trials=sizes["monotonicity"], seed=51, method=method, tol=tol)
-    got = check_surplus_monotonicity(uniform_economy_sampler(support, valuation, cost), **kwargs)
-    want = reference_check_surplus_monotonicity(reference_uniform_economy_sampler(support, valuation, cost), **kwargs)
+    trials = sizes["monotonicity"]
+    got = check_surplus_monotonicity(support, valuation, cost, trials=trials, seed=51, method=method, tol=tol)
+    economies, steps = _monotonicity_draws(support, trials, 51)
+    want = reference_check_surplus_monotonicity(*economies, valuation, cost, *steps, method=method, tol=tol)
     _same_probe(got, want)
     if tol < 0:
         assert got.violations
@@ -140,9 +156,12 @@ def test_payment_surface_equals_the_per_economy_surface(world, kind):
 def test_probe_dsic_with_a_toothless_punishment_raises_as_the_per_economy_probe():
     support, valuation, cost, _, _ = _world("waterfill")
     messages = []
-    for probe, sampler in ((probe_dsic, uniform_economy_sampler), (reference_probe_dsic, reference_uniform_economy_sampler)):
+    economies, producers, deviations = _dsic_draws(support, 4, 5, 3)
+    for probe in (
+        lambda: probe_dsic(support, valuation, cost, trials=4, deviations_per_trial=5, seed=3, punishment=0.05),
+        lambda: reference_probe_dsic(*economies, valuation, cost, producers, *deviations, punishment=0.05),
+    ):
         with pytest.raises(ValueError, match="punishment") as err:
-            probe(sampler(support, valuation, cost), mixed_deviation_sampler(support), trials=4,
-                  deviations_per_trial=5, seed=3, punishment=0.05)
+            probe()
         messages.append(str(err.value))
     assert messages[0] == messages[1]

@@ -18,6 +18,7 @@ from pvcg import (
     check_ir,
     check_surplus_monotonicity,
     check_wbb,
+    draw_deviations,
     load_economy,
     loss_components,
     mixed_deviation_sampler,
@@ -27,9 +28,13 @@ from pvcg import (
     uniform_economy_sampler,
 )
 from pvcg.allocation import AllocationResult, SolverDiagnostics, waterfill_surplus
+from pvcg.experiment import ExperimentConfig
 from pvcg.verification import grid_surplus_max
 
 from conftest import random_sqrt_sum_economy
+from oracles import reference_mixed_deviation_sampler, reference_uniform_economy_sampler
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -39,12 +44,7 @@ def small_support():
 
 @pytest.fixture
 def small_world(small_support):
-    valuation, cost = SqrtSumValuation(scale=3.0), LinearCost()
-    return (
-        small_support,
-        uniform_economy_sampler(small_support, valuation, cost),
-        mixed_deviation_sampler(small_support),
-    )
+    return small_support, SqrtSumValuation(scale=3.0), LinearCost()
 
 
 def test_overreport_triggers_punishment_not_violation(split_cost_economy):
@@ -69,47 +69,40 @@ def test_underreporting_capacity_strictly_hurts(cheap_pair_economy):
 
 
 def test_probe_dsic_zero_adjustment_clean(small_world):
-    _, economies, deviations = small_world
-    report = probe_dsic(economies, deviations, ZeroAdjustment(), trials=60, deviations_per_trial=10, seed=7)
+    report = probe_dsic(*small_world, ZeroAdjustment(), trials=60, deviations_per_trial=10, seed=7)
     assert report.passed, report.to_dict()
     assert report.max_gap <= 1e-6
 
 
 def test_probe_dsic_analytic_adjustment_clean(small_world):
-    support, economies, deviations = small_world
-    model = AnalyticAdjustment(support, SqrtSumValuation(scale=3.0), LinearCost())
-    report = probe_dsic(economies, deviations, model, trials=30, deviations_per_trial=8, seed=9)
+    model = AnalyticAdjustment(*small_world)
+    report = probe_dsic(*small_world, model, trials=30, deviations_per_trial=8, seed=9)
     assert report.passed, report.to_dict()
 
 
 def test_probe_dsic_rejects_toothless_punishment(small_world):
-    _, economies, deviations = small_world
     with pytest.raises(ValueError, match="punishment"):
-        probe_dsic(economies, deviations, ZeroAdjustment(), trials=5, deviations_per_trial=5,
-                   seed=1, punishment=0.01)
+        probe_dsic(*small_world, ZeroAdjustment(), trials=5, deviations_per_trial=5, seed=1, punishment=0.01)
 
 
 @pytest.mark.parametrize("punishment", [0.0, -1.0, math.nan, math.inf])
 def test_probe_dsic_rejects_a_punishment_that_is_not_positive_and_finite(small_world, punishment):
     """A nan or inf punishment would pass every comparison with the pivot payments and make the probe vacuous."""
-    _, economies, deviations = small_world
     with pytest.raises(ValueError, match="^punishment must be positive and finite, got"):
-        probe_dsic(economies, deviations, trials=5, deviations_per_trial=5, punishment=punishment)
+        probe_dsic(*small_world, trials=5, deviations_per_trial=5, punishment=punishment)
 
 
 @pytest.mark.parametrize("deviations_per_trial", [0, -1])
 def test_probe_dsic_rejects_fewer_than_one_deviation_per_trial(small_world, deviations_per_trial):
-    _, economies, deviations = small_world
     with pytest.raises(ValueError, match=f"^deviations_per_trial must be >= 1, got {deviations_per_trial}$"):
-        probe_dsic(economies, deviations, trials=5, deviations_per_trial=deviations_per_trial)
+        probe_dsic(*small_world, trials=5, deviations_per_trial=deviations_per_trial)
 
 
 @pytest.mark.parametrize("field", ["trials", "deviations_per_trial"])
 @pytest.mark.parametrize("count, message", [(0, "must be >= 1, got 0"), (2.0, "must be an integer, got 2.0")])
 def test_probe_dsic_rejects_a_count_that_is_not_a_positive_integer(small_world, field, count, message):
-    _, economies, deviations = small_world
     with pytest.raises(ValueError, match=f"^{field} {message}$"):
-        probe_dsic(economies, deviations, **{"trials": 5, "deviations_per_trial": 5, field: count})
+        probe_dsic(*small_world, **{"trials": 5, "deviations_per_trial": 5, field: count})
 
 
 def test_check_efficiency_grid(split_cost_economy):
@@ -178,25 +171,28 @@ def test_probes_reject_a_tolerance_no_gap_can_exceed(tol, small_world):
         check_ir(economy, payments, tol=tol)
     with pytest.raises(ValueError, match=message):
         check_wbb(economy, payments, tol=tol)
-    _, economies, deviations = small_world
     with pytest.raises(ValueError, match=message):
-        check_surplus_monotonicity(economies, trials=2, tol=tol)
+        check_surplus_monotonicity(*small_world, trials=2, tol=tol)
     with pytest.raises(ValueError, match=message):
-        probe_dsic(economies, deviations, trials=1, deviations_per_trial=2, tol=tol)
+        probe_dsic(*small_world, trials=1, deviations_per_trial=2, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_probes_check_the_tolerance_before_any_work(tol):
     """A bad tolerance fails before a probe draws or solves anything."""
 
-    def never(*args):
-        raise AssertionError("a probe drew before checking its tolerance")
+    class Unread:
+        """A support or family stand-in: reading any attribute of it fails the test."""
 
+        def __getattribute__(self, name):
+            raise AssertionError(f"a probe read .{name} before checking its tolerance")
+
+    never = Unread()
     message = r"^tol must be a number below \+inf, got (nan|inf)$"
     with pytest.raises(ValueError, match=message):
-        probe_dsic(never, never, trials=200, deviations_per_trial=20, tol=tol)
+        probe_dsic(never, never, never, trials=200, deviations_per_trial=20, tol=tol)
     with pytest.raises(ValueError, match=message):
-        check_surplus_monotonicity(never, trials=1000, tol=tol)
+        check_surplus_monotonicity(never, never, never, trials=1000, tol=tol)
     economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
     # an unknown method raises only once the check gets past its tolerance
     with pytest.raises(ValueError, match=message):
@@ -311,35 +307,36 @@ def test_monotonicity_zero_capacity_producer_is_inert():
 
 
 def test_check_surplus_monotonicity_sampled(small_world):
-    _, economies, _ = small_world
-    report = check_surplus_monotonicity(economies, trials=300, seed=13)
+    report = check_surplus_monotonicity(*small_world, trials=300, seed=13)
     assert report.passed, report.to_dict()
     assert report.max_gap <= 1e-8
 
 
 def test_reports_are_deterministic(small_world):
-    _, economies, deviations = small_world
-    a = probe_dsic(economies, deviations, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
-    b = probe_dsic(economies, deviations, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
+    a = probe_dsic(*small_world, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
+    b = probe_dsic(*small_world, ZeroAdjustment(), trials=20, deviations_per_trial=5, seed=17)
     assert a.to_dict() == b.to_dict()
 
 
 def test_probe_dsic_single_producer():
     support = PriorSupport.uniform_box(1, 1)
-    sampler = uniform_economy_sampler(support, SqrtSumValuation(scale=1.0), LinearCost())
-    report = probe_dsic(sampler, mixed_deviation_sampler(support), trials=5, deviations_per_trial=4, seed=2)
+    report = probe_dsic(support, SqrtSumValuation(scale=1.0), LinearCost(), trials=5, deviations_per_trial=4, seed=2)
     assert report.trials == 20
     assert report.passed
 
 
 def test_probe_dsic_utilities_match_total_payment():
     economy = Economy.sqrt_sum([1.0, 2.0, 0.5], [0.1, 0.4, 0.3], [0.7, 0.9])
-    support = PriorSupport.uniform_box(3, 2)
-    adjustment = AnalyticAdjustment(support, economy.valuation, economy.cost)
-    # producer 0 over-reports its capacity (punished), the others under-report it
+    adjustment = AnalyticAdjustment(PriorSupport.uniform_box(3, 2), economy.valuation, economy.cost)
+    # a support box of one point draws this economy in every trial
+    point = PriorSupport(
+        economy.capacities, economy.capacities, economy.cost_types, economy.cost_types,
+        economy.valuation_types, economy.valuation_types,
+    )
     report = probe_dsic(
-        lambda rng: economy,
-        lambda rng, e, i: (np.array([1.5]), 0.05),
+        point,
+        economy.valuation,
+        economy.cost,
         adjustment=adjustment,
         trials=1,
         deviations_per_trial=12,
@@ -349,15 +346,94 @@ def test_probe_dsic_utilities_match_total_payment():
     for witness in report.violations:
         i = witness["producer"]
         seen.add(i)
+        assert (witness["capacities"], witness["cost_types"]) == (economy.capacities.tolist(), economy.cost_types.tolist())
         bids = economy.truthful_bids()
         truth = total_payment(economy, bids, adjustment=adjustment).utilities[i]
         caps = bids.capacities.copy()
-        caps[i] = 1.5
+        caps[i] = witness["deviation_capacity"]
         gammas = bids.cost_types.copy()
-        gammas[i] = 0.05
+        gammas[i] = witness["deviation_gamma"]
         lying = BidProfile(caps, gammas, bids.valuation_types)
         lie = total_payment(economy, lying, adjustment=adjustment).utilities[i]
         assert witness["truth_utility"] == truth
         assert witness["deviation_utility"] == lie
     assert seen == {0, 1, 2}
+    # an over-report is punished; some under-report is not
     assert any(w["deviation_utility"] == -1e6 for w in report.violations)
+    assert any(w["deviation_utility"] != -1e6 for w in report.violations)
+
+
+# the flagship support, a 2-D support with per-producer bounds, and a support of zero truths, where every mode but
+# the over-report returns the truth and the nudge runs
+STREAM_SUPPORTS = {
+    "flagship": ExperimentConfig.load(CONFIGS / "flagship.json").support(),
+    "2d": PriorSupport(
+        [[0.0, 1.0], [0.5, 0.0], [2.0, 2.0]], [[1.0, 3.0], [4.0, 2.5], [2.0, 6.0]],
+        [0.0, 0.2, 0.5], [1.0, 0.4, 1.5], [0.0, 0.5], [1.0, 2.0],
+    ),
+    "zero_truth": PriorSupport.uniform_box(3, 2, cap=(0.0, 0.0), gamma=(0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_SUPPORTS))
+def test_one_draw_samplers_keep_the_per_draw_streams(name):
+    """The one-economy and one-deviation samplers draw the per-draw oracles' values and leave their generator state."""
+    support = STREAM_SUPPORTS[name]
+    valuation, cost = SqrtSumValuation(scale=float(support.n)), LinearCost()
+    ours, theirs = np.random.default_rng(23), np.random.default_rng(23)
+    economies = uniform_economy_sampler(support, valuation, cost), reference_uniform_economy_sampler(support, valuation, cost)
+    deviations = mixed_deviation_sampler(support), reference_mixed_deviation_sampler(support)
+    nudged = 0
+    for _ in range(1000):
+        economy, want = economies[0](ours), economies[1](theirs)
+        for field in ("capacities", "cost_types", "valuation_types"):
+            a, b = getattr(economy, field), getattr(want, field)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field
+        i = int(ours.integers(support.n))
+        assert i == int(theirs.integers(support.n))
+        (cap, gamma), (want_cap, want_gamma) = deviations[0](ours, economy, i), deviations[1](theirs, want, i)
+        assert (cap.shape, cap.tobytes()) == (want_cap.shape, want_cap.tobytes())
+        assert type(gamma) is float and np.float64(gamma).tobytes() == np.float64(want_gamma).tobytes()
+        nudged += gamma == economy.cost_types[i] + 0.25 * (support.gamma_hi[i] - support.gamma_lo[i]) + 0.01
+    assert ours.random() == theirs.random()
+    assert (nudged > 0) == (name == "zero_truth")
+
+
+def test_draw_deviations_follows_each_rows_mode():
+    support = STREAM_SUPPORTS["2d"]
+    rows = 2000
+    rng = np.random.default_rng(4)
+    producers = rng.integers(support.n, size=rows)
+    caps = rng.uniform(support.cap_lo[producers], support.cap_hi[producers])
+    gammas = rng.uniform(support.gamma_lo[producers], support.gamma_hi[producers])
+    zero = np.arange(rows) % 10 == 0
+    caps[zero], gammas[zero] = 0.0, 0.0
+    caps[np.arange(rows) % 10 == 5] = 0.0  # a zero capacity alone: scaling still moves the cost type
+    dev_caps, dev_gammas = draw_deviations(support, np.random.default_rng(9), caps, gammas, producers)
+    mode = np.random.default_rng(9).integers(5, size=rows)  # the first draw
+    assert set(mode.tolist()) == {0, 1, 2, 3, 4}
+    assert dev_caps.shape == caps.shape and dev_gammas.shape == gammas.shape
+
+    # the nudge fires on the scaled zero truths and nowhere else; every report differs from the truth
+    nudge = zero & (mode >= 1) & (mode <= 3)
+    assert nudge.any()
+    span = support.gamma_hi - support.gamma_lo
+    assert np.all(dev_caps[nudge] == 0.0)
+    assert np.array_equal(dev_gammas[nudge], 0.25 * span[producers[nudge]] + 0.01)
+    assert np.all((dev_caps != caps).any(axis=-1) | (dev_gammas != gammas))
+
+    box = mode == 0
+    lo, hi = support.cap_lo[producers[box]], support.cap_hi[producers[box]]
+    assert np.all((lo <= dev_caps[box]) & (dev_caps[box] <= hi))
+    g = producers[box]
+    assert np.all((support.gamma_lo[g] <= dev_gammas[box]) & (dev_gammas[box] <= support.gamma_hi[g]))
+    for m, factor in ((1, 0.5), (2, 0.9), (3, 1.1)):
+        scaled = (mode == m) & ~nudge
+        assert np.array_equal(dev_caps[scaled], factor * caps[scaled])
+        assert np.array_equal(dev_gammas[scaled], factor * gammas[scaled])
+    over = mode == 4
+    assert np.array_equal(dev_gammas[over], gammas[over])
+    assert np.all(dev_caps[over] > caps[over])
+    # cap * f + s with f in [1.2, 2) and s in [0.05, 0.5), one (f, s) per row
+    assert np.all(dev_caps[over] >= caps[over] * 1.2 + 0.05 - 1e-12)
+    assert np.all(dev_caps[over] <= caps[over] * 2.0 + 0.5 + 1e-12)
