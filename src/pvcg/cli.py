@@ -15,11 +15,11 @@ from .experiment import (
     payment_surface,
     run_experiment,
     run_probes,
-    surface_rows,
-    write_csv,
     write_report,
+    write_surface,
+    write_training,
 )
-from .learner import load_model, save_model, train
+from .learner import load_model, train
 from .model import check_assumptions, load_economy, make_cost, make_valuation, bids_from_dict
 from .payments import ZeroAdjustment, total_payment
 
@@ -61,11 +61,14 @@ def _loading(args):
         raise SystemExit(2) from None
 
 
-def _add_common(p, config_required: bool = False):
-    p.add_argument("--config", type=Path, required=config_required, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _add_common(p, seed: bool = True, punishment: bool = True):
+    """The config flags; ``--seed`` and ``--punishment`` only on the commands that read them."""
+    p.add_argument("--config", type=Path, help="experiment config JSON")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--punishment", type=float, default=None, help="punishment constant P")
+    if punishment:
+        p.add_argument("--punishment", type=float, default=None, help="punishment constant P")
     p.add_argument("--method", choices=["analytic", "gradient"], default=None, help="surplus solver")
 
 
@@ -113,10 +116,9 @@ def cmd_train(args) -> int:
     model, trace = train(valuation, cost, config.support(), config.training, method=config.method)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
-    write_csv(out / "loss_trace.csv", ["epoch", "loss"], enumerate(trace.losses))
+    trace_path, model_path = write_training(out, model, trace)
     print(f"trained {config.n} networks: epochs={trace.epochs_run} final_loss={trace.final_loss:.6g}")
-    print(f"wrote {out / 'model.json'} and {out / 'loss_trace.csv'}")
+    print(f"wrote {model_path} and {trace_path}")
     return 0 if trace.final_loss <= config.training.loss_tol else 1
 
 
@@ -156,10 +158,10 @@ def cmd_surface(args) -> int:
     )
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "surface.csv", ["x0", "gamma0", "tau0", "adjustment0", "p0"], surface_rows(record))
+    path, verdicts = write_surface(out, record)
     print(
-        f"wrote {out / 'surface.csv'}  monotone_x={record.monotone_in_capacity()} "
-        f"monotone_gamma={record.monotone_in_gamma()} plateau_gap={record.plateau_gap():.3g}"
+        f"wrote {path}  monotone_x={verdicts['monotone_in_capacity']} "
+        f"monotone_gamma={verdicts['monotone_in_gamma']} plateau_gap={verdicts['plateau_gap']:.3g}"
     )
     return 0
 
@@ -175,9 +177,7 @@ def _count(text: str) -> int:
 def cmd_check_assumptions(args) -> int:
     valuation = make_valuation(args.family, scale=args.scale if args.scale is not None else float(args.producers))
     cost = make_cost(args.cost_family)
-    report = check_assumptions(
-        valuation, cost, n=args.producers, samples=args.samples, seed=args.seed or 0,
-    )
+    report = check_assumptions(valuation, cost, n=args.producers, samples=args.samples, seed=args.seed)
     print(json.dumps(report.summary(), indent=2))
     if not report.passed:
         witnesses = report.to_dict()["witnesses"]
@@ -202,11 +202,11 @@ def main(argv=None) -> int:
     p.add_argument("--economy", type=Path, required=True, help="economy JSON")
     p.add_argument("--bids", type=Path, default=None, help="bid profile JSON (truthful when omitted)")
     p.add_argument("--adjustment", default="zero", help="zero | analytic | learned:PATH")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("train", help="train the adjustment networks")
-    _add_common(p)
+    _add_common(p, punishment=False)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("verify", help="run all probes; nonzero exit on any failure")
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("surface", help="payment surface over producer 0's reports")
     p.add_argument("--adjustment", default="zero", help="zero | analytic | learned:PATH")
-    _add_common(p)
+    _add_common(p, seed=False, punishment=False)
     p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("check-assumptions", help="sampled structural checks of a family")

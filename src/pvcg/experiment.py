@@ -24,7 +24,7 @@ from .adjustment import (
     sample_prior,
 )
 from .allocation import solve_batch
-from .learner import LearnedAdjustment, TrainingConfig, save_model, train
+from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
 from .model import (
     Economy, _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
 )
@@ -102,11 +102,11 @@ class SurfaceRecord:
     adjustment: float      # constant across the grid: it never reads producer 0's report
     fixed: dict
 
-    def monotone_in_capacity(self, tol: float = 1e-6) -> bool:
-        return bool(np.all(np.diff(self.payments, axis=0) >= -tol))
+    def monotone_in_capacity(self) -> bool:
+        return bool(np.all(np.diff(self.payments, axis=0) >= -1e-6))
 
-    def monotone_in_gamma(self, tol: float = 1e-6) -> bool:
-        return bool(np.all(np.diff(self.payments, axis=1) <= tol))
+    def monotone_in_gamma(self) -> bool:
+        return bool(np.all(np.diff(self.payments, axis=1) <= 1e-6))
 
     def plateau_gap(self) -> float:
         """Worst distance between the highest-cost-column payment and the adjustment alone."""
@@ -276,6 +276,27 @@ def surface_rows(record: SurfaceRecord):
             yield (x0, g0, record.tau[a, b], record.adjustment, record.payments[a, b])
 
 
+def write_training(out: Path, model: LearnedAdjustment, trace: TrainingTrace) -> tuple[Path, Path]:
+    """Write a training run's ``loss_trace.csv`` and ``model.json`` under ``out``; return their paths."""
+    trace_path, model_path = out / "loss_trace.csv", out / "model.json"
+    write_csv(trace_path, ["epoch", "loss"], enumerate(trace.losses))
+    save_model(model, model_path)
+    return trace_path, model_path
+
+
+def write_surface(out: Path, record: SurfaceRecord) -> tuple[Path, dict]:
+    """Write ``surface.csv`` under ``out``; return its path and the surface's verdicts."""
+    path = out / "surface.csv"
+    write_csv(path, ["x0", "gamma0", "tau0", "adjustment0", "p0"], surface_rows(record))
+    gap = record.plateau_gap()
+    return path, {
+        "monotone_in_capacity": record.monotone_in_capacity(),
+        "monotone_in_gamma": record.monotone_in_gamma(),
+        "plateau_gap": gap,
+        "plateau_matches_adjustment": gap <= 1e-3,
+    }
+
+
 # ---------------------------------------------------------------------------
 # sampled IR / WBB sweep with instance-wise loss equivalence
 # ---------------------------------------------------------------------------
@@ -427,12 +448,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     valuation, cost = config.families()
 
     model, trace = train(valuation, cost, support, config.training, method=config.method)
-    write_csv(
-        out / "loss_trace.csv",
-        ["epoch", "loss"],
-        ((epoch, loss) for epoch, loss in enumerate(trace.losses)),
-    )
-    save_model(model, out / "model.json")
+    write_training(out, model, trace)
 
     probes = run_probes(
         config,
@@ -447,17 +463,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         valuation, cost, config.n, config.m, adjustment=model,
         grid=config.surface, method=config.method,
     )
-    write_csv(
-        out / "surface.csv",
-        ["x0", "gamma0", "tau0", "adjustment0", "p0"],
-        surface_rows(surface),
-    )
-    surface_report = {
-        "monotone_in_capacity": surface.monotone_in_capacity(),
-        "monotone_in_gamma": surface.monotone_in_gamma(),
-        "plateau_gap": surface.plateau_gap(),
-        "plateau_matches_adjustment": surface.plateau_gap() <= 1e-3,
-    }
+    _, surface_report = write_surface(out, surface)
 
     passed = (
         trace.final_loss <= config.training.loss_tol

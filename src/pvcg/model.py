@@ -406,6 +406,14 @@ def social_surplus(view, accepted) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the sampling box of check_assumptions: bundles in [0, 5]^dim, types in [0, 1]; and its tolerance
+ASSUMPTION_CAP_HIGH = 5.0
+ASSUMPTION_THETA_HIGH = 1.0
+ASSUMPTION_GAMMA_HIGH = 1.0
+ASSUMPTION_TOL = 1e-9
+ASSUMPTIONS = ("monotonicity", "zero_input", "super_additivity", "cross_marginal")
+
+
 @dataclass
 class AssumptionReport:
     """Sampled verdicts for the four structural assumptions on a family pair.
@@ -422,41 +430,17 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return not (self.monotonicity or self.zero_input or self.super_additivity or self.cross_marginal)
+        return not any(getattr(self, name) for name in ASSUMPTIONS)
 
     def summary(self) -> dict:
-        return {
-            "samples": self.samples,
-            "passed": self.passed,
-            "monotonicity_violations": len(self.monotonicity),
-            "zero_input_violations": len(self.zero_input),
-            "super_additivity_violations": len(self.super_additivity),
-            "cross_marginal_violations": len(self.cross_marginal),
-        }
+        counts = {f"{name}_violations": len(getattr(self, name)) for name in ASSUMPTIONS}
+        return {"samples": self.samples, "passed": self.passed, **counts}
 
     def to_dict(self) -> dict:
-        out = self.summary()
-        out["witnesses"] = {
-            "monotonicity": self.monotonicity[:10],
-            "zero_input": self.zero_input[:10],
-            "super_additivity": self.super_additivity[:10],
-            "cross_marginal": self.cross_marginal[:10],
-        }
-        return out
+        return {**self.summary(), "witnesses": {name: getattr(self, name)[:10] for name in ASSUMPTIONS}}
 
 
-def check_assumptions(
-    valuation,
-    cost,
-    n: int,
-    samples: int = 10_000,
-    seed: int = 0,
-    dim: int = 1,
-    cap_high: float = 5.0,
-    theta_high: float = 1.0,
-    gamma_high: float = 1.0,
-    tol: float = 1e-9,
-) -> AssumptionReport:
+def check_assumptions(valuation, cost, n: int, samples: int = 10_000, seed: int = 0, dim: int = 1) -> AssumptionReport:
     """Sample random profiles and report violations of the structural assumptions.
 
     Checked per sample:
@@ -469,68 +453,62 @@ def check_assumptions(
     4. decreasing cross marginal returns: producer i's marginal value shrinks
        when the others contribute more.
 
-    Violations are report entries (with witnesses), never exceptions.
+    Each quantity is drawn once, as an array over the samples, and each set of
+    profiles valued in one ``value_rows`` or ``cost_rows``; only ``standalone``
+    is asked one (sample, producer) at a time. Violations are report entries
+    (with witnesses, by sample, then by check), never exceptions.
     """
     for name, count in (("n", n), ("dim", dim), ("samples", samples)):
         _check_count(name, count)
     rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, ASSUMPTION_CAP_HIGH, size=(samples, n, dim))
+    x_small = x * rng.uniform(0.0, 1.0, size=(samples, n, dim))
+    theta = rng.uniform(0.0, ASSUMPTION_THETA_HIGH, samples)
+    gamma = rng.uniform(0.0, ASSUMPTION_GAMMA_HIGH, samples)
+    i = rng.integers(n, size=samples)
+    bump = rng.uniform(0.0, ASSUMPTION_CAP_HIGH, samples)
+    d = rng.integers(dim, size=samples)
+    theta_up = theta + rng.uniform(0.0, ASSUMPTION_THETA_HIGH, samples)
+    gamma_up = gamma + rng.uniform(0.0, ASSUMPTION_GAMMA_HIGH, samples)
+    t, tol = np.arange(samples), ASSUMPTION_TOL
+
+    def value(profiles, thetas=theta):
+        return value_rows(valuation, profiles, thetas[:, None])
+
+    def with_row_i(profiles, rows):
+        out = profiles.copy()
+        out[t, i] = rows
+        return out
+
+    x_up = x.copy()
+    x_up[t, i, d] += bump
+    v0, x_i = value(x), x[t, i]
+    c0 = cost_rows(cost, x_i, gamma)
+    x_removed = x[np.arange(n) != i[:, None]].reshape(samples, n - 1, dim)
+    solo_sum = np.array([
+        sum(valuation.standalone(x[k, j], th) for j in range(n)) for k, th in enumerate(theta.tolist())
+    ])
+    # producer i's marginal value beside the others' x and beside their x_small (x >= x_small componentwise)
+    lhs = v0 - value(with_row_i(x, x_small[t, i]))
+    rhs = value(with_row_i(x_small, x_i)) - value(x_small)
+    # (assumption, kind or None, violated per sample, witness fields), in recording order
+    checks = [
+        ("monotonicity", "valuation/x", value(x_up) < v0 - tol, ("x", "theta")),
+        ("monotonicity", "valuation/theta", value(x, theta_up) < v0 - tol, ("x", "theta")),
+        ("monotonicity", "cost/x", cost_rows(cost, x_up[t, i], gamma) < c0 - tol, ("x_i", "gamma")),
+        ("monotonicity", "cost/gamma", cost_rows(cost, x_i, gamma_up) < c0 - tol, ("x_i", "gamma")),
+        ("zero_input", "valuation", np.abs(value(with_row_i(x, 0.0)) - value(x_removed)) > tol, ("x", "i", "theta")),
+        ("zero_input", "cost", np.abs(cost_rows(cost, np.zeros((samples, dim)), gamma)) > tol, ("gamma",)),
+        ("super_additivity", None, v0 < solo_sum - tol, ("x", "theta", "joint", "solo_sum")),
+        ("cross_marginal", None, lhs > rhs + tol, ("i", "x", "x_small", "theta", "gap")),
+    ]
+    columns = {"x": x, "x_i": x_i, "x_small": x_small, "i": i, "theta": theta, "gamma": gamma,
+               "joint": v0, "solo_sum": solo_sum, "gap": lhs - rhs}
     report = AssumptionReport(samples=samples)
-
-    for k in range(samples):
-        x = rng.uniform(0.0, cap_high, size=(n, dim))
-        x_small = x * rng.uniform(0.0, 1.0, size=(n, dim))
-        theta = rng.uniform(0.0, theta_high)
-        gamma = rng.uniform(0.0, gamma_high)
-        i = int(rng.integers(n))
-
-        # 1. monotonicity (random coordinate bump; theta/gamma bump)
-        bump = rng.uniform(0.0, cap_high)
-        x_up = x.copy()
-        d = int(rng.integers(dim))
-        x_up[i, d] += bump
-        v0 = valuation.value(x, theta)
-        if valuation.value(x_up, theta) < v0 - tol:
-            report.monotonicity.append({"sample": k, "kind": "valuation/x", "x": x.tolist(), "theta": theta})
-        if valuation.value(x, theta + rng.uniform(0.0, theta_high)) < v0 - tol:
-            report.monotonicity.append({"sample": k, "kind": "valuation/theta", "x": x.tolist(), "theta": theta})
-        c0 = cost.cost(x[i], gamma)
-        if cost.cost(x_up[i], gamma) < c0 - tol:
-            report.monotonicity.append({"sample": k, "kind": "cost/x", "x_i": x[i].tolist(), "gamma": gamma})
-        if cost.cost(x[i], gamma + rng.uniform(0.0, gamma_high)) < c0 - tol:
-            report.monotonicity.append({"sample": k, "kind": "cost/gamma", "x_i": x[i].tolist(), "gamma": gamma})
-
-        # 2. zero input makes no difference
-        x_zeroed = x.copy()
-        x_zeroed[i] = 0.0
-        x_removed = np.delete(x, i, axis=0)
-        if abs(valuation.value(x_zeroed, theta) - valuation.value(x_removed, theta)) > tol:
-            report.zero_input.append({"sample": k, "kind": "valuation", "x": x.tolist(), "i": i, "theta": theta})
-        if abs(cost.cost(np.zeros(dim), gamma)) > tol:
-            report.zero_input.append({"sample": k, "kind": "cost", "gamma": gamma})
-
-        # 3. super-additivity against the lone-producer baseline
-        solo_sum = sum(valuation.standalone(x[j], theta) for j in range(n))
-        if valuation.value(x, theta) < solo_sum - tol:
-            report.super_additivity.append(
-                {"sample": k, "x": x.tolist(), "theta": theta, "joint": valuation.value(x, theta), "solo_sum": solo_sum}
-            )
-
-        # 4. decreasing cross marginal returns: x >= x_small componentwise
-        hi_others = x.copy()
-        hi_others[i] = x[i]
-        lo_others = x_small.copy()
-        lo_others[i] = x[i]
-        hi_others_small_i = x.copy()
-        hi_others_small_i[i] = x_small[i]
-        lo_others_small_i = x_small.copy()
-        lo_others_small_i[i] = x_small[i]
-        lhs = valuation.value(hi_others, theta) - valuation.value(hi_others_small_i, theta)
-        rhs = valuation.value(lo_others, theta) - valuation.value(lo_others_small_i, theta)
-        if lhs > rhs + tol:
-            report.cross_marginal.append(
-                {"sample": k, "i": i, "x": x.tolist(), "x_small": x_small.tolist(), "theta": theta, "gap": lhs - rhs}
-            )
-
+    for k, check in zip(*np.nonzero(np.stack([violated for _, _, violated, _ in checks], axis=1))):
+        name, kind, _, keys = checks[check]
+        witness = {"sample": int(k)} if kind is None else {"sample": int(k), "kind": kind}
+        getattr(report, name).append({**witness, **{key: columns[key][k].tolist() for key in keys}})
     return report
 
 

@@ -1173,3 +1173,69 @@ def reference_feasibility_check(name, support, valuation, cost, samples, seed, m
                 "cost_types": gammas[k].tolist(), "valuation_types": thetas[k].tolist(),
             })
     return report
+
+
+# ---------------------------------------------------------------------------
+# per-sample structural assumption checks
+# ---------------------------------------------------------------------------
+
+
+def reference_check_assumptions(valuation, cost, x, x_small, theta, gamma, producers, bumps, coordinates,
+                                theta_steps, gamma_steps):
+    """``check_assumptions`` on given draws, one sample at a time, through the scalar ``value``, ``cost`` and
+    ``standalone``.
+
+    Sample k is profile ``x[k]``, its shrunk copy ``x_small[k]``, types ``theta[k]`` and ``gamma[k]`` and producer
+    ``producers[k]``, whose coordinate ``coordinates[k]`` is bumped by ``bumps[k]``; the types are raised by
+    ``theta_steps[k]`` and ``gamma_steps[k]``.
+    """
+    from pvcg.model import ASSUMPTION_TOL as tol, AssumptionReport
+
+    samples, n, dim = x.shape
+    report = AssumptionReport(samples=samples)
+    for k in range(samples):
+        xk, xk_small, th, g = x[k], x_small[k], float(theta[k]), float(gamma[k])
+        i, d = int(producers[k]), int(coordinates[k])
+
+        # 1. monotonicity (random coordinate bump; theta/gamma bump)
+        x_up = xk.copy()
+        x_up[i, d] += bumps[k]
+        v0 = valuation.value(xk, th)
+        if valuation.value(x_up, th) < v0 - tol:
+            report.monotonicity.append({"sample": k, "kind": "valuation/x", "x": xk.tolist(), "theta": th})
+        if valuation.value(xk, th + theta_steps[k]) < v0 - tol:
+            report.monotonicity.append({"sample": k, "kind": "valuation/theta", "x": xk.tolist(), "theta": th})
+        c0 = cost.cost(xk[i], g)
+        if cost.cost(x_up[i], g) < c0 - tol:
+            report.monotonicity.append({"sample": k, "kind": "cost/x", "x_i": xk[i].tolist(), "gamma": g})
+        if cost.cost(xk[i], g + gamma_steps[k]) < c0 - tol:
+            report.monotonicity.append({"sample": k, "kind": "cost/gamma", "x_i": xk[i].tolist(), "gamma": g})
+
+        # 2. zero input makes no difference
+        x_zeroed = xk.copy()
+        x_zeroed[i] = 0.0
+        x_removed = np.delete(xk, i, axis=0)
+        if abs(valuation.value(x_zeroed, th) - valuation.value(x_removed, th)) > tol:
+            report.zero_input.append({"sample": k, "kind": "valuation", "x": xk.tolist(), "i": i, "theta": th})
+        if abs(cost.cost(np.zeros(dim), g)) > tol:
+            report.zero_input.append({"sample": k, "kind": "cost", "gamma": g})
+
+        # 3. super-additivity against the lone-producer baseline
+        solo_sum = sum(valuation.standalone(xk[j], th) for j in range(n))
+        if valuation.value(xk, th) < solo_sum - tol:
+            report.super_additivity.append(
+                {"sample": k, "x": xk.tolist(), "theta": th, "joint": valuation.value(xk, th), "solo_sum": solo_sum}
+            )
+
+        # 4. decreasing cross marginal returns: x >= x_small componentwise
+        lo_others = xk_small.copy()
+        lo_others[i] = xk[i]
+        hi_others_small_i = xk.copy()
+        hi_others_small_i[i] = xk_small[i]
+        lhs = valuation.value(xk, th) - valuation.value(hi_others_small_i, th)
+        rhs = valuation.value(lo_others, th) - valuation.value(xk_small, th)
+        if lhs > rhs + tol:
+            report.cross_marginal.append(
+                {"sample": k, "i": i, "x": xk.tolist(), "x_small": xk_small.tolist(), "theta": th, "gap": lhs - rhs}
+            )
+    return report

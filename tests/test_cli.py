@@ -96,6 +96,19 @@ def test_check_assumptions_rejects_a_zero_scale_instead_of_defaulting_it():
         main(["check-assumptions", "--scale", "0", "--samples", "10"])
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["train"], "--punishment"),
+    (["surface"], "--seed"),
+    (["surface"], "--punishment"),
+    (["simulate", "--economy", "economy.json"], "--seed"),
+])
+def test_a_flag_the_command_does_not_read_is_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"pvcg: error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_train_and_surface_and_verify(config_file, tmp_path, capsys):
     _, config_path = config_file
     out = tmp_path / "artifacts"

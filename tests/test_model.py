@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,10 +20,12 @@ from pvcg import (
     economy_to_dict,
     social_surplus,
 )
-from pvcg.model import cost_rows, surplus_rows, value_rows
+from pvcg.model import (
+    ASSUMPTION_CAP_HIGH, ASSUMPTION_GAMMA_HIGH, ASSUMPTION_THETA_HIGH, cost_rows, surplus_rows, value_rows,
+)
 
 from conftest import convex_cost, weighted_valuation
-from oracles import social_surplus as loop_surplus, total_valuation as loop_valuation
+from oracles import reference_check_assumptions, social_surplus as loop_surplus, total_valuation as loop_valuation
 
 
 def test_sqrt_sum_value_examples():
@@ -135,6 +138,52 @@ def test_check_assumptions_square_family_breaks_cross_marginal():
     lhs = fam.value(np.array([1.0, 1.0]), 1.0) - fam.value(np.array([0.0, 1.0]), 1.0)
     rhs = fam.value(np.array([1.0, 0.0]), 1.0) - fam.value(np.array([0.0, 0.0]), 1.0)
     assert lhs > rhs
+
+
+def _assumption_draws(n, dim, samples, seed):
+    """``check_assumptions``'s draws: profiles, shrink factors, types, producers, bumps, coordinates, type steps."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, ASSUMPTION_CAP_HIGH, size=(samples, n, dim))
+    x_small = x * rng.uniform(0.0, 1.0, size=(samples, n, dim))
+    theta, gamma = rng.uniform(0.0, ASSUMPTION_THETA_HIGH, samples), rng.uniform(0.0, ASSUMPTION_GAMMA_HIGH, samples)
+    producers, bumps = rng.integers(n, size=samples), rng.uniform(0.0, ASSUMPTION_CAP_HIGH, samples)
+    coordinates = rng.integers(dim, size=samples)
+    steps = rng.uniform(0.0, ASSUMPTION_THETA_HIGH, samples), rng.uniform(0.0, ASSUMPTION_GAMMA_HIGH, samples)
+    return x, x_small, theta, gamma, producers, bumps, coordinates, *steps
+
+
+ASSUMPTION_CASES = {
+    "sqrt_sum-n1": (SqrtSumValuation(scale=1.0), LinearCost(), 1, 1),
+    "sqrt_sum-n4-dim2": (SqrtSumValuation(scale=4.0), LinearCost(), 4, 2),
+    "sqrt_sum-n10": (SqrtSumValuation(scale=10.0), LinearCost(), 10, 1),
+    # a synergy multiplier below n breaks super-additivity
+    "sqrt_sum-low-scale": (SqrtSumValuation(scale=1.0), LinearCost(), 4, 1),
+    "sqrt_sum_squares-n10": (SqrtSumSquaresValuation(scale=10.0), LinearCost(), 10, 1),
+    "sqrt_sum_squares-n3-dim2": (SqrtSumSquaresValuation(scale=3.0), LinearCost(), 3, 2),
+    # convex: breaks cross marginal returns
+    "custom-square-n2": (CustomValuation(fn=lambda x, theta: theta * float(x.sum()) ** 2), LinearCost(), 2, 1),
+    # a value and a cost that fall as the bundle and the type grow break every monotonicity; the producer
+    # count in the value and the cost at zero break zero-input neutrality
+    "custom-falling-n5-dim2": (
+        CustomValuation(fn=lambda x, theta: (1.5 - theta) * len(x) * math.exp(-float(x.sum()))),
+        CustomCost(fn=lambda x_i, gamma: (1.5 - gamma) * math.exp(-float(x_i.sum()))),
+        5, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ASSUMPTION_CASES))
+def test_check_assumptions_equals_the_per_sample_check(case):
+    valuation, cost, n, dim = ASSUMPTION_CASES[case]
+    samples, seed = 1_000, 17
+    got = check_assumptions(valuation, cost, n=n, samples=samples, seed=seed, dim=dim)
+    want = reference_check_assumptions(valuation, cost, *_assumption_draws(n, dim, samples, seed))
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    for name in ("monotonicity", "zero_input", "super_additivity", "cross_marginal"):
+        assert getattr(got, name) == getattr(want, name), name
+    if case.startswith("custom-falling"):
+        assert {w["kind"] for w in got.monotonicity} == {"valuation/x", "valuation/theta", "cost/x", "cost/gamma"}
+        assert {w["kind"] for w in got.zero_input} == {"valuation", "cost"}
 
 
 def test_custom_family_standalone_defaults_to_singleton_profile():
