@@ -25,10 +25,9 @@
 #     and budget on some samples (it exits 1), so this pins the ir_wbb counts and
 #     witnesses
 #   pvcg surface --config configs/surface_interior.json --adjustment analytic:
-#     the analytic adjustment's per-producer call (run/surface.csv covers the
-#     learned one's; every other artifact prices through all_producers). Its
-#     capacity support starts above zero and its cost types are cheap, so the
-#     adjustment is non-zero; on flagship's support it is -0.
+#     a surface with a non-zero analytic adjustment (run/surface.csv prices the
+#     learned one). Its capacity support starts above zero and its cost types
+#     are cheap, so the adjustment is non-zero; on flagship's support it is -0.
 #   pvcg surface --config configs/surface_squares.json --adjustment zero: an
 #     8x8 sqrt_sum_squares surface at n=4, so its 64 economies are one
 #     projected-gradient batch, finished together, plus the removed problem

@@ -174,6 +174,12 @@ def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, 
     return caps, gammas, thetas
 
 
+def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) -> float:
+    """Producer ``i``'s adjustment from the others' reports: entry ``i`` of ``all_producers`` on ``_full_profile``."""
+    profile = _full_profile(adjustment.support, i, capacities_others, gammas_others, thetas)
+    return float(adjustment.all_producers(*profile)[i])
+
+
 @dataclass(frozen=True)
 class AnalyticAdjustment:
     """Callable adjustment model wrapping the constructive formula ``-(S_pessimistic - S_without_i)``."""
@@ -183,9 +189,13 @@ class AnalyticAdjustment:
     cost: object
     method: str | None = None
 
-    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        """Producer ``i``'s adjustment from the others' reports: entry ``i`` of ``all_producers`` on them."""
-        return float(self.all_producers(*_full_profile(self.support, i, capacities_others, gammas_others, thetas))[i])
+    def __post_init__(self):
+        # producer i's replacement in row i (its support extremes) and in row n+i (zero capacity)
+        s = self.support
+        object.__setattr__(self, "_replacements", (np.concatenate([s.cap_lo, 0.0 * s.cap_lo]), np.tile(s.gamma_hi, 2)))
+
+    # bound in the class body, so it is in the class ``__dict__``, where perfbench/tracing.py patches it
+    __call__ = _one_producer
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
@@ -195,7 +205,7 @@ class AnalyticAdjustment:
         """
         s = self.support
         caps, gammas, thetas = _check_profile(s, capacities, gammas, thetas)
-        rows = _replaced(caps, gammas, np.concatenate([s.cap_lo, 0.0 * s.cap_lo]), np.tile(s.gamma_hi, 2))
+        rows = _replaced(caps, gammas, *self._replacements)
         surpluses = max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
         return -(surpluses[..., :s.n] - surpluses[..., s.n:])
 

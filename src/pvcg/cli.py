@@ -37,7 +37,7 @@ def _build_adjustment(spec: str, support, valuation, cost, method):
         return AnalyticAdjustment(support, valuation, cost, method=method)
     if spec.startswith("learned:"):
         return load_model(spec.split(":", 1)[1])
-    raise SystemExit(f"unknown adjustment {spec!r}; expected zero, analytic, or learned:PATH")
+    raise ValueError(f"unknown adjustment {spec!r}; expected zero, analytic, or learned:PATH")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -175,8 +175,9 @@ def _count(text: str) -> int:
 
 
 def cmd_check_assumptions(args) -> int:
-    valuation = make_valuation(args.family, scale=args.scale if args.scale is not None else float(args.producers))
-    cost = make_cost(args.cost_family)
+    with _loading(args):
+        valuation = make_valuation(args.family, scale=args.scale if args.scale is not None else float(args.producers))
+        cost = make_cost(args.cost_family)
     report = check_assumptions(valuation, cost, n=args.producers, samples=args.samples, seed=args.seed)
     print(json.dumps(report.summary(), indent=2))
     if not report.passed:

@@ -26,7 +26,7 @@ from .adjustment import (
 from .allocation import solve_batch
 from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
 from .model import (
-    Economy, _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
+    _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
 )
 from .payments import ZeroAdjustment, _check_punishment, _pivot, payments_batch
 from .verification import (
@@ -125,33 +125,25 @@ def payment_surface(
     """Evaluate producer 0's payment over a grid of its own reports.
 
     All other producers report ``fixed_capacity``/``fixed_gamma`` and all consumers ``fixed_theta``; reports are
-    taken at face value (no punishment). The producer-removed problem, the n-1 others without a slot for producer
-    0, and the adjustment read no report of producer 0, so each is solved once for the whole grid; the full
-    problems of the grid are solved in one ``solve_batch``.
+    taken at face value (no punishment). The producer-removed problem and the adjustment read no report of
+    producer 0, so one ``payments_batch`` call prices them on the grid's first profile; the full problems of the
+    grid are solved in one ``solve_batch``.
     """
     _check_count("n", n)
     _check_count("m", m)
     if grid is None:
         grid = SurfaceGrid()
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
-    caps_others = np.full((n - 1, 1), grid.fixed_capacity)
-    gammas_others = np.full(n - 1, grid.fixed_gamma)
-    thetas = np.full(m, grid.fixed_theta)
-    h0 = float(adjustment(0, caps_others, gammas_others, thetas))
-
-    x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
-    gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    first = Economy(
-        np.vstack(([[x_values[0]]], caps_others)), np.concatenate(([gamma_values[0]], gammas_others)),
-        thetas, valuation, cost,
-    )
-    _, removed = solve_batch(caps_others, gammas_others, thetas, valuation, cost, method)
+    x_values = _check_entries(np.linspace(grid.x_lo, grid.x_hi, grid.x_points), "capacities")
+    gamma_values = _check_entries(np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points), "cost types")
     shape = (grid.x_points, grid.gamma_points)
-    caps = np.broadcast_to(first.capacities, shape + first.capacities.shape).copy()
-    caps[..., 0, 0] = _check_entries(x_values, "capacities")[:, None]
-    gammas = np.broadcast_to(first.cost_types, shape + (n,)).copy()
-    gammas[..., 0] = _check_entries(gamma_values, "cost types")
+    caps = np.full(shape + (n, 1), grid.fixed_capacity)
+    caps[..., 0, 0] = x_values[:, None]
+    gammas = np.full(shape + (n,), grid.fixed_gamma)
+    gammas[..., 0] = gamma_values
+    thetas = np.full(m, grid.fixed_theta)
+    first = payments_batch(caps[:1, 0], gammas[:1, 0], thetas[None], valuation, cost, adjustment=adjustment,
+                           method=method)
+    removed, h0 = first.counterfactual_surpluses[0, 0], float(first.adjustment[0, 0])
     accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
     tau = _pivot(surplus, removed, cost_rows(cost, accepted[..., 0, :], gammas[..., 0]))
     return SurfaceRecord(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import PriorSupport, _check_profile, _full_profile, feasibility_penalties, sample_from
+from .adjustment import PriorSupport, _check_profile, _one_producer, feasibility_penalties, sample_from
 from .allocation import _replaced, max_surplus, others_index, waterfill_applies, waterfill_gains
 from .model import _check_count, fields_from_dict, fields_to_dict
 
@@ -250,19 +250,14 @@ class LearnedAdjustment:
     def n(self) -> int:
         return self.support.n
 
-    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        """Network i on the others' reports: ``all_producers``'s forward pass on network i's slice of the stacks."""
-        caps, gammas, thetas = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
-        row = self._full_rows(caps, gammas, thetas)[self._columns[i]]
-        own = slice(i, i + 1)
-        weights, biases = [w[own] for w in self._weights], [b[own] for b in self._biases]
-        return float(_forward_rows(weights, biases, row[None, None])[0, 0])
+    # bound in the class body, so it is in the class ``__dict__``, where perfbench/tracing.py patches it
+    __call__ = _one_producer
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
         Leading axes are a batch of report profiles. Entry i runs network i
-        on the others' reports and equals ``self(i, ...)`` on them bit for bit.
+        on the others' reports; a row's bits do not depend on the batch.
         """
         full = self._full_rows(*_check_profile(self.support, capacities, gammas, thetas))
         inputs = full.reshape(-1, full.shape[-1]).take(self._columns, axis=1).transpose(1, 0, 2)

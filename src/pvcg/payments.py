@@ -38,9 +38,6 @@ _PUNISH_GUARD = 1e-9
 class ZeroAdjustment:
     """The trivial adjustment h_i = 0."""
 
-    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
-        return 0.0
-
     def all_producers(self, capacities, gammas, thetas) -> Array:
         return np.zeros(np.shape(gammas))
 

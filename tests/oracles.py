@@ -199,10 +199,13 @@ def adjustment_for(adjustment, view, i: int) -> float:
     """Producer ``i``'s adjustment under the reports in ``view``; it reads only the others' reports.
 
     Analytic and learned adjustments are priced by the reference above, not
-    by the model's own per-producer call; any other callable is asked itself.
+    by the model's own per-producer call; ``None`` and the zero adjustment
+    are 0.0, and any other callable is asked itself.
     """
-    from pvcg import AnalyticAdjustment, LearnedAdjustment
+    from pvcg import AnalyticAdjustment, LearnedAdjustment, ZeroAdjustment
 
+    if adjustment is None or isinstance(adjustment, ZeroAdjustment):
+        return 0.0
     keep = [k for k in range(view.n) if k != i]
     reports = (i, view.capacities[keep], view.cost_types[keep], view.valuation_types)
     if isinstance(adjustment, AnalyticAdjustment):
@@ -240,7 +243,6 @@ def reference_payment(economy, bids, adjustment, punishment):
     ``adjustment_for``.
     """
     from pvcg import PaymentBreakdown, analytic_waterfill
-    from pvcg.payments import ZeroAdjustment
 
     def solve(view):
         accepted = view.capacities * analytic_waterfill(view).ratios
@@ -256,7 +258,6 @@ def reference_payment(economy, bids, adjustment, punishment):
     taus = np.array(
         [surplus - removed[i] + view.cost.cost(accepted[i], float(view.cost_types[i])) for i in range(n)]
     )
-    adjustment = adjustment or ZeroAdjustment()
     adjustments = np.array([adjustment_for(adjustment, view, i) for i in range(n)])
     true_caps = economy.capacities
     punished = (accepted > true_caps + 1e-9 * (1.0 + np.abs(true_caps))).any(axis=1)
@@ -364,7 +365,6 @@ from pvcg.model import Economy  # noqa: E402
 from pvcg.payments import (  # noqa: E402
     TAU_FORM_TOL,
     PaymentBreakdown,
-    ZeroAdjustment,
     _punished_mask,
     deviation_utilities,
     tau_for_producer,
@@ -459,8 +459,6 @@ def reference_vcg_tau(view, allocation, counterfactuals):
 
 def reference_total_payment(economy, bids=None, adjustment=None, punishment=1e6, method=None, seed=0):
     """The payment stage solved and priced producer by producer."""
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     view = economy.view(bids)
     full, removed = reference_solve_with_counterfactuals(view, method=method, seed=seed)
     taus = reference_vcg_tau(view, full, removed)
@@ -490,8 +488,6 @@ def reference_total_payment(economy, bids=None, adjustment=None, punishment=1e6,
 
 def reference_producer_utility(economy, bids, producer, adjustment=None, punishment=1e6, method=None, seed=0):
     """Utility and pivot payment of one producer from its two solves."""
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     view = economy.view(bids)
     full = reference_solve(view, method=method, seed=seed)
     removed = reference_counterfactual_surplus(view, producer, method=method, seed=seed)
@@ -584,8 +580,6 @@ def reference_probe_dsic(
     payment (P > 10 max |tau|), otherwise the probe rejects its configuration
     instead of passing vacuously.
     """
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     trials, deviations = len(caps), len(producers)
     per_trial = deviations // trials
     report = ProbeReport(name="dsic", trials=deviations)
@@ -705,17 +699,15 @@ def reference_payment_surface(
 
     All other producers report ``fixed_capacity``/``fixed_gamma`` and all
     consumers ``fixed_theta``; reports are taken at face value (no
-    punishment). The producer-removed problem, index-deleted as the library
-    solves it, and the adjustment are constant across the grid and solved once.
+    punishment). The producer-removed problem, producer 0's capacity zeroed,
+    and the adjustment read no report of producer 0; both are taken once, at
+    the grid's first profile.
     """
     if grid is None:
         grid = SurfaceGrid()
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
     caps_others = np.full((n - 1, 1), grid.fixed_capacity)
     gammas_others = np.full(n - 1, grid.fixed_gamma)
     thetas = np.full(m, grid.fixed_theta)
-    h0 = float(adjustment(0, caps_others, gammas_others, thetas))
 
     def reported(x0, g0) -> Economy:
         caps = np.vstack(([[x0]], caps_others))
@@ -723,7 +715,9 @@ def reference_payment_surface(
 
     x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
     gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    removed = reference_deleted_counterfactuals(reported(x_values[0], gamma_values[0]), method=method)[0]
+    first = reported(x_values[0], gamma_values[0])
+    removed = reference_counterfactual_surplus(first, 0, method=method)
+    h0 = adjustment_for(adjustment, first, 0)
     tau = np.empty((grid.x_points, grid.gamma_points))
     for a, x0 in enumerate(x_values):
         for b, g0 in enumerate(gamma_values):

@@ -91,9 +91,30 @@ def test_check_assumptions_rejects_an_empty_count_by_its_flag(flag, capsys):
     assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_check_assumptions_rejects_a_zero_scale_instead_of_defaulting_it():
-    with pytest.raises(ValueError, match="^scale must be positive and finite, got 0.0$"):
+def test_check_assumptions_rejects_a_zero_scale_instead_of_defaulting_it(capsys):
+    with pytest.raises(SystemExit) as exit_info:
         main(["check-assumptions", "--scale", "0", "--samples", "10"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "pvcg check-assumptions: error: scale must be positive and finite, got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--family", "bogus"],
+                     "unknown valuation family tag 'bogus' (custom families are built in code)", id="family"),
+        pytest.param(["--cost-family", "quadratic"],
+                     "unknown cost family tag 'quadratic' (custom families are built in code)", id="cost-family"),
+        pytest.param(["--scale", "-1"], "scale must be positive and finite, got -1.0", id="negative-scale"),
+    ],
+)
+def test_check_assumptions_bad_family_input_is_one_error_line_with_exit_code_2(argv, message, capsys):
+    """A family the CLI cannot build is a bad input (exit 2), not a violated assumption (exit 1)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-assumptions", *argv, "--samples", "10"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"pvcg check-assumptions: error: {message}\n" and not captured.out
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -178,6 +199,12 @@ def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_
         pytest.param(["run", "--seed", "-1"], "pvcg run: error: seed must be >= 0, got -1", id="negative-seed"),
         pytest.param(["verify", "--adjustment", "learned:{missing}"],
                      "pvcg verify: error: [Errno 2] No such file or directory: '{missing}'", id="missing-checkpoint"),
+        pytest.param(["verify", "--adjustment", "bogus"],
+                     "pvcg verify: error: unknown adjustment 'bogus'; expected zero, analytic, or learned:PATH",
+                     id="unknown-adjustment"),
+        pytest.param(["surface", "--adjustment", "bogus"],
+                     "pvcg surface: error: unknown adjustment 'bogus'; expected zero, analytic, or learned:PATH",
+                     id="unknown-adjustment-surface"),
     ],
 )
 def test_a_bad_input_is_one_error_line_with_exit_code_2(argv, message, config_file, tmp_path, capsys):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pvcg import (
+    AnalyticAdjustment,
     ExperimentConfig,
+    LearnedAdjustment,
     LinearCost,
     PriorSupport,
     SqrtSumValuation,
@@ -15,10 +17,12 @@ from pvcg import (
     TrainingConfig,
     ZeroAdjustment,
     payment_surface,
+    payments_batch,
     run_experiment,
 )
 from pvcg import experiment
 from pvcg.experiment import ir_wbb_sweep, run_probes, surface_rows, write_csv
+from pvcg.learner import mlp_init
 from pvcg.verification import probe_dsic
 
 
@@ -268,6 +272,44 @@ def test_payment_surface_single_producer():
     )
     # the removed problem is the empty coalition, so tau is producer 0's whole surplus plus its cost
     assert record.tau.tolist() == [[0.0, 0.0], [0.5 * np.sqrt(5.0), 0.125]]
+
+
+@pytest.mark.parametrize("kind", ["zero", "analytic", "learned"])
+@pytest.mark.parametrize(
+    "name, points", [("surface_interior", (8, 6)), ("surface_squares", (8, 8))], ids=["waterfill", "squares"]
+)
+def test_payment_surface_is_producer_0s_column_of_payments_batch(name, points, kind):
+    """The surface prices producer 0 as ``payments_batch`` does on every profile of the grid, bit for bit.
+
+    ``surface_interior`` is a water-fill world with a non-zero analytic adjustment; ``surface_squares`` is the
+    n = 4 sqrt_sum_squares world, solved by projected gradient.
+    """
+    config = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    grid = dataclasses.replace(config.surface, x_points=points[0], gamma_points=points[1])
+    support, (valuation, cost) = config.support(), config.families()
+    width = (support.n - 1) * (support.dim + 1) + support.m
+    adjustment = {
+        "zero": ZeroAdjustment(),
+        "analytic": AnalyticAdjustment(support, valuation, cost),
+        "learned": LearnedAdjustment(
+            tuple(mlp_init([width, 10, 1], np.random.default_rng(i)) for i in range(support.n)), support
+        ),
+    }[kind]
+    record = payment_surface(valuation, cost, config.n, config.m, adjustment=adjustment, grid=grid)
+
+    caps = np.full(points + (config.n, 1), grid.fixed_capacity)
+    caps[..., 0, 0] = record.x_values[:, None]
+    gammas = np.full(points + (config.n,), grid.fixed_gamma)
+    gammas[..., 0] = record.gamma_values
+    thetas = np.full((caps[..., 0, 0].size, config.m), grid.fixed_theta)
+    p = payments_batch(caps.reshape(-1, config.n, 1), gammas.reshape(-1, config.n), thetas, valuation, cost,
+                       adjustment=adjustment)
+    assert not p.punished.any()
+    h0 = np.full(points, record.adjustment)
+    for got, column in ((record.tau, p.tau), (record.payments, p.total), (h0, p.adjustment)):
+        assert got.tobytes() == column[:, 0].reshape(points).tobytes()
+    if kind != "zero":
+        assert record.adjustment != 0.0
 
 
 def test_run_probes_offsets_seeds_by_adjustment_position(monkeypatch):
