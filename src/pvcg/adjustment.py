@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _replaced, max_surplus
-from .model import _check_count, _check_entries, as_quantity_matrix, fields_from_dict, fields_to_dict
+from .allocation import _max_surplus, _replaced
+from .model import (
+    _check_count, _check_layout, _check_reports, _check_type_vector, as_quantity_matrix, fields_from_dict,
+    fields_to_dict,
+)
 
 Array = np.ndarray
 
@@ -47,12 +50,11 @@ class PriorSupport:
     theta_hi: Array  # (m,)
 
     def __post_init__(self):
-        object.__setattr__(self, "cap_lo", as_quantity_matrix(self.cap_lo, name="cap_lo"))
-        object.__setattr__(self, "cap_hi", as_quantity_matrix(self.cap_hi, name="cap_hi"))
-        object.__setattr__(self, "gamma_lo", np.atleast_1d(np.asarray(self.gamma_lo, dtype=float)))
-        object.__setattr__(self, "gamma_hi", np.atleast_1d(np.asarray(self.gamma_hi, dtype=float)))
-        object.__setattr__(self, "theta_lo", np.atleast_1d(np.asarray(self.theta_lo, dtype=float)))
-        object.__setattr__(self, "theta_hi", np.atleast_1d(np.asarray(self.theta_hi, dtype=float)))
+        # every bound finite and non-negative, as the reports it bounds
+        for name in ("cap_lo", "cap_hi"):
+            object.__setattr__(self, name, as_quantity_matrix(getattr(self, name), name=name))
+        for name in ("gamma_lo", "gamma_hi", "theta_lo", "theta_hi"):
+            object.__setattr__(self, name, _check_type_vector(getattr(self, name), name))
         for lo, hi, name in (
             (self.cap_lo, self.cap_hi, "capacity"),
             (self.gamma_lo, self.gamma_hi, "cost-type"),
@@ -60,14 +62,8 @@ class PriorSupport:
         ):
             if lo.shape != hi.shape:
                 raise ValueError(f"{name} bounds have mismatched shapes")
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-                raise ValueError(f"{name} support must be bounded")
             if (lo > hi).any():
                 raise ValueError(f"{name} lower bounds exceed upper bounds")
-        # types are non-negative (as Economy requires); capacities were checked above
-        for lo, name in ((self.gamma_lo, "gamma_lo"), (self.theta_lo, "theta_lo")):
-            if (lo < 0).any():
-                raise ValueError(f"{name} must be non-negative")
         if self.cap_lo.shape[0] != self.gamma_lo.shape[0]:
             raise ValueError("capacity and cost-type bounds disagree on the producer count")
 
@@ -134,50 +130,21 @@ def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Arra
 # ---------------------------------------------------------------------------
 
 
-def _full_profile(support: PriorSupport, i: int, caps_others, gammas_others, thetas) -> tuple[Array, Array, Array]:
-    """Producer ``i``'s view of a report profile as a full ``(n, dim)``, ``(n,)``, ``(m,)`` profile.
-
-    Checks the others' ``(n-1, dim)`` capacities and ``(n-1,)`` cost types and
-    the ``(m,)`` valuation types, each finite and non-negative, and puts
-    producer ``i``'s support extremes (minimum capacity, maximum cost type)
-    in slot ``i``, where no adjustment reads them.
-    """
-    if not 0 <= i < support.n:
-        raise IndexError(f"producer index {i} out of range for n={support.n}")
-    reports = []
-    for values, shape, name in (
-        (caps_others, (support.n - 1, support.dim), "others' capacities"),
-        (gammas_others, (support.n - 1,), "others' cost types"),
-        (thetas, (support.m,), "valuation types"),
-    ):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-        reports.append(_check_entries(arr, name))
-    caps_others, gammas_others, thetas = reports
-    caps, gammas = np.empty(support.cap_lo.shape), np.empty(support.n)
-    caps[:i], caps[i], caps[i + 1:] = caps_others[:i], support.cap_lo[i], caps_others[i:]
-    gammas[:i], gammas[i], gammas[i + 1:] = gammas_others[:i], support.gamma_hi[i], gammas_others[i:]
-    return caps, gammas, thetas
-
-
-def _check_profile(s: PriorSupport, capacities, gammas, thetas) -> tuple[Array, Array, Array]:
-    """Float ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports; a ValueError unless they fit support ``s``."""
-    caps = np.asarray(capacities, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    if (caps.shape[-2:], gammas.shape[-1:], thetas.shape[-1:]) != (s.cap_lo.shape, s.gamma_lo.shape, s.theta_lo.shape):
-        raise ValueError(
-            f"expected (..., {s.n}, {s.dim}) capacities, (..., {s.n}) cost types and (..., {s.m}) valuation types, "
-            f"got shapes {caps.shape}, {gammas.shape} and {thetas.shape}"
-        )
-    return caps, gammas, thetas
-
-
 def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) -> float:
-    """Producer ``i``'s adjustment from the others' reports: entry ``i`` of ``all_producers`` on ``_full_profile``."""
-    profile = _full_profile(adjustment.support, i, capacities_others, gammas_others, thetas)
-    return float(adjustment.all_producers(*profile)[i])
+    """Producer ``i``'s adjustment from the others' reports: entry ``i`` of the adjustment's rows on the full profile.
+
+    The others' ``(n-1, dim)`` capacities and ``(n-1,)`` cost types and the ``(m,)`` valuation types are checked,
+    and producer ``i``'s support extremes (minimum capacity, maximum cost type) fill slot ``i``, where no
+    adjustment reads them.
+    """
+    s = adjustment.support
+    if not 0 <= i < s.n:
+        raise IndexError(f"producer index {i} out of range for n={s.n}")
+    caps, gammas, thetas = _check_reports(
+        capacities_others, gammas_others, thetas, shape=(s.n - 1, s.dim, s.m), prefix="others' "
+    )
+    caps, gammas = np.insert(caps, i, s.cap_lo[i], axis=0), np.insert(gammas, i, s.gamma_hi[i])
+    return float(adjustment._rows(caps, gammas, thetas)[i])
 
 
 @dataclass(frozen=True)
@@ -203,11 +170,15 @@ class AnalyticAdjustment:
         Leading axes are a batch. One ``max_surplus`` call solves a ``(..., 2n, n, dim)`` stack: row i has producer
         i at its support extremes, row n+i at zero capacity, both at ``gamma_hi[i]``, so entry i reads only the others.
         """
-        s = self.support
-        caps, gammas, thetas = _check_profile(s, capacities, gammas, thetas)
+        return self._rows(*_check_reports(capacities, gammas, thetas))
+
+    def _rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
+        """``all_producers`` of checked reports, which must only fit the support's layout."""
+        n = self.support.n
+        _check_layout(caps, gammas, thetas, self.support)
         rows = _replaced(caps, gammas, *self._replacements)
-        surpluses = max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
-        return -(surpluses[..., :s.n] - surpluses[..., s.n:])
+        surpluses = _max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
+        return -(surpluses[..., :n] - surpluses[..., n:])
 
 
 def analytic_adjustment(
@@ -273,9 +244,9 @@ def _run_check(
     """
     _check_count("samples", samples)
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
-    s_full = max_surplus(caps, gammas, thetas, valuation, cost, method)
+    s_full = _max_surplus(caps, gammas, thetas, valuation, cost, method)
     cap, gamma = (support.cap_lo, support.gamma_hi) if pessimistic else (0.0, gammas)
-    s_replaced = max_surplus(*_replaced(caps, gammas, cap, gamma), thetas[:, None, :], valuation, cost, method)
+    s_replaced = _max_surplus(*_replaced(caps, gammas, cap, gamma), thetas[:, None, :], valuation, cost, method)
     lhs = np.zeros(samples)
     for i in range(support.n):
         lhs += s_full - s_replaced[:, i]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, LinearCost, SqrtSumValuation, _check_entries, surplus_rows
+from .model import Economy, LinearCost, SqrtSumValuation, _check_reports, surplus_rows
 
 Array = np.ndarray
 
@@ -375,6 +375,7 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
     Leading axes are a batch and ``theta_sum`` has the batch shape; one economy
     returns a float. ``theta_sum <= 0`` and an empty coalition give 0. The
     surplus is the water-fill formula ``solve_batch`` uses, without the ratios.
+    An unchecked kernel: its input is trusted to be finite and non-negative.
     """
     surplus = _sorted_surplus(*_cost_order(caps, gammas, theta_sum, scale)[1:], theta_sum, scale)
     return float(surplus) if surplus.ndim == 0 else surplus
@@ -385,15 +386,17 @@ def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None 
 
     Leading axes are a batch; one economy returns a float, and every row has
     the bits of ``solve_batch``'s surplus. The water-fill skips the ratios;
-    any other family or method takes ``solve_batch`` itself. An empty
-    coalition (n == 0) has zero surplus.
+    any other family or method takes ``solve_batch``'s kernel. An empty
+    coalition (n == 0) has zero surplus. Checks the reports; ``_max_surplus`` trusts them.
     """
-    caps = np.asarray(capacities, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    return _max_surplus(*_check_reports(capacities, gammas, thetas), valuation, cost, method)
+
+
+def _max_surplus(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
+    """``max_surplus`` of float reports trusted to be laid out, finite and non-negative."""
     if waterfill_applies(valuation, cost, caps.shape[-1], method):
         return waterfill_surplus(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
-    surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)[1]
+    surplus = _solve(caps, gammas, thetas, valuation, cost, method)[1]
     return float(surplus) if surplus.ndim == 0 else surplus
 
 
@@ -406,12 +409,14 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     bits of ``optimize_acceptance`` (seed 0). Water-fill economies are solved
     in one kernel call, whose surpluses come from the formula ``max_surplus``,
     ``waterfill_surplus`` and ``waterfill_gains`` share. Any other batch is
-    one ``_spg`` call on the stacked arrays, checked once for NaN, infinite
-    and negative entries. An empty coalition (n == 0) has zero surplus.
+    one ``_spg`` call on the stacked arrays. An empty coalition (n == 0) has
+    zero surplus. Checks the reports; ``_solve`` trusts them.
     """
-    caps = np.asarray(capacities, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    return _solve(*_check_reports(capacities, gammas, thetas), valuation, cost, method)
+
+
+def _solve(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
+    """``solve_batch`` of float reports trusted to be laid out, finite and non-negative."""
     batch = gammas.shape[:-1]
     if gammas.size == 0:
         return np.zeros(caps.shape), np.zeros(batch)
@@ -420,10 +425,6 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
         return caps * ratios[..., None], surplus
     if method not in (None, "projected_gradient"):
         raise _method_error(method)
-    for arr, name in ((caps, "capacities"), (gammas, "cost types"), (thetas, "valuation types")):
-        _check_entries(arr, name)
-    if caps.shape[:-1] != gammas.shape:
-        raise ValueError("cost_types length must match the number of producers")
     if thetas.shape[-1] < 1:
         raise ValueError("an economy needs at least one consumer")
     n, dim, m = caps.shape[-2], caps.shape[-1], thetas.shape[-1]
@@ -440,6 +441,7 @@ def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float, *, _wor
     position p fills the full row's sorted rows, position p zeroed. Each
     surplus has the bits of ``solve_batch`` on that economy. ``_work``, a
     ``(4, *gammas.shape, n)`` buffer, takes the removed rows in place of fresh arrays.
+    An unchecked kernel, as ``waterfill_surplus``.
     """
     flat, *sorted_rows = _cost_order(caps, gammas, theta_sum, scale)
     theta_sum = np.asarray(theta_sum)

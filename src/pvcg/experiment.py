@@ -23,7 +23,7 @@ from .adjustment import (
     sample_from,
     sample_prior,
 )
-from .allocation import solve_batch
+from .allocation import _solve
 from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
 from .model import (
     _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
@@ -127,14 +127,14 @@ def payment_surface(
     All other producers report ``fixed_capacity``/``fixed_gamma`` and all consumers ``fixed_theta``; reports are
     taken at face value (no punishment). The producer-removed problem and the adjustment read no report of
     producer 0, so one ``payments_batch`` call prices them on the grid's first profile; the full problems of the
-    grid are solved in one ``solve_batch``.
+    grid are solved as one ``solve_batch``, which trusts the grid's arrays.
     """
     _check_count("n", n)
     _check_count("m", m)
     if grid is None:
         grid = SurfaceGrid()
-    x_values = _check_entries(np.linspace(grid.x_lo, grid.x_hi, grid.x_points), "capacities")
-    gamma_values = _check_entries(np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points), "cost types")
+    x_values = np.linspace(grid.x_lo, grid.x_hi, grid.x_points)
+    gamma_values = np.linspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
     shape = (grid.x_points, grid.gamma_points)
     caps = np.full(shape + (n, 1), grid.fixed_capacity)
     caps[..., 0, 0] = x_values[:, None]
@@ -144,7 +144,7 @@ def payment_surface(
     first = payments_batch(caps[:1, 0], gammas[:1, 0], thetas[None], valuation, cost, adjustment=adjustment,
                            method=method)
     removed, h0 = first.counterfactual_surpluses[0, 0], float(first.adjustment[0, 0])
-    accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
+    accepted, surplus = _solve(caps, gammas, thetas, valuation, cost, method)
     tau = _pivot(surplus, removed, cost_rows(cost, accepted[..., 0, :], gammas[..., 0]))
     return SurfaceRecord(
         x_values=x_values,

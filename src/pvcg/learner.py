@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import PriorSupport, _check_profile, _one_producer, feasibility_penalties, sample_from
-from .allocation import _replaced, max_surplus, others_index, waterfill_applies, waterfill_gains
-from .model import _check_count, fields_from_dict, fields_to_dict
+from .adjustment import PriorSupport, _one_producer, feasibility_penalties, sample_from
+from .allocation import _max_surplus, _replaced, others_index, waterfill_applies, waterfill_gains
+from .model import _check_count, _check_layout, _check_reports, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
@@ -259,7 +259,12 @@ class LearnedAdjustment:
         Leading axes are a batch of report profiles. Entry i runs network i
         on the others' reports; a row's bits do not depend on the batch.
         """
-        full = self._full_rows(*_check_profile(self.support, capacities, gammas, thetas))
+        return self._rows(*_check_reports(capacities, gammas, thetas))
+
+    def _rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
+        """``all_producers`` of checked reports, which must only fit the support's layout."""
+        _check_layout(caps, gammas, thetas, self.support)
+        full = self._full_rows(caps, gammas, thetas)
         inputs = full.reshape(-1, full.shape[-1]).take(self._columns, axis=1).transpose(1, 0, 2)
         outputs = _forward_rows(self._weights, self._biases, inputs)
         return np.ascontiguousarray(outputs.T).reshape(full.shape[:-1] + (self.n,))
@@ -361,7 +366,7 @@ def _batch_surpluses(valuation, cost, caps, gammas, thetas, method, *, _work: Ar
     """S* and all S*_{-i}, producer i's capacity zeroed, for every sample (solved once, reused all epoch)."""
     if waterfill_applies(valuation, cost, caps.shape[2], method):
         return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale, _work=_work)
-    surpluses = max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
+    surpluses = _max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
     return surpluses[:, 0], surpluses[:, 1:]
 
 

@@ -98,6 +98,37 @@ def _check_type_vector(values, name: str) -> Array:
     return _check_entries(np.atleast_1d(np.asarray(values, dtype=float)), name)
 
 
+def _check_layout(caps: Array, gammas: Array, thetas: Array | None = None, support=None) -> None:
+    """Raise unless the shapes are ``(..., n, dim)`` capacities, ``(..., n)`` cost types on the capacities' leading
+    axes and ``(..., m)`` valuation types (None passes); with a ``support``, of its n, dim and m. Reads no entry."""
+    n, dim, m = ("n", "dim", "m") if support is None else (support.n, support.dim, support.m)
+    fits = caps.ndim >= 2 and gammas.shape == caps.shape[:-1] and (thetas is None or thetas.ndim >= 1)
+    if not fits or support is not None and (caps.shape[-2:] != (n, dim) or thetas.shape[-1] != m):
+        raise ValueError(
+            f"expected (..., {n}, {dim}) capacities, (..., {n}) cost types and (..., {m}) valuation types, "
+            f"got shapes {caps.shape}, {gammas.shape} and {np.shape(thetas)}"
+        )
+
+
+def _check_reports(capacities, gammas, thetas=None, shape=None, prefix: str = "") -> tuple:
+    """The one check of reports at a public entry: float capacities, cost types and valuation types (None: left out).
+
+    They are laid out as ``_check_layout`` asks, or as one ``(n, dim)``, ``(n,)``, ``(m,)`` profile for ``shape=(n,
+    dim, m)``, with every entry finite and non-negative. Errors name the field, producer fields after ``prefix``.
+    """
+    names = (prefix + "capacities", prefix + "cost types", "valuation types")
+    reports = tuple(np.asarray(a, dtype=float) for a in (capacities, gammas, thetas) if a is not None)
+    if shape is None:
+        _check_layout(*reports)
+    else:
+        for arr, name, want in zip(reports, names, (shape[:2], shape[:1], shape[2:])):
+            if arr.shape != want:
+                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+    for arr, name in zip(reports, names):
+        _check_entries(arr, name)
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # valuation families
 # ---------------------------------------------------------------------------
@@ -333,15 +364,19 @@ class Economy:
 
     def view(self, bids: BidProfile | None = None) -> "Economy":
         """The reported economy a solver sees: ``bids`` with these families (itself when omitted)."""
+        return self if bids is None else Economy(*self._reports(bids), self.valuation, self.cost)
+
+    def _reports(self, bids: BidProfile | None) -> tuple[Array, Array, Array]:
+        """The reports of ``bids`` (these when omitted); a ``BidProfile`` checked its entries, so only shapes are."""
         if bids is None:
-            return self
+            return self.capacities, self.cost_types, self.valuation_types
         if bids.capacities.shape != self.capacities.shape:
             raise ValueError("bid capacities do not match the economy's producer layout")
         if bids.cost_types.shape != self.cost_types.shape:
             raise ValueError("bid cost types do not match the economy's producer count")
         if bids.valuation_types.shape != self.valuation_types.shape:
             raise ValueError("bid valuation types do not match the economy's consumer count")
-        return Economy(bids.capacities, bids.cost_types, bids.valuation_types, self.valuation, self.cost)
+        return bids.capacities, bids.cost_types, bids.valuation_types
 
 
 # The former name of the solver-input type. perfbench/tracing.py patches

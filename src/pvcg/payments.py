@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import AllocationResult, _replaced, others_index, solve_batch
-from .model import BidProfile, Economy, _check_entries, cost_rows, value_rows
+from .allocation import AllocationResult, _replaced, _solve
+from .model import BidProfile, Economy, _check_reports, cost_rows, value_rows
 
 Array = np.ndarray
 
@@ -39,7 +39,10 @@ class ZeroAdjustment:
     """The trivial adjustment h_i = 0."""
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
-        return np.zeros(np.shape(gammas))
+        return self._rows(*_check_reports(capacities, gammas, thetas))
+
+    def _rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
+        return np.zeros(gammas.shape)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ def deviation_utilities(
     delivers nothing; otherwise it earns ``tau + h`` minus its true cost of
     the accepted bundle. ``payments_batch`` prices every producer by this rule.
     """
+    _check_punishment(punishment)
     tau, _, _, utility = _settle(
         true_capacities, true_gammas, cost_rows(cost, accepted, reported_gammas), cost, accepted, surplus,
         removed_surplus, h, punishment,
@@ -165,25 +169,6 @@ def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[A
     return taus
 
 
-def _adjustments(adjustment, capacities: Array, gammas: Array, thetas: Array) -> Array:
-    """Every producer's adjustment ``(..., n)`` under ``(..., n, dim)``, ``(..., n)``, ``(..., m)`` reports.
-
-    An adjustment with an ``all_producers`` method (zero, analytic, learned)
-    prices every producer of the batch at once; any other callable is asked
-    producer by producer, on the others' reports. ``None`` is the zero adjustment.
-    """
-    if adjustment is None:
-        adjustment = ZeroAdjustment()
-    if hasattr(adjustment, "all_producers"):
-        return adjustment.all_producers(capacities, gammas, thetas)
-    others = others_index(gammas.shape[-1])
-    out = np.empty(gammas.shape)
-    for k in np.ndindex(gammas.shape[:-1]):
-        for i, keep in enumerate(others):
-            out[k + (i,)] = float(adjustment(i, capacities[k][keep], gammas[k][keep], thetas[k]))
-    return out
-
-
 def total_payment(
     economy: Economy,
     bids: BidProfile | None = None,
@@ -202,11 +187,10 @@ def total_payment(
     auction is priced as a batch of one of ``payments_batch``.
     """
     _check_punishment(punishment)
-    view = economy.view(bids)
     batch = _price(
         economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
-        view.capacities[None], view.cost_types[None], view.valuation_types[None],
-        view.valuation, view.cost, adjustment, punishment, method,
+        *(report[None] for report in economy._reports(bids)), economy.valuation, economy.cost, adjustment, punishment,
+        method,
     )
     row = {name: getattr(batch, name)[0] for name in _FIELDS}
     return PaymentBreakdown(**{**row, **{name: float(row[name]) for name in _SCALAR_FIELDS}})
@@ -236,21 +220,19 @@ def payments_batch(
     ``total_payment`` on economy t and its bids.
     """
     _check_punishment(punishment)
-    caps = _check_entries(np.asarray(capacities, dtype=float), "capacities")
-    gammas = _check_entries(np.asarray(cost_types, dtype=float), "cost types")
-    thetas = _check_entries(np.asarray(valuation_types, dtype=float), "valuation types")
-    bid_caps = caps if reported_capacities is None else _check_entries(
-        np.asarray(reported_capacities, dtype=float), "reported capacities"
-    )
-    bid_gammas = gammas if reported_cost_types is None else _check_entries(
-        np.asarray(reported_cost_types, dtype=float), "reported cost types"
-    )
-    if caps.ndim != 3 or gammas.shape != caps.shape[:2] or thetas.ndim != 2 or thetas.shape[0] != caps.shape[0]:
+    caps, gammas, thetas = _check_reports(capacities, cost_types, valuation_types)
+    bid_caps, bid_gammas = caps, gammas
+    if reported_capacities is not None or reported_cost_types is not None:
+        bid_caps, bid_gammas = _check_reports(
+            caps if reported_capacities is None else reported_capacities,
+            gammas if reported_cost_types is None else reported_cost_types, prefix="reported ",
+        )
+    if caps.ndim != 3 or thetas.ndim != 2 or thetas.shape[0] != caps.shape[0]:
         raise ValueError(
             f"expected (T, n, dim) capacities, (T, n) cost types and (T, m) valuation types, got shapes "
             f"{caps.shape}, {gammas.shape} and {thetas.shape}"
         )
-    if bid_caps.shape != caps.shape or bid_gammas.shape != gammas.shape:
+    if bid_caps.shape != caps.shape:
         raise ValueError("reported capacities and cost types must have the shapes of the true ones")
     if caps.shape[1] < 1 or thetas.shape[1] < 1:
         raise ValueError("an economy needs at least one producer and one consumer")
@@ -262,16 +244,19 @@ _SCALAR_FIELDS = ("surplus", "coalition_income", "budget_slack")
 
 
 def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment, method):
-    """``payments_batch`` of true and reported economies, their ``(n+1, n, dim)`` stacks in one ``solve_batch``.
+    """``payments_batch`` of checked true and reported economies, their ``(n+1, n, dim)`` stacks in one ``_solve``.
 
     Row 0 is the reported economy and row 1+i the same with producer i's capacity zeroed, its cost type kept so
     the slot sorts as in row 0: a producer left out of the allocation gets ``S*_{-i} == S*`` bit for bit.
     """
-    solved, surpluses = solve_batch(
+    solved, surpluses = _solve(
         *_replaced(bid_caps, bid_gammas, 0.0, bid_gammas, first=1), bid_thetas[..., None, :], valuation, cost, method
     )
     accepted, surplus, removed_surpluses = solved[..., 0, :, :], surpluses[..., 0], surpluses[..., 1:]
-    adjustments = _adjustments(adjustment, bid_caps, bid_gammas, bid_thetas)
+    # an adjustment is any object with ``all_producers``; the package's own skip its check in ``_rows``
+    adjustments = np.zeros(bid_gammas.shape) if adjustment is None else getattr(
+        adjustment, "_rows", adjustment.all_producers
+    )(bid_caps, bid_gammas, bid_thetas)
     reported_costs = cost_rows(cost, accepted, bid_gammas)
     taus, punished, totals, utilities = _settle(
         caps, gammas, reported_costs, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties, sample_from
-from .allocation import AllocationResult, optimize_acceptance, solve_batch
+from .allocation import AllocationResult, _solve, optimize_acceptance
 from .model import Economy, _check_count, surplus_rows
-from .payments import PaymentBreakdown, _check_punishment, deviation_utilities, payments_batch
+from .payments import PaymentBreakdown, _check_punishment, _price, deviation_utilities
 
 Array = np.ndarray
 
@@ -163,11 +163,11 @@ def probe_dsic(
     Everything is drawn first, from one generator seeded with ``seed``: the
     ``trials`` economies (``sample_from``), then every deviation's producer (one
     ``rng.integers``, trial by trial), then the misreports (``draw_deviations``).
-    The truthful auctions are then priced in one ``payments_batch``, which also
+    The truthful auctions are then priced as one ``payments_batch``, which also
     holds their pivot payments to the two-form check, and the deviating full
-    problems are solved in one ``solve_batch``. A deviation reads its
-    producer's removed surplus and adjustment from the truthful pricing:
-    neither reads the deviating producer's report.
+    problems are solved as one ``solve_batch``; both trust the drawn arrays.
+    A deviation reads its producer's removed surplus and adjustment from the
+    truthful pricing: neither reads the deviating producer's report.
     """
     _check_count("trials", trials)
     _check_count("deviations_per_trial", deviations_per_trial)
@@ -179,15 +179,13 @@ def probe_dsic(
     producer = rng.integers(support.n, size=trial.size)
     own = (trial, producer)
     cap_dev, gamma_dev = draw_deviations(support, rng, caps[own], gammas[own], producer)
-    truth = payments_batch(
-        caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method
-    )
+    truth = _price(caps, gammas, thetas, caps, gammas, thetas, valuation, cost, adjustment, punishment, method)
     truth_utility = truth.utilities[own]
 
     rows = np.arange(trial.size)
     dev_caps, dev_gammas = caps[trial], gammas[trial]
     dev_caps[rows, producer], dev_gammas[rows, producer] = cap_dev, gamma_dev
-    accepted, surplus = solve_batch(dev_caps, dev_gammas, thetas[trial], valuation, cost, method)
+    accepted, surplus = _solve(dev_caps, dev_gammas, thetas[trial], valuation, cost, method)
     utility, tau = deviation_utilities(
         caps[own], gammas[own], gamma_dev, cost, accepted[rows, producer], surplus,
         truth.counterfactual_surpluses[own], truth.adjustment[own], punishment,
@@ -374,7 +372,7 @@ def check_surplus_monotonicity(
     (``sample_from``), then each trial's producer, its capacity coordinate, its
     capacity step and its cost step, each one array over the trials (the steps
     ``U(0.1, 2)``). The base, raised-capacity and raised-cost problems of all
-    trials are then solved in one ``solve_batch``.
+    trials are then solved as one ``solve_batch``, which trusts the drawn arrays.
     """
     _check_count("trials", trials)
     _check_tol(tol)
@@ -388,7 +386,7 @@ def check_surplus_monotonicity(
     caps_up[t, producer, coordinate] += cap_steps
     gammas_up = gammas.copy()
     gammas_up[t, producer] += cost_steps
-    _, (base, surplus_up, surplus_costly) = solve_batch(
+    _, (base, surplus_up, surplus_costly) = _solve(
         np.stack([caps, caps_up, caps]),
         np.stack([gammas, gammas, gammas_up]),
         np.broadcast_to(thetas, (3,) + thetas.shape),

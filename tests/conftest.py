@@ -75,3 +75,25 @@ def weighted_valuation(x, theta):
 def convex_cost(x, gamma):
     """A custom cost, convex in the bundle's total."""
     return gamma * (x.sum() + 0.1 * x.sum() ** 2)
+
+
+class RuleAdjustment:
+    """An adjustment from a rule ``rule(i, capacities_others, gammas_others, thetas)`` of one producer at a time.
+
+    ``all_producers`` asks the rule producer by producer, on the others' reports of each profile; ``model(i, ...)``
+    asks it once.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __call__(self, i, capacities_others, gammas_others, thetas) -> float:
+        return float(self.rule(i, capacities_others, gammas_others, thetas))
+
+    def all_producers(self, capacities, gammas, thetas):
+        out = np.empty(gammas.shape)
+        for k in np.ndindex(gammas.shape[:-1]):
+            for i in range(gammas.shape[-1]):
+                keep = np.arange(gammas.shape[-1]) != i
+                out[k + (i,)] = self(i, capacities[k][keep], gammas[k][keep], thetas[k])
+        return out

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvcg import (
+    AnalyticAdjustment,
     CustomCost,
     CustomValuation,
     Economy,
     EconomyView,
+    LearnedAdjustment,
     LinearCost,
+    PriorSupport,
     SqrtSumSquaresValuation,
     SqrtSumValuation,
+    ZeroAdjustment,
     analytic_waterfill,
     optimize_acceptance,
     payments_batch,
@@ -28,6 +32,7 @@ from pvcg.allocation import (
     waterfill_gains,
     waterfill_surplus,
 )
+from pvcg.learner import mlp_zero
 from pvcg.verification import grid_surplus_max
 
 from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
@@ -342,6 +347,37 @@ def test_solve_batch_projected_gradient_names_the_bad_field(field, index, value)
     reports[field][index] = value
     with pytest.raises(ValueError, match=f"^{field} must be (finite|non-negative)"):
         solve_batch(*reports.values(), SqrtSumValuation(scale=3.0), LinearCost(), method="projected_gradient")
+
+
+def _public_entries():
+    """(id, field names, call) of every public batch entry that takes (2, 3, 1), (2, 3) and (2, 2) reports."""
+    valuation, cost, support = SqrtSumValuation(scale=3.0), LinearCost(), PriorSupport.uniform_box(3, 2)
+    fields = ["capacities", "cost types", "valuation types"]
+    learned = LearnedAdjustment(tuple(mlp_zero([6, 4, 1]) for _ in range(3)), support)
+    entries = [
+        (f"{f.__name__}-{method or 'waterfill'}", fields, lambda *r, f=f, method=method: f(*r, valuation, cost, method))
+        for f in (solve_batch, max_surplus) for method in (None, "projected_gradient")
+    ]
+    entries.append(("payments_batch", fields + ["reported capacities", "reported cost types"],
+                    lambda *r: payments_batch(*r[:3], valuation, cost, *r[3:])))
+    for adjustment in (ZeroAdjustment(), AnalyticAdjustment(support, valuation, cost), learned):
+        entries.append((type(adjustment).__name__, fields, adjustment.all_producers))
+    return entries
+
+
+_PUBLIC_ENTRIES = _public_entries()
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("fields, call", [e[1:] for e in _PUBLIC_ENTRIES], ids=[e[0] for e in _PUBLIC_ENTRIES])
+def test_every_public_entry_names_the_bad_field(fields, call, value):
+    """A negative, NaN or infinite entry in any report field raises at the entry, with the field named."""
+    for k, field in enumerate(fields):
+        # capacities, cost types and valuation types, then payments_batch's reported capacities and cost types
+        reports = [np.ones((2, 3, 1)), np.full((2, 3), 0.2), np.ones((2, 2)), np.ones((2, 3, 1)), np.full((2, 3), 0.2)]
+        reports[k][-1] = value
+        with pytest.raises(ValueError, match=f"^{field} must be (finite|non-negative)"):
+            call(*reports[:len(fields)])
 
 
 def test_solver_result_invariants():

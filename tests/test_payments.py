@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvcg.adjustment
+import pvcg.model
 import pvcg.payments
 from pvcg import (
     AnalyticAdjustment,
@@ -28,10 +30,10 @@ from pvcg.adjustment import sample_from
 from pvcg.allocation import others_index, solve_batch
 from pvcg.learner import mlp_init
 from pvcg.model import LinearCost, SqrtSumSquaresValuation, SqrtSumValuation, cost_rows, value_rows
-from pvcg.payments import tau_for_producer
+from pvcg.payments import deviation_utilities, tau_for_producer
 from pvcg.verification import SURPLUS_TOL
 
-from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
+from conftest import TIED_CAPS, TIED_GAMMAS, RuleAdjustment, convex_cost, random_sqrt_sum_economy, weighted_valuation
 from oracles import (
     reference_deleted_counterfactuals,
     reference_payment,
@@ -119,6 +121,26 @@ def test_total_payment_punishes_overcommitment(split_cost_economy):
     assert np.array_equal(payments.delivered[0], [0.0])
 
 
+def test_one_over_reported_coordinate_is_punished():
+    """A dim = 2 producer over-accepted in one coordinate only is punished, by ``payments_batch`` and by
+    ``deviation_utilities``; truth pays it 0.628."""
+    caps, gammas, thetas = np.ones((1, 2, 2)), np.array([[0.1, 0.2]]), np.ones((1, 1))
+    valuation, cost = SqrtSumValuation(scale=2.0), LinearCost()
+    bids = caps.copy()
+    bids[0, 0] = [1.0, 3.0]
+    truth = payments_batch(caps, gammas, thetas, valuation, cost)
+    assert not truth.punished.any() and truth.utilities[0, 0] == pytest.approx(0.6284271247, abs=1e-9)
+    lie = payments_batch(caps, gammas, thetas, valuation, cost, reported_capacities=bids)
+    assert lie.punished[0, 0] and lie.utilities[0, 0] == -1e6
+    assert lie.accepted[0, 0, 1] > caps[0, 0, 1] and lie.accepted[0, 0, 0] <= caps[0, 0, 0]
+    accepted, surplus = solve_batch(bids, gammas, thetas, valuation, cost)
+    utility, _ = deviation_utilities(
+        caps[0, 0], gammas[0, 0], gammas[0, 0], cost, accepted[0, 0], surplus[0],
+        truth.counterfactual_surpluses[0, 0], truth.adjustment[0, 0], 1e6,
+    )
+    assert utility == -1e6
+
+
 def test_total_payment_zero_valuation_types():
     economy = Economy.sqrt_sum([1.0, 2.0], [0.3, 0.4], [0.0])
     payments = total_payment(economy)
@@ -133,7 +155,7 @@ def test_total_payment_requires_positive_punishment(split_cost_economy):
 
 
 @pytest.mark.parametrize("punishment", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["total_payment", "payments_batch"])
+@pytest.mark.parametrize("entry", ["total_payment", "payments_batch", "deviation_utilities"])
 def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finite(split_cost_economy, entry, punishment):
     economy = split_cost_economy
     # producer 0 over-reports and would be paid -punishment
@@ -141,11 +163,33 @@ def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finit
     with pytest.raises(ValueError, match="^punishment must be positive"):
         if entry == "total_payment":
             total_payment(economy, bids, punishment=punishment)
-        else:
+        elif entry == "payments_batch":
             payments_batch(
                 economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
                 economy.valuation, economy.cost, bids.capacities[None], punishment=punishment,
             )
+        else:
+            deviation_utilities(
+                economy.capacities[0], economy.cost_types[0], economy.cost_types[0], economy.cost,
+                bids.capacities[0], 1.0, 0.5, 0.0, punishment,
+            )
+
+
+@pytest.mark.parametrize("reported", [False, True], ids=["truthful", "reported"])
+def test_payments_batch_checks_each_input_array_once(monkeypatch, reported):
+    """On a projected-gradient batch the reports are scanned once each, at the entry, and not again by the solver
+    or the adjustment."""
+    valuation, cost, support = SqrtSumSquaresValuation(scale=3.0), LinearCost(), PriorSupport.uniform_box(3, 2, dim=2)
+    caps, gammas, thetas = sample_from(support, 2, np.random.default_rng(5))
+    reports = dict(reported_capacities=0.5 * caps, reported_cost_types=gammas) if reported else {}
+    adjustment = AnalyticAdjustment(support, valuation, cost)
+    scanned, check = [], pvcg.model._check_entries
+    for module in [m for name, m in sys.modules.items() if name.startswith("pvcg.")]:
+        if getattr(module, "_check_entries", None) is check:  # every binding, as a module may import it by name
+            monkeypatch.setattr(module, "_check_entries", lambda arr, name: scanned.append(name) or check(arr, name))
+    payments_batch(caps, gammas, thetas, valuation, cost, adjustment=adjustment, **reports)
+    expected = ["capacities", "cost types", "valuation types"]
+    assert scanned == expected + ["reported capacities", "reported cost types"] * reported
 
 
 def test_coalition_income_examples(split_cost_economy):
@@ -213,14 +257,14 @@ def test_tau_check_names_the_producer_whose_removed_surplus_moved():
 def _shift_removed_surplus(monkeypatch, where):
     """Make the payments' one solve, whose ``(T, n+1)`` surpluses hold the full problem in column 0 and the
     problem without producer i in column 1+i, report the surplus at ``where`` 1e-6 too high."""
-    solve_batch = pvcg.payments.solve_batch
+    solve = pvcg.payments._solve
 
     def shifted(caps, gammas, *args):
-        accepted, surpluses = solve_batch(caps, gammas, *args)
+        accepted, surpluses = solve(caps, gammas, *args)
         surpluses[where] += 1e-6
         return accepted, surpluses
 
-    monkeypatch.setattr(pvcg.payments, "solve_batch", shifted)
+    monkeypatch.setattr(pvcg.payments, "_solve", shifted)
 
 
 def test_waterfill_branch_runs_the_tau_check(monkeypatch):
@@ -615,8 +659,9 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
             support = PriorSupport.uniform_box(n, m, cap=(0.5, 5.0), dim=dim)
             adjustment = AnalyticAdjustment(support, valuation, cost, method=method)
         elif kind == "callable":
-            def adjustment(i, caps, gammas, thetas):
-                return 0.1 * float(caps.sum()) - 0.05 * float(gammas.sum()) - 0.01 * i
+            adjustment = RuleAdjustment(
+                lambda i, caps, gammas, thetas: 0.1 * float(caps.sum()) - 0.05 * float(gammas.sum()) - 0.01 * i
+            )
         else:
             nets = tuple(mlp_init([(n - 1) * (dim + 1) + m, 4, 1], rng) for _ in range(n))
             adjustment = LearnedAdjustment(nets, PriorSupport.uniform_box(n, m, dim=dim))
@@ -639,28 +684,29 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
 
 @pytest.mark.parametrize("method", [None, "projected_gradient"])
 def test_an_auction_is_one_solve_and_its_analytic_adjustment_one_max_surplus(monkeypatch, method):
-    """``total_payment`` and ``payments_batch`` solve the full and every removed problem in one ``solve_batch``
-    call, and ``AnalyticAdjustment.all_producers`` its pessimistic and removed problems in one ``max_surplus``."""
+    """``total_payment`` and ``payments_batch`` solve the full and every removed problem in one call of
+    ``solve_batch``'s kernel, and ``AnalyticAdjustment.all_producers`` its pessimistic and removed problems in one
+    call of ``max_surplus``'s."""
     calls = []
 
     def counted(module, name):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
 
-    counted(pvcg.payments, "solve_batch")
-    counted(pvcg.adjustment, "max_surplus")
+    counted(pvcg.payments, "_solve")
+    counted(pvcg.adjustment, "_max_surplus")
     rng, n, m = np.random.default_rng(67), 3, 2
     caps, gammas, thetas = rng.uniform(0.0, 5.0, (2, n, 1)), rng.uniform(0.0, 1.0, (2, n)), rng.uniform(0.0, 1.0, (2, m))
     valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
     adjustment = AnalyticAdjustment(PriorSupport.uniform_box(n, m, cap=(0.5, 5.0)), valuation, cost, method=method)
     total_payment(Economy(caps[0], gammas[0], thetas[0], valuation, cost), adjustment=adjustment, method=method)
-    assert calls == ["solve_batch", "max_surplus"]
+    assert calls == ["_solve", "_max_surplus"]
     calls.clear()
     payments_batch(caps, gammas, thetas, valuation, cost, adjustment=adjustment, method=method)
-    assert calls == ["solve_batch", "max_surplus"]
+    assert calls == ["_solve", "_max_surplus"]
     calls.clear()
     adjustment.all_producers(caps, gammas, thetas)
-    assert calls == ["max_surplus"]
+    assert calls == ["_max_surplus"]
 
 
 def test_pricing_costs_each_accepted_bundle_once_per_cost_type(monkeypatch):

@@ -31,7 +31,7 @@ from pvcg.allocation import AllocationResult, SolverDiagnostics, waterfill_surpl
 from pvcg.experiment import ExperimentConfig
 from pvcg.verification import grid_surplus_max
 
-from conftest import random_sqrt_sum_economy
+from conftest import RuleAdjustment, random_sqrt_sum_economy
 from oracles import reference_mixed_deviation_sampler, reference_uniform_economy_sampler
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -211,7 +211,7 @@ def test_check_ir_flags_injected_deficit(cheap_pair_economy):
     def bad_adjustment(i, caps_others, gammas_others, thetas):
         return -gains[i] - 1.0
 
-    payments = total_payment(cheap_pair_economy, adjustment=bad_adjustment)
+    payments = total_payment(cheap_pair_economy, adjustment=RuleAdjustment(bad_adjustment))
     report = check_ir(cheap_pair_economy, payments)
     assert not report.passed
     assert report.violations[0]["gap"] == pytest.approx(1.0, abs=1e-6)
@@ -229,7 +229,7 @@ def test_check_wbb_flags_injected_overdraft():
     probe = total_payment(economy)
     overdraft = probe.coalition_income - probe.tau[0] + 1.0
 
-    payments = total_payment(economy, adjustment=lambda *args: overdraft)
+    payments = total_payment(economy, adjustment=RuleAdjustment(lambda *args: overdraft))
     report = check_wbb(economy, payments)
     assert not report.passed
     assert payments.budget_slack == pytest.approx(-1.0, abs=1e-9)
