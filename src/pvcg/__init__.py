@@ -2,8 +2,8 @@
 
 Surplus-maximizing acceptance of producer bids, pivot payments plus
 report-independent adjustments, learned adjustment functions, and empirical
-verification of truthfulness, efficiency, individual rationality, and weak
-budget balance.
+verification of truthfulness, individual rationality, weak budget balance and
+surplus monotonicity.
 """
 
 from .model import (
@@ -47,18 +47,14 @@ from .learner import (
     LearnedAdjustment,
     TrainingConfig,
     TrainingTrace,
-    composite_loss,
-    mlp_forward,
     train,
 )
 from .verification import (
     ProbeReport,
-    check_efficiency,
     check_ir,
     check_surplus_monotonicity,
     check_wbb,
     draw_deviations,
-    grid_surplus_max,
     loss_components,
     mixed_deviation_sampler,
     probe_dsic,

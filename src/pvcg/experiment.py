@@ -21,7 +21,6 @@ from .adjustment import (
     marginal_gains_check,
     existence_check,
     sample_from,
-    sample_prior,
 )
 from .allocation import _solve
 from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
@@ -47,7 +46,6 @@ __all__ = [
     "ir_wbb_sweep",
     "run_probes",
     "run_experiment",
-    "sample_prior",
 ]
 
 # stage seed offsets relative to the config seed; the dsic and ir_wbb stages

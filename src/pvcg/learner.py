@@ -32,11 +32,9 @@ __all__ = [
     "MLP",
     "mlp_init",
     "mlp_zero",
-    "mlp_forward",
     "TrainingConfig",
     "TrainingTrace",
     "LearnedAdjustment",
-    "composite_loss",
     "train",
     "save_model",
     "load_model",
@@ -171,16 +169,6 @@ def _backward(weights: list[Array], activations: list[Array], d_out: Array, *,
             delta = np.matmul(delta, weights[layer].transpose(0, 2, 1), out=a)
             delta *= mask
     return d_weights, d_biases
-
-
-def mlp_forward(net: MLP, x) -> float:
-    """Deterministic forward pass on one input vector."""
-    vec = np.atleast_1d(np.asarray(x, dtype=float))
-    if vec.shape[0] != net.input_width:
-        raise ValueError(f"input width {vec.shape[0]} does not match network width {net.input_width}")
-    if net.output_width != 1:
-        raise ValueError("adjustment networks have a single output node")
-    return float(_forward_rows([w[None] for w in net.weights], [b[None] for b in net.biases], vec[None, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +315,6 @@ class TrainingTrace:
     final_loss: float
     epochs_run: int
     wall_clock: float
-
-
-def composite_loss(
-    model: LearnedAdjustment,
-    caps: Array,
-    gammas: Array,
-    thetas: Array,
-    surpluses: Array,
-    removed_surpluses: Array,
-) -> float:
-    """Mean feasibility loss of the model over a batch with precomputed surpluses."""
-    surpluses = np.asarray(surpluses, dtype=float)
-    removed_surpluses = np.asarray(removed_surpluses, dtype=float)
-    T = np.asarray(caps).shape[0]
-    if surpluses.shape != (T,) or removed_surpluses.shape != (T, model.n):
-        raise ValueError("precomputed surpluses missing or mis-shaped for the batch")
-    outputs = model.outputs_batch(np.asarray(caps, dtype=float), np.asarray(gammas, dtype=float), np.asarray(thetas, dtype=float))
-    rationality, budget = feasibility_penalties(surpluses[:, None] - removed_surpluses, outputs, surpluses)
-    return float(np.mean(rationality.sum(axis=1) + budget))
 
 
 def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, gains: Array, surpluses: Array, *,

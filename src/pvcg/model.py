@@ -98,6 +98,13 @@ def _check_type_vector(values, name: str) -> Array:
     return _check_entries(np.atleast_1d(np.asarray(values, dtype=float)), name)
 
 
+def _frozen(arr: Array) -> Array:
+    """A read-only copy of a checked field: no later write reaches it, and the caller keeps its own array."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_layout(caps: Array, gammas: Array, thetas: Array | None = None, support=None) -> None:
     """Raise unless the shapes are ``(..., n, dim)`` capacities, ``(..., n)`` cost types on the capacities' leading
     axes and ``(..., m)`` valuation types (None passes); with a ``support``, of its n, dim and m. Reads no entry."""
@@ -284,16 +291,17 @@ def make_cost(tag: str):
 
 @dataclass(frozen=True)
 class BidProfile:
-    """Sealed bids of step 1: reported capacities and types."""
+    """Sealed bids of step 1: reported capacities and types, held as read-only copies of the checked arrays."""
 
     capacities: Array        # (n, dim) reported capacity limits
     cost_types: Array        # (n,) reported cost types
     valuation_types: Array   # (m,) reported valuation types
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", as_quantity_matrix(self.capacities, name="reported capacities"))
-        object.__setattr__(self, "cost_types", _check_type_vector(self.cost_types, "reported cost types"))
-        object.__setattr__(self, "valuation_types", _check_type_vector(self.valuation_types, "reported valuation types"))
+        object.__setattr__(self, "capacities", _frozen(as_quantity_matrix(self.capacities, name="reported capacities")))
+        object.__setattr__(self, "cost_types", _frozen(_check_type_vector(self.cost_types, "reported cost types")))
+        thetas = _frozen(_check_type_vector(self.valuation_types, "reported valuation types"))
+        object.__setattr__(self, "valuation_types", thetas)
 
     @property
     def n(self) -> int:
@@ -306,6 +314,8 @@ class Economy:
 
     The same container holds true parameters and the reported economy a
     solver sees (``view``); payments code decides which one it is holding.
+    Its arrays are read-only copies of the checked ones, so the pricing code
+    can trust them.
     """
 
     capacities: Array        # (n, dim)
@@ -315,13 +325,14 @@ class Economy:
     cost: object
 
     def __post_init__(self):
-        caps = as_quantity_matrix(self.capacities, name="capacities")
+        caps = _frozen(as_quantity_matrix(self.capacities, name="capacities"))
         object.__setattr__(self, "capacities", caps)
-        object.__setattr__(self, "cost_types", _check_type_vector(self.cost_types, "cost types"))
-        object.__setattr__(self, "valuation_types", _check_type_vector(self.valuation_types, "valuation types"))
+        object.__setattr__(self, "cost_types", _frozen(_check_type_vector(self.cost_types, "cost types")))
+        thetas = _frozen(_check_type_vector(self.valuation_types, "valuation types"))
+        object.__setattr__(self, "valuation_types", thetas)
         if caps.shape[0] < 1:
             raise ValueError("an economy needs at least one producer")
-        if self.valuation_types.shape[0] < 1:
+        if thetas.shape[0] < 1:
             raise ValueError("an economy needs at least one consumer")
         if self.cost_types.shape[0] != caps.shape[0]:
             raise ValueError("cost_types length must match the number of producers")
@@ -356,11 +367,7 @@ class Economy:
         return self.capacities.shape[1]
 
     def truthful_bids(self) -> BidProfile:
-        return BidProfile(
-            capacities=self.capacities.copy(),
-            cost_types=self.cost_types.copy(),
-            valuation_types=self.valuation_types.copy(),
-        )
+        return BidProfile(self.capacities, self.cost_types, self.valuation_types)
 
     def view(self, bids: BidProfile | None = None) -> "Economy":
         """The reported economy a solver sees: ``bids`` with these families (itself when omitted)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .allocation import AllocationResult, _replaced, _solve
-from .model import BidProfile, Economy, _check_reports, cost_rows, value_rows
+from .model import BidProfile, Economy, _check_entries, _check_reports, cost_rows, value_rows
 
 Array = np.ndarray
 
@@ -221,18 +221,17 @@ def payments_batch(
     """
     _check_punishment(punishment)
     caps, gammas, thetas = _check_reports(capacities, cost_types, valuation_types)
-    bid_caps, bid_gammas = caps, gammas
-    if reported_capacities is not None or reported_cost_types is not None:
-        bid_caps, bid_gammas = _check_reports(
-            caps if reported_capacities is None else reported_capacities,
-            gammas if reported_cost_types is None else reported_cost_types, prefix="reported ",
-        )
+    bid_caps, bid_gammas = caps, gammas  # a report left out is the truth, scanned once above
+    if reported_capacities is not None:
+        bid_caps = _check_entries(np.asarray(reported_capacities, dtype=float), "reported capacities")
+    if reported_cost_types is not None:
+        bid_gammas = _check_entries(np.asarray(reported_cost_types, dtype=float), "reported cost types")
     if caps.ndim != 3 or thetas.ndim != 2 or thetas.shape[0] != caps.shape[0]:
         raise ValueError(
             f"expected (T, n, dim) capacities, (T, n) cost types and (T, m) valuation types, got shapes "
             f"{caps.shape}, {gammas.shape} and {thetas.shape}"
         )
-    if bid_caps.shape != caps.shape:
+    if bid_caps.shape != caps.shape or bid_gammas.shape != gammas.shape:
         raise ValueError("reported capacities and cost types must have the shapes of the true ones")
     if caps.shape[1] < 1 or thetas.shape[1] < 1:
         raise ValueError("an economy needs at least one producer and one consumer")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties, sample_from
-from .allocation import AllocationResult, _solve, optimize_acceptance
-from .model import Economy, _check_count, surplus_rows
+from .allocation import _solve
+from .model import Economy, _check_count
 from .payments import PaymentBreakdown, _check_punishment, _price, deviation_utilities
 
 Array = np.ndarray
@@ -27,8 +27,6 @@ __all__ = [
     "draw_deviations",
     "mixed_deviation_sampler",
     "probe_dsic",
-    "grid_surplus_max",
-    "check_efficiency",
     "check_ir",
     "check_wbb",
     "Feasibility",
@@ -38,8 +36,6 @@ __all__ = [
 
 UTILITY_TOL = 1e-6
 SURPLUS_TOL = 1e-8
-EFFICIENCY_TOL = 2e-3
-_GRID_MAX_CELLS = 30_000_000
 
 
 def _check_tol(tol: float) -> None:
@@ -213,58 +209,6 @@ def probe_dsic(
             f"punishment {punishment} does not dominate observed pivot payments "
             f"(max |tau| = {max_abs_tau}); increase it for a meaningful probe"
         )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# efficiency
-# ---------------------------------------------------------------------------
-
-
-def grid_surplus_max(view: Economy, step: float = 1e-2) -> float:
-    """Exhaustive grid search over acceptance ratios (scalar resources, n <= 3)."""
-    if view.dim != 1:
-        raise ValueError("grid search is implemented for scalar resources only")
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must be in (0, 1], got {step}")
-    n = view.n
-    points = int(round(1.0 / step)) + 1
-    if points**n > _GRID_MAX_CELLS:
-        raise ValueError(f"grid of {points}^{n} cells is too large; use the multistart method")
-    axis = np.linspace(0.0, 1.0, points)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    accepted = np.stack([g.ravel() for g in grids], axis=1)[..., None] * view.capacities
-    return float(surplus_rows(view.valuation, view.cost, accepted, view.cost_types, view.valuation_types).max())
-
-
-def check_efficiency(
-    economy: Economy,
-    allocation: AllocationResult,
-    method: str = "grid",
-    step: float = 1e-2,
-    seed: int = 0,
-    tol: float = EFFICIENCY_TOL,
-) -> ProbeReport:
-    """Compare the achieved surplus to an independent maximization of the truth.
-
-    ``grid`` enumerates ratios at ``step`` resolution (n <= 3 only; larger
-    economies must use ``multistart``). A violation means the mechanism left
-    more than ``tol`` surplus on the table.
-    """
-    _check_tol(tol)
-    view = economy.view()
-    if method == "grid":
-        if economy.n > 3:
-            raise ValueError("grid efficiency check supports n <= 3; use method='multistart'")
-        reference = grid_surplus_max(view, step=step)
-    elif method == "multistart":
-        reference = optimize_acceptance(view, method="projected_gradient", seed=seed).surplus
-    else:
-        raise ValueError(f"unknown efficiency method {method!r}")
-    report = ProbeReport(name="efficiency", trials=1)
-    report.record_all(
-        np.array([reference - allocation.surplus]), lambda _: {"achieved": allocation.surplus, "reference": reference}, tol
-    )
     return report
 
 

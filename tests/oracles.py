@@ -20,20 +20,17 @@ is below a value already found is dropped, since no point on it can reach
 that value. The result is bit-for-bit the maximum over the full grid.
 ``test_acceptance.py`` cross-validates this path against full enumeration on
 coarse grids, and ``test_allocation.py`` against the earlier ternary search
-(``grid_max_3d_ternary``).
+(``grid_max_3d_ternary``). ``vertex_max_squares`` maximizes the
+sqrt_sum_squares surplus the same way, from its definition, over the vertices
+of the ratio box.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-
-
-def surplus_at(caps, gammas, theta_sum, scale, ratios) -> float:
-    accepted = np.asarray(caps, dtype=float) * np.asarray(ratios, dtype=float)
-    value = theta_sum * np.sqrt(scale * accepted.sum())
-    return float(value - np.asarray(gammas, dtype=float) @ accepted)
 
 
 def _grid_axis(step: float) -> np.ndarray:
@@ -141,6 +138,24 @@ def grid_max(caps, gammas, theta_sum, scale, step=1e-3) -> float:
     if n == 3:
         return _grid_max_3d(caps, gammas, theta_sum, scale, step)
     raise ValueError("the test oracle supports n <= 3")
+
+
+def vertex_max_squares(caps, gammas, thetas, scale) -> float:
+    """Best surplus of the sqrt_sum_squares value with linear costs over the 2^n all-or-nothing acceptances.
+
+    The value ``sum_j theta_j * sqrt(scale * sum_k t_k^2)`` is convex in the
+    per-producer totals ``t_k`` and the cost ``sum_k gamma_k * t_k`` is
+    linear, so the maximum over the ratio box is at a vertex: each producer
+    accepted in full (``t_k = sum_d caps_kd``) or not at all. Every vertex is
+    evaluated here in Python floats, with no library surplus or solver.
+    """
+    totals = [float(t) for t in np.asarray(caps, dtype=float).reshape(len(gammas), -1).sum(axis=1)]
+    best = -math.inf
+    for vertex in itertools.product((False, True), repeat=len(totals)):
+        accepted = [(t, float(g)) for t, g, on in zip(totals, gammas, vertex) if on]
+        root = math.sqrt(scale * sum(t * t for t, _ in accepted))
+        best = max(best, sum(float(theta) * root for theta in thetas) - sum(g * t for t, g in accepted))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +301,8 @@ def reference_payment(economy, bids, adjustment, punishment):
 
 
 def _loss_of(model, batch) -> float:
-    from pvcg.learner import composite_loss
-
     caps, gammas, thetas, surpluses, removed = batch
-    return composite_loss(model, caps, gammas, thetas, surpluses, removed)
+    return reference_loss_and_grads(model, caps, gammas, thetas, surpluses[:, None] - removed, surpluses)[0]
 
 
 def fd_loss_grads(model, batch, eps: float = 1e-6):
@@ -316,8 +329,6 @@ def fd_loss_grads(model, batch, eps: float = 1e-6):
 
 def fd_output_grads(net, x, eps: float = 1e-6):
     """Central-difference gradients of a single forward pass for every parameter."""
-    from pvcg.learner import mlp_forward
-
     d_weights = [np.zeros_like(w) for w in net.weights]
     d_biases = [np.zeros_like(b) for b in net.biases]
     for params, outs in ((net.weights, d_weights), (net.biases, d_biases)):
@@ -327,9 +338,9 @@ def fd_output_grads(net, x, eps: float = 1e-6):
             for j in range(flat.shape[0]):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up = mlp_forward(net, x)
+                up = _reference_forward(net, x[None])[0][0]
                 flat[j] = orig - eps
-                down = mlp_forward(net, x)
+                down = _reference_forward(net, x[None])[0][0]
                 flat[j] = orig
                 grad[j] = (up - down) / (2.0 * eps)
     return d_weights, d_biases
@@ -1233,3 +1244,51 @@ def reference_check_assumptions(valuation, cost, x, x_small, theta, gamma, produ
                 {"sample": k, "i": i, "x": xk.tolist(), "x_small": xk_small.tolist(), "theta": th, "gap": lhs - rhs}
             )
     return report
+
+
+# ---------------------------------------------------------------------------
+# grid best responses
+# ---------------------------------------------------------------------------
+#
+# Producer i's utility at every report of a (capacity, cost type) grid, the
+# others truthful, in the square-root/linear family. The allocation is the
+# library's water-fill; the pivot payment, the punishment and the costs are
+# worked out here from the accepted quantities, so ``deviation_utilities``
+# can be held to them.
+
+
+def grid_best_response(caps, gammas, thetas, scale, i, h, grid_caps, grid_gammas, punishment=1e6):
+    """Utilities of producer ``i`` at R grid reports and at the truth, in T economies.
+
+    Economy t has scalar capacities ``caps[t]`` ``(n,)``, cost types
+    ``gammas[t]`` and valuation types ``thetas[t]``. Report r is
+    ``(grid_caps[r], grid_gammas[r])``; column R of the result is the truthful
+    report. ``h`` ``(..., T)`` holds producer i's adjustment in each economy
+    under any number of adjustments: it reads only the others' reports, which
+    stay truthful. A report accepted beyond the true capacity earns
+    ``-punishment``; otherwise the producer is paid ``S - S_{-i} + g_rep x_i + h``
+    and bears its true cost ``g_true x_i``. ``S`` is the reported economy's
+    value less its reported costs at the accepted profile, and ``S_{-i}`` the
+    water-fill surplus of the economy without producer i.
+
+    Returns the ``(..., T, R + 1)`` utilities and the solved rows
+    ``(reported cost types, accepted x_i, solver surplus, S_{-i})`` for
+    holding ``deviation_utilities`` to them.
+    """
+    from pvcg.allocation import solve_batch
+
+    reported_caps = np.repeat(caps[:, None, :], grid_caps.size + 1, axis=1)
+    reported_gammas = np.repeat(gammas[:, None, :], grid_caps.size + 1, axis=1)
+    reported_caps[:, :-1, i], reported_gammas[:, :-1, i] = grid_caps, grid_gammas
+    accepted, solver_surplus = solve_batch(
+        reported_caps[..., None], reported_gammas, thetas[:, None, :], SqrtSumValuation(scale=scale), LinearCost()
+    )
+    x = accepted[..., 0]
+    theta_sum = thetas.sum(axis=1)
+    surplus = theta_sum[:, None] * np.sqrt(scale * x.sum(axis=-1)) - (reported_gammas * x).sum(axis=-1)
+    removed = _reference_waterfill_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), theta_sum, scale)
+    x_i, true_cap, true_gamma = x[..., i], caps[:, i, None], gammas[:, i, None]
+    punished = x_i > true_cap + 1e-9 * (1.0 + true_cap)
+    paid = surplus - removed[:, None] + reported_gammas[..., i] * x_i + np.asarray(h)[..., None]
+    utilities = np.where(punished, -punishment, paid - true_gamma * x_i)
+    return utilities, (reported_gammas[..., i], x_i, solver_surplus, removed)

@@ -16,7 +16,6 @@ from pvcg import (
     analytic_adjustment,
     marginal_gains_check,
     existence_check,
-    optimize_acceptance,
     sample_prior,
     total_payment,
 )

@@ -13,8 +13,6 @@ from pvcg import (
     PriorSupport,
     SqrtSumValuation,
     TrainingConfig,
-    composite_loss,
-    mlp_forward,
     total_payment,
 )
 from pvcg.adjustment import sample_from, sample_prior
@@ -24,6 +22,7 @@ from pvcg.learner import (
     _backward,
     _batch_surpluses,
     _forward,
+    _forward_rows,
     _loss_and_grads,
     _stack,
     load_model,
@@ -55,6 +54,12 @@ def _batch_with_surpluses(support, valuation, count, seed):
     return caps, gammas, thetas, surpluses, removed
 
 
+def _loss(model, caps, gammas, thetas, surpluses, removed) -> float:
+    """Training's loss of the model on a batch with precomputed surpluses, from the kernel ``train`` runs."""
+    inputs = model.inputs_batch(caps, gammas, thetas)
+    return _loss_and_grads(*_stack(model.nets), inputs, surpluses[:, None] - removed, surpluses)[0]
+
+
 def _zero_model(support):
     width = (support.n - 1) * support.dim + (support.n - 1) + support.m
     return LearnedAdjustment(tuple(mlp_zero([width, 10, 1]) for _ in range(support.n)), support)
@@ -62,11 +67,9 @@ def _zero_model(support):
 
 def test_forward_basics():
     net = mlp_zero([4, 3, 1])
-    assert mlp_forward(net, [1.0, 2.0, 3.0, 4.0]) == 0.0
+    assert _forward_rows(*_stack([net]), np.array([[[1.0, 2.0, 3.0, 4.0]]]))[0, 0] == 0.0
     linear = MLP([np.array([[1.0], [1.0]])], [np.zeros(1)])
-    assert mlp_forward(linear, [2.0, 3.0]) == 5.0
-    with pytest.raises(ValueError):
-        mlp_forward(net, [1.0, 2.0])
+    assert _forward_rows(*_stack([linear]), np.array([[[2.0, 3.0]]]))[0, 0] == 5.0
 
 
 def test_learned_adjustment_index_and_width_errors(paper_support):
@@ -103,7 +106,7 @@ def test_composite_loss_zero_nets_zero_inclusive_priors(paper_support, paper_fam
     valuation, _ = paper_families
     batch = _batch_with_surpluses(paper_support, valuation, 1000, seed=71)
     model = _zero_model(paper_support)
-    assert composite_loss(model, *batch) == 0.0
+    assert _loss(model, *batch) == 0.0
 
 
 def test_composite_loss_hugely_negative_outputs(paper_support, paper_families):
@@ -116,7 +119,7 @@ def test_composite_loss_hugely_negative_outputs(paper_support, paper_families):
         net.biases[-1][0] = -1e6
         nets.append(net)
     model = LearnedAdjustment(tuple(nets), paper_support)
-    loss = composite_loss(model, caps, gammas, thetas, surpluses, removed)
+    loss = _loss(model, caps, gammas, thetas, surpluses, removed)
     gains = surpluses[:, None] - removed
     expected = float(np.mean((1e6 - gains).sum(axis=1)))  # first term active, second inactive
     assert loss == pytest.approx(expected, rel=1e-9)
@@ -131,18 +134,8 @@ def test_composite_loss_single_sample_worked_example():
     caps = np.zeros((1, 1, 1))
     gammas = np.full((1, 1), 0.3)
     thetas = np.zeros((1, 1))
-    loss = composite_loss(model, caps, gammas, thetas, np.zeros(1), np.zeros((1, 1)))
+    loss = _loss(model, caps, gammas, thetas, np.zeros(1), np.zeros((1, 1)))
     assert loss == 1.0
-
-
-def test_composite_loss_requires_surpluses(paper_support, paper_families):
-    valuation, _ = paper_families
-    caps, gammas, thetas, surpluses, removed = _batch_with_surpluses(paper_support, valuation, 10, seed=5)
-    model = _zero_model(paper_support)
-    with pytest.raises(ValueError):
-        composite_loss(model, caps, gammas, thetas, surpluses[:5], removed)
-    with pytest.raises(ValueError):
-        composite_loss(model, caps, gammas, thetas, surpluses, removed[:, :4])
 
 
 def test_loss_zero_iff_instancewise_feasible():
@@ -163,7 +156,7 @@ def test_loss_zero_iff_instancewise_feasible():
             np.all(gains + outputs >= 0.0)
             and np.all((gains + outputs).sum(axis=1) - surpluses <= 0.0)
         )
-        loss = composite_loss(model, caps, gammas, thetas, surpluses, removed)
+        loss = _loss(model, caps, gammas, thetas, surpluses, removed)
         assert loss >= 0.0
         assert (loss == 0.0) == feasible
 
@@ -218,7 +211,7 @@ def test_zero_capacity_prior_starts_at_zero_loss(paper_families):
     local_valuation = SqrtSumValuation(scale=4.0)
     batch = _batch_with_surpluses(support, local_valuation, 100, seed=83)
     model = _zero_model(support)
-    assert composite_loss(model, *batch) == 0.0
+    assert _loss(model, *batch) == 0.0
 
 
 def test_training_is_reproducible():
@@ -473,7 +466,7 @@ def test_composite_loss_matches_loss_components_of_the_payment():
     active = 0
     for t in range(20):
         payments = total_payment(Economy(caps[t], gammas[t], thetas[t], valuation, cost), adjustment=model)
-        loss = composite_loss(
+        loss = _loss(
             model, caps[t : t + 1], gammas[t : t + 1], thetas[t : t + 1],
             np.array([payments.surplus]), payments.counterfactual_surpluses[None, :],
         )
@@ -535,7 +528,6 @@ def test_stacked_loss_and_grads_equal_the_per_network_oracle(T, hidden):
         for (dw, db), (ew, eb) in zip(per_network(d_weights, d_biases), expected):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(dw + db, ew + eb))
         assert model.outputs_batch(caps, gammas, thetas).flags.c_contiguous
-        assert composite_loss(model, caps, gammas, thetas, surpluses, removed) == loss
 
 
 @pytest.mark.parametrize(

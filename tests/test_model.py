@@ -232,6 +232,21 @@ def test_view_rejects_mismatched_bids(cheap_pair_economy):
         cheap_pair_economy.view(bad)
 
 
+def test_economy_and_bids_hold_read_only_copies_of_their_arrays():
+    """A checked field cannot be written after its check, and the caller's own arrays stay its own and writable."""
+    caps, gammas, thetas = np.array([[1.0], [2.0]]), np.array([0.1, 0.2]), np.array([1.0])
+    economy = Economy(caps, gammas, thetas, SqrtSumValuation(scale=2.0), LinearCost())
+    bids = economy.truthful_bids()
+    for holder in (economy, bids, BidProfile(caps, gammas, thetas), economy.view(bids)):
+        for field, given in zip(("capacities", "cost_types", "valuation_types"), (caps, gammas, thetas)):
+            stored = getattr(holder, field)
+            assert not np.shares_memory(stored, given)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = -1.0
+    caps[0, 0] = gammas[0] = thetas[0] = 3.0
+    assert (economy.capacities[0, 0], economy.cost_types[0], economy.valuation_types[0]) == (1.0, 0.1, 1.0)
+
+
 @pytest.mark.parametrize(
     "build, field",
     [

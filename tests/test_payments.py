@@ -175,13 +175,18 @@ def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finit
             )
 
 
-@pytest.mark.parametrize("reported", [False, True], ids=["truthful", "reported"])
+@pytest.mark.parametrize(
+    "reported",
+    [(), ("capacities", "cost_types"), ("capacities",), ("cost_types",)],
+    ids=["truthful", "reported", "capacities", "cost_types"],
+)
 def test_payments_batch_checks_each_input_array_once(monkeypatch, reported):
     """On a projected-gradient batch the reports are scanned once each, at the entry, and not again by the solver
-    or the adjustment."""
+    or the adjustment; a reported field left out is the truth, which is not scanned again under its name."""
     valuation, cost, support = SqrtSumSquaresValuation(scale=3.0), LinearCost(), PriorSupport.uniform_box(3, 2, dim=2)
     caps, gammas, thetas = sample_from(support, 2, np.random.default_rng(5))
-    reports = dict(reported_capacities=0.5 * caps, reported_cost_types=gammas) if reported else {}
+    given = dict(capacities=0.5 * caps, cost_types=gammas)
+    reports = {f"reported_{field}": given[field] for field in reported}
     adjustment = AnalyticAdjustment(support, valuation, cost)
     scanned, check = [], pvcg.model._check_entries
     for module in [m for name, m in sys.modules.items() if name.startswith("pvcg.")]:
@@ -189,7 +194,7 @@ def test_payments_batch_checks_each_input_array_once(monkeypatch, reported):
             monkeypatch.setattr(module, "_check_entries", lambda arr, name: scanned.append(name) or check(arr, name))
     payments_batch(caps, gammas, thetas, valuation, cost, adjustment=adjustment, **reports)
     expected = ["capacities", "cost types", "valuation types"]
-    assert scanned == expected + ["reported capacities", "reported cost types"] * reported
+    assert scanned == expected + ["reported " + field.replace("_", " ") for field in reported]
 
 
 def test_coalition_income_examples(split_cost_economy):
@@ -644,14 +649,15 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
         m = 2
         economy = Economy(rng.uniform(0.0, 5.0, (n, dim)), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, m),
                           valuation, cost)
-        bids = economy.truthful_bids()
+        caps, gammas = economy.capacities.copy(), economy.cost_types.copy()
         if liar:
             # a free over-report is accepted beyond the true capacity and punished; a cost under-report is not
             i = int(rng.integers(n))
-            bids.capacities[i] = 2.0 * economy.capacities[i] + 1.0
-            bids.cost_types[i] = 0.0
+            caps[i] = 2.0 * economy.capacities[i] + 1.0
+            gammas[i] = 0.0
             if n > 1:
-                bids.cost_types[(i + 1) % n] *= 0.5
+                gammas[(i + 1) % n] *= 0.5
+        bids = BidProfile(caps, gammas, economy.valuation_types)
         kind = kinds[case % len(kinds)]
         if kind == "zero":
             adjustment = ZeroAdjustment()

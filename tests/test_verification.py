@@ -14,7 +14,6 @@ from pvcg import (
     SqrtSumValuation,
     ZeroAdjustment,
     analytic_waterfill,
-    check_efficiency,
     check_ir,
     check_surplus_monotonicity,
     check_wbb,
@@ -23,16 +22,24 @@ from pvcg import (
     loss_components,
     mixed_deviation_sampler,
     optimize_acceptance,
+    payments_batch,
     probe_dsic,
     total_payment,
     uniform_economy_sampler,
 )
-from pvcg.allocation import AllocationResult, SolverDiagnostics, waterfill_surplus
+from pvcg.adjustment import sample_from
+from pvcg.allocation import waterfill_surplus
 from pvcg.experiment import ExperimentConfig
-from pvcg.verification import grid_surplus_max
+from pvcg.payments import deviation_utilities
+from pvcg.verification import UTILITY_TOL
 
-from conftest import RuleAdjustment, random_sqrt_sum_economy
-from oracles import reference_mixed_deviation_sampler, reference_uniform_economy_sampler
+from conftest import RuleAdjustment
+from oracles import (
+    grid_best_response,
+    reference_mixed_deviation_sampler,
+    reference_uniform_economy_sampler,
+    vertex_max_squares,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -105,57 +112,46 @@ def test_probe_dsic_rejects_a_count_that_is_not_a_positive_integer(small_world, 
         probe_dsic(*small_world, **{"trials": 5, "deviations_per_trial": 5, field: count})
 
 
-def test_check_efficiency_grid(split_cost_economy):
-    allocation = analytic_waterfill(split_cost_economy.view())
-    report = check_efficiency(split_cost_economy, allocation, method="grid")
-    assert report.passed
-    zero = Economy.sqrt_sum([1.0, 1.0], [0.3, 0.4], [0.0])
-    assert check_efficiency(zero, analytic_waterfill(zero.view()), method="grid").passed
+def test_no_grid_report_beats_truth(paper_support, paper_families, trained_paper_model):
+    """Best responses on a 64 x 64 grid of (capacity 0-10, cost type 0-1.5) reports, for every producer of 40
+    flagship-prior economies with the others truthful: none beats truth by more than ``UTILITY_TOL`` under the zero,
+    the analytic or the trained adjustment.
 
-
-def test_check_efficiency_grid_rejects_large_n():
-    economy = Economy.sqrt_sum([1.0] * 4, [0.1] * 4, [1.0])
-    allocation = analytic_waterfill(economy.view())
-    with pytest.raises(ValueError):
-        check_efficiency(economy, allocation, method="grid")
-    assert check_efficiency(economy, allocation, method="multistart").passed
-
-
-def test_check_efficiency_random_three_producer():
-    rng = np.random.default_rng(101)
-    for _ in range(25):
-        economy = random_sqrt_sum_economy(rng, n_choices=(3,))
-        allocation = analytic_waterfill(economy.view())
-        assert check_efficiency(economy, allocation, method="grid").passed
+    The oracle prices each report itself; its truthful column is ``payments_batch``'s utility, and
+    ``deviation_utilities`` on the same solves gives its utilities.
+    """
+    valuation, cost = paper_families
+    caps, gammas, thetas = sample_from(paper_support, 40, np.random.default_rng(15))
+    grid_caps, grid_gammas = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 10.0, 64), np.linspace(0.0, 1.5, 64)))
+    adjustments = (ZeroAdjustment(), AnalyticAdjustment(paper_support, valuation, cost), trained_paper_model[0])
+    truths = [payments_batch(caps, gammas, thetas, valuation, cost, adjustment=a) for a in adjustments]
+    h = np.stack([truth.adjustment for truth in truths])
+    for i in range(paper_support.n):
+        utilities, (reported_gammas, x_i, surplus, removed) = grid_best_response(
+            caps[..., 0], gammas, thetas, valuation.scale, i, h[..., i], grid_caps, grid_gammas
+        )
+        for k, truth in enumerate(truths):
+            np.testing.assert_allclose(utilities[k, :, -1], truth.utilities[:, i], rtol=0, atol=1e-9)
+            library, _ = deviation_utilities(
+                caps[:, None, i], gammas[:, None, i], reported_gammas, cost, x_i[..., None], surplus,
+                removed[:, None], h[k, :, i, None], 1e6,
+            )
+            np.testing.assert_allclose(library, utilities[k], rtol=0, atol=1e-9)
+        gains = utilities.max(axis=-1) - utilities[..., -1]
+        worst = np.unravel_index(gains.argmax(), gains.shape)
+        assert gains[worst] <= UTILITY_TOL, (i, worst, gains[worst])
 
 
 def test_check_efficiency_grid_on_a_finite_difference_family():
-    """The grid oracle on the sqrt_sum_squares economy finds no surplus beyond its projected-gradient solve.
+    """The projected-gradient solve of the sqrt_sum_squares economy reaches its best all-or-nothing vertex.
 
     Its surplus is convex in the ratios, so the maximum is a vertex of the
-    box, which lies on the grid.
+    box; the oracle evaluates every vertex with its own formula.
     """
-    economy = load_economy(Path(__file__).resolve().parents[1] / "configs" / "economy3_squares.json")
+    economy = load_economy(CONFIGS / "economy3_squares.json")
     allocation = optimize_acceptance(economy.view(), method="projected_gradient")
-    assert grid_surplus_max(economy.view(), step=1e-2) == allocation.surplus
-    assert check_efficiency(economy, allocation, method="grid", step=1e-2).passed
-
-
-def _nothing_accepted(economy):
-    """An allocation that accepts nothing: surplus 0, short of any economy worth trading in."""
-    zeros = np.zeros_like(economy.capacities)
-    return AllocationResult(zeros, zeros.copy(), 0.0, SolverDiagnostics(0, 0, 0.0))
-
-
-@pytest.mark.parametrize("step", [0.0, -0.1, 1.5, 5.0, math.inf, math.nan])
-def test_grid_efficiency_rejects_a_step_outside_zero_to_one(step):
-    """A step above 1 made a one-point grid at ratio 0, whose reference surplus 0 passed any allocation."""
-    economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
-    with pytest.raises(ValueError, match=r"^step must be in \(0, 1\], got "):
-        grid_surplus_max(economy.view(), step=step)
-    with pytest.raises(ValueError, match=r"^step must be in \(0, 1\], got "):
-        check_efficiency(economy, _nothing_accepted(economy), method="grid", step=step)
-    assert not check_efficiency(economy, _nothing_accepted(economy), method="grid", step=1.0).passed
+    best = vertex_max_squares(economy.capacities, economy.cost_types, economy.valuation_types, economy.valuation.scale)
+    assert abs(allocation.surplus - best) <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -164,9 +160,6 @@ def test_probes_reject_a_tolerance_no_gap_can_exceed(tol, small_world):
     economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
     payments = total_payment(economy)
     message = r"^tol must be a number below \+inf, got (nan|inf)$"
-    assert not check_efficiency(economy, _nothing_accepted(economy)).passed
-    with pytest.raises(ValueError, match=message):
-        check_efficiency(economy, _nothing_accepted(economy), tol=tol)
     with pytest.raises(ValueError, match=message):
         check_ir(economy, payments, tol=tol)
     with pytest.raises(ValueError, match=message):
@@ -193,10 +186,6 @@ def test_probes_check_the_tolerance_before_any_work(tol):
         probe_dsic(never, never, never, trials=200, deviations_per_trial=20, tol=tol)
     with pytest.raises(ValueError, match=message):
         check_surplus_monotonicity(never, never, never, trials=1000, tol=tol)
-    economy = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.3], [0.5, 0.4])
-    # an unknown method raises only once the check gets past its tolerance
-    with pytest.raises(ValueError, match=message):
-        check_efficiency(economy, _nothing_accepted(economy), method="no-such-method", tol=tol)
 
 
 def test_check_ir_zero_adjustment_passes(cheap_pair_economy):
