@@ -33,9 +33,11 @@ from pvcg.experiment import ExperimentConfig
 from pvcg.payments import deviation_utilities
 from pvcg.verification import UTILITY_TOL
 
-from conftest import RuleAdjustment
+from conftest import RuleAdjustment, random_sqrt_sum_economy
 from oracles import (
     grid_best_response,
+    grid_max,
+    grid_max_full,
     reference_mixed_deviation_sampler,
     reference_uniform_economy_sampler,
     vertex_max_squares,
@@ -140,6 +142,51 @@ def test_no_grid_report_beats_truth(paper_support, paper_families, trained_paper
         gains = utilities.max(axis=-1) - utilities[..., -1]
         worst = np.unravel_index(gains.argmax(), gains.shape)
         assert gains[worst] <= UTILITY_TOL, (i, worst, gains[worst])
+
+
+def _grid_reference(view, step):
+    """The grid oracle's best surplus for a sqrt_sum economy with one resource."""
+    return grid_max(
+        view.capacities[:, 0], view.cost_types, float(view.valuation_types.sum()), view.valuation.scale, step=step
+    )
+
+
+@pytest.mark.parametrize("method", ["analytic", "projected_gradient"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_is_efficient_against_the_grid_oracle(n, method):
+    """No acceptance on the grid beats the solve: every grid point is feasible, so the optimum is at least its best."""
+    rng = np.random.default_rng(101)
+    for t in range(25):
+        view = random_sqrt_sum_economy(rng, n_choices=(n,)).view()
+        surplus = optimize_acceptance(view, method=method).surplus
+        reference = _grid_reference(view, step=1e-2)
+        assert surplus >= reference - 1e-12, (t, surplus, reference)
+
+
+def test_waterfill_is_efficient_on_a_split_cost_economy(split_cost_economy):
+    """The optimum accepts the cheap producer in full and reaches the fine grid's best surplus."""
+    view = split_cost_economy.view()
+    allocation = analytic_waterfill(view)
+    assert allocation.ratios[:, 0].tolist() == [1.0, 0.0]
+    assert allocation.surplus >= _grid_reference(view, step=1e-3) - 1e-12
+
+
+@pytest.mark.parametrize("method", ["analytic", "projected_gradient"])
+def test_a_worthless_economy_accepts_nothing(method):
+    """With every valuation type zero no acceptance is worth its cost: both solves accept nothing at surplus 0."""
+    economy = Economy.sqrt_sum([1.0, 1.0], [0.3, 0.4], [0.0, 0.0])
+    allocation = optimize_acceptance(economy.view(), method=method)
+    assert allocation.surplus == 0.0
+    assert not allocation.accepted.any()
+
+
+def test_four_identical_producers_reach_the_full_grid_optimum():
+    """Four producers, one past the line-search grid oracle: both solves match full enumeration at step 0.1."""
+    economy = Economy.sqrt_sum([1.0] * 4, [0.1] * 4, [1.0])
+    view = economy.view()
+    reference = grid_max_full(view.capacities[:, 0], view.cost_types, 1.0, view.valuation.scale, step=0.1)
+    for method in ("analytic", "projected_gradient"):
+        assert optimize_acceptance(view, method=method).surplus == pytest.approx(reference, abs=1e-9)
 
 
 def test_check_efficiency_grid_on_a_finite_difference_family():
