@@ -40,7 +40,6 @@ from .adjustment import (
     analytic_adjustment,
     marginal_gains_check,
     existence_check,
-    sample_prior,
 )
 from .learner import (
     MLP,

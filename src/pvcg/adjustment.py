@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import _max_surplus, _replaced
-from .model import (
-    _check_count, _check_layout, _check_reports, _check_type_vector, as_quantity_matrix, fields_from_dict,
-    fields_to_dict,
-)
+from .model import _check_count, _check_layout, _check_reports, _set_profile, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
 
 __all__ = [
     "PriorSupport",
-    "sample_prior",
     "analytic_adjustment",
     "AnalyticAdjustment",
     "CheckReport",
@@ -50,11 +46,10 @@ class PriorSupport:
     theta_hi: Array  # (m,)
 
     def __post_init__(self):
-        # every bound finite and non-negative, as the reports it bounds
-        for name in ("cap_lo", "cap_hi"):
-            object.__setattr__(self, name, as_quantity_matrix(getattr(self, name), name=name))
-        for name in ("gamma_lo", "gamma_hi", "theta_lo", "theta_hi"):
-            object.__setattr__(self, name, _check_type_vector(getattr(self, name), name))
+        # each side of the box is checked as the profile of reports it bounds
+        for side in ("_lo", "_hi"):
+            names = ("cap" + side, "gamma" + side, "theta" + side)
+            _set_profile(self, names, names)
         for lo, hi, name in (
             (self.cap_lo, self.cap_hi, "capacity"),
             (self.gamma_lo, self.gamma_hi, "cost-type"),
@@ -64,8 +59,6 @@ class PriorSupport:
                 raise ValueError(f"{name} bounds have mismatched shapes")
             if (lo > hi).any():
                 raise ValueError(f"{name} lower bounds exceed upper bounds")
-        if self.cap_lo.shape[0] != self.gamma_lo.shape[0]:
-            raise ValueError("capacity and cost-type bounds disagree on the producer count")
 
     @property
     def n(self) -> int:
@@ -116,15 +109,6 @@ def sample_from(support: PriorSupport, count: int, rng) -> tuple[Array, Array, A
                  for lo, hi in ((s.cap_lo, s.cap_hi), (s.gamma_lo, s.gamma_hi), (s.theta_lo, s.theta_hi)))
 
 
-def sample_prior(support: PriorSupport, count: int, seed: int = 0) -> tuple[Array, Array, Array]:
-    """Seeded i.i.d. samples of (capacities, cost types, valuation types).
-
-    Returns arrays of shapes ``(count, n, dim)``, ``(count, n)``, ``(count, m)``.
-    """
-    _check_count("count", count)
-    return sample_from(support, count, np.random.default_rng(seed))
-
-
 # ---------------------------------------------------------------------------
 # constructive adjustment
 # ---------------------------------------------------------------------------
@@ -141,7 +125,8 @@ def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) 
     if not 0 <= i < s.n:
         raise IndexError(f"producer index {i} out of range for n={s.n}")
     caps, gammas, thetas = _check_reports(
-        capacities_others, gammas_others, thetas, shape=(s.n - 1, s.dim, s.m), prefix="others' "
+        capacities_others, gammas_others, thetas, shape=(s.n - 1, s.dim, s.m),
+        names=("others' capacities", "others' cost types", "valuation types"),
     )
     caps, gammas = np.insert(caps, i, s.cap_lo[i], axis=0), np.insert(gammas, i, s.gamma_hi[i])
     return float(adjustment._rows(caps, gammas, thetas)[i])

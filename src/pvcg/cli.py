@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .adjustment import AnalyticAdjustment, PriorSupport
+from .allocation import _method_error, waterfill_applies
 from .experiment import (
     ExperimentConfig,
     payment_surface,
@@ -80,6 +81,10 @@ def cmd_simulate(args) -> int:
             with open(args.bids, "r", encoding="utf-8") as fh:
                 bids = bids_from_dict(json.load(fh))
         config = _load_config(args)
+        if bids is not None:
+            economy.view(bids)  # the bids must have the economy's layout
+        if config.method == "analytic" and not waterfill_applies(economy.valuation, economy.cost, economy.dim):
+            raise ValueError(f"method: {_method_error('analytic')}")
         support = PriorSupport.uniform_box(
             economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
         )

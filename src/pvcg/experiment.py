@@ -22,7 +22,7 @@ from .adjustment import (
     existence_check,
     sample_from,
 )
-from .allocation import _solve
+from .allocation import _method_error, _solve, waterfill_applies
 from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
 from .model import (
     _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
@@ -201,6 +201,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: {err}") from None
         if self.method not in (None, "analytic", "projected_gradient"):
             raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {self.method!r}")
+        if self.method == "analytic" and not waterfill_applies(*self.families(), dim=1):
+            raise ValueError(f"method: {_method_error('analytic')}")
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite (None means n), got {self.scale}")
         _check_punishment(self.punishment)

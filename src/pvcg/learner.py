@@ -31,7 +31,6 @@ Array = np.ndarray
 __all__ = [
     "MLP",
     "mlp_init",
-    "mlp_zero",
     "TrainingConfig",
     "TrainingTrace",
     "LearnedAdjustment",
@@ -81,13 +80,6 @@ def mlp_init(layer_sizes, rng) -> MLP:
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.normal(0.0, math.sqrt(2.0 / max(fan_in, 1)), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MLP(weights, biases)
-
-
-def mlp_zero(layer_sizes) -> MLP:
-    """All-zero parameters; the network outputs 0 everywhere."""
-    weights = [np.zeros((i, o)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
-    biases = [np.zeros(o) for o in layer_sizes[1:]]
     return MLP(weights, biases)
 
 

@@ -71,20 +71,23 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _as_capacities(x, name: str) -> Array:
+    """Per-producer resource amounts as a float array, 0-d and 1-d input as a column ``(n, 1)``; ragged rows are
+    rejected naming ``name``. Reads no entry."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except ValueError as err:  # numpy's "setting an array element with a sequence ... inhomogeneous shape"
+        raise ValueError(f"{name} must have rows of one length: {err}") if "sequence" in str(err) else err
+    return arr.reshape(-1, 1) if arr.ndim < 2 else arr
+
+
 def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: str = "resource amounts") -> Array:
     """Coerce per-producer resource amounts into a validated ``(n, dim)`` float array.
 
     Accepts scalars-per-producer (1-d input) or explicit bundles (2-d input).
     Rejects ragged rows and NaN, infinite and negative entries; ``name`` labels the error.
     """
-    try:
-        arr = np.asarray(x, dtype=float)
-    except ValueError as err:  # numpy's "setting an array element with a sequence ... inhomogeneous shape"
-        raise ValueError(f"{name} must have rows of one length: {err}") if "sequence" in str(err) else err
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr[:, None]
+    arr = _as_capacities(x, name)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
@@ -92,10 +95,6 @@ def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: st
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected resource dimension {dim}, got {arr.shape[1]}")
     return _check_entries(arr, name)
-
-
-def _check_type_vector(values, name: str) -> Array:
-    return _check_entries(np.atleast_1d(np.asarray(values, dtype=float)), name)
 
 
 def _frozen(arr: Array) -> Array:
@@ -117,13 +116,15 @@ def _check_layout(caps: Array, gammas: Array, thetas: Array | None = None, suppo
         )
 
 
-def _check_reports(capacities, gammas, thetas=None, shape=None, prefix: str = "") -> tuple:
+_REPORT_NAMES = ("capacities", "cost types", "valuation types")
+
+
+def _check_reports(capacities, gammas, thetas=None, shape=None, names=_REPORT_NAMES) -> tuple:
     """The one check of reports at a public entry: float capacities, cost types and valuation types (None: left out).
 
     They are laid out as ``_check_layout`` asks, or as one ``(n, dim)``, ``(n,)``, ``(m,)`` profile for ``shape=(n,
-    dim, m)``, with every entry finite and non-negative. Errors name the field, producer fields after ``prefix``.
+    dim, m)``, with every entry finite and non-negative. Errors name the field by its entry in ``names``.
     """
-    names = (prefix + "capacities", prefix + "cost types", "valuation types")
     reports = tuple(np.asarray(a, dtype=float) for a in (capacities, gammas, thetas) if a is not None)
     if shape is None:
         _check_layout(*reports)
@@ -134,6 +135,23 @@ def _check_reports(capacities, gammas, thetas=None, shape=None, prefix: str = ""
     for arr, name in zip(reports, names):
         _check_entries(arr, name)
     return reports
+
+
+def _set_profile(holder, fields: tuple, names: tuple) -> None:
+    """Check the holder's ``fields`` as one profile of n >= 1 producers and m >= 1 consumers, and store read-only
+    copies: ``_check_reports`` at ``(n, dim, m)`` read from the capacities (0-d and 1-d ones a column) and from the
+    valuation types. ``names`` label the errors. The one check of ``Economy``, ``BidProfile`` and ``PriorSupport``.
+    """
+    caps = _as_capacities(getattr(holder, fields[0]), names[0])
+    thetas = np.asarray(getattr(holder, fields[2]), dtype=float)
+    m = len(thetas) if thetas.ndim else 1
+    reports = _check_reports(caps, getattr(holder, fields[1]), thetas, shape=caps.shape[:2] + (m,), names=names)
+    if caps.shape[0] < 1:
+        raise ValueError(f"{names[0]} must have at least one producer, got shape {caps.shape}")
+    if m < 1:
+        raise ValueError(f"{names[2]} must have at least one consumer, got shape {thetas.shape}")
+    for name, arr in zip(fields, reports):
+        object.__setattr__(holder, name, _frozen(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +307,10 @@ def make_cost(tag: str):
 # ---------------------------------------------------------------------------
 
 
+# the report fields of ``BidProfile`` and ``Economy``, in ``_set_profile``'s order
+_PROFILE_FIELDS = ("capacities", "cost_types", "valuation_types")
+
+
 @dataclass(frozen=True)
 class BidProfile:
     """Sealed bids of step 1: reported capacities and types, held as read-only copies of the checked arrays."""
@@ -298,10 +320,7 @@ class BidProfile:
     valuation_types: Array   # (m,) reported valuation types
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", _frozen(as_quantity_matrix(self.capacities, name="reported capacities")))
-        object.__setattr__(self, "cost_types", _frozen(_check_type_vector(self.cost_types, "reported cost types")))
-        thetas = _frozen(_check_type_vector(self.valuation_types, "reported valuation types"))
-        object.__setattr__(self, "valuation_types", thetas)
+        _set_profile(self, _PROFILE_FIELDS, tuple("reported " + name for name in _REPORT_NAMES))
 
     @property
     def n(self) -> int:
@@ -325,17 +344,7 @@ class Economy:
     cost: object
 
     def __post_init__(self):
-        caps = _frozen(as_quantity_matrix(self.capacities, name="capacities"))
-        object.__setattr__(self, "capacities", caps)
-        object.__setattr__(self, "cost_types", _frozen(_check_type_vector(self.cost_types, "cost types")))
-        thetas = _frozen(_check_type_vector(self.valuation_types, "valuation types"))
-        object.__setattr__(self, "valuation_types", thetas)
-        if caps.shape[0] < 1:
-            raise ValueError("an economy needs at least one producer")
-        if thetas.shape[0] < 1:
-            raise ValueError("an economy needs at least one consumer")
-        if self.cost_types.shape[0] != caps.shape[0]:
-            raise ValueError("cost_types length must match the number of producers")
+        _set_profile(self, _PROFILE_FIELDS, _REPORT_NAMES)
 
     @classmethod
     def sqrt_sum(cls, capacities, cost_types, valuation_types, scale: float | None = None) -> "Economy":
@@ -343,16 +352,9 @@ class Economy:
 
         ``scale`` defaults to the producer count.
         """
-        caps = as_quantity_matrix(capacities, name="capacities")
-        if scale is None:
-            scale = float(caps.shape[0])
-        return cls(
-            capacities=caps,
-            cost_types=np.asarray(cost_types, dtype=float),
-            valuation_types=np.asarray(valuation_types, dtype=float),
-            valuation=SqrtSumValuation(scale=scale),
-            cost=LinearCost(),
-        )
+        caps = _as_capacities(capacities, "capacities")  # for the producer count; the constructor checks it
+        valuation = SqrtSumValuation(scale=float(caps.shape[0]) if scale is None else scale)
+        return cls(caps, cost_types, valuation_types, valuation, LinearCost())
 
     @property
     def n(self) -> int:
@@ -629,25 +631,17 @@ def economy_to_dict(economy: Economy) -> dict:
 
 
 def economy_from_dict(doc: dict) -> Economy:
-    caps = as_quantity_matrix(doc["capacities"], name="capacities")
+    caps = _as_capacities(doc["capacities"], "capacities")  # for the producer count; the constructor checks it
     n = int(doc.get("n", caps.shape[0]))
     if caps.shape[0] != n:
         raise ValueError("economy document: capacities length disagrees with n")
-    thetas = np.asarray(doc["valuation_types"], dtype=float)
-    m = int(doc.get("m", thetas.shape[0]))
-    if thetas.shape[0] != m:
-        raise ValueError("economy document: valuation_types length disagrees with m")
     vfam = doc.get("valuation_family", {"tag": "sqrt_sum"})
     cfam = doc.get("cost_family", {"tag": "linear"})
     valuation = make_valuation(vfam["tag"], scale=float(vfam.get("scale", n)))
-    cost = make_cost(cfam["tag"])
-    return Economy(
-        capacities=caps,
-        cost_types=np.asarray(doc["cost_types"], dtype=float),
-        valuation_types=thetas,
-        valuation=valuation,
-        cost=cost,
-    )
+    economy = Economy(caps, doc["cost_types"], doc["valuation_types"], valuation, make_cost(cfam["tag"]))
+    if economy.m != int(doc.get("m", economy.m)):
+        raise ValueError("economy document: valuation_types length disagrees with m")
+    return economy
 
 
 def save_economy(economy: Economy, path) -> None:
@@ -662,8 +656,4 @@ def load_economy(path) -> Economy:
 
 
 def bids_from_dict(doc: dict) -> BidProfile:
-    return BidProfile(
-        capacities=as_quantity_matrix(doc["capacities"], name="reported capacities"),
-        cost_types=np.asarray(doc["cost_types"], dtype=float),
-        valuation_types=np.asarray(doc["valuation_types"], dtype=float),
-    )
+    return BidProfile(doc["capacities"], doc["cost_types"], doc["valuation_types"])

@@ -1,11 +1,23 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import pvcg.model
 from pvcg import Economy, LinearCost, PriorSupport, SqrtSumValuation, TrainingConfig
 from pvcg.learner import train
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The field names of the entry scans (``model._check_entries`` calls) made while the test runs, in order."""
+    names, check = [], pvcg.model._check_entries
+    for module in [m for name, m in sys.modules.items() if name.startswith("pvcg.")]:
+        if getattr(module, "_check_entries", None) is check:  # every binding, as a module may import it by name
+            monkeypatch.setattr(module, "_check_entries", lambda arr, name: names.append(name) or check(arr, name))
+    return names
 
 
 @pytest.fixture

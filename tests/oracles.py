@@ -879,6 +879,12 @@ def reference_sample_from(support, count, rng):
     return caps, gammas, thetas
 
 
+def zero_mlp(layer_sizes) -> MLP:
+    """A network of all-zero parameters, which outputs 0 everywhere."""
+    weights = [np.zeros((i, o)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
+    return MLP(weights, [np.zeros(o) for o in layer_sizes[1:]])
+
+
 def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
     if gammas.shape[-1] == 0:
         return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0

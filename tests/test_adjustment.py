@@ -16,7 +16,6 @@ from pvcg import (
     analytic_adjustment,
     marginal_gains_check,
     existence_check,
-    sample_prior,
     total_payment,
 )
 from pvcg.adjustment import sample_from
@@ -37,6 +36,15 @@ def test_support_validation():
             gamma_lo=np.zeros(3), gamma_hi=np.ones(3),
             theta_lo=np.zeros(1), theta_hi=np.ones(1),
         )
+    # each side of the box is a profile: (n,) cost-type and (m,) valuation-type bounds, n >= 1 and m >= 1
+    with pytest.raises(ValueError, match=r"^gamma_lo must have shape \(3,\), got \(3, 1\)$"):
+        PriorSupport(np.zeros((3, 1)), np.ones((3, 1)), np.zeros((3, 1)), np.ones((3, 1)), np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match=r"^theta_lo must have shape \(2,\), got \(2, 2\)$"):
+        PriorSupport(np.zeros((3, 1)), np.ones((3, 1)), np.zeros(3), np.ones(3), np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^cap_lo must have at least one producer, got shape \(0, 1\)$"):
+        PriorSupport.uniform_box(0, 2)
+    with pytest.raises(ValueError, match=r"^theta_lo must have at least one consumer, got shape \(0,\)$"):
+        PriorSupport.uniform_box(2, 0)
 
 
 @pytest.mark.parametrize(
@@ -48,18 +56,18 @@ def test_support_rejects_negative_type_lower_bounds(field, bounds):
         PriorSupport.uniform_box(2, 1, **bounds)
 
 
-def test_sample_prior_bounds_and_determinism(paper_support):
-    caps, gammas, thetas = sample_prior(paper_support, 500, seed=9)
+def test_sample_from_bounds_and_determinism(paper_support):
+    caps, gammas, thetas = sample_from(paper_support, 500, np.random.default_rng(9))
     assert caps.shape == (500, 10, 1) and gammas.shape == (500, 10) and thetas.shape == (500, 2)
     assert caps.min() >= 0.0 and caps.max() <= 5.0
     assert gammas.min() >= 0.0 and gammas.max() <= 1.0
-    again = sample_prior(paper_support, 500, seed=9)
+    again = sample_from(paper_support, 500, np.random.default_rng(9))
     assert all(np.array_equal(a, b) for a, b in zip((caps, gammas, thetas), again))
 
 
-def test_sample_prior_degenerate_support():
+def test_sample_from_degenerate_support():
     support = PriorSupport.uniform_box(2, 1, cap=(2.0, 2.0), gamma=(0.3, 0.3), theta=(0.8, 0.8))
-    caps, gammas, thetas = sample_prior(support, 50, seed=0)
+    caps, gammas, thetas = sample_from(support, 50, np.random.default_rng(0))
     assert np.all(caps == 2.0) and np.all(gammas == 0.3) and np.all(thetas == 0.8)
 
 
@@ -93,8 +101,8 @@ def test_support_dict_roundtrip():
         assert np.array_equal(getattr(loaded, name), getattr(support, name))
 
 
-def test_sample_prior_empirical_mean(paper_support):
-    caps, _, _ = sample_prior(paper_support, 100_000 // 10, seed=123)
+def test_sample_from_empirical_mean(paper_support):
+    caps, _, _ = sample_from(paper_support, 100_000 // 10, np.random.default_rng(123))
     # 10 producers x 10^4 draws = 10^5 uniform[0,5] values
     assert abs(caps.mean() - 2.5) < 0.02
 
@@ -174,7 +182,7 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim,
         # cheap producers above zero capacity: the pessimistic producer is accepted, so no adjustment is zero
         support = PriorSupport.uniform_box(n, 2, cap=(0.5, 2.0), gamma=(0.0, 0.05), dim=dim)
         model = AnalyticAdjustment(support, valuation_cls(scale=float(n)), LinearCost(), method=method)
-        caps, gammas, thetas = sample_prior(support, 1, seed=n)
+        caps, gammas, thetas = sample_from(support, 1, np.random.default_rng(n))
         batch = model.all_producers(caps, gammas, thetas)
         assert batch.shape == (1, n)
         for i, keep in enumerate(others_index(n)):

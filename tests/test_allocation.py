@@ -33,7 +33,6 @@ from pvcg.allocation import (
     waterfill_gains,
     waterfill_surplus,
 )
-from pvcg.learner import mlp_zero
 
 from conftest import TIED_CAPS, TIED_GAMMAS, convex_cost, random_sqrt_sum_economy, weighted_valuation
 from oracles import (
@@ -44,6 +43,7 @@ from oracles import (
     grid_max_full,
     reference_projected_gradient,
     reference_waterfill_gains,
+    zero_mlp,
 )
 
 
@@ -353,7 +353,7 @@ def _public_entries():
     """(id, field names, call) of every public batch entry that takes (2, 3, 1), (2, 3) and (2, 2) reports."""
     valuation, cost, support = SqrtSumValuation(scale=3.0), LinearCost(), PriorSupport.uniform_box(3, 2)
     fields = ["capacities", "cost types", "valuation types"]
-    learned = LearnedAdjustment(tuple(mlp_zero([6, 4, 1]) for _ in range(3)), support)
+    learned = LearnedAdjustment(tuple(zero_mlp([6, 4, 1]) for _ in range(3)), support)
     entries = [
         (f"{f.__name__}-{method or 'waterfill'}", fields, lambda *r, f=f, method=method: f(*r, valuation, cost, method))
         for f in (solve_batch, max_surplus) for method in (None, "projected_gradient")

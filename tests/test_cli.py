@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,10 @@ def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_
     assert not (tmp_path / "out").exists()
 
 
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -205,14 +210,24 @@ def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_
         pytest.param(["surface", "--adjustment", "bogus"],
                      "pvcg surface: error: unknown adjustment 'bogus'; expected zero, analytic, or learned:PATH",
                      id="unknown-adjustment-surface"),
+        pytest.param(["verify", "--config", "{configs}/surface_squares.json", "--method", "analytic"],
+                     f"pvcg verify: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-squares-config"),
+        pytest.param(["simulate", "--economy", "{configs}/economy3_2d.json", "--method", "analytic"],
+                     f"pvcg simulate: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-2d-economy"),
+        pytest.param(["simulate", "--economy", "{configs}/economy3.json", "--bids", "{bids}"],
+                     "pvcg simulate: error: bid capacities do not match the economy's producer layout",
+                     id="bids-of-another-producer-count"),
     ],
 )
 def test_a_bad_input_is_one_error_line_with_exit_code_2(argv, message, config_file, tmp_path, capsys):
-    """A config override or checkpoint that cannot be loaded ends the command before any work, without a traceback."""
+    """A config override, checkpoint, method or bids file that cannot be used ends the command before any work,
+    without a traceback. A ``--config`` in ``argv`` takes the place of the fixture's."""
     _, config_path = config_file
-    missing = tmp_path / "missing.json"
+    paths = dict(missing=tmp_path / "missing.json", configs=_CONFIGS, bids=tmp_path / "bids.json")
+    paths["bids"].write_text(json.dumps({"capacities": [1.0, 2.0], "cost_types": [0.1, 0.2], "valuation_types": [1.0]}))
     with pytest.raises(SystemExit) as exit_info:
-        main([arg.format(missing=missing) for arg in argv] + ["--config", str(config_path), "--out", str(tmp_path / "out")])
+        main([argv[0], "--config", str(config_path)] + [arg.format(**paths) for arg in argv[1:]]
+             + ["--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == message.format(missing=missing) + "\n"
+    assert capsys.readouterr().err == message.format(**paths) + "\n"
     assert not (tmp_path / "out").exists()

@@ -15,7 +15,7 @@ from pvcg import (
     TrainingConfig,
     total_payment,
 )
-from pvcg.adjustment import sample_from, sample_prior
+from pvcg.adjustment import sample_from
 from pvcg.allocation import max_surplus, waterfill_gains
 from pvcg.learner import (
     MLP,
@@ -27,7 +27,6 @@ from pvcg.learner import (
     _stack,
     load_model,
     mlp_init,
-    mlp_zero,
     save_model,
     train,
 )
@@ -40,11 +39,12 @@ from oracles import (
     reference_learned_adjustment,
     reference_loss_and_grads,
     reference_train,
+    zero_mlp,
 )
 
 
 def _batch_with_surpluses(support, valuation, count, seed):
-    caps, gammas, thetas = sample_prior(support, count, seed=seed)
+    caps, gammas, thetas = sample_from(support, count, np.random.default_rng(seed))
     surpluses = np.empty(count)
     removed = np.empty((count, support.n))
     for t in range(count):
@@ -62,11 +62,11 @@ def _loss(model, caps, gammas, thetas, surpluses, removed) -> float:
 
 def _zero_model(support):
     width = (support.n - 1) * support.dim + (support.n - 1) + support.m
-    return LearnedAdjustment(tuple(mlp_zero([width, 10, 1]) for _ in range(support.n)), support)
+    return LearnedAdjustment(tuple(zero_mlp([width, 10, 1]) for _ in range(support.n)), support)
 
 
 def test_forward_basics():
-    net = mlp_zero([4, 3, 1])
+    net = zero_mlp([4, 3, 1])
     assert _forward_rows(*_stack([net]), np.array([[[1.0, 2.0, 3.0, 4.0]]]))[0, 0] == 0.0
     linear = MLP([np.array([[1.0], [1.0]])], [np.zeros(1)])
     assert _forward_rows(*_stack([linear]), np.array([[[2.0, 3.0]]]))[0, 0] == 5.0
@@ -115,7 +115,7 @@ def test_composite_loss_hugely_negative_outputs(paper_support, paper_families):
     width = (paper_support.n - 1) + (paper_support.n - 1) + paper_support.m
     nets = []
     for _ in range(paper_support.n):
-        net = mlp_zero([width, 4, 1])
+        net = zero_mlp([width, 4, 1])
         net.biases[-1][0] = -1e6
         nets.append(net)
     model = LearnedAdjustment(tuple(nets), paper_support)
@@ -128,7 +128,7 @@ def test_composite_loss_hugely_negative_outputs(paper_support, paper_families):
 def test_composite_loss_single_sample_worked_example():
     """One producer, zero surplus, output 1: the budget term alone contributes 1."""
     support = PriorSupport.uniform_box(1, 1, cap=(0.0, 0.0), gamma=(0.3, 0.3), theta=(0.0, 0.0))
-    net = mlp_zero([1, 1])
+    net = zero_mlp([1, 1])
     net.biases[-1][0] = 1.0  # h_0 = S* + 1 with S* = 0
     model = LearnedAdjustment((net,), support)
     caps = np.zeros((1, 1, 1))
@@ -285,7 +285,7 @@ def test_trained_model_prices_with_the_parameters_training_moved():
     for net in model.nets:
         for k, (w, b) in enumerate(zip(model._weights, model._biases)):
             assert np.shares_memory(net.weights[k], w) and np.shares_memory(net.biases[k], b)
-    caps, gammas, thetas = sample_prior(support, 7, seed=5)
+    caps, gammas, thetas = sample_from(support, 7, np.random.default_rng(5))
     batch = model.all_producers(caps, gammas, thetas)
     for t in range(7):
         for i in range(support.n):
@@ -403,7 +403,7 @@ def test_call_equals_outputs_batch():
     support = PriorSupport.uniform_box(4, 2, cap=(0.5, 3.0), dim=2)
     rng = np.random.default_rng(7)
     model = LearnedAdjustment(tuple(mlp_init([3 * 2 + 3 + 2, 6, 1], rng) for _ in range(4)), support)
-    caps, gammas, thetas = sample_prior(support, 16, seed=8)
+    caps, gammas, thetas = sample_from(support, 16, np.random.default_rng(8))
     batch = model.outputs_batch(caps, gammas, thetas)
     for t in range(16):
         single = model.outputs_batch(caps[t : t + 1], gammas[t : t + 1], thetas[t : t + 1])
@@ -425,7 +425,7 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(batch, hidden):
     rng = np.random.default_rng(batch[0])
     model = LearnedAdjustment(tuple(mlp_init([20, *hidden, 1], rng) for _ in range(10)), support)
     T = math.prod(batch)
-    caps, gammas, thetas = sample_prior(support, T, seed=T + 1)
+    caps, gammas, thetas = sample_from(support, T, np.random.default_rng(T + 1))
     out = model.all_producers(caps.reshape(*batch, 10, 1), gammas.reshape(*batch, 10), thetas.reshape(*batch, 2))
     assert out.shape == (*batch, 10) and out.flags.c_contiguous
     flat = out.reshape(T, 10)
@@ -462,7 +462,7 @@ def test_composite_loss_matches_loss_components_of_the_payment():
     valuation, cost = SqrtSumValuation(scale=3.0), LinearCost()
     rng = np.random.default_rng(11)
     model = LearnedAdjustment(tuple(mlp_init([2 + 2 + 2, 5, 1], rng) for _ in range(3)), support)
-    caps, gammas, thetas = sample_prior(support, 20, seed=12)
+    caps, gammas, thetas = sample_from(support, 20, np.random.default_rng(12))
     active = 0
     for t in range(20):
         payments = total_payment(Economy(caps[t], gammas[t], thetas[t], valuation, cost), adjustment=model)

@@ -13,6 +13,7 @@ from pvcg import (
     CustomValuation,
     Economy,
     LinearCost,
+    PriorSupport,
     SqrtSumSquaresValuation,
     SqrtSumValuation,
     check_assumptions,
@@ -21,7 +22,8 @@ from pvcg import (
     social_surplus,
 )
 from pvcg.model import (
-    ASSUMPTION_CAP_HIGH, ASSUMPTION_GAMMA_HIGH, ASSUMPTION_THETA_HIGH, cost_rows, surplus_rows, value_rows,
+    ASSUMPTION_CAP_HIGH, ASSUMPTION_GAMMA_HIGH, ASSUMPTION_THETA_HIGH, bids_from_dict, cost_rows, surplus_rows,
+    value_rows,
 )
 
 from conftest import convex_cost, weighted_valuation
@@ -208,6 +210,13 @@ def test_economy_validation():
         Economy.sqrt_sum([1.0, 1.0], [0.1, 0.2], [-0.5])
     with pytest.raises(ValueError):
         Economy.sqrt_sum([[1.0, 2.0], [3.0]], [0.1, 0.2], [1.0])  # ragged bundles
+    # a type vector of a second axis is not one per producer or consumer
+    with pytest.raises(ValueError, match=r"^cost types must have shape \(2,\), got \(2, 1\)$"):
+        Economy.sqrt_sum([1, 2], [[0.1], [0.2]], [1])
+    with pytest.raises(ValueError, match=r"^valuation types must have shape \(2,\), got \(2, 1\)$"):
+        Economy.sqrt_sum([1, 2], [0.1, 0.2], [[1], [0.5]])
+    with pytest.raises(ValueError, match=r"^reported cost types must have shape \(2,\), got \(2, 1\)$"):
+        BidProfile([1, 2], [[0.1], [0.2]], [1])
 
 
 def test_economy_serialization_roundtrip():
@@ -260,6 +269,26 @@ def test_economy_and_bids_hold_read_only_copies_of_their_arrays():
 def test_non_finite_input_is_rejected_by_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         build()
+
+
+_DOC = {"capacities": [[1.0, 2.0], [3.0, 0.5]], "cost_types": [0.1, 0.2], "valuation_types": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (lambda: Economy.sqrt_sum(*_DOC.values()), ["capacities", "cost types", "valuation types"]),
+        (lambda: economy_from_dict(_DOC), ["capacities", "cost types", "valuation types"]),
+        (lambda: bids_from_dict(_DOC), ["reported capacities", "reported cost types", "reported valuation types"]),
+        (lambda: PriorSupport.uniform_box(2, 3, dim=2), ["cap_lo", "gamma_lo", "theta_lo", "cap_hi", "gamma_hi",
+                                                          "theta_hi"]),
+    ],
+    ids=["sqrt_sum", "economy_from_dict", "bids_from_dict", "prior_support"],
+)
+def test_a_domain_type_scans_each_array_once(scanned, build, fields):
+    """A constructor and the builders that hand it their input scan each array's entries once, in field order."""
+    build()
+    assert scanned == fields
 
 
 _RAGGED = {"capacities": [[1.0, 2.0], [3.0]], "cost_types": [0.1, 0.2], "valuation_types": [1.0]}

@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pvcg.adjustment
-import pvcg.model
 import pvcg.payments
 from pvcg import (
     AnalyticAdjustment,
@@ -41,6 +38,7 @@ from oracles import (
     reference_solve,
     reference_total_payment,
     total_valuation as loop_valuation,
+    zero_mlp,
 )
 
 
@@ -180,7 +178,7 @@ def test_payment_entry_points_reject_a_punishment_that_is_not_positive_and_finit
     [(), ("capacities", "cost_types"), ("capacities",), ("cost_types",)],
     ids=["truthful", "reported", "capacities", "cost_types"],
 )
-def test_payments_batch_checks_each_input_array_once(monkeypatch, reported):
+def test_payments_batch_checks_each_input_array_once(scanned, reported):
     """On a projected-gradient batch the reports are scanned once each, at the entry, and not again by the solver
     or the adjustment; a reported field left out is the truth, which is not scanned again under its name."""
     valuation, cost, support = SqrtSumSquaresValuation(scale=3.0), LinearCost(), PriorSupport.uniform_box(3, 2, dim=2)
@@ -188,10 +186,7 @@ def test_payments_batch_checks_each_input_array_once(monkeypatch, reported):
     given = dict(capacities=0.5 * caps, cost_types=gammas)
     reports = {f"reported_{field}": given[field] for field in reported}
     adjustment = AnalyticAdjustment(support, valuation, cost)
-    scanned, check = [], pvcg.model._check_entries
-    for module in [m for name, m in sys.modules.items() if name.startswith("pvcg.")]:
-        if getattr(module, "_check_entries", None) is check:  # every binding, as a module may import it by name
-            monkeypatch.setattr(module, "_check_entries", lambda arr, name: scanned.append(name) or check(arr, name))
+    scanned.clear()  # the support's own scans are not the pricing's
     payments_batch(caps, gammas, thetas, valuation, cost, adjustment=adjustment, **reports)
     expected = ["capacities", "cost types", "valuation types"]
     assert scanned == expected + ["reported " + field.replace("_", " ") for field in reported]
@@ -241,11 +236,10 @@ def test_total_payment_rows_match_the_per_producer_oracle(cheap_pair_economy):
 
 def test_adjustment_model_dimension_mismatch_errors(cheap_pair_economy):
     from pvcg import LearnedAdjustment, PriorSupport
-    from pvcg.learner import mlp_zero
 
     support = PriorSupport.uniform_box(3, 1)
     width = 2 * 2 + 1  # others' capacities + others' cost types + consumers
-    model = LearnedAdjustment(tuple(mlp_zero([width, 4, 1]) for _ in range(3)), support)
+    model = LearnedAdjustment(tuple(zero_mlp([width, 4, 1]) for _ in range(3)), support)
     with pytest.raises(ValueError):
         total_payment(cheap_pair_economy, adjustment=model)
 
@@ -453,6 +447,42 @@ def test_payments_batch_rejects_bad_input(change, message):
     )
     with pytest.raises(ValueError, match=message):
         payments_batch(**{**args, **change})
+
+
+def _value_error(build) -> str | None:
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_an_economy_raises_exactly_when_its_batch_of_one_does(data):
+    """One boundary rule for single and batch entries: ``Economy`` raises exactly when ``payments_batch`` raises on
+    its coerced profile with a leading axis of one, and a bad entry is named by the same field in both.
+
+    Shapes are small, some with an axis too many or too few and n or m zero; one entry may be NaN, inf or negative.
+    """
+    n, m, dim = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
+    shapes = [data.draw(st.sampled_from(options)) for options in (
+        [(n,), (n, dim), (n, dim, 1), ()], [(n,), (n, 1), ()], [(m,), (m, 1), ()],
+    )]
+    reports = [np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size))).reshape(shape)
+               for shape, size in zip(shapes, map(math.prod, shapes))]
+    bad = data.draw(st.sampled_from([None, math.nan, math.inf, -1.0]))
+    k = data.draw(st.integers(0, 2))
+    if bad is not None and reports[k].size:
+        reports[k].flat[data.draw(st.integers(0, reports[k].size - 1))] = bad
+    caps, gammas, thetas = reports
+    valuation, cost = SqrtSumValuation(scale=2.0), LinearCost()
+    single = _value_error(lambda: Economy(caps, gammas, thetas, valuation, cost))
+    column = caps.reshape(-1, 1) if caps.ndim < 2 else caps
+    batch = _value_error(lambda: payments_batch(column[None], gammas[None], thetas[None], valuation, cost))
+    assert (single is None) == (batch is None), (shapes, single, batch)
+    if single is not None and (" must be finite" in single or " must be non-negative" in single):
+        assert single.split(" must ")[0] == batch.split(" must ")[0], (single, batch)
 
 
 # The invariance tests price T = 200 water-fill auctions of n = 10 producers at the synergy scale n, capacities
