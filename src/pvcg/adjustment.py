@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _max_surplus, _replaced
+from .allocation import _batch_surpluses, _max_surplus, _replaced
 from .model import _check_count, _check_layout, _check_reports, _set_profile, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -223,15 +223,19 @@ def _run_check(
     """lhs - rhs of the feasibility inequality at every sample, with the violations.
 
     Problem i replaces producer i: ``pessimistic`` puts it at its support
-    extremes; otherwise its capacity is zeroed with its cost type kept (the
-    zero-capacity form). The n replaced problems of every sample are solved in
-    one ``max_surplus`` call; ``lhs`` adds them up producer by producer.
+    extremes, and the n replaced problems of every sample are solved in one
+    ``max_surplus`` call; otherwise its capacity is zeroed with its cost type
+    kept (the zero-capacity form), and training's ``_batch_surpluses`` solves
+    them. ``lhs`` adds them up producer by producer.
     """
     _check_count("samples", samples)
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
-    s_full = _max_surplus(caps, gammas, thetas, valuation, cost, method)
-    cap, gamma = (support.cap_lo, support.gamma_hi) if pessimistic else (0.0, gammas)
-    s_replaced = _max_surplus(*_replaced(caps, gammas, cap, gamma), thetas[:, None, :], valuation, cost, method)
+    if pessimistic:
+        s_full = _max_surplus(caps, gammas, thetas, valuation, cost, method)
+        replaced = _replaced(caps, gammas, support.cap_lo, support.gamma_hi)
+        s_replaced = _max_surplus(*replaced, thetas[:, None, :], valuation, cost, method)
+    else:
+        s_full, s_replaced = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
     lhs = np.zeros(samples)
     for i in range(support.n):
         lhs += s_full - s_replaced[:, i]

@@ -99,20 +99,20 @@ def _cost_order(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Ar
     return flat, caps.take(flat), gammas_sorted, stops
 
 
-def _fills(caps_sorted: Array, stops: Array, cumsum: Array | None = None) -> Array:
+def _fills(caps_sorted: Array, stops: Array) -> Array:
     """Each stop quantity minus the quantity filled before it, clipped to [0, capacity]; overwrites ``stops``."""
-    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1, out=cumsum)[..., :-1]
+    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
     return np.minimum(np.maximum(stops, 0.0, out=stops), caps_sorted, out=stops)
 
 
-def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float, cumsum=None):
+def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, theta_sum, scale: float):
     """Surplus of the fills along the cost order; 0 where nothing is worth accepting (``theta_sum <= 0``).
 
     This is the one water-fill surplus formula: every water-fill entry point
     takes its surplus from here, so they agree bit for bit on the same
     economy. Like ``_fills``, it leaves the fills in ``stops``.
     """
-    fills = _fills(caps_sorted, stops, cumsum)
+    fills = _fills(caps_sorted, stops)
     # a dot product per row, the one 1-D ``@`` would take
     cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
     return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost, 0.0)
@@ -433,23 +433,40 @@ def _solve(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: s
     return caps * ratios.reshape(caps.shape), surplus.reshape(batch)
 
 
-def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float, *, _work: Array | None = None):
+def waterfill_gains(caps: Array, gammas: Array, theta_sum, scale: float):
     """Full and producer-removed surpluses, batched as ``waterfill_surplus``; producers last in ``removed``.
 
     The economy without a producer has its capacity zeroed and its cost type
     kept, so it sorts as the full row: the one without the producer at sorted
-    position p fills the full row's sorted rows, position p zeroed. Each
-    surplus has the bits of ``solve_batch`` on that economy. ``_work``, a
-    ``(4, *gammas.shape, n)`` buffer, takes the removed rows in place of fresh arrays.
-    An unchecked kernel, as ``waterfill_surplus``.
+    position p is the full sorted row, position p zeroed. Only the producers
+    the full allocation fills are solved again; an unfilled producer's
+    removed surplus is the full one, copied. That is exact: the fills before
+    it do not read its capacity, and since stops do not rise along the cost
+    order while cumulative capacities do not fall, every fill after it stays
+    0, so both rows reduce the same fills. Each surplus has the bits of
+    ``solve_batch`` on that economy. An unchecked kernel, as ``waterfill_surplus``.
     """
-    flat, *sorted_rows = _cost_order(caps, gammas, theta_sum, scale)
-    theta_sum = np.asarray(theta_sum)
-    k = np.arange(gammas.shape[-1])
-    work = np.empty((4,) + gammas.shape + k.shape) if _work is None else _work
-    np.copyto(work[:3], np.stack(sorted_rows)[..., None, :])
-    work[0][..., k, k] = 0.0
-    removed = np.empty(gammas.shape)
-    np.put(removed, flat, _sorted_surplus(*work[:3], theta_sum[..., None], scale, work[3]))
-    full = _sorted_surplus(*sorted_rows, theta_sum, scale)
+    flat, caps_sorted, gammas_sorted, stops = _cost_order(caps, gammas, theta_sum, scale)
+    shape = (math.prod(gammas.shape[:-1]), gammas.shape[-1])  # the batch flattened, kept 2-D when n == 0
+    fills = stops.copy()
+    full = _sorted_surplus(caps_sorted, gammas_sorted, fills, theta_sum, scale)
+    picked = np.flatnonzero(fills > 0.0)  # the filled (economy, sorted position) pairs, as flat indices
+    economy, position = np.divmod(picked, shape[1])
+    rows = [a.reshape(shape).take(economy, axis=0) for a in (caps_sorted, gammas_sorted, stops)]
+    rows[0][np.arange(len(picked)), position] = 0.0
+    theta_rows = np.broadcast_to(theta_sum, gammas.shape[:-1]).take(economy)
+    removed = np.repeat(np.asarray(full)[..., None], shape[1], axis=-1)
+    removed.put(flat.take(picked), _sorted_surplus(*rows, theta_rows, scale))
     return (float(full) if full.ndim == 0 else full), removed
+
+
+def _batch_surpluses(valuation, cost, caps: Array, gammas: Array, thetas: Array, method):
+    """S* ``(T,)`` and every S*_{-i} ``(T, n)``, producer i's capacity zeroed, of T trusted reports.
+
+    The water-fill takes ``waterfill_gains``; any other family or method one
+    ``_max_surplus`` call on the full economy stacked on its n removed ones.
+    """
+    if waterfill_applies(valuation, cost, caps.shape[2], method):
+        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
+    surpluses = _max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
+    return surpluses[:, 0], surpluses[:, 1:]

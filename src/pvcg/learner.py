@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjustment import PriorSupport, _one_producer, feasibility_penalties, sample_from
-from .allocation import _max_surplus, _replaced, others_index, waterfill_applies, waterfill_gains
+from .allocation import _batch_surpluses, others_index
 from .model import _check_count, _check_layout, _check_reports, fields_from_dict, fields_to_dict
 
 Array = np.ndarray
@@ -257,7 +257,8 @@ class LearnedAdjustment:
         """``(n, T, k)`` inputs of every network for T full draws: a ``(T, n, k)`` gather into ``_out``, transposed."""
         T = gammas.shape[0]
         full = self._full_rows(caps.reshape(T, self.n, self.support.dim), gammas, thetas)
-        return full.take(self._columns, axis=1, out=_out).transpose(1, 0, 2)
+        # numpy buffers ``out`` under the default mode="raise"; ``_columns`` is in range by construction
+        return full.take(self._columns, axis=1, out=_out, mode="clip").transpose(1, 0, 2)
 
     def outputs_batch(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """(T, n) adjustment outputs for a batch of full parameter draws, from training's stacked forward pass."""
@@ -323,14 +324,6 @@ def _loss_and_grads(weights: list[Array], biases: list[Array], inputs: Array, ga
     return loss, _backward(weights, activations, d_out.T, _grads=_grads)
 
 
-def _batch_surpluses(valuation, cost, caps, gammas, thetas, method, *, _work: Array | None = None):
-    """S* and all S*_{-i}, producer i's capacity zeroed, for every sample (solved once, reused all epoch)."""
-    if waterfill_applies(valuation, cost, caps.shape[2], method):
-        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale, _work=_work)
-    surpluses = _max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
-    return surpluses[:, 0], surpluses[:, 1:]
-
-
 def _flat_views(flat: Array, weights: list[Array], biases: list[Array]) -> tuple[list[Array], list[Array]]:
     """Views of the 1-D ``flat`` shaped as the weight and then the bias stacks, laid out one after another."""
     stacks = weights + biases
@@ -372,16 +365,15 @@ def train(
     params, weights, biases = model._params, model._weights, model._biases
     velocity, grads = np.zeros_like(params), np.empty_like(params)
     d_params = _flat_views(grads, weights, biases)
-    # one workspace for every epoch: the gathered inputs, the hidden activations and the removed rows' arrays
+    # one workspace for every epoch: the gathered inputs and the hidden activations
     T, widths = config.batch_size, nets[0].layer_sizes
     inputs, hidden = np.empty((T, n, widths[0])), _hidden_buffers(n, T, widths)
-    gains_work = np.empty((4, T, n, n)) if waterfill_applies(valuation, cost, dim, method) else None
 
     losses: list[float] = []
     started = time.perf_counter()
     for _ in range(config.epochs):
         caps, gammas, thetas = sample_from(support, T, data_rng)
-        surpluses, removed = _batch_surpluses(valuation, cost, caps, gammas, thetas, method, _work=gains_work)
+        surpluses, removed = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
         loss, _ = _loss_and_grads(
             weights, biases, model.inputs_batch(caps, gammas, thetas, _out=inputs), surpluses[:, None] - removed,
             surpluses, _hidden=hidden, _grads=d_params,

@@ -137,6 +137,13 @@ def _check_reports(capacities, gammas, thetas=None, shape=None, names=_REPORT_NA
     return reports
 
 
+def _producer_count(caps: Array, name: str) -> int:
+    """The producer count n of ``_as_capacities`` output, which must be at least 1; errors name ``name``."""
+    if caps.shape[0] < 1:
+        raise ValueError(f"{name} must have at least one producer, got shape {caps.shape}")
+    return caps.shape[0]
+
+
 def _set_profile(holder, fields: tuple, names: tuple) -> None:
     """Check the holder's ``fields`` as one profile of n >= 1 producers and m >= 1 consumers, and store read-only
     copies: ``_check_reports`` at ``(n, dim, m)`` read from the capacities (0-d and 1-d ones a column) and from the
@@ -146,8 +153,7 @@ def _set_profile(holder, fields: tuple, names: tuple) -> None:
     thetas = np.asarray(getattr(holder, fields[2]), dtype=float)
     m = len(thetas) if thetas.ndim else 1
     reports = _check_reports(caps, getattr(holder, fields[1]), thetas, shape=caps.shape[:2] + (m,), names=names)
-    if caps.shape[0] < 1:
-        raise ValueError(f"{names[0]} must have at least one producer, got shape {caps.shape}")
+    _producer_count(caps, names[0])
     if m < 1:
         raise ValueError(f"{names[2]} must have at least one consumer, got shape {thetas.shape}")
     for name, arr in zip(fields, reports):
@@ -352,8 +358,8 @@ class Economy:
 
         ``scale`` defaults to the producer count.
         """
-        caps = _as_capacities(capacities, "capacities")  # for the producer count; the constructor checks it
-        valuation = SqrtSumValuation(scale=float(caps.shape[0]) if scale is None else scale)
+        caps = _as_capacities(capacities, "capacities")  # for the producer count; the constructor checks the rest
+        valuation = SqrtSumValuation(scale=float(_producer_count(caps, "capacities")) if scale is None else scale)
         return cls(caps, cost_types, valuation_types, valuation, LinearCost())
 
     @property
@@ -631,8 +637,8 @@ def economy_to_dict(economy: Economy) -> dict:
 
 
 def economy_from_dict(doc: dict) -> Economy:
-    caps = _as_capacities(doc["capacities"], "capacities")  # for the producer count; the constructor checks it
-    n = int(doc.get("n", caps.shape[0]))
+    caps = _as_capacities(doc["capacities"], "capacities")  # for the producer count; the constructor checks the rest
+    n = int(doc.get("n", _producer_count(caps, "capacities")))
     if caps.shape[0] != n:
         raise ValueError("economy document: capacities length disagrees with n")
     vfam = doc.get("valuation_family", {"tag": "sqrt_sum"})

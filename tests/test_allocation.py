@@ -520,6 +520,46 @@ def test_batched_waterfill_rows_equal_one_economy_calls(data):
             assert one == 0.0 and not one_removed.any()
 
 
+def _gains_edge_cases() -> dict:
+    """Batches at the edges of ``waterfill_gains``' skip of the producers the full allocation leaves unfilled."""
+    rng = np.random.default_rng(41)
+    caps, gammas, theta_sums = rng.uniform(0.5, 5.0, (6, 5)), rng.uniform(0.1, 1.0, (6, 5)), rng.uniform(0.2, 2.0, 6)
+    return {
+        # nothing filled, so every removed surplus is skipped
+        "theta_sum_zero": (caps, gammas, np.zeros(6), False),
+        "capacities_zero": (np.zeros_like(caps), gammas, theta_sums, False),
+        # a negative sum squares into positive stops: producers fill, yet every surplus is 0
+        "theta_sum_negative": (caps, gammas, -theta_sums, None),
+        # free producers never stop, so every one is filled and none is skipped
+        "costs_zero": (caps, np.zeros_like(gammas), theta_sums, True),
+        "one_producer": (caps[:, :1], gammas[:, :1], theta_sums, None),
+        "unbatched": (caps[0], gammas[0], float(theta_sums[0]), None),
+        "two_batch_axes": (caps.reshape(2, 3, 5), gammas.reshape(2, 3, 5), theta_sums.reshape(2, 3), None),
+        # equal costs stop at equal quantities: a twin that fills up to the stop leaves the next one unfilled
+        "cost_ties": (
+            np.full((6, 5), 2.0), np.tile([0.25, 0.25, 0.5, 0.5, 0.5], (6, 1)), np.array([0.3, 0.5, 0.8, 1.2, 1.6, 2.0]),
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_gains_edge_cases()))
+def test_waterfill_gains_edge_cases_equal_the_per_column_oracle(case):
+    """Whether all, none or some producers are filled, the removed surpluses keep the oracle's bits."""
+    caps, gammas, theta_sums, filled = _gains_edge_cases()[case]
+    scale = 3.0
+    full, removed = waterfill_gains(caps, gammas, theta_sums, scale)
+    expected_full, expected_removed = reference_waterfill_gains(caps, gammas, theta_sums, scale)
+    assert np.shape(full) == np.shape(theta_sums) and removed.shape == gammas.shape
+    assert np.float64(full).tobytes() == np.float64(expected_full).tobytes()
+    assert removed.tobytes() == expected_removed.tobytes()
+    same = removed == np.asarray(full)[..., None]
+    if filled is False:
+        assert same.all()
+    if filled is True:
+        assert not same.any()
+
+
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_batched_waterfill_rows_match_the_grid_oracle(data):

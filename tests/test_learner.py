@@ -16,11 +16,10 @@ from pvcg import (
     total_payment,
 )
 from pvcg.adjustment import sample_from
-from pvcg.allocation import max_surplus, waterfill_gains
+from pvcg.allocation import _batch_surpluses, max_surplus, waterfill_gains
 from pvcg.learner import (
     MLP,
     _backward,
-    _batch_surpluses,
     _forward,
     _forward_rows,
     _loss_and_grads,

@@ -194,8 +194,11 @@ def test_custom_family_standalone_defaults_to_singleton_profile():
 
 
 def test_economy_validation():
-    with pytest.raises(ValueError):
+    # no producer: the default scale would be 0, and the error names the capacities, not the scale
+    with pytest.raises(ValueError, match="^capacities must have at least one producer"):
         Economy.sqrt_sum([], [], [1.0])
+    with pytest.raises(ValueError, match="^capacities must have at least one producer"):
+        economy_from_dict({"capacities": [], "cost_types": [], "valuation_types": [1.0]})
     with pytest.raises(ValueError):
         Economy.sqrt_sum([1.0], [0.1], [])
     with pytest.raises(ValueError):
