@@ -8,13 +8,15 @@ own report, which is what keeps the total payment truthful.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import _batch_surpluses, _max_surplus, _replaced
-from .model import _check_count, _check_layout, _check_reports, _set_profile, fields_from_dict, fields_to_dict
+from .model import (
+    ProbeReport, _check_count, _check_layout, _check_reports, _check_tol, _set_profile, fields_from_dict,
+    fields_to_dict,
+)
 
 Array = np.ndarray
 
@@ -22,7 +24,6 @@ __all__ = [
     "PriorSupport",
     "analytic_adjustment",
     "AnalyticAdjustment",
-    "CheckReport",
     "feasibility_penalties",
     "existence_check",
     "marginal_gains_check",
@@ -185,30 +186,6 @@ def analytic_adjustment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
-    """Outcome of a sampled inequality check, with violation witnesses."""
-
-    name: str
-    samples: int
-    violations: list = field(default_factory=list)
-    max_gap: float = -math.inf
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "passed": self.passed,
-            "violation_count": len(self.violations),
-            "max_gap": self.max_gap,
-            "witnesses": self.violations[:10],
-        }
-
-
 def _run_check(
     name: str,
     support: PriorSupport,
@@ -219,8 +196,8 @@ def _run_check(
     method,
     tol: float,
     pessimistic: bool,
-) -> CheckReport:
-    """lhs - rhs of the feasibility inequality at every sample, with the violations.
+) -> ProbeReport:
+    """lhs - rhs of the feasibility inequality at every sample, recorded in a ``ProbeReport`` counting ``samples``.
 
     Problem i replaces producer i: ``pessimistic`` puts it at its support
     extremes, and the n replaced problems of every sample are solved in one
@@ -229,6 +206,8 @@ def _run_check(
     them. ``lhs`` adds them up producer by producer.
     """
     _check_count("samples", samples)
+    _check_count("seed", seed, least=0)
+    _check_tol(tol)
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     if pessimistic:
         s_full = _max_surplus(caps, gammas, thetas, valuation, cost, method)
@@ -240,19 +219,14 @@ def _run_check(
     for i in range(support.n):
         lhs += s_full - s_replaced[:, i]
     gap = lhs - s_full
-    report = CheckReport(name=name, samples=samples, max_gap=float(gap.max()))
-    for k in np.flatnonzero(gap > tol):
-        report.violations.append(
-            {
-                "sample": int(k),
-                "gap": float(gap[k]),
-                "lhs": float(lhs[k]),
-                "surplus": float(s_full[k]),
-                "capacities": caps[k].tolist(),
-                "cost_types": gammas[k].tolist(),
-                "valuation_types": thetas[k].tolist(),
-            }
-        )
+
+    def witness(k: int) -> dict:
+        # the gap is written here so that it keeps its place, second, when record_all writes it again
+        return {"sample": k, "gap": float(gap[k]), "lhs": float(lhs[k]), "surplus": float(s_full[k]),
+                "capacities": caps[k].tolist(), "cost_types": gammas[k].tolist(), "valuation_types": thetas[k].tolist()}
+
+    report = ProbeReport(name=name, trials=samples, count_name="samples")
+    report.record_all(gap, witness, tol)
     return report
 
 
@@ -281,7 +255,7 @@ def existence_check(
     seed: int = 0,
     method: str | None = None,
     tol: float = 1e-8,
-) -> CheckReport:
+) -> ProbeReport:
     """Sampled test of the feasibility inequality for the constructive adjustment.
 
     Checks ``sum_i [S* - S*(cap_i -> min, gamma_i -> max)] <= S*`` over prior
@@ -300,7 +274,7 @@ def marginal_gains_check(
     seed: int = 0,
     method: str | None = None,
     tol: float = 1e-8,
-) -> CheckReport:
+) -> ProbeReport:
     """Sampled test of the zero-capacity form ``sum_i [S* - S*(cap_i -> 0)] <= S*``.
 
     This is the inequality guaranteed for super-additive families with

@@ -60,15 +60,21 @@ def _sqrt_sum_linear(valuation, cost) -> bool:
 
 
 def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> bool:
-    """Whether ``method`` resolves to the exact water-fill for these families and resource dimension."""
-    return method in (None, "analytic") and _sqrt_sum_linear(valuation, cost) and dim == 1
+    """Whether ``method`` runs the exact water-fill for these families and resource dimension, else projected gradient.
 
-
-def _method_error(method) -> ValueError:
-    """The error for ``method`` where it does not apply: the water-fill outside its families, or an unknown name."""
-    if method == "analytic":
-        return ValueError("analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources")
-    return ValueError(f"unknown method {method!r}; expected 'analytic' or 'projected_gradient'")
+    ``None`` picks the water-fill wherever it applies. Raises for an unknown method, and for ``"analytic"`` where
+    the water-fill does not apply: the one method rule of every solver and of the config and CLI checks.
+    """
+    # the solvers call this once per solve, so the accepted methods are tested first
+    if method is None or method == "analytic":
+        applies = _sqrt_sum_linear(valuation, cost) and dim == 1
+        if applies or method is None:
+            return applies
+        raise ValueError("method: analytic water-fill requires the sqrt_sum valuation, linear cost, "
+                         "and scalar resources")
+    if method != "projected_gradient":
+        raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {method!r}")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +157,7 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     ``waterfill_gains`` share, so they all give the same bits on this economy;
     ``social_surplus`` of the accepted quantities agrees to about 1e-15.
     """
-    if not waterfill_applies(view.valuation, view.cost, view.dim):
-        raise _method_error("analytic")
+    waterfill_applies(view.valuation, view.cost, view.dim, "analytic")
     ratios, surplus = _waterfill_rows(
         view.capacities[:, 0], view.cost_types, view.valuation_types.sum(axis=-1), view.valuation.scale
     )
@@ -355,13 +360,9 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
     support it), ``"projected_gradient"``, or ``None`` to pick the water-fill
     whenever it applies. ``seed`` draws the projected-gradient restarts.
     """
-    if method is None:
-        method = "analytic" if waterfill_applies(view.valuation, view.cost, view.dim) else "projected_gradient"
-    if method == "analytic":
+    if waterfill_applies(view.valuation, view.cost, view.dim, method):
         return analytic_waterfill(view)
-    if method == "projected_gradient":
-        return _projected_gradient(view, seed=seed)
-    raise _method_error(method)
+    return _projected_gradient(view, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +418,13 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
 
 def _solve(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
     """``solve_batch`` of float reports trusted to be laid out, finite and non-negative."""
+    waterfill = waterfill_applies(valuation, cost, caps.shape[-1], method)
     batch = gammas.shape[:-1]
     if gammas.size == 0:
         return np.zeros(caps.shape), np.zeros(batch)
-    if waterfill_applies(valuation, cost, caps.shape[-1], method):
+    if waterfill:
         ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
         return caps * ratios[..., None], surplus
-    if method not in (None, "projected_gradient"):
-        raise _method_error(method)
     if thetas.shape[-1] < 1:
         raise ValueError("an economy needs at least one consumer")
     n, dim, m = caps.shape[-2], caps.shape[-1], thetas.shape[-1]

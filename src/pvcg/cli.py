@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .adjustment import AnalyticAdjustment, PriorSupport
-from .allocation import _method_error, waterfill_applies
+from .allocation import waterfill_applies
 from .experiment import (
     ExperimentConfig,
     payment_surface,
@@ -83,8 +83,7 @@ def cmd_simulate(args) -> int:
         config = _load_config(args)
         if bids is not None:
             economy.view(bids)  # the bids must have the economy's layout
-        if config.method == "analytic" and not waterfill_applies(economy.valuation, economy.cost, economy.dim):
-            raise ValueError(f"method: {_method_error('analytic')}")
+        waterfill_applies(economy.valuation, economy.cost, economy.dim, config.method)
         support = PriorSupport.uniform_box(
             economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
         )
@@ -183,7 +182,7 @@ def cmd_check_assumptions(args) -> int:
     with _loading(args):
         valuation = make_valuation(args.family, scale=args.scale if args.scale is not None else float(args.producers))
         cost = make_cost(args.cost_family)
-    report = check_assumptions(valuation, cost, n=args.producers, samples=args.samples, seed=args.seed)
+        report = check_assumptions(valuation, cost, n=args.producers, samples=args.samples, seed=args.seed)
     print(json.dumps(report.summary(), indent=2))
     if not report.passed:
         witnesses = report.to_dict()["witnesses"]

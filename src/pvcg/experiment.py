@@ -22,7 +22,7 @@ from .adjustment import (
     existence_check,
     sample_from,
 )
-from .allocation import _method_error, _solve, waterfill_applies
+from .allocation import _solve, waterfill_applies
 from .learner import LearnedAdjustment, TrainingConfig, TrainingTrace, save_model, train
 from .model import (
     _check_count, _check_entries, cost_rows, fields_from_dict, fields_to_dict, make_cost, make_valuation,
@@ -199,12 +199,9 @@ class ExperimentConfig:
                 make(getattr(self, name))
             except ValueError as err:
                 raise ValueError(f"{name}: {err}") from None
-        if self.method not in (None, "analytic", "projected_gradient"):
-            raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {self.method!r}")
-        if self.method == "analytic" and not waterfill_applies(*self.families(), dim=1):
-            raise ValueError(f"method: {_method_error('analytic')}")
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite (None means n), got {self.scale}")
+        waterfill_applies(*self.families(), dim=1, method=self.method)
         _check_punishment(self.punishment)
         _check_count("seed", self.seed, least=0)
 
@@ -323,6 +320,7 @@ def ir_wbb_sweep(
     samples only.
     """
     _check_count("samples", samples)
+    _check_count("seed", seed, least=0)
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     p = payments_batch(
         caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method

@@ -71,6 +71,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that no gap can exceed: NaN and +inf would pass every probe."""
+    if not tol < math.inf:
+        raise ValueError(f"tol must be a number below +inf, got {tol}")
+
+
 def _as_capacities(x, name: str) -> Array:
     """Per-producer resource amounts as a float array, 0-d and 1-d input as a column ``(n, 1)``; ragged rows are
     rejected naming ``name``. Reads no entry."""
@@ -465,6 +471,43 @@ ASSUMPTIONS = ("monotonicity", "zero_input", "super_additivity", "cross_marginal
 
 
 @dataclass
+class ProbeReport:
+    """Trials run, violation witnesses, and the worst observed gap of a sampled check.
+
+    ``count_name`` is the key ``to_dict`` gives the trial count under.
+    """
+
+    name: str
+    trials: int
+    violations: list = field(default_factory=list)
+    max_gap: float = -math.inf
+    count_name: str = "trials"
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def record_all(self, gaps: Array, witness, tol: float) -> None:
+        """Record every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
+        _check_tol(tol)
+        if gaps.size:
+            # argmax takes the first of equal maxima, as repeated max() would
+            self.max_gap = max(self.max_gap, float(gaps[np.argmax(gaps)]))
+        for k in np.flatnonzero(gaps > tol):
+            self.violations.append({**witness(int(k)), "gap": float(gaps[k])})
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            self.count_name: self.trials,
+            "passed": self.passed,
+            "violation_count": len(self.violations),
+            "max_gap": self.max_gap,
+            "witnesses": self.violations[:10],
+        }
+
+
+@dataclass
 class AssumptionReport:
     """Sampled verdicts for the four structural assumptions on a family pair.
 
@@ -510,6 +553,7 @@ def check_assumptions(valuation, cost, n: int, samples: int = 10_000, seed: int 
     """
     for name, count in (("n", n), ("dim", dim), ("samples", samples)):
         _check_count(name, count)
+    _check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, ASSUMPTION_CAP_HIGH, size=(samples, n, dim))
     x_small = x * rng.uniform(0.0, 1.0, size=(samples, n, dim))

@@ -9,14 +9,11 @@ absorb optimizer noise in counterfactuals.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .adjustment import PriorSupport, feasibility_penalties, sample_from
 from .allocation import _solve
-from .model import Economy, _check_count
+from .model import Economy, ProbeReport, _check_count, _check_tol
 from .payments import PaymentBreakdown, _check_punishment, _price, deviation_utilities
 
 Array = np.ndarray
@@ -36,45 +33,6 @@ __all__ = [
 
 UTILITY_TOL = 1e-6
 SURPLUS_TOL = 1e-8
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance that no gap can exceed: NaN and +inf would pass every probe."""
-    if not tol < math.inf:
-        raise ValueError(f"tol must be a number below +inf, got {tol}")
-
-
-@dataclass
-class ProbeReport:
-    """Trials run, violation witnesses, and the worst observed gap."""
-
-    name: str
-    trials: int
-    violations: list = field(default_factory=list)
-    max_gap: float = -math.inf
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def record_all(self, gaps: Array, witness, tol: float) -> None:
-        """Record every entry of ``gaps`` in order; ``witness(k)`` builds entry k's witness, for violations only."""
-        _check_tol(tol)
-        if gaps.size:
-            # argmax takes the first of equal maxima, as repeated max() would
-            self.max_gap = max(self.max_gap, float(gaps[np.argmax(gaps)]))
-        for k in np.flatnonzero(gaps > tol):
-            self.violations.append({**witness(int(k)), "gap": float(gaps[k])})
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "passed": self.passed,
-            "violation_count": len(self.violations),
-            "max_gap": self.max_gap,
-            "witnesses": self.violations[:10],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +125,7 @@ def probe_dsic(
     """
     _check_count("trials", trials)
     _check_count("deviations_per_trial", deviations_per_trial)
+    _check_count("seed", seed, least=0)
     _check_punishment(punishment)
     _check_tol(tol)
     rng = np.random.default_rng(seed)
@@ -319,6 +278,7 @@ def check_surplus_monotonicity(
     trials are then solved as one ``solve_batch``, which trusts the drawn arrays.
     """
     _check_count("trials", trials)
+    _check_count("seed", seed, least=0)
     _check_tol(tol)
     rng = np.random.default_rng(seed)
     caps, gammas, thetas = sample_from(support, trials, rng)

@@ -1163,10 +1163,8 @@ def reference_feasibility_check(name, support, valuation, cost, samples, seed, m
     when ``pessimistic``, otherwise at zero capacity with its cost type kept.
     ``lhs`` adds the n marginal surpluses up producer by producer from 0.
     """
-    from pvcg.adjustment import CheckReport
-
     caps, gammas, thetas = reference_sample_from(support, samples, np.random.default_rng(seed))
-    report = CheckReport(name=name, samples=samples)
+    report = ProbeReport(name=name, trials=samples, count_name="samples")
     for k in range(samples):
         surplus = reference_max_surplus(caps[k], gammas[k], thetas[k], valuation, cost, method)
         lhs = 0.0
@@ -1177,12 +1175,10 @@ def reference_feasibility_check(name, support, valuation, cost, samples, seed, m
                 gammas_i[i] = support.gamma_hi[i]
             lhs += surplus - reference_max_surplus(caps_i, gammas_i, thetas[k], valuation, cost, method)
         gap = lhs - surplus
-        report.max_gap = max(report.max_gap, gap)
-        if gap > tol:
-            report.violations.append({
-                "sample": k, "gap": gap, "lhs": lhs, "surplus": surplus, "capacities": caps[k].tolist(),
-                "cost_types": gammas[k].tolist(), "valuation_types": thetas[k].tolist(),
-            })
+        record(report, gap, {
+            "sample": k, "gap": gap, "lhs": lhs, "surplus": surplus, "capacities": caps[k].tolist(),
+            "cost_types": gammas[k].tolist(), "valuation_types": thetas[k].tolist(),
+        }, tol)
     return report
 
 

@@ -254,7 +254,8 @@ def test_feasibility_checks_are_bit_equal_to_the_per_economy_oracle(valuation, s
     want = reference_feasibility_check(name, support, valuation, LinearCost(), samples, 4, None, -2.0, pessimistic)
     assert 0 < len(want.violations) < samples
     assert json.dumps(got.violations) == json.dumps(want.violations)
-    assert (got.name, got.samples, repr(got.max_gap)) == (want.name, want.samples, repr(want.max_gap))
+    assert (got.name, got.trials, repr(got.max_gap)) == (want.name, want.trials, repr(want.max_gap))
+    assert list(got.to_dict()) == ["name", "samples", "passed", "violation_count", "max_gap", "witnesses"]
 
 
 def test_existence_reduces_to_zero_capacity_form_on_zero_support(paper_families):

@@ -112,6 +112,12 @@ def test_counterfactual_single_producer_is_empty_coalition():
         assert surplus == 0.0
         assert accepted.shape == (0, 1)
         assert total_payment(economy, method=method).counterfactual_surpluses.tolist() == [0.0]
+    # the method rule runs before the empty-coalition shortcut
+    message = "^method must be None, 'analytic' or 'projected_gradient', got 'bogus'$"
+    with pytest.raises(ValueError, match=message):
+        solve_batch(np.zeros((0, 1)), np.zeros(0), [1.0], economy.valuation, economy.cost, method="bogus")
+    with pytest.raises(ValueError, match=message):
+        max_surplus(np.zeros((0, 1)), np.zeros(0), [1.0], economy.valuation, economy.cost, method="bogus")
 
 
 def test_counterfactual_keeps_the_synergy_scale(split_cost_economy):

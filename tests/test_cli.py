@@ -107,6 +107,7 @@ def test_check_assumptions_rejects_a_zero_scale_instead_of_defaulting_it(capsys)
         pytest.param(["--cost-family", "quadratic"],
                      "unknown cost family tag 'quadratic' (custom families are built in code)", id="cost-family"),
         pytest.param(["--scale", "-1"], "scale must be positive and finite, got -1.0", id="negative-scale"),
+        pytest.param(["--seed", "-1"], "seed must be >= 0, got -1", id="negative-seed"),
     ],
 )
 def test_check_assumptions_bad_family_input_is_one_error_line_with_exit_code_2(argv, message, capsys):

@@ -18,8 +18,10 @@ from pvcg import (
     check_surplus_monotonicity,
     check_wbb,
     draw_deviations,
+    existence_check,
     load_economy,
     loss_components,
+    marginal_gains_check,
     mixed_deviation_sampler,
     optimize_acceptance,
     payments_batch,
@@ -215,6 +217,9 @@ def test_probes_reject_a_tolerance_no_gap_can_exceed(tol, small_world):
         check_surplus_monotonicity(*small_world, trials=2, tol=tol)
     with pytest.raises(ValueError, match=message):
         probe_dsic(*small_world, trials=1, deviations_per_trial=2, tol=tol)
+    for check in (existence_check, marginal_gains_check):
+        with pytest.raises(ValueError, match=message):
+            check(*small_world, samples=2, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -233,6 +238,9 @@ def test_probes_check_the_tolerance_before_any_work(tol):
         probe_dsic(never, never, never, trials=200, deviations_per_trial=20, tol=tol)
     with pytest.raises(ValueError, match=message):
         check_surplus_monotonicity(never, never, never, trials=1000, tol=tol)
+    for check in (existence_check, marginal_gains_check):
+        with pytest.raises(ValueError, match=message):
+            check(never, never, never, samples=2000, tol=tol)
 
 
 def test_check_ir_zero_adjustment_passes(cheap_pair_economy):
