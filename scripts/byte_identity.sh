@@ -17,7 +17,8 @@
 #   pvcg simulate on configs/economy3_squares.json (the sqrt_sum_squares
 #     valuation, so projected gradient) with the same bids, with the zero and
 #     the analytic adjustment, and on configs/economy3_2d.json (2-D capacities,
-#     so projected gradient) with truthful bids and the zero adjustment
+#     water-filled on each producer's total) with truthful bids and the zero
+#     adjustment
 #   pvcg train on configs/train_small.json (n=3, batch 50, 40 epochs with
 #     momentum and a width-1 layer; loss_tol 0 runs every epoch, so it exits 1)
 #   pvcg verify --config configs/train_small.json with the learned adjustment

@@ -2,8 +2,10 @@
 
 Both solvers maximize the social surplus of the reported economy over the box
 of acceptance ratios ``eta in [0, 1]^(n x dim)``. The water-fill is exact for
-the square-root/linear family with scalar resources; projected gradient ascent
-with multistart handles everything else.
+the square-root/linear family at any ``dim``: its surplus reads only each
+producer's total, so it is the scalar water-fill on the bundles' totals, with
+one ratio per producer for all its coordinates. Projected gradient ascent with
+multistart handles everything else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, LinearCost, SqrtSumValuation, _check_reports, surplus_rows
+from .model import Economy, LinearCost, SqrtSumValuation, _check_reports, bundle_totals, surplus_rows
 
 Array = np.ndarray
 
@@ -59,19 +61,19 @@ def _sqrt_sum_linear(valuation, cost) -> bool:
     return isinstance(valuation, SqrtSumValuation) and isinstance(cost, LinearCost)
 
 
-def waterfill_applies(valuation, cost, dim: int, method: str | None = None) -> bool:
-    """Whether ``method`` runs the exact water-fill for these families and resource dimension, else projected gradient.
+def waterfill_applies(valuation, cost, method: str | None = None) -> bool:
+    """Whether ``method`` runs the exact water-fill for these families, else projected gradient.
 
-    ``None`` picks the water-fill wherever it applies. Raises for an unknown method, and for ``"analytic"`` where
-    the water-fill does not apply: the one method rule of every solver and of the config and CLI checks.
+    The water-fill applies to the square-root/linear family, at any resource dimension. ``None`` picks it wherever
+    it applies. Raises for an unknown method, and for ``"analytic"`` where the water-fill does not apply: the one
+    method rule of every solver and of the config and CLI checks.
     """
     # the solvers call this once per solve, so the accepted methods are tested first
     if method is None or method == "analytic":
-        applies = _sqrt_sum_linear(valuation, cost) and dim == 1
+        applies = _sqrt_sum_linear(valuation, cost)
         if applies or method is None:
             return applies
-        raise ValueError("method: analytic water-fill requires the sqrt_sum valuation, linear cost, "
-                         "and scalar resources")
+        raise ValueError("method: analytic water-fill requires the sqrt_sum valuation and linear cost")
     if method != "projected_gradient":
         raise ValueError(f"method must be None, 'analytic' or 'projected_gradient', got {method!r}")
     return False
@@ -144,8 +146,10 @@ def _waterfill_rows(caps: Array, gammas: Array, theta_sum, scale: float) -> tupl
 
 
 def analytic_waterfill(view: Economy) -> AllocationResult:
-    """Greedy exact solution for the square-root/linear family, scalar resources.
+    """Greedy exact solution for the square-root/linear family, on each producer's total capacity.
 
+    A bundle fills as one capacity, its total, and its every coordinate takes
+    the producer's one ratio, so the ``(n, dim)`` ratios repeat it along ``dim``.
     With aggregate accepted quantity ``U`` the marginal value of one more unit
     is ``Theta * sqrt(scale) / (2 sqrt(U))`` where ``Theta`` is the sum of
     valuation types. Producers are filled in ascending reported cost order
@@ -157,11 +161,11 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     ``waterfill_gains`` share, so they all give the same bits on this economy;
     ``social_surplus`` of the accepted quantities agrees to about 1e-15.
     """
-    waterfill_applies(view.valuation, view.cost, view.dim, "analytic")
+    waterfill_applies(view.valuation, view.cost, "analytic")
     ratios, surplus = _waterfill_rows(
-        view.capacities[:, 0], view.cost_types, view.valuation_types.sum(axis=-1), view.valuation.scale
+        bundle_totals(view.capacities), view.cost_types, view.valuation_types.sum(axis=-1), view.valuation.scale
     )
-    ratios = ratios[:, None]
+    ratios = np.repeat(ratios[:, None], view.dim, axis=1)
     diag = SolverDiagnostics(iterations=view.n, restarts=0, grad_norm=0.0)
     return AllocationResult(ratios, view.capacities * ratios, float(surplus), diag)
 
@@ -360,7 +364,7 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
     support it), ``"projected_gradient"``, or ``None`` to pick the water-fill
     whenever it applies. ``seed`` draws the projected-gradient restarts.
     """
-    if waterfill_applies(view.valuation, view.cost, view.dim, method):
+    if waterfill_applies(view.valuation, view.cost, method):
         return analytic_waterfill(view)
     return _projected_gradient(view, seed=seed)
 
@@ -371,7 +375,7 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
 
 
 def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
-    """Maximum surplus of scalar sqrt_sum/linear economies, producers on the last axis.
+    """Maximum surplus of sqrt_sum/linear economies of total capacities ``caps``, producers on the last axis.
 
     Leading axes are a batch and ``theta_sum`` has the batch shape; one economy
     returns a float. ``theta_sum <= 0`` and an empty coalition give 0. The
@@ -395,8 +399,8 @@ def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None 
 
 def _max_surplus(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
     """``max_surplus`` of float reports trusted to be laid out, finite and non-negative."""
-    if waterfill_applies(valuation, cost, caps.shape[-1], method):
-        return waterfill_surplus(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
+    if waterfill_applies(valuation, cost, method):
+        return waterfill_surplus(bundle_totals(caps), gammas, thetas.sum(axis=-1), valuation.scale)
     surplus = _solve(caps, gammas, thetas, valuation, cost, method)[1]
     return float(surplus) if surplus.ndim == 0 else surplus
 
@@ -418,12 +422,12 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
 
 def _solve(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
     """``solve_batch`` of float reports trusted to be laid out, finite and non-negative."""
-    waterfill = waterfill_applies(valuation, cost, caps.shape[-1], method)
+    waterfill = waterfill_applies(valuation, cost, method)
     batch = gammas.shape[:-1]
     if gammas.size == 0:
         return np.zeros(caps.shape), np.zeros(batch)
     if waterfill:
-        ratios, surplus = _waterfill_rows(caps[..., 0], gammas, thetas.sum(axis=-1), valuation.scale)
+        ratios, surplus = _waterfill_rows(bundle_totals(caps), gammas, thetas.sum(axis=-1), valuation.scale)
         return caps * ratios[..., None], surplus
     if thetas.shape[-1] < 1:
         raise ValueError("an economy needs at least one consumer")
@@ -466,7 +470,7 @@ def _batch_surpluses(valuation, cost, caps: Array, gammas: Array, thetas: Array,
     The water-fill takes ``waterfill_gains``; any other family or method one
     ``_max_surplus`` call on the full economy stacked on its n removed ones.
     """
-    if waterfill_applies(valuation, cost, caps.shape[2], method):
-        return waterfill_gains(caps[..., 0], gammas, thetas.sum(axis=1), valuation.scale)
+    if waterfill_applies(valuation, cost, method):
+        return waterfill_gains(bundle_totals(caps), gammas, thetas.sum(axis=1), valuation.scale)
     surpluses = _max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
     return surpluses[:, 0], surpluses[:, 1:]

@@ -83,7 +83,7 @@ def cmd_simulate(args) -> int:
         config = _load_config(args)
         if bids is not None:
             economy.view(bids)  # the bids must have the economy's layout
-        waterfill_applies(economy.valuation, economy.cost, economy.dim, config.method)
+        waterfill_applies(economy.valuation, economy.cost, config.method)
         support = PriorSupport.uniform_box(
             economy.n, economy.m, config.cap_bounds, config.gamma_bounds, config.theta_bounds, dim=economy.dim
         )

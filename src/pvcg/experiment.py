@@ -201,7 +201,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: {err}") from None
         if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite (None means n), got {self.scale}")
-        waterfill_applies(*self.families(), dim=1, method=self.method)
+        waterfill_applies(*self.families(), method=self.method)
         _check_punishment(self.punishment)
         _check_count("seed", self.seed, least=0)
 

@@ -202,7 +202,8 @@ class SqrtSumValuation:
 
     def value_rows(self, accepted: Array, thetas) -> Array:
         """``model.value_rows`` of this family: the pairwise total of each row's n*dim quantities, as ``value``."""
-        totals = accepted.reshape(accepted.shape[:-2] + (-1,)).sum(axis=-1)
+        shape = accepted.shape
+        totals = accepted.reshape(shape[:-2] + (shape[-2] * shape[-1],)).sum(axis=-1)
         return _consumer_sum(thetas, np.sqrt(self.scale * totals))
 
 
@@ -274,6 +275,12 @@ class CustomValuation:
 # ---------------------------------------------------------------------------
 
 
+def bundle_totals(bundles: Array) -> Array:
+    """Each ``(..., dim)`` bundle's total: the linear cost's quantity, and the water-fill's capacity of a producer."""
+    # a scalar bundle is its own total, read as a view without the cost of a reduction
+    return bundles[..., 0] if bundles.shape[-1] == 1 else bundles.sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class LinearCost:
     """Cost ``gamma * x_i`` (inner product with a uniform price for vector bundles)."""
@@ -285,8 +292,7 @@ class LinearCost:
 
     def cost_rows(self, bundles: Array, gammas) -> Array:
         """``cost`` of ``(..., dim)`` bundles at cost types that broadcast to ``(...)``, row by row."""
-        # a scalar bundle is its own sum, read without the cost of a reduction
-        return gammas * (bundles[..., 0] if bundles.shape[-1] == 1 else bundles.sum(axis=-1))
+        return gammas * bundle_totals(bundles)
 
 
 @dataclass(frozen=True)
@@ -414,7 +420,8 @@ def value_rows(valuation, accepted: Array, thetas) -> Array:
     """Total consumer value of ``(..., n, dim)`` profiles at valuation types that broadcast to ``(..., m)``.
 
     A built-in family takes all rows in one ``value_rows`` call; any other is
-    asked ``value`` row by row, consumer by consumer, in order.
+    asked ``value`` row by row, consumer by consumer, in order, and a NaN or
+    infinite row raises, naming the family and the row.
     """
     if hasattr(valuation, "value_rows"):
         return valuation.value_rows(accepted, thetas)
@@ -422,13 +429,14 @@ def value_rows(valuation, accepted: Array, thetas) -> Array:
     thetas = np.broadcast_to(thetas, out.shape + np.shape(thetas)[-1:])
     for k in np.ndindex(out.shape):
         out[k] = sum(valuation.value(accepted[k], float(t)) for t in thetas[k])
-    return out
+    return _finite_rows(valuation, "value", out, accepted)
 
 
 def cost_rows(cost, bundles: Array, gammas) -> Array:
     """Each producer's cost: ``(..., dim)`` bundles at cost types that broadcast to ``(...)``.
 
-    A built-in family takes all rows in one ``cost_rows`` call; any other is asked ``cost`` bundle by bundle.
+    A built-in family takes all rows in one ``cost_rows`` call; any other is asked ``cost`` bundle by bundle, and a
+    NaN or infinite cost raises, naming the family and the row.
     """
     if hasattr(cost, "cost_rows"):
         return cost.cost_rows(bundles, gammas)
@@ -436,6 +444,16 @@ def cost_rows(cost, bundles: Array, gammas) -> Array:
     gammas = np.broadcast_to(gammas, out.shape)
     for k in np.ndindex(out.shape):
         out[k] = cost.cost(bundles[k], float(gammas[k]))
+    return _finite_rows(cost, "cost", out, bundles)
+
+
+def _finite_rows(family, method: str, out: Array, inputs: Array) -> Array:
+    """``out`` of a fallback loop, or a ValueError naming the family and the first row whose value is NaN or inf."""
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        row = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{type(family).__name__}.{method} must be finite, got {out[row]} at row {row} "
+                         f"of {inputs[row].tolist()}")
     return out
 
 

@@ -885,13 +885,14 @@ def zero_mlp(layer_sizes) -> MLP:
     return MLP(weights, [np.zeros(o) for o in layer_sizes[1:]])
 
 
-def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
-    if gammas.shape[-1] == 0:
-        return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
-    order = np.argsort(gammas, axis=-1, kind="stable")
-    flat = order
-    if order.ndim > 1:
-        flat = order + np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
+def _reference_sorted_fills(caps, gammas, theta_sum, scale):
+    """The water-fill of ``(..., n)`` capacities and cost types, producers sorted by cost type, ties by index.
+
+    Returns the flat indices of the sorted producers, their cost types and their fills: each fills up to where the
+    marginal value ``theta_sum sqrt(scale) / (2 sqrt(U))`` meets its cost type, or to its capacity.
+    """
+    n = gammas.shape[-1]
+    flat = np.argsort(gammas, axis=-1, kind="stable") + np.arange(0, gammas.size, n).reshape(gammas.shape[:-1] + (1,))
     caps_sorted = caps.take(flat)
     gammas_sorted = gammas.take(flat)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -899,6 +900,13 @@ def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
         fills = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
     fills[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
     fills = np.minimum(np.maximum(fills, 0.0, out=fills), caps_sorted, out=fills)
+    return flat, gammas_sorted, fills
+
+
+def _reference_waterfill_surplus(caps, gammas, theta_sum, scale):
+    if gammas.shape[-1] == 0:
+        return np.zeros(gammas.shape[:-1]) if gammas.ndim > 1 else 0.0
+    _, gammas_sorted, fills = _reference_sorted_fills(caps, gammas, theta_sum, scale)
     cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
     surplus = theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost
     if np.ndim(surplus) == 0:
@@ -1136,7 +1144,7 @@ def reference_projected_gradient(
 
 def reference_solve(view, method=None, seed=0) -> AllocationResult:
     """``optimize_acceptance`` with every projected-gradient solve taken by ``reference_projected_gradient``."""
-    if method is None and not waterfill_applies(view.valuation, view.cost, view.dim):
+    if method is None and not waterfill_applies(view.valuation, view.cost):
         method = "projected_gradient"
     if method == "projected_gradient":
         return reference_projected_gradient(view, seed=seed)
@@ -1252,45 +1260,52 @@ def reference_check_assumptions(valuation, cost, x, x_small, theta, gamma, produ
 # grid best responses
 # ---------------------------------------------------------------------------
 #
-# Producer i's utility at every report of a (capacity, cost type) grid, the
-# others truthful, in the square-root/linear family. The allocation is the
-# library's water-fill; the pivot payment, the punishment and the costs are
-# worked out here from the accepted quantities, so ``deviation_utilities``
-# can be held to them.
+# Producer i's utility at every report of a (capacity bundle, cost type)
+# grid, the others truthful, in the square-root/linear family. The allocation
+# is worked out here too: the water-fill of each producer's total capacity,
+# every coordinate of a bundle at its producer's ratio. The pivot payment, the
+# per-coordinate punishment and the costs come from the accepted bundles, so
+# the library's solve of the same reports and ``deviation_utilities`` can be
+# held to them.
 
 
 def grid_best_response(caps, gammas, thetas, scale, i, h, grid_caps, grid_gammas, punishment=1e6):
     """Utilities of producer ``i`` at R grid reports and at the truth, in T economies.
 
-    Economy t has scalar capacities ``caps[t]`` ``(n,)``, cost types
+    Economy t has capacity bundles ``caps[t]`` ``(n, dim)``, cost types
     ``gammas[t]`` and valuation types ``thetas[t]``. Report r is
-    ``(grid_caps[r], grid_gammas[r])``; column R of the result is the truthful
-    report. ``h`` ``(..., T)`` holds producer i's adjustment in each economy
-    under any number of adjustments: it reads only the others' reports, which
-    stay truthful. A report accepted beyond the true capacity earns
-    ``-punishment``; otherwise the producer is paid ``S - S_{-i} + g_rep x_i + h``
-    and bears its true cost ``g_true x_i``. ``S`` is the reported economy's
-    value less its reported costs at the accepted profile, and ``S_{-i}`` the
-    water-fill surplus of the economy without producer i.
+    ``(grid_caps[..., r, :], grid_gammas[..., r])``, shared by the economies
+    or ``(T, R, dim)``, ``(T, R)`` per economy; column R of the result is the
+    truthful report. ``h`` ``(..., T)`` holds producer i's adjustment in each
+    economy under any number of adjustments: it reads only the others'
+    reports, which stay truthful. A report accepted beyond the true capacity
+    in any coordinate earns ``-punishment``; otherwise the producer is paid
+    ``S - S_{-i} + g_rep t_i + h`` and bears its true cost ``g_true t_i``,
+    ``t_i`` its accepted total. ``S`` is the reported economy's value less
+    its reported costs at the accepted profile, and ``S_{-i}`` the water-fill
+    surplus of the economy without producer i.
 
-    Returns the ``(..., T, R + 1)`` utilities and the solved rows
-    ``(reported cost types, accepted x_i, solver surplus, S_{-i})`` for
-    holding ``deviation_utilities`` to them.
+    Returns the ``(..., T, R + 1)`` utilities and the reported and solved
+    rows ``(reported capacities, reported cost types, accepted bundles, S,
+    S_{-i})``, for holding the library's solve and ``deviation_utilities`` to
+    them.
     """
-    from pvcg.allocation import solve_batch
-
-    reported_caps = np.repeat(caps[:, None, :], grid_caps.size + 1, axis=1)
-    reported_gammas = np.repeat(gammas[:, None, :], grid_caps.size + 1, axis=1)
+    R = np.shape(grid_gammas)[-1]
+    reported_caps = np.repeat(caps[:, None], R + 1, axis=1)
+    reported_gammas = np.repeat(gammas[:, None, :], R + 1, axis=1)
     reported_caps[:, :-1, i], reported_gammas[:, :-1, i] = grid_caps, grid_gammas
-    accepted, solver_surplus = solve_batch(
-        reported_caps[..., None], reported_gammas, thetas[:, None, :], SqrtSumValuation(scale=scale), LinearCost()
-    )
-    x = accepted[..., 0]
     theta_sum = thetas.sum(axis=1)
-    surplus = theta_sum[:, None] * np.sqrt(scale * x.sum(axis=-1)) - (reported_gammas * x).sum(axis=-1)
-    removed = _reference_waterfill_surplus(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), theta_sum, scale)
-    x_i, true_cap, true_gamma = x[..., i], caps[:, i, None], gammas[:, i, None]
-    punished = x_i > true_cap + 1e-9 * (1.0 + true_cap)
-    paid = surplus - removed[:, None] + reported_gammas[..., i] * x_i + np.asarray(h)[..., None]
-    utilities = np.where(punished, -punishment, paid - true_gamma * x_i)
-    return utilities, (reported_gammas[..., i], x_i, solver_surplus, removed)
+    totals = reported_caps.sum(axis=-1)
+    flat, _, sorted_fills = _reference_sorted_fills(totals, reported_gammas, theta_sum[:, None], scale)
+    fills = np.zeros(totals.shape)
+    fills.put(flat, np.where(theta_sum[:, None, None] > 0.0, sorted_fills, 0.0))
+    x = reported_caps * np.divide(fills, totals, out=np.zeros(totals.shape), where=totals > 0.0)[..., None]
+    x_totals = x.sum(axis=-1)
+    surplus = theta_sum[:, None] * np.sqrt(scale * x_totals.sum(axis=-1)) - (reported_gammas * x_totals).sum(axis=-1)
+    others = np.delete(np.arange(caps.shape[1]), i)
+    removed = _reference_waterfill_surplus(caps[:, others].sum(axis=-1), gammas[:, others], theta_sum, scale)
+    t_i, true_cap = x_totals[..., i], caps[:, None, i]
+    punished = (x[..., i, :] > true_cap + 1e-9 * (1.0 + true_cap)).any(axis=-1)
+    paid = surplus - removed[:, None] + reported_gammas[..., i] * t_i + np.asarray(h)[..., None]
+    utilities = np.where(punished, -punishment, paid - gammas[:, i, None] * t_i)
+    return utilities, (reported_caps, reported_gammas, x, surplus, removed)

@@ -170,7 +170,8 @@ def test_adjustment_ignores_own_report(paper_support, paper_families):
     [
         pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 4, 10), id="sqrt_sum-waterfill"),
         pytest.param(SqrtSumValuation, 1, "projected_gradient", (1, 2, 3, 4, 10), id="sqrt_sum-projected_gradient"),
-        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 4, 10), id="sqrt_sum-dim2"),
+        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 4, 10), id="sqrt_sum-dim2-waterfill"),
+        pytest.param(SqrtSumValuation, 2, "projected_gradient", (1, 2, 3, 4, 10), id="sqrt_sum-dim2"),
         pytest.param(SqrtSumSquaresValuation, 1, None, (1, 2, 3, 4), id="sqrt_sum_squares"),
         pytest.param(SqrtSumSquaresValuation, 2, None, (1, 2, 3, 4), id="sqrt_sum_squares-dim2"),
     ],

@@ -25,6 +25,7 @@ from pvcg import (
     total_payment,
 )
 from pvcg.allocation import (
+    _batch_surpluses,
     _Objective,
     _spg,
     _waterfill_rows,
@@ -488,6 +489,51 @@ def test_projected_gradient_vector_bundles_match_summed_waterfill():
         summed = Economy.sqrt_sum(caps.sum(axis=1), gammas, thetas)
         pg = optimize_acceptance(bundles, method="projected_gradient", seed=k)
         assert pg.surplus == pytest.approx(analytic_waterfill(summed).surplus, abs=1e-6)
+
+
+@pytest.mark.parametrize("method", [None, "analytic"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vector_bundles_solve_as_the_summed_scalar_waterfill(dim, method):
+    """sqrt_sum/linear reads only each producer's total, so a bundle economy is the scalar water-fill of its summed
+    capacities: every solver entry gives that solve's surpluses bit for bit, each bundle is its capacities times
+    one ratio per producer, and a forced projected-gradient solve agrees within 1e-12."""
+    rng = np.random.default_rng(70 + dim)
+    T, n, m = 40, 4, 2
+    caps = rng.uniform(0.0, 5.0, (T, n, dim))
+    caps[::5, 1] = 0.0  # a producer without capacity
+    caps[1::5, 2, 0] = 0.0  # a bundle with one empty coordinate
+    gammas, thetas = rng.uniform(0.0, 1.0, (T, n)), rng.uniform(0.0, 1.0, (T, m))
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    totals = caps.sum(axis=-1)[..., None]
+    scalar_surplus = solve_batch(totals, gammas, thetas, valuation, cost)[1]
+    accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
+    assert surplus.tobytes() == scalar_surplus.tobytes()
+    assert max_surplus(caps, gammas, thetas, valuation, cost, method).tobytes() == scalar_surplus.tobytes()
+    gains = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
+    scalar_gains = _batch_surpluses(valuation, cost, totals, gammas, thetas, None)
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(gains, scalar_gains))
+    for t in range(T):
+        ratios = optimize_acceptance(Economy(totals[t], gammas[t], thetas[t], valuation, cost)).ratios
+        solve = optimize_acceptance(Economy(caps[t], gammas[t], thetas[t], valuation, cost), method)
+        assert solve.ratios.tobytes() == np.repeat(ratios, dim, axis=1).tobytes(), t
+        assert solve.accepted.tobytes() == (caps[t] * ratios).tobytes() == accepted[t].tobytes(), t
+        assert np.float64(solve.surplus).tobytes() == scalar_surplus[t].tobytes(), t
+    forced = solve_batch(caps, gammas, thetas, valuation, cost, "projected_gradient")[1]
+    assert np.abs(forced - surplus).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", ["valuation", "cost"])
+def test_a_custom_familys_non_finite_value_fails_by_name(family, bad):
+    """A custom valuation or cost that returns NaN or an infinity fails at its first evaluation, with an error
+    that names its class and the row; the custom valuation is paired with the linear cost, the custom cost with
+    the sqrt_sum valuation."""
+    if family == "valuation":
+        valuation, cost, name = CustomValuation(fn=lambda x, theta: bad), LinearCost(), "CustomValuation.value"
+    else:
+        valuation, cost, name = SqrtSumValuation(scale=2.0), CustomCost(fn=lambda x_i, gamma: bad), "CustomCost.cost"
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad} at row \("):
+        solve_batch(np.ones((3, 2, 1)), np.full((3, 2), 0.5), np.ones((3, 1)), valuation, cost)
 
 
 _THETAS = st.just(0.0) | st.floats(0.0, 1.0)

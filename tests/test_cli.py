@@ -196,7 +196,7 @@ def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_
 
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-_WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation, linear cost, and scalar resources"
+_WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation and linear cost"
 
 
 @pytest.mark.parametrize(
@@ -213,8 +213,8 @@ _WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation, linear c
                      id="unknown-adjustment-surface"),
         pytest.param(["verify", "--config", "{configs}/surface_squares.json", "--method", "analytic"],
                      f"pvcg verify: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-squares-config"),
-        pytest.param(["simulate", "--economy", "{configs}/economy3_2d.json", "--method", "analytic"],
-                     f"pvcg simulate: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-2d-economy"),
+        pytest.param(["simulate", "--economy", "{configs}/economy3_squares.json", "--method", "analytic"],
+                     f"pvcg simulate: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-squares-economy"),
         pytest.param(["simulate", "--economy", "{configs}/economy3.json", "--bids", "{bids}"],
                      "pvcg simulate: error: bid capacities do not match the economy's producer layout",
                      id="bids-of-another-producer-count"),

@@ -364,3 +364,7 @@ def test_row_functions_have_the_bits_of_the_loop_oracle(family):
             assert np.float64(social_surplus(view, accepted[r])).tobytes() == want
             assert np.float64(value[r]).tobytes() == np.float64(loop_valuation(view, accepted[r])).tobytes()
             assert costs[r].tolist() == [cost.cost(accepted[r, i], float(gammas[r, i])) for i in range(n)]
+    for dim in (1, 2):  # an empty batch has no rows
+        empty, gammas, thetas = np.zeros((0, 3, dim)), np.zeros((0, 3)), np.zeros((0, 2))
+        assert value_rows(valuation, empty, thetas).shape == surplus_rows(valuation, cost, empty, gammas, thetas).shape
+        assert value_rows(valuation, empty, thetas).shape == (0,) and cost_rows(cost, empty, gammas).shape == (0, 3)

@@ -486,17 +486,19 @@ def test_an_economy_raises_exactly_when_its_batch_of_one_does(data):
 
 
 # The invariance tests price T = 200 water-fill auctions of n = 10 producers at the synergy scale n, capacities
-# on the support's box. m = 3 consumers: the values of two sum to the same bits in either order.
+# on the support's box, scalar and 2-D. m = 3 consumers: the values of two sum to the same bits in either order.
 _INVARIANCE_SIZES = (200, 10, 3)
 _INVARIANCE_CAPS = (0.5, 5.0)
 _INVARIANCE_VALUATION = SqrtSumValuation(scale=10.0)
+_INVARIANCE_DIMS = pytest.mark.parametrize("dim", [1, 2])
 
 
-def _invariance_batch(seed):
+def _invariance_batch(seed, dim):
     """Continuous draws, so no two cost types tie and the producer-index tie rule never decides."""
     T, n, m = _INVARIANCE_SIZES
     rng = np.random.default_rng(seed)
-    return rng, rng.uniform(*_INVARIANCE_CAPS, (T, n, 1)), rng.uniform(0.0, 1.0, (T, n)), rng.uniform(0.0, 1.0, (T, m))
+    caps = rng.uniform(*_INVARIANCE_CAPS, (T, n, dim))
+    return rng, caps, rng.uniform(0.0, 1.0, (T, n)), rng.uniform(0.0, 1.0, (T, m))
 
 
 def _invariance_payments(kind, support, caps, gammas, thetas):
@@ -505,16 +507,17 @@ def _invariance_payments(kind, support, caps, gammas, thetas):
     return payments_batch(caps, gammas, thetas, valuation, LinearCost(), adjustment=adjustment)
 
 
+@_INVARIANCE_DIMS
 @pytest.mark.parametrize("kind", ["zero", "analytic"])
-def test_payments_batch_permutes_with_the_producers(kind):
+def test_payments_batch_permutes_with_the_producers(kind, dim):
     """Relabeling the producers of a symmetric support permutes tau, h, totals and utilities bit for bit.
 
     Income and budget slack sum the producers in their new order, so they move at ulp level only. The learned
     adjustment is left out: network i reads the others in index order, so it is not equivariant by design.
     """
-    rng, caps, gammas, thetas = _invariance_batch(41)
+    rng, caps, gammas, thetas = _invariance_batch(41, dim)
     T, n, m = _INVARIANCE_SIZES
-    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS)
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS, dim=dim)
     base = _invariance_payments(kind, support, caps, gammas, thetas)
     perms = rng.permuted(np.tile(np.arange(n), (T, 1)), axis=1)
     moved = _invariance_payments(
@@ -529,12 +532,13 @@ def test_payments_batch_permutes_with_the_producers(kind):
         assert np.allclose(getattr(moved, name), getattr(base, name), rtol=0.0, atol=1e-12), name
 
 
+@_INVARIANCE_DIMS
 @pytest.mark.parametrize("kind", ["zero", "analytic"])
-def test_payments_batch_does_not_depend_on_the_consumer_order(kind):
+def test_payments_batch_does_not_depend_on_the_consumer_order(kind, dim):
     """Reordering the consumers changes only the order of the value sums: every field moves at ulp level."""
-    rng, caps, gammas, thetas = _invariance_batch(43)
+    rng, caps, gammas, thetas = _invariance_batch(43, dim)
     T, n, m = _INVARIANCE_SIZES
-    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS)
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS, dim=dim)
     base = _invariance_payments(kind, support, caps, gammas, thetas)
     order = rng.permuted(np.tile(np.arange(m), (T, 1)), axis=1)
     moved = _invariance_payments(kind, support, caps, gammas, np.take_along_axis(thetas, order, axis=1))
@@ -545,22 +549,24 @@ def test_payments_batch_does_not_depend_on_the_consumer_order(kind):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), field.name
 
 
+@_INVARIANCE_DIMS
 @pytest.mark.parametrize("kind", ["zero", "analytic"])
-def test_a_null_producer_changes_no_payment_and_is_paid_nothing(kind):
+def test_a_null_producer_changes_no_payment_and_is_paid_nothing(kind, dim):
     """Appending a producer of capacity 0, at the unchanged synergy scale, moves the others' totals and
     utilities by at most 1e-12 and pays it exactly 0: its removed problem is the full problem, bit for bit.
 
     Its support box starts at capacity 0, as its capacity does: a pessimistic insert with capacity would pay it
     a real h whenever the others' problem accepts that insert.
     """
-    rng, caps, gammas, thetas = _invariance_batch(47)
+    rng, caps, gammas, thetas = _invariance_batch(47, dim)
     T, n, m = _INVARIANCE_SIZES
-    base = _invariance_payments(kind, PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS), caps, gammas, thetas)
-    wide = PriorSupport.uniform_box(n + 1, m, cap=_INVARIANCE_CAPS)
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS, dim=dim)
+    base = _invariance_payments(kind, support, caps, gammas, thetas)
+    wide = PriorSupport.uniform_box(n + 1, m, cap=_INVARIANCE_CAPS, dim=dim)
     cap_lo = wide.cap_lo.copy()
     cap_lo[-1] = 0.0
     with_null = _invariance_payments(
-        kind, dataclasses.replace(wide, cap_lo=cap_lo), np.concatenate([caps, np.zeros((T, 1, 1))], axis=1),
+        kind, dataclasses.replace(wide, cap_lo=cap_lo), np.concatenate([caps, np.zeros((T, 1, dim))], axis=1),
         np.concatenate([gammas, rng.uniform(0.0, 1.0, (T, 1))], axis=1), thetas,
     )
     for name in ("tau", "adjustment", "total", "utilities"):
@@ -570,12 +576,13 @@ def test_a_null_producer_changes_no_payment_and_is_paid_nothing(kind):
     assert not with_null.punished.any()
 
 
-def test_analytic_all_producers_permutes_with_the_producers():
+@_INVARIANCE_DIMS
+def test_analytic_all_producers_permutes_with_the_producers(dim):
     """``AnalyticAdjustment.all_producers`` on its own: relabeling the producers of a symmetric support permutes
     every h bit for bit. A capacity floor of 0.5 at cost type 0.2 is accepted in most rows, so h is not zero there."""
-    rng, caps, gammas, thetas = _invariance_batch(53)
+    rng, caps, gammas, thetas = _invariance_batch(53, dim)
     T, n, m = _INVARIANCE_SIZES
-    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS, gamma=(0.0, 0.2))
+    support = PriorSupport.uniform_box(n, m, cap=_INVARIANCE_CAPS, gamma=(0.0, 0.2), dim=dim)
     model = AnalyticAdjustment(support, _INVARIANCE_VALUATION, LinearCost())
     base = model.all_producers(caps, gammas, thetas)
     perms = rng.permuted(np.tile(np.arange(n), (T, 1)), axis=1)
@@ -618,7 +625,7 @@ def test_zero_capacity_removed_surplus_is_the_index_deleted_one(data):
 
 @pytest.mark.parametrize("family", ["sqrt_sum_dim2", "custom_dim1", "custom_dim2"])
 def test_zero_capacity_removed_surplus_matches_the_index_deleted_projected_gradient(family):
-    """Outside the water-fill both removed problems are projected-gradient solves with their own start rows;
+    """On the projected gradient, forced for sqrt_sum, both removed problems are solves with their own start rows;
     they agree within 1e-6."""
     valuation, cost, dim, method, counts = _GENERIC_FAMILIES[family]
     rng = np.random.default_rng(61)
@@ -657,9 +664,9 @@ def test_removed_surplus_barely_reads_the_removed_producers_report():
 
 
 _CUSTOM = (CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost))
-# (valuation, cost, dim, method, producer counts): every family and method but the water-fill
+# (valuation, cost, dim, method, producer counts): every family and dim on the projected gradient, sqrt_sum forced
 _GENERIC_FAMILIES = {
-    "sqrt_sum_dim2": (SqrtSumValuation(scale=3.0), LinearCost(), 2, None, (1, 2, 3)),
+    "sqrt_sum_dim2": (SqrtSumValuation(scale=3.0), LinearCost(), 2, "projected_gradient", (1, 2, 3)),
     "sqrt_sum_squares": (SqrtSumSquaresValuation(scale=3.0), LinearCost(), 1, None, (1, 2, 3)),
     "custom_dim1": (*_CUSTOM, 1, None, (1, 2)),
     "custom_dim2": (*_CUSTOM, 2, None, (1, 2)),

@@ -30,7 +30,7 @@ from pvcg import (
     uniform_economy_sampler,
 )
 from pvcg.adjustment import sample_from
-from pvcg.allocation import waterfill_surplus
+from pvcg.allocation import solve_batch, waterfill_surplus
 from pvcg.experiment import ExperimentConfig
 from pvcg.payments import deviation_utilities
 from pvcg.verification import UTILITY_TOL
@@ -121,29 +121,67 @@ def test_no_grid_report_beats_truth(paper_support, paper_families, trained_paper
     flagship-prior economies with the others truthful: none beats truth by more than ``UTILITY_TOL`` under the zero,
     the analytic or the trained adjustment.
 
-    The oracle prices each report itself; its truthful column is ``payments_batch``'s utility, and
-    ``deviation_utilities`` on the same solves gives its utilities.
+    The oracle solves and prices each report itself: ``solve_batch`` of the same reports matches its allocation and
+    surplus, its truthful column is ``payments_batch``'s utility, and ``deviation_utilities`` on the library's solves
+    gives its utilities.
     """
     valuation, cost = paper_families
     caps, gammas, thetas = sample_from(paper_support, 40, np.random.default_rng(15))
     grid_caps, grid_gammas = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 10.0, 64), np.linspace(0.0, 1.5, 64)))
     adjustments = (ZeroAdjustment(), AnalyticAdjustment(paper_support, valuation, cost), trained_paper_model[0])
     truths = [payments_batch(caps, gammas, thetas, valuation, cost, adjustment=a) for a in adjustments]
-    h = np.stack([truth.adjustment for truth in truths])
     for i in range(paper_support.n):
-        utilities, (reported_gammas, x_i, surplus, removed) = grid_best_response(
-            caps[..., 0], gammas, thetas, valuation.scale, i, h[..., i], grid_caps, grid_gammas
+        _assert_no_report_beats_truth(caps, gammas, thetas, valuation, truths, i, grid_caps[:, None], grid_gammas)
+
+
+def test_no_grid_report_of_a_2d_bundle_beats_truth():
+    """Best responses with 2-D bundles, for every producer of 12 economies at n = 3 with the others truthful: a
+    7 x 7 capacity grid over 0-5 per coordinate times 7 cost types over 0-1.5, and the truth with one coordinate
+    raised by 0.25, 1 or 3 at the true cost type. None beats truth by more than ``UTILITY_TOL`` under the zero or
+    the analytic adjustment."""
+    n, m, dim = 3, 2, 2
+    support = PriorSupport.uniform_box(n, m, cap=(0.0, 3.0), dim=dim)
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    caps, gammas, thetas = sample_from(support, 12, np.random.default_rng(31))
+    truths = [
+        payments_batch(caps, gammas, thetas, valuation, cost, adjustment=a)
+        for a in (ZeroAdjustment(), AnalyticAdjustment(support, valuation, cost))
+    ]
+    levels = np.linspace(0.0, 5.0, 7)
+    first, second, cost_types = (g.ravel() for g in np.meshgrid(levels, levels, np.linspace(0.0, 1.5, 7)))
+    grid_caps = np.broadcast_to(np.stack([first, second], axis=1), (len(caps), first.size, dim))
+    raises = np.concatenate([np.eye(dim)[:, None] * step for step in (0.25, 1.0, 3.0)]).reshape(-1, dim)
+    for i in range(n):
+        raised = caps[:, None, i] + raises
+        grid_gammas = np.concatenate([np.broadcast_to(cost_types, (len(caps), first.size)),
+                                      np.repeat(gammas[:, i, None], len(raises), axis=1)], axis=1)
+        _assert_no_report_beats_truth(
+            caps, gammas, thetas, valuation, truths, i, np.concatenate([grid_caps, raised], axis=1), grid_gammas
         )
-        for k, truth in enumerate(truths):
-            np.testing.assert_allclose(utilities[k, :, -1], truth.utilities[:, i], rtol=0, atol=1e-9)
-            library, _ = deviation_utilities(
-                caps[:, None, i], gammas[:, None, i], reported_gammas, cost, x_i[..., None], surplus,
-                removed[:, None], h[k, :, i, None], 1e6,
-            )
-            np.testing.assert_allclose(library, utilities[k], rtol=0, atol=1e-9)
-        gains = utilities.max(axis=-1) - utilities[..., -1]
-        worst = np.unravel_index(gains.argmax(), gains.shape)
-        assert gains[worst] <= UTILITY_TOL, (i, worst, gains[worst])
+
+
+def _assert_no_report_beats_truth(caps, gammas, thetas, valuation, truths, i, grid_caps, grid_gammas):
+    """Producer i's grid best responses under each truth's adjustment: ``solve_batch`` of the oracle's reports
+    accepts its bundles bit for bit at its surpluses, the oracle's truthful column is ``payments_batch``'s utility,
+    ``deviation_utilities`` on the library's solves gives its utilities, and no report beats truth by more than
+    ``UTILITY_TOL``."""
+    h = np.stack([truth.adjustment[:, i] for truth in truths])
+    utilities, (reported_caps, reported_gammas, x, surplus, removed) = grid_best_response(
+        caps, gammas, thetas, valuation.scale, i, h, grid_caps, grid_gammas
+    )
+    accepted, solver_surplus = solve_batch(reported_caps, reported_gammas, thetas[:, None], valuation, LinearCost())
+    np.testing.assert_array_equal(accepted, x)
+    np.testing.assert_allclose(solver_surplus, surplus, rtol=0, atol=1e-12)
+    for k, truth in enumerate(truths):
+        np.testing.assert_allclose(utilities[k, :, -1], truth.utilities[:, i], rtol=0, atol=1e-9)
+        library, _ = deviation_utilities(
+            caps[:, None, i], gammas[:, None, i], reported_gammas[..., i], LinearCost(), accepted[..., i, :],
+            solver_surplus, removed[:, None], h[k, :, None], 1e6,
+        )
+        np.testing.assert_allclose(library, utilities[k], rtol=0, atol=1e-9)
+    gains = utilities.max(axis=-1) - utilities[..., -1]
+    worst = np.unravel_index(gains.argmax(), gains.shape)
+    assert gains[worst] <= UTILITY_TOL, (i, worst, gains[worst])
 
 
 def _grid_reference(view, step):
