@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _batch_surpluses, _max_surplus, _replaced
+from .allocation import _batch_surpluses, _max_surplus, _replaced, waterfill_applies
 from .model import (
     ProbeReport, _check_count, _check_layout, _check_reports, _check_tol, _set_profile, fields_from_dict,
     fields_to_dict,
@@ -135,7 +135,12 @@ def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) 
 
 @dataclass(frozen=True)
 class AnalyticAdjustment:
-    """Callable adjustment model wrapping the constructive formula ``-(S_pessimistic - S_without_i)``."""
+    """Callable adjustment model wrapping the constructive formula ``-(S_pessimistic - S_without_i)``.
+
+    A producer whose support minimum is zero in every coordinate is the same problem in both terms, so its
+    adjustment is ``-0.0``, written without a solve. That is every producer of the shipped ``flagship`` and
+    ``train_small`` configs and of the default capacity box ``(0, 5)``, which ``pvcg simulate`` prices on.
+    """
 
     support: PriorSupport
     valuation: object
@@ -143,9 +148,15 @@ class AnalyticAdjustment:
     method: str | None = None
 
     def __post_init__(self):
-        # producer i's replacement in row i (its support extremes) and in row n+i (zero capacity)
+        # the method rule is checked here, since a profile whose every producer is skipped never reaches a solver
+        waterfill_applies(self.valuation, self.cost, self.method)
+        # each solved producer's replacement in its pessimistic row (its support extremes) and its zero-capacity row
         s = self.support
-        object.__setattr__(self, "_replacements", (np.concatenate([s.cap_lo, 0.0 * s.cap_lo]), np.tile(s.gamma_hi, 2)))
+        solved = np.flatnonzero(s.cap_lo.any(axis=-1))
+        object.__setattr__(self, "_replacements", (
+            np.concatenate([s.cap_lo[solved], 0.0 * s.cap_lo[solved]]), np.tile(s.gamma_hi[solved], 2),
+        ))
+        object.__setattr__(self, "_slots", np.tile(solved, 2))
 
     # bound in the class body, so it is in the class ``__dict__``, where perfbench/tracing.py patches it
     __call__ = _one_producer
@@ -153,18 +164,23 @@ class AnalyticAdjustment:
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
-        Leading axes are a batch. One ``max_surplus`` call solves a ``(..., 2n, n, dim)`` stack: row i has producer
-        i at its support extremes, row n+i at zero capacity, both at ``gamma_hi[i]``, so entry i reads only the others.
+        Leading axes are a batch. One ``max_surplus`` call solves a ``(..., 2k, n, dim)`` stack for the k producers
+        with a non-zero support minimum: row j has the j-th of them at its support extremes, row k+j at zero
+        capacity, both at its ``gamma_hi``, so its entry reads only the others. Every other entry is ``-0.0``.
         """
         return self._rows(*_check_reports(capacities, gammas, thetas))
 
     def _rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """``all_producers`` of checked reports, which must only fit the support's layout."""
-        n = self.support.n
         _check_layout(caps, gammas, thetas, self.support)
-        rows = _replaced(caps, gammas, *self._replacements)
-        surpluses = _max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
-        return -(surpluses[..., :n] - surpluses[..., n:])
+        adjustments = np.full(gammas.shape, -0.0)
+        slots = self._slots
+        if len(slots):
+            k = len(slots) // 2
+            rows = _replaced(caps, gammas, *self._replacements, slots=slots)
+            surpluses = _max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
+            adjustments[..., slots[:k]] = -(surpluses[..., :k] - surpluses[..., k:])
+        return adjustments
 
 
 def analytic_adjustment(

@@ -182,21 +182,25 @@ def others_index(n: int) -> Array:
 
 
 @functools.lru_cache(maxsize=64)
-def _replaced_index(n: int, r: int, first: int) -> tuple[Array, Array]:
-    """Read-only copy and slot indices ``(first + j, j % n)`` of ``_replaced``'s r replaced copies, built once."""
-    rows = np.arange(r)
-    index = first + rows, rows % n
+def _replaced_index(n: int, first: int) -> tuple[Array, Array]:
+    """Read-only copy and slot indices ``(first + j, j)`` of ``_replaced``'s n copies of every slot, built once."""
+    rows = np.arange(n)
+    index = first + rows, rows
     for a in index:
         a.flags.writeable = False
     return index
 
 
-def _replaced(caps: Array, gammas: Array, cap, gamma, first: int = 0) -> tuple[Array, Array]:
-    """Copies ``(..., first + r, n, dim)``, ``(..., first + r, n)`` of the reports, r the length of ``gamma``: the
-    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``j % n``. When
-    ``gamma`` is ``gammas`` itself, every slot already holds its entry and the cost types are only copied."""
-    n, r = gammas.shape[-1], np.shape(gamma)[-1]
-    copies, slots = _replaced_index(n, r, first)
+def _replaced(caps: Array, gammas: Array, cap, gamma, first: int = 0, slots=None) -> tuple[Array, Array]:
+    """Copies ``(..., first + r, n, dim)``, ``(..., first + r, n)`` of the reports, r the length of ``slots``: the
+    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``slots[j]``, every
+    slot in order by default. When ``gamma`` is ``gammas`` itself, every slot already holds its entry and the cost
+    types are only copied."""
+    if slots is None:
+        copies, slots = _replaced_index(gammas.shape[-1], first)
+    else:
+        copies = np.arange(first, first + len(slots))
+    r = len(slots)
     caps = np.repeat(caps[..., None, :, :], first + r, axis=-3)
     caps[..., copies, slots, :] = cap
     copied = np.repeat(gammas[..., None, :], first + r, axis=-2)

@@ -36,6 +36,7 @@ __all__ = [
     "make_cost",
     "value_rows",
     "cost_rows",
+    "standalone_rows",
     "surplus_rows",
     "social_surplus",
     "check_assumptions",
@@ -200,6 +201,10 @@ class SqrtSumValuation:
     def standalone(self, x_i, theta: float) -> float:
         return theta * math.sqrt(float(np.sum(np.asarray(x_i, dtype=float))))
 
+    def standalone_rows(self, bundles: Array, thetas) -> Array:
+        """``model.standalone_rows`` of this family: ``standalone`` of each ``(..., dim)`` bundle, row by row."""
+        return thetas * np.sqrt(bundle_totals(bundles))
+
     def value_rows(self, accepted: Array, thetas) -> Array:
         """``model.value_rows`` of this family: the pairwise total of each row's n*dim quantities, as ``value``."""
         shape = accepted.shape
@@ -229,6 +234,10 @@ class SqrtSumSquaresValuation:
 
     def standalone(self, x_i, theta: float) -> float:
         return theta * float(np.sum(np.asarray(x_i, dtype=float)))
+
+    def standalone_rows(self, bundles: Array, thetas) -> Array:
+        """``model.standalone_rows`` of this family: ``standalone`` of each ``(..., dim)`` bundle, row by row."""
+        return thetas * bundle_totals(bundles)
 
     def value_rows(self, accepted: Array, thetas) -> Array:
         """``model.value_rows`` of this family: the pairwise sum of the squared per-producer totals, as ``value``."""
@@ -440,11 +449,27 @@ def cost_rows(cost, bundles: Array, gammas) -> Array:
     """
     if hasattr(cost, "cost_rows"):
         return cost.cost_rows(bundles, gammas)
+    return _bundle_loop(cost, "cost", bundles, gammas)
+
+
+def standalone_rows(valuation, bundles: Array, thetas) -> Array:
+    """Each lone producer's value: ``(..., dim)`` bundles at valuation types that broadcast to ``(...)``.
+
+    A built-in family takes all rows in one ``standalone_rows`` call; any other is asked ``standalone`` bundle by
+    bundle, and a NaN or infinite value raises, naming the family and the row.
+    """
+    if hasattr(valuation, "standalone_rows"):
+        return valuation.standalone_rows(bundles, thetas)
+    return _bundle_loop(valuation, "standalone", bundles, thetas)
+
+
+def _bundle_loop(family, method: str, bundles: Array, types) -> Array:
+    """The fallback of ``cost_rows`` and ``standalone_rows``: ``family.<method>`` asked bundle by bundle."""
     out = np.empty(bundles.shape[:-1])
-    gammas = np.broadcast_to(gammas, out.shape)
+    types, scalar = np.broadcast_to(types, out.shape), getattr(family, method)
     for k in np.ndindex(out.shape):
-        out[k] = cost.cost(bundles[k], float(gammas[k]))
-    return _finite_rows(cost, "cost", out, bundles)
+        out[k] = scalar(bundles[k], float(types[k]))
+    return _finite_rows(family, method, out, bundles)
 
 
 def _finite_rows(family, method: str, out: Array, inputs: Array) -> Array:
@@ -463,10 +488,15 @@ def surplus_rows(valuation, cost, accepted: Array, gammas, thetas) -> Array:
     Value less the producers' costs summed left to right from 0, the bits of the loop over producers
     (``np.sum`` would group n >= 9 costs in eight accumulators). Leading axes are a batch; the types broadcast.
     """
-    costs, total = cost_rows(cost, accepted, gammas), 0.0
-    for i in range(costs.shape[-1]):
-        total = total + costs[..., i]
-    return value_rows(valuation, accepted, thetas) - total
+    return value_rows(valuation, accepted, thetas) - _sum_in_order(cost_rows(cost, accepted, gammas))
+
+
+def _sum_in_order(rows: Array) -> Array:
+    """The sum over the last axis, left to right from 0, as a loop over it (or Python's ``sum``) adds."""
+    total = 0.0
+    for i in range(rows.shape[-1]):
+        total = total + rows[..., i]
+    return total
 
 
 def social_surplus(view, accepted) -> float:
@@ -565,9 +595,9 @@ def check_assumptions(valuation, cost, n: int, samples: int = 10_000, seed: int 
        when the others contribute more.
 
     Each quantity is drawn once, as an array over the samples, and each set of
-    profiles valued in one ``value_rows`` or ``cost_rows``; only ``standalone``
-    is asked one (sample, producer) at a time. Violations are report entries
-    (with witnesses, by sample, then by check), never exceptions.
+    profiles valued in one ``value_rows``, ``cost_rows`` or ``standalone_rows``.
+    Violations are report entries (with witnesses, by sample, then by check),
+    never exceptions; a custom family's NaN or infinite value raises, naming it.
     """
     for name, count in (("n", n), ("dim", dim), ("samples", samples)):
         _check_count(name, count)
@@ -597,9 +627,7 @@ def check_assumptions(valuation, cost, n: int, samples: int = 10_000, seed: int 
     v0, x_i = value(x), x[t, i]
     c0 = cost_rows(cost, x_i, gamma)
     x_removed = x[np.arange(n) != i[:, None]].reshape(samples, n - 1, dim)
-    solo_sum = np.array([
-        sum(valuation.standalone(x[k, j], th) for j in range(n)) for k, th in enumerate(theta.tolist())
-    ])
+    solo_sum = _sum_in_order(standalone_rows(valuation, x, theta[:, None]))
     # producer i's marginal value beside the others' x and beside their x_small (x >= x_small componentwise)
     lhs = v0 - value(with_row_i(x, x_small[t, i]))
     rhs = value(with_row_i(x_small, x_i)) - value(x_small)

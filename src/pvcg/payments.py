@@ -128,20 +128,19 @@ def tau_for_producer(view: Economy, full: AllocationResult, removed: AllocationR
     return float(_pivot(full.surplus, removed.surplus, cost_rows(view.cost, full.accepted[i], view.cost_types[i])))
 
 
-def _check_tau_forms(taus, costs_full, valuation, cost, accepted, gammas, thetas, removed) -> None:
+def _check_tau_forms(taus, costs, values) -> None:
     """Raise unless every pivot payment ``taus`` matches its expansion within ``TAU_FORM_TOL``.
 
-    The expansion of producer i is the value difference between the full ``(..., n, dim)`` allocation ``accepted``
-    and the i-removed one minus the others' cost difference; ``costs_full`` are the producers' costs of
-    ``accepted`` at cost types ``gammas``, and ``removed`` holds the ``(..., n, n, dim)`` removed allocations, row i
-    with a zero bundle in producer i's slot. Leading axes are a batch of economies. The first producer whose forms
-    disagree is named, with its economy in a batch of several.
+    ``costs`` ``(..., n+1, n)`` and ``values`` ``(..., n+1)`` are the producers' costs and the consumers' value of a
+    solved stack: row 0 the full allocation, row 1+i the i-removed one with a zero bundle in producer i's slot. The
+    expansion of producer i is the value difference between rows 0 and 1+i minus the others' cost difference.
+    Leading axes are a batch of economies. The first producer whose forms disagree is named, with its economy in a
+    batch of several.
     """
+    costs_full = costs[..., 0, :]
     others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
-    others_cost_removed = cost_rows(cost, removed, gammas[..., None, :]).sum(axis=-1)
-    value_full = value_rows(valuation, accepted, thetas)[..., None]
-    value_removed = value_rows(valuation, removed, thetas[..., None, :])
-    expanded = (value_full - value_removed) - (others_cost_full - others_cost_removed)
+    others_cost_removed = costs[..., 1:, :].sum(axis=-1)
+    expanded = (values[..., :1] - values[..., 1:]) - (others_cost_full - others_cost_removed)
     disagree = np.abs(taus - expanded) > TAU_FORM_TOL
     if disagree.any():
         where = tuple(np.argwhere(disagree)[0])
@@ -155,17 +154,18 @@ def _check_tau_forms(taus, costs_full, valuation, cost, accepted, gammas, thetas
 def vcg_tau(view: Economy, allocation: AllocationResult, counterfactuals: list[AllocationResult]) -> Array:
     """Pivot payments tau_i = S* - S*_{-i} + c_i(accepted_i) of the solved full and removed problems.
 
-    Counterfactual i, of the n-1 producers but i, is embedded with a zero bundle in slot i for the expansion of
-    ``_check_tau_forms``, which must agree within ``TAU_FORM_TOL``; disagreement raises.
+    Counterfactual i, of the n-1 producers but i, is embedded with a zero bundle in slot i and stacked under the
+    full allocation for the expansion of ``_check_tau_forms``, which must agree within ``TAU_FORM_TOL``;
+    disagreement raises.
     """
     if len(counterfactuals) != view.n:
         raise ValueError(f"expected {view.n} counterfactual allocations, got {len(counterfactuals)}")
-    accepted = allocation.accepted
-    removed = np.stack([np.insert(r.accepted, i, 0.0, axis=0) for i, r in enumerate(counterfactuals)])
+    removed = [np.insert(r.accepted, i, 0.0, axis=0) for i, r in enumerate(counterfactuals)]
+    solved = np.stack([allocation.accepted, *removed])
     removed_surpluses = np.array([r.surplus for r in counterfactuals])
-    costs = cost_rows(view.cost, accepted, view.cost_types)
-    taus = _pivot(allocation.surplus, removed_surpluses, costs)
-    _check_tau_forms(taus, costs, view.valuation, view.cost, accepted, view.cost_types, view.valuation_types, removed)
+    costs = cost_rows(view.cost, solved, view.cost_types)
+    taus = _pivot(allocation.surplus, removed_surpluses, costs[0])
+    _check_tau_forms(taus, costs, value_rows(view.valuation, solved, view.valuation_types))
     return taus
 
 
@@ -256,11 +256,12 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
     adjustments = np.zeros(bid_gammas.shape) if adjustment is None else getattr(
         adjustment, "_rows", adjustment.all_producers
     )(bid_caps, bid_gammas, bid_thetas)
-    reported_costs = cost_rows(cost, accepted, bid_gammas)
+    # the reported costs and values of the whole solved stack: row 0 prices, and every row checks the pivot forms
+    costs = cost_rows(cost, solved, bid_gammas[..., None, :])
     taus, punished, totals, utilities = _settle(
-        caps, gammas, reported_costs, cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
+        caps, gammas, costs[..., 0, :], cost, accepted, surplus[..., None], removed_surpluses, adjustments, punishment
     )
-    _check_tau_forms(taus, reported_costs, valuation, cost, accepted, bid_gammas, bid_thetas, solved[..., 1:, :, :])
+    _check_tau_forms(taus, costs, value_rows(valuation, solved, bid_thetas[..., None, :]))
     delivered = np.where(punished[..., None], 0.0, accepted)
     income = value_rows(valuation, delivered, thetas)
     return PaymentBreakdown(

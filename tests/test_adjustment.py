@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import pvcg.adjustment
 from pvcg import (
     AnalyticAdjustment,
     CustomValuation,
@@ -16,6 +18,7 @@ from pvcg import (
     analytic_adjustment,
     marginal_gains_check,
     existence_check,
+    payments_batch,
     total_payment,
 )
 from pvcg.adjustment import sample_from
@@ -164,24 +167,46 @@ def test_adjustment_ignores_own_report(paper_support, paper_families):
     assert first == second  # bit-identical: nothing about producer 3 enters
 
 
+def _support_floor(floor: str, n: int, dim: int) -> PriorSupport:
+    """A support of n producers, capacities up to 2 and cheap cost types, whose minimum capacity is 0.5 everywhere
+    (``interior``), 0 everywhere (``zero``), or by producer j % 3: 0.5, 0, and 0 in the first coordinate only, which
+    is 0 everywhere at dim 1 (``mixed``)."""
+    support = PriorSupport.uniform_box(n, 2, cap=(0.5, 2.0), gamma=(0.0, 0.05), dim=dim)
+    cap_lo = np.full((n, dim), 0.0 if floor == "zero" else 0.5)
+    if floor == "mixed":
+        cap_lo[1::3] = 0.0
+        cap_lo[2::3, 0] = 0.0
+    return dataclasses.replace(support, cap_lo=cap_lo)
+
+
 # the finite-difference gradient of sqrt_sum_squares makes its n=10 solves take seconds each
 @pytest.mark.parametrize(
-    "valuation_cls, dim, method, counts",
+    "valuation_cls, dim, method, counts, floor",
     [
-        pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 4, 10), id="sqrt_sum-waterfill"),
-        pytest.param(SqrtSumValuation, 1, "projected_gradient", (1, 2, 3, 4, 10), id="sqrt_sum-projected_gradient"),
-        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 4, 10), id="sqrt_sum-dim2-waterfill"),
-        pytest.param(SqrtSumValuation, 2, "projected_gradient", (1, 2, 3, 4, 10), id="sqrt_sum-dim2"),
-        pytest.param(SqrtSumSquaresValuation, 1, None, (1, 2, 3, 4), id="sqrt_sum_squares"),
-        pytest.param(SqrtSumSquaresValuation, 2, None, (1, 2, 3, 4), id="sqrt_sum_squares-dim2"),
+        pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 4, 10), "interior", id="sqrt_sum-waterfill"),
+        pytest.param(SqrtSumValuation, 1, "projected_gradient", (1, 2, 3, 4, 10), "interior",
+                     id="sqrt_sum-projected_gradient"),
+        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 4, 10), "interior", id="sqrt_sum-dim2-waterfill"),
+        pytest.param(SqrtSumValuation, 2, "projected_gradient", (1, 2, 3, 4, 10), "interior", id="sqrt_sum-dim2"),
+        pytest.param(SqrtSumSquaresValuation, 1, None, (1, 2, 3, 4), "interior", id="sqrt_sum_squares"),
+        pytest.param(SqrtSumSquaresValuation, 2, None, (1, 2, 3, 4), "interior", id="sqrt_sum_squares-dim2"),
+        pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 10), "zero", id="sqrt_sum-waterfill-zero-floor"),
+        pytest.param(SqrtSumValuation, 2, "projected_gradient", (1, 2, 3, 10), "zero", id="sqrt_sum-dim2-zero-floor"),
+        pytest.param(SqrtSumValuation, 1, None, (1, 2, 3, 10), "mixed", id="sqrt_sum-waterfill-mixed-floor"),
+        pytest.param(SqrtSumValuation, 1, "projected_gradient", (1, 2, 3, 10), "mixed",
+                     id="sqrt_sum-projected_gradient-mixed-floor"),
+        pytest.param(SqrtSumValuation, 2, None, (1, 2, 3, 10), "mixed", id="sqrt_sum-dim2-waterfill-mixed-floor"),
+        pytest.param(SqrtSumValuation, 2, "projected_gradient", (1, 2, 3, 10), "mixed", id="sqrt_sum-dim2-mixed-floor"),
+        pytest.param(SqrtSumSquaresValuation, 2, None, (1, 2, 3), "mixed", id="sqrt_sum_squares-dim2-mixed-floor"),
     ],
 )
-def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim, method, counts):
+def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim, method, counts, floor):
     """Row i of the batched analytic adjustment and ``model(i, ...)`` on the others' reports both have the bits
-    of the one-producer reference."""
+    of the one-producer reference, which solves both problems: strictly negative where producer i's support
+    minimum is non-zero in some coordinate, else -0.0, sign included."""
     for n in counts:
-        # cheap producers above zero capacity: the pessimistic producer is accepted, so no adjustment is zero
-        support = PriorSupport.uniform_box(n, 2, cap=(0.5, 2.0), gamma=(0.0, 0.05), dim=dim)
+        # cheap producers: one above zero capacity is accepted at its minimum, so its adjustment is not zero
+        support = _support_floor(floor, n, dim)
         model = AnalyticAdjustment(support, valuation_cls(scale=float(n)), LinearCost(), method=method)
         caps, gammas, thetas = sample_from(support, 1, np.random.default_rng(n))
         batch = model.all_producers(caps, gammas, thetas)
@@ -192,7 +217,43 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim,
             assert type(value) is float
             assert np.float64(value).tobytes() == expected.tobytes(), (n, i)
             assert batch[0, i].tobytes() == expected.tobytes(), (n, i)
-            assert expected < 0.0, (n, i)
+            if support.cap_lo[i].any():
+                assert expected < 0.0, (n, i)
+            else:
+                assert expected.tobytes() == np.float64(-0.0).tobytes(), (n, i)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_zero_minimum_support_prices_its_adjustment_without_a_solve(monkeypatch, dim):
+    """Where every producer's support minimum is zero, the pessimistic and the zero-capacity problem are one
+    problem: ``all_producers``, ``model(i, ...)``, ``total_payment`` and ``payments_batch`` write -0.0 without
+    calling ``max_surplus``'s kernel."""
+    n, m = 3, 2
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    support = PriorSupport.uniform_box(n, m, dim=dim)
+    model = AnalyticAdjustment(support, valuation, cost)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the analytic adjustment solved a problem")
+
+    monkeypatch.setattr(pvcg.adjustment, "_max_surplus", solve)
+    caps, gammas, thetas = sample_from(support, 4, np.random.default_rng(71))
+    minus_zero = np.float64(-0.0).tobytes()
+    assert model.all_producers(caps, gammas, thetas).tobytes() == np.full((4, n), -0.0).tobytes()
+    assert np.float64(model(1, caps[0, [0, 2]], gammas[0, [0, 2]], thetas[0])).tobytes() == minus_zero
+    payment = total_payment(Economy(caps[0], gammas[0], thetas[0], valuation, cost), adjustment=model)
+    assert payment.adjustment.tobytes() == np.full(n, -0.0).tobytes()
+    batch = payments_batch(caps, gammas, thetas, valuation, cost, adjustment=model)
+    assert batch.adjustment.tobytes() == np.full((4, n), -0.0).tobytes()
+
+
+def test_the_analytic_adjustment_checks_its_method_where_it_solves_nothing():
+    """The method rule runs at construction, so a bad method raises even where no profile would reach a solver."""
+    support = PriorSupport.uniform_box(3, 2)
+    with pytest.raises(ValueError, match="^method: analytic water-fill requires the sqrt_sum valuation and linear"):
+        AnalyticAdjustment(support, SqrtSumSquaresValuation(scale=3.0), LinearCost(), method="analytic")
+    with pytest.raises(ValueError, match="^method must be None, 'analytic' or 'projected_gradient', got 'bogus'$"):
+        AnalyticAdjustment(support, SqrtSumValuation(scale=3.0), LinearCost(), method="bogus")
 
 
 @pytest.mark.parametrize("kind", ["analytic", "learned"])

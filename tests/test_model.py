@@ -18,12 +18,13 @@ from pvcg import (
     SqrtSumValuation,
     check_assumptions,
     economy_from_dict,
+    existence_check,
     economy_to_dict,
     social_surplus,
 )
 from pvcg.model import (
-    ASSUMPTION_CAP_HIGH, ASSUMPTION_GAMMA_HIGH, ASSUMPTION_THETA_HIGH, bids_from_dict, cost_rows, surplus_rows,
-    value_rows,
+    ASSUMPTION_CAP_HIGH, ASSUMPTION_GAMMA_HIGH, ASSUMPTION_THETA_HIGH, bids_from_dict, cost_rows, standalone_rows,
+    surplus_rows, value_rows,
 )
 
 from conftest import convex_cost, weighted_valuation
@@ -162,6 +163,8 @@ ASSUMPTION_CASES = {
     "sqrt_sum-low-scale": (SqrtSumValuation(scale=1.0), LinearCost(), 4, 1),
     "sqrt_sum_squares-n10": (SqrtSumSquaresValuation(scale=10.0), LinearCost(), 10, 1),
     "sqrt_sum_squares-n3-dim2": (SqrtSumSquaresValuation(scale=3.0), LinearCost(), 3, 2),
+    # below n, the squares' synergy breaks super-additivity too, so the witnesses carry its lone-producer sums
+    "sqrt_sum_squares-low-scale-dim2": (SqrtSumSquaresValuation(scale=1.0), LinearCost(), 4, 2),
     # convex: breaks cross marginal returns
     "custom-square-n2": (CustomValuation(fn=lambda x, theta: theta * float(x.sum()) ** 2), LinearCost(), 2, 1),
     # a value and a cost that fall as the bundle and the type grow break every monotonicity; the producer
@@ -186,6 +189,30 @@ def test_check_assumptions_equals_the_per_sample_check(case):
     if case.startswith("custom-falling"):
         assert {w["kind"] for w in got.monotonicity} == {"valuation/x", "valuation/theta", "cost/x", "cost/gamma"}
         assert {w["kind"] for w in got.zero_input} == {"valuation", "cost"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["value", "standalone", "cost"])
+def test_a_custom_familys_non_finite_value_fails_the_checks_by_name(method, bad):
+    """``check_assumptions`` and ``existence_check`` raise at a custom family's first NaN or infinite ``value``,
+    ``standalone`` or ``cost``, naming its class, instead of reporting on it. ``existence_check`` never asks
+    ``standalone``, so there a bad lone-producer value changes nothing."""
+    valuation, cost, name = SqrtSumValuation(scale=3.0), LinearCost(), "CustomValuation." + method
+    if method == "value":
+        valuation = CustomValuation(fn=lambda x, theta: bad)
+    elif method == "standalone":
+        valuation = CustomValuation(fn=weighted_valuation, standalone_fn=lambda x_i, theta: bad)
+    else:
+        cost, name = CustomCost(fn=lambda x_i, gamma: bad), "CustomCost.cost"
+    error = rf"^{name} must be finite, got {bad} at row \("
+    with pytest.raises(ValueError, match=error):
+        check_assumptions(valuation, cost, n=3, samples=50)
+    support = PriorSupport.uniform_box(3, 2)
+    if method == "standalone":
+        assert existence_check(support, valuation, cost, samples=5).trials == 5
+    else:
+        with pytest.raises(ValueError, match=error):
+            existence_check(support, valuation, cost, samples=5)
 
 
 def test_custom_family_standalone_defaults_to_singleton_profile():
@@ -337,7 +364,8 @@ _ROW_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(_ROW_FAMILIES))
 def test_row_functions_have_the_bits_of_the_loop_oracle(family):
-    """``surplus_rows``, ``value_rows`` and ``cost_rows`` against the loop over consumers and producers.
+    """``surplus_rows``, ``value_rows``, ``cost_rows`` and ``standalone_rows`` against the loop over consumers and
+    producers.
 
     n runs past numpy's eight-accumulator pairwise sum (n >= 9); each batch
     has an all-zero profile, and is checked as ``(R, ...)`` rows, as a
@@ -353,6 +381,7 @@ def test_row_functions_have_the_bits_of_the_loop_oracle(family):
         surplus = surplus_rows(valuation, cost, accepted, gammas, thetas)
         value = value_rows(valuation, accepted, thetas)
         costs = cost_rows(cost, accepted, gammas)
+        solo = standalone_rows(valuation, accepted, thetas[:, :1])
         stacked = surplus_rows(valuation, cost, accepted.reshape(2, 3, n, dim), gammas.reshape(2, 3, n),
                                thetas.reshape(2, 3, m))
         assert stacked.tobytes() == surplus.reshape(2, 3).tobytes(), (n, m, dim)
@@ -364,6 +393,7 @@ def test_row_functions_have_the_bits_of_the_loop_oracle(family):
             assert np.float64(social_surplus(view, accepted[r])).tobytes() == want
             assert np.float64(value[r]).tobytes() == np.float64(loop_valuation(view, accepted[r])).tobytes()
             assert costs[r].tolist() == [cost.cost(accepted[r, i], float(gammas[r, i])) for i in range(n)]
+            assert solo[r].tolist() == [valuation.standalone(accepted[r, i], float(thetas[r, 0])) for i in range(n)]
     for dim in (1, 2):  # an empty batch has no rows
         empty, gammas, thetas = np.zeros((0, 3, dim)), np.zeros((0, 3)), np.zeros((0, 2))
         assert value_rows(valuation, empty, thetas).shape == surplus_rows(valuation, cost, empty, gammas, thetas).shape

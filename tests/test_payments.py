@@ -753,9 +753,9 @@ def test_an_auction_is_one_solve_and_its_analytic_adjustment_one_max_surplus(mon
 
 
 def test_pricing_costs_each_accepted_bundle_once_per_cost_type(monkeypatch):
-    """Pivot payment and two-form check share one evaluation of the reported own costs: a custom cost is
-    asked for each accepted bundle at its reported and at its true cost type, and once per bundle of the n removed
-    allocations, the zero bundle in the removed producer's slot included."""
+    """Pivot payment and two-form check share one evaluation of the solved stack's reported costs: a custom cost
+    is asked once for every bundle of the full and the n removed allocations at its reported cost type, the zero
+    bundle in the removed producer's slot included, and once for each accepted bundle at its true cost type."""
     shapes = []
 
     def counting_cost_rows(cost, bundles, gammas):
@@ -767,4 +767,4 @@ def test_pricing_costs_each_accepted_bundle_once_per_cost_type(monkeypatch):
                       CustomValuation(fn=weighted_valuation), CustomCost(fn=convex_cost))
     bids = BidProfile(economy.capacities, [0.2, 0.3, 0.1], economy.valuation_types)
     total_payment(economy, bids)
-    assert sorted(shapes) == [(1, 3, 1), (1, 3, 1), (1, 3, 3, 1)]
+    assert sorted(shapes) == [(1, 3, 1), (1, 4, 3, 1)]
