@@ -164,7 +164,7 @@ class AnalyticAdjustment:
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
 
-        Leading axes are a batch. One ``max_surplus`` call solves a ``(..., 2k, n, dim)`` stack for the k producers
+        Leading axes are a batch. One ``_max_surplus`` call solves a ``(..., 2k, n, dim)`` stack for the k producers
         with a non-zero support minimum: row j has the j-th of them at its support extremes, row k+j at zero
         capacity, both at its ``gamma_hi``, so its entry reads only the others. Every other entry is ``-0.0``.
         """
@@ -217,7 +217,7 @@ def _run_check(
 
     Problem i replaces producer i: ``pessimistic`` puts it at its support
     extremes, and the n replaced problems of every sample are solved in one
-    ``max_surplus`` call; otherwise its capacity is zeroed with its cost type
+    ``_max_surplus`` call; otherwise its capacity is zeroed with its cost type
     kept (the zero-capacity form), and training's ``_batch_surpluses`` solves
     them. ``lhs`` adds them up producer by producer.
     """

@@ -26,7 +26,6 @@ __all__ = [
     "waterfill_applies",
     "analytic_waterfill",
     "optimize_acceptance",
-    "max_surplus",
     "solve_batch",
 ]
 
@@ -157,7 +156,7 @@ def analytic_waterfill(view: Economy) -> AllocationResult:
     marginal value meets its unit cost, i.e. at cumulative quantity
     ``scale * Theta^2 / (4 gamma_i^2)``, or at its reported capacity,
     whichever binds first. The surplus comes from the one water-fill formula
-    that ``solve_batch``, ``max_surplus``, ``waterfill_surplus`` and
+    that ``solve_batch``, ``_max_surplus``, ``waterfill_surplus`` and
     ``waterfill_gains`` share, so they all give the same bits on this economy;
     ``social_surplus`` of the accepted quantities agrees to about 1e-15.
     """
@@ -390,19 +389,12 @@ def waterfill_surplus(caps: Array, gammas: Array, theta_sum, scale: float):
     return float(surplus) if surplus.ndim == 0 else surplus
 
 
-def max_surplus(capacities, gammas, thetas, valuation, cost, method: str | None = None):
-    """Maximum reported surplus of raw ``(..., n, dim)`` capacities, ``(..., n)`` and ``(..., m)`` types.
-
-    Leading axes are a batch; one economy returns a float, and every row has
-    the bits of ``solve_batch``'s surplus. The water-fill skips the ratios;
-    any other family or method takes ``solve_batch``'s kernel. An empty
-    coalition (n == 0) has zero surplus. Checks the reports; ``_max_surplus`` trusts them.
-    """
-    return _max_surplus(*_check_reports(capacities, gammas, thetas), valuation, cost, method)
-
-
 def _max_surplus(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: str | None = None):
-    """``max_surplus`` of float reports trusted to be laid out, finite and non-negative."""
+    """Maximum reported surplus of float ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports trusted to be laid
+    out, finite and non-negative. Leading axes are a batch; one economy returns a float, every row has the bits of
+    ``solve_batch``'s surplus, and an empty coalition (n == 0) has zero surplus. The water-fill skips the ratios; any
+    other family or method takes ``solve_batch``'s kernel.
+    """
     if waterfill_applies(valuation, cost, method):
         return waterfill_surplus(bundle_totals(caps), gammas, thetas.sum(axis=-1), valuation.scale)
     surplus = _solve(caps, gammas, thetas, valuation, cost, method)[1]
@@ -416,7 +408,7 @@ def solve_batch(capacities, gammas, thetas, valuation, cost, method: str | None 
     types ``(..., m)``, leading axes a batch; the leading axes of the
     valuation types broadcast against it. Row for row the result carries the
     bits of ``optimize_acceptance`` (seed 0). Water-fill economies are solved
-    in one kernel call, whose surpluses come from the formula ``max_surplus``,
+    in one kernel call, whose surpluses come from the formula ``_max_surplus``,
     ``waterfill_surplus`` and ``waterfill_gains`` share. Any other batch is
     one ``_spg`` call on the stacked arrays. An empty coalition (n == 0) has
     zero surplus. Checks the reports; ``_solve`` trusts them.

@@ -37,7 +37,11 @@ def _build_adjustment(spec: str, support, valuation, cost, method):
     if spec == "analytic":
         return AnalyticAdjustment(support, valuation, cost, method=method)
     if spec.startswith("learned:"):
-        return load_model(spec.split(":", 1)[1])
+        model = load_model(spec.split(":", 1)[1])
+        layout, want = ((s.n, s.m, s.dim) for s in (model.support, support))
+        if layout != want:
+            raise ValueError(f"learned model has (n, m, dim) = {layout}, expected {want}")
+        return model
     raise ValueError(f"unknown adjustment {spec!r}; expected zero, analytic, or learned:PATH")
 
 

@@ -321,6 +321,11 @@ def ir_wbb_sweep(
     """
     _check_count("samples", samples)
     _check_count("seed", seed, least=0)
+    # a NaN gate would fail every sweep unexplained, and an infinite penalty cap would pass any penalties
+    if not 0.0 <= min_pass_rate <= 1.0:
+        raise ValueError(f"min_pass_rate must be in [0, 1], got {min_pass_rate}")
+    if max_mean_penalty is not None and not 0.0 <= max_mean_penalty < math.inf:
+        raise ValueError(f"max_mean_penalty must be None or finite and >= 0, got {max_mean_penalty}")
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     p = payments_batch(
         caps, gammas, thetas, valuation, cost, adjustment=adjustment, punishment=punishment, method=method

@@ -290,8 +290,9 @@ class TrainingConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive integers, got {self.hidden}")
-        if not (math.isfinite(self.loss_tol) and self.loss_tol >= 0):
-            raise ValueError(f"loss_tol must be finite and >= 0, got {self.loss_tol}")
+        # a learned model's IR/WBB sweep is gated at 10 * loss_tol, which must not overflow
+        if not (math.isfinite(10.0 * self.loss_tol) and self.loss_tol >= 0):
+            raise ValueError(f"loss_tol must be >= 0 with 10 * loss_tol finite, got {self.loss_tol}")
         _check_count("seed", self.seed, least=0)
 
     def to_dict(self) -> dict:

@@ -88,22 +88,6 @@ def _as_capacities(x, name: str) -> Array:
     return arr.reshape(-1, 1) if arr.ndim < 2 else arr
 
 
-def as_quantity_matrix(x, n: int | None = None, dim: int | None = None, name: str = "resource amounts") -> Array:
-    """Coerce per-producer resource amounts into a validated ``(n, dim)`` float array.
-
-    Accepts scalars-per-producer (1-d input) or explicit bundles (2-d input).
-    Rejects ragged rows and NaN, infinite and negative entries; ``name`` labels the error.
-    """
-    arr = _as_capacities(x, name)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"expected {n} producers, got {arr.shape[0]}")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"expected resource dimension {dim}, got {arr.shape[1]}")
-    return _check_entries(arr, name)
-
-
 def _frozen(arr: Array) -> Array:
     """A read-only copy of a checked field: no later write reaches it, and the caller keeps its own array."""
     arr = arr.copy()
@@ -130,7 +114,8 @@ def _check_reports(capacities, gammas, thetas=None, shape=None, names=_REPORT_NA
     """The one check of reports at a public entry: float capacities, cost types and valuation types (None: left out).
 
     They are laid out as ``_check_layout`` asks, or as one ``(n, dim)``, ``(n,)``, ``(m,)`` profile for ``shape=(n,
-    dim, m)``, with every entry finite and non-negative. Errors name the field by its entry in ``names``.
+    dim, m)``, with at least one resource dimension and every entry finite and non-negative. Errors name the field by
+    its entry in ``names``.
     """
     reports = tuple(np.asarray(a, dtype=float) for a in (capacities, gammas, thetas) if a is not None)
     if shape is None:
@@ -139,6 +124,8 @@ def _check_reports(capacities, gammas, thetas=None, shape=None, names=_REPORT_NA
         for arr, name, want in zip(reports, names, (shape[:2], shape[:1], shape[2:])):
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+    if reports[0].shape[-1] < 1:
+        raise ValueError(f"{names[0]} must have at least one resource dimension, got shape {reports[0].shape}")
     for arr, name in zip(reports, names):
         _check_entries(arr, name)
     return reports
@@ -406,12 +393,7 @@ class Economy:
         """The reports of ``bids`` (these when omitted); a ``BidProfile`` checked its entries, so only shapes are."""
         if bids is None:
             return self.capacities, self.cost_types, self.valuation_types
-        if bids.capacities.shape != self.capacities.shape:
-            raise ValueError("bid capacities do not match the economy's producer layout")
-        if bids.cost_types.shape != self.cost_types.shape:
-            raise ValueError("bid cost types do not match the economy's producer count")
-        if bids.valuation_types.shape != self.valuation_types.shape:
-            raise ValueError("bid valuation types do not match the economy's consumer count")
+        _check_layout(bids.capacities, bids.cost_types, bids.valuation_types, support=self)
         return bids.capacities, bids.cost_types, bids.valuation_types
 
 
@@ -500,8 +482,10 @@ def _sum_in_order(rows: Array) -> Array:
 
 
 def social_surplus(view, accepted) -> float:
-    """Total consumer value minus total producer cost at the accepted profile."""
-    arr = as_quantity_matrix(accepted, n=view.n, dim=view.dim)
+    """Total consumer value minus total producer cost at the accepted profile, checked as the view's ``(n, dim)``
+    capacities are (1-d input a column)."""
+    name = "accepted quantities"
+    (arr,) = _check_reports(_as_capacities(accepted, name), None, shape=(view.n, view.dim, view.m), names=(name,))
     return float(surplus_rows(view.valuation, view.cost, arr, view.cost_types, view.valuation_types))
 
 

@@ -172,12 +172,10 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
     cost type. Two ``reference_max_surplus`` solves, with no batch of producers
     and no stacked rows.
     """
-    from pvcg.model import as_quantity_matrix
-
     support = model.support
     if not 0 <= i < support.n:
         raise IndexError(f"producer index {i} out of range for n={support.n}")
-    others = as_quantity_matrix(capacities_others, n=support.n - 1, dim=support.dim, name="others' capacities")
+    others = np.asarray(capacities_others, dtype=float).reshape(support.n - 1, support.dim)
     gammas_others = np.asarray(gammas_others, dtype=float)
     pess_caps = np.insert(others, i, support.cap_lo[i], axis=0)
     pess_gammas = np.insert(gammas_others, i, support.gamma_hi[i])
@@ -519,15 +517,6 @@ def reference_utility_from_solves(economy, view, full, removed, i, h, punishment
     return tau + h - economy.cost.cost(accepted_i, float(economy.cost_types[i])), tau
 
 
-def reference_prior_draw(support, count, rng):
-    """``count`` economies' capacities, cost types and valuation types, uniform on the box, one generator call per box."""
-    return tuple(
-        rng.uniform(lo, hi, size=(count,) + lo.shape)
-        for lo, hi in ((support.cap_lo, support.cap_hi), (support.gamma_lo, support.gamma_hi),
-                       (support.theta_lo, support.theta_hi))
-    )
-
-
 def reference_uniform_economy_sampler(support, valuation, cost):
     """Economies with true parameters drawn uniformly from the support box, one generator call per box."""
 
@@ -808,7 +797,7 @@ def reference_ir_wbb_sweep(
     fresh-sample bound on its training loss) while its strict pass rate is
     still reported for inspection.
     """
-    caps, gammas, thetas = reference_prior_draw(support, samples, np.random.default_rng(seed))
+    caps, gammas, thetas = reference_sample_from(support, samples, np.random.default_rng(seed))
     ir_violations: list = []
     wbb_violations: list = []
     mismatches: list = []
@@ -872,11 +861,13 @@ from pvcg.learner import MLP, LearnedAdjustment, _layout, _normalize, mlp_init  
 
 
 def reference_sample_from(support, count, rng):
-    """The prior draw as three ``rng.uniform`` calls: capacities, cost types, valuation types."""
-    caps = rng.uniform(support.cap_lo, support.cap_hi, size=(count,) + support.cap_lo.shape)
-    gammas = rng.uniform(support.gamma_lo, support.gamma_hi, size=(count, support.n))
-    thetas = rng.uniform(support.theta_lo, support.theta_hi, size=(count, support.m))
-    return caps, gammas, thetas
+    """``count`` economies' capacities, cost types and valuation types, uniform on the box: three ``rng.uniform``
+    calls, one per box."""
+    return tuple(
+        rng.uniform(lo, hi, size=(count,) + lo.shape)
+        for lo, hi in ((support.cap_lo, support.cap_hi), (support.gamma_lo, support.gamma_hi),
+                       (support.theta_lo, support.theta_hi))
+    )
 
 
 def zero_mlp(layer_sizes) -> MLP:

@@ -227,7 +227,7 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(valuation_cls, dim,
 def test_a_zero_minimum_support_prices_its_adjustment_without_a_solve(monkeypatch, dim):
     """Where every producer's support minimum is zero, the pessimistic and the zero-capacity problem are one
     problem: ``all_producers``, ``model(i, ...)``, ``total_payment`` and ``payments_batch`` write -0.0 without
-    calling ``max_surplus``'s kernel."""
+    calling the surplus kernel ``_max_surplus``."""
     n, m = 3, 2
     valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
     support = PriorSupport.uniform_box(n, m, dim=dim)

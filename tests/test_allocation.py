@@ -26,10 +26,10 @@ from pvcg import (
 )
 from pvcg.allocation import (
     _batch_surpluses,
+    _max_surplus,
     _Objective,
     _spg,
     _waterfill_rows,
-    max_surplus,
     solve_batch,
     waterfill_gains,
     waterfill_surplus,
@@ -118,7 +118,7 @@ def test_counterfactual_single_producer_is_empty_coalition():
     with pytest.raises(ValueError, match=message):
         solve_batch(np.zeros((0, 1)), np.zeros(0), [1.0], economy.valuation, economy.cost, method="bogus")
     with pytest.raises(ValueError, match=message):
-        max_surplus(np.zeros((0, 1)), np.zeros(0), [1.0], economy.valuation, economy.cost, method="bogus")
+        _max_surplus(np.zeros((0, 1)), np.zeros(0), np.ones(1), economy.valuation, economy.cost, method="bogus")
 
 
 def test_counterfactual_keeps_the_synergy_scale(split_cost_economy):
@@ -362,8 +362,9 @@ def _public_entries():
     fields = ["capacities", "cost types", "valuation types"]
     learned = LearnedAdjustment(tuple(zero_mlp([6, 4, 1]) for _ in range(3)), support)
     entries = [
-        (f"{f.__name__}-{method or 'waterfill'}", fields, lambda *r, f=f, method=method: f(*r, valuation, cost, method))
-        for f in (solve_batch, max_surplus) for method in (None, "projected_gradient")
+        (f"solve_batch-{method or 'waterfill'}", fields,
+         lambda *r, method=method: solve_batch(*r, valuation, cost, method))
+        for method in (None, "projected_gradient")
     ]
     entries.append(("payments_batch", fields + ["reported capacities", "reported cost types"],
                     lambda *r: payments_batch(*r[:3], valuation, cost, *r[3:])))
@@ -385,6 +386,15 @@ def test_every_public_entry_names_the_bad_field(fields, call, value):
         reports[k][-1] = value
         with pytest.raises(ValueError, match=f"^{field} must be (finite|non-negative)"):
             call(*reports[:len(fields)])
+
+
+@pytest.mark.parametrize("fields, call", [e[1:] for e in _PUBLIC_ENTRIES], ids=[e[0] for e in _PUBLIC_ENTRIES])
+def test_every_public_entry_rejects_a_zero_width_bundle(fields, call):
+    """Capacities of no resource dimension raise at the entry, naming the capacities, before a kernel reads them."""
+    reports = [np.ones((1, 2, 0)), np.full((1, 2), 0.2), np.ones((1, 2)), np.ones((1, 2, 0)), np.full((1, 2), 0.2)]
+    message = r"^capacities must have at least one resource dimension, got shape \(1, 2, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        call(*reports[:len(fields)])
 
 
 def test_solver_result_invariants():
@@ -508,7 +518,7 @@ def test_vector_bundles_solve_as_the_summed_scalar_waterfill(dim, method):
     scalar_surplus = solve_batch(totals, gammas, thetas, valuation, cost)[1]
     accepted, surplus = solve_batch(caps, gammas, thetas, valuation, cost, method)
     assert surplus.tobytes() == scalar_surplus.tobytes()
-    assert max_surplus(caps, gammas, thetas, valuation, cost, method).tobytes() == scalar_surplus.tobytes()
+    assert _max_surplus(caps, gammas, thetas, valuation, cost, method).tobytes() == scalar_surplus.tobytes()
     gains = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)
     scalar_gains = _batch_surpluses(valuation, cost, totals, gammas, thetas, None)
     assert all(got.tobytes() == want.tobytes() for got, want in zip(gains, scalar_gains))
@@ -630,7 +640,7 @@ def test_batched_waterfill_rows_match_the_grid_oracle(data):
 def test_batched_max_surplus_projected_gradient_equals_per_row_solves(data):
     caps, gammas, thetas = _economy_batch(data, (1, 3), 3)
     valuation, cost = SqrtSumValuation(scale=float(caps.shape[1])), LinearCost()
-    batched = max_surplus(caps[..., None], gammas, thetas, valuation, cost, method="projected_gradient")
+    batched = _max_surplus(caps[..., None], gammas, thetas, valuation, cost, method="projected_gradient")
     for t in range(caps.shape[0]):
         economy = Economy(caps[t][:, None], gammas[t], thetas[t], valuation, cost)
         assert batched[t] == optimize_acceptance(economy, method="projected_gradient").surplus
@@ -669,7 +679,7 @@ def test_every_waterfill_entry_point_gives_the_same_surplus_bits(data):
     theta_sums = thetas.sum(axis=1)
     solved = solve_batch(caps[..., None], gammas, thetas, valuation, cost)[1]
     full, removed = waterfill_gains(caps, gammas, theta_sums, valuation.scale)
-    assert max_surplus(caps[..., None], gammas, thetas, valuation, cost).tobytes() == solved.tobytes()
+    assert _max_surplus(caps[..., None], gammas, thetas, valuation, cost).tobytes() == solved.tobytes()
     assert waterfill_surplus(caps, gammas, theta_sums, valuation.scale).tobytes() == solved.tobytes()
     assert full.tobytes() == solved.tobytes()
     if n == 0:

@@ -197,6 +197,10 @@ def test_ragged_capacities_in_an_economy_file_are_one_error_line_with_exit_code_
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 _WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation and linear cost"
+# a model of the layout of configs/train_small.json
+_OTHER_MODEL = "learned model has (n, m, dim) = (3, 1, 1), expected"
+# a learned model's IR/WBB sweep is gated at 10 * loss_tol
+_HUGE_TOL = "loss_tol must be >= 0 with 10 * loss_tol finite, got 1e+308"
 
 
 @pytest.mark.parametrize(
@@ -216,16 +220,33 @@ _WATERFILL_ONLY = "analytic water-fill requires the sqrt_sum valuation and linea
         pytest.param(["simulate", "--economy", "{configs}/economy3_squares.json", "--method", "analytic"],
                      f"pvcg simulate: error: method: {_WATERFILL_ONLY}", id="analytic-method-of-a-squares-economy"),
         pytest.param(["simulate", "--economy", "{configs}/economy3.json", "--bids", "{bids}"],
-                     "pvcg simulate: error: bid capacities do not match the economy's producer layout",
+                     "pvcg simulate: error: expected (..., 3, 1) capacities, (..., 3) cost types and (..., 2) valuation "
+                     "types, got shapes (2, 1), (2,) and (1,)",
                      id="bids-of-another-producer-count"),
+        pytest.param(["verify", "--config", "{configs}/flagship.json", "--adjustment", "learned:{model}"],
+                     f"pvcg verify: error: {_OTHER_MODEL} (10, 2, 1)", id="learned-model-of-another-config"),
+        pytest.param(["surface", "--config", "{configs}/flagship.json", "--adjustment", "learned:{model}"],
+                     f"pvcg surface: error: {_OTHER_MODEL} (10, 2, 1)", id="learned-model-of-another-config-surface"),
+        pytest.param(["simulate", "--economy", "{configs}/economy3_2d.json", "--adjustment", "learned:{model}"],
+                     f"pvcg simulate: error: {_OTHER_MODEL} (3, 2, 2)", id="learned-model-of-another-economy"),
+        pytest.param(["run", "--config", "{huge_tol}"], f"pvcg run: error: {_HUGE_TOL}", id="loss-tol-gate-overflows"),
+        pytest.param(["verify", "--config", "{huge_tol}"], f"pvcg verify: error: {_HUGE_TOL}",
+                     id="loss-tol-gate-overflows-verify"),
     ],
 )
 def test_a_bad_input_is_one_error_line_with_exit_code_2(argv, message, config_file, tmp_path, capsys):
     """A config override, checkpoint, method or bids file that cannot be used ends the command before any work,
     without a traceback. A ``--config`` in ``argv`` takes the place of the fixture's."""
-    _, config_path = config_file
-    paths = dict(missing=tmp_path / "missing.json", configs=_CONFIGS, bids=tmp_path / "bids.json")
+    config, config_path = config_file
+    paths = dict(missing=tmp_path / "missing.json", configs=_CONFIGS, bids=tmp_path / "bids.json",
+                 model=tmp_path / "model.json", huge_tol=tmp_path / "huge_tol.json")
+    doc = config.to_dict()
+    doc["training"]["loss_tol"] = 1e308
+    paths["huge_tol"].write_text(json.dumps(doc))
     paths["bids"].write_text(json.dumps({"capacities": [1.0, 2.0], "cost_types": [0.1, 0.2], "valuation_types": [1.0]}))
+    support = ExperimentConfig.load(_CONFIGS / "train_small.json").support()
+    rng = np.random.default_rng(0)
+    save_model(LearnedAdjustment(tuple(mlp_init([5, 4, 1], rng) for _ in range(support.n)), support), paths["model"])
     with pytest.raises(SystemExit) as exit_info:
         main([argv[0], "--config", str(config_path)] + [arg.format(**paths) for arg in argv[1:]]
              + ["--out", str(tmp_path / "out")])

@@ -151,6 +151,31 @@ def test_ir_wbb_sweep_zero_adjustment(paper_support, paper_families):
     assert result["worst_budget_slack"] >= -1e-8
 
 
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (dict(min_pass_rate=math.nan), r"^min_pass_rate must be in \[0, 1\], got nan$"),
+        (dict(min_pass_rate=-0.1), r"^min_pass_rate must be in \[0, 1\], got -0.1$"),
+        (dict(min_pass_rate=1.5), r"^min_pass_rate must be in \[0, 1\], got 1.5$"),
+        (dict(max_mean_penalty=math.inf), "^max_mean_penalty must be None or finite and >= 0, got inf$"),
+        (dict(max_mean_penalty=math.nan), "^max_mean_penalty must be None or finite and >= 0, got nan$"),
+        (dict(max_mean_penalty=-1e-3), "^max_mean_penalty must be None or finite and >= 0, got -0.001$"),
+    ],
+    ids=["rate-nan", "rate-negative", "rate-above-1", "penalty-inf", "penalty-nan", "penalty-negative"],
+)
+def test_ir_wbb_sweep_rejects_a_gate_before_any_draw(monkeypatch, paper_support, paper_families, gate, message):
+    """An infinite penalty cap would pass any penalties and a NaN gate would fail unexplained, so each is an error
+    naming its field, raised before the sweep draws a sample."""
+    monkeypatch.setattr(experiment, "sample_from", lambda *args: pytest.fail("the sweep drew before checking"))
+    with pytest.raises(ValueError, match=message):
+        ir_wbb_sweep(paper_support, *paper_families, samples=4, seed=0, **gate)
+
+
+def test_ir_wbb_sweep_takes_the_edges_of_its_gates(paper_support, paper_families):
+    for gate in (dict(min_pass_rate=0.0, max_mean_penalty=0.0), dict(min_pass_rate=1.0)):
+        assert ir_wbb_sweep(paper_support, *paper_families, samples=4, seed=0, **gate)["passed"]
+
+
 def test_write_csv_formats_numbers(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [(1, 0.5), (2, 1.0 / 3.0)])

@@ -16,7 +16,7 @@ from pvcg import (
     total_payment,
 )
 from pvcg.adjustment import sample_from
-from pvcg.allocation import _batch_surpluses, max_surplus, waterfill_gains
+from pvcg.allocation import _batch_surpluses, _max_surplus, waterfill_gains
 from pvcg.learner import (
     MLP,
     _backward,
@@ -390,8 +390,8 @@ def test_batch_surpluses_slow_path_matches_waterfill():
             np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-6)
         # each removed column is one solve with producer i's capacity zeroed, as a per-column loop would give it
         columns = np.stack([
-            max_surplus(np.where(np.arange(n)[:, None] == i, 0.0, caps), gammas, thetas, valuation, cost,
-                        "projected_gradient")
+            _max_surplus(np.where(np.arange(n)[:, None] == i, 0.0, caps), gammas, thetas, valuation, cost,
+                         "projected_gradient")
             for i in range(n)
         ], axis=1)
         assert (slow[1].dtype, slow[1].shape, slow[1].tobytes()) == (columns.dtype, columns.shape, columns.tobytes())
@@ -483,6 +483,7 @@ def test_composite_loss_matches_loss_components_of_the_payment():
         pytest.param("hidden", (0,), id="hidden-zero"),
         pytest.param("loss_tol", math.nan, id="loss_tol-nan"),
         pytest.param("loss_tol", -1e-3, id="loss_tol-negative"),
+        pytest.param("loss_tol", 1e308, id="loss_tol-tenfold-overflows"),
         pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
         pytest.param("seed", -1, id="seed-negative"),
         pytest.param("seed", 1.5, id="seed-fraction"),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,12 +264,52 @@ def test_economy_serialization_roundtrip():
     assert social_surplus(back.view(), [1.0, 1.0, 0.0]) == social_surplus(view, [1.0, 1.0, 0.0])
 
 
-def test_view_rejects_mismatched_bids(cheap_pair_economy):
-    from pvcg import BidProfile
+@pytest.mark.parametrize(
+    "bids, shapes",
+    [
+        (([1.0, 1.0, 1.0], [0.1, 0.1, 0.1], [1.0]), "(3, 1), (3,) and (1,)"),
+        (([[1.0, 0.0], [1.0, 0.0]], [0.1, 0.2], [1.0]), "(2, 2), (2,) and (1,)"),
+        (([1.0, 1.0], [0.1, 0.2], [1.0, 0.5]), "(2, 1), (2,) and (2,)"),
+    ],
+    ids=["producers", "dim", "consumers"],
+)
+def test_view_rejects_mismatched_bids(cheap_pair_economy, bids, shapes):
+    """Bids of another producer count, resource dimension or consumer count fail with the layout check's message."""
+    message = f"expected (..., 2, 1) capacities, (..., 2) cost types and (..., 1) valuation types, got shapes {shapes}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cheap_pair_economy.view(BidProfile(*bids))
 
-    bad = BidProfile([1.0, 1.0, 1.0], [0.1, 0.1, 0.1], [1.0])
-    with pytest.raises(ValueError):
-        cheap_pair_economy.view(bad)
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Economy(np.zeros((2, 0)), [0.1, 0.2], [1.0], SqrtSumValuation(), LinearCost()), "capacities"),
+        (lambda: Economy.sqrt_sum(np.zeros((2, 0)), [0.1, 0.2], [1.0]), "capacities"),
+        (lambda: BidProfile(np.zeros((2, 0)), [0.1, 0.2], [1.0]), "reported capacities"),
+        (lambda: PriorSupport.uniform_box(2, 1, dim=0), "cap_lo"),
+    ],
+    ids=["economy", "sqrt_sum", "bids", "prior_support"],
+)
+def test_a_zero_width_bundle_is_rejected_by_field(build, field):
+    """Capacities of no resource dimension fail at the constructor, not later inside a solver."""
+    with pytest.raises(ValueError, match=rf"^{field} must have at least one resource dimension, got shape \(2, 0\)$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "accepted, message",
+    [
+        ([1.0, 1.0, 1.0], r"must have shape \(2, 1\), got \(3, 1\)"),
+        ([[1.0, 0.0], [1.0, 0.0]], r"must have shape \(2, 1\), got \(2, 2\)"),
+        ([1.0, -1.0], "must be non-negative"),
+        ([1.0, math.nan], "must be finite"),
+        ([[1.0], [1.0, 2.0]], "must have rows of one length"),
+    ],
+    ids=["producers", "dim", "negative", "nan", "ragged"],
+)
+def test_social_surplus_names_a_bad_accepted_profile(cheap_pair_economy, accepted, message):
+    with pytest.raises(ValueError, match=f"^accepted quantities {message}"):
+        social_surplus(cheap_pair_economy, accepted)
 
 
 def test_economy_and_bids_hold_read_only_copies_of_their_arrays():

@@ -729,7 +729,7 @@ def test_generic_payment_is_bit_equal_to_the_per_producer_oracle(family):
 def test_an_auction_is_one_solve_and_its_analytic_adjustment_one_max_surplus(monkeypatch, method):
     """``total_payment`` and ``payments_batch`` solve the full and every removed problem in one call of
     ``solve_batch``'s kernel, and ``AnalyticAdjustment.all_producers`` its pessimistic and removed problems in one
-    call of ``max_surplus``'s."""
+    call of ``_max_surplus``."""
     calls = []
 
     def counted(module, name):

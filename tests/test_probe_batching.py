@@ -33,8 +33,8 @@ from oracles import (
     reference_check_surplus_monotonicity,
     reference_ir_wbb_sweep,
     reference_payment_surface,
-    reference_prior_draw,
     reference_probe_dsic,
+    reference_sample_from,
 )
 
 
@@ -99,7 +99,7 @@ def test_ir_wbb_sweep_equals_the_per_economy_sweep(world, kind):
 def _dsic_draws(support, trials, deviations, seed):
     """``probe_dsic``'s draws: the economies, every deviation's producer, then the misreports."""
     rng = np.random.default_rng(seed)
-    caps, gammas, thetas = reference_prior_draw(support, trials, rng)
+    caps, gammas, thetas = reference_sample_from(support, trials, rng)
     producers = rng.integers(support.n, size=trials * deviations)
     own = (np.repeat(np.arange(trials), deviations), producers)
     return (caps, gammas, thetas), producers, draw_deviations(support, rng, caps[own], gammas[own], producers)
@@ -108,7 +108,7 @@ def _dsic_draws(support, trials, deviations, seed):
 def _monotonicity_draws(support, trials, seed):
     """``check_surplus_monotonicity``'s draws: the economies, then the producers, coordinates and both steps."""
     rng = np.random.default_rng(seed)
-    economies = reference_prior_draw(support, trials, rng)
+    economies = reference_sample_from(support, trials, rng)
     producers, coordinates = rng.integers(support.n, size=trials), rng.integers(support.dim, size=trials)
     return economies, (producers, coordinates, rng.uniform(0.1, 2.0, trials), rng.uniform(0.1, 2.0, trials))
 

@@ -11,6 +11,7 @@ from pvcg import (
     Economy,
     LinearCost,
     PriorSupport,
+    ProbeReport,
     SqrtSumValuation,
     ZeroAdjustment,
     analytic_waterfill,
@@ -279,6 +280,13 @@ def test_probes_check_the_tolerance_before_any_work(tol):
     for check in (existence_check, marginal_gains_check):
         with pytest.raises(ValueError, match=message):
             check(never, never, never, samples=2000, tol=tol)
+
+
+def test_a_gap_equal_to_the_tolerance_is_no_violation():
+    """``record_all`` counts only the gaps strictly above ``tol``, each with its witness; the worst gap is kept."""
+    report = ProbeReport(name="gaps", trials=3)
+    report.record_all(np.array([0.0, 1e-8, 2e-8]), lambda k: {"k": k}, tol=1e-8)
+    assert report.violations == [{"k": 2, "gap": 2e-8}] and report.max_gap == 2e-8
 
 
 def test_check_ir_zero_adjustment_passes(cheap_pair_economy):
