@@ -93,9 +93,15 @@ MUTANTS = (
            "np.flatnonzero(fills > 0.0)", "np.flatnonzero(fills > 0.1)", (ALLOC, LEARN)),
     Mutant("spg-tie-largest", "allocation.py",
            "chosen = e * k + min(best,", "chosen = e * k + max(best,", (ALLOC,)),
+    Mutant("spg-down-step-unclamped", "allocation.py",
+           "np.maximum(steps[:, 1], 0.0, out=steps[:, 1])", "steps[:, 1]", (ALLOC,)),
+    Mutant("spg-finished-check-strict", "allocation.py",
+           "np.count_nonzero(done) >= k or", "np.count_nonzero(done) > k or", (ALLOC,)),
+    Mutant("spg-first-trial-bar-drops-slope", "allocation.py",
+           "reference + slope, 1.0", "reference, 1.0", (ALLOC,)),
     # the adjustments
     Mutant("analytic-solved-all-coordinates", "adjustment.py",
-           "s.cap_lo.any(axis=-1)", "s.cap_lo.all(axis=-1)", (ADJUST,)),
+           "self.support.cap_lo.any(axis=-1)", "self.support.cap_lo.all(axis=-1)", (ADJUST,)),
     Mutant("analytic-skipped-positive-zero", "adjustment.py",
            "np.full(gammas.shape, -0.0)", "np.full(gammas.shape, 0.0)", (ADJUST,)),
     Mutant("analytic-sign", "adjustment.py",

@@ -115,22 +115,33 @@ def sample_from(support: PriorSupport, count: int, rng) -> tuple[Array, Array, A
 # ---------------------------------------------------------------------------
 
 
-def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) -> float:
-    """Producer ``i``'s adjustment from the others' reports: entry ``i`` of the adjustment's rows on the full profile.
+def _full_profile(support: PriorSupport, i: int, capacities_others, gammas_others, thetas):
+    """The full profile on which producer ``i``'s adjustment is entry ``i`` of an adjustment's rows.
 
     The others' ``(n-1, dim)`` capacities and ``(n-1,)`` cost types and the ``(m,)`` valuation types are checked,
     and producer ``i``'s support extremes (minimum capacity, maximum cost type) fill slot ``i``, where no
     adjustment reads them.
     """
-    s = adjustment.support
-    if not 0 <= i < s.n:
-        raise IndexError(f"producer index {i} out of range for n={s.n}")
+    if not 0 <= i < support.n:
+        raise IndexError(f"producer index {i} out of range for n={support.n}")
     caps, gammas, thetas = _check_reports(
-        capacities_others, gammas_others, thetas, shape=(s.n - 1, s.dim, s.m),
+        capacities_others, gammas_others, thetas, shape=(support.n - 1, support.dim, support.m),
         names=("others' capacities", "others' cost types", "valuation types"),
     )
-    caps, gammas = np.insert(caps, i, s.cap_lo[i], axis=0), np.insert(gammas, i, s.gamma_hi[i])
-    return float(adjustment._rows(caps, gammas, thetas)[i])
+    return np.insert(caps, i, support.cap_lo[i], axis=0), np.insert(gammas, i, support.gamma_hi[i]), thetas
+
+
+def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) -> float:
+    """Producer ``i``'s adjustment from the others' reports: entry ``i`` of the adjustment's rows on the full profile."""
+    reports = _full_profile(adjustment.support, i, capacities_others, gammas_others, thetas)
+    return float(adjustment._rows(*reports)[i])
+
+
+def _replacements(support: PriorSupport, solved: Array) -> tuple[Array, Array, Array]:
+    """``_replaced``'s capacities, cost types and slots for the k ``solved`` producers: row j has the j-th of them at
+    its support extremes, row k+j at zero capacity, both at its ``gamma_hi``."""
+    cap_lo = support.cap_lo[solved]
+    return np.concatenate([cap_lo, 0.0 * cap_lo]), np.tile(support.gamma_hi[solved], 2), np.tile(solved, 2)
 
 
 @dataclass(frozen=True)
@@ -150,16 +161,16 @@ class AnalyticAdjustment:
     def __post_init__(self):
         # the method rule is checked here, since a profile whose every producer is skipped never reaches a solver
         waterfill_applies(self.valuation, self.cost, self.method)
-        # each solved producer's replacement in its pessimistic row (its support extremes) and its zero-capacity row
-        s = self.support
-        solved = np.flatnonzero(s.cap_lo.any(axis=-1))
-        object.__setattr__(self, "_replacements", (
-            np.concatenate([s.cap_lo[solved], 0.0 * s.cap_lo[solved]]), np.tile(s.gamma_hi[solved], 2),
-        ))
-        object.__setattr__(self, "_slots", np.tile(solved, 2))
+        # the replacements of every solved producer, and of each producer alone (none when it is not solved)
+        solved = np.flatnonzero(self.support.cap_lo.any(axis=-1))
+        object.__setattr__(self, "_replacements", _replacements(self.support, solved))
+        own = tuple(_replacements(self.support, solved[solved == i]) for i in range(self.support.n))
+        object.__setattr__(self, "_own_replacements", own)
 
-    # bound in the class body, so it is in the class ``__dict__``, where perfbench/tracing.py patches it
-    __call__ = _one_producer
+    def __call__(self, i: int, capacities_others, gammas_others, thetas) -> float:
+        """Entry ``i`` of ``all_producers`` on producer ``i``'s full profile, solving only its own two rows."""
+        reports = _full_profile(self.support, i, capacities_others, gammas_others, thetas)
+        return float(self._rows(*reports, self._own_replacements[i])[i])
 
     def all_producers(self, capacities, gammas, thetas) -> Array:
         """``(..., n)`` adjustments of every producer from ``(..., n, dim)``, ``(..., n)`` and ``(..., m)`` reports.
@@ -170,14 +181,15 @@ class AnalyticAdjustment:
         """
         return self._rows(*_check_reports(capacities, gammas, thetas))
 
-    def _rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
-        """``all_producers`` of checked reports, which must only fit the support's layout."""
+    def _rows(self, caps: Array, gammas: Array, thetas: Array, replacements=None) -> Array:
+        """``all_producers`` of checked reports, which must only fit the support's layout; with ``replacements``
+        (from ``_replacements``) only their producers are solved."""
         _check_layout(caps, gammas, thetas, self.support)
         adjustments = np.full(gammas.shape, -0.0)
-        slots = self._slots
+        cap, gamma, slots = self._replacements if replacements is None else replacements
         if len(slots):
             k = len(slots) // 2
-            rows = _replaced(caps, gammas, *self._replacements, slots=slots)
+            rows = _replaced(caps, gammas, cap, gamma, slots=slots)
             surpluses = _max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
             adjustments[..., slots[:k]] = -(surpluses[..., :k] - surpluses[..., k:])
         return adjustments

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, LinearCost, SqrtSumValuation, _check_reports, bundle_totals, surplus_rows
+from .model import Economy, LinearCost, SqrtSumValuation, _check_count, _check_reports, bundle_totals, surplus_rows
 
 Array = np.ndarray
 
@@ -36,6 +36,7 @@ _SPG_MAX_ITER = 10_000
 _SPG_TOL = 1e-8  # projected-gradient norm at which a row is done
 _ARMIJO_C = 1e-4
 _FD_STEP = 1e-6  # central-difference step of the gradient outside closed form
+_FD_BLOCK = 1 << 16  # ratio entries per surplus_rows call of the finite differences
 
 
 @dataclass(frozen=True)
@@ -256,17 +257,47 @@ class _Objective:
         return value - (accepted.reshape(len(self.gammas), self.k, -1) @ self.gammas).ravel(), totals
 
     def gradient(self, H: Array, totals: Array, done: Array, G: Array) -> Array:
-        """The gradient at each row not ``done``: in closed form, from the accepted totals of its last surplus."""
+        """The gradient at each row not ``done``: in closed form, from the accepted totals of its last surplus.
+
+        Outside closed form, copy ``j`` of the active rows' 2w stepped copies (w ratios a row) is active row
+        ``j // 2w`` with entry ``j % w`` stepped up (``j // w`` even) or down, clamped at 0. The copies are
+        built and evaluated in blocks of at most ``_FD_BLOCK`` ratio entries, one ``surplus_rows`` call each, and
+        the surpluses overwrite the stepped entries: a batch of thousands of economies holds no full set of copies.
+        """
         if self.closed:
             coeff = self._consumers(self.half_root_scale / np.sqrt(np.maximum(totals, 1e-12)))
             return self.caps * (coeff[:, None] - self.gamma_flat)
-        G, active = G.copy(), ~done  # a done row has not moved since G
-        for d in range(H.shape[1]):
-            hp, hm = H.copy(), H.copy()
-            hp[:, d] += _FD_STEP
-            hm[:, d] = np.maximum(H[:, d] - _FD_STEP, 0.0)
-            G[active, d] = ((self.surplus(hp, active)[0] - self.surplus(hm, active)[0]) / (hp[:, d] - hm[:, d]))[active]
+        G, active = G.copy(), np.flatnonzero(~done)  # a done row has not moved since G
+        w = H.shape[1]
+        steps = np.repeat(H[active][:, None, :], 2, axis=1)
+        steps[:, 0] += _FD_STEP
+        steps[:, 1] -= _FD_STEP
+        np.maximum(steps[:, 1], 0.0, out=steps[:, 1])
+        widths, flat = steps[:, 0] - steps[:, 1], steps.reshape(-1)
+        per_call = max(1, _FD_BLOCK // w)
+        for lo in range(0, len(flat), per_call):
+            j = np.arange(lo, min(lo + per_call, len(flat)))
+            row = active[j // (2 * w)]
+            copies = H[row]
+            copies.put((j - lo) * w + j % w, flat[lo:lo + len(j)])
+            accepted = (copies * self.caps[row]).reshape((-1,) + self.shape)
+            flat[lo:lo + len(j)] = surplus_rows(
+                self.valuation, self.cost, accepted, self.gamma_rows[row], self.thetas.T[row]
+            )
+        steps[:, 0] -= steps[:, 1]
+        G[active] = np.divide(steps[:, 0], widths, out=widths)
         return G
+
+
+@functools.lru_cache(maxsize=64)
+def _start_rows(width: int, seed) -> Array:
+    """Read-only ``(2 + _SPG_RESTARTS, width)`` start rows of ``_spg``: zeros, ones and the draws from ``seed``."""
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(width), np.ones(width)]
+    starts += [rng.uniform(0.0, 1.0, size=width) for _ in range(_SPG_RESTARTS)]
+    rows = np.stack(starts)
+    rows.flags.writeable = False
+    return rows
 
 
 def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0) -> tuple[Array, Array, list]:
@@ -282,11 +313,9 @@ def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0) -> 
     ratios, the surpluses (one ``surplus_rows`` call per iteration that economies finish in) and the diagnostics.
     """
     E, n, dim = caps.shape
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n * dim), np.ones(n * dim)]
-    starts += [rng.uniform(0.0, 1.0, size=n * dim) for _ in range(_SPG_RESTARTS)]
+    starts = _start_rows(n * dim, seed)
     k = len(starts)
-    H, live = np.tile(np.stack(starts), (E, 1)), np.arange(E)
+    H, live = np.tile(starts, (E, 1)), np.arange(E)
     objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
     ratios, surplus, diags = np.empty(caps.shape), np.empty(E), [None] * E
     done = np.zeros(len(H), dtype=bool)
@@ -299,49 +328,54 @@ def _spg(caps: Array, gammas: Array, thetas: Array, valuation, cost, seed=0) -> 
         G, G_prev = objective.gradient(H, totals, done, G), G
         pg_norm = np.maximum.reduce(np.abs(H - np.minimum(np.maximum(H + G, 0.0), 1.0)), axis=1)
         done |= pg_norm < _SPG_TOL
-        finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == _SPG_MAX_ITER)
-        if np.count_nonzero(finished):
-            ended = live[finished]
-            for e, t in zip(np.flatnonzero(finished), ended):
-                own = slice(e * k, (e + 1) * k)
-                best = np.flatnonzero(f[own] >= float(f[own].max()) - _LEX_TIE_TOL)
-                chosen = e * k + min(best, key=lambda r: tuple(H[own][r] * caps[t].ravel()))
-                ratios[t] = H[chosen].reshape(n, dim)
-                diags[t] = SolverDiagnostics(iterations, k, float(pg_norm[chosen]))
-            surplus[ended] = surplus_rows(valuation, cost, caps[ended] * ratios[ended], gammas[ended], thetas[ended])
-            bad = ~np.isfinite(surplus[ended])
-            if bad.any():
-                raise ValueError(f"solver produced a non-finite surplus ({surplus[ended][bad][0]})")
-            if finished.all():
-                return ratios, surplus, diags
-            live, rows = live[~finished], np.repeat(~finished, k)
-            objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
-            H, f, totals, history, done, S, G, G_prev, pg_norm = (
-                x[rows] for x in (H, f, totals, history, done, S, G, G_prev, pg_norm)
-            )
+        # an economy finishes when all its k rows are done, so none can before k rows are
+        if np.count_nonzero(done) >= k or iterations == _SPG_MAX_ITER:
+            finished = np.logical_and.reduce(done.reshape(-1, k), axis=1) | (iterations == _SPG_MAX_ITER)
+            if np.count_nonzero(finished):
+                ended = live[finished]
+                for e, t in zip(np.flatnonzero(finished), ended):
+                    own = slice(e * k, (e + 1) * k)
+                    best = np.flatnonzero(f[own] >= float(f[own].max()) - _LEX_TIE_TOL)
+                    chosen = e * k + min(best, key=lambda r: tuple(H[own][r] * caps[t].ravel()))
+                    ratios[t] = H[chosen].reshape(n, dim)
+                    diags[t] = SolverDiagnostics(iterations, k, float(pg_norm[chosen]))
+                surplus[ended] = surplus_rows(
+                    valuation, cost, caps[ended] * ratios[ended], gammas[ended], thetas[ended]
+                )
+                bad = ~np.isfinite(surplus[ended])
+                if bad.any():
+                    raise ValueError(f"solver produced a non-finite surplus ({surplus[ended][bad][0]})")
+                if finished.all():
+                    return ratios, surplus, diags
+                live, rows = live[~finished], np.repeat(~finished, k)
+                objective = _Objective(caps[live], gammas[live], thetas[live], valuation, cost, k)
+                H, f, totals, history, done, S, G, G_prev, pg_norm = (
+                    x[rows] for x in (H, f, totals, history, done, S, G, G_prev, pg_norm)
+                )
         sts, sty = np.einsum("kd,kd->k", S, S), np.einsum("kd,kd->k", S, G_prev - G)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0/0 is masked, inf clipped
             alpha = np.minimum(np.maximum(np.where(sty > 0.0, sts / sty, 1.0 / pg_norm), 1e-12), 1e12)
         D = np.minimum(np.maximum(H + alpha[:, None] * G, 0.0), 1.0) - H
         slope = _ARMIJO_C * np.einsum("kd,kd->k", G, D)
         reference = np.minimum.reduce(history, axis=1)
+        # every row still searching has been halved as often as the others, so one step length serves them all
         start, H, remaining = H, H.copy(), ~done
-        trial, lam = start + D, 1.0
+        trial, bar, lam = start + D, reference + slope, 1.0
         while True:
             np.minimum(np.maximum(trial, 0.0, out=trial), 1.0, out=trial)
             f_trial, totals_trial = objective.surplus(trial, remaining)
-            take = remaining & (f_trial >= reference + lam * slope)
+            take = remaining & (f_trial >= bar)
             np.copyto(H, trial, where=take[:, None])
             np.copyto(f, f_trial, where=take)
             np.copyto(totals, totals_trial, where=take)
-            remaining &= ~take
-            if np.count_nonzero(remaining):
-                lam = np.where(remaining, 0.5 * lam, lam)
-                done |= remaining & (lam < 1e-16)
-                remaining &= lam >= 1e-16
+            remaining ^= take
             if not np.count_nonzero(remaining):
                 break
-            trial = start + lam[:, None] * D
+            lam *= 0.5
+            if lam < 1e-16:  # the line search ran out: the rows still searching stall
+                done |= remaining
+                break
+            trial, bar = start + lam * D, reference + lam * slope
         S = H - start
         done |= ~np.logical_or.reduce(S, axis=1)
         history[:, iterations % _SPG_MEMORY] = f
@@ -365,8 +399,9 @@ def optimize_acceptance(view: Economy, method: str | None = None, seed: int = 0)
 
     ``method`` is ``"analytic"`` (water-fill; errors when the family does not
     support it), ``"projected_gradient"``, or ``None`` to pick the water-fill
-    whenever it applies. ``seed`` draws the projected-gradient restarts.
+    whenever it applies. ``seed``, an integer >= 0, draws the projected-gradient restarts.
     """
+    _check_count("seed", seed, least=0)
     if waterfill_applies(view.valuation, view.cost, method):
         return analytic_waterfill(view)
     return _projected_gradient(view, seed=seed)

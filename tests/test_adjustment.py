@@ -247,6 +247,41 @@ def test_a_zero_minimum_support_prices_its_adjustment_without_a_solve(monkeypatc
     assert batch.adjustment.tobytes() == np.full((4, n), -0.0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "valuation_cls, method",
+    [(SqrtSumValuation, None), (SqrtSumValuation, "projected_gradient"), (SqrtSumSquaresValuation, None)],
+    ids=["waterfill", "projected_gradient", "sqrt_sum_squares"],
+)
+def test_the_per_producer_call_solves_only_its_own_two_rows(monkeypatch, valuation_cls, method):
+    """``model(i, ...)`` hands ``_max_surplus`` producer i's two rows, a ``(2, n, dim)`` stack, and returns the bits
+    of entry i of ``all_producers``; where i's support minimum is zero it solves nothing and returns -0.0."""
+    n = 10
+    support = PriorSupport.uniform_box(n, 2, cap=(0.5, 5.0), gamma=(0.0, 0.05))
+    cap_lo = support.cap_lo.copy()
+    cap_lo[3] = 0.0
+    valuation, cost = valuation_cls(scale=float(n)), LinearCost()
+    caps, gammas, thetas = sample_from(support, 1, np.random.default_rng(29))
+    shapes, solve = [], pvcg.adjustment._max_surplus
+
+    def recorded(caps, *args):
+        shapes.append(caps.shape)
+        return solve(caps, *args)
+
+    for box in (support, dataclasses.replace(support, cap_lo=cap_lo)):
+        model = AnalyticAdjustment(box, valuation, cost, method=method)
+        batch = model.all_producers(caps, gammas, thetas)[0]
+        monkeypatch.setattr(pvcg.adjustment, "_max_surplus", recorded)
+        for i, keep in enumerate(others_index(n)):
+            shapes.clear()
+            value = model(i, caps[0, keep], gammas[0, keep], thetas[0])
+            assert np.float64(value).tobytes() == batch[i].tobytes(), (box.cap_lo[3], i)
+            if box.cap_lo[i].any():
+                assert shapes == [(2, n, 1)], (box.cap_lo[3], i)
+            else:
+                assert shapes == [] and np.float64(value).tobytes() == np.float64(-0.0).tobytes(), i
+        monkeypatch.setattr(pvcg.adjustment, "_max_surplus", solve)
+
+
 def test_the_analytic_adjustment_checks_its_method_where_it_solves_nothing():
     """The method rule runs at construction, so a bad method raises even where no profile would reach a solver."""
     support = PriorSupport.uniform_box(3, 2)

@@ -24,11 +24,13 @@ from pvcg import (
     social_surplus,
     total_payment,
 )
+import pvcg.allocation
 from pvcg.allocation import (
     _batch_surpluses,
     _max_surplus,
     _Objective,
     _spg,
+    _start_rows,
     _waterfill_rows,
     solve_batch,
     waterfill_gains,
@@ -104,6 +106,24 @@ def test_waterfill_requires_supported_family():
         optimize_acceptance(bad.view(), method="analytic")
     with pytest.raises(ValueError):
         optimize_acceptance(bad.view(), method="simplex")
+
+
+@pytest.mark.parametrize("method", [None, "projected_gradient"])
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param(-1, "^seed must be >= 0, got -1$", id="negative"),
+        pytest.param(1.5, "^seed must be an integer, got 1.5$", id="fraction"),
+        pytest.param(True, "^seed must be an integer, got True$", id="bool"),
+        pytest.param([0], r"^seed must be an integer, got \[0\]$", id="list"),
+        pytest.param(np.random.default_rng(0), r"^seed must be an integer, got Generator\(PCG64\)", id="generator"),
+    ],
+)
+def test_optimize_acceptance_rejects_a_bad_seed(seed, message, method):
+    """The seed is checked at the entry, naming it, whichever solver would run: the start rows are cached on it."""
+    view = Economy.sqrt_sum([1.0, 2.0], [0.1, 0.2], [1.0]).view()
+    with pytest.raises(ValueError, match=message):
+        optimize_acceptance(view, method=method, seed=seed)
 
 
 def test_counterfactual_single_producer_is_empty_coalition():
@@ -250,10 +270,22 @@ def _assert_batch_rows(views, wants, label):
 
 
 @pytest.mark.parametrize("family", list(_PG_FAMILIES))
-def test_projected_gradient_objective_is_bit_equal_to_the_one_economy_oracle(family):
-    """The prepared objective's surpluses and gradients, three economies at once, have each economy's own bits."""
+def test_projected_gradient_objective_is_bit_equal_to_the_one_economy_oracle(family, monkeypatch):
+    """The prepared objective's surpluses and gradients, three economies at once, have each economy's own bits.
+
+    Outside closed form, the stepped copies of the rows not done are evaluated in as few ``surplus_rows`` calls of
+    at most ``_FD_BLOCK`` ratio entries as fit: one call for one economy at n = 10. Any block gives the same bits,
+    and a done row keeps its previous gradient.
+    """
     valuation, cost, dim = _PG_FAMILIES[family]
     rng = np.random.default_rng(sorted(_PG_FAMILIES).index(family))
+    entries, default_block, surplus_rows = [], pvcg.allocation._FD_BLOCK, pvcg.allocation.surplus_rows
+
+    def counted(valuation, cost, accepted, gammas, thetas):
+        entries.append(accepted.size)
+        return surplus_rows(valuation, cost, accepted, gammas, thetas)
+
+    monkeypatch.setattr(pvcg.allocation, "surplus_rows", counted)
     for n in (1, 3, 10):
         views = [
             Economy(rng.uniform(0.0, 5.0, (n, dim)), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, 3),
@@ -269,6 +301,54 @@ def test_projected_gradient_objective_is_bit_equal_to_the_one_economy_oracle(fam
             rows = slice(10 * e, 10 * e + 10)
             assert f[rows].tobytes() == _reference_surplus_rows(view, H[rows]).tobytes(), (family, n, e)
             assert G[rows].tobytes() == _reference_grad_rows(view, H[rows]).tobytes(), (family, n, e)
+
+        w, done = n * dim, np.arange(30) % 3 == 1
+        G_before = rng.uniform(-1.0, 1.0, H.shape)
+        for block in (default_block, 3 * w + 1, 1):
+            monkeypatch.setattr(pvcg.allocation, "_FD_BLOCK", block)
+            entries.clear()
+            G = objective.gradient(H, totals, done, G_before)
+            for e, view in enumerate(views):
+                rows, active = slice(10 * e, 10 * e + 10), ~done[10 * e:10 * e + 10]
+                want = _reference_grad_rows(view, H[rows])[active]
+                assert G[rows][active].tobytes() == want.tobytes(), (family, n, e, block)
+            if objective.closed:
+                assert entries == []
+                continue
+            assert G[done].tobytes() == G_before[done].tobytes(), (family, n, block)
+            per_call = max(block // w, 1)
+            assert max(entries) <= per_call * w and len(entries) == -(-2 * w * np.count_nonzero(~done) // per_call)
+        monkeypatch.setattr(pvcg.allocation, "_FD_BLOCK", default_block)
+
+    one = _Objective(*_stacked(views[:1]), valuation, cost, 10)
+    totals = one.surplus(H[:10], np.ones(10, dtype=bool))[1]
+    entries.clear()
+    one.gradient(H[:10], totals, np.zeros(10, dtype=bool), np.zeros((10, w)))
+    assert len(entries) == (0 if one.closed else 1), family
+
+
+def test_projected_gradient_start_rows_are_drawn_once_per_width_and_seed():
+    """The start rows are a read-only array cached per (width, seed): the zeros, the ones and the seed's draws.
+
+    Seeds 0 and 3 interleaved, the second pass from the cache, solve with the bits of solves from fresh draws.
+    """
+    view = Economy(np.linspace(0.5, 4.0, 4), [0.3, 0.1, 0.4, 0.2], [0.6, 0.5], SqrtSumSquaresValuation(scale=3.0),
+                   LinearCost()).view()
+    w, fresh = view.n * view.dim, {}
+    for seed in (0, 3):
+        _start_rows.cache_clear()
+        fresh[seed] = optimize_acceptance(view, method="projected_gradient", seed=seed)
+    _start_rows.cache_clear()
+    for seed in (0, 3, 0, 3):
+        _assert_same_solve(optimize_acceptance(view, method="projected_gradient", seed=seed), fresh[seed], seed)
+        rows = _start_rows(w, seed)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[2, 0] = 0.5
+        rng = np.random.default_rng(seed)
+        want = np.stack([np.zeros(w), np.ones(w)] + [rng.uniform(0.0, 1.0, size=w) for _ in range(8)])
+        assert rows.tobytes() == want.tobytes(), seed
+    assert _start_rows.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("family", list(_PG_FAMILIES))
