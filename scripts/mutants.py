@@ -52,12 +52,12 @@ MUTANTS = (
            "return tau, punished, total, np.where(punished, -punishment,",
            "return tau, punished, total, np.where(punished, 0.0,", (PAYMENTS,)),
     Mutant("punished-mask-all", "payments.py",
-           "(accepted > true_capacities + guard).any(axis=-1)", "(accepted > true_capacities + guard).all(axis=-1)",
-           (PAYMENTS,)),
+           "np.logical_or.reduce(accepted > true_capacities + guard",
+           "np.logical_and.reduce(accepted > true_capacities + guard", (PAYMENTS,)),
     Mutant("punished-mask-guard-sign", "payments.py",
-           "(accepted > true_capacities + guard)", "(accepted > true_capacities - guard)", (PAYMENTS,)),
+           "accepted > true_capacities + guard", "accepted > true_capacities - guard", (PAYMENTS,)),
     Mutant("tau-forms-removed-rows", "payments.py",
-           "costs[..., 1:, :].sum(axis=-1)", "costs[..., :-1, :].sum(axis=-1)", (PAYMENTS,)),
+           "- row_costs[..., 1:])", "- row_costs[..., :-1])", (PAYMENTS,)),
     # the feasibility penalties and verdicts
     Mutant("penalty-rationality-sign", "adjustment.py",
            "np.maximum(-gains - adjustments, 0.0)", "np.maximum(-gains + adjustments, 0.0)", (LEARN,)),
@@ -78,14 +78,14 @@ MUTANTS = (
     Mutant("method-gradient-runs-waterfill", "allocation.py",
            "got {method!r}\")\n    return False", "got {method!r}\")\n    return True", (ALLOC,)),
     Mutant("cost-order-free-producer-stops", "allocation.py",
-           "np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)",
-           "np.where(gammas_sorted > 0, scale * ratio * ratio, 0.0)", (ALLOC,)),
+           "np.where(gammas_sorted > 0.0, scale * ratio * ratio, np.inf)",
+           "np.where(gammas_sorted > 0.0, scale * ratio * ratio, 0.0)", (ALLOC,)),
     Mutant("cost-order-half-ratio", "allocation.py",
            "np.asarray(theta_sum)[..., None] / (2.0 * gammas_sorted)", "np.asarray(theta_sum)[..., None] / gammas_sorted",
            (ALLOC,)),
     Mutant("fills-previous-capacity-only", "allocation.py",
-           "stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]", "stops[..., 1:] -= caps_sorted[..., :-1]",
-           (ALLOC,)),
+           "stops[..., 1:] -= np.add.accumulate(caps_sorted[..., :-1], axis=-1)",
+           "stops[..., 1:] -= caps_sorted[..., :-1]", (ALLOC,)),
     Mutant("fills-unclipped-by-capacity", "allocation.py",
            "return np.minimum(np.maximum(stops, 0.0, out=stops), caps_sorted, out=stops)",
            "return np.maximum(stops, 0.0, out=stops)", (ALLOC,)),
@@ -103,11 +103,13 @@ MUTANTS = (
     Mutant("analytic-solved-all-coordinates", "adjustment.py",
            "self.support.cap_lo.any(axis=-1)", "self.support.cap_lo.all(axis=-1)", (ADJUST,)),
     Mutant("analytic-skipped-positive-zero", "adjustment.py",
-           "np.full(gammas.shape, -0.0)", "np.full(gammas.shape, 0.0)", (ADJUST,)),
+           "adjustments.fill(-0.0)", "adjustments.fill(0.0)", (ADJUST,)),
     Mutant("analytic-sign", "adjustment.py",
            "= -(surpluses[..., :k] - surpluses[..., k:])", "= surpluses[..., :k] - surpluses[..., k:]", (ADJUST,)),
     Mutant("learned-rows-untransposed", "learner.py",
            "np.ascontiguousarray(outputs.T).reshape", "np.ascontiguousarray(outputs).reshape", (LEARN,)),
+    Mutant("learned-dead-column-fill", "learner.py",
+           "/ span, 0.0)", "/ span, 1.0)", (LEARN,)),
     Mutant("loss-grad-rationality-sign", "learner.py",
            "d_out = (-(rationality > 0).astype(float)", "d_out = ((rationality > 0).astype(float)", (LEARN,)),
     Mutant("deviations-over-mode", "verification.py",

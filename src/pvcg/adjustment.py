@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _batch_surpluses, _max_surplus, _replaced, waterfill_applies
+from .allocation import _batch_surpluses, _max_surplus, _replaced, _replaced_mask, waterfill_applies
 from .model import (
     ProbeReport, _check_count, _check_layout, _check_reports, _check_tol, _set_profile, fields_from_dict,
     fields_to_dict,
@@ -137,11 +137,17 @@ def _one_producer(adjustment, i: int, capacities_others, gammas_others, thetas) 
     return float(adjustment._rows(*reports)[i])
 
 
-def _replacements(support: PriorSupport, solved: Array) -> tuple[Array, Array, Array]:
-    """``_replaced``'s capacities, cost types and slots for the k ``solved`` producers: row j has the j-th of them at
-    its support extremes, row k+j at zero capacity, both at its ``gamma_hi``."""
-    cap_lo = support.cap_lo[solved]
-    return np.concatenate([cap_lo, 0.0 * cap_lo]), np.tile(support.gamma_hi[solved], 2), np.tile(solved, 2)
+def _replacements(support: PriorSupport, solved: Array) -> tuple[Array, Array, Array, Array]:
+    """``_replaced``'s capacities, cost types and mask for the k ``solved`` producers, and the producers: row j has the
+    j-th of them at its support extremes, row k+j at zero capacity, both at its ``gamma_hi``."""
+    cap_lo, slots = support.cap_lo[solved], np.tile(solved, 2)
+    rows = np.arange(len(slots)), slots
+    mask = np.zeros((len(slots), support.n), dtype=bool)
+    caps, gammas = np.zeros(mask.shape + (support.dim,)), np.zeros(mask.shape)
+    mask[rows] = True
+    caps[rows] = np.concatenate([cap_lo, 0.0 * cap_lo])
+    gammas[rows] = support.gamma_hi[slots]
+    return caps, gammas, mask, solved
 
 
 @dataclass(frozen=True)
@@ -185,13 +191,14 @@ class AnalyticAdjustment:
         """``all_producers`` of checked reports, which must only fit the support's layout; with ``replacements``
         (from ``_replacements``) only their producers are solved."""
         _check_layout(caps, gammas, thetas, self.support)
-        adjustments = np.full(gammas.shape, -0.0)
-        cap, gamma, slots = self._replacements if replacements is None else replacements
-        if len(slots):
-            k = len(slots) // 2
-            rows = _replaced(caps, gammas, cap, gamma, slots=slots)
+        adjustments = np.empty(gammas.shape)
+        adjustments.fill(-0.0)
+        cap, gamma, mask, solved = self._replacements if replacements is None else replacements
+        k = len(solved)
+        if k:
+            rows = _replaced(caps, gammas, cap, gamma, mask)
             surpluses = _max_surplus(*rows, thetas[..., None, :], self.valuation, self.cost, self.method)
-            adjustments[..., slots[:k]] = -(surpluses[..., :k] - surpluses[..., k:])
+            adjustments[..., solved] = -(surpluses[..., :k] - surpluses[..., k:])
         return adjustments
 
 
@@ -239,7 +246,7 @@ def _run_check(
     caps, gammas, thetas = sample_from(support, samples, np.random.default_rng(seed))
     if pessimistic:
         s_full = _max_surplus(caps, gammas, thetas, valuation, cost, method)
-        replaced = _replaced(caps, gammas, support.cap_lo, support.gamma_hi)
+        replaced = _replaced(caps, gammas, support.cap_lo, support.gamma_hi, _replaced_mask(support.n))
         s_replaced = _max_surplus(*replaced, thetas[:, None, :], valuation, cost, method)
     else:
         s_full, s_replaced = _batch_surpluses(valuation, cost, caps, gammas, thetas, method)

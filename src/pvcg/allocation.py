@@ -94,22 +94,22 @@ def _cost_order(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Ar
     indices into the batch, and the capacities, cost types and stop
     quantities along it.
     """
-    order = np.argsort(gammas, axis=-1, kind="stable")
-    flat = order
-    if order.ndim > 1:
+    # ndarray methods and ufuncs: on rows of ten the numpy function wrappers cost more than the arithmetic
+    flat = gammas.argsort(axis=-1, kind="stable")
+    if flat.ndim > 1 and flat.size:
         # one flat gather for the whole batch: each row's offset plus its order
-        flat = order + order.shape[-1] * np.arange(math.prod(order.shape[:-1])).reshape(order.shape[:-1] + (1,))
+        flat += np.arange(0, flat.size, flat.shape[-1]).reshape(flat.shape[:-1] + (1,))
     gammas_sorted = gammas.take(flat)
     # ratio before squaring: immune to underflow/overflow of the squares
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.asarray(theta_sum)[..., None] / (2.0 * gammas_sorted)
-        stops = np.where(gammas_sorted > 0, scale * ratio * ratio, np.inf)
+        stops = np.where(gammas_sorted > 0.0, scale * ratio * ratio, np.inf)
     return flat, caps.take(flat), gammas_sorted, stops
 
 
 def _fills(caps_sorted: Array, stops: Array) -> Array:
     """Each stop quantity minus the quantity filled before it, clipped to [0, capacity]; overwrites ``stops``."""
-    stops[..., 1:] -= np.cumsum(caps_sorted, axis=-1)[..., :-1]
+    stops[..., 1:] -= np.add.accumulate(caps_sorted[..., :-1], axis=-1)
     return np.minimum(np.maximum(stops, 0.0, out=stops), caps_sorted, out=stops)
 
 
@@ -123,7 +123,7 @@ def _sorted_surplus(caps_sorted: Array, gammas_sorted: Array, stops: Array, thet
     fills = _fills(caps_sorted, stops)
     # a dot product per row, the one 1-D ``@`` would take
     cost = (gammas_sorted[..., None, :] @ fills[..., :, None])[..., 0, 0]
-    return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * fills.sum(axis=-1)) - cost, 0.0)
+    return np.where(theta_sum > 0.0, theta_sum * np.sqrt(scale * np.add.reduce(fills, axis=-1)) - cost, 0.0)
 
 
 def _waterfill_rows(caps: Array, gammas: Array, theta_sum, scale: float) -> tuple[Array, Array]:
@@ -136,13 +136,13 @@ def _waterfill_rows(caps: Array, gammas: Array, theta_sum, scale: float) -> tupl
     flat, caps_sorted, gammas_sorted, sorted_fills = _cost_order(caps, gammas, theta_sum, scale)
     # the stop quantities become the fills in place
     surplus = _sorted_surplus(caps_sorted, gammas_sorted, sorted_fills, theta_sum, scale)
-    bad = ~np.isfinite(surplus)
-    if bad.any():
+    if not np.isfinite(surplus).all():
+        bad = ~np.isfinite(surplus)
         raise ValueError(f"solver produced a non-finite surplus ({np.asarray(surplus)[bad].flat[0]})")
     fills = np.empty_like(sorted_fills)
-    np.put(fills, flat, sorted_fills)
+    fills.put(flat, sorted_fills)
     worth = np.asarray(theta_sum)[..., None] > 0.0
-    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0) & worth), surplus
+    return np.divide(fills, caps, out=np.zeros(caps.shape), where=(caps > 0.0) & worth), surplus
 
 
 def analytic_waterfill(view: Economy) -> AllocationResult:
@@ -182,31 +182,23 @@ def others_index(n: int) -> Array:
 
 
 @functools.lru_cache(maxsize=64)
-def _replaced_index(n: int, first: int) -> tuple[Array, Array]:
-    """Read-only copy and slot indices ``(first + j, j)`` of ``_replaced``'s n copies of every slot, built once."""
-    rows = np.arange(n)
-    index = first + rows, rows
-    for a in index:
-        a.flags.writeable = False
-    return index
+def _replaced_mask(n: int, first: int = 0) -> Array:
+    """Read-only ``(first + n, n)`` mask of ``_replaced``'s default stack, built once per n: the ``first`` rows clear,
+    then row ``first + j`` set in slot j alone."""
+    mask = np.eye(first + n, n, -first, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
-def _replaced(caps: Array, gammas: Array, cap, gamma, first: int = 0, slots=None) -> tuple[Array, Array]:
-    """Copies ``(..., first + r, n, dim)``, ``(..., first + r, n)`` of the reports, r the length of ``slots``: the
-    ``first`` unchanged, then copy ``first + j`` with ``cap`` and ``gamma`` entry j in slot ``slots[j]``, every
-    slot in order by default. When ``gamma`` is ``gammas`` itself, every slot already holds its entry and the cost
-    types are only copied."""
-    if slots is None:
-        copies, slots = _replaced_index(gammas.shape[-1], first)
-    else:
-        copies = np.arange(first, first + len(slots))
-    r = len(slots)
-    caps = np.repeat(caps[..., None, :, :], first + r, axis=-3)
-    caps[..., copies, slots, :] = cap
-    copied = np.repeat(gammas[..., None, :], first + r, axis=-2)
-    if gamma is not gammas:
-        copied[..., copies, slots] = gamma
-    return caps, copied
+def _replaced(caps: Array, gammas: Array, cap, gamma, mask: Array) -> tuple[Array, Array]:
+    """Copies ``(..., r, n, dim)``, ``(..., r, n)`` of the reports, one per row of the ``(r, n)`` bool ``mask``: copy k
+    takes ``cap`` and ``gamma``, broadcast to ``(r, n, dim)`` and ``(r, n)``, in the slots its mask row sets. With
+    ``_replaced_mask``, an ``(n, dim)`` cap and an ``(n,)`` gamma put entry j in slot j. When ``gamma`` is ``gammas``
+    itself, every slot already holds its entry and the cost types are only copied."""
+    replaced = np.where(mask[..., None], cap, caps[..., None, :, :])
+    if gamma is gammas:
+        return replaced, gammas[..., None, :].repeat(len(mask), axis=-2)
+    return replaced, np.where(mask, gamma, gammas[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,7 @@ def _solve(caps: Array, gammas: Array, thetas: Array, valuation, cost, method: s
     if gammas.size == 0:
         return np.zeros(caps.shape), np.zeros(batch)
     if waterfill:
-        ratios, surplus = _waterfill_rows(bundle_totals(caps), gammas, thetas.sum(axis=-1), valuation.scale)
+        ratios, surplus = _waterfill_rows(bundle_totals(caps), gammas, np.add.reduce(thetas, axis=-1), valuation.scale)
         return caps * ratios[..., None], surplus
     if thetas.shape[-1] < 1:
         raise ValueError("an economy needs at least one consumer")
@@ -503,5 +495,6 @@ def _batch_surpluses(valuation, cost, caps: Array, gammas: Array, thetas: Array,
     """
     if waterfill_applies(valuation, cost, method):
         return waterfill_gains(bundle_totals(caps), gammas, thetas.sum(axis=1), valuation.scale)
-    surpluses = _max_surplus(*_replaced(caps, gammas, 0.0, gammas, first=1), thetas[:, None, :], valuation, cost, method)
+    stack = _replaced(caps, gammas, 0.0, gammas, _replaced_mask(gammas.shape[-1], 1))
+    surpluses = _max_surplus(*stack, thetas[:, None, :], valuation, cost, method)
     return surpluses[:, 0], surpluses[:, 1:]

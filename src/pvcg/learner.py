@@ -117,22 +117,28 @@ def _forward(weights: list[Array], biases: list[Array], X: Array, *, _hidden: li
     return (activations[-1] @ weights[-1] + biases[-1][:, None, :])[..., 0], activations
 
 
+def _row_stacks(weights: list[Array], biases: list[Array]) -> tuple[list[Array], list[Array]]:
+    """Views of the stacks for ``_forward_rows``: ``(n, 1, fan_in, fan_out)`` weights, ``(n, 1, 1, fan_out)`` biases."""
+    return [w[:, None] for w in weights], [b[:, None, None] for b in biases]
+
+
 def _forward_rows(weights: list[Array], biases: list[Array], X: Array) -> Array:
     """Outputs ``(n, B)`` of n stacked networks on input rows ``(n, B, k)``, each row its own ``(1, k) @ W_i`` product.
 
     Inference path of the adjustment networks: one batched matmul per layer
-    over all n networks. A row's bits do not depend on how many rows are
-    stacked with it, whereas a 2-D ``(T, k) @ W`` (as in training's
-    ``_forward``) is blocked by row count and can move the last bits. The
-    rows are made contiguous first: numpy hands a strided row to BLAS with
-    its stride, and the strided kernel may sum in another order.
+    over all n networks, whose stacks come as ``_row_stacks`` views. A row's
+    bits do not depend on how many rows are stacked with it, whereas a 2-D
+    ``(T, k) @ W`` (as in training's ``_forward``) is blocked by row count and
+    can move the last bits. The rows are made contiguous first: numpy hands a
+    strided row to BLAS with its stride, and the strided kernel may sum in
+    another order.
     """
     a = np.ascontiguousarray(X)[..., None, :]
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = a @ w[:, None]
-        a += b[:, None, None]
+        a = a @ w
+        a += b
         np.maximum(a, 0.0, out=a)
-    return (a @ weights[-1][:, None] + biases[-1][:, None, None])[..., 0, 0]
+    return (a @ weights[-1] + biases[-1])[..., 0, 0]
 
 
 def _backward(weights: list[Array], activations: list[Array], d_out: Array, *,
@@ -168,13 +174,6 @@ def _backward(weights: list[Array], activations: list[Array], d_out: Array, *,
 # ---------------------------------------------------------------------------
 
 
-def _normalize(values: Array, lo: Array, hi: Array) -> Array:
-    span = hi - lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = np.where(span > 0, (values - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return scaled
-
-
 def _layout(caps_others: Array, gammas_others: Array, thetas: Array) -> Array:
     """Network input rows: others' capacities, others' cost types, valuation types.
 
@@ -191,8 +190,10 @@ class LearnedAdjustment:
 
     The model owns its parameters: construction copies the networks into one
     flat array, viewed as ``(n, fan_in, fan_out)`` weight and ``(n, fan_out)``
-    bias stacks, and ``nets`` holds per-network views into those stacks.
-    Training steps the flat array in place.
+    bias stacks, as those stacks' ``_row_stacks`` for pricing, and as
+    ``nets``, per-network views. Training steps the flat array in place. An
+    input column scales to ``(x - lo) / (hi - lo)`` on the prior box, and to 0
+    where the box has zero width; construction builds those constants once.
     """
 
     nets: tuple
@@ -204,11 +205,15 @@ class LearnedAdjustment:
             raise ValueError("need exactly one network per producer")
         s = self.support
         # the prior box as (lo, hi) rows of the full layout, then network i's columns of it
-        box = _layout(np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
-        caps_col, gammas_col, thetas_col = np.split(np.arange(box.shape[1]), [s.n * s.dim, s.n * (s.dim + 1)])
+        lo, hi = _layout(
+            np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi])
+        )
+        span = hi - lo
+        caps_col, gammas_col, thetas_col = np.split(np.arange(len(lo)), [s.n * s.dim, s.n * (s.dim + 1)])
         others = others_index(s.n)
         columns = _layout(caps_col.reshape(s.n, s.dim)[others], gammas_col[others], np.tile(thetas_col, (s.n, 1)))
-        object.__setattr__(self, "_box", box)
+        # the box's low row, its widths with each zero width made 1, and the columns of non-zero width
+        object.__setattr__(self, "_scaling", (lo, np.where(span > 0.0, span, 1.0), span > 0.0))
         object.__setattr__(self, "_columns", columns)
         for i, net in enumerate(self.nets):
             if net.input_width != columns.shape[1]:
@@ -223,6 +228,7 @@ class LearnedAdjustment:
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_biases", biases)
+        object.__setattr__(self, "_row_stacks", _row_stacks(weights, biases))
         nets = tuple(MLP([w[i] for w in weights], [b[i] for b in biases]) for i in range(s.n))
         object.__setattr__(self, "nets", nets)
 
@@ -246,12 +252,13 @@ class LearnedAdjustment:
         _check_layout(caps, gammas, thetas, self.support)
         full = self._full_rows(caps, gammas, thetas)
         inputs = full.reshape(-1, full.shape[-1]).take(self._columns, axis=1).transpose(1, 0, 2)
-        outputs = _forward_rows(self._weights, self._biases, inputs)
+        outputs = _forward_rows(*self._row_stacks, inputs)
         return np.ascontiguousarray(outputs.T).reshape(full.shape[:-1] + (self.n,))
 
     def _full_rows(self, caps: Array, gammas: Array, thetas: Array) -> Array:
         """Every producer's reports in one normalized row: column ``_columns[i, c]`` is network i's input c."""
-        return _normalize(_layout(caps, gammas, thetas), *self._box)
+        lo, span, live = self._scaling
+        return np.where(live, (_layout(caps, gammas, thetas) - lo) / span, 0.0)
 
     def inputs_batch(self, caps: Array, gammas: Array, thetas: Array, *, _out: Array | None = None) -> Array:
         """``(n, T, k)`` inputs of every network for T full draws: a ``(T, n, k)`` gather into ``_out``, transposed."""

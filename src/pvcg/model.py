@@ -195,7 +195,7 @@ class SqrtSumValuation:
     def value_rows(self, accepted: Array, thetas) -> Array:
         """``model.value_rows`` of this family: the pairwise total of each row's n*dim quantities, as ``value``."""
         shape = accepted.shape
-        totals = accepted.reshape(shape[:-2] + (shape[-2] * shape[-1],)).sum(axis=-1)
+        totals = np.add.reduce(accepted.reshape(shape[:-2] + (shape[-2] * shape[-1],)), axis=-1)
         return _consumer_sum(thetas, np.sqrt(self.scale * totals))
 
 

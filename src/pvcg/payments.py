@@ -11,11 +11,11 @@ and bears no cost).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationResult, _replaced, _solve
+from .allocation import AllocationResult, _replaced, _replaced_mask, _solve
 from .model import BidProfile, Economy, _check_entries, _check_reports, cost_rows, value_rows
 
 Array = np.ndarray
@@ -74,9 +74,9 @@ def _check_punishment(punishment: float) -> None:
 
 
 def _punished_mask(accepted: Array, true_capacities: Array) -> Array:
-    """Bundles ``(..., dim)`` accepted beyond the true capacity in any coordinate."""
-    guard = _PUNISH_GUARD * (1.0 + np.abs(true_capacities))
-    return (accepted > true_capacities + guard).any(axis=-1)
+    """Bundles ``(..., dim)`` accepted beyond the true capacity, which must be non-negative, in any coordinate."""
+    guard = _PUNISH_GUARD * (1.0 + true_capacities)
+    return np.logical_or.reduce(accepted > true_capacities + guard, axis=-1)
 
 
 def _pivot(surplus, removed_surplus, own_costs: Array) -> Array:
@@ -114,8 +114,10 @@ def deviation_utilities(
     A producer accepted beyond its true capacity is paid ``-punishment`` and
     delivers nothing; otherwise it earns ``tau + h`` minus its true cost of
     the accepted bundle. ``payments_batch`` prices every producer by this rule.
+    A true capacity that is negative or not finite raises, naming the field.
     """
     _check_punishment(punishment)
+    true_capacities = _check_entries(np.asarray(true_capacities, dtype=float), "true capacities")
     tau, _, _, utility = _settle(
         true_capacities, true_gammas, cost_rows(cost, accepted, reported_gammas), cost, accepted, surplus,
         removed_surplus, h, punishment,
@@ -137,10 +139,9 @@ def _check_tau_forms(taus, costs, values) -> None:
     Leading axes are a batch of economies. The first producer whose forms disagree is named, with its economy in a
     batch of several.
     """
-    costs_full = costs[..., 0, :]
-    others_cost_full = costs_full.sum(axis=-1, keepdims=True) - costs_full
-    others_cost_removed = costs[..., 1:, :].sum(axis=-1)
-    expanded = (values[..., :1] - values[..., 1:]) - (others_cost_full - others_cost_removed)
+    row_costs = np.add.reduce(costs, axis=-1)
+    others_cost_full = row_costs[..., :1] - costs[..., 0, :]
+    expanded = (values[..., :1] - values[..., 1:]) - (others_cost_full - row_costs[..., 1:])
     disagree = np.abs(taus - expanded) > TAU_FORM_TOL
     if disagree.any():
         where = tuple(np.argwhere(disagree)[0])
@@ -187,13 +188,15 @@ def total_payment(
     auction is priced as a batch of one of ``payments_batch``.
     """
     _check_punishment(punishment)
-    batch = _price(
+    tau, h, total, utilities, income, slack, punished, surplus, removed, accepted, delivered = _price(
         economy.capacities[None], economy.cost_types[None], economy.valuation_types[None],
         *(report[None] for report in economy._reports(bids)), economy.valuation, economy.cost, adjustment, punishment,
         method,
     )
-    row = {name: getattr(batch, name)[0] for name in _FIELDS}
-    return PaymentBreakdown(**{**row, **{name: float(row[name]) for name in _SCALAR_FIELDS}})
+    return PaymentBreakdown(
+        tau[0], h[0], total[0], utilities[0], float(income[0]), float(slack[0]), punished[0], float(surplus[0]),
+        removed[0], accepted[0], delivered[0],
+    )
 
 
 def payments_batch(
@@ -235,22 +238,20 @@ def payments_batch(
         raise ValueError("reported capacities and cost types must have the shapes of the true ones")
     if caps.shape[1] < 1 or thetas.shape[1] < 1:
         raise ValueError("an economy needs at least one producer and one consumer")
-    return _price(caps, gammas, thetas, bid_caps, bid_gammas, thetas, valuation, cost, adjustment, punishment, method)
-
-
-_FIELDS = tuple(f.name for f in fields(PaymentBreakdown))
-_SCALAR_FIELDS = ("surplus", "coalition_income", "budget_slack")
+    return PaymentBreakdown(
+        *_price(caps, gammas, thetas, bid_caps, bid_gammas, thetas, valuation, cost, adjustment, punishment, method)
+    )
 
 
 def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, cost, adjustment, punishment, method):
-    """``payments_batch`` of checked true and reported economies, their ``(n+1, n, dim)`` stacks in one ``_solve``.
+    """``payments_batch``'s ``PaymentBreakdown`` fields, in order, of checked true and reported economies, their
+    ``(n+1, n, dim)`` stacks in one ``_solve``.
 
     Row 0 is the reported economy and row 1+i the same with producer i's capacity zeroed, its cost type kept so
     the slot sorts as in row 0: a producer left out of the allocation gets ``S*_{-i} == S*`` bit for bit.
     """
-    solved, surpluses = _solve(
-        *_replaced(bid_caps, bid_gammas, 0.0, bid_gammas, first=1), bid_thetas[..., None, :], valuation, cost, method
-    )
+    stack = _replaced(bid_caps, bid_gammas, 0.0, bid_gammas, _replaced_mask(bid_gammas.shape[-1], 1))
+    solved, surpluses = _solve(*stack, bid_thetas[..., None, :], valuation, cost, method)
     accepted, surplus, removed_surpluses = solved[..., 0, :, :], surpluses[..., 0], surpluses[..., 1:]
     # an adjustment is any object with ``all_producers``; the package's own skip its check in ``_rows``
     adjustments = np.zeros(bid_gammas.shape) if adjustment is None else getattr(
@@ -264,16 +265,5 @@ def _price(caps, gammas, thetas, bid_caps, bid_gammas, bid_thetas, valuation, co
     _check_tau_forms(taus, costs, value_rows(valuation, solved, bid_thetas[..., None, :]))
     delivered = np.where(punished[..., None], 0.0, accepted)
     income = value_rows(valuation, delivered, thetas)
-    return PaymentBreakdown(
-        tau=taus,
-        adjustment=adjustments,
-        total=totals,
-        utilities=utilities,
-        coalition_income=income,
-        budget_slack=income - totals.sum(axis=-1),
-        punished=punished,
-        surplus=surplus,
-        counterfactual_surpluses=removed_surpluses,
-        accepted=accepted,
-        delivered=delivered,
-    )
+    slack = income - np.add.reduce(totals, axis=-1)
+    return taus, adjustments, totals, utilities, income, slack, punished, surplus, removed_surpluses, accepted, delivered

@@ -134,7 +134,9 @@ def probe_dsic(
     producer = rng.integers(support.n, size=trial.size)
     own = (trial, producer)
     cap_dev, gamma_dev = draw_deviations(support, rng, caps[own], gammas[own], producer)
-    truth = _price(caps, gammas, thetas, caps, gammas, thetas, valuation, cost, adjustment, punishment, method)
+    truth = PaymentBreakdown(
+        *_price(caps, gammas, thetas, caps, gammas, thetas, valuation, cost, adjustment, punishment, method)
+    )
     truth_utility = truth.utilities[own]
 
     rows = np.arange(trial.size)

@@ -75,8 +75,9 @@ def random_sqrt_sum_economy(rng, n_choices=(1, 2, 3), m_choices=(1, 2), cap_high
 
 
 # cost types and capacities with ties and zeros mixed into the continuous draws
-TIED_GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
-TIED_CAPS = st.sampled_from([0.0, 2.5, 5.0]) | st.floats(0.0, 5.0)
+TIE_GAMMAS, TIE_CAPS = (0.0, 0.25, 0.5, 1.0), (0.0, 2.5, 5.0)
+TIED_GAMMAS = st.sampled_from(TIE_GAMMAS) | st.floats(0.0, 1.0)
+TIED_CAPS = st.sampled_from(TIE_CAPS) | st.floats(0.0, 5.0)
 
 
 def weighted_valuation(x, theta):

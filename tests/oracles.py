@@ -185,6 +185,20 @@ def reference_analytic_adjustment(model, i: int, capacities_others, gammas_other
     return float(-(s_pessimistic - s_without))
 
 
+def _reference_layout(caps_others, gammas_others, thetas):
+    """A network's input rows: the others' capacities flattened producer by producer, their cost types, then the
+    valuation types; every argument carries the same leading batch axes."""
+    batch = gammas_others.shape[:-1]
+    return np.concatenate([caps_others.reshape(*batch, -1), gammas_others, thetas], axis=-1)
+
+
+def _reference_normalize(values, lo, hi):
+    """Each column mapped by ``(x - lo) / (hi - lo)``, and to 0 where ``hi == lo``."""
+    span = hi - lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(span > 0, (values - lo) / np.where(span > 0, span, 1.0), 0.0)
+
+
 def reference_learned_adjustment(model, i: int, capacities_others, gammas_others, thetas) -> float:
     """A ``LearnedAdjustment``'s value for producer ``i``: network ``i`` on the others' reports.
 
@@ -192,19 +206,17 @@ def reference_learned_adjustment(model, i: int, capacities_others, gammas_others
     by the prior box with producer ``i``'s entries deleted, without the
     model's full-row gather; one ``(1, k)`` forward pass.
     """
-    from pvcg.learner import _layout, _normalize
-
     s = model.support
     if not 0 <= i < s.n:
         raise IndexError(f"producer index {i} out of range for n={s.n}")
     box = (np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
-    lo, hi = _layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
-    raw = _layout(
+    lo, hi = _reference_layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
+    raw = _reference_layout(
         np.asarray(capacities_others, dtype=float)[None],
         np.atleast_1d(np.asarray(gammas_others, dtype=float))[None],
         np.atleast_1d(np.asarray(thetas, dtype=float))[None],
     )
-    out, _ = _reference_forward(model.nets[i], _normalize(raw, lo, hi))
+    out, _ = _reference_forward(model.nets[i], _reference_normalize(raw, lo, hi))
     return float(out[0])
 
 
@@ -857,7 +869,7 @@ def reference_ir_wbb_sweep(
 # must give the same bits.
 
 from pvcg.adjustment import feasibility_penalties  # noqa: E402
-from pvcg.learner import MLP, LearnedAdjustment, _layout, _normalize, mlp_init  # noqa: E402
+from pvcg.learner import MLP, LearnedAdjustment, mlp_init  # noqa: E402
 
 
 def reference_sample_from(support, count, rng):
@@ -916,15 +928,16 @@ def reference_waterfill_gains(caps, gammas, theta_sum, scale):
     return full, removed
 
 
-def _reference_inputs(model, caps, gammas, thetas):
+def reference_inputs(model, caps, gammas, thetas):
     """Network i's normalized ``(T, k)`` inputs, built network by network."""
     s = model.support
     box = (np.stack([s.cap_lo, s.cap_hi]), np.stack([s.gamma_lo, s.gamma_hi]), np.stack([s.theta_lo, s.theta_hi]))
     caps = caps.reshape(caps.shape[0], s.n, s.dim)
     inputs = []
     for i in range(s.n):
-        lo, hi = _layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
-        inputs.append(_normalize(_layout(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas), lo, hi))
+        lo, hi = _reference_layout(np.delete(box[0], i, axis=1), np.delete(box[1], i, axis=1), box[2])
+        raw = _reference_layout(np.delete(caps, i, axis=1), np.delete(gammas, i, axis=1), thetas)
+        inputs.append(_reference_normalize(raw, lo, hi))
     return inputs
 
 
@@ -954,7 +967,7 @@ def reference_loss_and_grads(model, caps, gammas, thetas, gains, surpluses):
     """Loss and per-network ``(d_weights, d_biases)`` of the model on a batch of full draws, network by network."""
     T = surpluses.shape[0]
     outs, caches = [], []
-    for net, X in zip(model.nets, _reference_inputs(model, caps, gammas, thetas)):
+    for net, X in zip(model.nets, reference_inputs(model, caps, gammas, thetas)):
         out, acts = _reference_forward(net, X)
         outs.append(out)
         caches.append(acts)

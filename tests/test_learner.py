@@ -23,6 +23,7 @@ from pvcg.learner import (
     _forward,
     _forward_rows,
     _loss_and_grads,
+    _row_stacks,
     _stack,
     load_model,
     mlp_init,
@@ -35,6 +36,7 @@ from oracles import (
     fd_output_grads,
     max_rel_error,
     per_network,
+    reference_inputs,
     reference_learned_adjustment,
     reference_loss_and_grads,
     reference_train,
@@ -66,9 +68,9 @@ def _zero_model(support):
 
 def test_forward_basics():
     net = zero_mlp([4, 3, 1])
-    assert _forward_rows(*_stack([net]), np.array([[[1.0, 2.0, 3.0, 4.0]]]))[0, 0] == 0.0
+    assert _forward_rows(*_row_stacks(*_stack([net])), np.array([[[1.0, 2.0, 3.0, 4.0]]]))[0, 0] == 0.0
     linear = MLP([np.array([[1.0], [1.0]])], [np.zeros(1)])
-    assert _forward_rows(*_stack([linear]), np.array([[[2.0, 3.0]]]))[0, 0] == 5.0
+    assert _forward_rows(*_row_stacks(*_stack([linear])), np.array([[[2.0, 3.0]]]))[0, 0] == 5.0
 
 
 def test_learned_adjustment_index_and_width_errors(paper_support):
@@ -435,6 +437,28 @@ def test_all_producers_is_bit_equal_to_the_per_producer_call(batch, hidden):
             assert model(i, caps[t, keep], gammas[t, keep], thetas[t]) == expected
             assert flat[t, i] == expected
     assert np.array_equal(model.all_producers(caps[0], gammas[0], thetas[0]), flat[0])
+
+
+@pytest.mark.parametrize("side", ["capacity", "valuation type"])
+def test_a_zero_width_prior_side_gives_the_oracles_bits(side):
+    """A side of the prior box pinned to one value scales to 0 whatever is reported on it: ``inputs_batch`` and
+    ``all_producers`` give the bits of the per-network oracle. Rows 0 and 1 report off the pinned side (capacities of
+    3 on a box pinned at 2, valuation types of 0.75 on one pinned at 0.5), where only the live mask zeroes the
+    column."""
+    support = PriorSupport.uniform_box(4, 2, **({"cap": (2.0, 2.0)} if side == "capacity" else {"theta": (0.5, 0.5)}))
+    rng = np.random.default_rng(11)
+    model = LearnedAdjustment(tuple(mlp_init([8, 5, 1], rng) for _ in range(4)), support)
+    caps, gammas, thetas = sample_from(support, 6, rng)
+    caps[0, :2], thetas[1] = 3.0, 0.75
+    inputs = model.inputs_batch(caps, gammas, thetas)
+    for i, expected in enumerate(reference_inputs(model, caps, gammas, thetas)):
+        assert inputs[i].shape == expected.shape and inputs[i].tobytes() == expected.tobytes(), i
+    out = model.all_producers(caps, gammas, thetas)
+    for t in range(6):
+        for i in range(4):
+            keep = [k for k in range(4) if k != i]
+            expected = reference_learned_adjustment(model, i, caps[t, keep], gammas[t, keep], thetas[t])
+            assert out[t, i].tobytes() == np.float64(expected).tobytes(), (t, i)
 
 
 def test_all_producers_does_not_depend_on_the_layout_of_its_rows():

@@ -36,7 +36,7 @@ from pvcg.experiment import ExperimentConfig
 from pvcg.payments import deviation_utilities
 from pvcg.verification import UTILITY_TOL
 
-from conftest import RuleAdjustment, random_sqrt_sum_economy
+from conftest import TIE_CAPS, TIE_GAMMAS, RuleAdjustment, random_sqrt_sum_economy
 from oracles import (
     grid_best_response,
     grid_max,
@@ -159,6 +159,32 @@ def test_no_grid_report_of_a_2d_bundle_beats_truth():
         _assert_no_report_beats_truth(
             caps, gammas, thetas, valuation, truths, i, np.concatenate([grid_caps, raised], axis=1), grid_gammas
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_grid_report_beats_truth_on_ties(n):
+    """Best responses where ties, zero valuation types and zero capacities are common, which the flagship prior
+    never draws: 50 economies at each n from 1 to 4, m = 2, with about half of the capacities, cost types and
+    valuation types at the tie values (0, 2.5, 5; 0, 0.25, 0.5, 1; 0, 0.5, 1) and the rest uniform. Every producer
+    reports on a 41 x 31 grid of (capacity 0-10, cost type 0-1.5), whose steps of 0.25 and 0.05 hold every tie value.
+    None beats truth by more than ``UTILITY_TOL`` under the zero adjustment, or under the analytic one of a support
+    whose capacity minimum of 1 makes it solve."""
+    m, T = 2, 50
+    rng = np.random.default_rng(60 + n)
+
+    def tied(ties, high, shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(ties, size=shape), rng.uniform(0.0, high, size=shape))
+
+    caps, gammas, thetas = tied(TIE_CAPS, 5.0, (T, n, 1)), tied(TIE_GAMMAS, 1.0, (T, n)), tied((0.0, 0.5, 1.0), 1.0, (T, m))
+    valuation, cost = SqrtSumValuation(scale=float(n)), LinearCost()
+    support = PriorSupport.uniform_box(n, m, cap=(1.0, 5.0))
+    truths = [
+        payments_batch(caps, gammas, thetas, valuation, cost, adjustment=a)
+        for a in (ZeroAdjustment(), AnalyticAdjustment(support, valuation, cost))
+    ]
+    grid_caps, grid_gammas = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 10.0, 41), np.linspace(0.0, 1.5, 31)))
+    for i in range(n):
+        _assert_no_report_beats_truth(caps, gammas, thetas, valuation, truths, i, grid_caps[:, None], grid_gammas)
 
 
 def _assert_no_report_beats_truth(caps, gammas, thetas, valuation, truths, i, grid_caps, grid_gammas):
